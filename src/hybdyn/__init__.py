@@ -17,6 +17,7 @@ from .berkovich import (BerkTree, GreenEvaluator, TreeMeasure, TypeIIPoint,
                         homog_seminorm, na_lyapunov, poly_seminorm,
                         resultant_valuation, subtree_span, tree_ma)
 from .cxdyn import (RationalMapC, SampleSet, backward_sample, integrate_mu,
-                    lyapunov_complex, przytycki_oracle, specialize)
+                    lyapunov_complex, przytycki_oracle, sample_integrals,
+                    specialize)
 
 __version__ = "0.1.0"

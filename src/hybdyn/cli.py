@@ -1,6 +1,6 @@
 """Command-line interface.
 
-    hybdyn <subcommand> --config PATH [--out DIR] [--seed N] [--jobs N]
+    hybdyn <subcommand> --config PATH [--out DIR] [--seed N]
 
 Subcommands: circle-demo, hybrid-converge, lyap-slope, na-measure.
 Exit codes: 0 success, 2 config error, 3 numerical failure.
@@ -32,8 +32,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="INI config path")
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--seed", type=int, default=None, help="seed override")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="concurrent per-t workers")
     return parser
 
 
@@ -43,7 +41,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, kind=args.kind)
         if args.seed is not None:
             cfg.seed = args.seed
-        record = run(cfg, jobs=args.jobs, out_dir=args.out)
+        record = run(cfg, out_dir=args.out)
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

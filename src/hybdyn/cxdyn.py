@@ -207,23 +207,97 @@ def backward_sample(R: RationalMapC, seed: int, n_burn: int, n_keep: int,
     """Random backward orbit: one uniformly chosen preimage per step.
 
     ``start`` is an affine complex number or a homogeneous pair; starts on
-    (numerically) exceptional points are detected and perturbed.
+    (numerically) exceptional points are detected and perturbed.  This is
+    the one-chain case of the lockstep walker behind ``sample_integrals``.
     """
-    rng = np.random.default_rng(seed)
+    kept = np.empty((n_keep, 2), dtype=complex)
+    for k, block in _walk([R], [seed], n_burn, n_keep, start):
+        kept[k: k + block.shape[1]] = block[0]
+    return SampleSet(points=kept, seed=seed, n_burn=n_burn, n_keep=n_keep)
+
+
+def sample_integrals(maps, seeds, n_burn: int, n_keep: int, start,
+                     integrands) -> list:
+    """Integrate ``integrands[i]`` against the sampled measure of ``maps[i]``
+    for every i, walking all the chains in lockstep.
+
+    Result i equals ``integrate_mu(maps[i], integrands[i],
+    backward_sample(maps[i], seeds[i], n_burn, n_keep, start))`` bit for
+    bit, whatever the other chains are.  The points are streamed to the
+    integrands block by block; only the values are kept.
+    """
+    values = np.empty((len(maps), n_keep))
+    for k, block in _walk(maps, seeds, n_burn, n_keep, start):
+        for row, f, pts in zip(values, integrands, block):
+            # an integrand sees C-ordered (b, 2) points, as in a SampleSet
+            row[k: k + len(pts)] = f(np.ascontiguousarray(pts))
+    return [_integral(row) for row in values]
+
+
+_HEAD_STEPS = 3  # leading steps checked for an exceptional start
+_BLOCK = 1024  # walk steps per streamed block
+
+
+def _walk(maps, seeds, n_burn: int, n_keep: int, start):
+    """The backward walker: chain i walks ``maps[i]`` from ``start`` with
+    its own generator ``default_rng(seeds[i])``, all chains one step at a
+    time.
+
+    Yields ``(k, block)`` where ``block[i]`` holds chain i's kept points
+    k, k+1, ... as a (b, 2) array; ``block`` is a view of a buffer that
+    the next block overwrites.
+    """
+    d = maps[0].degree
+    if any(R.degree != d for R in maps):
+        raise UnsupportedMapError("lockstep chains need maps of one degree")
+    if d > _MAX_ROOT_DEGREE:
+        raise UnsupportedDegreeError(f"preimage degree {d} > {_MAX_ROOT_DEGREE}")
+    total = n_burn + n_keep
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    n_head = min(_HEAD_STEPS, total)
+    head = np.array([_head(R, rng, start, n_head) for R, rng in zip(maps, rngs)])
+    if n_burn < n_head:
+        yield 0, head[:, n_burn:]
+    if n_head == total:
+        return
+    step = _Lockstep(maps)
+    # planar state: buf[k] = (w0 row, w1 row) after k steps of the block
+    buf = np.empty((min(_BLOCK, total - n_head) + 1, 2, len(maps)), dtype=complex)
+    buf[0] = head[:, -1].T
+    for lo in range(n_head, total, _BLOCK):
+        b = min(_BLOCK, total - lo)
+        # one draw per step, taken block-wise: same stream as scalar draws
+        idx = np.stack([rng.integers(d, size=b) for rng in rngs], axis=1)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for k in range(b):
+                step(buf[k], idx[k], buf[k + 1])
+        first = max(n_burn - lo, 0)
+        if first < b:
+            yield lo + first - n_burn, buf[first + 1: b + 1].transpose(2, 0, 1)
+        buf[0] = buf[b]
+
+
+def _head(R: RationalMapC, rng, start, n_steps: int) -> np.ndarray:
+    """The first steps of one chain, taken with ``_preimages``.  A start all
+    of whose preimages coincide with it (numerically exceptional) is
+    perturbed and the chain restarted, up to 8 times."""
+    d = R.degree
     point = _as_point(start)
     for attempt in range(8):
-        try:
-            return _walk(R, rng, seed, n_burn, n_keep, point)
-        except _ExceptionalStart:
-            eps = 0.25 + 0.5 * rng.random()
-            angle = 2 * math.pi * rng.random()
-            point = _as_point(_to_affine(point) + eps * complex(math.cos(angle),
-                                                                math.sin(angle)))
+        head = np.empty((n_steps, 2), dtype=complex)
+        current = point
+        for step in range(n_steps):
+            pre = _preimages(R, current)
+            if all(_chordal(pre[i], current) < 1e-12 for i in range(d)):
+                break
+            current = head[step] = pre[rng.integers(d)]
+        else:
+            return head
+        eps = 0.25 + 0.5 * rng.random()
+        angle = 2 * math.pi * rng.random()
+        point = _as_point(_to_affine(point) + eps * complex(math.cos(angle),
+                                                            math.sin(angle)))
     raise DegenerateMapError("could not move the start off the exceptional set")
-
-
-class _ExceptionalStart(Exception):
-    pass
 
 
 def _as_point(p) -> np.ndarray:
@@ -246,18 +320,140 @@ def _chordal(p, q) -> float:
     return num / (max(abs(p[0]), abs(p[1])) * max(abs(q[0]), abs(q[1])))
 
 
-def _walk(R, rng, seed, n_burn, n_keep, start) -> SampleSet:
-    d = R.degree
-    kept = np.empty((n_keep, 2), dtype=complex)
-    current = start.copy()
-    for step in range(n_burn + n_keep):
-        pre = _preimages(R, current)
-        if step < 3 and all(_chordal(pre[i], current) < 1e-12 for i in range(d)):
-            raise _ExceptionalStart
-        current = pre[rng.integers(d)]
-        if step >= n_burn:
-            kept[step - n_burn] = current
-    return SampleSet(points=kept, seed=seed, n_burn=n_burn, n_keep=n_keep)
+class _Lockstep:
+    """One backward step for many chains, chain i on ``maps[i]``.
+
+    Reproduces ``_preimages`` followed by the drawn choice bit for bit, so a
+    chain's points do not depend on the other chains in the batch:
+
+    - qc is formed by the same numpy array products as in ``_preimages``;
+    - the quadratic's discriminant and branch test are written out in real
+      arithmetic, because ``_poly_roots`` evaluates them on complex128
+      scalars, which round each real product separately, while numpy's
+      complex array multiply may not;
+    - the chart test uses ``np.hypot``, because ``np.abs`` on complex arrays
+      can differ from the scalar ``abs`` in the last bit;
+    - rows the closed form or the stacked companion eigenvalues cannot take
+      (a leading coefficient near the 1e-14 cut, an exact zero constant term
+      for d >= 3 that ``np.roots`` strips, a vanishing ``qq``, a failed
+      eigenvalue solve) are redone with ``_preimages``.
+
+    The work arrays are allocated once: at a few chains the per-call
+    overhead of numpy, not the arithmetic, sets the cost of a step.
+    """
+
+    def __init__(self, maps):
+        n = len(maps)
+        d = maps[0].degree
+        self.maps = maps
+        self.d = d
+        self.p0 = np.array([R.p0c for R in maps])
+        self.p1 = np.array([R.p1c for R in maps])
+        self.qc = np.empty((n, d + 1), dtype=complex)
+        self.tmp = np.empty((n, d + 1), dtype=complex)
+        self.mag = np.empty((n, d + 1))
+        self.cols = tuple(self.qc[:, k] for k in range(d + 1))
+        # rows whose leading coefficient is within 10x of the 1e-14 trimming
+        # cut (the margin absorbs abs rounding) or that the root finder
+        # cannot take go to _preimages
+        self.lead = self.mag[:, d:]
+        self.lower = self.mag[:, :d]
+        self.cut = np.empty((n, 1))
+        self.small = np.empty((n, d), dtype=bool)
+        self.failed = np.zeros(n, dtype=bool)
+        self.test = np.empty(n, dtype=bool)
+        self.z = np.empty(n, dtype=complex)
+        self.z_parts = (self.z.real, self.z.imag)
+        self.radius = np.empty(n)
+        self.inside = np.empty(n, dtype=bool)
+        self.outside = np.empty(n, dtype=bool)
+        self.consts = {c: np.full(n, c) for c in (0.0, 1.0)}
+        self.consts.update({c: np.full(n, c, dtype=complex) for c in (4.0, 2.0)})
+        if d == 2:
+            # real and imaginary parts of c, b, a
+            self.parts = tuple(self.qc.view(float)[:, k] for k in range(6))
+            self.f = np.empty(n, dtype=complex)
+            self.disc = np.empty(n, dtype=complex)
+            self.sq = np.empty(n, dtype=complex)
+            self.qq = np.empty(n, dtype=complex)
+            self.root0 = np.empty(n, dtype=complex)
+            self.views = (self.f.real, self.f.imag, self.disc.real, self.disc.imag,
+                          self.sq.real, self.sq.imag)
+            self.work = tuple(np.empty(n) for _ in range(4))
+        elif d >= 3:
+            self.rows = np.arange(n)
+            self.comp = np.zeros((n, d, d), dtype=complex)
+            self.comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+
+    def __call__(self, y: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None:
+        """Set ``out[:, i]`` to preimage ``idx[i]`` of the point ``y[:, i]``;
+        ``y`` and ``out`` hold the w0 row and the w1 row."""
+        d, qc, consts = self.d, self.qc, self.consts
+        np.multiply(y[1][:, None], self.p0, qc)
+        qc -= np.multiply(y[0][:, None], self.p1, self.tmp)
+        np.abs(qc, self.mag)
+        small = np.less_equal(np.multiply(self.lead, 1e13, self.cut), self.lower,
+                              self.small)
+        if d == 1:
+            z = np.divide(np.negative(self.cols[0], self.z), self.cols[1], self.z)
+        elif d == 2:
+            z = self._quadratic(idx)
+        else:
+            z = self._companion(idx)
+        inside = np.less_equal(np.hypot(*self.z_parts, self.radius), consts[1.0],
+                               self.inside)
+        out.fill(1.0)
+        np.copyto(out[0], z, where=inside)
+        np.divide(consts[1.0], z, out=out[1], where=np.logical_not(inside, self.outside))
+        if np.count_nonzero(small) or np.count_nonzero(self.failed):
+            for i in np.flatnonzero(small.any(axis=1) | self.failed):
+                out[:, i] = _preimages(self.maps[i], y[:, i])[idx[i]]
+
+    def _quadratic(self, idx):
+        cr, ci, br, bi, ar, ai = self.parts
+        fr, fi, disc_re, disc_im, sq_re, sq_im = self.views
+        t1r, t1i, u, w = self.work
+        c, b, a = self.cols
+        consts, test, sq, qq = self.consts, self.test, self.sq, self.qq
+        # b*b - (4*a)*c, rounded as complex128 scalars round it; 4*a has
+        # exact products, so the array multiply reproduces it
+        np.multiply(a, consts[4.0], self.f)
+        np.multiply(br, br, t1r)
+        t1r -= np.multiply(bi, bi, u)
+        np.multiply(br, bi, t1i)
+        t1i += t1i  # br*bi + bi*br
+        np.multiply(fr, cr, u)
+        u -= np.multiply(fi, ci, w)
+        np.subtract(t1r, u, disc_re)
+        np.multiply(fr, ci, u)
+        u += np.multiply(fi, cr, w)
+        np.subtract(t1i, u, disc_im)
+        np.sqrt(self.disc, sq)
+        # (conj(b) * sq).real < 0 flips the branch
+        np.multiply(br, sq_re, u)
+        u += np.multiply(bi, sq_im, w)
+        np.negative(sq, out=sq, where=np.less(u, consts[0.0], test))
+        np.add(b, sq, qq)
+        np.negative(qq, qq)
+        np.divide(qq, consts[2.0], qq)
+        np.equal(qq, consts[0.0], self.failed)
+        z = np.divide(c, qq, self.z)
+        np.copyto(z, np.divide(qq, a, self.root0), where=np.equal(idx, 0, test))
+        return z
+
+    def _companion(self, idx):
+        d, qc, comp = self.d, self.qc, self.comp
+        # np.roots' companion matrix: first row -p[1:] / p[0], p descending;
+        # np.roots strips an exact zero constant term and appends the root 0
+        np.equal(self.cols[0], self.consts[0.0], self.failed)
+        np.divide(-qc[:, d - 1::-1], qc[:, d:], out=comp[:, 0])
+        try:
+            roots = np.linalg.eigvals(comp)
+        except np.linalg.LinAlgError:
+            self.failed.fill(True)
+            return self.z
+        self.z[:] = roots[self.rows, idx]
+        return self.z
 
 
 @dataclass
@@ -276,7 +472,10 @@ class IntegralResult:
 def integrate_mu(R: RationalMapC, f, s: SampleSet) -> IntegralResult:
     """Monte-Carlo integral of f over the sample; -inf/nan values are
     excluded and counted, with a warning status above 1% exclusions."""
-    vals = np.asarray(f(s.points), dtype=float)
+    return _integral(np.asarray(f(s.points), dtype=float))
+
+
+def _integral(vals: np.ndarray) -> IntegralResult:
     finite = np.isfinite(vals)
     kept = vals[finite]
     n_used = int(finite.sum())

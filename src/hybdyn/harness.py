@@ -16,7 +16,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -325,11 +324,19 @@ def _grid_cells(cfg: ExperimentConfig):
     return cells
 
 
-def _map_cells(fn, cells, jobs: int):
-    if jobs <= 1:
-        return [fn(c) for c in cells]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, cells))
+def _cell_integrals(cfg: ExperimentConfig, family, integrand):
+    """Specialize the family at every grid cell and integrate
+    ``integrand(rc, t)`` against each cell's sampled equilibrium measure.
+
+    All cells walk in lockstep, each with its own seed; a cell's estimate
+    does not depend on the other cells.  Returns (cell, estimate) pairs.
+    """
+    cells = _grid_cells(cfg)
+    maps = [cxdyn.specialize(family, t, r=cfg.r) for _, _, _, t in cells]
+    seeds = [_cell_seed(cfg.seed, j, p) for j, p, _, _ in cells]
+    integrands = [integrand(rc, cell[3]) for rc, cell in zip(maps, cells)]
+    return zip(cells, cxdyn.sample_integrals(maps, seeds, cfg.n_burn, cfg.n_keep,
+                                             cfg.start, integrands))
 
 
 def _na_measure(cfg: ExperimentConfig):
@@ -347,7 +354,7 @@ def _na_measure(cfg: ExperimentConfig):
 # -- the four experiments ----------------------------------------------------------------
 
 
-def cmd_circle_demo(cfg: ExperimentConfig, jobs: int = 1) -> ResultRecord:
+def cmd_circle_demo(cfg: ExperimentConfig) -> ResultRecord:
     """Convergence table of a series seminorm along |t| = r * 2^-j."""
     f = parse_series(cfg.series_f)
     r = cfg.r
@@ -370,7 +377,7 @@ def cmd_circle_demo(cfg: ExperimentConfig, jobs: int = 1) -> ResultRecord:
                         created=_now())
 
 
-def cmd_hybrid_converge(cfg: ExperimentConfig, jobs: int = 1) -> ResultRecord:
+def cmd_hybrid_converge(cfg: ExperimentConfig) -> ResultRecord:
     """Integrals of a model function against the sampled equilibrium measures,
     compared with the atomic non-Archimedean target."""
     family, evaluator, tree, mu = _na_measure(cfg)
@@ -381,22 +388,14 @@ def cmd_hybrid_converge(cfg: ExperimentConfig, jobs: int = 1) -> ResultRecord:
     for pt, mass in mu.support():
         i0 += mass * admissible.g_na(datum, pt, cfg.r)
 
-    def run_cell(cell):
-        j, p, m, t = cell
-        seed = _cell_seed(cfg.seed, j, p)
-        rc = cxdyn.specialize(family, t, r=cfg.r)
-        sample = cxdyn.backward_sample(rc, seed, cfg.n_burn, cfg.n_keep, cfg.start)
+    def model_value(rc, t):
         n_factor = hybrid.scaling_n(hybrid.HybridPoint.interior(t, cfg.r))
+        return lambda pts: n_factor * admissible.phi_canonical(
+            datum, (pts[:, 0], pts[:, 1]), t)
 
-        def model_value(pts):
-            return n_factor * admissible.phi_canonical(
-                datum, (pts[:, 0], pts[:, 1]), t)
-
-        est = cxdyn.integrate_mu(rc, model_value, sample)
-        return [j, p, t.real, t.imag, est.mean, est.stderr, est.n_excluded,
-                abs(est.mean - i0)]
-
-    rows = _map_cells(run_cell, _grid_cells(cfg), jobs)
+    rows = [[j, p, t.real, t.imag, est.mean, est.stderr, est.n_excluded,
+             abs(est.mean - i0)]
+            for (j, p, m, t), est in _cell_integrals(cfg, family, model_value)]
     per_mod = []
     for j, m in enumerate(cfg.moduli):
         vals = [row[4] for row in rows if row[0] == j]
@@ -424,23 +423,20 @@ def cmd_hybrid_converge(cfg: ExperimentConfig, jobs: int = 1) -> ResultRecord:
                          "n_excluded", "abs_error"], rows, summary, created=_now())
 
 
-def cmd_lyap_slope(cfg: ExperimentConfig, jobs: int = 1) -> ResultRecord:
+def cmd_lyap_slope(cfg: ExperimentConfig) -> ResultRecord:
     """Lyapunov growth fit against log|t|^-1 plus the non-Archimedean value."""
     family, evaluator, tree, mu = _na_measure(cfg)
     lyap_na = berkovich.na_lyapunov(family, mu)
     na_ratio = abs(lyap_na) / abs(math.log(cfg.r))
     polynomial = family.is_polynomial()
 
-    def run_cell(cell):
-        j, p, m, t = cell
-        seed = _cell_seed(cfg.seed, j, p)
-        rc = cxdyn.specialize(family, t, r=cfg.r)
-        sample = cxdyn.backward_sample(rc, seed, cfg.n_burn, cfg.n_keep, cfg.start)
-        est = cxdyn.lyapunov_complex(rc, sample)
-        oracle = cxdyn.przytycki_oracle(family, t) if polynomial else math.nan
-        return [j, p, t.real, t.imag, est.mean, est.stderr, oracle, est.n_excluded]
+    def lyapunov_integrand(rc, t):
+        return lambda pts: cxdyn.log_det_norm(rc, pts)
 
-    rows = _map_cells(run_cell, _grid_cells(cfg), jobs)
+    rows = [[j, p, t.real, t.imag, est.mean, est.stderr,
+             cxdyn.przytycki_oracle(family, t) if polynomial else math.nan,
+             est.n_excluded]
+            for (j, p, m, t), est in _cell_integrals(cfg, family, lyapunov_integrand)]
     xs, ys, per_mod = [], [], []
     for j, m in enumerate(cfg.moduli):
         vals = [row[4] for row in rows if row[0] == j]
@@ -482,7 +478,7 @@ def cmd_lyap_slope(cfg: ExperimentConfig, jobs: int = 1) -> ResultRecord:
                          "oracle", "n_excluded"], rows, summary, created=_now())
 
 
-def cmd_na_measure(cfg: ExperimentConfig, jobs: int = 1) -> ResultRecord:
+def cmd_na_measure(cfg: ExperimentConfig) -> ResultRecord:
     """Probe tree, Green potential with error bounds, and the atomic measure."""
     family, evaluator, tree, mu = _na_measure(cfg)
     rows = []
@@ -527,10 +523,10 @@ _RUNNERS = {
 }
 
 
-def run(cfg: ExperimentConfig, jobs: int = 1, out_dir: str | None = None) -> ResultRecord:
+def run(cfg: ExperimentConfig, out_dir: str | None = None) -> ResultRecord:
     """Run the experiment selected by the config; write files when an output
     directory is configured or given."""
-    record = _RUNNERS[cfg.kind](cfg, jobs=jobs)
+    record = _RUNNERS[cfg.kind](cfg)
     target = out_dir or cfg.out_dir
     if target:
         write_record(record, target)

@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from hybdyn import admissible, cxdyn
 from hybdyn.cxdyn import (RationalMapC, backward_sample, escape_green,
-                          integrate_mu, lyapunov_complex, przytycki_oracle,
-                          specialize)
+                          integrate_mu, log_det_norm, lyapunov_complex,
+                          przytycki_oracle, sample_integrals, specialize)
 from hybdyn.errors import (DegenerateMapError, UnsupportedDegreeError,
                            UnsupportedMapError)
-from hybdyn.parser import parse_family
+from hybdyn.parser import parse_family, parse_sections
 
 LOG2 = math.log(2)
 
@@ -73,6 +74,16 @@ class TestBackwardSampling:
         s = backward_sample(rc, seed=5, n_burn=50, n_keep=500, start=0.0)
         z = s.affine()
         assert np.abs(np.abs(z) - 1.0).max() < 1e-6
+
+    def test_matches_scalar_reference(self):
+        # burn-in shorter than the checked head, blocks of draws, restarts
+        for text, t, start in (("z^2 + 1/t", 1e-3, 1.1 + 0.7j), ("z^2", 0.1, 0.0),
+                               ("z^3 + t*z", 1e-2, 2.0), ("(z^2 - t)/z", 0.05, 0.3j)):
+            rc = specialize(parse_family(text), t)
+            for n_burn, n_keep in ((0, 4), (2, 1), (30, 1500)):
+                s = backward_sample(rc, seed=8, n_burn=n_burn, n_keep=n_keep, start=start)
+                ref = _scalar_walk(rc, 8, n_burn, n_keep, start)
+                assert s.points.tobytes() == ref.tobytes()
 
     def test_csv_roundtrip_shape(self):
         rc = specialize(parse_family("z^2"), 0.1)
@@ -207,3 +218,128 @@ class TestPreimageDegrees:
         rc = specialize(fam, 0.3)
         s = backward_sample(rc, seed=2, n_burn=30, n_keep=200, start=1.2)
         assert len(s.points) == 200
+
+
+def _scalar_walk(R, seed, n_burn, n_keep, start):
+    """Reference walk: one scalar _preimages solve per step, restarting from
+    a perturbed start when the first three steps find it exceptional."""
+    rng = np.random.default_rng(seed)
+    point = cxdyn._as_point(start)
+    d = R.degree
+    while True:
+        kept, current = [], point
+        for step in range(n_burn + n_keep):
+            pre = cxdyn._preimages(R, current)
+            if step < 3 and all(cxdyn._chordal(p, current) < 1e-12 for p in pre):
+                break
+            current = pre[rng.integers(d)]
+            if step >= n_burn:
+                kept.append(current)
+        else:
+            return np.array(kept).reshape(n_keep, 2)
+        eps = 0.25 + 0.5 * rng.random()
+        angle = 2 * math.pi * rng.random()
+        point = cxdyn._as_point(cxdyn._to_affine(point)
+                                + eps * complex(math.cos(angle), math.sin(angle)))
+
+
+def _kernel_matches_scalar(maps, targets):
+    """Every preimage the lockstep kernel picks equals the scalar one, bit
+    for bit, with all rows stepped together."""
+    n = len(maps)
+    y = np.array(targets, dtype=complex).T.copy()  # w0 row, w1 row
+    step = cxdyn._Lockstep(maps)
+    for k in range(maps[0].degree):
+        out = np.empty((2, n), dtype=complex)
+        with np.errstate(all="ignore"):
+            step(y, np.full(n, k), out)
+            ref = np.array([cxdyn._preimages(R, y[:, i])[k] for i, R in enumerate(maps)])
+        assert out.T.tobytes() == ref.tobytes()
+
+
+class TestLockstepKernel:
+    """Rows where a batched root finder would part from ``_preimages``."""
+
+    def test_roots_on_unit_circle(self):
+        # the preimages of unit-circle points under z^2 sit on the circle,
+        # where numpy's complex-array abs can round to 1.0000000000000002
+        # while the scalar abs gives 1.0
+        rng = np.random.default_rng(5)
+        angles = rng.uniform(0.0, 2 * math.pi, 256)
+        targets = [(complex(math.cos(a), math.sin(a)), 1.0) for a in angles]
+        rc = RationalMapC([0, 0, 1], [1, 0, 0])
+        _kernel_matches_scalar([rc] * len(targets), targets)
+
+    def test_exact_zero_constant_term(self):
+        # np.roots strips the zero constant term and appends the root 0
+        # last; for z^2 the double root 0 makes the quadratic's qq vanish
+        for coeffs in ([0, 0, 1], [0, 1, 0, 1], [0, 0, 2, 0, 1], [0, 0, 0, 0, 0, 1j, 1]):
+            d = len(coeffs) - 1
+            rc = RationalMapC(coeffs, [1] + [0] * d)
+            targets = [(0.0, 1.0), (0.3 + 0.1j, 1.0), (0.0, 1.0), (1.0, 0.5j)]
+            _kernel_matches_scalar([rc] * len(targets), targets)
+
+    def test_preimages_at_infinity(self):
+        # leading coefficient of qc at, just below and just above the
+        # 1e-14 * scale cut, and exactly zero
+        rc = specialize(parse_family("(z^2 - t)/z"), 0.05)
+        cubic = specialize(parse_family("(z^3 + t)/(z^2 + 1)"), 0.05)
+        for R in (rc, cubic):
+            targets = [(1.0, 0.0), (1.0, 1e-15), (1.0, 9e-15), (1.0, 5e-14),
+                       (1.0, 2e-13), (0.4 - 0.2j, 1.0)]
+            _kernel_matches_scalar([R] * len(targets), targets)
+
+    def test_degrees_one_to_eight(self):
+        rng = np.random.default_rng(11)
+        for d in range(1, 9):
+            maps = []
+            for _ in range(6):
+                p0 = rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1)
+                p1 = rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1)
+                maps.append(RationalMapC(p0, p1))
+            w = rng.normal(size=6) + 1j * rng.normal(size=6)
+            targets = [(z, 1.0) if abs(z) <= 1 else (1.0, 1 / z) for z in w]
+            _kernel_matches_scalar(maps, targets)
+
+    def test_vanishing_preimage_polynomial_raises(self):
+        rc = specialize(parse_family("z^2 + 1/t"), 0.1)
+        with pytest.raises(DegenerateMapError):
+            _kernel_matches_scalar([rc, rc], [(0.5, 1.0), (0.0, 0.0)])
+
+
+class TestSampleIntegrals:
+    def test_streamed_equals_sampled(self):
+        # blocks of kept points straddle the block size and the burn-in
+        for text, t, n_burn, n_keep in (("z^2 + 1/t", 1e-3, 2, 2500),
+                                        ("z^3 + t*z", 1e-2, 100, 1500),
+                                        ("z^2", 0.1, 0, 1024)):
+            rc = specialize(parse_family(text), t)
+            datum = parse_sections(["w0^2 + t*w1^2", "w1^2"], k=1, d=2)
+            for f in (lambda pts: log_det_norm(rc, pts),
+                      lambda pts: admissible.phi_canonical(
+                          datum, (pts[:, 0], pts[:, 1]), t),
+                      lambda pts: np.where(np.abs(pts[:, 0]) < 0.5, -np.inf, 1.0)):
+                (streamed,) = sample_integrals([rc], [9], n_burn, n_keep, 1.1 + 0.7j, [f])
+                sampled = integrate_mu(rc, f, backward_sample(rc, 9, n_burn, n_keep,
+                                                              1.1 + 0.7j))
+                assert streamed == sampled
+
+    def test_batch_layout_independent(self):
+        fam = parse_family("z^3 + t*z")
+        maps = [specialize(fam, 10.0 ** -k * complex(math.cos(k), math.sin(k)))
+                for k in range(1, 6)]
+        seeds = [31, 32, 33, 34, 35]
+        fs = [lambda pts, rc=rc: log_det_norm(rc, pts) for rc in maps]
+        args = (20, 1100, 1.1 + 0.7j)
+        together = sample_integrals(maps, seeds, *args, fs)
+        reversed_ = sample_integrals(maps[::-1], seeds[::-1], *args, fs[::-1])[::-1]
+        alone = [sample_integrals([rc], [s], *args, [f])[0]
+                 for rc, s, f in zip(maps, seeds, fs)]
+        assert together == reversed_ == alone
+
+    def test_high_degree_rejected_before_walking(self):
+        rc = RationalMapC([0.0] * 9 + [1.0], [1.0] + [0.0] * 9)
+        calls = []
+        with pytest.raises(UnsupportedDegreeError):
+            sample_integrals([rc, rc], [1, 2], 5, 5, 1.5, [calls.append] * 2)
+        assert calls == []

@@ -6,10 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from hybdyn import cxdyn
 from hybdyn.cli import main as cli_main
 from hybdyn.errors import ConfigError
-from hybdyn.harness import (cmd_circle_demo, fit_slope,
-                            load_config, load_record, run, write_record)
+from hybdyn.harness import (_cell_seed, _fmt_cell, _grid_cells, cmd_circle_demo,
+                            fit_slope, load_config, load_record, run,
+                            write_record)
+from hybdyn.parser import parse_family
 
 CIRCLE_INI = """
 [experiment]
@@ -37,6 +40,24 @@ phases = 2
 seed = 23
 n_burn = 40
 n_keep = 800
+"""
+
+# spans more than one streamed block of the walker
+POLE_SLOPE_INI = """
+[experiment]
+kind = lyap-slope
+label = pole
+family = z^2 + 1/t
+r = 0.5
+
+[tgrid]
+moduli = 1e-2, 1e-3, 1e-4
+phases = 2
+
+[sampler]
+seed = 29
+n_burn = 40
+n_keep = 1500
 """
 
 CONVERGE_INI = """
@@ -190,11 +211,20 @@ class TestExperiments:
             assert pm["lyapunov"] == pytest.approx(math.log(2), abs=1e-9)
         assert s["briend_duval_ok"]
 
-    def test_jobs_deterministic(self):
-        cfg = load_config(SLOPE_INI)
-        rec1 = run(cfg, jobs=1)
-        rec2 = run(cfg, jobs=3)
-        assert rec1.rows == rec2.rows
+    def test_cell_row_independent_of_batch(self):
+        # a cell's row is byte-identical whether its chain walks alone or in
+        # lockstep with the whole grid
+        cfg = load_config(POLE_SLOPE_INI)
+        rec = run(cfg)
+        family = parse_family(cfg.family)
+        for (j, p, m, t), row in zip(_grid_cells(cfg), rec.rows):
+            rc = cxdyn.specialize(family, t, r=cfg.r)
+            sample = cxdyn.backward_sample(rc, _cell_seed(cfg.seed, j, p),
+                                           cfg.n_burn, cfg.n_keep, cfg.start)
+            est = cxdyn.lyapunov_complex(rc, sample)
+            alone = [j, p, t.real, t.imag, est.mean, est.stderr,
+                     cxdyn.przytycki_oracle(family, t), est.n_excluded]
+            assert [_fmt_cell(x) for x in alone] == [_fmt_cell(x) for x in row]
 
     def test_hybrid_converge_decreasing(self):
         rec = run(load_config(CONVERGE_INI))
