@@ -16,8 +16,7 @@ from math import gcd
 import numpy as np
 
 from .errors import LaurentError, ParseError, PrecisionError
-from .laurent import LaurentSeries
-from .poly import HomogeneousPoly, iterate_pair
+from .poly import iterate_pair
 
 _INF = math.inf
 
@@ -242,12 +241,3 @@ def phi_iterate(R, n: int, z, t: complex, metric: str = "fs"):
         return float(out)
     return out
 
-
-def coordinate_datum(k: int = 1) -> AdmissibleDatum:
-    """The degree-1 datum of coordinate sections {w0, .., wk}."""
-    sections = []
-    for i in range(k + 1):
-        e = [0] * (k + 1)
-        e[i] = 1
-        sections.append(HomogeneousPoly(k + 1, 1, {tuple(e): LaurentSeries.one()}))
-    return AdmissibleDatum(degree=1, k=k, sections=sections)

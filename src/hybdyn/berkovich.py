@@ -105,22 +105,11 @@ class TypeIIPoint:
     def radius_exp(self) -> Fraction:
         return self.s
 
-    def coord_exponent(self) -> Fraction:
-        """Exponent e with |affine coordinate| = r**e at this point (own chart)."""
-        return min(self.center.order(), self.s)
-
     def __eq__(self, other):
         if not isinstance(other, TypeIIPoint):
             return NotImplemented
         (a, s), (b, u) = self._zpair, other._zpair
-        if s != u:
-            return False
-        diff = a - b
-        if diff.is_zero():
-            if diff.is_exact_zero() or diff.trunc_order >= s:
-                return True
-            raise PrecisionError("cannot decide point equality at available precision")
-        return diff.order() >= s
+        return s == u and _ord_at_least(a - b, s)
 
     def __hash__(self):
         return hash(self.s)  # equality needs series comparison; hash on radius only
@@ -132,6 +121,17 @@ class TypeIIPoint:
         """JSON-friendly description."""
         return {"chart": self.chart, "center": str(self.center),
                 "s": f"{self.s.numerator}/{self.s.denominator}"}
+
+
+def _ord_at_least(diff: LaurentSeries, s) -> bool:
+    """Whether ord(diff) >= s: two centers differing by ``diff`` lie in one
+    disk of radius r**s.  Raises PrecisionError when ``diff`` is zero only to a
+    truncation order below s, so the known terms cannot decide."""
+    if not diff.is_zero():
+        return diff.order() >= s
+    if diff.trunc_order >= s:
+        return True
+    raise PrecisionError("disk containment undecidable at the available precision")
 
 
 def _reduce_center(a: LaurentSeries, s: Fraction):
@@ -181,6 +181,21 @@ def type2_from_zpair(a, s) -> TypeIIPoint:
 # -- seminorms -------------------------------------------------------------------
 
 
+def _newton_min(shifted, s):
+    """min over j of ord(shifted[j]) + j*s for Taylor coefficients at a disk
+    center (``math.inf`` when all vanish).  Raises PrecisionError when a
+    coefficient that is zero only to truncation could lower the minimum."""
+    best = hidden = _INF
+    for j, c in enumerate(shifted):
+        if not c.is_zero():
+            best = min(best, c.order() + j * s)
+        elif not c.is_exact_zero():
+            hidden = min(hidden, c.trunc_order + j * s)
+    if hidden < best:
+        raise PrecisionError("truncated coefficient could dominate the disk seminorm")
+    return best
+
+
 def poly_seminorm(f, xi: TypeIIPoint):
     """Exponent q with |f| = r**q at the disk point, for a one-variable
     polynomial with LaurentSeries coefficients (ascending, in the chart of xi).
@@ -190,55 +205,24 @@ def poly_seminorm(f, xi: TypeIIPoint):
     PrecisionError when truncated coefficients could change the answer.
     """
     coeffs = [c if isinstance(c, LaurentSeries) else LaurentSeries.const(c) for c in f]
-    center = xi.center
-    s = xi.s
-    shifted = taylor_shift(coeffs, center)
-    best = _INF
-    for j, c in enumerate(shifted):
-        if not c.is_zero():
-            cand = c.order() + j * s
-            if cand < best:
-                best = cand
-    for j, c in enumerate(shifted):
-        if c.is_zero() and not c.is_exact_zero():
-            if c.trunc_order + j * s < best:
-                raise PrecisionError(
-                    "truncated coefficient could dominate the disk seminorm")
-    return best
+    return _newton_min(taylor_shift(coeffs, xi.center), xi.s)
 
 
-def homog_seminorm(P: HomogeneousPoly, xi: TypeIIPoint):
-    """Exponent of |P| / max(|w0|, |w1|)**d at the point (chart-normalized)."""
+def homog_seminorm(P: HomogeneousPoly, xi):
+    """Exponent of |P| / max(|w0|, |w1|)**d at a point.
+
+    ``xi`` is a TypeIIPoint or a raw z-chart disk ``(center, s)``; the value
+    is computed on the z-chart disk, which is valid for any center and radius
+    (disks of the affine line never contain the point at infinity) and avoids
+    the chart inversion of canonical representations.
+    """
     if P.nvars != 2:
         raise LaurentError("homog_seminorm requires a two-variable polynomial")
-    coeffs = P.dehomogenized(xi.chart)
-    q = poly_seminorm(coeffs, xi)
-    m = min(Fraction(0), xi.coord_exponent())
+    a, s = xi.zpair() if isinstance(xi, TypeIIPoint) else xi
+    q = _newton_min(taylor_shift(P.dehomogenized("z"), a), s)
     if q == _INF:
         return _INF
-    return q - P.degree * m
-
-
-def _homog_exponent_zpair(P: HomogeneousPoly, zpair):
-    """Same normalized exponent, computed on a raw z-chart disk description.
-
-    Valid for any center and radius (disks of the affine line never contain
-    the point at infinity), and avoids the chart inversion of canonical
-    representations.
-    """
-    a, s = zpair
-    shifted = taylor_shift(P.dehomogenized("z"), a)
-    best = _INF
-    for j, c in enumerate(shifted):
-        if not c.is_zero():
-            best = min(best, c.order() + j * s)
-    for j, c in enumerate(shifted):
-        if c.is_zero() and not c.is_exact_zero() and c.trunc_order + j * s < best:
-            raise PrecisionError("truncated coefficient could dominate the seminorm")
-    if best == _INF:
-        return _INF
-    m = min(Fraction(0), a.order(), s)
-    return best - P.degree * m
+    return q - P.degree * min(Fraction(0), a.order(), s)
 
 
 # -- resultant --------------------------------------------------------------------
@@ -375,8 +359,7 @@ class GreenEvaluator:
         return Fraction(e) / self.R.degree ** n
 
     def _one_step_exponent(self, zpair) -> Fraction:
-        e = min(_homog_exponent_zpair(self.R.p0, zpair),
-                _homog_exponent_zpair(self.R.p1, zpair))
+        e = min(homog_seminorm(self.R.p0, zpair), homog_seminorm(self.R.p1, zpair))
         if e == _INF:
             raise DegenerateFamilyError("all sections vanish at the point")
         return Fraction(e)
@@ -452,12 +435,9 @@ class BerkTree:
 def _join(zp, zq):
     """z-pair of the path join of two disk points."""
     (a, s), (b, u) = zp, zq
+    m = min(s, u)
     diff = a - b
-    if diff.is_zero():
-        if diff.is_exact_zero() or diff.trunc_order >= min(s, u):
-            return (a, min(s, u))
-        raise PrecisionError("join depth exceeds the available center precision")
-    return (a, min(s, u, diff.order()))
+    return (a, m if _ord_at_least(diff, m) else diff.order())
 
 
 def subtree_span(points) -> BerkTree:
@@ -473,35 +453,28 @@ def subtree_span(points) -> BerkTree:
     for i in range(n0):
         for j in range(i + 1, n0):
             all_pairs.append(_join(all_pairs[i], all_pairs[j]))
+    # deduplicate on the raw pairs (equal disks share a radius), in order of
+    # first appearance, then sort stably by radius
     uniq_pairs = []
-    uniq_points = []
-    for zp in all_pairs:
-        pt = type2_from_zpair(*zp)
-        if not any(pt == q for q in uniq_points):
-            uniq_points.append(pt)
-            uniq_pairs.append(zp)
-    order = sorted(range(len(uniq_points)), key=lambda i: uniq_pairs[i][1])
-    uniq_points = [uniq_points[i] for i in order]
-    uniq_pairs = [uniq_pairs[i] for i in order]
+    centers_at: dict = {}
+    for a, s in all_pairs:
+        centers = centers_at.setdefault(s, [])
+        if not any(_ord_at_least(a - b, s) for b in centers):
+            centers.append(a)
+            uniq_pairs.append((a, s))
+    uniq_pairs.sort(key=lambda zp: zp[1])
     edges = []
-    for i in range(1, len(uniq_points)):
+    for i in range(1, len(uniq_pairs)):
         a_i, s_i = uniq_pairs[i]
         parent = None
-        for j in range(len(uniq_points)):
-            if j == i:
-                continue
+        for j in range(i):  # sorted by radius: the last containing disk is the smallest
             a_j, s_j = uniq_pairs[j]
-            if s_j >= s_i:
-                continue
-            diff = a_j - a_i
-            contains = diff.is_zero() and (diff.is_exact_zero() or diff.trunc_order >= s_j)
-            if not contains and not diff.is_zero():
-                contains = diff.order() >= s_j
-            if contains and (parent is None or s_j > uniq_pairs[parent][1]):
+            if s_j < s_i and _ord_at_least(a_j - a_i, s_j):
                 parent = j
         if parent is None:
             raise ChartError("disconnected point set: no containing vertex found")
         edges.append((i, parent, s_i - uniq_pairs[parent][1]))
+    uniq_points = [type2_from_zpair(*zp) for zp in uniq_pairs]
     gauss_index = next(i for i, p in enumerate(uniq_points) if p.is_gauss())
     return BerkTree(uniq_points, uniq_pairs, edges, gauss_index)
 
@@ -621,16 +594,13 @@ def map_disk(affine_coeffs, zpair):
 
     ``affine_coeffs`` are the polynomial's LaurentSeries coefficients
     (ascending); the image of D(a, r**s) is D(p(a), r**s') with
-    s' = min over j >= 1 of ord(shift_j) + j*s.
+    s' = min over j >= 1 of ord(shift_j) + j*s.  Raises PrecisionError when
+    a coefficient zero only to truncation could lower s'.
     """
     a, s = zpair
     shifted = taylor_shift(list(affine_coeffs), a)
     center = shifted[0]
-    best = _INF
-    for j in range(1, len(shifted)):
-        c = shifted[j]
-        if not c.is_zero():
-            best = min(best, c.order() + j * s)
+    best = _newton_min([LaurentSeries.zero()] + shifted[1:], s)
     if best == _INF:
         raise DegenerateFamilyError("constant map has no disk image")
     return center, _as_frac(best)

@@ -340,15 +340,21 @@ def _cell_integrals(cfg: ExperimentConfig, family, integrand):
 
 
 def _na_measure(cfg: ExperimentConfig):
-    """Shared non-Archimedean half: family, probe tree, potential, measure."""
+    """Shared non-Archimedean half: family, probe tree, potential, measure.
+
+    The potential is evaluated once per tree vertex; ``green`` holds the
+    (exponent, tail bound) pairs in vertex order.
+    """
     family = parse_family(cfg.family)
     evaluator = berkovich.GreenEvaluator(family, cfg.r, n_max=cfg.green_n_max,
                                          tol=cfg.green_tol)
     tree = berkovich.build_probe_tree(family, s_min=cfg.s_min, s_max=cfg.s_max,
                                       q=cfg.probe_q, orbit_len=cfg.orbit_len,
                                       include_critical=cfg.include_critical)
-    mu = berkovich.tree_ma(lambda v: evaluator.exponent(v)[0], tree, cfg.r)
-    return family, evaluator, tree, mu
+    green = [evaluator.exponent(v) for v in tree.vertices]
+    exponents = {id(v): q for v, (q, _) in zip(tree.vertices, green)}
+    mu = berkovich.tree_ma(lambda v: exponents[id(v)], tree, cfg.r)
+    return family, evaluator, tree, green, mu
 
 
 # -- the four experiments ----------------------------------------------------------------
@@ -380,7 +386,7 @@ def cmd_circle_demo(cfg: ExperimentConfig) -> ResultRecord:
 def cmd_hybrid_converge(cfg: ExperimentConfig) -> ResultRecord:
     """Integrals of a model function against the sampled equilibrium measures,
     compared with the atomic non-Archimedean target."""
-    family, evaluator, tree, mu = _na_measure(cfg)
+    family, _, _, _, mu = _na_measure(cfg)
     datum = parse_sections(cfg.datum_sections, k=cfg.datum_k, d=cfg.datum_d)
     if not admissible.datum_regular(datum, cfg.moduli, seed=cfg.seed):
         raise ConfigError("datum sections share a zero on the sampled fibers")
@@ -425,7 +431,7 @@ def cmd_hybrid_converge(cfg: ExperimentConfig) -> ResultRecord:
 
 def cmd_lyap_slope(cfg: ExperimentConfig) -> ResultRecord:
     """Lyapunov growth fit against log|t|^-1 plus the non-Archimedean value."""
-    family, evaluator, tree, mu = _na_measure(cfg)
+    family, _, _, _, mu = _na_measure(cfg)
     lyap_na = berkovich.na_lyapunov(family, mu)
     na_ratio = abs(lyap_na) / abs(math.log(cfg.r))
     polynomial = family.is_polynomial()
@@ -480,10 +486,9 @@ def cmd_lyap_slope(cfg: ExperimentConfig) -> ResultRecord:
 
 def cmd_na_measure(cfg: ExperimentConfig) -> ResultRecord:
     """Probe tree, Green potential with error bounds, and the atomic measure."""
-    family, evaluator, tree, mu = _na_measure(cfg)
+    family, evaluator, tree, green, mu = _na_measure(cfg)
     rows = []
-    for i, v in enumerate(tree.vertices):
-        q, bound = evaluator.exponent(v)
+    for i, (v, (q, bound)) in enumerate(zip(tree.vertices, green)):
         rec = v.record()
         rows.append([i, rec["chart"], rec["center"], rec["s"],
                      float(q) * math.log(cfg.r), bound, mu.masses[i]])

@@ -1,10 +1,8 @@
 """Homogeneous polynomials with Laurent-series coefficients.
 
-The general representation keeps a map from exponent vectors to coefficients
-and supports any number of variables (sections of data live in w0..wk).  The
-two-variable case additionally gets dense helpers used by the dynamical
-iteration, where coefficients are stored on an integer (w0-power, t-exponent)
-grid and products become 2-D convolutions.
+A polynomial keeps a map from exponent vectors to coefficients and supports
+any number of variables (sections of data live in w0..wk).  Two-variable
+polynomials also compose, which gives the homogeneous iterates of a family.
 """
 
 from __future__ import annotations
@@ -12,7 +10,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.signal import convolve2d
 
 from .errors import LaurentError, ParseError, PrecisionError
 from .laurent import LaurentSeries
@@ -234,112 +231,23 @@ def jacobian_determinant(p0: HomogeneousPoly, p1: HomogeneousPoly) -> Homogeneou
     return (p0.derivative(0) * p1.derivative(1)) - (p0.derivative(1) * p1.derivative(0))
 
 
-# -- dense two-variable fast path ---------------------------------------------------
-#
-# A two-variable homogeneous polynomial whose coefficients are exact series on
-# the integer exponent grid is stored as a complex array ``arr[a, j]`` holding
-# the coefficient of ``w0^a * w1^(deg-a) * t^(j + off)``.  Products of such
-# polynomials are plain 2-D convolutions.
-
-
-class _Dense2:
-    __slots__ = ("deg", "arr", "off")
-
-    def __init__(self, deg: int, arr: np.ndarray, off: int):
-        self.deg = deg
-        self.arr = arr
-        self.off = off
-
-
-def _to_dense(p: HomogeneousPoly) -> _Dense2 | None:
-    if p.nvars != 2:
-        return None
-    lo, hi = None, None
-    for c in p.coeffs.values():
-        if c.ram != 1 or c.trunc is not None:
-            return None
-        for k in c.terms:
-            lo = k if lo is None else min(lo, k)
-            hi = k if hi is None else max(hi, k)
-    if lo is None:
-        lo, hi = 0, 0
-    arr = np.zeros((p.degree + 1, hi - lo + 1), dtype=complex)
-    for (a, _b), c in p.coeffs.items():
-        for k, v in c.terms.items():
-            arr[a, k - lo] = v
-    return _Dense2(p.degree, arr, lo)
-
-
-def _from_dense(d: _Dense2) -> HomogeneousPoly:
-    coeffs = {}
-    for a in range(d.deg + 1):
-        row = d.arr[a]
-        nz = np.nonzero(row)[0]
-        if len(nz):
-            series = LaurentSeries._make(1, {int(j) + d.off: complex(row[j]) for j in nz}, None)
-            coeffs[(a, d.deg - a)] = series
-    return HomogeneousPoly(2, d.deg, coeffs)
-
-
-def _dense_mul(x: _Dense2, y: _Dense2) -> _Dense2:
-    arr = convolve2d(x.arr, y.arr)  # direct method: products are exact
-    return _Dense2(x.deg + y.deg, arr, x.off + y.off)
-
-
-def _dense_pow(x: _Dense2, n: int) -> _Dense2:
-    result = _Dense2(0, np.ones((1, 1), dtype=complex), 0)
-    base = x
-    while n:
-        if n & 1:
-            result = _dense_mul(result, base)
-        base = _dense_mul(base, base) if n > 1 else base
-        n >>= 1
-    return result
-
-
 def compose_pair(p: HomogeneousPoly, q0: HomogeneousPoly, q1: HomogeneousPoly) -> HomogeneousPoly:
     """Substitute ``(w0, w1) -> (q0, q1)`` into a two-variable polynomial."""
     if p.nvars != 2:
         raise LaurentError("composition requires two variables")
-    d0, d1 = _to_dense(q0), _to_dense(q1)
-    if d0 is not None and d1 is not None and _to_dense(p) is not None:
-        pows0 = {0: _Dense2(0, np.ones((1, 1), dtype=complex), 0)}
-        pows1 = {0: _Dense2(0, np.ones((1, 1), dtype=complex), 0)}
-        total = None
-        for (a, b), c in p.coeffs.items():
-            if a not in pows0:
-                pows0[a] = _dense_pow(d0, a)
-            if b not in pows1:
-                pows1[b] = _dense_pow(d1, b)
-            term = _dense_mul(pows0[a], pows1[b])
-            cd = _to_dense(HomogeneousPoly(2, 0, {(0, 0): c}))
-            term = _dense_mul(term, cd)
-            if total is None:
-                total = term
-            else:
-                # align offsets and degrees before adding
-                off = min(total.off, term.off)
-                deg = max(total.deg, term.deg)
-                w = max(total.off + total.arr.shape[1], term.off + term.arr.shape[1]) - off
-                arr = np.zeros((deg + 1, w), dtype=complex)
-                arr[: total.deg + 1, total.off - off: total.off - off + total.arr.shape[1]] += total.arr
-                arr[: term.deg + 1, term.off - off: term.off - off + term.arr.shape[1]] += term.arr
-                total = _Dense2(deg, arr, off)
-        if total is None:
-            raise LaurentError("empty polynomial in composition")
-        return _from_dense(total)
-    # generic (Puiseux or truncated) path
-    pows0g = {0: HomogeneousPoly(2, 0, {(0, 0): LaurentSeries.one()})}
-    pows1g = {0: pows0g[0]}
-    total_g = None
+    if not p.coeffs:
+        raise LaurentError("empty polynomial in composition")
+    pows0 = {0: HomogeneousPoly(2, 0, {(0, 0): LaurentSeries.one()})}
+    pows1 = {0: pows0[0]}
+    total = None
     for (a, b), c in p.coeffs.items():
-        if a not in pows0g:
-            pows0g[a] = q0 ** a
-        if b not in pows1g:
-            pows1g[b] = q1 ** b
-        term = pows0g[a] * pows1g[b] * c
-        total_g = term if total_g is None else total_g + term
-    return total_g
+        if a not in pows0:
+            pows0[a] = q0 ** a
+        if b not in pows1:
+            pows1[b] = q1 ** b
+        term = pows0[a] * pows1[b] * c
+        total = term if total is None else total + term
+    return total
 
 
 def iterate_pair(p0: HomogeneousPoly, p1: HomogeneousPoly, n: int):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from .admissible import AdmissibleDatum
 from .parser import RationalMapFamily, parse_family, parse_sections
 
 #: families exercised by the verification suites
@@ -20,12 +19,6 @@ def shipped_families() -> list:
     return [parse_family(text) for text in FAMILY_TEXTS]
 
 
-def shipped_family(text: str) -> RationalMapFamily:
-    if text not in FAMILY_TEXTS:
-        raise KeyError(f"{text!r} is not a shipped family")
-    return parse_family(text)
-
-
 def shipped_datum_pairs() -> list:
     """Three datum pairs covering equal and mixed degrees."""
     pairs = [
@@ -37,11 +30,6 @@ def shipped_datum_pairs() -> list:
          parse_sections(["t^2*w0", "w1"], k=1, d=1)),
     ]
     return pairs
-
-
-def coordinate_sections(k: int = 1) -> AdmissibleDatum:
-    texts = [f"w{i}" for i in range(k + 1)]
-    return parse_sections(texts, k=k, d=1)
 
 
 def twisted_lift(family: RationalMapFamily, power: int = 1) -> RationalMapFamily:

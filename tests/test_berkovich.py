@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from hybdyn.berkovich import (GreenEvaluator, TypeIIPoint,
+from hybdyn.berkovich import (GreenEvaluator, TypeIIPoint, _ord_at_least,
                               build_probe_tree, det_norm_exponent,
                               good_reduction_exponent, green_g1, green_gR,
                               homog_seminorm, map_disk, na_lyapunov,
@@ -151,6 +151,18 @@ class TestGreen:
                 sym = min(homog_seminorm(q0, xi), homog_seminorm(q1, xi))
                 assert orbit == F(sym) / fam.degree ** n
 
+    def test_rational_iterate_exponents_pinned(self):
+        # (z^2 - t)/z at n_max 8 goes through the degree-256 symbolic iterates
+        fam = parse_family("(z^2 - t)/z")
+        ev = GreenEvaluator(fam, R, n_max=8)
+        tree = build_probe_tree(fam)
+        assert ev.n_star == 8 and len(tree) == 13
+        got = [(v.chart, v.s, ev.exponent(v)[0]) for v in tree.vertices]
+        outer = [("1/z", F(j, 2), F(0)) for j in range(6, 0, -1)]
+        inner = [("z", F(0), F(0)), ("z", F(1, 2), F(255, 512))]
+        inner += [("z", F(j, 2), F(1, 2)) for j in range(2, 7)]
+        assert got == outer + inner
+
     def test_increments_within_certificate(self):
         for text in ["z^2 + 1/t", "z^2 + t*z", "(z^2 - t)/z"]:
             fam = parse_family(text)
@@ -242,6 +254,24 @@ class TestTrees:
         coeffs = [L.t_power(-1), L.zero(), L.one()]
         center, s = map_disk(coeffs, (L.zero(), F(1)))
         assert center == L.t_power(-1) and s == 2
+
+    def test_map_disk_truncation_guard(self):
+        # c*z + z^2 with c known only to O(t): on D(0, r^2) the hidden linear
+        # term could reach r^3, below the quadratic term's r^4
+        coeffs = [L.zero(), L.zero(trunc=1), L.one()]
+        with pytest.raises(PrecisionError):
+            map_disk(coeffs, (L.zero(), F(2)))
+        assert map_disk(coeffs, (L.zero(), F(-2)))[1] == -4
+
+    def test_undecidable_containment_raises(self):
+        c = L.zero(trunc=1)  # a center known to be zero only up to O(t)
+        assert _ord_at_least(c, 1)
+        assert not _ord_at_least(L.t_power(1), 2)
+        with pytest.raises(PrecisionError):
+            _ord_at_least(c, 2)
+        # whether D(0, r^2) contains the center c is undecidable
+        with pytest.raises(PrecisionError):
+            subtree_span([(c, 3), (L.zero(), 2)])
 
     def test_critical_centers(self):
         fam = parse_family("z^3 + t*z")

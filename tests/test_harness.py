@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from hybdyn import cxdyn
+import hybdyn
+from hybdyn import berkovich, cxdyn
 from hybdyn.cli import main as cli_main
 from hybdyn.errors import ConfigError
 from hybdyn.harness import (_cell_seed, _fmt_cell, _grid_cells, cmd_circle_demo,
@@ -244,6 +248,29 @@ class TestExperiments:
         assert s["na_ratio"] == pytest.approx(0.5, abs=1e-12)
         assert 0.0 <= s["leaf_mass_fraction"] <= 1.0
         assert s["good_reduction_exponent"] == "4/1"
+
+    def test_na_measure_one_green_call_per_vertex(self, monkeypatch):
+        calls = []
+        exponent = berkovich.GreenEvaluator.exponent
+
+        def counted(self, xi):
+            calls.append(xi)
+            return exponent(self, xi)
+
+        monkeypatch.setattr(berkovich.GreenEvaluator, "exponent", counted)
+        cfg = load_config("[experiment]\nkind = na-measure\nlabel = m\n"
+                          "family = (z^2 - t)/z\nr = 0.5\n[green]\nn_max = 4\n")
+        rec = run(cfg)
+        assert len(calls) == len(rec.rows)
+        assert len({id(v) for v in calls}) == len(rec.rows)
+
+
+def test_import_leaves_scipy_unloaded():
+    src = os.path.dirname(os.path.dirname(hybdyn.__file__))
+    code = "import sys, hybdyn; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "False"
 
 
 class TestCli:
