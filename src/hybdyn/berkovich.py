@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cmp_to_key
 
 from .errors import (ChartError, ConventionError, DegenerateFamilyError,
                      LaurentError, PrecisionError)
@@ -102,14 +103,10 @@ class TypeIIPoint:
         """(center, radius exponent) of the same point as a z-chart disk."""
         return self._zpair
 
-    def radius_exp(self) -> Fraction:
-        return self.s
-
     def __eq__(self, other):
         if not isinstance(other, TypeIIPoint):
             return NotImplemented
-        (a, s), (b, u) = self._zpair, other._zpair
-        return s == u and _ord_at_least(a - b, s)
+        return _same_disk(self._zpair, other._zpair)
 
     def __hash__(self):
         return hash(self.s)  # equality needs series comparison; hash on radius only
@@ -132,6 +129,18 @@ def _ord_at_least(diff: LaurentSeries, s) -> bool:
     if diff.trunc_order >= s:
         return True
     raise PrecisionError("disk containment undecidable at the available precision")
+
+
+def _same_disk(zp, zq) -> bool:
+    """Whether two z-chart disks are equal."""
+    (a, s), (b, u) = zp, zq
+    return s == u and _ord_at_least(a - b, s)
+
+
+def _contains(outer, inner) -> bool:
+    """Whether the z-chart disk ``outer`` strictly contains ``inner``."""
+    (a, s), (b, u) = outer, inner
+    return s < u and _ord_at_least(a - b, s)
 
 
 def _reduce_center(a: LaurentSeries, s: Fraction):
@@ -411,9 +420,8 @@ class BerkTree:
     radius-exponent gap along the path.
     """
 
-    def __init__(self, vertices, zpairs, edges, gauss_index: int):
+    def __init__(self, vertices, edges, gauss_index: int):
         self.vertices = vertices
-        self.zpairs = zpairs
         self.edges = edges
         self.gauss_index = gauss_index
         self.adjacency = {i: [] for i in range(len(vertices))}
@@ -440,43 +448,79 @@ def _join(zp, zq):
     return (a, m if _ord_at_least(diff, m) else diff.order())
 
 
+def _dfs_cmp(zp, zq) -> int:
+    """Depth-first order of two z-chart disks in the tree of disks: a disk
+    comes before the disks it contains; disjoint disks compare their centers'
+    coefficients, as (real, imag), at the exponent where the centers split.
+    Returns 0 exactly for equal disks."""
+    (a, s), (b, u) = zp, zq
+    diff = a - b
+    if _ord_at_least(diff, min(s, u)):
+        return (s > u) - (s < u)
+    e = diff.order()
+    ca, cb = complex(a.coefficient(e)), complex(b.coefficient(e))
+    return -1 if (ca.real, ca.imag) < (cb.real, cb.imag) else 1
+
+
 def subtree_span(points) -> BerkTree:
-    """Smallest tree containing the given points and the Gauss point."""
+    """Smallest tree containing the given points and the Gauss point.
+
+    Its vertices are the points and the joins of pairs of points.  In the
+    depth-first order of the tree of disks (``_dfs_cmp``) the joins of
+    consecutive points already are all the pairwise joins, so the points are
+    sorted, consecutive ones joined, everything sorted again so that equal
+    disks are adjacent and merged, and one stack pass over that order gives
+    each vertex its parent: O(n log n) containment tests for n points.
+
+    Vertices are ordered by radius exponent, ties by first appearance in the
+    closure "points (the Gauss point last), then the joins of pairs (i, j),
+    i < j, in lexicographic order"; vertex indices, and so every table built
+    on them, do not depend on how the tree is found.  A vertex that is a
+    point appears at its smallest point index; a vertex that is only a join
+    appears at the pair (i, j) where i is the smallest point index below it
+    and j the smallest below it outside i's branch.
+    """
     if not points:
         raise ChartError("need at least one point")
     pts = [p if isinstance(p, TypeIIPoint) else type2_from_zpair(*p) for p in points]
     pts.append(TypeIIPoint.gauss())
-    zpairs = [p.zpair() for p in pts]
-    # closure under pairwise joins (pairwise suffices on a tree)
-    all_pairs = list(zpairs)
-    n0 = len(all_pairs)
-    for i in range(n0):
-        for j in range(i + 1, n0):
-            all_pairs.append(_join(all_pairs[i], all_pairs[j]))
-    # deduplicate on the raw pairs (equal disks share a radius), in order of
-    # first appearance, then sort stably by radius
-    uniq_pairs = []
-    centers_at: dict = {}
-    for a, s in all_pairs:
-        centers = centers_at.setdefault(s, [])
-        if not any(_ord_at_least(a - b, s) for b in centers):
-            centers.append(a)
-            uniq_pairs.append((a, s))
-    uniq_pairs.sort(key=lambda zp: zp[1])
-    edges = []
-    for i in range(1, len(uniq_pairs)):
-        a_i, s_i = uniq_pairs[i]
-        parent = None
-        for j in range(i):  # sorted by radius: the last containing disk is the smallest
-            a_j, s_j = uniq_pairs[j]
-            if s_j < s_i and _ord_at_least(a_j - a_i, s_j):
-                parent = j
-        if parent is None:
+    # items are (z-pair, input index or None for a join); both sorts are
+    # stable, so the first of a run of equal disks is the earliest input
+    dfs = cmp_to_key(lambda x, y: _dfs_cmp(x[0], y[0]))
+    inputs = sorted(((p.zpair(), k) for k, p in enumerate(pts)), key=dfs)
+    joins = [(_join(x[0], y[0]), None) for x, y in zip(inputs, inputs[1:])]
+    nodes = []
+    for zp, k in sorted(inputs + joins, key=dfs):
+        if not nodes or not _same_disk(nodes[-1][0], zp):
+            nodes.append((zp, k))
+    # parents: the deepest earlier vertex in depth-first order containing it
+    parent = [None] * len(nodes)
+    stack = []
+    for v, (zp, _) in enumerate(nodes):
+        while stack and not _contains(nodes[stack[-1]][0], zp):
+            stack.pop()
+        if stack:
+            parent[v] = stack[-1]
+        elif v:
             raise ChartError("disconnected point set: no containing vertex found")
-        edges.append((i, parent, s_i - uniq_pairs[parent][1]))
-    uniq_points = [type2_from_zpair(*zp) for zp in uniq_pairs]
-    gauss_index = next(i for i, p in enumerate(uniq_points) if p.is_gauss())
-    return BerkTree(uniq_points, uniq_pairs, edges, gauss_index)
+        stack.append(v)
+    # first appearance in the pairwise closure, from the smallest input
+    # index below each vertex's branches (children follow parents in dfs order)
+    branch_low = [[] for _ in nodes]
+    first = [None] * len(nodes)
+    for v in range(len(nodes) - 1, -1, -1):
+        k = nodes[v][1]
+        lows = sorted(branch_low[v])
+        first[v] = (1, lows[0], lows[1]) if k is None else (0, k)
+        if parent[v] is not None:
+            branch_low[parent[v]].append(lows[0] if k is None else min(lows[:1] + [k]))
+    order = sorted(range(len(nodes)), key=lambda v: (nodes[v][0][1], first[v]))
+    pos = {v: i for i, v in enumerate(order)}
+    edges = [(i, pos[parent[v]], nodes[v][0][1] - nodes[parent[v]][0][1])
+             for i, v in enumerate(order) if parent[v] is not None]
+    vertices = [type2_from_zpair(*nodes[v][0]) for v in order]
+    gauss_index = next(i for i, p in enumerate(vertices) if p.is_gauss())
+    return BerkTree(vertices, edges, gauss_index)
 
 
 class TreeMeasure:

@@ -1,18 +1,20 @@
 """Disk seminorms, Green potentials, tree measures, and the NA Lyapunov value."""
 
 import math
+import random
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from hybdyn.berkovich import (GreenEvaluator, TypeIIPoint, _ord_at_least,
-                              build_probe_tree, det_norm_exponent,
+from hybdyn import berkovich
+from hybdyn.berkovich import (BerkTree, GreenEvaluator, TypeIIPoint, _join,
+                              _ord_at_least, build_probe_tree, det_norm_exponent,
                               good_reduction_exponent, green_g1, green_gR,
                               homog_seminorm, map_disk, na_lyapunov,
                               poly_seminorm, resultant_valuation, subtree_span,
                               tree_ma, type2_from_zpair, critical_centers)
-from hybdyn.errors import (ConventionError, DegenerateFamilyError,
+from hybdyn.errors import (ChartError, ConventionError, DegenerateFamilyError,
                            PrecisionError)
 from hybdyn.laurent import LaurentSeries as L
 from hybdyn.parser import RationalMapFamily, parse_family
@@ -272,12 +274,164 @@ class TestTrees:
         # whether D(0, r^2) contains the center c is undecidable
         with pytest.raises(PrecisionError):
             subtree_span([(c, 3), (L.zero(), 2)])
+        # the same pair among decidable disks, neither first nor adjacent in
+        # input order; without the partner the set spans fine
+        pts = [(L.t_power(-1), 1), (L.zero(), 2), (L.one(), 2),
+               (L({-1: 1j}), 0), (c, 3)]
+        with pytest.raises(PrecisionError):
+            subtree_span(pts)
+        with pytest.raises(PrecisionError):
+            _all_pairs_span(pts)
+        rest = pts[:1] + pts[2:]
+        assert _span_summary(subtree_span(rest)) == _span_summary(_all_pairs_span(rest))
 
     def test_critical_centers(self):
         fam = parse_family("z^3 + t*z")
         crits = critical_centers(fam, target=F(6))
         assert len(crits) == 2
         assert all(c.order() == F(1, 2) for c in crits)
+
+
+def _all_pairs_span(points) -> BerkTree:
+    """Reference span: close under all pairwise joins, deduplicate in order
+    of first appearance, sort stably by radius, quadratic parent search."""
+    pts = [p if isinstance(p, TypeIIPoint) else type2_from_zpair(*p) for p in points]
+    pts.append(TypeIIPoint.gauss())
+    all_pairs = [p.zpair() for p in pts]
+    n0 = len(all_pairs)
+    for i in range(n0):
+        for j in range(i + 1, n0):
+            all_pairs.append(_join(all_pairs[i], all_pairs[j]))
+    uniq_pairs = []
+    centers_at: dict = {}
+    for a, s in all_pairs:
+        centers = centers_at.setdefault(s, [])
+        if not any(_ord_at_least(a - b, s) for b in centers):
+            centers.append(a)
+            uniq_pairs.append((a, s))
+    uniq_pairs.sort(key=lambda zp: zp[1])
+    edges = []
+    for i in range(1, len(uniq_pairs)):
+        a_i, s_i = uniq_pairs[i]
+        parent = None
+        for j in range(i):
+            a_j, s_j = uniq_pairs[j]
+            if s_j < s_i and _ord_at_least(a_j - a_i, s_j):
+                parent = j
+        if parent is None:
+            raise ChartError("disconnected point set: no containing vertex found")
+        edges.append((i, parent, s_i - uniq_pairs[parent][1]))
+    vertices = [type2_from_zpair(*zp) for zp in uniq_pairs]
+    gauss_index = next(i for i, p in enumerate(vertices) if p.is_gauss())
+    return BerkTree(vertices, edges, gauss_index)
+
+
+def _span_summary(tree):
+    return ([v.record() for v in tree.vertices],
+            [(str(a), s) for a, s in (v.zpair() for v in tree.vertices)],
+            tree.edges, tree.gauss_index)
+
+
+def _probe_points(monkeypatch, family, **grid):
+    """The points build_probe_tree hands to subtree_span."""
+    seen = []
+    real = berkovich.subtree_span
+    monkeypatch.setattr(berkovich, "subtree_span",
+                        lambda points: seen.append(list(points)) or real(points))
+    build_probe_tree(parse_family(family), **grid)
+    monkeypatch.undo()
+    return seen[0]
+
+
+_EXPONENTS = [F(-1), F(-1, 2), F(0), F(1, 3), F(1, 2), F(1), F(3, 2), F(2)]
+# equal real parts with different imaginary parts split branches too
+_COEFFS = [1, -1, 1j, -1j, 1 + 1j, 1 - 1j, 2]
+
+
+def _random_points(seed, truncated=False):
+    """Seeded disks: duplicates, nested disks, negative radius exponents,
+    1/z-chart centers and the Gauss point as an explicit input; with
+    ``truncated``, some centers are known only to a truncation order."""
+    rng = random.Random(seed)
+
+    def center():
+        exps = rng.sample(_EXPONENTS, rng.randint(0, 3))
+        terms = {e: rng.choice(_COEFFS) for e in exps}
+        if truncated and rng.random() < 0.3:
+            return L(terms, trunc=rng.choice([F(0), F(1, 2), F(1), F(3, 2)]))
+        return L(terms)
+
+    pts = [TypeIIPoint.gauss()]
+    while len(pts) < 20:
+        kind = rng.random()
+        s = F(rng.randint(-6, 10), rng.choice([1, 2, 3]))
+        try:
+            if kind < 0.15:
+                pts.append(rng.choice(pts))
+            elif kind < 0.3:
+                a, u = rng.choice(pts).zpair()
+                pts.append(type2_from_zpair(a, u + F(rng.randint(1, 4), 2)))
+            elif kind < 0.45:
+                pts.append(TypeIIPoint(center(), abs(s), "1/z"))
+            else:
+                pts.append(type2_from_zpair(center(), s))
+        except (PrecisionError, ChartError):
+            continue
+    rng.shuffle(pts)
+    return pts
+
+
+class TestSpanReference:
+    """The depth-first span equals the all-pairs closure exactly."""
+
+    @pytest.mark.parametrize("family, grid", [
+        ("z^2 + 1/t", dict(s_min=-4, s_max=4, q=4, orbit_len=3)),
+        ("z^2 + 1/t", {}),
+        ("z^3 + t*z", {}),
+        ("z^3 + 1/t", dict(q=3)),
+        ("z^2 + t*z", dict(q=3, orbit_len=3)),
+        ("(z^2 - t)/z", dict(q=4)),
+        ("z^2", {}),
+        ("z^3 + z/t", dict(s_min=-2, s_max=5)),
+    ])
+    def test_probe_trees(self, monkeypatch, family, grid):
+        pts = _probe_points(monkeypatch, family, **grid)
+        assert _span_summary(subtree_span(pts)) == _span_summary(_all_pairs_span(pts))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_point_sets(self, seed):
+        pts = _random_points(seed)
+        assert _span_summary(subtree_span(pts)) == _span_summary(_all_pairs_span(pts))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_truncated_centers(self, seed):
+        # both raise PrecisionError on the same sets, or give the same tree
+        pts = _random_points(seed, truncated=True)
+
+        def outcome(span):
+            try:
+                return _span_summary(span(pts))
+            except PrecisionError:
+                return "undecidable"
+
+        assert outcome(subtree_span) == outcome(_all_pairs_span)
+
+    def test_containment_tests_near_linear(self, monkeypatch):
+        pts = _probe_points(monkeypatch, "z^2 + 1/t", s_min=-6, s_max=6, q=8,
+                            orbit_len=4)
+        n = len(pts) + 1  # with the Gauss point
+        real = berkovich._ord_at_least
+        calls = 0
+
+        def counted(diff, s):
+            nonlocal calls
+            calls += 1
+            return real(diff, s)
+
+        monkeypatch.setattr(berkovich, "_ord_at_least", counted)
+        tree = subtree_span(pts)
+        assert n == 874 and len(tree) > 500
+        assert calls <= 3 * n * math.log2(n)
 
 
 class TestTreeMeasure:
