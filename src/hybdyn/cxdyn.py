@@ -128,7 +128,11 @@ def _common_ram(R) -> int:
 
 @dataclass
 class SampleSet:
-    """Backward-orbit sample of the equilibrium measure (seeded, reproducible)."""
+    """Backward-orbit sample of the equilibrium measure (seeded, reproducible).
+
+    The points of the chains forked after the burn-in, chain-major: chain
+    0's points in walk order, then chain 1's, and so on.
+    """
 
     points: np.ndarray  # (n_keep, 2) complex homogeneous, sup-norm 1
     seed: int
@@ -206,93 +210,130 @@ def backward_sample(R: RationalMapC, seed: int, n_burn: int, n_keep: int,
                     start) -> SampleSet:
     """Random backward orbit: one uniformly chosen preimage per step.
 
-    ``start`` is an affine complex number or a homogeneous pair; starts on
-    (numerically) exceptional points are detected and perturbed.  This is
-    the one-chain case of the lockstep walker behind ``sample_integrals``.
+    One chain walks ``max(n_burn, 3)`` burn-in steps from ``start``; starts
+    on (numerically) exceptional points are detected in the first three
+    steps and perturbed.  The burned-in point is then forked into
+    ``K = min(16, n_keep)`` chains of ``ceil(n_keep / K)`` steps each, and
+    the sample is chain-major (chain 0's points, then chain 1's, ...),
+    truncated to ``n_keep``.  This is the one-cell case of the walker
+    behind ``sample_integrals``.
     """
-    kept = np.empty((n_keep, 2), dtype=complex)
-    for k, block in _walk([R], [seed], n_burn, n_keep, start):
-        kept[k: k + block.shape[1]] = block[0]
-    return SampleSet(points=kept, seed=seed, n_burn=n_burn, n_keep=n_keep)
+    n_chains, n_steps = _fork_shape(n_keep)
+    kept = np.empty((n_chains, n_steps, 2), dtype=complex)
+    for lo, block in _walk([R], [seed], n_burn, n_keep, start):
+        kept[:, lo: lo + block.shape[2]] = block[0]
+    return SampleSet(points=kept.reshape(-1, 2)[:n_keep], seed=seed,
+                     n_burn=n_burn, n_keep=n_keep)
 
 
 def sample_integrals(maps, seeds, n_burn: int, n_keep: int, start,
                      integrands) -> list:
     """Integrate ``integrands[i]`` against the sampled measure of ``maps[i]``
-    for every i, walking all the chains in lockstep.
+    for every i, walking the chains of all cells in lockstep.
 
     Result i equals ``integrate_mu(maps[i], integrands[i],
     backward_sample(maps[i], seeds[i], n_burn, n_keep, start))`` bit for
-    bit, whatever the other chains are.  The points are streamed to the
-    integrands block by block; only the values are kept.
+    bit, whatever the other cells are.  The points are streamed to the
+    integrands block by block: ``integrands[i]`` is called once per block
+    on cell i's kept points of that block (chain-major), and only the
+    values are kept.
     """
-    values = np.empty((len(maps), n_keep))
-    for k, block in _walk(maps, seeds, n_burn, n_keep, start):
-        for row, f, pts in zip(values, integrands, block):
-            # an integrand sees C-ordered (b, 2) points, as in a SampleSet
-            row[k: k + len(pts)] = f(np.ascontiguousarray(pts))
-    return [_integral(row) for row in values]
+    n_chains, n_steps = _fork_shape(n_keep)
+    values = np.empty((len(maps), n_chains, n_steps))
+    # chain c keeps its first limit[c] steps: sample positions < n_keep
+    limit = np.clip(n_keep - n_steps * np.arange(n_chains), 0, n_steps)[:, None]
+    for lo, block in _walk(maps, seeds, n_burn, n_keep, start):
+        b = block.shape[2]
+        keep = np.arange(lo, lo + b) < limit
+        for vals, f, pts in zip(values, integrands, block):
+            vals[:, lo: lo + b][keep] = f(pts[keep])
+    return [_integral(vals.reshape(-1)[:n_keep]) for vals in values]
 
 
 _HEAD_STEPS = 3  # leading steps checked for an exceptional start
-_BLOCK = 1024  # walk steps per streamed block
+_CHAINS = 16  # chains forked from each cell's burned-in point
+_BLOCK_POINTS = 40 * 1024  # walked points per streamed block, over all chains
+
+
+def _fork_shape(n_keep: int):
+    """Chains per cell and steps per chain after the fork."""
+    if n_keep < 1:
+        raise ValueError(f"n_keep must be >= 1, got {n_keep}")
+    n_chains = min(_CHAINS, n_keep)
+    return n_chains, -(-n_keep // n_chains)
 
 
 def _walk(maps, seeds, n_burn: int, n_keep: int, start):
-    """The backward walker: chain i walks ``maps[i]`` from ``start`` with
-    its own generator ``default_rng(seeds[i])``, all chains one step at a
-    time.
+    """The backward walker.  Cell i walks ``maps[i]`` from ``start`` with
+    its own generator ``default_rng(seeds[i])``: a burn-in of
+    ``max(n_burn, 3)`` steps on one chain, whose first three steps are
+    taken one cell at a time by ``_head``, then ``_fork_shape(n_keep)``
+    chains continuing from the burned-in point.  All cells step together.
 
-    Yields ``(k, block)`` where ``block[i]`` holds chain i's kept points
-    k, k+1, ... as a (b, 2) array; ``block`` is a view of a buffer that
-    the next block overwrites.
+    Yields ``(lo, block)`` where ``block[i, c]`` holds steps lo, lo+1, ...
+    of cell i's chain c as a (b, 2) array; ``block`` is a view of a buffer
+    that the next block overwrites.
     """
     d = maps[0].degree
     if any(R.degree != d for R in maps):
         raise UnsupportedMapError("lockstep chains need maps of one degree")
     if d > _MAX_ROOT_DEGREE:
         raise UnsupportedDegreeError(f"preimage degree {d} > {_MAX_ROOT_DEGREE}")
-    total = n_burn + n_keep
+    n_chains, n_steps = _fork_shape(n_keep)
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    n_head = min(_HEAD_STEPS, total)
-    head = np.array([_head(R, rng, start, n_head) for R, rng in zip(maps, rngs)])
-    if n_burn < n_head:
-        yield 0, head[:, n_burn:]
-    if n_head == total:
-        return
-    step = _Lockstep(maps)
+    state = np.array([_head(R, rng, start) for R, rng in zip(maps, rngs)]).T
+    for _ in _lockstep(maps, rngs, state, max(n_burn, _HEAD_STEPS) - _HEAD_STEPS, 1):
+        pass
+    state = np.repeat(state, n_chains, axis=1)  # column i*K + c: cell i, chain c
+    for lo, block in _lockstep(maps, rngs, state, n_steps, n_chains):
+        yield lo, block.reshape(len(block), 2, len(maps), n_chains).transpose(2, 3, 0, 1)
+
+
+def _lockstep(maps, rngs, state: np.ndarray, n_steps: int, n_chains: int):
+    """Walk ``n_chains`` chains per cell for ``n_steps`` steps from
+    ``state`` (the w0 row and the w1 row, cell-major columns), which ends
+    holding the last step.
+
+    At each block of b steps every cell draws one (b, n_chains) int64
+    block from its generator, and chain c takes column c; int64 draws do
+    not depend on how the stream is split into blocks.  Yields
+    ``(lo, buf[1:b+1])``, steps lo, lo+1, ... of every chain.
+    """
+    width = state.shape[1]
+    d = maps[0].degree
+    step = _Lockstep([R for R in maps for _ in range(n_chains)])
+    size = max(1, _BLOCK_POINTS // width)
     # planar state: buf[k] = (w0 row, w1 row) after k steps of the block
-    buf = np.empty((min(_BLOCK, total - n_head) + 1, 2, len(maps)), dtype=complex)
-    buf[0] = head[:, -1].T
-    for lo in range(n_head, total, _BLOCK):
-        b = min(_BLOCK, total - lo)
-        # one draw per step, taken block-wise: same stream as scalar draws
-        idx = np.stack([rng.integers(d, size=b) for rng in rngs], axis=1)
+    buf = np.empty((min(size, n_steps) + 1, 2, width), dtype=complex)
+    buf[0] = state
+    for lo in range(0, n_steps, size):
+        b = min(size, n_steps - lo)
+        idx = np.concatenate([rng.integers(d, size=(b, n_chains)) for rng in rngs],
+                             axis=1)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for k in range(b):
                 step(buf[k], idx[k], buf[k + 1])
-        first = max(n_burn - lo, 0)
-        if first < b:
-            yield lo + first - n_burn, buf[first + 1: b + 1].transpose(2, 0, 1)
+        yield lo, buf[1: b + 1]
         buf[0] = buf[b]
+    state[...] = buf[0]
 
 
-def _head(R: RationalMapC, rng, start, n_steps: int) -> np.ndarray:
-    """The first steps of one chain, taken with ``_preimages``.  A start all
-    of whose preimages coincide with it (numerically exceptional) is
-    perturbed and the chain restarted, up to 8 times."""
+def _head(R: RationalMapC, rng, start) -> np.ndarray:
+    """The first ``_HEAD_STEPS`` steps of a cell's chain, taken with
+    ``_preimages``; returns the point they reach.  A start all of whose
+    preimages coincide with it (numerically exceptional) is perturbed and
+    the chain restarted, up to 8 times."""
     d = R.degree
     point = _as_point(start)
     for attempt in range(8):
-        head = np.empty((n_steps, 2), dtype=complex)
         current = point
-        for step in range(n_steps):
+        for step in range(_HEAD_STEPS):
             pre = _preimages(R, current)
             if all(_chordal(pre[i], current) < 1e-12 for i in range(d)):
                 break
-            current = head[step] = pre[rng.integers(d)]
+            current = pre[rng.integers(d)]
         else:
-            return head
+            return current
         eps = 0.25 + 0.5 * rng.random()
         angle = 2 * math.pi * rng.random()
         point = _as_point(_to_affine(point) + eps * complex(math.cos(angle),

@@ -25,7 +25,7 @@ from . import admissible, berkovich, cxdyn, hybrid
 from .errors import ConfigError
 from .parser import parse_family, parse_sections, parse_series
 
-_SCHEMA_VERSION = "v1"
+_SCHEMA_VERSION = "v2"
 
 KINDS = ("circle-demo", "hybrid-converge", "lyap-slope", "na-measure")
 
@@ -204,6 +204,11 @@ def _validate(cfg: ExperimentConfig) -> None:
                     f"grid modulus {m} outside the punctured disk of radius {cfg.r}")
         if cfg.phases < 1:
             raise ConfigError("tgrid.phases must be >= 1")
+        if cfg.n_burn < 0:
+            raise ConfigError(f"sampler.n_burn must be >= 0, got {cfg.n_burn}")
+        if cfg.n_keep < 2:
+            # one sample has no spread, so its stderr would read 0
+            raise ConfigError(f"sampler.n_keep must be >= 2, got {cfg.n_keep}")
     if cfg.kind == "lyap-slope" and len(cfg.moduli) < 3:
         raise ConfigError("slope fit is degenerate with fewer than 3 grid moduli")
 

@@ -76,14 +76,17 @@ class TestBackwardSampling:
         assert np.abs(np.abs(z) - 1.0).max() < 1e-6
 
     def test_matches_scalar_reference(self):
-        # burn-in shorter than the checked head, blocks of draws, restarts
+        # burn-in shorter than the checked head, fewer kept points than
+        # chains, a last chain cut short, blocks of draws, restarts
         for text, t, start in (("z^2 + 1/t", 1e-3, 1.1 + 0.7j), ("z^2", 0.1, 0.0),
                                ("z^3 + t*z", 1e-2, 2.0), ("(z^2 - t)/z", 0.05, 0.3j)):
             rc = specialize(parse_family(text), t)
-            for n_burn, n_keep in ((0, 4), (2, 1), (30, 1500)):
-                s = backward_sample(rc, seed=8, n_burn=n_burn, n_keep=n_keep, start=start)
-                ref = _scalar_walk(rc, 8, n_burn, n_keep, start)
-                assert s.points.tobytes() == ref.tobytes()
+            for n_burn in (0, 2, 30):
+                for n_keep in (1, 7, 16, 17, 1001, 1500):
+                    s = backward_sample(rc, seed=8, n_burn=n_burn, n_keep=n_keep,
+                                        start=start)
+                    ref = _scalar_walk(rc, 8, n_burn, n_keep, start)
+                    assert s.points.tobytes() == ref.tobytes()
 
     def test_csv_roundtrip_shape(self):
         rc = specialize(parse_family("z^2"), 0.1)
@@ -221,26 +224,40 @@ class TestPreimageDegrees:
 
 
 def _scalar_walk(R, seed, n_burn, n_keep, start):
-    """Reference walk: one scalar _preimages solve per step, restarting from
-    a perturbed start when the first three steps find it exceptional."""
+    """Reference forked walk, one scalar _preimages solve per step.
+
+    One chain burns in for max(n_burn, 3) steps, restarting from a perturbed
+    start when the first three steps find it exceptional.  Its last point
+    is copied into K = min(16, n_keep) chains of m = ceil(n_keep / K) steps;
+    chain c takes its draws from column c of one (m, K) int64 block.  The
+    sample is chain-major, truncated to n_keep.
+    """
     rng = np.random.default_rng(seed)
     point = cxdyn._as_point(start)
     d = R.degree
     while True:
-        kept, current = [], point
-        for step in range(n_burn + n_keep):
+        current = point
+        for step in range(max(n_burn, 3)):
             pre = cxdyn._preimages(R, current)
             if step < 3 and all(cxdyn._chordal(p, current) < 1e-12 for p in pre):
                 break
             current = pre[rng.integers(d)]
-            if step >= n_burn:
-                kept.append(current)
         else:
-            return np.array(kept).reshape(n_keep, 2)
+            break
         eps = 0.25 + 0.5 * rng.random()
         angle = 2 * math.pi * rng.random()
         point = cxdyn._as_point(cxdyn._to_affine(point)
                                 + eps * complex(math.cos(angle), math.sin(angle)))
+    n_chains = min(16, n_keep)
+    n_steps = -(-n_keep // n_chains)
+    draws = rng.integers(d, size=(n_steps, n_chains))
+    kept = []
+    for c in range(n_chains):
+        chain = current
+        for s in range(n_steps):
+            chain = cxdyn._preimages(R, chain)[draws[s, c]]
+            kept.append(chain)
+    return np.array(kept[:n_keep]).reshape(n_keep, 2)
 
 
 def _kernel_matches_scalar(maps, targets):
@@ -336,6 +353,25 @@ class TestSampleIntegrals:
         alone = [sample_integrals([rc], [s], *args, [f])[0]
                  for rc, s, f in zip(maps, seeds, fs)]
         assert together == reversed_ == alone
+
+    def test_blocks_bounded_by_points(self):
+        # 40 cells of 16 chains: a block sized by steps would hand each cell
+        # 16x more points than the walker's 40 * 1024-point budget allows
+        fam = parse_family("z^2 + 1/t")
+        n_cells, n_keep = 40, 20000
+        maps = [specialize(fam, 10.0 ** -(1 + k % 5) * complex(math.cos(k), math.sin(k)))
+                for k in range(n_cells)]
+        calls = []
+        fs = [lambda pts, i=i: calls.append((i, len(pts))) or np.zeros(len(pts))
+              for i in range(n_cells)]
+        sample_integrals(maps, list(range(n_cells)), 0, n_keep, 1.1 + 0.7j, fs)
+        assert len(calls) % n_cells == 0
+        blocks = [calls[k: k + n_cells] for k in range(0, len(calls), n_cells)]
+        for block in blocks:
+            assert [i for i, _ in block] == list(range(n_cells))
+            assert sum(n for _, n in block) <= 40 * 1024
+        for i in range(n_cells):
+            assert sum(n for j, n in calls if j == i) == n_keep
 
     def test_high_degree_rejected_before_walking(self):
         rc = RationalMapC([0.0] * 9 + [1.0], [1.0] + [0.0] * 9)

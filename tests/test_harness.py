@@ -113,6 +113,16 @@ class TestConfig:
             load_config("[experiment]\nkind = lyap-slope\nfamily = z^2\nr = 0.5\n"
                         "[tgrid]\nmoduli = 1e-2, 1e-3\n")
 
+    @pytest.mark.parametrize("key, value", [("n_keep", -5), ("n_burn", -3),
+                                            ("n_keep", 0), ("n_keep", 1)])
+    def test_bad_sampler_size(self, key, value):
+        for text in (SLOPE_INI, CONVERGE_INI):
+            cfg = load_config(text)
+            line = f"{key} = {getattr(cfg, key)}"
+            assert line in text
+            with pytest.raises(ConfigError, match=f"sampler.{key} must be"):
+                load_config(text.replace(line, f"{key} = {value}"))
+
     def test_missing_required(self):
         with pytest.raises(ConfigError, match="family is required"):
             load_config("[experiment]\nkind = na-measure\n")
