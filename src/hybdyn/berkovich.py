@@ -286,7 +286,7 @@ def resultant_valuation(R) -> Fraction:
     coefficient order), a zero value detects good reduction at the Gauss
     point.  An identically-zero resultant raises DegenerateFamilyError.
     """
-    det = _det_laurent(sylvester_matrix(R.p0, R.p1))
+    det = R.resultant
     if det.is_zero():
         if det.is_exact_zero():
             raise DegenerateFamilyError(

@@ -11,7 +11,6 @@ the measure of maximal entropy.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -25,9 +24,15 @@ _MAX_ROOT_DEGREE = 8
 
 
 class RationalMapC:
-    """Complex rational map of degree d in homogeneous coordinates."""
+    """Complex rational map of degree d in homogeneous coordinates.
 
-    def __init__(self, p0c, p1c, label: str = ""):
+    ``resultant`` is the value of Res(p0, p1) when the caller has already
+    decided that it is nonzero (``specialize`` does so from the family's
+    exact resultant); without it the float Sylvester determinant is
+    computed and checked against a relative tolerance.
+    """
+
+    def __init__(self, p0c, p1c, label: str = "", resultant: complex | None = None):
         self.p0c = np.asarray(p0c, dtype=complex)  # ascending in z, length d+1
         self.p1c = np.asarray(p1c, dtype=complex)
         if self.p0c.shape != self.p1c.shape or self.p0c.ndim != 1:
@@ -38,14 +43,15 @@ class RationalMapC:
         s1 = np.abs(self.p1c).max()
         if s0 == 0 or s1 == 0:
             raise DegenerateMapError("zero section")
-        res = _sylvester_det(self.p0c, self.p1c)
-        # the resultant is degree d in each section's coefficients; strongly
-        # degenerating lifts (huge coefficient spread) shrink it legitimately,
-        # so the relative tolerance is kept small
-        if abs(res) <= 1e-15 * (s0 * s1) ** self.degree:
-            raise DegenerateMapError(
-                f"resultant vanishes to tolerance for map {label!r}")
-        self.resultant = res
+        if resultant is None:
+            resultant = _sylvester_det(self.p0c, self.p1c)
+            # the resultant is degree d in each section's coefficients;
+            # strongly degenerating lifts (huge coefficient spread) shrink it
+            # legitimately, so the relative tolerance is kept small
+            if abs(resultant) <= 1e-15 * (s0 * s1) ** self.degree:
+                raise DegenerateMapError(
+                    f"resultant vanishes to tolerance for map {label!r}")
+        self.resultant = resultant
         # chart-z Wronskian p0' p1 - p0 p1', and the 1/z-chart data
         self._wz = _polysub(np.convolve(npoly.polyder(self.p0c), self.p1c),
                             np.convolve(self.p0c, npoly.polyder(self.p1c)))
@@ -102,20 +108,53 @@ def _sylvester_det(a: np.ndarray, b: np.ndarray) -> complex:
 
 
 def specialize(R, t: complex, r: float | None = None) -> RationalMapC:
-    """Specialize a family at a nonzero parameter; checks non-degeneracy."""
+    """Specialize a family at a nonzero parameter; checks non-degeneracy.
+
+    The map is degenerate when the family's resultant series vanishes at
+    ``t``.  For an exact series (no truncation) that is decided from its
+    value against the rounding bound of the evaluation, so strongly
+    degenerating lifts such as ``z^3 + 1/t`` pass at any |t|; a truncated
+    series leaves the decision to the float check of ``RationalMapC``.
+    """
     t = complex(t)
     if t == 0:
         raise DegenerateMapError("specialization requires t != 0")
     if r is not None and abs(t) > r:
         raise DegenerateMapError(f"|t| = {abs(t)} exceeds the radius {r}")
-    d = R.degree
     root = t ** (1.0 / _common_ram(R)) if _common_ram(R) > 1 else None
     p0c = np.array([c.eval(t, root=root) for c in R.p0.dehomogenized("z")], dtype=complex)
     p1c = np.array([c.eval(t, root=root) for c in R.p1.dehomogenized("z")], dtype=complex)
+    label = f"{getattr(R, 'label', '')}@t={t}"
+    res = R.resultant
+    if res.trunc is None:
+        x = t ** (1.0 / res.ram) if res.ram > 1 else t
+        value, bound = _shifted_eval(res, x)
+        if abs(value) <= bound:
+            raise DegenerateMapError(f"degenerate specialization at t = {t}: resultant "
+                                     f"{value} is zero to rounding ({bound:.3g})")
+        return RationalMapC(p0c, p1c, label=label, resultant=res.eval(t, root=x))
     try:
-        return RationalMapC(p0c, p1c, label=f"{getattr(R, 'label', '')}@t={t}")
+        return RationalMapC(p0c, p1c, label=label)
     except DegenerateMapError as exc:
         raise DegenerateMapError(f"degenerate specialization at t = {t}: {exc}")
+
+
+def _shifted_eval(series, x: complex):
+    """``series(t) / x^k0`` at ``x = t^(1/ram)``, k0 the lowest scaled
+    exponent, by Horner on the dense polynomial of degree J in x, with that
+    evaluation's rounding bound ``γ(4J+2) · Σ|c_j| |x|^j``.  The shift does
+    not move the zeros and keeps negative orders from overflowing."""
+    if not series.terms:
+        return 0j, 0.0
+    lo, hi = min(series.terms), max(series.terms)
+    value, mag = 0j, 0.0
+    for k in range(hi, lo - 1, -1):
+        c = series.terms.get(k, 0.0)
+        value = value * x + c
+        mag = mag * abs(x) + abs(c)
+    n = 4 * (hi - lo) + 2
+    u = 2.0 ** -53
+    return value, n * u / (1 - n * u) * mag
 
 
 def _common_ram(R) -> int:
@@ -138,19 +177,6 @@ class SampleSet:
     seed: int
     n_burn: int
     n_keep: int
-
-    def to_csv(self) -> str:
-        """Chart-aware affine CSV (re, im, chart); chart 1 is the 1/z chart."""
-        buf = io.StringIO()
-        buf.write("re,im,chart\n")
-        for w0, w1 in self.points:
-            if abs(w0) <= abs(w1):
-                z = w0 / w1
-                buf.write(f"{z.real!r},{z.imag!r},0\n")
-            else:
-                u = w1 / w0
-                buf.write(f"{u.real!r},{u.imag!r},1\n")
-        return buf.getvalue()
 
     def affine(self) -> np.ndarray:
         """Affine coordinates z = w0/w1 (inf where w1 = 0)."""
@@ -183,8 +209,10 @@ def _preimages(R: RationalMapC, target: np.ndarray) -> np.ndarray:
 
 
 def _poly_roots(qc: np.ndarray):
-    """Roots of an ascending-coefficient polynomial; closed form for degree 2,
-    companion-matrix eigenvalues (numpy.roots) up to degree 8."""
+    """Roots of an ascending-coefficient polynomial, as numpy complex128
+    values: closed forms for degrees 2 and 3 (root k of a cubic is
+    ``_cubic_root``'s branch k), companion-matrix eigenvalues (numpy.roots)
+    for degrees 4 to 8."""
     deg = len(qc) - 1
     if deg == 1:
         return [-qc[0] / qc[1]]
@@ -197,6 +225,8 @@ def _poly_roots(qc: np.ndarray):
         if qq == 0:
             return [0.0 + 0j, -b / a]
         return [qq / a, c / qq]
+    if deg == 3:
+        return list(_cubic_root(np.tile(qc, (3, 1)), np.arange(3)))
     if deg > _MAX_ROOT_DEGREE:
         raise UnsupportedDegreeError(f"preimage degree {deg} > {_MAX_ROOT_DEGREE}")
     try:
@@ -204,6 +234,67 @@ def _poly_roots(qc: np.ndarray):
     except np.linalg.LinAlgError as exc:
         raise DegenerateMapError(
             f"root finder failed on preimage polynomial {list(qc)}: {exc}")
+
+
+def _cubic_root(qc: np.ndarray, k) -> np.ndarray:
+    """Root ``k[i]`` (0, 1 or 2) of the cubic with ascending coefficient row
+    ``qc[i]``, whose leading coefficient must be nonzero.
+
+    Cardano on the depressed cubic: with the monic coefficients B, C, E,
+    ``D0 = B^2 - 3C`` and ``D1 = 2B^3 - 9BC + 27E``, the roots are
+    ``-(B + u + D0/u) / 3`` for the three cube roots ``u = ω^j U`` of
+    ``(D1 + S) / 2``, U the principal one.  The sign of
+    ``S = ±√(D1^2 - 4 D0^3)`` makes ``|D1 + S|`` largest, so U vanishes
+    only at a triple root, whose root is ``-B/3``.
+
+    The formula is accurate for the root of largest modulus only: beside a
+    much larger root, two small roots look like a double root and lose half
+    their digits.  So branch j of largest modulus is kept, and branches j+1
+    and j+2 (mod 3) are the roots ``qq`` and ``Q/qq`` of the quadratic
+    ``z^2 + P z + Q`` left by deflating it from the constant term, solved
+    as ``_poly_roots`` solves a quadratic.  No Newton step polishes the
+    result: near a double root it can jump to another root, and the three
+    branches would no longer be the three roots.
+
+    Every operation is elementwise, so a row's root does not depend on the
+    other rows or on how many there are.
+    """
+    e, c, b, a = (qc[:, i] for i in range(4))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        bm, cm, em = b / a, c / a, e / a
+        d0 = bm * bm - 3.0 * cm
+        d1 = (2.0 * bm * bm - 9.0 * cm) * bm + 27.0 * em
+        s = np.sqrt(d1 * d1 - 4.0 * (d0 * d0) * d0)
+        np.negative(s, out=s, where=d1.real * s.real + d1.imag * s.imag < 0)
+        w = (d1 + s) / 2.0
+        # U in polar form; the cube roots are ω^j U, and D0 / (ω^j U) = ω^-j D0 / U
+        rad = np.cbrt(np.hypot(w.real, w.imag))
+        arg = np.arctan2(w.imag, w.real) / 3.0
+        u = np.empty_like(w)
+        np.multiply(rad, np.cos(arg), out=u.real)
+        np.multiply(rad, np.sin(arg), out=u.imag)
+        g = np.divide(d0, u, out=np.zeros_like(u), where=u != 0)
+        # |3 root_j|^2 = |B + ω^j U + ω^-j g|^2 = const + 2 Re(ω^-j h), so the
+        # root of largest modulus is branch j nearest to 3 arg(h) / 2π
+        h = bm * u.conj() + u * g.conj() + bm.conj() * g
+        j = np.rint(np.arctan2(h.imag, h.real) * (1.5 / math.pi)).astype(int) % 3
+        om = _OMEGA[j]
+        big = -(bm + om * u + om.conj() * g) / 3.0
+        # (z - big)(z^2 + P z + Q) with Q = -E/big and P = (Q - C)/big
+        nonzero = big != 0
+        qd = np.divide(-em, big, out=np.zeros_like(big), where=nonzero)
+        pd = np.divide(qd - cm, big, out=np.zeros_like(big), where=nonzero)
+        sq = np.sqrt(pd * pd - 4.0 * qd)
+        np.negative(sq, out=sq, where=pd.real * sq.real + pd.imag * sq.imag < 0)
+        qq = -(pd + sq) / 2.0
+        z = np.divide(qd, qq, out=np.zeros_like(qq), where=qq != 0)
+    branch = (np.asarray(k) - j) % 3
+    np.copyto(z, qq, where=branch == 1)
+    np.copyto(z, big, where=branch == 0)
+    return z
+
+
+_OMEGA = np.array([1.0, complex(-0.5, math.sqrt(0.75)), complex(-0.5, -math.sqrt(0.75))])
 
 
 def backward_sample(R: RationalMapC, seed: int, n_burn: int, n_keep: int,
@@ -372,12 +463,15 @@ class _Lockstep:
       arithmetic, because ``_poly_roots`` evaluates them on complex128
       scalars, which round each real product separately, while numpy's
       complex array multiply may not;
+    - a cubic's root comes from ``_cubic_root``, the elementwise kernel
+      that ``_poly_roots`` also calls, so it needs no rewriting;
     - the chart test uses ``np.hypot``, because ``np.abs`` on complex arrays
       can differ from the scalar ``abs`` in the last bit;
-    - rows the closed form or the stacked companion eigenvalues cannot take
-      (a leading coefficient near the 1e-14 cut, an exact zero constant term
-      for d >= 3 that ``np.roots`` strips, a vanishing ``qq``, a failed
-      eigenvalue solve) are redone with ``_preimages``.
+    - rows the closed forms or the stacked companion eigenvalues (degrees 4
+      to 8) cannot take (a leading coefficient near the 1e-14 cut, a
+      vanishing ``qq``, an exact zero constant term for d >= 4 that
+      ``np.roots`` strips, a failed eigenvalue solve) are redone with
+      ``_preimages``.
 
     The work arrays are allocated once: at a few chains the per-call
     overhead of numpy, not the arithmetic, sets the cost of a step.
@@ -421,7 +515,7 @@ class _Lockstep:
             self.views = (self.f.real, self.f.imag, self.disc.real, self.disc.imag,
                           self.sq.real, self.sq.imag)
             self.work = tuple(np.empty(n) for _ in range(4))
-        elif d >= 3:
+        elif d >= 4:
             self.rows = np.arange(n)
             self.comp = np.zeros((n, d, d), dtype=complex)
             self.comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
@@ -439,6 +533,9 @@ class _Lockstep:
             z = np.divide(np.negative(self.cols[0], self.z), self.cols[1], self.z)
         elif d == 2:
             z = self._quadratic(idx)
+        elif d == 3:
+            z = self.z
+            z[:] = _cubic_root(qc, idx)
         else:
             z = self._companion(idx)
         inside = np.less_equal(np.hypot(*self.z_parts, self.radius), consts[1.0],

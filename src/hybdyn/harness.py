@@ -25,7 +25,7 @@ from . import admissible, berkovich, cxdyn, hybrid
 from .errors import ConfigError
 from .parser import parse_family, parse_sections, parse_series
 
-_SCHEMA_VERSION = "v2"
+_SCHEMA_VERSION = "v3"
 
 KINDS = ("circle-demo", "hybrid-converge", "lyap-slope", "na-measure")
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import ParseError
 from .laurent import LaurentSeries
@@ -315,6 +316,14 @@ class RationalMapFamily:
             raise ParseError("family sections must share the declared degree")
         if self.p0.is_zero() and self.p1.is_zero():
             raise ParseError("family is identically zero")
+
+    @cached_property
+    def resultant(self) -> LaurentSeries:
+        """Res(P0, P1), the Sylvester determinant, as a series in t; built
+        once per family."""
+        from .berkovich import _det_laurent, sylvester_matrix  # deferred to avoid an import cycle
+
+        return _det_laurent(sylvester_matrix(self.p0, self.p1))
 
     def validate(self) -> None:
         """Check the family is generically non-degenerate (finite resultant order)."""

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .parser import RationalMapFamily, parse_family, parse_sections
+from .parser import RationalMapFamily, parse_sections
 
 #: families exercised by the verification suites
 FAMILY_TEXTS = (
@@ -13,10 +13,6 @@ FAMILY_TEXTS = (
     "(z^2 - t)/z",
     "z^3 + t*z",
 )
-
-
-def shipped_families() -> list:
-    return [parse_family(text) for text in FAMILY_TEXTS]
 
 
 def shipped_datum_pairs() -> list:

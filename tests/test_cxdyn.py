@@ -1,5 +1,6 @@
 """Complex-side sampling and Lyapunov estimation against classical oracles."""
 
+import itertools
 import math
 
 import numpy as np
@@ -46,6 +47,44 @@ class TestSpecialize:
         rc = specialize(parse_family("z^2 + 1/t"), 1e-6)
         assert rc.degree == 2
 
+    def test_pole_families_tiny_t(self):
+        # Res = 1 exactly; the float determinant's relative tolerance
+        # 1e-15 (s0 s1)^d rejected these at 1e-6 and 1e-8
+        for text in ("z^3 + 1/t", "z^2 + 1/t"):
+            fam = parse_family(text)
+            for tv in (1e-6, 1e-8, 1e-8j, -1e-8):
+                rc = specialize(fam, tv)
+                assert rc.degree == fam.degree and rc.resultant == 1
+
+    def test_degenerate_specialization_rejected(self):
+        # z^2 - t and z - 1/10 share the root 1/10 at t = 1/100
+        fam = parse_family("(z^2 - t)/(z - 1/10)")
+        with pytest.raises(DegenerateMapError):
+            specialize(fam, 0.01)
+        assert specialize(fam, 0.0101).degree == 2
+
+    def test_truncated_resultant_keeps_float_check(self):
+        # 1/(1 - t) is a truncated series, so the resultant is known only to
+        # its truncation order and the float determinant's tolerance decides
+        fam = parse_family("(z^3 + 1/t) * (1/(1 - t))")
+        assert fam.resultant.trunc is not None
+        assert specialize(fam, 1e-2).degree == 3
+        with pytest.raises(DegenerateMapError, match="vanishes to tolerance"):
+            specialize(fam, 1e-8)
+
+    def test_resultant_series_built_once(self, monkeypatch):
+        from hybdyn import berkovich
+        fam = parse_family("z^3 + 1/t")
+        calls = []
+        det = berkovich._det_laurent
+        monkeypatch.setattr(berkovich, "_det_laurent",
+                            lambda m: calls.append(1) or det(m))
+        for k in range(5):
+            specialize(fam, 10.0 ** -k / 2)
+        assert calls == []
+        specialize(parse_family("z^3 + 1/t", validate=False), 0.1)
+        assert calls == [1]
+
 
 class TestBackwardSampling:
     def test_circle_measure(self):
@@ -87,14 +126,6 @@ class TestBackwardSampling:
                                         start=start)
                     ref = _scalar_walk(rc, 8, n_burn, n_keep, start)
                     assert s.points.tobytes() == ref.tobytes()
-
-    def test_csv_roundtrip_shape(self):
-        rc = specialize(parse_family("z^2"), 0.1)
-        s = backward_sample(rc, seed=5, n_burn=10, n_keep=20, start=2.0)
-        lines = s.to_csv().strip().splitlines()
-        assert lines[0] == "re,im,chart"
-        assert len(lines) == 21
-        assert all(line.split(",")[2] in ("0", "1") for line in lines[1:])
 
 
 class TestIntegration:
@@ -322,6 +353,97 @@ class TestLockstepKernel:
         rc = specialize(parse_family("z^2 + 1/t"), 0.1)
         with pytest.raises(DegenerateMapError):
             _kernel_matches_scalar([rc, rc], [(0.5, 1.0), (0.0, 0.0)])
+
+
+def _cubic_branches(coeffs):
+    """The three branches of ``_cubic_root`` for one ascending coefficient row."""
+    return cxdyn._cubic_root(np.tile(np.asarray(coeffs, dtype=complex), (3, 1)),
+                             np.arange(3))
+
+
+def _matched_error(roots, ref):
+    """Largest relative distance of ``roots`` from ``ref`` under the best
+    matching of the two triples."""
+    return min(max(abs(roots[i] - ref[j]) / abs(ref[j]) for i, j in enumerate(perm))
+               for perm in itertools.permutations(range(3)))
+
+
+class TestCubicRoot:
+    def test_branches_are_the_roots(self):
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            coeffs = rng.normal(size=4) + 1j * rng.normal(size=4)
+            ref = np.roots(coeffs[::-1])
+            assert _matched_error(_cubic_branches(coeffs), ref) < 1e-12
+
+    def test_pole_and_perturbed_families(self):
+        # preimage polynomials of z^3 + 1/t and z^3 + t*z down to |t| = 1e-8
+        for tv in (1e-2, 1e-5j, -1e-8, 1e-8 * (0.6 + 0.8j)):
+            for y in (0.3 + 0.1j, 1.0, -0.7j):
+                for coeffs in ([1 / tv - y, 0, 0, 1], [-y, tv, 0, 1]):
+                    ref = np.roots(np.array(coeffs, dtype=complex)[::-1])
+                    assert _matched_error(_cubic_branches(coeffs), ref) < 1e-12
+
+    def test_small_roots_beside_a_large_one(self):
+        # Cardano alone sees the two small roots as a near-double root at
+        # the large one's scale: relative errors of 0.25 here
+        roots = [1000.0, 2.0 ** -30, 1.5 * 2.0 ** -30]  # exact coefficients
+        assert _matched_error(_cubic_branches(np.poly(roots)[::-1]), roots) < 1e-14
+        # preimage rows of a rational cubic near its pole
+        rc = specialize(parse_family("(z^3 + t)/(z^2 + 1)"), 0.05)
+        for y1 in (1e-4, 1e-8, 1e-10, 1e-12):
+            coeffs = y1 * rc.p0c - rc.p1c
+            ref = np.roots(coeffs[::-1])
+            assert _matched_error(_cubic_branches(coeffs), ref) < 1e-12
+
+    def test_branch_labels(self):
+        # branch j, the Cardano root ω^j U of largest modulus, then the
+        # other two roots by decreasing modulus: (z + 2)(z - 1)(z - 1/2) has
+        # j = 0, and rotating its roots by ω rotates the labels by one
+        omega = complex(-0.5, math.sqrt(0.75))
+        np.testing.assert_allclose(_cubic_branches([1, -2.5, 0.5, 1]), [-2, 1, 0.5],
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(_cubic_branches([1, -2.5 * omega ** 2, 0.5 * omega, 1]),
+                                   [0.5 * omega, -2 * omega, omega], rtol=0, atol=1e-15)
+
+    def test_clustered_roots(self):
+        # z^3 - 3z + 2 = (z - 1)^2 (z + 2), and three roots 1e-3 apart: a
+        # rounding error e moves them by about sqrt(e) and e / 1e-6, for
+        # np.roots as for the closed form
+        for coeffs in ([2, -3, 0, 1], np.poly([1.0, 1.001, 1 + 0.001j])[::-1]):
+            ref = np.roots(np.array(coeffs, dtype=complex)[::-1])
+            assert _matched_error(_cubic_branches(coeffs), ref) < 1e-7
+
+    def test_triple_root_and_zero_constant_term(self, monkeypatch):
+        # (z - 1)^3 has D0 = D1 = 0, so U = 0 and the root is -B/3; z^3 + z
+        # and z^3 at the target 0 have an exact zero constant term
+        assert list(_cubic_branches([-1, 3, -3, 1])) == [1, 1, 1]
+        for coeffs, ref in (([0, 1, 0, 1], [0, 1j, -1j]), ([0, 0, 0, 1], [0, 0, 0])):
+            roots = _cubic_branches(coeffs)
+            assert np.isfinite(roots).all()
+            assert max(min(abs(z - r) for r in ref) for z in roots) < 1e-15
+        # the batched step takes these rows itself, without the scalar solve
+        maps = [RationalMapC([-1, 3, -3, 1], [0, 0, 0, 1j]),
+                RationalMapC([0, 1, 0, 1], [1, 0, 0, 0])]
+        monkeypatch.setattr(cxdyn, "_preimages", _raise)
+        y = np.array([[0.0, 0.0], [1.0, 1.0]], dtype=complex)
+        for k in range(3):
+            out = np.empty((2, 2), dtype=complex)
+            cxdyn._Lockstep(maps)(y, np.full(2, k), out)
+            assert np.isfinite(out).all()
+            assert abs(out[0, 0] - 1) < 1e-15 and out[1, 0] == 1
+
+    def test_degree_three_walk_needs_no_eigvals(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigvals", _raise)
+        fam = parse_family("z^3 + t*z")
+        maps = [specialize(fam, tv) for tv in (1e-2, 1e-4j)]
+        fs = [lambda pts, rc=rc: log_det_norm(rc, pts) for rc in maps]
+        results = sample_integrals(maps, [1, 2], 20, 500, 1.1 + 0.7j, fs)
+        assert all(res.n_used == 500 for res in results)
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("not expected to be called")
 
 
 class TestSampleIntegrals:
