@@ -16,7 +16,7 @@ from math import gcd
 import numpy as np
 
 from .errors import LaurentError, ParseError, PrecisionError
-from .poly import iterate_pair
+from .poly import iterate_pair, ramification
 
 _INF = math.inf
 
@@ -86,16 +86,19 @@ def phi_complex(F: AdmissibleDatum, z, t: complex, root: complex | None = None):
     """log max section norm in the Fubini-Study metric at homogeneous z.
 
     Scale-invariant in z; returns -inf when every section vanishes at (z, t).
-    Accepts numpy arrays in the coordinates (shape (...,) each).
+    Accepts numpy arrays in the coordinates (shape (...,) each).  For
+    ramified coefficients ``root`` is a branch of ``t^(1/L)``, L the
+    ``ramification`` of the sections.
     """
     w = [np.asarray(x, dtype=complex) for x in z]
     scale = np.maximum.reduce([np.abs(x) for x in w])
     if np.any(scale == 0):
         raise LaurentError("z must be a nonzero homogeneous vector")
     w = [x / scale for x in w]
+    ram = ramification(F.sections)
     best = None
     for s in F.sections:
-        v = np.abs(s.eval_numeric(w, t, root=root))
+        v = np.abs(s.eval_numeric(w, t, root, ram))
         best = v if best is None else np.maximum(best, v)
     sq = np.add.reduce([np.abs(x) ** 2 for x in w])
     with np.errstate(divide="ignore"):
@@ -110,16 +113,17 @@ def phi_canonical(F: AdmissibleDatum, z, t: complex, root: complex | None = None
 
     This is the complex-fiber counterpart of the non-Archimedean model value;
     the hybrid gluing uses it so that the two sides match without a bounded
-    Fubini-Study correction.
+    Fubini-Study correction.  ``root`` is as in ``phi_complex``.
     """
     w = [np.asarray(x, dtype=complex) for x in z]
     scale = np.maximum.reduce([np.abs(x) for x in w])
     if np.any(scale == 0):
         raise LaurentError("z must be a nonzero homogeneous vector")
     w = [x / scale for x in w]
+    ram = ramification(F.sections)
     best = None
     for s in F.sections:
-        v = np.abs(s.eval_numeric(w, t, root=root))
+        v = np.abs(s.eval_numeric(w, t, root, ram))
         best = v if best is None else np.maximum(best, v)
     with np.errstate(divide="ignore"):
         out = np.log(best)  # max coordinate norm is 1 after scaling

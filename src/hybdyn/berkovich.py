@@ -303,6 +303,39 @@ def good_reduction_exponent(R) -> Fraction:
 # -- dynamical Green potential ------------------------------------------------------
 
 
+def _escape_region(R):
+    """(E, c) for a polynomial family, from the coefficient orders of its lift
+    ``P0 = sum_j A_j w0**j w1**(d-j)``, ``P1 = B w1**d``; None when ``A_d`` is
+    zero to truncation.
+
+    On every z-chart disk ``(a, s)`` with ``m = min(ord a, s) < E``, where
+
+        E = min(0, (ord B - ord A_d) / (d - 1), (ord A_j - ord A_d) / (d - j) for j < d),
+
+    the term ``A_d z**d`` strictly dominates P0, dominates P1 and |z| > 1,
+    so the one-step exponent is ``c = ord A_d``; the image disk has
+    ``m' = ord(A_d / B) + d*m < E``.  The orbit sum from such a disk is
+    therefore ``c / (d - 1)`` exactly.  A coefficient zero only to truncation
+    enters with its truncation order, a lower bound for its order.
+    """
+    d = R.degree
+    a = R.p0.dehomogenized("z")
+    if a[d].is_zero():
+        return None
+    c = a[d].order()
+    bounds = [Fraction(0), (R.p1.coeffs[(0, d)].order() - c) / (d - 1)]
+    bounds += [(aj.order() - c) / (d - j) for j, aj in enumerate(a[:d])
+               if not aj.is_exact_zero()]
+    return min(bounds), c
+
+
+def _escaped(zpair, e) -> bool:
+    """Whether the z-chart disk lies in the escape region ``m < e``.  A center
+    zero only to truncation is not trusted; its disk escapes when s < e."""
+    a, s = zpair
+    return s < e or (not a.is_zero() and a.order() < e)
+
+
 class GreenEvaluator:
     """Canonical-metric Green potential of a degree-d family, evaluated at
     type-II points through the homogeneous iterates.
@@ -313,6 +346,14 @@ class GreenEvaluator:
     so a uniform bound C on |g1| certifies the tail: the evaluator stops at
     the first n with ``C * d**-n / (1 - 1/d) < tol``, or at ``n_max`` with
     the achieved bound reported.
+
+    For polynomial families the sum is a forward-orbit walk, closed exactly
+    once the orbit enters the escape region (``_escape_region``): at the
+    first orbit point ``k <= n_star`` there, ``exponent`` returns the partial
+    sum plus ``c / (d**k * (d - 1))`` with bound 0.0.  An orbit that does not
+    enter it by ``n_star``, and every rational family, get the partial sum
+    at ``n_star`` and the tail bound above.  ``escape`` holds ``(E, c)`` for
+    polynomial families and None otherwise.
     """
 
     def __init__(self, R, r: float, n_max: int = 12, tol: float = 1e-3):
@@ -335,7 +376,9 @@ class GreenEvaluator:
         self._iterates: dict = {}
         # polynomial families admit an exact forward-orbit evaluation of the
         # partial sums, cheap at any depth; rational ones iterate symbolically
-        self._affine = R.affine_coeffs() if R.is_polynomial() else None
+        polynomial = R.is_polynomial()
+        self._affine = R.affine_coeffs() if polynomial else None
+        self.escape = _escape_region(R) if polynomial else None
 
     def _tail_bound(self, n: int) -> float:
         d = self.R.degree
@@ -360,7 +403,7 @@ class GreenEvaluator:
         agree exactly and the orbit route is used for polynomial families.
         """
         if self._affine is not None:
-            return self._orbit_exponent(xi.zpair(), n)
+            return self._orbit_exponent(xi.zpair(), n, None)[0]
         q0, q1 = self.sections(n)
         e = min(homog_seminorm(q0, xi), homog_seminorm(q1, xi))
         if e == _INF:
@@ -373,19 +416,32 @@ class GreenEvaluator:
             raise DegenerateFamilyError("all sections vanish at the point")
         return Fraction(e)
 
-    def _orbit_exponent(self, zpair, n: int) -> Fraction:
+    def _orbit_exponent(self, zpair, n: int, escape):
+        """(q, exact): the partial sum of n orbit terms, or with ``escape =
+        (E, c)`` the whole sum once the orbit enters the region, at most n
+        steps in."""
         d = self.R.degree
         total = Fraction(0)
         cur = zpair
-        for k in range(n):
+        k = 0
+        while escape is None or not _escaped(cur, escape[0]):
+            if k == n:
+                return total, False
             total += self._one_step_exponent(cur) / d ** (k + 1)
             center, s = map_disk(self._affine, cur)
             cur = _reduce_center(center, s)
-        return total
+            k += 1
+        return total + escape[1] / (d ** k * (d - 1)), True
 
     def exponent(self, xi: TypeIIPoint):
-        """(exact exponent at the certified step, float tail bound)."""
-        return self.approximant_exponent(xi, self.n_star), self._tail_bound(self.n_star)
+        """(exact exponent, float error bound): the bound is 0.0 where the
+        orbit closes in the escape region, the tail bound at ``n_star``
+        otherwise."""
+        if self._affine is None:
+            q, exact = self.approximant_exponent(xi, self.n_star), False
+        else:
+            q, exact = self._orbit_exponent(xi.zpair(), self.n_star, self.escape)
+        return q, 0.0 if exact else self._tail_bound(self.n_star)
 
     def value(self, xi: TypeIIPoint):
         """(potential value in natural logs, certified error bound)."""

@@ -19,6 +19,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import (DegenerateMapError, UnsupportedDegreeError,
                      UnsupportedMapError)
+from .poly import ramification
 
 _MAX_ROOT_DEGREE = 8
 
@@ -121,9 +122,10 @@ def specialize(R, t: complex, r: float | None = None) -> RationalMapC:
         raise DegenerateMapError("specialization requires t != 0")
     if r is not None and abs(t) > r:
         raise DegenerateMapError(f"|t| = {abs(t)} exceeds the radius {r}")
-    root = t ** (1.0 / _common_ram(R)) if _common_ram(R) > 1 else None
-    p0c = np.array([c.eval(t, root=root) for c in R.p0.dehomogenized("z")], dtype=complex)
-    p1c = np.array([c.eval(t, root=root) for c in R.p1.dehomogenized("z")], dtype=complex)
+    ram = ramification((R.p0, R.p1))
+    root = t ** (1.0 / ram) if ram > 1 else None
+    p0c = np.array([c.eval(t, root, ram) for c in R.p0.dehomogenized("z")], dtype=complex)
+    p1c = np.array([c.eval(t, root, ram) for c in R.p1.dehomogenized("z")], dtype=complex)
     label = f"{getattr(R, 'label', '')}@t={t}"
     res = R.resultant
     if res.trunc is None:
@@ -155,14 +157,6 @@ def _shifted_eval(series, x: complex):
     n = 4 * (hi - lo) + 2
     u = 2.0 ** -53
     return value, n * u / (1 - n * u) * mag
-
-
-def _common_ram(R) -> int:
-    ram = 1
-    for poly in (R.p0, R.p1):
-        for c in poly.coeffs.values():
-            ram = ram * c.ram // math.gcd(ram, c.ram)
-    return ram
 
 
 @dataclass
@@ -690,9 +684,9 @@ def przytycki_oracle(R, t: complex) -> float:
     log d plus the escape-rate potential summed over finite critical points."""
     if not R.is_polynomial():
         raise UnsupportedMapError("oracle requires a polynomial family (P1 = c*w1^d)")
-    ram = _common_ram(R)
+    ram = ramification((R.p0, R.p1))
     root = complex(t) ** (1.0 / ram) if ram > 1 else None
-    coeffs = np.array([c.eval(complex(t), root=root) for c in R.affine_coeffs()],
+    coeffs = np.array([c.eval(complex(t), root, ram) for c in R.affine_coeffs()],
                       dtype=complex)
     d = len(coeffs) - 1
     if abs(coeffs[d]) == 0:

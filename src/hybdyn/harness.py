@@ -25,7 +25,7 @@ from . import admissible, berkovich, cxdyn, hybrid
 from .errors import ConfigError
 from .parser import parse_family, parse_sections, parse_series
 
-_SCHEMA_VERSION = "v3"
+_SCHEMA_VERSION = "v4"
 
 KINDS = ("circle-demo", "hybrid-converge", "lyap-slope", "na-measure")
 
@@ -348,7 +348,8 @@ def _na_measure(cfg: ExperimentConfig):
     """Shared non-Archimedean half: family, probe tree, potential, measure.
 
     The potential is evaluated once per tree vertex; ``green`` holds the
-    (exponent, tail bound) pairs in vertex order.
+    (exponent, error bound) pairs in vertex order, with bound 0.0 where the
+    value is exact.
     """
     family = parse_family(cfg.family)
     evaluator = berkovich.GreenEvaluator(family, cfg.r, n_max=cfg.green_n_max,
@@ -508,7 +509,8 @@ def cmd_na_measure(cfg: ExperimentConfig) -> ResultRecord:
         "na_lyapunov": lyap,
         "na_ratio": abs(lyap) / abs(math.log(cfg.r)),
         "green_n_star": evaluator.n_star,
-        "green_tail_bound": evaluator._tail_bound(evaluator.n_star),
+        "green_exact_vertices": sum(bound == 0.0 for _, bound in green),
+        "green_tail_bound": max(bound for _, bound in green),
         "resultant_valuation": _fmt_cell(berkovich.resultant_valuation(family)),
         "good_reduction_exponent": _fmt_cell(berkovich.good_reduction_exponent(family)),
     }

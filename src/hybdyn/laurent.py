@@ -328,12 +328,17 @@ class LaurentSeries:
 
     # -- evaluation and norms -----------------------------------------------------
 
-    def eval(self, t: complex, root: complex | None = None) -> complex:
+    def eval(self, t: complex, root: complex | None = None,
+             ram: int | None = None) -> complex:
         """Evaluate at a complex number ``t``.
 
         For ramification > 1 a branch ``root`` with ``root**ram == t`` must be
-        supplied.  Evaluation at ``t == 0`` is allowed only when every stored
-        exponent is positive (value 0) or the series is a constant.
+        supplied, ``ram`` a multiple of the series' ramification (by default
+        the ramification itself).  The series is evaluated at
+        ``root**(ram // self.ram)``, so series of different ramifications
+        evaluated with one ``(root, ram)`` share one branch.  Evaluation at
+        ``t == 0`` is allowed only when every stored exponent is positive
+        (value 0) or the series is a constant.
         """
         t = complex(t)
         if t == 0:
@@ -347,6 +352,11 @@ class LaurentSeries:
         if root is None:
             raise LaurentError(
                 f"ramification {self.ram} > 1: supply a branch with root**{self.ram} == t")
+        if ram is not None and ram != self.ram:
+            if ram % self.ram:
+                raise LaurentError(
+                    f"branch of t^(1/{ram}) cannot evaluate ramification {self.ram}")
+            root = root ** (ram // self.ram)
         return sum(c * root ** k for k, c in self.terms.items())
 
     def norm(self, r: float) -> float:

@@ -194,10 +194,108 @@ class TestGreen:
         assert ev._tail_bound(ev.n_star) < 1e-4
 
     def test_budget_exhaustion_reports_bound(self):
-        fam = parse_family("z^2 + 1/t")
-        value, bound = green_gR(fam, XG, n_max=3, tol=1e-9, r=R)
+        # a rational family has no escape-region closure: at n_max 3 the
+        # orbit sum stops short of the tolerance and says so
+        fam = parse_family("(z^2 - t)/z")
+        value, bound = green_gR(fam, type2_from_zpair(0, 1), n_max=3, tol=1e-9, r=R)
         assert bound > 1e-9  # honest: tolerance not reached at the budget
-        assert value == pytest.approx(-0.5 * LOG_R)  # exponent -1/2 times log r
+        assert value == pytest.approx(0.5 * LOG_R)  # exponent 1/2 times log r
+
+    def test_gauss_point_closes_exactly(self):
+        # z^2 + 1/t maps the Gauss point into |z| > r^(-1/2) in one step,
+        # where the one-step exponent is 0: the sum is -1/2 with no tail
+        fam = parse_family("z^2 + 1/t")
+        q, bound = GreenEvaluator(fam, R, n_max=3, tol=1e-9).exponent(XG)
+        assert q == F(-1, 2) and bound == 0.0
+        assert green_gR(fam, XG, n_max=3, tol=1e-9, r=R) == (-0.5 * LOG_R, 0.0)
+
+
+def _closure_families():
+    """(family, expected (E, c)): unit lifts, a lift whose leading
+    coefficient has order 1 and one with order -1, so c != 0."""
+    p0 = HomogeneousPoly(2, 2, {(2, 0): L.t_power(1), (0, 2): L.one()})
+    p1 = HomogeneousPoly(2, 2, {(0, 2): L.t_power(1)})
+    return [(parse_family("z^2 + 1/t"), (F(-1, 2), F(0))),
+            (parse_family("z^3 + 1/t"), (F(-1, 3), F(0))),
+            (parse_family("t*z^2 + 1"), (F(-1), F(1))),
+            (RationalMapFamily(2, p0, p1), (F(-1, 2), F(1))),
+            (twisted(parse_family("z^2 + 1/t"), -1), (F(-1, 2), F(-1)))]
+
+
+def _escape_m(zpair):
+    a, s = zpair
+    return s if a.is_zero() else min(a.order(), s)
+
+
+def _random_escape_disks(rng, e, count=40):
+    """z-chart disks (a, s) with min(ord a, s) < e: centers with a leading
+    exponent below e (or zero with s below e) and a few higher terms.
+
+    Leading coefficients are 1, -1, i or -i: the partial sums raise them to
+    the power d**n, where any other modulus underflows or overflows within
+    n_star steps, and canonicalizing a point inverts its center, which needs
+    lead * (1/lead) == 1 exactly."""
+    disks = []
+    for _ in range(count):
+        q = rng.choice([1, 2, 3, 6])
+        lead = e - F(rng.randint(1, 3 * q), q)
+        if rng.random() < 0.25:
+            disks.append((L.zero(), lead))
+            continue
+        terms = {lead: rng.choice([1.0, -1.0, 1j, -1j])}
+        for _ in range(rng.randint(0, 3)):
+            terms[lead + F(rng.randint(1, 4 * q), q)] = complex(rng.uniform(-2, 2), 0.5)
+        disks.append((L(terms), lead + F(rng.randint(-q, 4 * q), q)))
+    return disks
+
+
+class TestGreenClosure:
+    def test_escape_region_from_coefficient_orders(self):
+        for fam, expected in _closure_families():
+            assert GreenEvaluator(fam, R).escape == expected
+        assert GreenEvaluator(parse_family("(z^2 - t)/z"), R).escape is None
+
+    def test_one_step_constant_and_region_invariant(self):
+        rng = random.Random(12)
+        for fam, _ in _closure_families():
+            ev = GreenEvaluator(fam, R)
+            e, c = ev.escape
+            for zp in _random_escape_disks(rng, e):
+                assert _escape_m(zp) < e
+                assert ev._one_step_exponent(zp) == c
+                assert _escape_m(map_disk(fam.affine_coeffs(), zp)) < e
+
+    def test_closed_sum_against_partial_sums(self):
+        rng = random.Random(13)
+        for fam, _ in _closure_families():
+            ev = GreenEvaluator(fam, R, n_max=16)
+            e, c = ev.escape
+            d = fam.degree
+            disks = [v.zpair() for v in build_probe_tree(fam, q=2).vertices]
+            disks += _random_escape_disks(rng, e, count=10)
+            for zp in disks:
+                # the step at which the orbit enters the region
+                cur, entry = zp, 0
+                while _escape_m(cur) >= e and entry <= ev.n_star:
+                    cur = berkovich._reduce_center(*map_disk(fam.affine_coeffs(), cur))
+                    entry += 1
+                xi = type2_from_zpair(*zp)
+                q, bound = ev.exponent(xi)
+                assert (bound == 0.0) == (entry <= ev.n_star)
+                for n in range(ev.n_star + 1):
+                    diff = q - ev.approximant_exponent(xi, n)
+                    if bound == 0.0:
+                        assert abs(float(diff)) * abs(LOG_R) <= ev._tail_bound(n)
+                    if entry <= n:
+                        assert diff == c * F(1, d ** n * (d - 1))
+
+    def test_unclosed_orbit_keeps_tail_bound(self):
+        # t*z^2 + 1 fixes D(0, 1): that orbit never escapes
+        fam = parse_family("t*z^2 + 1")
+        ev = GreenEvaluator(fam, R, n_max=16)
+        q, bound = ev.exponent(XG)
+        assert q == ev.approximant_exponent(XG, ev.n_star)
+        assert bound == ev._tail_bound(ev.n_star) > 0.0
 
 
 class TestResultant:

@@ -86,6 +86,38 @@ class TestSpecialize:
         assert calls == [1]
 
 
+
+class TestMixedRamification:
+    """Coefficients of ramification 2 and 3 evaluated on one branch of
+    t^(1/6): each takes the root to the power 6 // its own ramification."""
+
+    def test_specialize(self):
+        rc = specialize(parse_family("z^2 + t^(1/2)*z + t^(1/3)"), 0.01)
+        assert rc.p0c == pytest.approx([0.01 ** (1 / 3), 0.1, 1.0], rel=1e-14)
+
+    def test_oracle(self):
+        # t^(-1/3) = 4.64... sends the critical point to infinity, so the
+        # oracle depends on the coefficient values
+        fam = parse_family("z^2 + t^(1/2)*z + 1/t^(1/3)")
+        ref = parse_family(f"z^2 + 0.1*z + {0.01 ** (-1 / 3)!r}")
+        assert przytycki_oracle(fam, 0.01) == pytest.approx(
+            przytycki_oracle(ref, 0.01), rel=1e-12)
+        assert przytycki_oracle(fam, 0.01) > LOG2 + 0.5
+
+    def test_eval_numeric_and_model_function(self):
+        datum = parse_sections(["t^(1/2)*w0", "t^(1/3)*w1"], k=1, d=1)
+        root = 0.01 ** (1 / 6)
+        values = [s.eval_numeric((1.0, 1.0), 0.01, root, 6) for s in datum.sections]
+        assert values == pytest.approx([0.1, 0.01 ** (1 / 3)], rel=1e-14)
+        assert admissible.phi_canonical(datum, (1.0, 1.0), 0.01, root) == pytest.approx(
+            math.log(0.01) / 3, rel=1e-14)
+
+    def test_branch_must_cover_ramification(self):
+        from hybdyn.errors import LaurentError
+        from hybdyn.laurent import LaurentSeries
+        with pytest.raises(LaurentError):
+            LaurentSeries.t_power(0.5).eval(0.01, root=0.01 ** (1 / 3), ram=3)
+
 class TestBackwardSampling:
     def test_circle_measure(self):
         rc = specialize(parse_family("z^2"), 0.1)

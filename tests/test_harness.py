@@ -274,6 +274,33 @@ class TestExperiments:
         assert len(calls) == len(rec.rows)
         assert len({id(v) for v in calls}) == len(rec.rows)
 
+    def test_na_measure_exact_green(self, tmp_path):
+        # z^2 + 1/t: every vertex's orbit reaches the escape region, so each
+        # row's bound is 0.0 (shipped config, then the dense probe grid)
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "configs", "na-measure-quad-pole.ini")) as fh:
+            shipped = load_config(fh.read())
+        deep = load_config("[experiment]\nkind = na-measure\nlabel = deep\n"
+                           "family = z^2 + 1/t\nr = 0.5\n[green]\nn_max = 16\n"
+                           "[probes]\ns_min = -4\ns_max = 4\nq = 4\norbit_len = 3\n")
+        for cfg, size in ((shipped, 42), (deep, 149)):
+            rec = run(cfg, out_dir=str(tmp_path))
+            assert len(rec.rows) == size
+            assert all(row[5] == 0.0 for row in rec.rows)
+            assert rec.summary["green_exact_vertices"] == size
+            assert rec.summary["green_tail_bound"] == 0.0
+        with open(tmp_path / "deep.csv") as fh:
+            assert fh.readline() == "# schema: hybdyn/na-measure/v4\n"
+
+    def test_na_measure_rational_reports_tail_bound(self):
+        cfg = load_config("[experiment]\nkind = na-measure\nlabel = m\n"
+                          "family = (z^2 - t)/z\nr = 0.5\n[green]\nn_max = 8\n")
+        rec = run(cfg)
+        s = rec.summary
+        assert s["green_exact_vertices"] == 0
+        assert s["green_tail_bound"] > cfg.green_tol
+        assert all(row[5] == s["green_tail_bound"] for row in rec.rows)
+
 
 def test_import_leaves_scipy_unloaded():
     src = os.path.dirname(os.path.dirname(hybdyn.__file__))
