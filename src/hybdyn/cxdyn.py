@@ -1,12 +1,15 @@
-"""Complex dynamics at a fixed parameter: specialization, backward-orbit
-sampling of the measure of maximal entropy, Monte-Carlo integration, and
-Lyapunov estimation.
+"""Complex dynamics at a fixed parameter: specialization, integrals against
+the measure of maximal entropy by backward-orbit sampling or by preimage
+quadrature, and Lyapunov estimation.
 
 Points on the Riemann sphere are kept as homogeneous pairs (w0, w1) with
-sup-norm 1 so that both charts stay numerically safe.  The backward sampler
-draws a uniformly random inverse branch at each step, realizing the balanced
-pullback; classical equidistribution makes the empirical measure converge to
-the measure of maximal entropy.
+sup-norm 1 so that both charts stay numerically safe.  Both routes rest on
+the equidistribution of the balanced pullback: ``d^-n Σ_{R^n y = x} δ_y``
+converges to the measure of maximal entropy.  The backward sampler
+(``sample_integrals``) draws a uniformly random inverse branch at each step
+and gives a Monte-Carlo estimate; the quadrature (``preimage_levels``) sums
+over all ``d^n`` branches, level by level, and certifies its value from the
+differences between levels.
 """
 
 from __future__ import annotations
@@ -335,9 +338,112 @@ def sample_integrals(maps, seeds, n_burn: int, n_keep: int, start,
     return [_integral(vals.reshape(-1)[:n_keep]) for vals in values]
 
 
+def preimage_levels(maps, seeds, n_burn: int, n_keep: int, start,
+                    integrands) -> list:
+    """Integrate ``integrands[i]`` against the measure of maximal entropy of
+    ``maps[i]`` by preimage quadrature, for every i: ``I_n = d^-n Σ f(y)``
+    over all ``d^n`` points y with ``R^n y = x``, counted with multiplicity,
+    for the root x.
+
+    The root is cell i's burned-in point, the walker's (``_burn_in`` with
+    ``default_rng(seeds[i])``).  Level 1 holds the d preimages of the root
+    and level n+1 those of every point of level n, all cells at once; a
+    level is entered only while ``d^n <= n_keep``, and maps of degree 1
+    enter none.  With ``Δ_n = I_n - I_{n-1}``, a cell converges at
+    level n when ``|Δ_n|`` and ``|Δ_{n-1}|`` are both below ``_QUAD_TOL``;
+    one small difference is no certificate, since an integrand can be
+    locally constant at coarse levels.  Result i is then
+    ``(I_n, error estimate, n)``, the estimate being the geometric tail
+    ``|Δ_n| ρ / (1 - ρ)`` with ``ρ = |Δ_n / Δ_{n-1}|`` when ``ρ < 1`` and
+    ``|Δ_n|`` otherwise.  Result i is None, and the cell must fall back to
+    the walker, when an integrand value is not finite, when the ratios of
+    the differences have stopped shrinking and the last one, extrapolated,
+    reaches no certificate within the budget, or when the budget runs out.
+
+    ``integrands[i]`` is called once per level on cell i's points, as an
+    (d^n, 2) array of homogeneous points.  A cell's result does not depend
+    on the other cells.
+    """
+    d = maps[0].degree
+    top = 0  # the last level within the budget
+    while d > 1 and d ** (top + 1) <= n_keep:
+        top += 1
+    results = [None] * len(maps)
+    if top < 3:
+        return results
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    points = _burn_in(maps, rngs, n_burn, start)
+    active = list(range(len(maps)))
+    history = [[] for _ in maps]
+    for level in range(1, top + 1):
+        width = d ** level
+        points = _branches([maps[i] for i in active], points, d ** (level - 1))
+        keep = []
+        for c, i in enumerate(active):
+            vals = np.asarray(integrands[i](points[:, c * width: (c + 1) * width].T),
+                              dtype=float)
+            if not np.isfinite(vals).all():
+                continue
+            hist = history[i]
+            hist.append(float(vals.mean()))
+            if level >= 3:
+                step, prev = abs(hist[-1] - hist[-2]), abs(hist[-2] - hist[-3])
+                rho = _ratio(step, prev)
+                if step < _QUAD_TOL and prev < _QUAD_TOL:
+                    results[i] = (hist[-1], step * rho / (1 - rho) if rho < 1 else step,
+                                  level)
+                    continue
+                # extrapolating the last ratio is optimistic only once the
+                # ratios stop shrinking, so only then may it end the cell
+                if (level >= 4 and rho >= _ratio(prev, abs(hist[-3] - hist[-4]))
+                        and level + _levels_to_certify(step, rho) > top):
+                    continue
+            keep.append(c)
+        if not keep:
+            break
+        active = [active[c] for c in keep]
+        points = points.reshape(2, -1, width)[:, keep].reshape(2, -1)
+    return results
+
+
+def _ratio(step: float, prev: float) -> float:
+    return step / prev if prev > 0 else math.inf
+
+
+def _levels_to_certify(step: float, rho: float) -> float:
+    """Levels still needed for a certificate if the level differences keep
+    shrinking by ``rho`` from ``step`` (inf when they do not shrink)."""
+    if step < _QUAD_TOL:
+        return 1
+    if rho >= 1:
+        return math.inf
+    # the first k with step * rho^k below the tolerance, then one more level
+    return math.floor(math.log(_QUAD_TOL / step) / math.log(rho)) + 2
+
+
+def _branches(maps, points: np.ndarray, per_map: int) -> np.ndarray:
+    """All d preimages of every point: ``points`` holds the w0 row and the
+    w1 row, ``per_map`` consecutive columns per map of ``maps``, and
+    column p becomes columns ``p*d, ..., p*d + d - 1`` of the result,
+    preimage k of ``_preimages`` in column ``p*d + k``.  Solved by
+    ``_Lockstep`` in blocks of at most ``_BLOCK_POINTS`` preimages."""
+    d = maps[0].degree
+    n = points.shape[1]
+    out = np.empty((2, n * d), dtype=complex)
+    size = max(1, _BLOCK_POINTS // d)
+    for lo in range(0, n, size):
+        hi = min(n, lo + size)
+        step = _Lockstep([maps[p // per_map] for p in range(lo, hi) for _ in range(d)])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step(np.repeat(points[:, lo:hi], d, axis=1), np.tile(np.arange(d), hi - lo),
+                 out[:, lo * d: hi * d])
+    return out
+
+
 _HEAD_STEPS = 3  # leading steps checked for an exceptional start
 _CHAINS = 16  # chains forked from each cell's burned-in point
 _BLOCK_POINTS = 40 * 1024  # walked points per streamed block, over all chains
+_QUAD_TOL = 1e-12  # preimage quadrature: certificate on two level differences
 
 
 def _fork_shape(n_keep: int):
@@ -349,29 +455,38 @@ def _fork_shape(n_keep: int):
 
 
 def _walk(maps, seeds, n_burn: int, n_keep: int, start):
-    """The backward walker.  Cell i walks ``maps[i]`` from ``start`` with
-    its own generator ``default_rng(seeds[i])``: a burn-in of
-    ``max(n_burn, 3)`` steps on one chain, whose first three steps are
-    taken one cell at a time by ``_head``, then ``_fork_shape(n_keep)``
-    chains continuing from the burned-in point.  All cells step together.
+    """The backward walker.  Cell i walks ``maps[i]`` with its own generator
+    ``default_rng(seeds[i])``: ``_burn_in`` on one chain, then
+    ``_fork_shape(n_keep)`` chains continuing from the burned-in point.  All
+    cells step together.
 
     Yields ``(lo, block)`` where ``block[i, c]`` holds steps lo, lo+1, ...
     of cell i's chain c as a (b, 2) array; ``block`` is a view of a buffer
     that the next block overwrites.
     """
+    n_chains, n_steps = _fork_shape(n_keep)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    state = np.repeat(_burn_in(maps, rngs, n_burn, start), n_chains, axis=1)
+    # column i*K + c: cell i, chain c
+    for lo, block in _lockstep(maps, rngs, state, n_steps, n_chains):
+        yield lo, block.reshape(len(block), 2, len(maps), n_chains).transpose(2, 3, 0, 1)
+
+
+def _burn_in(maps, rngs, n_burn: int, start) -> np.ndarray:
+    """Every cell's burned-in point, the root of both the walker and the
+    quadrature: ``max(n_burn, 3)`` steps from ``start`` on one chain per
+    cell, the first three taken one cell at a time by ``_head`` and the
+    rest in lockstep.  Returns the w0 row and the w1 row, one column per
+    cell."""
     d = maps[0].degree
     if any(R.degree != d for R in maps):
         raise UnsupportedMapError("lockstep chains need maps of one degree")
     if d > _MAX_ROOT_DEGREE:
         raise UnsupportedDegreeError(f"preimage degree {d} > {_MAX_ROOT_DEGREE}")
-    n_chains, n_steps = _fork_shape(n_keep)
-    rngs = [np.random.default_rng(seed) for seed in seeds]
     state = np.array([_head(R, rng, start) for R, rng in zip(maps, rngs)]).T
     for _ in _lockstep(maps, rngs, state, max(n_burn, _HEAD_STEPS) - _HEAD_STEPS, 1):
         pass
-    state = np.repeat(state, n_chains, axis=1)  # column i*K + c: cell i, chain c
-    for lo, block in _lockstep(maps, rngs, state, n_steps, n_chains):
-        yield lo, block.reshape(len(block), 2, len(maps), n_chains).transpose(2, 3, 0, 1)
+    return state
 
 
 def _lockstep(maps, rngs, state: np.ndarray, n_steps: int, n_chains: int):

@@ -25,7 +25,7 @@ from . import admissible, berkovich, cxdyn, hybrid
 from .errors import ConfigError
 from .parser import parse_family, parse_sections, parse_series
 
-_SCHEMA_VERSION = "v4"
+_SCHEMA_VERSION = "v5"
 
 KINDS = ("circle-demo", "hybrid-converge", "lyap-slope", "na-measure")
 
@@ -329,19 +329,37 @@ def _grid_cells(cfg: ExperimentConfig):
     return cells
 
 
-def _cell_integrals(cfg: ExperimentConfig, family, integrand):
+def _cell_integrals(cfg: ExperimentConfig, family, integrand, quadrature: bool = False):
     """Specialize the family at every grid cell and integrate
-    ``integrand(rc, t)`` against each cell's sampled equilibrium measure.
+    ``integrand(rc, t)`` against each cell's equilibrium measure.
 
-    All cells walk in lockstep, each with its own seed; a cell's estimate
-    does not depend on the other cells.  Returns (cell, estimate) pairs.
+    With ``quadrature`` a cell is integrated by ``cxdyn.preimage_levels``
+    where that certifies a value; every other cell is sampled by the
+    walker, all such cells in lockstep, each with its own seed.  A cell's
+    estimate does not depend on the other cells.  Returns (cell, estimate,
+    level) triples, ``level`` being the quadrature level or None for a
+    walker cell.
     """
     cells = _grid_cells(cfg)
     maps = [cxdyn.specialize(family, t, r=cfg.r) for _, _, _, t in cells]
     seeds = [_cell_seed(cfg.seed, j, p) for j, p, _, _ in cells]
     integrands = [integrand(rc, cell[3]) for rc, cell in zip(maps, cells)]
-    return zip(cells, cxdyn.sample_integrals(maps, seeds, cfg.n_burn, cfg.n_keep,
-                                             cfg.start, integrands))
+    estimates, levels = [None] * len(cells), [None] * len(cells)
+    if quadrature:
+        for i, q in enumerate(cxdyn.preimage_levels(maps, seeds, cfg.n_burn, cfg.n_keep,
+                                                    cfg.start, integrands)):
+            if q is not None:
+                mean, err, levels[i] = q
+                estimates[i] = cxdyn.IntegralResult(mean, err, maps[i].degree ** levels[i],
+                                                    0, False)
+    walk = [i for i, est in enumerate(estimates) if est is None]
+    if walk:
+        walked = cxdyn.sample_integrals([maps[i] for i in walk], [seeds[i] for i in walk],
+                                        cfg.n_burn, cfg.n_keep, cfg.start,
+                                        [integrands[i] for i in walk])
+        for i, est in zip(walk, walked):
+            estimates[i] = est
+    return list(zip(cells, estimates, levels))
 
 
 def _na_measure(cfg: ExperimentConfig):
@@ -405,9 +423,10 @@ def cmd_hybrid_converge(cfg: ExperimentConfig) -> ResultRecord:
         return lambda pts: n_factor * admissible.phi_canonical(
             datum, (pts[:, 0], pts[:, 1]), t)
 
+    estimates = _cell_integrals(cfg, family, model_value)
     rows = [[j, p, t.real, t.imag, est.mean, est.stderr, est.n_excluded,
              abs(est.mean - i0)]
-            for (j, p, m, t), est in _cell_integrals(cfg, family, model_value)]
+            for (j, p, m, t), est, _ in estimates]
     per_mod = []
     for j, m in enumerate(cfg.moduli):
         vals = [row[4] for row in rows if row[0] == j]
@@ -427,6 +446,7 @@ def cmd_hybrid_converge(cfg: ExperimentConfig) -> ResultRecord:
         "final_abs_error": errs[-1],
         "monotone_within_stderr": all(errs[i + 1] <= errs[i] + tol
                                       for i in range(len(errs) - 1)),
+        "exclusion_warning_cells": sum(est.warn for _, est, _ in estimates),
         "measure_total_mass": mu.total_mass(),
         "leaf_mass_fraction": mu.leaf_mass_fraction(),
     }
@@ -445,10 +465,12 @@ def cmd_lyap_slope(cfg: ExperimentConfig) -> ResultRecord:
     def lyapunov_integrand(rc, t):
         return lambda pts: cxdyn.log_det_norm(rc, pts)
 
+    estimates = _cell_integrals(cfg, family, lyapunov_integrand, quadrature=True)
     rows = [[j, p, t.real, t.imag, est.mean, est.stderr,
              cxdyn.przytycki_oracle(family, t) if polynomial else math.nan,
-             est.n_excluded]
-            for (j, p, m, t), est in _cell_integrals(cfg, family, lyapunov_integrand)]
+             est.n_excluded, "walker" if level is None else "quadrature"]
+            for (j, p, m, t), est, level in estimates]
+    levels = [level for _, _, level in estimates if level is not None]
     xs, ys, per_mod = [], [], []
     for j, m in enumerate(cfg.moduli):
         vals = [row[4] for row in rows if row[0] == j]
@@ -481,13 +503,18 @@ def cmd_lyap_slope(cfg: ExperimentConfig) -> ResultRecord:
         "briend_duval_ok": bool(bd_ok),
         "briend_duval_bound": bd_bound,
         "max_oracle_deviation_sigmas": oracle_dev,
+        "quadrature_cells": len(levels),
+        "walker_cells": len(rows) - len(levels),
+        "max_quadrature_level": max(levels, default=None),
+        "exclusion_warning_cells": sum(est.warn for _, est, _ in estimates),
         "per_modulus": per_mod,
         "measure_total_mass": mu.total_mass(),
         "leaf_mass_fraction": mu.leaf_mass_fraction(),
     }
     return ResultRecord(cfg.experiment_id, cfg.kind, cfg.label, cfg.config_hash(),
                         ["j", "phase", "re_t", "im_t", "lyapunov", "stderr",
-                         "oracle", "n_excluded"], rows, summary, created=_now())
+                         "oracle", "n_excluded", "route"], rows, summary,
+                        created=_now())
 
 
 def cmd_na_measure(cfg: ExperimentConfig) -> ResultRecord:

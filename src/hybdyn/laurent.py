@@ -279,14 +279,16 @@ class LaurentSeries:
             target = self.trunc_order - 2 * m
         else:
             target = -m + window
-        # self = lead * t^m * (1 + u) with ord(u) > 0
-        u = (self.shift(-m) * (1.0 / lead) - 1.0).truncate(target + m)
+        # self = lead * t^m * (1 + u) with ord(u) > 0; the exponent-0 term
+        # of shift / lead is 1 by construction and is dropped, not
+        # subtracted, since lead * (1 / lead) need not round to 1
+        shifted, inv_lead = self.shift(-m), 1.0 / lead
+        u = LaurentSeries._make(shifted.ram, {k: c * inv_lead for k, c in shifted.terms.items()
+                                              if k != 0}, shifted.trunc).truncate(target + m)
         inv_unit = LaurentSeries.one()
         power = LaurentSeries.one()
         # geometric series sum_{k} (-u)^k, truncated
         ord_u = u.order()
-        if ord_u <= 0:
-            raise LaurentError("inversion normalization failed")
         k_max = int(math.ceil(float((target + m) / ord_u))) + 1
         for _ in range(k_max):
             power = (power * (-u)).truncate(target + m)

@@ -533,3 +533,104 @@ class TestSampleIntegrals:
         with pytest.raises(UnsupportedDegreeError):
             sample_integrals([rc, rc], [1, 2], 5, 5, 1.5, [calls.append] * 2)
         assert calls == []
+
+
+def _lyapunov_integrands(maps):
+    return [lambda pts, rc=rc: log_det_norm(rc, pts) for rc in maps]
+
+
+class TestPreimageLevels:
+    def test_levels_are_all_preimages(self, monkeypatch):
+        # every point of a level, in order, is _preimages' branch k of its
+        # parent, whatever the blocks and the other maps in the batch
+        fam = parse_family("z^3 + t*z")
+        maps = [specialize(fam, tv) for tv in (1e-2, 1e-4j)]
+        roots = np.array([[0.3 + 0.1j, 1.0], [1.0, -0.2j]]).T  # one root per map
+        level1 = cxdyn._branches(maps, roots, 1)
+        ref = np.concatenate([cxdyn._preimages(R, roots[:, i]) for i, R in enumerate(maps)])
+        assert level1.T.tobytes() == ref.tobytes()
+        level2 = cxdyn._branches(maps, level1, 3)
+        monkeypatch.setattr(cxdyn, "_BLOCK_POINTS", 4)
+        assert cxdyn._branches(maps, level1, 3).tobytes() == level2.tobytes()
+        ref = np.concatenate([cxdyn._preimages(maps[p // 3], level1[:, p]) for p in range(6)])
+        assert level2.T.tobytes() == ref.tobytes()
+
+    def test_batch_layout_independent(self):
+        fam = parse_family("z^2 + 1/t")
+        maps = [specialize(fam, 10.0 ** -k * complex(math.cos(k), math.sin(k)))
+                for k in range(2, 7)]
+        seeds = [41, 42, 43, 44, 45]
+        fs = _lyapunov_integrands(maps)
+        args = (100, 20000, 1.1 + 0.7j)
+        together = cxdyn.preimage_levels(maps, seeds, *args, fs)
+        reversed_ = cxdyn.preimage_levels(maps[::-1], seeds[::-1], *args, fs[::-1])[::-1]
+        alone = [cxdyn.preimage_levels([rc], [s], *args, [f])[0]
+                 for rc, s, f in zip(maps, seeds, fs)]
+        assert None not in together
+        assert together == reversed_ == alone
+
+    def test_agrees_with_walker(self):
+        # the quadrature certifies z^2 at level 3 and z^3 + t*z near its
+        # good reduction; both lie within 3 walker stderr of the walker,
+        # plus rounding for z^2, whose walker values are all log 2
+        for text, t, level in (("z^2", 0.1, 3), ("z^3 + t*z", 1e-6, None)):
+            rc = specialize(parse_family(text), t)
+            f = lambda pts: log_det_norm(rc, pts)  # noqa: E731
+            ((mean, err, n),) = cxdyn.preimage_levels([rc], [5], 100, 20000, 1.1 + 0.7j, [f])
+            assert level is None or n == level
+            assert err < 1e-12
+            (walked,) = sample_integrals([rc], [5], 100, 20000, 1.1 + 0.7j, [f])
+            assert abs(mean - walked.mean) <= 3 * walked.stderr + 1e-15
+
+    def test_pole_family_matches_oracle(self):
+        fam = parse_family("z^2 + 1/t")
+        for tv in (1e-2, -3e-4j, 1e-6 * complex(math.cos(0.7), math.sin(0.7))):
+            rc = specialize(fam, tv)
+            ((mean, err, n),) = cxdyn.preimage_levels(
+                [rc], [7], 100, 20000, 1.1 + 0.7j, _lyapunov_integrands([rc]))
+            assert abs(mean - przytycki_oracle(fam, tv)) < 1e-12
+            assert 3 <= n <= 10 and err < 1e-12
+
+    def test_one_small_difference_is_no_certificate(self):
+        # I_1 = I_2, then I_3 moves: the level-2 difference vanishes, but
+        # the certificate needs two, so it comes at level 5, with the
+        # value I_5 and the tail estimate |Δ_5| ρ / (1 - ρ) at ρ = 1/4
+        rc = specialize(parse_family("z^2 + 1/t"), 1e-3)
+        i5 = 2.0 + 2.0 ** -40 + 2.0 ** -42
+        by_size = {2: 1.0, 4: 1.0, 8: 2.0, 16: 2.0 + 2.0 ** -40, 32: i5}
+        f = lambda pts: np.full(len(pts), by_size[len(pts)])  # noqa: E731
+        assert cxdyn.preimage_levels([rc], [3], 100, 20000, 1.1 + 0.7j, [f]) == [
+            (i5, 2.0 ** -42 * 0.25 / 0.75, 5)]
+
+    def test_fallbacks(self, monkeypatch):
+        solved = []
+        call = cxdyn._Lockstep.__call__
+
+        def counted(self, y, idx, out):
+            solved.append(len(idx))
+            return call(self, y, idx, out)
+
+        monkeypatch.setattr(cxdyn._Lockstep, "__call__", counted)
+        fam = parse_family("z^2 + 1/t")
+        pole = [specialize(fam, tv) for tv in (1e-2, 1e-4j)]
+        # a budget below d^3 leaves no certificate, and a Mobius map has
+        # no levels: nothing is solved
+        assert cxdyn.preimage_levels(pole, [1, 2], 100, 7, 1.1 + 0.7j,
+                                     _lyapunov_integrands(pole)) == [None, None]
+        mobius = RationalMapC([0.5, 1], [1, 0.25j])
+        assert cxdyn.preimage_levels([mobius], [1], 100, 20000, 0.3,
+                                     _lyapunov_integrands([mobius])) == [None]
+        assert solved == []
+        # non-finite values fall back at once
+        inf = [lambda pts: np.full(len(pts), -np.inf)] * 2
+        assert cxdyn.preimage_levels(pole, [1, 2], 100, 20000, 1.1 + 0.7j, inf) == [None] * 2
+        # (z^2 - t)/z: the differences shrink by about 0.4 a level, which
+        # cannot reach the tolerance within 2^14 points; the cell ends long
+        # before the budget
+        rational = parse_family("(z^2 - t)/z")
+        maps = [specialize(rational, tv) for tv in (1e-2, 1e-4j, -1e-6)]
+        solved.clear()
+        burn = len(maps) * 97  # the lockstep burn-in, one point per cell and step
+        assert cxdyn.preimage_levels(maps, [1, 2, 3], 100, 20000, 1.1 + 0.7j,
+                                     _lyapunov_integrands(maps)) == [None] * 3
+        assert sum(solved) - burn <= len(maps) * (2 + 4 + 8 + 16 + 32)

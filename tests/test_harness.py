@@ -46,7 +46,7 @@ n_burn = 40
 n_keep = 800
 """
 
-# spans more than one streamed block of the walker
+# every cell of this grid is certified by preimage quadrature
 POLE_SLOPE_INI = """
 [experiment]
 kind = lyap-slope
@@ -226,19 +226,32 @@ class TestExperiments:
         assert s["briend_duval_ok"]
 
     def test_cell_row_independent_of_batch(self):
-        # a cell's row is byte-identical whether its chain walks alone or in
-        # lockstep with the whole grid
+        # a cell's row is byte-identical whether it runs alone or with the
+        # whole grid: by quadrature, and by the walker when n_keep = 2
+        # leaves too few levels for a certificate, where the row is the
+        # one-chain walk's
         cfg = load_config(POLE_SLOPE_INI)
-        rec = run(cfg)
+        walked = load_config(POLE_SLOPE_INI.replace("n_keep = 1500", "n_keep = 2"))
         family = parse_family(cfg.family)
-        for (j, p, m, t), row in zip(_grid_cells(cfg), rec.rows):
-            rc = cxdyn.specialize(family, t, r=cfg.r)
-            sample = cxdyn.backward_sample(rc, _cell_seed(cfg.seed, j, p),
-                                           cfg.n_burn, cfg.n_keep, cfg.start)
-            est = cxdyn.lyapunov_complex(rc, sample)
-            alone = [j, p, t.real, t.imag, est.mean, est.stderr,
-                     cxdyn.przytycki_oracle(family, t), est.n_excluded]
-            assert [_fmt_cell(x) for x in alone] == [_fmt_cell(x) for x in row]
+        for c, route in ((cfg, "quadrature"), (walked, "walker")):
+            rec = run(c)
+            assert rec.summary["quadrature_cells" if route == "quadrature"
+                               else "walker_cells"] == len(rec.rows)
+            for (j, p, m, t), row in zip(_grid_cells(c), rec.rows):
+                rc = cxdyn.specialize(family, t, r=c.r)
+                seed = _cell_seed(c.seed, j, p)
+                if route == "quadrature":
+                    ((mean, err, _),) = cxdyn.preimage_levels(
+                        [rc], [seed], c.n_burn, c.n_keep, c.start,
+                        [lambda pts: cxdyn.log_det_norm(rc, pts)])
+                    n_excluded = 0
+                else:
+                    sample = cxdyn.backward_sample(rc, seed, c.n_burn, c.n_keep, c.start)
+                    est = cxdyn.lyapunov_complex(rc, sample)
+                    mean, err, n_excluded = est.mean, est.stderr, est.n_excluded
+                alone = [j, p, t.real, t.imag, mean, err,
+                         cxdyn.przytycki_oracle(family, t), n_excluded, route]
+                assert [_fmt_cell(x) for x in alone] == [_fmt_cell(x) for x in row]
 
     def test_hybrid_converge_decreasing(self):
         rec = run(load_config(CONVERGE_INI))
@@ -290,7 +303,35 @@ class TestExperiments:
             assert rec.summary["green_exact_vertices"] == size
             assert rec.summary["green_tail_bound"] == 0.0
         with open(tmp_path / "deep.csv") as fh:
-            assert fh.readline() == "# schema: hybdyn/na-measure/v4\n"
+            assert fh.readline() == "# schema: hybdyn/na-measure/v5\n"
+
+    def test_na_measure_non_unit_center_lead(self):
+        # the critical orbit's centers have leads such as 2/27^3, whose
+        # reciprocal does not round back to 1; inverting them used to fail
+        cfg = load_config("[experiment]\nkind = na-measure\nlabel = m\n"
+                          "family = 2*z^3 + z^2/t + 1/t^2\nr = 0.5\n[green]\nn_max = 16\n")
+        s = run(cfg).summary
+        assert s["total_mass"] == pytest.approx(1.0, abs=1e-9)
+        assert s["clipped_mass"] == 0.0 and s["convention_failures"] == []
+
+    def test_lyap_slope_routes(self, tmp_path):
+        # z^2 + 1/t certifies by quadrature; (z^2 - t)/z falls back to the
+        # walker in every cell
+        pole = run(load_config(POLE_SLOPE_INI), out_dir=str(tmp_path))
+        rational = run(load_config(POLE_SLOPE_INI.replace("z^2 + 1/t", "(z^2 - t)/z")
+                                   + "[green]\nn_max = 4\n"))
+        for rec, route in ((pole, "quadrature"), (rational, "walker")):
+            s = rec.summary
+            assert rec.columns[-1] == "route"
+            assert all(row[-1] == route for row in rec.rows)
+            assert (s["quadrature_cells"], s["walker_cells"]) == (
+                (len(rec.rows), 0) if route == "quadrature" else (0, len(rec.rows)))
+            assert s["exclusion_warning_cells"] == 0
+        assert 3 <= pole.summary["max_quadrature_level"] <= 10
+        assert rational.summary["max_quadrature_level"] is None
+        assert all(row[7] == 0 and row[5] < 1e-11 for row in pole.rows)
+        with open(tmp_path / "pole.csv") as fh:
+            assert fh.readline() == "# schema: hybdyn/lyap-slope/v5\n"
 
     def test_na_measure_rational_reports_tail_bound(self):
         cfg = load_config("[experiment]\nkind = na-measure\nlabel = m\n"

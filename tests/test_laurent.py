@@ -160,6 +160,24 @@ class TestInversion:
         with pytest.raises(LaurentError):
             L.zero(trunc=3).inverse()
 
+    def test_lead_whose_reciprocal_does_not_round_to_one(self):
+        # (lead + t)^-1 = sum (-1)^k t^k / lead^(k+1); 2/27^3 is a critical
+        # orbit lead of 2*z^3 + z^2/t + 1/t^2
+        lead = 2 / 27 ** 3
+        assert lead * (1.0 / lead) != 1.0
+        inv = L({0: lead, 1: 1.0}).inverse(window=6)
+        assert inv.trunc_order == 6
+        for k in range(6):
+            assert inv.coefficient(k) == pytest.approx((-1) ** k / lead ** (k + 1), rel=1e-12)
+
+    def test_random_leads(self):
+        rng = np.random.default_rng(13)
+        for _ in range(1000):
+            lead = rng.normal()
+            inv = L({-2: lead, 1: lead}).inverse(window=9)
+            for k in range(3):
+                assert inv.coefficient(3 * k + 2) == pytest.approx((-1) ** k / lead, rel=1e-12)
+
 
 class TestText:
     def test_emit_parse_roundtrip(self):
