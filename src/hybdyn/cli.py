@@ -12,14 +12,15 @@ import argparse
 import json
 import sys
 
-from .errors import (ConfigError, ConventionError, DegenerateFamilyError,
+from .errors import (ChartError, ConfigError, ConventionError, DegenerateFamilyError,
                      DegenerateMapError, LaurentError, ParseError,
                      UnsupportedDegreeError, UnsupportedMapError)
 from .harness import KINDS, load_config, run
 
 _CONFIG_ERRORS = (ConfigError, ParseError)
-_NUMERICAL_ERRORS = (ConventionError, DegenerateFamilyError, DegenerateMapError,
-                     LaurentError, UnsupportedDegreeError, UnsupportedMapError)
+_NUMERICAL_ERRORS = (ChartError, ConventionError, DegenerateFamilyError,
+                     DegenerateMapError, LaurentError, UnsupportedDegreeError,
+                     UnsupportedMapError)
 
 
 def build_parser() -> argparse.ArgumentParser:

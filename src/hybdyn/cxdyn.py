@@ -182,7 +182,9 @@ class SampleSet:
 
 
 def _preimages(R: RationalMapC, target: np.ndarray) -> np.ndarray:
-    """The d preimages of a homogeneous point, with multiplicity."""
+    """The d preimages of a homogeneous point, with multiplicity: the roots
+    of ``_poly_roots`` in its order, then the points at infinity.  The
+    one-point reference that ``_step`` reproduces and falls back to."""
     d = R.degree
     y0, y1 = target
     qc = y1 * R.p0c - y0 * R.p1c  # ascending; roots are the finite preimages
@@ -192,7 +194,6 @@ def _preimages(R: RationalMapC, target: np.ndarray) -> np.ndarray:
     deg = d
     while deg > 0 and abs(qc[deg]) <= 1e-14 * scale:
         deg -= 1
-    n_inf = d - deg
     roots = _poly_roots(qc[: deg + 1]) if deg > 0 else []
     out = np.empty((d, 2), dtype=complex)
     for i, z in enumerate(roots):
@@ -207,9 +208,10 @@ def _preimages(R: RationalMapC, target: np.ndarray) -> np.ndarray:
 
 def _poly_roots(qc: np.ndarray):
     """Roots of an ascending-coefficient polynomial, as numpy complex128
-    values: closed forms for degrees 2 and 3 (root k of a cubic is
-    ``_cubic_root``'s branch k), companion-matrix eigenvalues (numpy.roots)
-    for degrees 4 to 8."""
+    values: the quadratic formula on complex128 scalars (root k is what
+    ``_quadratic_root`` gives for branch k), the cubic's root k from
+    ``_cubic_root``'s branch k, and companion-matrix eigenvalues
+    (numpy.roots) for degrees 4 to 8."""
     deg = len(qc) - 1
     if deg == 1:
         return [-qc[0] / qc[1]]
@@ -292,6 +294,84 @@ def _cubic_root(qc: np.ndarray, k) -> np.ndarray:
 
 
 _OMEGA = np.array([1.0, complex(-0.5, math.sqrt(0.75)), complex(-0.5, -math.sqrt(0.75))])
+
+
+def _quadratic_root(qc: np.ndarray, k) -> np.ndarray:
+    """Root ``k[i]`` (0 or 1) of the quadratic with ascending coefficient
+    row ``qc[i]`` = (c, b, a), ``a`` nonzero, rounded as ``_poly_roots``
+    rounds it: ``qq / a`` and ``c / qq`` with ``qq = -(b + sq) / 2``, the
+    sign of ``sq = ±√(b² − 4ac)`` making ``Re(conj(b) sq) >= 0``.  ``qq``
+    vanishes only at the double root 0, whose roots are 0 and ``-b / a``.
+
+    ``_poly_roots`` evaluates the discriminant and the branch test on
+    complex128 scalars, which round each real product separately, while
+    numpy's complex-array multiply may fuse them; so both are written out in
+    real arithmetic (``4a``, whose products are exact, stays complex).
+    Every operation is elementwise.
+    """
+    c, b, a = qc[:, 0], qc[:, 1], qc[:, 2]
+    f = a * (4 + 0j)
+    br, bi, cr, ci, fr, fi = b.real, b.imag, c.real, c.imag, f.real, f.imag
+    disc = np.empty_like(b)
+    np.subtract(br * br - bi * bi, fr * cr - fi * ci, out=disc.real)
+    np.subtract(2.0 * (br * bi), fr * ci + fi * cr, out=disc.imag)
+    sq = np.sqrt(disc)
+    np.negative(sq, out=sq, where=br * sq.real + bi * sq.imag < 0)
+    qq = -(b + sq) / 2.0
+    first = np.asarray(k) == 0
+    z = c / qq
+    np.divide(qq, a, out=z, where=first)
+    if not qq.all():
+        double = qq == 0
+        z[double] = np.where(first[double], 0j, -b[double] / a[double])
+    return z
+
+
+def _step(maps, p0: np.ndarray, p1: np.ndarray, y: np.ndarray, k) -> np.ndarray:
+    """Preimage ``k[i]`` of the point ``y[:, i]`` under ``maps[i]``, with
+    coefficient rows ``p0[i]`` and ``p1[i]``, for every i; ``y`` and the
+    result hold the w0 and the w1 row.  Callers silence float warnings.
+
+    Row i is ``_preimages(maps[i], y[:, i])[k[i]]`` bit for bit, whatever
+    the other rows: qc is formed by the same array products, the roots come
+    from ``_quadratic_root``, ``_cubic_root`` or the stacked companion
+    matrices of ``np.roots`` (degrees 4 to 8), and the chart test uses
+    ``np.hypot``, because ``np.abs`` on complex arrays can differ from the
+    scalar ``abs`` in the last bit.  ``_preimages`` redoes the rows with a
+    leading coefficient near the 1e-14 cut (a preimage at infinity) and,
+    for degrees 4 to 8, those with an exact zero constant term, which
+    ``np.roots`` strips, or a failed eigenvalue solve.
+    """
+    n, d = p0.shape[0], p0.shape[1] - 1
+    qc = y[1, :, None] * p0 - y[0, :, None] * p1
+    mag = np.abs(qc)
+    # within 10x of the cut: the margin absorbs abs rounding
+    redo = mag[:, d:] * 1e13 <= mag[:, :d]
+    if d == 1:
+        z = -qc[:, 0] / qc[:, 1]
+    elif d == 2:
+        z = _quadratic_root(qc, k)
+    elif d == 3:
+        z = _cubic_root(qc, k)
+    else:
+        # np.roots' companion matrix: first row -p[1:] / p[0], p descending
+        comp = np.tile(np.eye(d, k=-1, dtype=complex), (n, 1, 1))
+        np.divide(-qc[:, d - 1::-1], qc[:, d:], out=comp[:, 0],
+                  where=~redo.any(axis=1)[:, None])
+        redo[:, 0] |= qc[:, 0] == 0
+        try:
+            z = np.linalg.eigvals(comp)[np.arange(n), k]
+        except np.linalg.LinAlgError:
+            z, redo[:] = np.zeros(n, dtype=complex), True
+    inside = np.hypot(z.real, z.imag) <= 1.0
+    out = np.empty((2, n), dtype=complex)
+    out.fill(1.0)
+    np.copyto(out[0], z, where=inside)
+    np.divide(1.0, z, out=out[1], where=~inside)
+    if np.count_nonzero(redo):
+        for i in np.flatnonzero(redo.any(axis=1)):
+            out[:, i] = _preimages(maps[i], y[:, i])[k[i]]
+    return out
 
 
 def backward_sample(R: RationalMapC, seed: int, n_burn: int, n_keep: int,
@@ -425,18 +505,19 @@ def _branches(maps, points: np.ndarray, per_map: int) -> np.ndarray:
     """All d preimages of every point: ``points`` holds the w0 row and the
     w1 row, ``per_map`` consecutive columns per map of ``maps``, and
     column p becomes columns ``p*d, ..., p*d + d - 1`` of the result,
-    preimage k of ``_preimages`` in column ``p*d + k``.  Solved by
-    ``_Lockstep`` in blocks of at most ``_BLOCK_POINTS`` preimages."""
-    d = maps[0].degree
-    n = points.shape[1]
+    preimage k of ``_preimages`` in column ``p*d + k``: ``_step`` on each
+    point repeated d times, in blocks of at most ``_BLOCK_POINTS``."""
+    d, n = maps[0].degree, points.shape[1]
+    p0, p1 = np.array([R.p0c for R in maps]), np.array([R.p1c for R in maps])
     out = np.empty((2, n * d), dtype=complex)
     size = max(1, _BLOCK_POINTS // d)
     for lo in range(0, n, size):
         hi = min(n, lo + size)
-        step = _Lockstep([maps[p // per_map] for p in range(lo, hi) for _ in range(d)])
+        cell = np.arange(lo, hi).repeat(d) // per_map
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            step(np.repeat(points[:, lo:hi], d, axis=1), np.tile(np.arange(d), hi - lo),
-                 out[:, lo * d: hi * d])
+            out[:, lo * d: hi * d] = _step([maps[c] for c in cell], p0[cell], p1[cell],
+                                           np.repeat(points[:, lo:hi], d, axis=1),
+                                           np.tile(np.arange(d), hi - lo))
     return out
 
 
@@ -501,7 +582,8 @@ def _lockstep(maps, rngs, state: np.ndarray, n_steps: int, n_chains: int):
     """
     width = state.shape[1]
     d = maps[0].degree
-    step = _Lockstep([R for R in maps for _ in range(n_chains)])
+    rows = [R for R in maps for _ in range(n_chains)]
+    p0, p1 = np.array([R.p0c for R in rows]), np.array([R.p1c for R in rows])
     size = max(1, _BLOCK_POINTS // width)
     # planar state: buf[k] = (w0 row, w1 row) after k steps of the block
     buf = np.empty((min(size, n_steps) + 1, 2, width), dtype=complex)
@@ -512,7 +594,7 @@ def _lockstep(maps, rngs, state: np.ndarray, n_steps: int, n_chains: int):
                              axis=1)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for k in range(b):
-                step(buf[k], idx[k], buf[k + 1])
+                buf[k + 1] = _step(rows, p0, p1, buf[k], idx[k])
         yield lo, buf[1: b + 1]
         buf[0] = buf[b]
     state[...] = buf[0]
@@ -559,148 +641,6 @@ def _to_affine(p) -> complex:
 def _chordal(p, q) -> float:
     num = abs(p[0] * q[1] - p[1] * q[0])
     return num / (max(abs(p[0]), abs(p[1])) * max(abs(q[0]), abs(q[1])))
-
-
-class _Lockstep:
-    """One backward step for many chains, chain i on ``maps[i]``.
-
-    Reproduces ``_preimages`` followed by the drawn choice bit for bit, so a
-    chain's points do not depend on the other chains in the batch:
-
-    - qc is formed by the same numpy array products as in ``_preimages``;
-    - the quadratic's discriminant and branch test are written out in real
-      arithmetic, because ``_poly_roots`` evaluates them on complex128
-      scalars, which round each real product separately, while numpy's
-      complex array multiply may not;
-    - a cubic's root comes from ``_cubic_root``, the elementwise kernel
-      that ``_poly_roots`` also calls, so it needs no rewriting;
-    - the chart test uses ``np.hypot``, because ``np.abs`` on complex arrays
-      can differ from the scalar ``abs`` in the last bit;
-    - rows the closed forms or the stacked companion eigenvalues (degrees 4
-      to 8) cannot take (a leading coefficient near the 1e-14 cut, a
-      vanishing ``qq``, an exact zero constant term for d >= 4 that
-      ``np.roots`` strips, a failed eigenvalue solve) are redone with
-      ``_preimages``.
-
-    The work arrays are allocated once: at a few chains the per-call
-    overhead of numpy, not the arithmetic, sets the cost of a step.
-    """
-
-    def __init__(self, maps):
-        n = len(maps)
-        d = maps[0].degree
-        self.maps = maps
-        self.d = d
-        self.p0 = np.array([R.p0c for R in maps])
-        self.p1 = np.array([R.p1c for R in maps])
-        self.qc = np.empty((n, d + 1), dtype=complex)
-        self.tmp = np.empty((n, d + 1), dtype=complex)
-        self.mag = np.empty((n, d + 1))
-        self.cols = tuple(self.qc[:, k] for k in range(d + 1))
-        # rows whose leading coefficient is within 10x of the 1e-14 trimming
-        # cut (the margin absorbs abs rounding) or that the root finder
-        # cannot take go to _preimages
-        self.lead = self.mag[:, d:]
-        self.lower = self.mag[:, :d]
-        self.cut = np.empty((n, 1))
-        self.small = np.empty((n, d), dtype=bool)
-        self.failed = np.zeros(n, dtype=bool)
-        self.test = np.empty(n, dtype=bool)
-        self.z = np.empty(n, dtype=complex)
-        self.z_parts = (self.z.real, self.z.imag)
-        self.radius = np.empty(n)
-        self.inside = np.empty(n, dtype=bool)
-        self.outside = np.empty(n, dtype=bool)
-        self.consts = {c: np.full(n, c) for c in (0.0, 1.0)}
-        self.consts.update({c: np.full(n, c, dtype=complex) for c in (4.0, 2.0)})
-        if d == 2:
-            # real and imaginary parts of c, b, a
-            self.parts = tuple(self.qc.view(float)[:, k] for k in range(6))
-            self.f = np.empty(n, dtype=complex)
-            self.disc = np.empty(n, dtype=complex)
-            self.sq = np.empty(n, dtype=complex)
-            self.qq = np.empty(n, dtype=complex)
-            self.root0 = np.empty(n, dtype=complex)
-            self.views = (self.f.real, self.f.imag, self.disc.real, self.disc.imag,
-                          self.sq.real, self.sq.imag)
-            self.work = tuple(np.empty(n) for _ in range(4))
-        elif d >= 4:
-            self.rows = np.arange(n)
-            self.comp = np.zeros((n, d, d), dtype=complex)
-            self.comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
-
-    def __call__(self, y: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None:
-        """Set ``out[:, i]`` to preimage ``idx[i]`` of the point ``y[:, i]``;
-        ``y`` and ``out`` hold the w0 row and the w1 row."""
-        d, qc, consts = self.d, self.qc, self.consts
-        np.multiply(y[1][:, None], self.p0, qc)
-        qc -= np.multiply(y[0][:, None], self.p1, self.tmp)
-        np.abs(qc, self.mag)
-        small = np.less_equal(np.multiply(self.lead, 1e13, self.cut), self.lower,
-                              self.small)
-        if d == 1:
-            z = np.divide(np.negative(self.cols[0], self.z), self.cols[1], self.z)
-        elif d == 2:
-            z = self._quadratic(idx)
-        elif d == 3:
-            z = self.z
-            z[:] = _cubic_root(qc, idx)
-        else:
-            z = self._companion(idx)
-        inside = np.less_equal(np.hypot(*self.z_parts, self.radius), consts[1.0],
-                               self.inside)
-        out.fill(1.0)
-        np.copyto(out[0], z, where=inside)
-        np.divide(consts[1.0], z, out=out[1], where=np.logical_not(inside, self.outside))
-        if np.count_nonzero(small) or np.count_nonzero(self.failed):
-            for i in np.flatnonzero(small.any(axis=1) | self.failed):
-                out[:, i] = _preimages(self.maps[i], y[:, i])[idx[i]]
-
-    def _quadratic(self, idx):
-        cr, ci, br, bi, ar, ai = self.parts
-        fr, fi, disc_re, disc_im, sq_re, sq_im = self.views
-        t1r, t1i, u, w = self.work
-        c, b, a = self.cols
-        consts, test, sq, qq = self.consts, self.test, self.sq, self.qq
-        # b*b - (4*a)*c, rounded as complex128 scalars round it; 4*a has
-        # exact products, so the array multiply reproduces it
-        np.multiply(a, consts[4.0], self.f)
-        np.multiply(br, br, t1r)
-        t1r -= np.multiply(bi, bi, u)
-        np.multiply(br, bi, t1i)
-        t1i += t1i  # br*bi + bi*br
-        np.multiply(fr, cr, u)
-        u -= np.multiply(fi, ci, w)
-        np.subtract(t1r, u, disc_re)
-        np.multiply(fr, ci, u)
-        u += np.multiply(fi, cr, w)
-        np.subtract(t1i, u, disc_im)
-        np.sqrt(self.disc, sq)
-        # (conj(b) * sq).real < 0 flips the branch
-        np.multiply(br, sq_re, u)
-        u += np.multiply(bi, sq_im, w)
-        np.negative(sq, out=sq, where=np.less(u, consts[0.0], test))
-        np.add(b, sq, qq)
-        np.negative(qq, qq)
-        np.divide(qq, consts[2.0], qq)
-        np.equal(qq, consts[0.0], self.failed)
-        z = np.divide(c, qq, self.z)
-        np.copyto(z, np.divide(qq, a, self.root0), where=np.equal(idx, 0, test))
-        return z
-
-    def _companion(self, idx):
-        d, qc, comp = self.d, self.qc, self.comp
-        # np.roots' companion matrix: first row -p[1:] / p[0], p descending;
-        # np.roots strips an exact zero constant term and appends the root 0
-        np.equal(self.cols[0], self.consts[0.0], self.failed)
-        np.divide(-qc[:, d - 1::-1], qc[:, d:], out=comp[:, 0])
-        try:
-            roots = np.linalg.eigvals(comp)
-        except np.linalg.LinAlgError:
-            self.failed.fill(True)
-            return self.z
-        self.z[:] = roots[self.rows, idx]
-        return self.z
 
 
 @dataclass

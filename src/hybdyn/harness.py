@@ -111,6 +111,19 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
+_KIND_NAMES = {int: "an integer", float: "a number", Fraction: "a rational number",
+               complex: "a complex number"}
+
+
+def _parse(text: str, kind, key: str):
+    """``text`` read as ``kind`` (int, float, Fraction or complex); a
+    malformed value is a config error naming ``key``."""
+    try:
+        return kind(text)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {text!r}") from None
+
+
 def load_config(source: str, kind: str | None = None) -> ExperimentConfig:
     """Parse and validate an INI config (path or literal text).
 
@@ -136,10 +149,7 @@ def load_config(source: str, kind: str | None = None) -> ExperimentConfig:
         raise ConfigError(f"config kind {cfg_kind!r} does not match subcommand {kind!r}")
     if cfg_kind not in KINDS:
         raise ConfigError(f"unknown experiment kind {cfg_kind!r}")
-    try:
-        r = float(exp.get("r", "0.5"))
-    except ValueError:
-        raise ConfigError("experiment.r must be a float")
+    r = _parse(exp.get("r", "0.5"), float, "experiment.r")
     if not 0.0 < r < 1.0:
         raise ConfigError(f"experiment.r must lie in (0, 1), got {r}")
     cfg = ExperimentConfig(
@@ -151,39 +161,43 @@ def load_config(source: str, kind: str | None = None) -> ExperimentConfig:
     if cp.has_section("tgrid"):
         tg = cp["tgrid"]
         if "moduli" in tg:
-            cfg.moduli = [float(x) for x in tg["moduli"].replace(";", ",").split(",") if x.strip()]
+            cfg.moduli = [_parse(x, float, "tgrid.moduli")
+                          for x in tg["moduli"].replace(";", ",").split(",") if x.strip()]
         else:
-            a = float(tg.get("mod_start_exp", "-2"))
-            b = float(tg.get("mod_stop_exp", "-6"))
-            n = int(tg.get("mod_count", "5"))
+            a = _parse(tg.get("mod_start_exp", "-2"), float, "tgrid.mod_start_exp")
+            b = _parse(tg.get("mod_stop_exp", "-6"), float, "tgrid.mod_stop_exp")
+            n = _parse(tg.get("mod_count", "5"), int, "tgrid.mod_count")
+            if n < 1:
+                raise ConfigError(f"tgrid.mod_count must be >= 1, got {n}")
             cfg.moduli = [10.0 ** e for e in np.linspace(a, b, n)]
-        cfg.phases = int(tg.get("phases", "8"))
+        cfg.phases = _parse(tg.get("phases", "8"), int, "tgrid.phases")
     if cp.has_section("sampler"):
         sm = cp["sampler"]
-        cfg.seed = int(sm.get("seed", str(cfg.seed)))
-        cfg.n_burn = int(sm.get("n_burn", str(cfg.n_burn)))
-        cfg.n_keep = int(sm.get("n_keep", str(cfg.n_keep)))
+        cfg.seed = _parse(sm.get("seed", str(cfg.seed)), int, "sampler.seed")
+        cfg.n_burn = _parse(sm.get("n_burn", str(cfg.n_burn)), int, "sampler.n_burn")
+        cfg.n_keep = _parse(sm.get("n_keep", str(cfg.n_keep)), int, "sampler.n_keep")
         if "start" in sm:
-            cfg.start = complex(sm["start"].replace("i", "j"))
+            cfg.start = _parse(sm["start"].replace("i", "j"), complex, "sampler.start")
     if cp.has_section("green"):
-        cfg.green_n_max = int(cp["green"].get("n_max", str(cfg.green_n_max)))
-        cfg.green_tol = float(cp["green"].get("tol", repr(cfg.green_tol)))
+        gr = cp["green"]
+        cfg.green_n_max = _parse(gr.get("n_max", str(cfg.green_n_max)), int, "green.n_max")
+        cfg.green_tol = _parse(gr.get("tol", repr(cfg.green_tol)), float, "green.tol")
     if cp.has_section("probes"):
         pb = cp["probes"]
-        cfg.s_min = Fraction(pb.get("s_min", "-3"))
-        cfg.s_max = Fraction(pb.get("s_max", "3"))
-        cfg.probe_q = int(pb.get("q", "2"))
-        cfg.orbit_len = int(pb.get("orbit_len", "2"))
+        cfg.s_min = _parse(pb.get("s_min", "-3"), Fraction, "probes.s_min")
+        cfg.s_max = _parse(pb.get("s_max", "3"), Fraction, "probes.s_max")
+        cfg.probe_q = _parse(pb.get("q", "2"), int, "probes.q")
+        cfg.orbit_len = _parse(pb.get("orbit_len", "2"), int, "probes.orbit_len")
         cfg.include_critical = _parse_bool(pb.get("include_critical", "true"))
     if cp.has_section("datum"):
         dt = cp["datum"]
         if "sections" in dt:
             cfg.datum_sections = [s.strip() for s in dt["sections"].split(";") if s.strip()]
-        cfg.datum_k = int(dt.get("k", "1"))
-        cfg.datum_d = int(dt.get("d", "1"))
+        cfg.datum_k = _parse(dt.get("k", "1"), int, "datum.k")
+        cfg.datum_d = _parse(dt.get("d", "1"), int, "datum.d")
     if cp.has_section("series"):
         cfg.series_f = cp["series"].get("f")
-        cfg.j_max = int(cp["series"].get("j_max", "30"))
+        cfg.j_max = _parse(cp["series"].get("j_max", "30"), int, "series.j_max")
     if cp.has_section("output"):
         cfg.out_dir = cp["output"].get("dir")
     _validate(cfg)
@@ -211,6 +225,20 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"sampler.n_keep must be >= 2, got {cfg.n_keep}")
     if cfg.kind == "lyap-slope" and len(cfg.moduli) < 3:
         raise ConfigError("slope fit is degenerate with fewer than 3 grid moduli")
+    if cfg.seed < 0:
+        raise ConfigError(f"sampler.seed must be >= 0, got {cfg.seed}")
+    if cfg.j_max < 0:
+        raise ConfigError(f"series.j_max must be >= 0, got {cfg.j_max}")
+    if cfg.green_n_max < 0:
+        raise ConfigError(f"green.n_max must be >= 0, got {cfg.green_n_max}")
+    if not cfg.green_tol > 0:
+        raise ConfigError(f"green.tol must be > 0, got {cfg.green_tol}")
+    if cfg.s_min > cfg.s_max:
+        raise ConfigError(f"probes.s_min {cfg.s_min} exceeds probes.s_max {cfg.s_max}")
+    if cfg.probe_q < 1:
+        raise ConfigError(f"probes.q must be >= 1, got {cfg.probe_q}")
+    if cfg.orbit_len < 0:
+        raise ConfigError(f"probes.orbit_len must be >= 0, got {cfg.orbit_len}")
 
 
 # -- result records --------------------------------------------------------------------

@@ -323,16 +323,21 @@ def _scalar_walk(R, seed, n_burn, n_keep, start):
     return np.array(kept[:n_keep]).reshape(n_keep, 2)
 
 
+def _step(maps, y, k):
+    """The batched step on the rows of ``maps``, one point and branch each."""
+    with np.errstate(all="ignore"):
+        return cxdyn._step(maps, np.array([R.p0c for R in maps]),
+                           np.array([R.p1c for R in maps]), y, k)
+
+
 def _kernel_matches_scalar(maps, targets):
-    """Every preimage the lockstep kernel picks equals the scalar one, bit
-    for bit, with all rows stepped together."""
+    """Every preimage the batched step picks equals the scalar one, bit for
+    bit, with all rows stepped together."""
     n = len(maps)
     y = np.array(targets, dtype=complex).T.copy()  # w0 row, w1 row
-    step = cxdyn._Lockstep(maps)
     for k in range(maps[0].degree):
-        out = np.empty((2, n), dtype=complex)
+        out = _step(maps, y, np.full(n, k))
         with np.errstate(all="ignore"):
-            step(y, np.full(n, k), out)
             ref = np.array([cxdyn._preimages(R, y[:, i])[k] for i, R in enumerate(maps)])
         assert out.T.tobytes() == ref.tobytes()
 
@@ -370,16 +375,49 @@ class TestLockstepKernel:
             _kernel_matches_scalar([R] * len(targets), targets)
 
     def test_degrees_one_to_eight(self):
+        # wide batches, every row on its own map and point, about a third
+        # of the points in the 1/z chart
         rng = np.random.default_rng(11)
+        n = 512
         for d in range(1, 9):
             maps = []
-            for _ in range(6):
+            for _ in range(n):
                 p0 = rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1)
                 p1 = rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1)
                 maps.append(RationalMapC(p0, p1))
-            w = rng.normal(size=6) + 1j * rng.normal(size=6)
+            w = rng.normal(size=n) + 1j * rng.normal(size=n)
             targets = [(z, 1.0) if abs(z) <= 1 else (1.0, 1 / z) for z in w]
             _kernel_matches_scalar(maps, targets)
+
+    def test_double_root_needs_no_scalar_solve(self, monkeypatch):
+        # z^2 at the target 0: qq vanishes, and the step takes the double
+        # root 0 itself
+        rc = RationalMapC([0, 0, 1], [1, 0, 0])
+        y = np.array([[0.0, 0.3 - 0.2j, 0.0], [1.0, 1.0, -1.0]], dtype=complex)
+        ref = [cxdyn._preimages(rc, y[:, i]) for i in range(3)]
+        monkeypatch.setattr(cxdyn, "_preimages", _raise)
+        for k in range(2):
+            out = _step([rc] * 3, y, np.full(3, k))
+            assert out.T.tobytes() == np.array([r[k] for r in ref]).tobytes()
+
+    def test_scalar_solve_only_at_the_lead_cut(self, monkeypatch):
+        # rows whose preimage polynomial loses its leading coefficient go to
+        # _preimages one by one, and no other row does
+        solved = []
+        preimages = cxdyn._preimages
+
+        def counted(R, target):
+            solved.append(complex(target[1]))
+            return preimages(R, target)
+
+        monkeypatch.setattr(cxdyn, "_preimages", counted)
+        for text in ("(z^2 - t)/z", "(z^3 + t)/(z^2 + 1)", "(z^5 + t)/(z^4 + 1)"):
+            rc = specialize(parse_family(text), 0.05)
+            w1 = [0.0, 0.5, 1e-15, 0.25j, 1.0, 0.0, -0.75]
+            y = np.array([[1.0] * len(w1), w1], dtype=complex)
+            solved.clear()
+            _step([rc] * len(w1), y, np.zeros(len(w1), dtype=int))
+            assert solved == [0.0, 1e-15, 0.0]
 
     def test_vanishing_preimage_polynomial_raises(self):
         rc = specialize(parse_family("z^2 + 1/t"), 0.1)
@@ -460,8 +498,7 @@ class TestCubicRoot:
         monkeypatch.setattr(cxdyn, "_preimages", _raise)
         y = np.array([[0.0, 0.0], [1.0, 1.0]], dtype=complex)
         for k in range(3):
-            out = np.empty((2, 2), dtype=complex)
-            cxdyn._Lockstep(maps)(y, np.full(2, k), out)
+            out = _step(maps, y, np.full(2, k))
             assert np.isfinite(out).all()
             assert abs(out[0, 0] - 1) < 1e-15 and out[1, 0] == 1
 
@@ -604,13 +641,13 @@ class TestPreimageLevels:
 
     def test_fallbacks(self, monkeypatch):
         solved = []
-        call = cxdyn._Lockstep.__call__
+        step = cxdyn._step
 
-        def counted(self, y, idx, out):
-            solved.append(len(idx))
-            return call(self, y, idx, out)
+        def counted(maps, p0, p1, y, k):
+            solved.append(len(k))
+            return step(maps, p0, p1, y, k)
 
-        monkeypatch.setattr(cxdyn._Lockstep, "__call__", counted)
+        monkeypatch.setattr(cxdyn, "_step", counted)
         fam = parse_family("z^2 + 1/t")
         pole = [specialize(fam, tv) for tv in (1e-2, 1e-4j)]
         # a budget below d^3 leaves no certificate, and a Mobius map has

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 import hybdyn
-from hybdyn import berkovich, cxdyn
+from hybdyn import berkovich, cli, cxdyn
 from hybdyn.cli import main as cli_main
-from hybdyn.errors import ConfigError
+from hybdyn.errors import ChartError, ConfigError
 from hybdyn.harness import (_cell_seed, _fmt_cell, _grid_cells, cmd_circle_demo,
                             fit_slope, load_config, load_record, run,
                             write_record)
@@ -85,6 +85,27 @@ sections = w0 + w1; w1
 """
 
 
+# malformed or out-of-range values, each appended to NA_INI, and the
+# config error each must raise
+NA_INI = "[experiment]\nkind = na-measure\nlabel = bad\nfamily = z^2 + 1/t\nr = 0.5\n"
+BAD_VALUES = [
+    ("[probes]\nq = 0", "probes.q must be >= 1"),
+    ("[probes]\ns_min = 3\ns_max = -3", "exceeds probes.s_max"),
+    ("[probes]\norbit_len = -1", "probes.orbit_len must be >= 0"),
+    ("[probes]\ns_min = 1/0", "probes.s_min must be a rational number"),
+    ("[sampler]\nn_keep = abc", "sampler.n_keep must be an integer"),
+    ("[sampler]\nstart = north", "sampler.start must be a complex number"),
+    ("[tgrid]\nphases = x", "tgrid.phases must be an integer"),
+    ("[tgrid]\nmoduli = 1e-2, x", "tgrid.moduli must be a number"),
+    ("[tgrid]\nmod_count = -1", "tgrid.mod_count must be >= 1"),
+    ("[green]\nn_max = -1", "green.n_max must be >= 0"),
+    ("[green]\ntol = 0", "green.tol must be > 0"),
+    ("[green]\ntol = -1", "green.tol must be > 0"),
+    ("[sampler]\nseed = -1", "sampler.seed must be >= 0"),
+    ("[series]\nj_max = -1", "series.j_max must be >= 0"),
+]
+
+
 class TestConfig:
     def test_unknown_section(self):
         with pytest.raises(ConfigError, match="unknown config section"):
@@ -122,6 +143,11 @@ class TestConfig:
             assert line in text
             with pytest.raises(ConfigError, match=f"sampler.{key} must be"):
                 load_config(text.replace(line, f"{key} = {value}"))
+
+    @pytest.mark.parametrize("extra, match", BAD_VALUES)
+    def test_bad_values(self, extra, match):
+        with pytest.raises(ConfigError, match=match):
+            load_config(NA_INI + extra + "\n")
 
     def test_missing_required(self):
         with pytest.raises(ConfigError, match="family is required"):
@@ -366,6 +392,23 @@ class TestCli:
         ini = tmp_path / "bad.ini"
         ini.write_text("[experiment]\nkind = circle-demo\nbogus = 1\n")
         assert cli_main(["circle-demo", "--config", str(ini)]) == 2
+
+    def test_bad_values_exit_code(self, tmp_path, capsys):
+        ini = tmp_path / "bad.ini"
+        for extra, match in BAD_VALUES:
+            ini.write_text(NA_INI + extra + "\n")
+            assert cli_main(["na-measure", "--config", str(ini)]) == 2
+            assert match in capsys.readouterr().err
+
+    def test_chart_error_exit_code(self, tmp_path, monkeypatch, capsys):
+        def fail(cfg, out_dir=None):
+            raise ChartError("points in different charts")
+
+        monkeypatch.setattr(cli, "run", fail)
+        ini = tmp_path / "c.ini"
+        ini.write_text(CIRCLE_INI)
+        assert cli_main(["circle-demo", "--config", str(ini)]) == 3
+        assert "numerical failure" in capsys.readouterr().err
 
     def test_numerical_error_exit_code(self, tmp_path):
         ini = tmp_path / "degenerate.ini"
