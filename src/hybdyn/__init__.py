@@ -2,20 +2,19 @@
 Lyapunov exponents for small parameters, the non-Archimedean side over
 Laurent series, and hybrid-space evaluations comparing the two."""
 
-from .laurent import (LaurentSeries, RationalExp, norm_r, series_add,
-                      series_eval, series_mul, series_ord)
+from .laurent import LaurentSeries
 from .poly import HomogeneousPoly
 from .parser import (RationalMapFamily, parse_family, parse_section,
                      parse_sections, parse_series)
 from .admissible import (AdmissibleDatum, datum_max, datum_regular,
                          datum_tensor, g_na, g_na_exponent, iterate_datum,
-                         phi_complex, phi_iterate)
+                         phi_canonical, phi_complex, phi_iterate)
 from .hybrid import (HybridFiberPoint, HybridPoint, hybrid_model_value,
                      scaling_n, tau_eval)
 from .berkovich import (BerkTree, GreenEvaluator, TreeMeasure, TypeIIPoint,
-                        TypeIPoint, build_probe_tree, green_g1, green_gR,
-                        homog_seminorm, na_lyapunov, poly_seminorm,
-                        resultant_valuation, subtree_span, tree_ma)
+                        TypeIPoint, build_probe_tree, homog_seminorm,
+                        na_lyapunov, poly_seminorm, resultant_valuation,
+                        subtree_span, tree_ma)
 from .cxdyn import (RationalMapC, SampleSet, backward_sample, integrate_mu,
                     lyapunov_complex, przytycki_oracle, sample_integrals,
                     specialize)

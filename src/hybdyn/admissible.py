@@ -51,13 +51,6 @@ class AdmissibleDatum:
         """Residual truncation order across all section coefficients."""
         return min(s.truncation_order() for s in self.sections)
 
-    def is_regular_at(self, z, t: complex, tol: float = 1e-12) -> bool:
-        """No common zero of the sections at the complex fiber point (z, t)."""
-        vals = [abs(complex(s.eval_numeric(z, t))) for s in self.sections]
-        scale = max(max(abs(complex(c.eval(t))) for c in s.coeffs.values())
-                    for s in self.sections if s.coeffs)
-        return max(vals) > tol * max(scale, 1.0)
-
 
 def datum_regular(F: AdmissibleDatum, t_values, n_points: int = 64,
                   seed: int = 0, tol: float = 1e-9) -> bool:
@@ -82,44 +75,37 @@ def datum_regular(F: AdmissibleDatum, t_values, n_points: int = 64,
     return True
 
 
-def phi_complex(F: AdmissibleDatum, z, t: complex, root: complex | None = None):
-    """log max section norm in the Fubini-Study metric at homogeneous z.
-
-    Scale-invariant in z; returns -inf when every section vanishes at (z, t).
-    Accepts numpy arrays in the coordinates (shape (...,) each).  For
-    ramified coefficients ``root`` is a branch of ``t^(1/L)``, L the
-    ``ramification`` of the sections.
-    """
+def _sup_normalized(z):
+    """Homogeneous coordinates divided by their largest modulus."""
     w = [np.asarray(x, dtype=complex) for x in z]
     scale = np.maximum.reduce([np.abs(x) for x in w])
     if np.any(scale == 0):
         raise LaurentError("z must be a nonzero homogeneous vector")
-    w = [x / scale for x in w]
-    ram = ramification(F.sections)
-    best = None
-    for s in F.sections:
-        v = np.abs(s.eval_numeric(w, t, root, ram))
-        best = v if best is None else np.maximum(best, v)
-    sq = np.add.reduce([np.abs(x) ** 2 for x in w])
-    with np.errstate(divide="ignore"):
-        out = np.log(best) - (F.degree / 2.0) * np.log(sq)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return [x / scale for x in w]
+
+
+def _fubini_study(w):
+    """log of the Fubini-Study norm sqrt(sum |w_j|^2) of a coordinate vector."""
+    return 0.5 * np.log(np.add.reduce([np.abs(x) ** 2 for x in w]))
+
+
+def _as_output(out):
+    return float(out) if out.ndim == 0 else out
 
 
 def phi_canonical(F: AdmissibleDatum, z, t: complex, root: complex | None = None):
     """log max section norm in the sup-of-coordinates metric at homogeneous z.
 
-    This is the complex-fiber counterpart of the non-Archimedean model value;
-    the hybrid gluing uses it so that the two sides match without a bounded
-    Fubini-Study correction.  ``root`` is as in ``phi_complex``.
+    The one complex model-function evaluator: ``phi_complex`` and
+    ``phi_iterate`` are built on it.  It is the complex-fiber counterpart of
+    the non-Archimedean model value; the hybrid gluing uses it so that the two
+    sides match without a bounded Fubini-Study correction.  Scale-invariant in
+    z; returns -inf when every section vanishes at (z, t).  Accepts numpy
+    arrays in the coordinates (shape (...,) each).  For ramified coefficients
+    ``root`` is a branch of ``t^(1/L)``, L the ``ramification`` of the
+    sections.
     """
-    w = [np.asarray(x, dtype=complex) for x in z]
-    scale = np.maximum.reduce([np.abs(x) for x in w])
-    if np.any(scale == 0):
-        raise LaurentError("z must be a nonzero homogeneous vector")
-    w = [x / scale for x in w]
+    w = _sup_normalized(z)
     ram = ramification(F.sections)
     best = None
     for s in F.sections:
@@ -127,19 +113,32 @@ def phi_canonical(F: AdmissibleDatum, z, t: complex, root: complex | None = None
         best = v if best is None else np.maximum(best, v)
     with np.errstate(divide="ignore"):
         out = np.log(best)  # max coordinate norm is 1 after scaling
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _as_output(out)
+
+
+def phi_complex(F: AdmissibleDatum, z, t: complex, root: complex | None = None):
+    """log max section norm in the Fubini-Study metric at homogeneous z.
+
+    Acceptance criterion 3 states the tensor and max algebra of model
+    functions through this name.  It is ``phi_canonical`` minus the
+    Fubini-Study term ``d * log sqrt(sum |w_j|^2)`` at the sup-normalized
+    point, with the same arguments and the same -inf convention.
+    """
+    w = _sup_normalized(z)
+    return _as_output(phi_canonical(F, w, t, root) - F.degree * _fubini_study(w))
 
 
 def g_na_exponent(F: AdmissibleDatum, xi):
     """Exponent q with g = q * log r at a Berkovich point (exact Fraction).
 
+    The non-Archimedean model-function evaluator, the counterpart of
+    ``phi_canonical``; on type-II points of the line it is the min over the
+    sections of ``homog_seminorm``, as in the Green and Lyapunov routines.
     Accepts a TypeIIPoint (k = 1, or the Gauss point for any k) or a TypeIPoint
     given by Laurent homogeneous coordinates.  Returns ``math.inf`` when every
     section vanishes at the point (the value is then -inf in log scale).
     """
-    from .berkovich import TypeIIPoint, TypeIPoint, homog_seminorm
+    from .berkovich import TypeIIPoint, TypeIPoint, _section_exponent
 
     if isinstance(xi, TypeIPoint):
         if len(xi.coords) != F.k + 1:
@@ -158,16 +157,10 @@ def g_na_exponent(F: AdmissibleDatum, xi):
         return q - F.degree * coord_ord
     if isinstance(xi, TypeIIPoint):
         if F.k == 1:
-            exps = [homog_seminorm(s, xi) for s in F.sections]
-            q = min(exps)
-            return q
+            return _section_exponent(F.sections, xi)
         if not xi.is_gauss():
             raise LaurentError("k > 1 data can only be evaluated at the Gauss point")
-        exps = []
-        for s in F.sections:
-            q = min((c.order() for c in s.coeffs.values()), default=_INF)
-            exps.append(q)
-        return min(exps)
+        return min(s.min_coeff_order() for s in F.sections)
     raise LaurentError(f"unsupported point type {type(xi).__name__}")
 
 
@@ -180,7 +173,10 @@ def g_na(F: AdmissibleDatum, xi, r: float) -> float:
 
 
 def datum_tensor(F: AdmissibleDatum, G: AdmissibleDatum) -> AdmissibleDatum:
-    """Tensor datum: degree d + d', sections all pairwise products."""
+    """Tensor datum: degree d + d', sections all pairwise products.
+
+    Acceptance criterion 3 states the additivity of model functions under
+    tensor products through this name."""
     if F.k != G.k:
         raise ParseError("tensor requires data on the same dimension")
     sections = [a * b for a in F.sections for b in G.sections]
@@ -188,7 +184,10 @@ def datum_tensor(F: AdmissibleDatum, G: AdmissibleDatum) -> AdmissibleDatum:
 
 
 def datum_max(F: AdmissibleDatum, G: AdmissibleDatum) -> AdmissibleDatum:
-    """Max datum of degree lcm(d, d') realizing max(lcm/d * phi, lcm/d' * phi')."""
+    """Max datum of degree lcm(d, d') realizing max(lcm/d * phi, lcm/d' * phi').
+
+    Acceptance criterion 3 states the max rule of model functions through
+    this name."""
     if F.k != G.k:
         raise ParseError("max requires data on the same dimension")
     delta = F.degree * G.degree // gcd(F.degree, G.degree)
@@ -198,50 +197,35 @@ def datum_max(F: AdmissibleDatum, G: AdmissibleDatum) -> AdmissibleDatum:
 
 
 def iterate_datum(R, n: int) -> AdmissibleDatum:
-    """Datum of degree d**n whose sections are the homogeneous n-th iterates."""
+    """Datum of degree d**n whose sections are the homogeneous n-th iterates
+    (the symbolic reference that ``phi_iterate`` is checked against)."""
     if n < 1:
         raise LaurentError("iterate count must be >= 1")
     q0, q1 = iterate_pair(R.p0, R.p1, n)
     return AdmissibleDatum(degree=R.degree ** n, k=1, sections=(q0, q1))
 
 
-def phi_iterate(R, n: int, z, t: complex, metric: str = "fs"):
+def phi_iterate(R, n: int, z, t: complex):
     """Numerically stable evaluation of d**-n times the n-th iterate's model
     function at complex fiber points.
 
+    Acceptance criterion 4 (the key estimate) is stated through this name.
     Equal (by telescoping the orbit) to ``phi_complex(iterate_datum(R, n),
-    z, t) / d**n``, but accumulates renormalized one-step factors instead of
-    evaluating the huge iterate polynomial, whose direct evaluation loses all
-    precision after a few steps.  ``metric`` is "fs" (Fubini-Study reference)
-    or "max" (sup of coordinates).
+    z, t) / d**n``: the Fubini-Study term at z plus ``d**-(j+1)`` times
+    ``phi_canonical`` of the one-step datum at each sup-normalized orbit point
+    ``R^j(z)``.  This avoids evaluating the huge iterate polynomial, whose
+    direct evaluation loses all precision after a few steps.  Where the orbit
+    meets a common zero of the two sections (a degenerate fiber) the value
+    is -inf, as for the iterate datum.
     """
     if n < 0:
         raise LaurentError("iterate count must be >= 0")
-    d = R.degree
-    w0 = np.asarray(z[0], dtype=complex)
-    w1 = np.asarray(z[1], dtype=complex)
-    scale = np.maximum(np.abs(w0), np.abs(w1))
-    if np.any(scale == 0):
-        raise LaurentError("z must be a nonzero homogeneous vector")
-    w0, w1 = w0 / scale, w1 / scale
-    if metric == "fs":
-        base = -0.5 * np.log(np.abs(w0) ** 2 + np.abs(w1) ** 2)
-    elif metric == "max":
-        base = np.zeros_like(np.abs(w0))
-    else:
-        raise LaurentError(f"unknown metric {metric!r}")
-    acc = np.zeros_like(base)
-    with np.errstate(divide="ignore"):
-        for j in range(n):
-            v0 = R.p0.eval_numeric((w0, w1), t)
-            v1 = R.p1.eval_numeric((w0, w1), t)
-            m = np.maximum(np.abs(v0), np.abs(v1))
-            acc = acc + np.log(m) / d ** (j + 1)
-            with np.errstate(invalid="ignore"):
-                w0, w1 = np.where(m > 0, v0 / np.where(m > 0, m, 1.0), 0.0), \
-                    np.where(m > 0, v1 / np.where(m > 0, m, 1.0), 0.0)
-    out = acc + base
-    if out.ndim == 0:
-        return float(out)
-    return out
-
+    one_step = AdmissibleDatum(R.degree, 1, (R.p0, R.p1))
+    w = _sup_normalized(z)
+    out = -_fubini_study(w)
+    for j in range(n):
+        out = out + phi_canonical(one_step, w, t) / R.degree ** (j + 1)
+        v0, v1 = (p.eval_numeric(w, t) for p in (R.p0, R.p1))
+        # past a common zero the value stays -inf; any nonzero point continues
+        w = _sup_normalized([v0 + ((v0 == 0) & (v1 == 0)), v1])
+    return _as_output(out)

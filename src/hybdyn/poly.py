@@ -76,22 +76,6 @@ class HomogeneousPoly:
             tr = min(tr, c.trunc_order)
         return tr
 
-    def coeff_list(self) -> list:
-        """Two-variable only: coefficients ascending in the w0-power."""
-        if self.nvars != 2:
-            raise LaurentError("coeff_list requires a two-variable polynomial")
-        out = [LaurentSeries.zero() for _ in range(self.degree + 1)]
-        for (a, _b), c in self.coeffs.items():
-            out[a] = c
-        return out
-
-    @classmethod
-    def from_coeff_list(cls, coeffs: list, degree: int | None = None) -> "HomogeneousPoly":
-        """Two-variable polynomial from coefficients ascending in w0-power."""
-        if degree is None:
-            degree = len(coeffs) - 1
-        return cls(2, degree, {(a, degree - a): c for a, c in enumerate(coeffs)})
-
     def dehomogenized(self, chart: str = "z") -> list:
         """One-variable coefficient list: ``P(z, 1)`` for chart "z",
         ``P(1, u)`` for chart "1/z" (ascending in the affine variable)."""
@@ -101,13 +85,6 @@ class HomogeneousPoly:
         for (a, b), c in self.coeffs.items():
             out[a if chart == "z" else b] = c
         return out
-
-    def swapped(self) -> "HomogeneousPoly":
-        """Exchange the two variables."""
-        if self.nvars != 2:
-            raise LaurentError("swap requires two variables")
-        return HomogeneousPoly(2, self.degree,
-                               {(b, a): c for (a, b), c in self.coeffs.items()})
 
     # -- algebra -----------------------------------------------------------------
 
@@ -246,36 +223,32 @@ def jacobian_determinant(p0: HomogeneousPoly, p1: HomogeneousPoly) -> Homogeneou
     return (p0.derivative(0) * p1.derivative(1)) - (p0.derivative(1) * p1.derivative(0))
 
 
-def compose_pair(p: HomogeneousPoly, q0: HomogeneousPoly, q1: HomogeneousPoly) -> HomogeneousPoly:
-    """Substitute ``(w0, w1) -> (q0, q1)`` into a two-variable polynomial."""
-    if p.nvars != 2:
-        raise LaurentError("composition requires two variables")
-    if not p.coeffs:
-        raise LaurentError("empty polynomial in composition")
-    pows0 = {0: HomogeneousPoly(2, 0, {(0, 0): LaurentSeries.one()})}
-    pows1 = {0: pows0[0]}
-    total = None
-    for (a, b), c in p.coeffs.items():
-        if a not in pows0:
-            pows0[a] = q0 ** a
-        if b not in pows1:
-            pows1[b] = q1 ** b
-        term = pows0[a] * pows1[b] * c
-        total = term if total is None else total + term
-    return total
-
-
 def iterate_pair(p0: HomogeneousPoly, p1: HomogeneousPoly, n: int):
     """Homogeneous iterates: returns the pair of sections of the n-th iterate.
 
-    Uses the recursion (next iterate) = (map composed with current iterate);
-    raises PrecisionError when truncation is exhausted along the way.
+    Uses the recursion (next iterate) = (map composed with current iterate):
+    each step substitutes ``(w0, w1) -> (cur0, cur1)`` into both sections,
+    which share the powers of ``cur0`` and ``cur1``.  Raises PrecisionError
+    when truncation is exhausted along the way.
     """
     if n < 1:
         raise LaurentError("iteration count must be >= 1")
+    if p0.nvars != 2 or p1.nvars != 2 or not p0.coeffs or not p1.coeffs:
+        raise LaurentError("composition requires two nonzero two-variable sections")
     cur0, cur1 = p0, p1
     for _ in range(n - 1):
-        cur0, cur1 = compose_pair(p0, cur0, cur1), compose_pair(p1, cur0, cur1)
+        pows0, pows1, composed = {}, {}, []
+        for p in (p0, p1):
+            total = None
+            for (a, b), c in p.coeffs.items():
+                if a not in pows0:
+                    pows0[a] = cur0 ** a
+                if b not in pows1:
+                    pows1[b] = cur1 ** b
+                term = pows0[a] * pows1[b] * c
+                total = term if total is None else total + term
+            composed.append(total)
+        cur0, cur1 = composed
         for section in (cur0, cur1):
             if section.is_zero() and section.truncation_order() != _INF:
                 raise PrecisionError("iterate truncation underflow: no certain terms left")

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from hybdyn.admissible import (datum_max, datum_tensor, g_na,
-                               g_na_exponent, iterate_datum, phi_complex,
-                               phi_iterate)
+                               g_na_exponent, iterate_datum, phi_canonical,
+                               phi_complex, phi_iterate)
 from hybdyn.berkovich import TypeIIPoint, TypeIPoint
 from hybdyn.errors import PrecisionError
 from hybdyn.laurent import LaurentSeries as L
@@ -53,6 +53,44 @@ class TestPhiComplex:
     def test_all_sections_vanish_flag(self):
         F_s = parse_sections(["w0^2"], k=1, d=2)
         assert phi_complex(F_s, (0.0, 1.0), 0.1) == -math.inf
+
+
+class TestOneEvaluator:
+    """phi_complex is phi_canonical minus the Fubini-Study term."""
+
+    @staticmethod
+    def fubini_study_term(F_d, z):
+        scale = np.maximum(np.abs(z[0]), np.abs(z[1]))
+        return -(F_d.degree / 2) * np.log(np.abs(z[0] / scale) ** 2
+                                          + np.abs(z[1] / scale) ** 2)
+
+    def test_shipped_data_on_random_points(self):
+        rng = np.random.default_rng(43)
+        z = rand_proj_points(rng, 300)
+        data = [F_d for pair in shipped_datum_pairs() for F_d in pair]
+        assert len(data) == 6
+        for F_d in data:
+            for t in (0.3, 1e-4 * np.exp(2j)):
+                diff = phi_complex(F_d, z, t) - phi_canonical(F_d, z, t)
+                assert np.max(np.abs(diff - self.fubini_study_term(F_d, z))) < 1e-12
+                z0 = (z[0][0], z[1][0])
+                scalar = phi_complex(F_d, z0, t) - phi_canonical(F_d, z0, t)
+                assert isinstance(scalar, float)
+                assert abs(scalar - self.fubini_study_term(F_d, z0)) < 1e-12
+
+    def test_ramified_datum_on_each_root_branch(self):
+        rng = np.random.default_rng(44)
+        z = rand_proj_points(rng, 300)
+        F_r = parse_sections(["t^(1/2)*w0^2 + w1^2", "t^(1/3)*w0*w1"], k=1, d=2)
+        t = 0.01 * np.exp(0.7j)
+        values = set()
+        for k in range(6):
+            root = t ** (1 / 6) * np.exp(2j * np.pi * k / 6)
+            canonical = phi_canonical(F_r, z, t, root)
+            diff = phi_complex(F_r, z, t, root) - canonical
+            assert np.max(np.abs(diff - self.fubini_study_term(F_r, z))) < 1e-12
+            values.add(round(float(canonical[0]), 9))
+        assert len(values) > 1  # the branches are genuinely different points
 
 
 class TestGna:
@@ -200,6 +238,17 @@ class TestHybridConsistency:
                 orb = phi_iterate(fam, n, z, 0.3)
                 assert np.max(np.abs(sym - orb)) < 1e-9
 
+    def test_phi_iterate_at_a_common_zero(self):
+        # at t = 1/2 both sections vanish at [1 : 0]: -inf there, as for the
+        # symbolic iterate, and finite values elsewhere
+        fam = parse_family("(t - 0.5)*z^2 + z")
+        z = (np.array([1.0, 1.0, 0.3]), np.array([0.0, 1.0, 1.0]))
+        for n in (1, 2, 3):
+            orb = phi_iterate(fam, n, z, 0.5)
+            sym = phi_complex(iterate_datum(fam, n), z, 0.5) / 2 ** n
+            assert orb[0] == sym[0] == -math.inf
+            assert np.max(np.abs(orb[1:] - sym[1:])) < 1e-12
+
     def test_key_estimate_geometric_decay(self):
         # sup_z |d^-(n+1) phi_{n+1} - d^-n phi_n| <= C d^-n log|t|^-1 with C
         # fitted once at n = 1; sample sups can dip below the envelope and
@@ -239,8 +288,8 @@ class TestRegularity:
     def test_pointwise_common_zero_probe(self):
         # the single section w0^2 vanishes at [0 : 1] on every fiber
         F_s = parse_sections(["w0^2"], k=1, d=2)
-        assert not F_s.is_regular_at((0.0, 1.0), 0.1)
-        assert F_s.is_regular_at((1.0, 1.0), 0.1)
+        assert phi_canonical(F_s, (0.0, 1.0), 0.1) == -math.inf
+        assert phi_canonical(F_s, (1.0, 1.0), 0.1) > -math.inf
 
 
 class TestSingularFlags:

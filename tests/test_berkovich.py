@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from hybdyn import berkovich
+from hybdyn.admissible import AdmissibleDatum, g_na_exponent
 from hybdyn.berkovich import (BerkTree, GreenEvaluator, TypeIIPoint, _join,
-                              _ord_at_least, build_probe_tree, det_norm_exponent,
-                              good_reduction_exponent, green_g1, green_gR,
+                              _ord_at_least, _section_exponent, build_probe_tree,
+                              det_norm_exponent, good_reduction_exponent,
                               homog_seminorm, map_disk, na_lyapunov,
                               poly_seminorm, resultant_valuation, subtree_span,
                               tree_ma, type2_from_zpair, critical_centers)
@@ -19,6 +20,7 @@ from hybdyn.errors import (ChartError, ConventionError, DegenerateFamilyError,
 from hybdyn.laurent import LaurentSeries as L
 from hybdyn.parser import RationalMapFamily, parse_family
 from hybdyn.poly import HomogeneousPoly
+from hybdyn.presets import FAMILY_TEXTS
 
 R = 0.5
 XG = TypeIIPoint.gauss()
@@ -116,29 +118,34 @@ class TestSeminorms:
         assert homog_seminorm(w0sq, type2_from_zpair(0, -1)) == 0
 
 
+def one_step_potential(fam, xi):
+    """g1 = (one-step section exponent) * log r at a type-II point."""
+    return float(GreenEvaluator(fam, R)._one_step_exponent(xi.zpair())) * LOG_R
+
+
 class TestGreen:
     def test_good_reduction_values(self):
         fam = parse_family("z^2")
-        assert green_g1(fam, XG, R) == 0.0
-        value, bound = green_gR(fam, XG, r=R)
+        assert one_step_potential(fam, XG) == 0.0
+        value, bound = GreenEvaluator(fam, R, n_max=8).value(XG)
         assert value == 0.0 and bound == 0.0
 
     def test_twisted_one_step(self):
         fam = twisted(parse_family("z^2"))
-        assert green_g1(fam, XG, R) == pytest.approx(LOG_R)
+        assert one_step_potential(fam, XG) == pytest.approx(LOG_R)
 
     def test_mixed_lift_one_step(self):
         p0 = HomogeneousPoly(2, 2, {(2, 0): L.t_power(1), (0, 2): L.one()})
         p1 = HomogeneousPoly(2, 2, {(0, 2): L.t_power(1)})
         fam = RationalMapFamily(2, p0, p1)
-        assert green_g1(fam, XG, R) == 0.0
+        assert one_step_potential(fam, XG) == 0.0
 
     def test_half_twisted_green_vanishes(self):
         # [w0^2, t w1^2]: every iterate keeps a unit coefficient
         p0 = HomogeneousPoly(2, 2, {(2, 0): L.one()})
         p1 = HomogeneousPoly(2, 2, {(0, 2): L.t_power(1)})
         fam = RationalMapFamily(2, p0, p1)
-        value, bound = green_gR(fam, XG, n_max=12, r=R)
+        value, bound = GreenEvaluator(fam, R, n_max=12).value(XG)
         assert value == 0.0
 
     def test_orbit_and_iterate_paths_agree(self):
@@ -197,7 +204,8 @@ class TestGreen:
         # a rational family has no escape-region closure: at n_max 3 the
         # orbit sum stops short of the tolerance and says so
         fam = parse_family("(z^2 - t)/z")
-        value, bound = green_gR(fam, type2_from_zpair(0, 1), n_max=3, tol=1e-9, r=R)
+        ev = GreenEvaluator(fam, R, n_max=3, tol=1e-9)
+        value, bound = ev.value(type2_from_zpair(0, 1))
         assert bound > 1e-9  # honest: tolerance not reached at the budget
         assert value == pytest.approx(0.5 * LOG_R)  # exponent 1/2 times log r
 
@@ -207,7 +215,23 @@ class TestGreen:
         fam = parse_family("z^2 + 1/t")
         q, bound = GreenEvaluator(fam, R, n_max=3, tol=1e-9).exponent(XG)
         assert q == F(-1, 2) and bound == 0.0
-        assert green_gR(fam, XG, n_max=3, tol=1e-9, r=R) == (-0.5 * LOG_R, 0.0)
+        assert GreenEvaluator(fam, R, n_max=3, tol=1e-9).value(XG) == (-0.5 * LOG_R, 0.0)
+
+
+class TestSectionExponent:
+    """One section-exponent routine behind the Green, Lyapunov and model
+    function exponents."""
+
+    @pytest.mark.parametrize("text", FAMILY_TEXTS)
+    def test_agrees_with_one_step_and_model_exponent(self, text):
+        fam = parse_family(text)
+        ev = GreenEvaluator(fam, R, n_max=2)
+        one_step = AdmissibleDatum(fam.degree, 1, (fam.p0, fam.p1))
+        for v in build_probe_tree(fam).vertices:
+            q = _section_exponent((fam.p0, fam.p1), v)
+            assert isinstance(q, F)
+            assert ev._one_step_exponent(v.zpair()) == q
+            assert g_na_exponent(one_step, v) == q
 
 
 def _closure_families():

@@ -400,6 +400,14 @@ class TestCli:
             assert cli_main(["na-measure", "--config", str(ini)]) == 2
             assert match in capsys.readouterr().err
 
+    def test_negative_seed_override_exit_code(self, tmp_path, capsys):
+        # the override is validated like sampler.seed in the config
+        ini = tmp_path / "s.ini"
+        ini.write_text(SLOPE_INI)
+        assert cli_main(["lyap-slope", "--config", str(ini), "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "sampler.seed must be >= 0" in err
+
     def test_chart_error_exit_code(self, tmp_path, monkeypatch, capsys):
         def fail(cfg, out_dir=None):
             raise ChartError("points in different charts")
