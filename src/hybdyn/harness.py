@@ -9,6 +9,7 @@ config hash and refuses to overwrite a record produced by a different config.
 
 from __future__ import annotations
 
+import cmath
 import configparser
 import hashlib
 import io
@@ -16,7 +17,8 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+import typing
+from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
@@ -27,72 +29,47 @@ from .parser import parse_family, parse_sections, parse_series
 
 _SCHEMA_VERSION = "v5"
 
-KINDS = ("circle-demo", "hybrid-converge", "lyap-slope", "na-measure")
 
-_KNOWN_KEYS = {
-    "experiment": {"kind", "label", "family", "r"},
-    "tgrid": {"moduli", "mod_start_exp", "mod_stop_exp", "mod_count", "phases"},
-    "sampler": {"seed", "n_burn", "n_keep", "start"},
-    "green": {"n_max", "tol"},
-    "probes": {"s_min", "s_max", "q", "orbit_len", "include_critical"},
-    "datum": {"sections", "k", "d"},
-    "series": {"f", "j_max"},
-    "output": {"dir"},
-}
+def _key(name: str, default=MISSING, factory=MISSING, hashed: bool = True):
+    """A config field read from the INI key ``name`` (``section.key``) as the
+    field's annotated type; an absent key leaves the field default.  Hashed
+    fields enter the config hash in field order."""
+    return field(default=default, default_factory=factory,
+                 metadata={"key": name, "hashed": hashed})
 
 
 @dataclass
 class ExperimentConfig:
-    kind: str
-    label: str
-    family: str | None
-    r: float
-    moduli: list = field(default_factory=list)
-    phases: int = 8
-    seed: int = 2026
-    n_burn: int = 100
-    n_keep: int = 4000
-    start: complex = 1.1 + 0.7j
-    green_n_max: int = 16
-    green_tol: float = 1e-3
-    s_min: Fraction = Fraction(-3)
-    s_max: Fraction = Fraction(3)
-    probe_q: int = 2
-    orbit_len: int = 2
-    include_critical: bool = True
-    datum_sections: list = field(default_factory=lambda: ["w0", "w1"])
-    datum_k: int = 1
-    datum_d: int = 1
-    series_f: str | None = None
-    j_max: int = 30
-    out_dir: str | None = None
+    """One experiment; each field declares its INI key, and the fields are
+    the config schema."""
+
+    kind: str = _key("experiment.kind")
+    label: str = _key("experiment.label")  # defaults to kind
+    family: str | None = _key("experiment.family", None)
+    r: float = _key("experiment.r", 0.5)
+    moduli: list[float] = _key("tgrid.moduli", factory=list)
+    phases: int = _key("tgrid.phases", 8)
+    seed: int = _key("sampler.seed", 2026)
+    n_burn: int = _key("sampler.n_burn", 100)
+    n_keep: int = _key("sampler.n_keep", 4000)
+    start: complex = _key("sampler.start", 1.1 + 0.7j)
+    green_n_max: int = _key("green.n_max", 16)
+    green_tol: float = _key("green.tol", 1e-3)
+    s_min: Fraction = _key("probes.s_min", Fraction(-3))
+    s_max: Fraction = _key("probes.s_max", Fraction(3))
+    probe_q: int = _key("probes.q", 2)
+    orbit_len: int = _key("probes.orbit_len", 2)
+    include_critical: bool = _key("probes.include_critical", True)
+    datum_sections: list[str] = _key("datum.sections", factory=lambda: ["w0", "w1"])
+    datum_k: int = _key("datum.k", 1)
+    datum_d: int = _key("datum.d", 1)
+    series_f: str | None = _key("series.f", None)
+    j_max: int = _key("series.j_max", 30)
+    out_dir: str | None = _key("output.dir", None, hashed=False)
 
     def canonical_items(self):
-        items = [
-            ("experiment.kind", self.kind),
-            ("experiment.label", self.label),
-            ("experiment.family", self.family or ""),
-            ("experiment.r", repr(self.r)),
-            ("tgrid.moduli", ",".join(repr(m) for m in self.moduli)),
-            ("tgrid.phases", str(self.phases)),
-            ("sampler.seed", str(self.seed)),
-            ("sampler.n_burn", str(self.n_burn)),
-            ("sampler.n_keep", str(self.n_keep)),
-            ("sampler.start", repr(self.start)),
-            ("green.n_max", str(self.green_n_max)),
-            ("green.tol", repr(self.green_tol)),
-            ("probes.s_min", str(self.s_min)),
-            ("probes.s_max", str(self.s_max)),
-            ("probes.q", str(self.probe_q)),
-            ("probes.orbit_len", str(self.orbit_len)),
-            ("probes.include_critical", str(self.include_critical)),
-            ("datum.sections", ";".join(self.datum_sections)),
-            ("datum.k", str(self.datum_k)),
-            ("datum.d", str(self.datum_d)),
-            ("series.f", self.series_f or ""),
-            ("series.j_max", str(self.j_max)),
-        ]
-        return items
+        return [(f.metadata["key"], _hash_text(getattr(self, f.name), _TYPES[f.name]))
+                for f in fields(self) if f.metadata["hashed"]]
 
     def config_hash(self) -> str:
         blob = "\n".join(f"{k}={v}" for k, v in self.canonical_items())
@@ -103,25 +80,42 @@ class ExperimentConfig:
         return f"{self.label}-{self.config_hash()}"
 
 
-def _parse_bool(text: str) -> bool:
-    if text.lower() in ("true", "yes", "1", "on"):
-        return True
-    if text.lower() in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
+_TYPES = typing.get_type_hints(ExperimentConfig)
+_FIELDS = {f.metadata["key"]: f for f in fields(ExperimentConfig)}
+# list items are separated by ';', float items (moduli) also by ','
+_SEPARATORS = {float: ",", str: ";"}
+_TYPE_NAMES = {int: "an integer", float: "a number", Fraction: "a rational number",
+               complex: "a complex number",
+               bool: "a boolean (true/false, yes/no, on/off or 1/0)"}
+_READERS = {bool: lambda text: configparser.ConfigParser.BOOLEAN_STATES[text.lower()],
+            # an imaginary part is written with a trailing i, as in family texts
+            complex: lambda text: complex(text[:-1] + "j" if text.endswith("i") else text)}
 
 
-_KIND_NAMES = {int: "an integer", float: "a number", Fraction: "a rational number",
-               complex: "a complex number"}
-
-
-def _parse(text: str, kind, key: str):
-    """``text`` read as ``kind`` (int, float, Fraction or complex); a
-    malformed value is a config error naming ``key``."""
+def _read(text: str, typ, key: str):
+    """``text`` read as ``typ``, a config field's type; a malformed value is
+    a config error naming ``key``."""
+    if typing.get_origin(typ) is list:
+        (item,) = typing.get_args(typ)
+        sep = _SEPARATORS[item]
+        return [_read(x.strip(), item, key) for x in text.replace(";", sep).split(sep)
+                if x.strip()]
+    if str in (typ, *typing.get_args(typ)):  # str or str | None
+        return text
     try:
-        return kind(text)
-    except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {text!r}") from None
+        return _READERS.get(typ, typ)(text)
+    except (ValueError, ZeroDivisionError, KeyError):
+        raise ConfigError(f"{key} must be {_TYPE_NAMES[typ]}, got {text!r}") from None
+
+
+def _hash_text(value, typ) -> str:
+    """How a field value enters the config hash."""
+    if typing.get_origin(typ) is list:
+        (item,) = typing.get_args(typ)
+        return _SEPARATORS[item].join(_hash_text(x, item) for x in value)
+    if value is None:
+        return ""
+    return repr(value) if typ in (float, complex) else str(value)
 
 
 def load_config(source: str, kind: str | None = None) -> ExperimentConfig:
@@ -131,87 +125,45 @@ def load_config(source: str, kind: str | None = None) -> ExperimentConfig:
     must agree with the config when both are present.
     """
     cp = configparser.ConfigParser(interpolation=None)
-    if os.path.exists(source):
-        cp.read(source)
-    else:
-        cp.read_string(source)
+    try:
+        if os.path.exists(source):
+            cp.read(source)
+        else:
+            cp.read_string(source)
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config: {exc}") from None
+    values = {}
     for section in cp.sections():
-        if section not in _KNOWN_KEYS:
+        if not any(key.startswith(f"{section}.") for key in _FIELDS):
             raise ConfigError(f"unknown config section [{section}]")
-        for key in cp[section]:
-            if key not in _KNOWN_KEYS[section]:
+        for key, text in cp[section].items():
+            f = _FIELDS.get(f"{section}.{key}")
+            if f is None:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-    exp = cp["experiment"] if cp.has_section("experiment") else {}
-    cfg_kind = exp.get("kind", kind)
+            values[f.name] = _read(text, _TYPES[f.name], f.metadata["key"])
+    cfg_kind = values.setdefault("kind", kind)
     if cfg_kind is None:
         raise ConfigError("experiment.kind missing and no subcommand given")
     if kind is not None and cfg_kind != kind:
         raise ConfigError(f"config kind {cfg_kind!r} does not match subcommand {kind!r}")
-    if cfg_kind not in KINDS:
+    if cfg_kind not in _RUNNERS:
         raise ConfigError(f"unknown experiment kind {cfg_kind!r}")
-    r = _parse(exp.get("r", "0.5"), float, "experiment.r")
-    if not 0.0 < r < 1.0:
-        raise ConfigError(f"experiment.r must lie in (0, 1), got {r}")
-    cfg = ExperimentConfig(
-        kind=cfg_kind,
-        label=exp.get("label", cfg_kind),
-        family=exp.get("family"),
-        r=r,
-    )
-    if cp.has_section("tgrid"):
-        tg = cp["tgrid"]
-        if "moduli" in tg:
-            cfg.moduli = [_parse(x, float, "tgrid.moduli")
-                          for x in tg["moduli"].replace(";", ",").split(",") if x.strip()]
-        else:
-            a = _parse(tg.get("mod_start_exp", "-2"), float, "tgrid.mod_start_exp")
-            b = _parse(tg.get("mod_stop_exp", "-6"), float, "tgrid.mod_stop_exp")
-            n = _parse(tg.get("mod_count", "5"), int, "tgrid.mod_count")
-            if n < 1:
-                raise ConfigError(f"tgrid.mod_count must be >= 1, got {n}")
-            cfg.moduli = [10.0 ** e for e in np.linspace(a, b, n)]
-        cfg.phases = _parse(tg.get("phases", "8"), int, "tgrid.phases")
-    if cp.has_section("sampler"):
-        sm = cp["sampler"]
-        cfg.seed = _parse(sm.get("seed", str(cfg.seed)), int, "sampler.seed")
-        cfg.n_burn = _parse(sm.get("n_burn", str(cfg.n_burn)), int, "sampler.n_burn")
-        cfg.n_keep = _parse(sm.get("n_keep", str(cfg.n_keep)), int, "sampler.n_keep")
-        if "start" in sm:
-            cfg.start = _parse(sm["start"].replace("i", "j"), complex, "sampler.start")
-    if cp.has_section("green"):
-        gr = cp["green"]
-        cfg.green_n_max = _parse(gr.get("n_max", str(cfg.green_n_max)), int, "green.n_max")
-        cfg.green_tol = _parse(gr.get("tol", repr(cfg.green_tol)), float, "green.tol")
-    if cp.has_section("probes"):
-        pb = cp["probes"]
-        cfg.s_min = _parse(pb.get("s_min", "-3"), Fraction, "probes.s_min")
-        cfg.s_max = _parse(pb.get("s_max", "3"), Fraction, "probes.s_max")
-        cfg.probe_q = _parse(pb.get("q", "2"), int, "probes.q")
-        cfg.orbit_len = _parse(pb.get("orbit_len", "2"), int, "probes.orbit_len")
-        cfg.include_critical = _parse_bool(pb.get("include_critical", "true"))
-    if cp.has_section("datum"):
-        dt = cp["datum"]
-        if "sections" in dt:
-            cfg.datum_sections = [s.strip() for s in dt["sections"].split(";") if s.strip()]
-        cfg.datum_k = _parse(dt.get("k", "1"), int, "datum.k")
-        cfg.datum_d = _parse(dt.get("d", "1"), int, "datum.d")
-    if cp.has_section("series"):
-        cfg.series_f = cp["series"].get("f")
-        cfg.j_max = _parse(cp["series"].get("j_max", "30"), int, "series.j_max")
-    if cp.has_section("output"):
-        cfg.out_dir = cp["output"].get("dir")
+    values.setdefault("label", cfg_kind)
+    cfg = ExperimentConfig(**values)
     _validate(cfg)
     return cfg
 
 
 def _validate(cfg: ExperimentConfig) -> None:
+    if not 0.0 < cfg.r < 1.0:
+        raise ConfigError(f"experiment.r must lie in (0, 1), got {cfg.r}")
     if cfg.kind in ("hybrid-converge", "lyap-slope", "na-measure") and not cfg.family:
         raise ConfigError(f"experiment.family is required for {cfg.kind}")
     if cfg.kind == "circle-demo" and not cfg.series_f:
         raise ConfigError("series.f is required for circle-demo")
     if cfg.kind in ("hybrid-converge", "lyap-slope"):
         if not cfg.moduli:
-            raise ConfigError("a [tgrid] section is required")
+            raise ConfigError(f"tgrid.moduli is required for {cfg.kind}")
         for m in cfg.moduli:
             if not 0.0 < m <= cfg.r:
                 raise ConfigError(
@@ -225,6 +177,8 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"sampler.n_keep must be >= 2, got {cfg.n_keep}")
     if cfg.kind == "lyap-slope" and len(cfg.moduli) < 3:
         raise ConfigError("slope fit is degenerate with fewer than 3 grid moduli")
+    if not cmath.isfinite(cfg.start):
+        raise ConfigError(f"sampler.start must be finite, got {cfg.start!r}")
     if cfg.seed < 0:
         raise ConfigError(f"sampler.seed must be >= 0, got {cfg.seed}")
     if cfg.j_max < 0:
@@ -588,6 +542,7 @@ _RUNNERS = {
     "lyap-slope": cmd_lyap_slope,
     "na-measure": cmd_na_measure,
 }
+KINDS = tuple(_RUNNERS)
 
 
 def run(cfg: ExperimentConfig, out_dir: str | None = None) -> ResultRecord:

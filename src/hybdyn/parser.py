@@ -9,18 +9,22 @@ Grammar (shared by all entry points):
     exponent:= ['-'] INT | '(' ['-'] INT '/' INT ')'
     atom    := NUMBER | NAME | '(' expr ')'
 
-Numbers are decimal literals with an optional ``i`` suffix for imaginary
-parts, so a complex literal is written ``(1+2i)``.  Fractional exponents are
-only meaningful on ``t``.  Families are rational expressions in ``z`` and
-``t``; any denominator in ``z`` folds into the overall quotient, while pure-t
-denominators become Laurent coefficients.  Sections are polynomials in
-``w0..wk`` with Laurent coefficients.
+Numbers are finite decimal literals with an optional ``i`` suffix for
+imaginary parts, so a complex literal is written ``(1+2i)``.  Fractional
+exponents are only meaningful on ``t``.  One evaluator serves every entry
+point: it reads an expression as a quotient of polynomials in the entry
+point's variables (``z`` for families, ``w0..wk`` for sections, none for
+series) with Laurent coefficients in ``t``.  A denominator free of those
+variables becomes Laurent coefficients at once, so only a family keeps a
+denominator, in ``z``, which folds into the overall quotient.  A term whose
+coefficient is zero to truncation is dropped.
 
 Parse errors carry the byte offset of the offending token.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -59,6 +63,8 @@ def _tokenize(text: str):
             try:
                 val = float(lit)
             except ValueError:
+                val = math.nan
+            if not math.isfinite(val):  # malformed, or too large for a double
                 raise ParseError(f"bad number literal {lit!r}", i)
             if j < n and text[j] == "i":
                 tokens.append(("num", complex(0.0, val), i))
@@ -183,120 +189,99 @@ class _Parser:
         raise ParseError(f"unexpected token {val!r}", pos)
 
 
-# -- evaluation as a rational function in z over Laurent coefficients -------------
+# -- evaluation: one quotient of polynomials over Laurent coefficients --------------
+#
+# A value is a pair (num, den) of sparse polynomials {exponent tuple:
+# LaurentSeries} in the entry point's variables (see the module docstring).
+
+_ZERO, _ONE = LaurentSeries.zero(), LaurentSeries.one()
 
 
-def _ztrim(p: list) -> list:
-    while len(p) > 1 and p[-1].is_zero():
-        p = p[:-1]
-    return p
+def _nonzero(p: dict) -> dict:
+    return {e: c for e, c in p.items() if not c.is_zero()}
 
 
-def _zadd(p: list, q: list) -> list:
-    out = [LaurentSeries.zero() for _ in range(max(len(p), len(q)))]
-    for i, c in enumerate(p):
-        out[i] = out[i] + c
-    for i, c in enumerate(q):
-        out[i] = out[i] + c
-    return _ztrim(out)
+def _add(p: dict, q: dict) -> dict:
+    out = {}
+    for e, c in (*p.items(), *q.items()):
+        out[e] = out.get(e, _ZERO) + c
+    return _nonzero(out)
 
 
-def _zmul(p: list, q: list) -> list:
-    out = [LaurentSeries.zero() for _ in range(len(p) + len(q) - 1)]
-    for i, a in enumerate(p):
-        if a.is_zero():
-            continue
-        for j, b in enumerate(q):
-            if b.is_zero():
-                continue
-            out[i + j] = out[i + j] + a * b
-    return _ztrim(out)
+def _mul(p: dict, q: dict) -> dict:
+    # the left factor in ascending exponents fixes the float accumulation order
+    out = {}
+    for e1 in sorted(p):
+        for e2, c2 in q.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, _ZERO) + p[e1] * c2
+    return _nonzero(out)
 
 
-class _RationalZ:
-    """num/den pair of z-polynomials with Laurent coefficients."""
+def _evaluate(ast, names: tuple, rational: bool):
+    """(num, den) of ``ast`` over the variables ``names``; only a ``rational``
+    entry point may divide by an expression in them."""
+    unit = (0,) * len(names)
+    one = {unit: _ONE}
 
-    __slots__ = ("num", "den")
+    def quotient(num, den, pos):
+        if list(den) == [unit]:
+            if den[unit] == _ONE:
+                return num, den
+            inv = den[unit].inverse()
+            return _nonzero({e: c * inv for e, c in num.items()}), one
+        if not rational:
+            raise ParseError("sections may only divide by t-expressions", pos)
+        return num, den
 
-    def __init__(self, num, den=None):
-        self.num = _ztrim(num)
-        self.den = _ztrim(den) if den is not None else [LaurentSeries.one()]
-
-    def _simplify(self) -> "_RationalZ":
-        # pure-t denominators become Laurent coefficients right away
-        if len(self.den) == 1 and not self.den[0].is_zero():
-            if self.den[0] == LaurentSeries.one():
-                return self
-            inv = self.den[0].inverse()
-            return _RationalZ([c * inv for c in self.num])
-        return self
-
-    @staticmethod
-    def of_const(c) -> "_RationalZ":
-        return _RationalZ([LaurentSeries.const(c)])
-
-    @staticmethod
-    def of_series(s: LaurentSeries) -> "_RationalZ":
-        return _RationalZ([s])
-
-
-def _reval(node):
-    kind = node[0]
-    if kind == "num":
-        return _RationalZ.of_const(node[1])
-    if kind == "name":
-        name, pos = node[1], node[2]
-        if name == "t":
-            return _RationalZ.of_series(LaurentSeries.t_power(1))
-        if name == "z":
-            return _RationalZ([LaurentSeries.zero(), LaurentSeries.one()])
-        raise ParseError(f"unknown variable {name!r} (family grammar allows z and t)", pos)
-    if kind == "neg":
-        v = _reval(node[1])
-        return _RationalZ([-c for c in v.num], v.den)
-    if kind == "bin":
-        op, lhs, rhs, pos = node[1], node[2], node[3], node[4]
-        a, b = _reval(lhs), _reval(rhs)
-        if op == "+":
-            return _RationalZ(_zadd(_zmul(a.num, b.den), _zmul(b.num, a.den)),
-                              _zmul(a.den, b.den))._simplify()
-        if op == "-":
-            return _RationalZ(
-                _zadd(_zmul(a.num, b.den), [-c for c in _zmul(b.num, a.den)]),
-                _zmul(a.den, b.den))._simplify()
-        if op == "*":
-            return _RationalZ(_zmul(a.num, b.num), _zmul(a.den, b.den))._simplify()
-        if op == "/":
-            if len(b.num) == 1 and b.num[0].is_zero():
-                raise ParseError("division by zero", pos)
-            return _RationalZ(_zmul(a.num, b.den), _zmul(a.den, b.num))._simplify()
-    if kind == "pow":
-        base, exp, pos = _reval(node[1]), node[2], node[3]
+    def ev(node):
+        kind, pos = node[0], node[-1]
+        if kind == "num":
+            return {unit: LaurentSeries.const(node[1])}, one
+        if kind == "name":
+            name = node[1]
+            if name == "t":
+                return {unit: LaurentSeries.t_power(1)}, one
+            if name in names:
+                return {tuple(int(v == name) for v in names): _ONE}, one
+            if names[:1] == ("w0",) and name[:1] == "w" and name[1:].isdigit():
+                raise ParseError(f"variable {name} exceeds dimension k={len(names) - 1}", pos)
+            raise ParseError(f"unknown variable {name!r} (allowed: "
+                             f"{', '.join(names + ('t',))})", pos)
+        if kind == "neg":
+            num, den = ev(node[1])
+            return {e: -c for e, c in num.items()}, den
+        if kind == "bin":
+            op = node[1]
+            (an, ad), (bn, bd) = ev(node[2]), ev(node[3])
+            if op == "*":
+                return quotient(_mul(an, bn), _mul(ad, bd), pos)
+            if op == "/":
+                if not bn:
+                    raise ParseError("division by zero", pos)
+                return quotient(_mul(an, bd), _mul(ad, bn), pos)
+            rhs = _mul(bn, ad)
+            if op == "-":
+                rhs = {e: -c for e, c in rhs.items()}
+            return quotient(_add(_mul(an, bd), rhs), _mul(ad, bd), pos)
+        (num, den), exp = ev(node[1]), node[2]
         if exp.denominator == 1:
             n = int(exp)
-            if n >= 0:
-                num, den = base.num, base.den
-            else:
-                if len(base.num) == 1 and base.num[0].is_zero():
+            if n < 0:
+                if not num:
                     raise ParseError("division by zero", pos)
-                num, den = base.den, base.num
-                n = -n
-            rnum, rden = [LaurentSeries.one()], [LaurentSeries.one()]
+                num, den, n = den, num, -n
+            rnum, rden = one, one
             for _ in range(n):
-                rnum, rden = _zmul(rnum, num), _zmul(rden, den)
-            return _RationalZ(rnum, rden)._simplify()
+                rnum, rden = _mul(rnum, num), _mul(rden, den)
+            return quotient(rnum, rden, pos)
         # fractional exponent: only a pure-t monomial supports it exactly
-        v = base._simplify()
-        if len(v.num) != 1 or len(v.den) != 1 or not v.den[0] == LaurentSeries.one():
+        if list(num) != [unit] or den != one or not num[unit].is_monomial():
             raise ParseError("fractional powers are only supported on t-monomials", pos)
-        s = v.num[0]
-        if not s.is_monomial():
-            raise ParseError("fractional powers are only supported on t-monomials", pos)
-        e, c = s.leading()
-        new_e = e * exp
-        new_c = complex(c) ** float(exp)
-        return _RationalZ.of_series(LaurentSeries.t_power(new_e, new_c))
-    raise ParseError("malformed expression", node[-1])
+        e, c = num[unit].leading()
+        return {unit: LaurentSeries.t_power(e * exp, complex(c) ** float(exp))}, one
+
+    return ev(ast)
 
 
 # -- family and datum types ---------------------------------------------------------
@@ -378,14 +363,12 @@ def parse_family(text: str, label: str | None = None, validate: bool = True) -> 
     The z-denominator is cleared by homogenization; t-denominators stay as
     Laurent coefficients.  Families of degree < 2 are rejected.
     """
-    ast = _Parser(text).parse()
-    value = _reval(ast)._simplify()
-    num, den = value.num, value.den
-    d = max(len(num), len(den)) - 1
+    num, den = _evaluate(_Parser(text).parse(), ("z",), rational=True)
+    d = max((j for (j,) in [*num, *den]), default=0)
     if d < 2:
         raise ParseError(f"family degree {d} < 2")
-    p0 = HomogeneousPoly(2, d, {(j, d - j): c for j, c in enumerate(num)})
-    p1 = HomogeneousPoly(2, d, {(j, d - j): c for j, c in enumerate(den)})
+    p0, p1 = (HomogeneousPoly(2, d, {(j, d - j): p[(j,)] for (j,) in sorted(p)})
+              for p in (num, den))
     family = RationalMapFamily(d, p0, p1, label=label if label is not None else text)
     if validate:
         family.validate()
@@ -395,77 +378,10 @@ def parse_family(text: str, label: str | None = None, validate: bool = True) -> 
 # -- sections: polynomials in w0..wk with Laurent coefficients -----------------------
 
 
-def _weval(node, k: int):
-    """Evaluate to a dict {exponent tuple: LaurentSeries} over w0..wk."""
-    nv = k + 1
-    zero_exp = (0,) * nv
-    kind = node[0]
-    if kind == "num":
-        return {zero_exp: LaurentSeries.const(node[1])}
-    if kind == "name":
-        name, pos = node[1], node[2]
-        if name == "t":
-            return {zero_exp: LaurentSeries.t_power(1)}
-        if name.startswith("w") and name[1:].isdigit():
-            idx = int(name[1:])
-            if idx > k:
-                raise ParseError(f"variable {name} exceeds dimension k={k}", pos)
-            e = [0] * nv
-            e[idx] = 1
-            return {tuple(e): LaurentSeries.one()}
-        raise ParseError(f"unknown variable {name!r} (sections use w0..w{k} and t)", pos)
-    if kind == "neg":
-        return {e: -c for e, c in _weval(node[1], k).items()}
-    if kind == "bin":
-        op, lhs, rhs, pos = node[1], node[2], node[3], node[4]
-        a, b = _weval(lhs, k), _weval(rhs, k)
-        if op in "+-":
-            out = dict(a)
-            for e, c in b.items():
-                c = -c if op == "-" else c
-                out[e] = out[e] + c if e in out else c
-            return {e: c for e, c in out.items() if not c.is_zero()}
-        if op == "*":
-            out = {}
-            for e1, c1 in a.items():
-                for e2, c2 in b.items():
-                    e = tuple(x + y for x, y in zip(e1, e2))
-                    prod = c1 * c2
-                    out[e] = out[e] + prod if e in out else prod
-            return {e: c for e, c in out.items() if not c.is_zero()}
-        if op == "/":
-            if list(b.keys()) not in ([zero_exp], []):
-                raise ParseError("sections may only divide by t-expressions", pos)
-            if not b or b[zero_exp].is_zero():
-                raise ParseError("division by zero", pos)
-            inv = b[zero_exp].inverse()
-            return {e: c * inv for e, c in a.items()}
-    if kind == "pow":
-        base, exp, pos = _weval(node[1], k), node[2], node[3]
-        if exp.denominator != 1 or exp < 0:
-            if list(base.keys()) == [zero_exp]:
-                s = base[zero_exp]
-                if s.is_monomial():
-                    e, c = s.leading()
-                    return {zero_exp: LaurentSeries.t_power(e * exp, complex(c) ** float(exp))}
-            raise ParseError("fractional/negative powers only on t-monomials", pos)
-        out = {zero_exp: LaurentSeries.one()}
-        for _ in range(int(exp)):
-            new = {}
-            for e1, c1 in out.items():
-                for e2, c2 in base.items():
-                    e = tuple(x + y for x, y in zip(e1, e2))
-                    prod = c1 * c2
-                    new[e] = new[e] + prod if e in new else prod
-            out = new
-        return {e: c for e, c in out.items() if not c.is_zero()}
-    raise ParseError("malformed expression", node[-1])
-
-
 def parse_section(text: str, k: int, d: int) -> HomogeneousPoly:
     """Parse one homogeneous degree-d polynomial in w0..wk."""
-    ast = _Parser(text).parse()
-    coeffs = _weval(ast, k)
+    names = tuple(f"w{i}" for i in range(k + 1))
+    coeffs, _ = _evaluate(_Parser(text).parse(), names, rational=False)
     if not coeffs:
         raise ParseError("section is identically zero")
     degrees = {sum(e) for e in coeffs}
@@ -489,12 +405,5 @@ def parse_sections(texts: list, k: int, d: int):
 
 def parse_series(text: str) -> LaurentSeries:
     """Parse a t-only expression into a Laurent series."""
-    ast = _Parser(text).parse()
-    value = _reval(ast)._simplify()
-    if len(value.num) > 1 or len(value.den) > 1:
-        raise ParseError("series text must not involve z")
-    num = value.num[0]
-    den = value.den[0]
-    if den == LaurentSeries.one():
-        return num
-    return num * den.inverse()
+    num, _ = _evaluate(_Parser(text).parse(), (), rational=False)
+    return num.get((), _ZERO)

@@ -1,5 +1,6 @@
 """Config validation, fits, persistence, and the experiment surfaces."""
 
+import importlib.util
 import json
 import math
 import os
@@ -97,13 +98,31 @@ BAD_VALUES = [
     ("[sampler]\nstart = north", "sampler.start must be a complex number"),
     ("[tgrid]\nphases = x", "tgrid.phases must be an integer"),
     ("[tgrid]\nmoduli = 1e-2, x", "tgrid.moduli must be a number"),
-    ("[tgrid]\nmod_count = -1", "tgrid.mod_count must be >= 1"),
+    ("[tgrid]\nmod_count = 5", "unknown key 'mod_count'"),
+    ("[sampler]\nstart = nan", "sampler.start must be finite"),
+    ("[sampler]\nstart = inf", "sampler.start must be finite"),
+    ("[sampler]\nstart = 2ni", "sampler.start must be a complex number, got '2ni'"),
+    ("[probes]\ninclude_critical = maybe", "probes.include_critical must be a boolean"),
     ("[green]\nn_max = -1", "green.n_max must be >= 0"),
     ("[green]\ntol = 0", "green.tol must be > 0"),
     ("[green]\ntol = -1", "green.tol must be > 0"),
     ("[sampler]\nseed = -1", "sampler.seed must be >= 0"),
     ("[series]\nj_max = -1", "series.j_max must be >= 0"),
 ]
+
+SHIPPED_IDS = {
+    "circle-demo.ini": "circle-demo-04c7fa7f35191b60",
+    "hybrid-converge-square.ini": "hybrid-converge-square-fb944e4bfac6322b",
+    "lyap-slope-quad-pole.ini": "lyap-slope-quad-pole-a4826ddb3bd63980",
+    "na-measure-quad-pole.ini": "na-measure-quad-pole-3b8825379d1f3579",
+}
+BENCH_IDS = {
+    "lyap-quad-pole": "lyap-slope-quad-pole-090fec771ea6037a",
+    "hybrid-cubic": "hybrid-cubic-3a172598541b3a2d",
+    "na-deep-tree": "na-deep-tree-9ed7b24a43829ff1",
+    "na-rational": "na-rational-6120326719feda68",
+}
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 class TestConfig:
@@ -152,6 +171,33 @@ class TestConfig:
     def test_missing_required(self):
         with pytest.raises(ConfigError, match="family is required"):
             load_config("[experiment]\nkind = na-measure\n")
+
+    def test_experiment_ids_pinned(self, monkeypatch):
+        # the config hash is in every CSV header; these ids are the shipped
+        # configs' and the bench configs' at seed 401
+        for name, want in SHIPPED_IDS.items():
+            with open(os.path.join(ROOT, "configs", name)) as fh:
+                assert load_config(fh.read()).experiment_id == want
+        spec = importlib.util.spec_from_file_location(
+            "workloads", os.path.join(ROOT, "bench", "workloads.py"))
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, "workloads", workloads)  # for its dataclass
+        spec.loader.exec_module(workloads)
+        for name, want in BENCH_IDS.items():
+            config = workloads.WORKLOADS[name].config.format(seed=401)
+            assert load_config(config).experiment_id == want
+
+    def test_output_dir_not_hashed(self):
+        a = load_config(CIRCLE_INI)
+        b = load_config(CIRCLE_INI + "[output]\ndir = elsewhere\n")
+        assert b.out_dir == "elsewhere"
+        assert a.config_hash() == b.config_hash()
+
+    def test_malformed_ini(self):
+        with pytest.raises(ConfigError, match="malformed config"):
+            load_config("configs/typo.ini")
+        with pytest.raises(ConfigError, match="malformed config"):
+            load_config(CIRCLE_INI + "[experiment]\nr = 0.25\n")
 
     def test_hash_depends_on_seed(self):
         a = load_config(SLOPE_INI)
@@ -316,8 +362,7 @@ class TestExperiments:
     def test_na_measure_exact_green(self, tmp_path):
         # z^2 + 1/t: every vertex's orbit reaches the escape region, so each
         # row's bound is 0.0 (shipped config, then the dense probe grid)
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        with open(os.path.join(root, "configs", "na-measure-quad-pole.ini")) as fh:
+        with open(os.path.join(ROOT, "configs", "na-measure-quad-pole.ini")) as fh:
             shipped = load_config(fh.read())
         deep = load_config("[experiment]\nkind = na-measure\nlabel = deep\n"
                            "family = z^2 + 1/t\nr = 0.5\n[green]\nn_max = 16\n"
@@ -399,6 +444,24 @@ class TestCli:
             ini.write_text(NA_INI + extra + "\n")
             assert cli_main(["na-measure", "--config", str(ini)]) == 2
             assert match in capsys.readouterr().err
+
+    def test_missing_config_file_exit_code(self, tmp_path, capsys):
+        missing = str(tmp_path / "typo.ini")
+        assert cli_main(["na-measure", "--config", missing]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "typo.ini" in err
+
+    def test_duplicate_section_exit_code(self, tmp_path, capsys):
+        ini = tmp_path / "dup.ini"
+        ini.write_text(NA_INI + "[experiment]\nr = 0.25\n")
+        assert cli_main(["na-measure", "--config", str(ini)]) == 2
+        assert "config error: malformed config" in capsys.readouterr().err
+
+    def test_infinite_literal_exit_code(self, tmp_path, capsys):
+        ini = tmp_path / "big.ini"
+        ini.write_text(NA_INI.replace("z^2 + 1/t", "z^2 + 1e400"))
+        assert cli_main(["na-measure", "--config", str(ini)]) == 2
+        assert "bad number literal '1e400'" in capsys.readouterr().err
 
     def test_negative_seed_override_exit_code(self, tmp_path, capsys):
         # the override is validated like sampler.seed in the config

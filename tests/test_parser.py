@@ -6,6 +6,7 @@ from hybdyn.errors import DegenerateFamilyError, ParseError
 from hybdyn.laurent import LaurentSeries as L
 from hybdyn.parser import (parse_family, parse_section, parse_sections,
                            parse_series)
+from hybdyn.presets import FAMILY_TEXTS, shipped_datum_pairs
 
 
 class TestFamilies:
@@ -140,3 +141,79 @@ class TestGrammarEdges:
     def test_power_does_not_chain(self):
         with pytest.raises(ParseError):
             parse_family("z^2^3")
+
+
+# p0 and p1 of each family, {monomial: coefficient}, as parsed before the
+# family, section and series evaluators were merged into one
+GEOMETRIC = " + ".join(["1", "t"] + [f"t^{k}" for k in range(2, 32)]) + " + O(t^32)"
+PINNED_FAMILIES = {
+    "z^2": ({(2, 0): "1"}, {(0, 2): "1"}),
+    "z^2 - 2": ({(0, 2): "-2", (2, 0): "1"}, {(0, 2): "1"}),
+    "z^2 + 1/t": ({(0, 2): "t^-1", (2, 0): "1"}, {(0, 2): "1"}),
+    "z^2 + t*z": ({(1, 1): "t", (2, 0): "1"}, {(0, 2): "1"}),
+    "(z^2 - t)/z": ({(0, 2): "-t", (2, 0): "1"}, {(1, 1): "1"}),
+    "z^3 + t*z": ({(1, 2): "t", (3, 0): "1"}, {(0, 3): "1"}),
+    "z^2 + t^(1/2)*z + t^(1/3)": ({(0, 2): "t^(1/3)", (1, 1): "t^(1/2)", (2, 0): "1"},
+                                  {(0, 2): "1"}),
+    "z^2 + 1/(1 - t)": ({(0, 2): GEOMETRIC, (2, 0): "1"}, {(0, 2): "1"}),
+    "z^2 + t/z": ({(0, 3): "t", (3, 0): "1"}, {(1, 2): "1"}),
+    "(z^3 - 2*z + 1/t)/(z - t)": ({(0, 3): "t^-1", (1, 2): "-2", (3, 0): "1"},
+                                  {(0, 3): "-t", (1, 2): "1"}),
+}
+PINNED_DATUM_PAIRS = [
+    ([{(1, 0): "1"}, {(0, 1): "1"}], [{(1, 0): "t"}, {(0, 1): "t"}]),
+    ([{(1, 0): "t"}, {(0, 1): "1"}], [{(2, 0): "1"}, {(0, 2): "t"}, {(1, 1): "1"}]),
+    ([{(2, 0): "1", (0, 2): "t"}, {(0, 2): "1"}], [{(1, 0): "t^2"}, {(0, 1): "1"}]),
+]
+
+
+def _shown(p):
+    """Coefficients in their stored order, each as its series text."""
+    return [(e, repr(c)[len("<LaurentSeries "):-1]) for e, c in p.coeffs.items()]
+
+
+class TestPinnedParses:
+    def test_shipped_and_edge_families(self):
+        assert set(FAMILY_TEXTS) <= set(PINNED_FAMILIES)
+        for text, (p0, p1) in PINNED_FAMILIES.items():
+            f = parse_family(text)
+            assert (_shown(f.p0), _shown(f.p1)) == (list(p0.items()), list(p1.items()))
+
+    def test_shipped_datum_pairs(self):
+        for pair, pinned in zip(shipped_datum_pairs(), PINNED_DATUM_PAIRS):
+            for datum, sections in zip(pair, pinned):
+                assert [_shown(s) for s in datum.sections] == [list(s.items())
+                                                               for s in sections]
+
+
+class TestZeroRule:
+    def test_family_drops_coefficient_zero_to_truncation(self):
+        # 1/(1 - t) is truncated, so the difference is zero only to O(t^32)
+        f = parse_family("z^2 + 1/(1 - t) - 1/(1 - t)")
+        assert _shown(f.p0) == [((2, 0), "1")]
+
+    def test_section_drops_coefficient_zero_to_truncation(self):
+        s = parse_section("w0^2 + w1^2/(1 - t) - w1^2/(1 - t)", k=1, d=2)
+        assert _shown(s) == [((2, 0), "1")]
+
+
+def _linear_section(text):
+    return parse_section(text, k=1, d=1)
+
+
+class TestErrorOffsets:
+    @pytest.mark.parametrize("parse, text, match, position", [
+        (parse_family, "z^2 + 1e400", "bad number literal '1e400'", 6),
+        (parse_series, "2*t + 1.5e999", "bad number literal", 6),
+        (parse_family, "z^2/(t - t)", "division by zero", 3),
+        (parse_family, "z^2 + (t - t)^-1", "division by zero", 13),
+        (parse_family, "z^2 + (t + z)^(1/2)", "t-monomials", 13),
+        (_linear_section, "w0^2/w1", "t-expressions", 4),
+        (_linear_section, "w0*w1^-1", "t-expressions", 5),
+        (_linear_section, "w0 + w3", "exceeds dimension k=1", 5),
+        (parse_series, "t + z", "unknown variable 'z'", 4),
+    ])
+    def test_error_and_offset(self, parse, text, match, position):
+        with pytest.raises(ParseError, match=match) as err:
+            parse(text)
+        assert err.value.position == position
