@@ -345,21 +345,24 @@ def _escaped(zpair, e) -> bool:
 
 class GreenEvaluator:
     """Canonical-metric Green potential of a degree-d family, evaluated at
-    type-II points through the homogeneous iterates.
+    type-II points by a forward-orbit walk.
 
-    The n-th approximant is ``d**(-n) * q_n * log(r)`` where ``q_n`` is the
-    minimum of the chart-normalized seminorm exponents of the n-th iterate's
-    sections.  Successive approximants differ by ``d**-(n+1) * g1(R^n xi)``,
-    g1 the one-step potential, so a uniform bound C on |g1| certifies the
-    tail: the evaluator stops at the first n with ``C * d**-n / (1 - 1/d)
-    < tol``, or at ``n_max`` with the achieved bound reported.
+    The n-th approximant is ``q_n * log(r)`` with ``q_n`` the orbit partial
+    sum ``sum_{k<n} d**-(k+1) * g1(R^k xi)``, g1 the one-step section
+    exponent; it equals ``d**-n`` times the section exponent of the n-th
+    homogeneous iterate (``iterate_exponents``) without building that
+    degree-``d**n`` iterate.  Each orbit step maps a disk forward
+    (``map_disk``), so the cost is linear in n.  A uniform bound C on |g1|
+    certifies the tail: the evaluator stops at the first n with
+    ``C * d**-n / (1 - 1/d) < tol``, or at ``n_max`` with the achieved bound
+    reported.
 
-    For polynomial families the sum is a forward-orbit walk, closed exactly
-    once the orbit enters the escape region (``_escape_region``): at the
-    first orbit point ``k <= n_star`` there, ``exponent`` returns the partial
-    sum plus ``c / (d**k * (d - 1))`` with bound 0.0.  An orbit that does not
-    enter it by ``n_star``, and every rational family, get the partial sum
-    at ``n_star`` and the tail bound above.  ``escape`` holds ``(E, c)`` for
+    For polynomial families the walk is closed exactly once the orbit enters
+    the escape region (``_escape_region``): at the first orbit point
+    ``k <= n_star`` there, ``exponent`` returns the partial sum plus
+    ``c / (d**k * (d - 1))`` with bound 0.0.  An orbit that does not enter it
+    by ``n_star``, and every rational family, get the partial sum at
+    ``n_star`` and the tail bound above.  ``escape`` holds ``(E, c)`` for
     polynomial families and None otherwise.
     """
 
@@ -380,41 +383,22 @@ class GreenEvaluator:
         while n < n_max and self._tail_bound(n) >= tol:
             n += 1
         self.n_star = n
-        self._iterates: dict = {}
-        # polynomial families admit an exact forward-orbit evaluation of the
-        # partial sums, cheap at any depth; rational ones iterate symbolically
-        polynomial = R.is_polynomial()
-        self._affine = R.affine_coeffs() if polynomial else None
-        self.escape = _escape_region(R) if polynomial else None
+        # the affine map P/Q that moves disks along the orbit
+        if R.is_polynomial():
+            self._num, self._den = R.affine_coeffs(), None
+            self.escape = _escape_region(R)
+        else:
+            self._num, self._den = R.p0.dehomogenized("z"), R.p1.dehomogenized("z")
+            self.escape = None
 
     def _tail_bound(self, n: int) -> float:
         d = self.R.degree
         return self.c_constant * d ** float(-n) / (1.0 - 1.0 / d)
 
-    def sections(self, n: int):
-        """Sections of the n-th iterate (cached); n = 0 is the identity datum."""
-        if n == 0:
-            one = LaurentSeries.one()
-            return (HomogeneousPoly(2, 1, {(1, 0): one}),
-                    HomogeneousPoly(2, 1, {(0, 1): one}))
-        if n not in self._iterates:
-            self._iterates[n] = iterate_pair(self.R.p0, self.R.p1, n)
-        return self._iterates[n]
-
     def approximant_exponent(self, xi: TypeIIPoint, n: int) -> Fraction:
-        """q with n-th approximant = q * log(r) (exact).
-
-        Realized either as d**-n times the minimal normalized seminorm
-        exponent of the n-th iterate's sections, or equivalently (telescoping
-        the one-step potential) as the forward-orbit partial sum; the two
-        agree exactly and the orbit route is used for polynomial families.
-        """
-        if self._affine is not None:
-            return self._orbit_exponent(xi.zpair(), n, None)[0]
-        e = _section_exponent(self.sections(n), xi)
-        if e == _INF:
-            raise DegenerateFamilyError("all iterate sections vanish at the point")
-        return Fraction(e) / self.R.degree ** n
+        """q with n-th approximant = q * log(r) (exact): the orbit partial
+        sum of n terms."""
+        return self._orbit_exponent(xi.zpair(), n, None)[0]
 
     def _one_step_exponent(self, zpair) -> Fraction:
         e = _section_exponent((self.R.p0, self.R.p1), zpair)
@@ -434,7 +418,7 @@ class GreenEvaluator:
             if k == n:
                 return total, False
             total += self._one_step_exponent(cur) / d ** (k + 1)
-            center, s = map_disk(self._affine, cur)
+            center, s = map_disk(self._num, cur, self._den)
             cur = _reduce_center(center, s)
             k += 1
         return total + escape[1] / (d ** k * (d - 1)), True
@@ -443,16 +427,30 @@ class GreenEvaluator:
         """(exact exponent, float error bound): the bound is 0.0 where the
         orbit closes in the escape region, the tail bound at ``n_star``
         otherwise."""
-        if self._affine is None:
-            q, exact = self.approximant_exponent(xi, self.n_star), False
-        else:
-            q, exact = self._orbit_exponent(xi.zpair(), self.n_star, self.escape)
+        q, exact = self._orbit_exponent(xi.zpair(), self.n_star, self.escape)
         return q, 0.0 if exact else self._tail_bound(self.n_star)
 
     def value(self, xi: TypeIIPoint):
         """(potential value in natural logs, certified error bound)."""
         q, bound = self.exponent(xi)
         return float(q) * math.log(self.r), bound
+
+
+def iterate_exponents(R, points, n: int) -> list:
+    """Symbolic reference for ``GreenEvaluator.approximant_exponent`` at each
+    point: ``d**-n`` times the section exponent of the n-th homogeneous
+    iterate.  The iterate has degree ``d**n`` and is built once per call, so
+    this is for small n only."""
+    if n == 0:
+        return [Fraction(0)] * len(points)  # the identity datum (w0, w1)
+    sections = iterate_pair(R.p0, R.p1, n)
+    out = []
+    for xi in points:
+        e = _section_exponent(sections, xi)
+        if e == _INF:
+            raise DegenerateFamilyError("all iterate sections vanish at the point")
+        out.append(Fraction(e) / R.degree ** n)
+    return out
 
 
 # -- finite subtrees and the tree measure -------------------------------------------
@@ -679,21 +677,53 @@ def na_lyapunov(R, mu: TreeMeasure) -> float:
 # -- probe trees ---------------------------------------------------------------------
 
 
-def map_disk(affine_coeffs, zpair):
-    """Forward image of a disk point under an affine polynomial map.
+def _pole_free_base(num, den, a, s):
+    """(P, Q) Taylor coefficients at a point b of the disk D(a, r**s) where Q
+    has no zero in the open disk D-(b, r**s), i.e. ``ord q_0`` is the Newton
+    minimum of Q at b: b = a when that holds, else the first b = a + u*t**s
+    for 2d + 1 fixed units u.  Q's zeros fill at most d of the residue
+    classes of the disk, so some u works; PrecisionError if none does."""
+    d = len(num) - 1
+    for k in range(2 * d + 2):
+        b = a if k == 0 else a + LaurentSeries.t_power(s, complex(math.cos(k), math.sin(k)))
+        qs = taylor_shift(list(den), b)
+        if not qs[0].is_zero() and _newton_min(qs, s) == qs[0].order():
+            return taylor_shift(list(num), b), qs
+    raise PrecisionError("no base point of the disk avoids the poles")
 
-    ``affine_coeffs`` are the polynomial's LaurentSeries coefficients
-    (ascending); the image of D(a, r**s) is D(p(a), r**s') with
-    s' = min over j >= 1 of ord(shift_j) + j*s.  Raises PrecisionError when
-    a coefficient zero only to truncation could lower s'.
+
+def map_disk(num, zpair, den=None):
+    """Forward image of a z-chart disk point under the affine map P/Q.
+
+    ``num`` and ``den`` are the ascending LaurentSeries coefficients of P and
+    Q, lists of one length; ``den`` None stands for Q = 1 (a polynomial
+    map).  With p_j, q_j the Taylor coefficients at a base point b where Q
+    has no zero in the open disk D-(b, r**s) (``_pole_free_base``; b = a for
+    polynomials), the image of D(a, r**s) is D(P(b)/Q(b), r**s') with
+
+        s' = min over j >= 1 of ord(p_j q_0 - p_0 q_j) + j*s - 2 ord q_0.
+
+    Raises PrecisionError when a coefficient zero only to truncation could
+    lower s'.
     """
     a, s = zpair
-    shifted = taylor_shift(list(affine_coeffs), a)
-    center = shifted[0]
-    best = _newton_min([LaurentSeries.zero()] + shifted[1:], s)
+    if den is None:
+        shifted = taylor_shift(list(num), a)
+        slopes, ord_q0 = shifted[1:], 0
+    else:
+        shifted, qs = _pole_free_base(num, den, a, s)
+        p0, q0 = shifted[0], qs[0]
+        slopes = [p * q0 - p0 * q for p, q in zip(shifted[1:], qs[1:])]
+        ord_q0 = q0.order()
+    best = _newton_min([LaurentSeries.zero()] + slopes, s)
     if best == _INF:
         raise DegenerateFamilyError("constant map has no disk image")
-    return center, _as_frac(best)
+    s_image = _as_frac(best - 2 * ord_q0)
+    if den is None or p0.is_zero():
+        return shifted[0], s_image
+    # the image center matters below exponent s_image only
+    window = max(1, math.ceil(s_image - p0.order() + ord_q0))
+    return p0 * q0.inverse(window=window), s_image
 
 
 def critical_centers(R, target=Fraction(6)):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .errors import (ChartError, ConfigError, ConventionError, DegenerateFamilyError,
@@ -40,8 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if not os.path.isfile(args.config):
-            raise ConfigError(f"no config file at {args.config!r}")
         cfg = load_config(args.config, kind=args.kind)
         if args.seed is not None:
             cfg.seed = args.seed

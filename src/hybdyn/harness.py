@@ -119,17 +119,21 @@ def _hash_text(value, typ) -> str:
 
 
 def load_config(source: str, kind: str | None = None) -> ExperimentConfig:
-    """Parse and validate an INI config (path or literal text).
+    """Parse and validate an INI config: literal text when ``source`` holds a
+    newline or ``[``, otherwise the path of a file.
 
     Unknown sections or keys are rejected; ``kind`` (from the CLI subcommand)
     must agree with the config when both are present.
     """
     cp = configparser.ConfigParser(interpolation=None)
     try:
-        if os.path.exists(source):
+        if "\n" in source or "[" in source:
+            cp.read_string(source)
+        elif os.path.isfile(source):
             cp.read(source)
         else:
-            cp.read_string(source)
+            what = "a directory" if os.path.isdir(source) else "missing"
+            raise ConfigError(f"config file {source!r} is {what}")
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from None
     values = {}
@@ -508,6 +512,7 @@ def cmd_na_measure(cfg: ExperimentConfig) -> ResultRecord:
         rows.append([i, rec["chart"], rec["center"], rec["s"],
                      float(q) * math.log(cfg.r), bound, mu.masses[i]])
     lyap = berkovich.na_lyapunov(family, mu)
+    tail = max(bound for _, bound in green)
     summary = {
         "measure": mu.records(),
         "total_mass": mu.total_mass(),
@@ -519,7 +524,8 @@ def cmd_na_measure(cfg: ExperimentConfig) -> ResultRecord:
         "na_ratio": abs(lyap) / abs(math.log(cfg.r)),
         "green_n_star": evaluator.n_star,
         "green_exact_vertices": sum(bound == 0.0 for _, bound in green),
-        "green_tail_bound": max(bound for _, bound in green),
+        "green_tail_bound": tail,
+        "green_certified": tail < cfg.green_tol,
         "resultant_valuation": _fmt_cell(berkovich.resultant_valuation(family)),
         "good_reduction_exponent": _fmt_cell(berkovich.good_reduction_exponent(family)),
     }

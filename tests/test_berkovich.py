@@ -12,12 +12,13 @@ from hybdyn.admissible import AdmissibleDatum, g_na_exponent
 from hybdyn.berkovich import (BerkTree, GreenEvaluator, TypeIIPoint, _join,
                               _ord_at_least, _section_exponent, build_probe_tree,
                               det_norm_exponent, good_reduction_exponent,
-                              homog_seminorm, map_disk, na_lyapunov,
-                              poly_seminorm, resultant_valuation, subtree_span,
-                              tree_ma, type2_from_zpair, critical_centers)
+                              homog_seminorm, iterate_exponents, map_disk,
+                              na_lyapunov, poly_seminorm, resultant_valuation,
+                              subtree_span, tree_ma, type2_from_zpair,
+                              critical_centers)
 from hybdyn.errors import (ChartError, ConventionError, DegenerateFamilyError,
                            PrecisionError)
-from hybdyn.laurent import LaurentSeries as L
+from hybdyn.laurent import LaurentSeries as L, taylor_shift
 from hybdyn.parser import RationalMapFamily, parse_family
 from hybdyn.poly import HomogeneousPoly
 from hybdyn.presets import FAMILY_TEXTS
@@ -153,15 +154,12 @@ class TestGreen:
         ev = GreenEvaluator(fam, R, n_max=6)
         pts = [XG, type2_from_zpair(0, F(-1, 2)), type2_from_zpair(0, 2),
                type2_from_zpair(L.t_power(-1), 1)]
-        for xi in pts:
-            for n in (1, 2, 4):
-                orbit = ev.approximant_exponent(xi, n)
-                q0, q1 = ev.sections(n)
-                sym = min(homog_seminorm(q0, xi), homog_seminorm(q1, xi))
-                assert orbit == F(sym) / fam.degree ** n
+        for n in (1, 2, 4):
+            assert [ev.approximant_exponent(xi, n) for xi in pts] == \
+                iterate_exponents(fam, pts, n)
 
     def test_rational_iterate_exponents_pinned(self):
-        # (z^2 - t)/z at n_max 8 goes through the degree-256 symbolic iterates
+        # (z^2 - t)/z at n_max 8: the values of the degree-256 symbolic iterates
         fam = parse_family("(z^2 - t)/z")
         ev = GreenEvaluator(fam, R, n_max=8)
         tree = build_probe_tree(fam)
@@ -320,6 +318,69 @@ class TestGreenClosure:
         q, bound = ev.exponent(XG)
         assert q == ev.approximant_exponent(XG, ev.n_star)
         assert bound == ev._tail_bound(ev.n_star) > 0.0
+
+
+RATIONAL_TEXTS = ["(z^2 - t)/z", "(z^2 + t*z + 1)/(t*z + 1)", "(t*z^2 + 1)/z",
+                  "(z^3 - t)/(z^2 + t)", "1/(z^2 + t)", "(z^2 + 1/t)/(z - 1)"]
+
+
+class TestRationalOrbit:
+    """Rational families walk the forward orbit like polynomial ones; the
+    symbolic iterates are the reference."""
+
+    @pytest.mark.parametrize("text", RATIONAL_TEXTS)
+    def test_orbit_equals_symbolic_iterates(self, text):
+        # every default-tree vertex to n = 5; the disks off the tree too,
+        # except at the cubic's degree-243 iterate, whose Taylor shift to a
+        # nonzero center takes seconds per disk
+        fam = parse_family(text)
+        ev = GreenEvaluator(fam, R, n_max=5)
+        tree = build_probe_tree(fam).vertices
+        disks = [type2_from_zpair(*zp) for zp in [
+            (L({F(1, 3): 0.3 + 0.4j}), F(1)), (L.t_power(-1, 2.0), F(0)), (L.one(), F(1, 2))]]
+        for n in range(6):
+            pts = tree + disks if fam.degree ** n <= 81 else tree
+            assert [ev.approximant_exponent(xi, n) for xi in pts] == \
+                iterate_exponents(fam, pts, n)
+
+    def test_disk_centered_on_a_pole(self):
+        # z - t/z: Q = z vanishes at the center of D(0, r^s), so the image
+        # comes from a base point a + u*t^s; |t/z| = r^(1-s) wins for s > 1/2
+        fam = parse_family("(z^2 - t)/z")
+        num, den = fam.p0.dehomogenized("z"), fam.p1.dehomogenized("z")
+        assert taylor_shift(den, L.zero())[0].is_zero()
+        for s, image in ((F(1, 4), F(1, 4)), (F(1, 2), F(1, 2)), (F(1), F(0)), (F(2), F(-1))):
+            assert type2_from_zpair(*map_disk(num, (L.zero(), s), den)) == \
+                type2_from_zpair(0, image)
+
+    def test_unit_denominator_is_the_polynomial_rule(self):
+        fam = parse_family("z^2 + 1/t")
+        coeffs = fam.affine_coeffs()
+        one = [L.one(), L.zero(), L.zero()]
+        for v in build_probe_tree(fam).vertices:
+            assert map_disk(coeffs, v.zpair(), one) == map_disk(coeffs, v.zpair())
+
+    def test_no_pole_free_base_point(self):
+        # Q = O(t) + z on D(0, r^2): Q(b) is zero to truncation at every b
+        num = [L.one(), L.zero(), L.zero()]
+        den = [L.zero(trunc=1), L.one(), L.zero()]
+        with pytest.raises(PrecisionError, match="base point"):
+            map_disk(num, (L.zero(), F(2)), den)
+
+    def test_deep_certified_green(self):
+        # configs/na-measure-rational.ini: the tail bound falls below tol at
+        # n_star = 11 on every default-tree vertex
+        fam = parse_family("(z^2 - t)/z")
+        tree = build_probe_tree(fam)
+        ev = GreenEvaluator(fam, R, n_max=16)
+        got = [ev.exponent(v) for v in tree.vertices]
+        assert ev.n_star == 11
+        assert all(bound == ev._tail_bound(11) < ev.tol for _, bound in got)
+        assert [q for q, _ in got] == [F(0)] * 7 + [F(2047, 4096)] + [F(1, 2)] * 5
+        # linear cost in n: 40 orbit steps per vertex
+        ev = GreenEvaluator(fam, R, n_max=40, tol=1e-12)
+        assert ev.n_star == 40
+        assert ev.exponent(type2_from_zpair(0, F(1, 2)))[0] == F(1, 2) - F(1, 2 ** 41)
 
 
 class TestResultant:

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -115,6 +116,7 @@ SHIPPED_IDS = {
     "hybrid-converge-square.ini": "hybrid-converge-square-fb944e4bfac6322b",
     "lyap-slope-quad-pole.ini": "lyap-slope-quad-pole-a4826ddb3bd63980",
     "na-measure-quad-pole.ini": "na-measure-quad-pole-3b8825379d1f3579",
+    "na-measure-rational.ini": "na-measure-rational-dc07784bad5cb7fa",
 }
 BENCH_IDS = {
     "lyap-quad-pole": "lyap-slope-quad-pole-090fec771ea6037a",
@@ -123,6 +125,16 @@ BENCH_IDS = {
     "na-rational": "na-rational-6120326719feda68",
 }
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def bench_configs(monkeypatch):
+    """The benchmark workloads' INI texts at seed 401, by workload name."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", os.path.join(ROOT, "bench", "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # for its dataclass
+    spec.loader.exec_module(workloads)
+    return {name: w.config.format(seed=401) for name, w in workloads.WORKLOADS.items()}
 
 
 class TestConfig:
@@ -178,14 +190,9 @@ class TestConfig:
         for name, want in SHIPPED_IDS.items():
             with open(os.path.join(ROOT, "configs", name)) as fh:
                 assert load_config(fh.read()).experiment_id == want
-        spec = importlib.util.spec_from_file_location(
-            "workloads", os.path.join(ROOT, "bench", "workloads.py"))
-        workloads = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, "workloads", workloads)  # for its dataclass
-        spec.loader.exec_module(workloads)
+        configs = bench_configs(monkeypatch)
         for name, want in BENCH_IDS.items():
-            config = workloads.WORKLOADS[name].config.format(seed=401)
-            assert load_config(config).experiment_id == want
+            assert load_config(configs[name]).experiment_id == want
 
     def test_output_dir_not_hashed(self):
         a = load_config(CIRCLE_INI)
@@ -195,9 +202,18 @@ class TestConfig:
 
     def test_malformed_ini(self):
         with pytest.raises(ConfigError, match="malformed config"):
-            load_config("configs/typo.ini")
+            load_config("kind = circle-demo\n")
         with pytest.raises(ConfigError, match="malformed config"):
             load_config(CIRCLE_INI + "[experiment]\nr = 0.25\n")
+
+    def test_path_to_a_directory(self, tmp_path):
+        with pytest.raises(ConfigError, match=re.escape(f"{str(tmp_path)!r} is a directory")):
+            load_config(str(tmp_path))
+
+    def test_path_to_no_file(self, tmp_path):
+        for missing in ("configs/typo.ini", str(tmp_path / "typo.ini")):
+            with pytest.raises(ConfigError, match=re.escape(f"{missing!r} is missing")):
+                load_config(missing)
 
     def test_hash_depends_on_seed(self):
         a = load_config(SLOPE_INI)
@@ -412,6 +428,14 @@ class TestExperiments:
         assert s["green_exact_vertices"] == 0
         assert s["green_tail_bound"] > cfg.green_tol
         assert all(row[5] == s["green_tail_bound"] for row in rec.rows)
+
+    def test_green_certified_flag(self, monkeypatch, tmp_path):
+        # JSON only: the CSV columns do not change
+        configs = bench_configs(monkeypatch)
+        for name, certified in (("na-rational", False), ("na-deep-tree", True)):
+            rec = run(load_config(configs[name]), out_dir=str(tmp_path))
+            assert rec.summary["green_certified"] is certified
+            assert "green_certified" not in rec.csv_text()
 
 
 def test_import_leaves_scipy_unloaded():

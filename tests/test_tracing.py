@@ -17,7 +17,7 @@ from hybdyn.parser import parse_family
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
-# rational, so the Green potential goes through the symbolic iterates
+# a rational family, so the Green route walks rational disk images
 SLOPE_INI = """
 [experiment]
 kind = lyap-slope
@@ -83,6 +83,8 @@ def test_every_wrapped_name_and_count_resolves(tracing, tmp_path):
     # the sampler's count callbacks are reached through the public route
     rc = cxdyn.specialize(parse_family("z^2 - 2"), 0.1)
     cxdyn.lyapunov_complex(rc, cxdyn.backward_sample(rc, 5, 20, 200, 0.3 + 0.2j))
+    # no experiment builds symbolic iterates; the Green reference does
+    berkovich.iterate_exponents(parse_family("(z^2 - t)/z"), [berkovich.TypeIIPoint.gauss()], 2)
     assert tracer.missing == set()  # no wrapped name and no "#counts" source
     # every count callback ran, so the checks above are not vacuous
     for key in ("walk_steps", "kept_samples", "n_used", "log_det_norm_points",
