@@ -7,11 +7,10 @@ Conventions
 * The t-adic norm is normalized by ``|t| = r`` with a caller-chosen
   ``r in (0, 1)``.  Seminorm computations return exact rational *exponents*
   ``q`` with value ``r**q``; real values are ``q * log(r)`` in natural logs.
-* A type-II point is the sup-seminorm of a closed disk ``D(a, r**s)`` in an
-  affine chart (``z`` or ``1/z``).  The Gauss point is ``D(0, 1)`` in the z
-  chart.  Points are canonicalized so the center has norm <= 1 in the
-  chosen chart, and every type-II point also has a z-chart disk description
-  used for the tree algebra.
+* A type-II point is the sup-seminorm of a closed disk ``D(a, r**s)``.  It
+  is stored as its reduced z-chart disk, on which every computation runs;
+  the Gauss point is ``D(0, 1)``.  The chart form (``z`` or ``1/z``, center
+  of norm <= 1) only decides how a point is printed in records.
 * Edge lengths on the tree are differences of radius exponents (the
   hyperbolic metric in units of ``log(1/r)``); the Monge-Ampere of a
   potential is the sum of outgoing slopes plus a unit Dirac mass at the
@@ -61,47 +60,46 @@ class TypeIPoint:
 
 
 class TypeIIPoint:
-    """Disk point ``D(center, r**s)`` in an affine chart, canonicalized.
+    """Disk point ``D(center, r**s)``, stored as its reduced z-chart disk.
 
+    ``chart`` names the chart of the given center and radius exponent.
     Divisorial points (order of vanishing along a component divided by the
     multiplicity of t) are exactly the points with rational ``s``; the pair
     (order, multiplicity) is carried by the single Fraction ``s``.
     """
 
-    __slots__ = ("chart", "center", "s", "_zpair")
+    __slots__ = ("_zpair",)
 
     def __init__(self, center, s, chart: str = "z"):
-        center = _as_series(center)
-        s = _as_frac(s)
+        center, s = _as_series(center), _as_frac(s)
         if chart not in ("z", "1/z"):
             raise ChartError(f"unknown chart {chart!r}")
-        a, sz = (center, s) if chart == "z" else _upair_to_zpair(center, s)
-        a, sz = _reduce_center(a, sz)
-        alpha = a.order()
-        if alpha >= sz:
-            # the disk contains the chart origin; re-center at 0
-            a = LaurentSeries.zero()
-            if sz >= 0:
-                self.chart, self.center, self.s = "z", a, sz
-            else:
-                self.chart, self.center, self.s = "1/z", a, -sz
-        elif alpha >= 0:
-            self.chart, self.center, self.s = "z", a, sz
-        else:
-            c, su = _invert_center(a, sz)
-            self.chart, self.center, self.s = "1/z", _reduce_center(c, su)[0], su
-        self._zpair = (a, sz)
+        zpair = (center, s) if chart == "z" else _upair_to_zpair(center, s)
+        self._zpair = _reduce_center(*zpair)
 
     @classmethod
     def gauss(cls) -> "TypeIIPoint":
         return cls(LaurentSeries.zero(), 0, "z")
 
     def is_gauss(self) -> bool:
-        return self.chart == "z" and self.s == 0 and self.center.is_zero()
+        a, s = self._zpair
+        return s == 0 and a.is_exact_zero()
 
     def zpair(self):
-        """(center, radius exponent) of the same point as a z-chart disk."""
+        """(center, radius exponent) of the point as a z-chart disk."""
         return self._zpair
+
+    def chart_form(self):
+        """(chart, center, s): the disk in the chart where its center has
+        norm <= 1, re-centered at 0 when it contains the chart origin."""
+        a, s = self._zpair
+        alpha = a.order()
+        if alpha >= s:
+            return ("z", a, s) if s >= 0 else ("1/z", a, -s)
+        if alpha >= 0:
+            return "z", a, s
+        c, su = _invert_center(a, s)
+        return "1/z", _reduce_center(c, su)[0], su
 
     def __eq__(self, other):
         if not isinstance(other, TypeIIPoint):
@@ -109,15 +107,17 @@ class TypeIIPoint:
         return _same_disk(self._zpair, other._zpair)
 
     def __hash__(self):
-        return hash(self.s)  # equality needs series comparison; hash on radius only
+        return hash(self._zpair[1])  # equality needs series comparison; hash on radius only
 
     def __repr__(self):
-        return f"<TypeIIPoint chart={self.chart} D({self.center}, r^{self.s})>"
+        chart, center, s = self.chart_form()
+        return f"<TypeIIPoint chart={chart} D({center}, r^{s})>"
 
     def record(self) -> dict:
-        """JSON-friendly description."""
-        return {"chart": self.chart, "center": str(self.center),
-                "s": f"{self.s.numerator}/{self.s.denominator}"}
+        """JSON-friendly description in the chart form."""
+        chart, center, s = self.chart_form()
+        return {"chart": chart, "center": str(center),
+                "s": f"{s.numerator}/{s.denominator}"}
 
 
 def _ord_at_least(diff: LaurentSeries, s) -> bool:
@@ -184,7 +184,7 @@ def _upair_to_zpair(c: LaurentSeries, su: Fraction):
 
 def type2_from_zpair(a, s) -> TypeIIPoint:
     """Construct a point from any z-chart disk description."""
-    return TypeIIPoint(_as_series(a), _as_frac(s), "z")
+    return TypeIIPoint(a, s)
 
 
 # -- seminorms -------------------------------------------------------------------
@@ -207,14 +207,16 @@ def _newton_min(shifted, s):
 
 def poly_seminorm(f, xi: TypeIIPoint):
     """Exponent q with |f| = r**q at the disk point, for a one-variable
-    polynomial with LaurentSeries coefficients (ascending, in the chart of xi).
+    polynomial with LaurentSeries coefficients (ascending, in the chart of
+    xi's chart form).
 
     The value is the min over j of ord(f_j) + j*s after recentering f at the
     disk center.  Returns ``math.inf`` when f is zero to truncation; raises
     PrecisionError when truncated coefficients could change the answer.
     """
     coeffs = [c if isinstance(c, LaurentSeries) else LaurentSeries.const(c) for c in f]
-    return _newton_min(taylor_shift(coeffs, xi.center), xi.s)
+    _, center, s = xi.chart_form()
+    return _newton_min(taylor_shift(coeffs, center), s)
 
 
 def homog_seminorm(P: HomogeneousPoly, xi):
@@ -222,8 +224,7 @@ def homog_seminorm(P: HomogeneousPoly, xi):
 
     ``xi`` is a TypeIIPoint or a raw z-chart disk ``(center, s)``; the value
     is computed on the z-chart disk, which is valid for any center and radius
-    (disks of the affine line never contain the point at infinity) and avoids
-    the chart inversion of canonical representations.
+    (disks of the affine line never contain the point at infinity).
     """
     if P.nvars != 2:
         raise LaurentError("homog_seminorm requires a two-variable polynomial")
@@ -343,6 +344,17 @@ def _escaped(zpair, e) -> bool:
     return s < e or (not a.is_zero() and a.order() < e)
 
 
+# |log| bound on an orbit step's magnitudes: normal floats span e**-708..e**709
+_FLOAT_LOG = 690.0
+
+
+def _in_float_range(a: LaurentSeries, d: int) -> bool:
+    """Whether the d-th power of every coefficient of the center ``a``, as a
+    Taylor shift of a degree-d map forms it, is finite and normal; past that
+    a term overflows or underflows to 0, and orders come out wrong."""
+    return all(abs(math.log(abs(c))) * d < _FLOAT_LOG for _, c in a.items())
+
+
 class GreenEvaluator:
     """Canonical-metric Green potential of a degree-d family, evaluated at
     type-II points by a forward-orbit walk.
@@ -351,11 +363,11 @@ class GreenEvaluator:
     sum ``sum_{k<n} d**-(k+1) * g1(R^k xi)``, g1 the one-step section
     exponent; it equals ``d**-n`` times the section exponent of the n-th
     homogeneous iterate (``iterate_exponents``) without building that
-    degree-``d**n`` iterate.  Each orbit step maps a disk forward
-    (``map_disk``), so the cost is linear in n.  A uniform bound C on |g1|
-    certifies the tail: the evaluator stops at the first n with
-    ``C * d**-n / (1 - 1/d) < tol``, or at ``n_max`` with the achieved bound
-    reported.
+    degree-``d**n`` iterate.  Each orbit step Taylor-shifts P and Q once
+    (``_orbit_step``), which gives both g1 and the image disk, so the cost
+    is linear in n.  A uniform bound C on |g1| certifies the tail: the
+    evaluator stops at the first n with ``C * d**-n / (1 - 1/d) < tol``, or
+    at ``n_max`` with the achieved bound reported.
 
     For polynomial families the walk is closed exactly once the orbit enters
     the escape region (``_escape_region``): at the first orbit point
@@ -363,7 +375,9 @@ class GreenEvaluator:
     ``c / (d**k * (d - 1))`` with bound 0.0.  An orbit that does not enter it
     by ``n_star``, and every rational family, get the partial sum at
     ``n_star`` and the tail bound above.  ``escape`` holds ``(E, c)`` for
-    polynomial families and None otherwise.
+    polynomial families and None otherwise.  The walk stops early at a
+    center it cannot step from in floating point (``_in_float_range``) and
+    reports the k steps taken with the tail bound at k.
     """
 
     def __init__(self, R, r: float, n_max: int = 12, tol: float = 1e-3):
@@ -383,12 +397,15 @@ class GreenEvaluator:
         while n < n_max and self._tail_bound(n) >= tol:
             n += 1
         self.n_star = n
-        # the affine map P/Q that moves disks along the orbit
+        # the affine map P/Q that moves disks along the orbit; a polynomial
+        # family steps with P/B, so ord B is added back to g1
         if R.is_polynomial():
             self._num, self._den = R.affine_coeffs(), None
+            self._ord_b = R.p1.coeffs[(0, d)].order()
             self.escape = _escape_region(R)
         else:
             self._num, self._den = R.p0.dehomogenized("z"), R.p1.dehomogenized("z")
+            self._ord_b = Fraction(0)
             self.escape = None
 
     def _tail_bound(self, n: int) -> float:
@@ -397,38 +414,35 @@ class GreenEvaluator:
 
     def approximant_exponent(self, xi: TypeIIPoint, n: int) -> Fraction:
         """q with n-th approximant = q * log(r) (exact): the orbit partial
-        sum of n terms."""
-        return self._orbit_exponent(xi.zpair(), n, None)[0]
-
-    def _one_step_exponent(self, zpair) -> Fraction:
-        e = _section_exponent((self.R.p0, self.R.p1), zpair)
-        if e == _INF:
-            raise DegenerateFamilyError("all sections vanish at the point")
-        return Fraction(e)
+        sum of n terms.  Raises PrecisionError when the orbit leaves the
+        float range first."""
+        q, k, _ = self._orbit_exponent(xi.zpair(), n, None)
+        if k < n:
+            raise PrecisionError(f"orbit center leaves the float range after {k} steps")
+        return q
 
     def _orbit_exponent(self, zpair, n: int, escape):
-        """(q, exact): the partial sum of n orbit terms, or with ``escape =
-        (E, c)`` the whole sum once the orbit enters the region, at most n
-        steps in."""
+        """(q, k, exact): the partial sum of the first k orbit terms, k = n
+        unless the walk stops early, or with ``escape = (E, c)`` the whole
+        sum once the orbit enters the region at step k <= n."""
         d = self.R.degree
-        total = Fraction(0)
-        cur = zpair
-        k = 0
+        total, cur, k = Fraction(0), zpair, 0
         while escape is None or not _escaped(cur, escape[0]):
-            if k == n:
-                return total, False
-            total += self._one_step_exponent(cur) / d ** (k + 1)
-            center, s = map_disk(self._num, cur, self._den)
-            cur = _reduce_center(center, s)
+            if k == n or not _in_float_range(cur[0], d):
+                return total, k, False
+            image, m = _orbit_step(self._num, cur, self._den)
+            g1 = m + self._ord_b - d * min(Fraction(0), cur[0].order(), cur[1])
+            total += g1 / d ** (k + 1)
+            cur = _reduce_center(*image)
             k += 1
-        return total + escape[1] / (d ** k * (d - 1)), True
+        return total + escape[1] / (d ** k * (d - 1)), k, True
 
     def exponent(self, xi: TypeIIPoint):
         """(exact exponent, float error bound): the bound is 0.0 where the
-        orbit closes in the escape region, the tail bound at ``n_star``
-        otherwise."""
-        q, exact = self._orbit_exponent(xi.zpair(), self.n_star, self.escape)
-        return q, 0.0 if exact else self._tail_bound(self.n_star)
+        orbit closes in the escape region, the tail bound after the steps
+        taken (``n_star`` unless the walk stops early) otherwise."""
+        q, k, exact = self._orbit_exponent(xi.zpair(), self.n_star, self.escape)
+        return q, 0.0 if exact else self._tail_bound(k)
 
     def value(self, xi: TypeIIPoint):
         """(potential value in natural logs, certified error bound)."""
@@ -459,7 +473,7 @@ def iterate_exponents(R, points, n: int) -> list:
 class BerkTree:
     """Finite subtree of the Berkovich line spanned by type-II points.
 
-    ``vertices`` are canonicalized points (the Gauss point always included),
+    ``vertices`` are type-II points (the Gauss point always included),
     ``edges`` are (i, j, length) with exact Fraction lengths equal to the
     radius-exponent gap along the path.
     """
@@ -605,33 +619,24 @@ class TreeMeasure:
 def tree_ma(g, tree: BerkTree, r: float, on_negative: str = "raise") -> TreeMeasure:
     """Monge-Ampere measure of a potential on a finite probe tree.
 
-    ``g`` maps a TypeIIPoint to either a float (natural-log value) or an
-    exact Fraction exponent q (value q * log r).  The mass at a vertex is the
-    sum of outgoing slopes of g, in units of |log r| per unit edge length,
-    plus a unit Dirac at the Gauss point.  Mass sitting beyond a leaf of the
-    finite tree is absorbed by the leaf (retraction).  Negative vertex masses
-    beyond tolerance signal a normalization-convention failure: raised by
-    default, recorded when ``on_negative='report'``.
+    ``g`` maps a TypeIIPoint to an exact Fraction exponent q (value
+    q * log r).  The mass at a vertex is the sum of outgoing slopes of g, in
+    units of |log r| per unit edge length, plus a unit Dirac at the Gauss
+    point.  Mass sitting beyond a leaf of the finite tree is absorbed by the
+    leaf (retraction).  Negative vertex masses beyond tolerance signal a
+    normalization-convention failure: raised by default, recorded when
+    ``on_negative='report'``.
     """
     values = [g(v) for v in tree.vertices]
-    exact = all(isinstance(v, Fraction) for v in values)
     tol = 1e-6
     masses = []
     report = []
     clipped_total = 0.0
     for i in range(len(tree.vertices)):
-        if exact:
-            acc = Fraction(0)
-            for j, length in tree.adjacency[i]:
-                acc += -(values[j] - values[i]) / length  # value = q*log r, log r < 0
-            mass = acc + (1 if i == tree.gauss_index else 0)
-            mass = float(mass)
-        else:
-            acc = 0.0
-            logr = abs(math.log(r))
-            for j, length in tree.adjacency[i]:
-                acc += (values[j] - values[i]) / (float(length) * logr)
-            mass = acc + (1.0 if i == tree.gauss_index else 0.0)
+        acc = Fraction(0)
+        for j, length in tree.adjacency[i]:
+            acc += -(values[j] - values[i]) / length  # value = q*log r, log r < 0
+        mass = float(acc + (1 if i == tree.gauss_index else 0))
         if mass < -tol:
             msg = (f"negative mass {mass:.3e} at vertex {tree.vertices[i]!r}: "
                    "Monge-Ampere normalization convention failure")
@@ -692,19 +697,20 @@ def _pole_free_base(num, den, a, s):
     raise PrecisionError("no base point of the disk avoids the poles")
 
 
-def map_disk(num, zpair, den=None):
-    """Forward image of a z-chart disk point under the affine map P/Q.
+def _orbit_step(num, zpair, den=None):
+    """(image, m): one step of the z-chart disk D(a, r**s) under the affine
+    map P/Q, read off one Taylor shift of P and of Q.
 
     ``num`` and ``den`` are the ascending LaurentSeries coefficients of P and
     Q, lists of one length; ``den`` None stands for Q = 1 (a polynomial
     map).  With p_j, q_j the Taylor coefficients at a base point b where Q
     has no zero in the open disk D-(b, r**s) (``_pole_free_base``; b = a for
-    polynomials), the image of D(a, r**s) is D(P(b)/Q(b), r**s') with
+    polynomials), the image is D(P(b)/Q(b), r**s') with
 
-        s' = min over j >= 1 of ord(p_j q_0 - p_0 q_j) + j*s - 2 ord q_0.
+        s' = min over j >= 1 of ord(p_j q_0 - p_0 q_j) + j*s - 2 ord q_0,
 
-    Raises PrecisionError when a coefficient zero only to truncation could
-    lower s'.
+    and m = min(Newton min of P, ord q_0) is the exponent of max(|P|, |Q|)
+    on the disk.  PrecisionError when a truncated zero could lower s' or m.
     """
     a, s = zpair
     if den is None:
@@ -719,11 +725,17 @@ def map_disk(num, zpair, den=None):
     if best == _INF:
         raise DegenerateFamilyError("constant map has no disk image")
     s_image = _as_frac(best - 2 * ord_q0)
+    m = min(_newton_min(shifted, s), ord_q0)
     if den is None or p0.is_zero():
-        return shifted[0], s_image
+        return (shifted[0], s_image), m
     # the image center matters below exponent s_image only
     window = max(1, math.ceil(s_image - p0.order() + ord_q0))
-    return p0 * q0.inverse(window=window), s_image
+    return (p0 * q0.inverse(window=window), s_image), m
+
+
+def map_disk(num, zpair, den=None):
+    """Forward image (center, s') of a z-chart disk under P/Q (``_orbit_step``)."""
+    return _orbit_step(num, zpair, den)[0]
 
 
 def critical_centers(R, target=Fraction(6)):
@@ -777,10 +789,4 @@ def build_probe_tree(R, s_min=-3, s_max=3, q: int = 2, orbit_len: int = 2,
         for c in distinct:
             for s in grid:
                 pairs.append((c, s))
-    points = []
-    for a, s in pairs:
-        try:
-            points.append(type2_from_zpair(a, s))
-        except (PrecisionError, ChartError):
-            continue
-    return subtree_span(points)
+    return subtree_span([type2_from_zpair(a, s) for a, s in pairs])

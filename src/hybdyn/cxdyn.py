@@ -651,10 +651,6 @@ class IntegralResult:
     n_excluded: int
     warn: bool
 
-    def __iter__(self):
-        yield self.mean
-        yield self.stderr
-
 
 def integrate_mu(R: RationalMapC, f, s: SampleSet) -> IntegralResult:
     """Monte-Carlo integral of f over the sample; -inf/nan values are

@@ -349,11 +349,11 @@ def _cell_integrals(cfg: ExperimentConfig, family, integrand, quadrature: bool =
 
 
 def _na_measure(cfg: ExperimentConfig):
-    """Shared non-Archimedean half: family, probe tree, potential, measure.
+    """Shared non-Archimedean half: family, Green evaluator, potential, and
+    the measure on the probe tree (``mu.tree``).
 
     The potential is evaluated once per tree vertex; ``green`` holds the
-    (exponent, error bound) pairs in vertex order, with bound 0.0 where the
-    value is exact.
+    (exponent, error bound) pairs in vertex order, bound 0.0 where exact.
     """
     family = parse_family(cfg.family)
     evaluator = berkovich.GreenEvaluator(family, cfg.r, n_max=cfg.green_n_max,
@@ -364,7 +364,7 @@ def _na_measure(cfg: ExperimentConfig):
     green = [evaluator.exponent(v) for v in tree.vertices]
     exponents = {id(v): q for v, (q, _) in zip(tree.vertices, green)}
     mu = berkovich.tree_ma(lambda v: exponents[id(v)], tree, cfg.r)
-    return family, evaluator, tree, green, mu
+    return family, evaluator, green, mu
 
 
 # -- the four experiments ----------------------------------------------------------------
@@ -396,7 +396,7 @@ def cmd_circle_demo(cfg: ExperimentConfig) -> ResultRecord:
 def cmd_hybrid_converge(cfg: ExperimentConfig) -> ResultRecord:
     """Integrals of a model function against the sampled equilibrium measures,
     compared with the atomic non-Archimedean target."""
-    family, _, _, _, mu = _na_measure(cfg)
+    family, _, _, mu = _na_measure(cfg)
     datum = parse_sections(cfg.datum_sections, k=cfg.datum_k, d=cfg.datum_d)
     if not admissible.datum_regular(datum, cfg.moduli, seed=cfg.seed):
         raise ConfigError("datum sections share a zero on the sampled fibers")
@@ -443,7 +443,7 @@ def cmd_hybrid_converge(cfg: ExperimentConfig) -> ResultRecord:
 
 def cmd_lyap_slope(cfg: ExperimentConfig) -> ResultRecord:
     """Lyapunov growth fit against log|t|^-1 plus the non-Archimedean value."""
-    family, _, _, _, mu = _na_measure(cfg)
+    family, _, _, mu = _na_measure(cfg)
     lyap_na = berkovich.na_lyapunov(family, mu)
     na_ratio = abs(lyap_na) / abs(math.log(cfg.r))
     polynomial = family.is_polynomial()
@@ -505,16 +505,14 @@ def cmd_lyap_slope(cfg: ExperimentConfig) -> ResultRecord:
 
 def cmd_na_measure(cfg: ExperimentConfig) -> ResultRecord:
     """Probe tree, Green potential with error bounds, and the atomic measure."""
-    family, evaluator, tree, green, mu = _na_measure(cfg)
-    rows = []
-    for i, (v, (q, bound)) in enumerate(zip(tree.vertices, green)):
-        rec = v.record()
-        rows.append([i, rec["chart"], rec["center"], rec["s"],
-                     float(q) * math.log(cfg.r), bound, mu.masses[i]])
+    family, evaluator, green, mu = _na_measure(cfg)
+    measure = mu.records()
+    rows = [[i, rec["chart"], rec["center"], rec["s"], float(q) * math.log(cfg.r), bound,
+             rec["mass"]] for i, (rec, (q, bound)) in enumerate(zip(measure, green))]
     lyap = berkovich.na_lyapunov(family, mu)
     tail = max(bound for _, bound in green)
     summary = {
-        "measure": mu.records(),
+        "measure": measure,
         "total_mass": mu.total_mass(),
         "mass_at_gauss": mu.mass_at_gauss(),
         "leaf_mass_fraction": mu.leaf_mass_fraction(),

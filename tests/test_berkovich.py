@@ -37,23 +37,27 @@ def twisted(family, power=1):
 
 class TestPoints:
     def test_gauss(self):
-        assert XG.chart == "z" and XG.s == 0 and XG.center.is_zero()
+        chart, center, s = XG.chart_form()
+        assert chart == "z" and s == 0 and center.is_zero()
         assert XG.is_gauss()
 
     def test_big_disk_flips_chart(self):
-        p = type2_from_zpair(0, -1)
-        assert p.chart == "1/z" and p.s == 1
+        assert type2_from_zpair(0, -1).chart_form() == ("1/z", L.zero(), 1)
 
     def test_far_center_flips_chart(self):
-        p = type2_from_zpair(L.t_power(-1), 0)
-        assert p.chart == "1/z"
-        assert p.center == L.t_power(1)
-        assert p.s == 2
+        assert type2_from_zpair(L.t_power(-1), 0).chart_form() == ("1/z", L.t_power(1), 2)
 
     def test_center_reduction(self):
         # terms at exponent >= s do not move the disk
         p = type2_from_zpair(L({1: 1, 5: 3}), 2)
-        assert p.center == L.t_power(1)
+        assert p.zpair()[0] == L.t_power(1)
+        assert p.chart_form()[1] == L.t_power(1)
+
+    def test_one_stored_form(self):
+        # only the z-chart disk is kept; the chart form is derived on request
+        p = type2_from_zpair(L.t_power(-1), 0)
+        assert TypeIIPoint.__slots__ == ("_zpair",)
+        assert p.zpair() == (L.t_power(-1), 0)
 
     def test_contained_center_recentred(self):
         assert type2_from_zpair(L.t_power(2), 1) == type2_from_zpair(0, 1)
@@ -119,9 +123,15 @@ class TestSeminorms:
         assert homog_seminorm(w0sq, type2_from_zpair(0, -1)) == 0
 
 
+def one_step_exponent(ev, xi):
+    """g1, the one-step section exponent at a type-II point, as the orbit
+    walk reads it from one Taylor shift: d times the first partial sum."""
+    return ev.approximant_exponent(xi, 1) * ev.R.degree
+
+
 def one_step_potential(fam, xi):
-    """g1 = (one-step section exponent) * log r at a type-II point."""
-    return float(GreenEvaluator(fam, R)._one_step_exponent(xi.zpair())) * LOG_R
+    """g1 * log r at a type-II point."""
+    return float(one_step_exponent(GreenEvaluator(fam, R), xi)) * LOG_R
 
 
 class TestGreen:
@@ -164,7 +174,9 @@ class TestGreen:
         ev = GreenEvaluator(fam, R, n_max=8)
         tree = build_probe_tree(fam)
         assert ev.n_star == 8 and len(tree) == 13
-        got = [(v.chart, v.s, ev.exponent(v)[0]) for v in tree.vertices]
+        forms = [v.chart_form() for v in tree.vertices]
+        got = [(chart, s, ev.exponent(v)[0])
+               for (chart, _, s), v in zip(forms, tree.vertices)]
         outer = [("1/z", F(j, 2), F(0)) for j in range(6, 0, -1)]
         inner = [("z", F(0), F(0)), ("z", F(1, 2), F(255, 512))]
         inner += [("z", F(j, 2), F(1, 2)) for j in range(2, 7)]
@@ -207,6 +219,29 @@ class TestGreen:
         assert bound > 1e-9  # honest: tolerance not reached at the budget
         assert value == pytest.approx(0.5 * LOG_R)  # exponent 1/2 times log r
 
+    def test_orbit_leaving_float_range_stops_honestly(self):
+        # (z^3 + 1/t)/(z + 1) squares the lead of a far center each step: the
+        # cube a step forms of 0.65**(2**10) underflows, and of 1.7**(2**9)
+        # overflows, so the walk stops there with the tail bound of the
+        # steps it took, above tol; a unit lead walks all n_star steps
+        fam = parse_family("(z^3 + 1/t)/(z + 1)")
+        ev = GreenEvaluator(fam, R, n_max=20, tol=1e-6)
+        assert ev.n_star == 14
+        for lead, steps in ((0.65, 10), (1.7, 9)):
+            xi = type2_from_zpair(L({-2: lead}), 0)
+            assert ev.exponent(xi) == (0, ev._tail_bound(steps))
+            assert ev._tail_bound(steps) > ev.tol
+            assert ev.approximant_exponent(xi, steps) == 0
+            with pytest.raises(PrecisionError, match="float range"):
+                ev.approximant_exponent(xi, steps + 1)
+        unit = type2_from_zpair(L({-2: 1.0}), 0)
+        assert ev.exponent(unit) == (0, ev._tail_bound(14))
+        assert ev._tail_bound(14) < ev.tol
+        # the plain partial sum on z^2 + 1/t used to read 1/2048 here, not 0
+        ev = GreenEvaluator(parse_family("z^2 + 1/t"), R, n_max=16)
+        with pytest.raises(PrecisionError, match="float range"):
+            ev.approximant_exponent(type2_from_zpair(L({-1: 0.65}), 0), 13)
+
     def test_gauss_point_closes_exactly(self):
         # z^2 + 1/t maps the Gauss point into |z| > r^(-1/2) in one step,
         # where the one-step exponent is 0: the sum is -1/2 with no tail
@@ -228,7 +263,7 @@ class TestSectionExponent:
         for v in build_probe_tree(fam).vertices:
             q = _section_exponent((fam.p0, fam.p1), v)
             assert isinstance(q, F)
-            assert ev._one_step_exponent(v.zpair()) == q
+            assert one_step_exponent(ev, v) == q
             assert g_na_exponent(one_step, v) == q
 
 
@@ -254,9 +289,8 @@ def _random_escape_disks(rng, e, count=40):
     exponent below e (or zero with s below e) and a few higher terms.
 
     Leading coefficients are 1, -1, i or -i: the partial sums raise them to
-    the power d**n, where any other modulus underflows or overflows within
-    n_star steps, and canonicalizing a point inverts its center, which needs
-    lead * (1/lead) == 1 exactly."""
+    the power d**n, where any other modulus leaves the float range within
+    n_star steps."""
     disks = []
     for _ in range(count):
         q = rng.choice([1, 2, 3, 6])
@@ -284,7 +318,7 @@ class TestGreenClosure:
             e, c = ev.escape
             for zp in _random_escape_disks(rng, e):
                 assert _escape_m(zp) < e
-                assert ev._one_step_exponent(zp) == c
+                assert one_step_exponent(ev, type2_from_zpair(*zp)) == c
                 assert _escape_m(map_disk(fam.affine_coeffs(), zp)) < e
 
     def test_closed_sum_against_partial_sums(self):
@@ -343,6 +377,15 @@ class TestRationalOrbit:
             assert [ev.approximant_exponent(xi, n) for xi in pts] == \
                 iterate_exponents(fam, pts, n)
 
+    @pytest.mark.parametrize("text", RATIONAL_TEXTS)
+    def test_one_step_from_the_shared_shift(self, text):
+        # g1 read off the Taylor shift at the pole-free base point equals
+        # the section exponent at every default-tree vertex
+        fam = parse_family(text)
+        ev = GreenEvaluator(fam, R, n_max=2)
+        for v in build_probe_tree(fam).vertices:
+            assert one_step_exponent(ev, v) == _section_exponent((fam.p0, fam.p1), v)
+
     def test_disk_centered_on_a_pole(self):
         # z - t/z: Q = z vanishes at the center of D(0, r^s), so the image
         # comes from a base point a + u*t^s; |t/z| = r^(1-s) wins for s > 1/2
@@ -381,6 +424,42 @@ class TestRationalOrbit:
         ev = GreenEvaluator(fam, R, n_max=40, tol=1e-12)
         assert ev.n_star == 40
         assert ev.exponent(type2_from_zpair(0, F(1, 2)))[0] == F(1, 2) - F(1, 2 ** 41)
+
+
+class TestChartForm:
+    """Only records need a point's chart form; nothing else inverts a
+    center, and the form is derived anew on each request."""
+
+    @staticmethod
+    def _count_inversions(monkeypatch):
+        calls = []
+        real = berkovich._invert_center
+        monkeypatch.setattr(berkovich, "_invert_center",
+                            lambda a, s: calls.append(s) or real(a, s))
+        return calls
+
+    @pytest.mark.parametrize("text, grid", [
+        ("z^2 + 1/t", dict(s_min=-4, s_max=4, q=4, orbit_len=3)),
+        ("2*z^3 + z^2/t + 1/t^2", {}),
+        ("(z^2 - t)/z", {}),
+    ])
+    def test_no_inversion_outside_records(self, monkeypatch, text, grid):
+        calls = self._count_inversions(monkeypatch)
+        fam = parse_family(text)
+        tree = build_probe_tree(fam, **grid)
+        tree = subtree_span(tree.vertices)
+        ev = GreenEvaluator(fam, R, n_max=16)
+        mu = tree_ma(lambda v: ev.exponent(v)[0], tree, R)
+        na_lyapunov(fam, mu)
+        assert calls == []
+        far = [v for v in tree.vertices if v.zpair()[0].order() < 0]
+        for v in far:
+            assert v.record()["chart"] == "1/z"
+        assert len(calls) == len(far)
+        p = type2_from_zpair(L.t_power(-1), 0)
+        p.chart_form()
+        repr(p)
+        assert len(calls) == len(far) + 2
 
 
 class TestResultant:
@@ -636,7 +715,7 @@ class TestTreeMeasure:
             return min(v.zpair()[1], F(1))
 
         mu = tree_ma(g, tree, R)
-        masses = {str(v.s): m for v, m in zip(tree.vertices, mu.masses)}
+        masses = {str(v.zpair()[1]): m for v, m in zip(tree.vertices, mu.masses)}
         assert masses["1"] == pytest.approx(1.0)
         assert masses["0"] == pytest.approx(0.0)
         assert masses["2"] == pytest.approx(0.0)
@@ -776,4 +855,4 @@ class TestChartRoundTrips:
         p = type2_from_zpair(a, F(5, 2))
         q = type2_from_zpair(*p.zpair())
         assert p == q
-        assert p.chart == "1/z"
+        assert p.chart_form()[0] == "1/z"

@@ -1,5 +1,6 @@
 """Config validation, fits, persistence, and the experiment surfaces."""
 
+import hashlib
 import importlib.util
 import json
 import math
@@ -125,6 +126,49 @@ BENCH_IDS = {
     "na-rational": "na-rational-6120326719feda68",
 }
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# the na-deep-tree and na-rational benchmark workloads' configs, verbatim
+DEEP_TREE_INI = """\
+[experiment]
+kind = na-measure
+label = na-deep-tree
+family = z^2 + 1/t
+r = 0.5
+
+[green]
+n_max = 16
+tol = 1e-3
+
+[probes]
+s_min = -4
+s_max = 4
+q = 4
+orbit_len = 3
+include_critical = true
+"""
+
+RATIONAL_INI = """\
+[experiment]
+kind = na-measure
+label = na-rational
+family = (z^2 - t)/z
+r = 0.5
+
+[green]
+n_max = 8
+tol = 1e-3
+"""
+
+# sha256 of the na-measure CSVs (exact exponents and chart renderings, no
+# numpy kernels, so the same on every platform)
+GOLDEN_CSV = {
+    "na-measure-quad-pole.ini":
+        "9df90cd4775085eb11d9f773a82248226a90813c21789f70e679d58079ae8d9f",
+    "na-measure-rational.ini":
+        "9bdc00bc9001e3d811cf66a9d5642908a4af3a09bf665ec394e7075e82a30441",
+    "deep-tree": "14f3d82aeac159590539ae7833e3e24e98f2b97d52a43121e96de9fd0c130e7d",
+    "rational": "0d1890366d495b4437ef492d74068b2a581b4d2d3b141ca9f475a29ddcbb80a5",
+}
 
 
 def bench_configs(monkeypatch):
@@ -279,6 +323,18 @@ class TestPersistence:
         assert body1 == body2
         assert rec1.rows == rec2.rows
 
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CSV))
+    def test_golden_na_measure_csv(self, tmp_path, name):
+        if name.endswith(".ini"):
+            with open(os.path.join(ROOT, "configs", name)) as fh:
+                text = fh.read()
+        else:
+            text = DEEP_TREE_INI if name == "deep-tree" else RATIONAL_INI
+        cfg = load_config(text)
+        csv_path, _ = write_record(run(cfg), str(tmp_path))
+        with open(csv_path, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == GOLDEN_CSV[name]
+
     def test_hash_mismatch_refused(self, tmp_path):
         cfg = load_config(SLOPE_INI)
         run(cfg, out_dir=str(tmp_path))
@@ -374,6 +430,19 @@ class TestExperiments:
         rec = run(cfg)
         assert len(calls) == len(rec.rows)
         assert len({id(v) for v in calls}) == len(rec.rows)
+
+    def test_na_measure_one_chart_form_per_vertex(self, monkeypatch):
+        # rows and the JSON measure share one record per vertex
+        calls = []
+        invert = berkovich._invert_center
+        monkeypatch.setattr(berkovich, "_invert_center",
+                            lambda a, s: calls.append(s) or invert(a, s))
+        rec = run(load_config(DEEP_TREE_INI))
+        assert len(rec.rows) == 149
+        assert len(calls) == sum(row[1] == "1/z" and row[2] != "0" for row in rec.rows)
+        assert 0 < len(calls) <= len(rec.rows)
+        assert [row[1:4] for row in rec.rows] == [
+            [m["chart"], m["center"], m["s"]] for m in rec.summary["measure"]]
 
     def test_na_measure_exact_green(self, tmp_path):
         # z^2 + 1/t: every vertex's orbit reaches the escape region, so each
