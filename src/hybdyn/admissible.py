@@ -16,7 +16,7 @@ from math import gcd
 import numpy as np
 
 from .errors import LaurentError, ParseError, PrecisionError
-from .poly import iterate_pair, ramification
+from .poly import iterate_pair
 
 _INF = math.inf
 
@@ -93,7 +93,7 @@ def _as_output(out):
     return float(out) if out.ndim == 0 else out
 
 
-def phi_canonical(F: AdmissibleDatum, z, t: complex, root: complex | None = None):
+def phi_canonical(F: AdmissibleDatum, z, t: complex):
     """log max section norm in the sup-of-coordinates metric at homogeneous z.
 
     The one complex model-function evaluator: ``phi_complex`` and
@@ -101,22 +101,20 @@ def phi_canonical(F: AdmissibleDatum, z, t: complex, root: complex | None = None
     the non-Archimedean model value; the hybrid gluing uses it so that the two
     sides match without a bounded Fubini-Study correction.  Scale-invariant in
     z; returns -inf when every section vanishes at (z, t).  Accepts numpy
-    arrays in the coordinates (shape (...,) each).  For ramified coefficients
-    ``root`` is a branch of ``t^(1/L)``, L the ``ramification`` of the
-    sections.
+    arrays in the coordinates (shape (...,) each).  Fractional powers of t
+    take the principal branch of ``LaurentSeries.eval``.
     """
     w = _sup_normalized(z)
-    ram = ramification(F.sections)
     best = None
     for s in F.sections:
-        v = np.abs(s.eval_numeric(w, t, root, ram))
+        v = np.abs(s.eval_numeric(w, t))
         best = v if best is None else np.maximum(best, v)
     with np.errstate(divide="ignore"):
         out = np.log(best)  # max coordinate norm is 1 after scaling
     return _as_output(out)
 
 
-def phi_complex(F: AdmissibleDatum, z, t: complex, root: complex | None = None):
+def phi_complex(F: AdmissibleDatum, z, t: complex):
     """log max section norm in the Fubini-Study metric at homogeneous z.
 
     Acceptance criterion 3 states the tensor and max algebra of model
@@ -125,7 +123,7 @@ def phi_complex(F: AdmissibleDatum, z, t: complex, root: complex | None = None):
     point, with the same arguments and the same -inf convention.
     """
     w = _sup_normalized(z)
-    return _as_output(phi_canonical(F, w, t, root) - F.degree * _fubini_study(w))
+    return _as_output(phi_canonical(F, w, t) - F.degree * _fubini_study(w))
 
 
 def g_na_exponent(F: AdmissibleDatum, xi):

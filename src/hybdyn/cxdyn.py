@@ -22,7 +22,6 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import (DegenerateMapError, UnsupportedDegreeError,
                      UnsupportedMapError)
-from .poly import ramification
 
 _MAX_ROOT_DEGREE = 8
 
@@ -125,32 +124,30 @@ def specialize(R, t: complex, r: float | None = None) -> RationalMapC:
         raise DegenerateMapError("specialization requires t != 0")
     if r is not None and abs(t) > r:
         raise DegenerateMapError(f"|t| = {abs(t)} exceeds the radius {r}")
-    ram = ramification((R.p0, R.p1))
-    root = t ** (1.0 / ram) if ram > 1 else None
-    p0c = np.array([c.eval(t, root, ram) for c in R.p0.dehomogenized("z")], dtype=complex)
-    p1c = np.array([c.eval(t, root, ram) for c in R.p1.dehomogenized("z")], dtype=complex)
+    p0c = np.array([c.eval(t) for c in R.p0.dehomogenized("z")], dtype=complex)
+    p1c = np.array([c.eval(t) for c in R.p1.dehomogenized("z")], dtype=complex)
     label = f"{getattr(R, 'label', '')}@t={t}"
     res = R.resultant
     if res.trunc is None:
-        x = t ** (1.0 / res.ram) if res.ram > 1 else t
-        value, bound = _shifted_eval(res, x)
+        value, bound = _shifted_eval(res, t)
         if abs(value) <= bound:
             raise DegenerateMapError(f"degenerate specialization at t = {t}: resultant "
                                      f"{value} is zero to rounding ({bound:.3g})")
-        return RationalMapC(p0c, p1c, label=label, resultant=res.eval(t, root=x))
+        return RationalMapC(p0c, p1c, label=label, resultant=res.eval(t))
     try:
         return RationalMapC(p0c, p1c, label=label)
     except DegenerateMapError as exc:
         raise DegenerateMapError(f"degenerate specialization at t = {t}: {exc}")
 
 
-def _shifted_eval(series, x: complex):
-    """``series(t) / x^k0`` at ``x = t^(1/ram)``, k0 the lowest scaled
-    exponent, by Horner on the dense polynomial of degree J in x, with that
-    evaluation's rounding bound ``γ(4J+2) · Σ|c_j| |x|^j``.  The shift does
-    not move the zeros and keeps negative orders from overflowing."""
+def _shifted_eval(series, t: complex):
+    """``series(t) / x^k0`` at ``x = series.uniformizer(t)``, k0 the lowest
+    scaled exponent, by Horner on the dense polynomial of degree J in x,
+    with that evaluation's rounding bound ``γ(4J+2) · Σ|c_j| |x|^j``.  The
+    shift does not move the zeros and keeps negative orders from overflowing."""
     if not series.terms:
         return 0j, 0.0
+    x = series.uniformizer(t)
     lo, hi = min(series.terms), max(series.terms)
     value, mag = 0j, 0.0
     for k in range(hi, lo - 1, -1):
@@ -736,10 +733,7 @@ def przytycki_oracle(R, t: complex) -> float:
     log d plus the escape-rate potential summed over finite critical points."""
     if not R.is_polynomial():
         raise UnsupportedMapError("oracle requires a polynomial family (P1 = c*w1^d)")
-    ram = ramification((R.p0, R.p1))
-    root = complex(t) ** (1.0 / ram) if ram > 1 else None
-    coeffs = np.array([c.eval(complex(t), root, ram) for c in R.affine_coeffs()],
-                      dtype=complex)
+    coeffs = np.array([c.eval(t) for c in R.affine_coeffs()], dtype=complex)
     d = len(coeffs) - 1
     if abs(coeffs[d]) == 0:
         raise DegenerateMapError(f"degenerate specialization at t = {t}")

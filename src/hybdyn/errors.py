@@ -6,7 +6,7 @@ class HybdynError(Exception):
 
 
 class LaurentError(HybdynError, ValueError):
-    """Invalid series operation (evaluation at a pole, bad ramification, ...)."""
+    """Invalid series operation (evaluation at a pole, a radius outside (0, 1), ...)."""
 
 
 class PrecisionError(LaurentError):

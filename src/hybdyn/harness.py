@@ -159,6 +159,8 @@ def load_config(source: str, kind: str | None = None) -> ExperimentConfig:
 
 
 def _validate(cfg: ExperimentConfig) -> None:
+    if cfg.label in ("", ".", "..") or "/" in cfg.label or "\\" in cfg.label:
+        raise ConfigError(f"experiment.label must be a plain file name, got {cfg.label!r}")
     if not 0.0 < cfg.r < 1.0:
         raise ConfigError(f"experiment.r must lie in (0, 1), got {cfg.r}")
     if cfg.kind in ("hybrid-converge", "lyap-slope", "na-measure") and not cfg.family:

@@ -103,9 +103,8 @@ def tau_eval(f: LaurentSeries, p: HybridPoint) -> float:
         return p.r ** float(f.order())
     t = complex(p.t)
     exponent = math.log(p.r) / math.log(abs(t))
-    root = t ** (1.0 / f.ram) if f.ram > 1 else None
     try:
-        value = abs(f.eval(t, root=root))
+        value = abs(f.eval(t))
     except OverflowError:
         return math.inf
     if value == 0.0:

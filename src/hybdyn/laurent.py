@@ -327,17 +327,18 @@ class LaurentSeries:
 
     # -- evaluation and norms -----------------------------------------------------
 
-    def eval(self, t: complex, root: complex | None = None,
-             ram: int | None = None) -> complex:
+    def uniformizer(self, t: complex) -> complex:
+        """The principal root ``x = t ** (1/ram)``; the series is ``sum c_k x**k``."""
+        return t if self.ram == 1 else t ** (1.0 / self.ram)
+
+    def eval(self, t: complex) -> complex:
         """Evaluate at a complex number ``t``.
 
-        For ramification > 1 a branch ``root`` with ``root**ram == t`` must be
-        supplied, ``ram`` a multiple of the series' ramification (by default
-        the ramification itself).  The series is evaluated at
-        ``root**(ram // self.ram)``, so series of different ramifications
-        evaluated with one ``(root, ram)`` share one branch.  Evaluation at
-        ``t == 0`` is allowed only when every stored exponent is positive
-        (value 0) or the series is a constant.
+        Fractional powers of ``t`` take the principal branch, ``x =
+        uniformizer(t)``.  Principal roots compose (``(t^(1/6))^3`` is the
+        principal ``t^(1/2)``), so series of any ramifications evaluated at one
+        ``t`` share one branch.  At ``t == 0`` only a series whose stored
+        exponents are all positive (value 0) or a constant can be evaluated.
         """
         t = complex(t)
         if t == 0:
@@ -346,17 +347,8 @@ class LaurentSeries:
             if self.order() < 0:
                 raise LaurentError("evaluation at t = 0 with negative order")
             return self.terms.get(0, 0.0)
-        if self.ram == 1:
-            return sum(c * t ** k for k, c in self.terms.items())
-        if root is None:
-            raise LaurentError(
-                f"ramification {self.ram} > 1: supply a branch with root**{self.ram} == t")
-        if ram is not None and ram != self.ram:
-            if ram % self.ram:
-                raise LaurentError(
-                    f"branch of t^(1/{ram}) cannot evaluate ramification {self.ram}")
-            root = root ** (ram // self.ram)
-        return sum(c * root ** k for k, c in self.terms.items())
+        x = self.uniformizer(t)
+        return sum(c * x ** k for k, c in self.terms.items())
 
     def norm(self, r: float) -> float:
         """t-adic norm ``r**order`` (0 for a zero series); requires 0 < r < 1."""
@@ -498,7 +490,7 @@ def _cluster_roots(ys, rel: float = 1e-7):
     return clusters
 
 
-def newton_puiseux(coeffs: list, target: Fraction, max_roots: int | None = None) -> list:
+def newton_puiseux(coeffs: list, target: Fraction) -> list:
     """Puiseux expansions of the roots of a one-variable polynomial.
 
     ``coeffs`` are LaurentSeries, ascending in the variable.  Returns a list
@@ -588,6 +580,4 @@ def newton_puiseux(coeffs: list, target: Fraction, max_roots: int | None = None)
     # each level deepens the expansion; generous cap tied to the target order
     depth = max(4, int(2 * target) + 8)
     expand(list(coeffs), LaurentSeries.zero(), depth, Fraction(-10 ** 9))
-    if max_roots is not None:
-        roots = roots[:max_roots]
     return roots

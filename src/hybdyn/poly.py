@@ -17,16 +17,6 @@ from .laurent import LaurentSeries
 _INF = math.inf
 
 
-def ramification(polys) -> int:
-    """Least common multiple of the coefficient ramifications: a branch of
-    ``t^(1/L)`` for this L evaluates every coefficient consistently."""
-    ram = 1
-    for poly in polys:
-        for c in poly.coeffs.values():
-            ram = ram * c.ram // math.gcd(ram, c.ram)
-    return ram
-
-
 class HomogeneousPoly:
     """Homogeneous polynomial of fixed degree in ``nvars`` variables."""
 
@@ -152,21 +142,17 @@ class HomogeneousPoly:
 
     # -- evaluation ----------------------------------------------------------------
 
-    def eval_numeric(self, w, t: complex, root: complex | None = None,
-                     ram: int | None = None):
+    def eval_numeric(self, w, t: complex):
         """Evaluate at complex homogeneous coordinates.
 
         ``w`` is a sequence of ``nvars`` scalars or equally-shaped numpy
-        arrays; coefficients are specialized at the complex parameter ``t``,
-        all on the branch ``root`` with ``root**ram == t`` (``ram`` defaults to
-        ``ramification([self])``).
+        arrays; coefficients are specialized at the complex parameter ``t``
+        by ``LaurentSeries.eval`` (principal branch for fractional powers).
         """
         w = [np.asarray(x, dtype=complex) for x in w]
-        if ram is None:
-            ram = ramification([self])
         total = None
         for e, c in self.coeffs.items():
-            cv = c.eval(t, root=root, ram=ram)
+            cv = c.eval(t)
             term = np.full_like(w[0], cv)
             for x, k in zip(w, e):
                 if k:

@@ -1,5 +1,6 @@
 """Complex-side sampling and Lyapunov estimation against classical oracles."""
 
+import cmath
 import itertools
 import math
 
@@ -12,7 +13,9 @@ from hybdyn.cxdyn import (RationalMapC, backward_sample, escape_green,
                           przytycki_oracle, sample_integrals, specialize)
 from hybdyn.errors import (DegenerateMapError, UnsupportedDegreeError,
                            UnsupportedMapError)
-from hybdyn.parser import parse_family, parse_sections
+from hybdyn.hybrid import HybridPoint, tau_eval
+from hybdyn.laurent import LaurentSeries
+from hybdyn.parser import parse_family, parse_sections, parse_series
 
 LOG2 = math.log(2)
 
@@ -87,9 +90,18 @@ class TestSpecialize:
 
 
 
+def _principal(t, e):
+    """t^(1/e) typed in from the modulus and the argument in (-pi, pi]."""
+    return cmath.rect(abs(t) ** (1 / e), cmath.phase(t) / e)
+
+
+def _literal(c):
+    return f"({c.real!r}{c.imag:+.17g}i)"
+
+
 class TestMixedRamification:
-    """Coefficients of ramification 2 and 3 evaluated on one branch of
-    t^(1/6): each takes the root to the power 6 // its own ramification."""
+    """Coefficients of ramification 2 and 3 are evaluated on the principal
+    branch, so together they sit on the principal branch of t^(1/6)."""
 
     def test_specialize(self):
         rc = specialize(parse_family("z^2 + t^(1/2)*z + t^(1/3)"), 0.01)
@@ -104,19 +116,35 @@ class TestMixedRamification:
             przytycki_oracle(ref, 0.01), rel=1e-12)
         assert przytycki_oracle(fam, 0.01) > LOG2 + 0.5
 
-    def test_eval_numeric_and_model_function(self):
-        datum = parse_sections(["t^(1/2)*w0", "t^(1/3)*w1"], k=1, d=1)
-        root = 0.01 ** (1 / 6)
-        values = [s.eval_numeric((1.0, 1.0), 0.01, root, 6) for s in datum.sections]
-        assert values == pytest.approx([0.1, 0.01 ** (1 / 3)], rel=1e-14)
-        assert admissible.phi_canonical(datum, (1.0, 1.0), 0.01, root) == pytest.approx(
-            math.log(0.01) / 3, rel=1e-14)
+    @pytest.mark.parametrize("t", [0.01, -0.01, -0.5, 0.6j, 0.5 * cmath.exp(2.5j),
+                                   0.3 * cmath.exp(-2j), 0.8 * cmath.exp(3j)],
+                             ids=lambda t: format(complex(t), ".3g"))
+    def test_principal_branch_in_every_evaluator(self, t):
+        """Every evaluator agrees with the same objects whose coefficients
+        are typed in as the principal t^(1/2) and t^(1/3)."""
+        a, b = _principal(t, 2), _principal(t, 3)
+        fam = parse_family("z^2 + t^(1/2)*z + t^(1/3)")
+        ref = parse_family(f"z^2 + {_literal(a)}*z + {_literal(b)}")
+        rc, rc_ref = specialize(fam, t), specialize(ref, t)
+        assert list(rc.p0c) == pytest.approx(list(rc_ref.p0c), rel=1e-14)
+        assert list(rc.p1c) == pytest.approx(list(rc_ref.p1c), rel=1e-14)
+        assert przytycki_oracle(fam, t) == pytest.approx(przytycki_oracle(ref, t), rel=1e-14)
 
-    def test_branch_must_cover_ramification(self):
-        from hybdyn.errors import LaurentError
-        from hybdyn.laurent import LaurentSeries
-        with pytest.raises(LaurentError):
-            LaurentSeries.t_power(0.5).eval(0.01, root=0.01 ** (1 / 3), ram=3)
+        datum = parse_sections(["t^(1/2)*w0^2 + w1^2", "t^(1/3)*w0*w1"], k=1, d=2)
+        datum_ref = parse_sections([f"{_literal(a)}*w0^2 + w1^2", f"{_literal(b)}*w0*w1"],
+                                   k=1, d=2)
+        rng = np.random.default_rng(44)
+        z = [rng.normal(size=50) + 1j * rng.normal(size=50) for _ in range(2)]
+        for s, s_ref in zip(datum.sections, datum_ref.sections):
+            np.testing.assert_allclose(s.eval_numeric(z, t), s_ref.eval_numeric(z, t),
+                                       rtol=1e-14)
+        np.testing.assert_allclose(admissible.phi_canonical(datum, z, t),
+                                   admissible.phi_canonical(datum_ref, z, t), rtol=1e-14)
+        assert admissible.datum_regular(datum, [t]) is admissible.datum_regular(datum_ref, [t])
+
+        p = HybridPoint.interior(t, 0.9)
+        assert tau_eval(parse_series("t^(1/2) + t^(1/3)"), p) == pytest.approx(
+            tau_eval(LaurentSeries.const(a + b), p), rel=1e-14)
 
 class TestBackwardSampling:
     def test_circle_measure(self):

@@ -87,6 +87,27 @@ n_keep = 500
 sections = w0 + w1; w1
 """
 
+# a datum with a fractional power of t, evaluated on the principal branch
+RAMIFIED_INI = """
+[experiment]
+kind = hybrid-converge
+label = ramified
+family = z^2 + 1/t
+r = 0.5
+
+[tgrid]
+moduli = 1e-2, 1e-3, 1e-4
+phases = 2
+
+[sampler]
+seed = 3
+n_burn = 40
+n_keep = 200
+
+[datum]
+sections = t^(1/2)*w0; w1
+"""
+
 
 # malformed or out-of-range values, each appended to NA_INI, and the
 # config error each must raise
@@ -194,6 +215,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="lie in"):
             load_config("[experiment]\nkind = circle-demo\nr = 1.5\n"
                         "[series]\nf = t\n")
+
+    @pytest.mark.parametrize("label", ["", ".", "..", "sub/x", "../x", "/abs", "a\\b"])
+    def test_label_must_be_a_file_name(self, label):
+        with pytest.raises(ConfigError, match="experiment.label must be a plain file name"):
+            load_config(NA_INI.replace("label = bad", f"label = {label}"))
 
     def test_modulus_outside_disk(self):
         with pytest.raises(ConfigError, match="outside the punctured disk"):
@@ -537,6 +563,26 @@ class TestCli:
             ini.write_text(NA_INI + extra + "\n")
             assert cli_main(["na-measure", "--config", str(ini)]) == 2
             assert match in capsys.readouterr().err
+
+    def test_label_outside_out_exit_code(self, tmp_path, capsys):
+        ini = tmp_path / "c.ini"
+        ini.write_text(CIRCLE_INI.replace("label = unit", "label = ../escape"))
+        out = tmp_path / "res"
+        assert cli_main(["circle-demo", "--config", str(ini), "--out", str(out)]) == 2
+        assert "experiment.label" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["c.ini"]
+
+    def test_ramified_datum_hybrid_converge(self, tmp_path, capsys):
+        ini = tmp_path / "r.ini"
+        ini.write_text(RAMIFIED_INI)
+        assert cli_main(["hybrid-converge", "--config", str(ini),
+                         "--out", str(tmp_path)]) == 0
+        summary = json.loads(capsys.readouterr().out)["summary"]
+        lines = (tmp_path / "ramified.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines if not line.startswith("#")][1:]
+        assert len(rows) == 6
+        assert all(math.isfinite(float(x)) for row in rows for x in row)
+        assert summary["final_abs_error"] < 1e-3
 
     def test_missing_config_file_exit_code(self, tmp_path, capsys):
         missing = str(tmp_path / "typo.ini")

@@ -65,11 +65,13 @@ class TestExamples:
         with pytest.raises(LaurentError):
             L.t_power(-1).eval(0.0)
 
-    def test_eval_ramified_needs_root(self):
-        s = L({F(1, 2): 1.0})
-        with pytest.raises(LaurentError):
-            s.eval(0.25)
-        assert s.eval(0.25, root=0.5) == pytest.approx(0.5)
+    def test_eval_principal_branch(self):
+        half = L({F(1, 2): 1.0})
+        assert half.eval(0.25) == pytest.approx(0.5)
+        assert half.eval(-0.25) == pytest.approx(0.5j)
+        # principal roots compose: (t^(1/6))^3 is the principal t^(1/2)
+        for t in (0.3, -0.3, 0.2 * np.exp(2.9j), 0.2 * np.exp(-2.9j)):
+            assert L({F(1, 6): 1.0}).eval(t) ** 3 == pytest.approx(half.eval(t), rel=1e-14)
 
     def test_norm(self):
         assert L.t_power(1).norm(0.5) == pytest.approx(0.5)
