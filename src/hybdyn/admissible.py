@@ -5,6 +5,8 @@ sections with Laurent coefficients.  On a complex fiber it produces the
 log-max of the section norms in the Fubini-Study reference metric; on the
 non-Archimedean side the analogous quantity in the sup-of-coordinates
 (canonical) metric, whose values are exact rational multiples of log r.
+The complex evaluators import numpy when called; the non-Archimedean side
+never loads it.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import gcd
-
-import numpy as np
 
 from .errors import LaurentError, ParseError, PrecisionError
 from .poly import iterate_pair
@@ -60,6 +60,8 @@ def datum_regular(F: AdmissibleDatum, t_values, n_points: int = 64,
     verticality is out of scope, and a False here only means a common zero
     was actually hit on the sampled fibers.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     z = [rng.normal(size=n_points) + 1j * rng.normal(size=n_points)
          for _ in range(F.k + 1)]
@@ -77,6 +79,8 @@ def datum_regular(F: AdmissibleDatum, t_values, n_points: int = 64,
 
 def _sup_normalized(z):
     """Homogeneous coordinates divided by their largest modulus."""
+    import numpy as np
+
     w = [np.asarray(x, dtype=complex) for x in z]
     scale = np.maximum.reduce([np.abs(x) for x in w])
     if np.any(scale == 0):
@@ -86,6 +90,8 @@ def _sup_normalized(z):
 
 def _fubini_study(w):
     """log of the Fubini-Study norm sqrt(sum |w_j|^2) of a coordinate vector."""
+    import numpy as np
+
     return 0.5 * np.log(np.add.reduce([np.abs(x) ** 2 for x in w]))
 
 
@@ -104,6 +110,8 @@ def phi_canonical(F: AdmissibleDatum, z, t: complex):
     arrays in the coordinates (shape (...,) each).  Fractional powers of t
     take the principal branch of ``LaurentSeries.eval``.
     """
+    import numpy as np
+
     w = _sup_normalized(z)
     best = None
     for s in F.sections:

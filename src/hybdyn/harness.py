@@ -21,13 +21,13 @@ import typing
 from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 
-import numpy as np
-
-from . import admissible, berkovich, cxdyn, hybrid
+from . import admissible, berkovich, hybrid
 from .errors import ConfigError
 from .parser import parse_family, parse_sections, parse_series
 
 _SCHEMA_VERSION = "v5"
+# the kinds that sample complex fibers; only they load cxdyn, and with it numpy
+_SAMPLED_KINDS = ("hybrid-converge", "lyap-slope")
 
 
 def _key(name: str, default=MISSING, factory=MISSING, hashed: bool = True):
@@ -155,6 +155,8 @@ def load_config(source: str, kind: str | None = None) -> ExperimentConfig:
     values.setdefault("label", cfg_kind)
     cfg = ExperimentConfig(**values)
     _validate(cfg)
+    if cfg_kind in _SAMPLED_KINDS:
+        from . import cxdyn  # noqa: F401  the run's complex layer loads with its config
     return cfg
 
 
@@ -167,7 +169,7 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"experiment.family is required for {cfg.kind}")
     if cfg.kind == "circle-demo" and not cfg.series_f:
         raise ConfigError("series.f is required for circle-demo")
-    if cfg.kind in ("hybrid-converge", "lyap-slope"):
+    if cfg.kind in _SAMPLED_KINDS:
         if not cfg.moduli:
             raise ConfigError(f"tgrid.moduli is required for {cfg.kind}")
         for m in cfg.moduli:
@@ -236,12 +238,14 @@ class ResultRecord:
 
 
 def _fmt_cell(x) -> str:
+    if hasattr(x, "item"):
+        x = x.item()  # a numpy scalar formats as its Python counterpart
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x) + 0.0)  # normalizes -0.0
+    if isinstance(x, int):
+        return str(x)
+    if isinstance(x, float):
+        return repr(x + 0.0)  # normalizes -0.0
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
     return str(x)
@@ -283,6 +287,8 @@ def load_record(out_dir: str, config: ExperimentConfig) -> dict:
 
 def fit_slope(xs, ys):
     """Ordinary least squares: (slope, intercept, slope stderr)."""
+    import numpy as np
+
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     n = len(xs)
@@ -304,6 +310,8 @@ def fit_slope(xs, ys):
 
 
 def _cell_seed(base: int, j: int, p: int) -> int:
+    import numpy as np
+
     return int(np.random.SeedSequence(entropy=base, spawn_key=(j, p)).generate_state(1)[0])
 
 
@@ -328,6 +336,8 @@ def _cell_integrals(cfg: ExperimentConfig, family, integrand, quadrature: bool =
     level) triples, ``level`` being the quadrature level or None for a
     walker cell.
     """
+    from . import cxdyn
+
     cells = _grid_cells(cfg)
     maps = [cxdyn.specialize(family, t, r=cfg.r) for _, _, _, t in cells]
     seeds = [_cell_seed(cfg.seed, j, p) for j, p, _, _ in cells]
@@ -398,6 +408,8 @@ def cmd_circle_demo(cfg: ExperimentConfig) -> ResultRecord:
 def cmd_hybrid_converge(cfg: ExperimentConfig) -> ResultRecord:
     """Integrals of a model function against the sampled equilibrium measures,
     compared with the atomic non-Archimedean target."""
+    import numpy as np
+
     family, _, _, mu = _na_measure(cfg)
     datum = parse_sections(cfg.datum_sections, k=cfg.datum_k, d=cfg.datum_d)
     if not admissible.datum_regular(datum, cfg.moduli, seed=cfg.seed):
@@ -445,6 +457,10 @@ def cmd_hybrid_converge(cfg: ExperimentConfig) -> ResultRecord:
 
 def cmd_lyap_slope(cfg: ExperimentConfig) -> ResultRecord:
     """Lyapunov growth fit against log|t|^-1 plus the non-Archimedean value."""
+    import numpy as np
+
+    from . import cxdyn
+
     family, _, _, mu = _na_measure(cfg)
     lyap_na = berkovich.na_lyapunov(family, mu)
     na_ratio = abs(lyap_na) / abs(math.log(cfg.r))

@@ -17,6 +17,7 @@ The t-adic norm is normalized by ``|t| = r`` for a caller-chosen radius
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 from math import gcd
@@ -26,6 +27,10 @@ from .errors import LaurentError, PrecisionError
 #: truncation window, in exponent units, used when inverting an exact
 #: non-monomial series (whose exact inverse would have infinitely many terms)
 DEFAULT_INVERSION_WINDOW = 32
+
+#: cap on Aberth-Ehrlich sweeps; simple roots settle in a few, a cluster
+#: about a multiple root may never stop moving at rounding level
+_ABERTH_SWEEPS = 64
 
 _INF = math.inf
 
@@ -439,6 +444,73 @@ def taylor_shift(coeffs: list, center: LaurentSeries) -> list:
     return work
 
 
+def _horner(coeffs: list, y: complex) -> tuple:
+    """``p(y)`` and ``p'(y)`` for the ascending coefficients of ``p``."""
+    p = dp = 0j
+    for c in reversed(coeffs):
+        dp = dp * y + p
+        p = p * y + c
+    return p, dp
+
+
+def _edge_roots(edge_coeffs: list) -> list:
+    """The k roots, with multiplicity, of ``sum_j edge_coeffs[j] * y**j``,
+    a Newton-edge polynomial whose end coefficients are nonzero.
+
+    The roots of the end binomial ``c_0 + c_k * y**k`` come first, by
+    increasing argument from the principal k-th root of ``-c_0 / c_k``.  They
+    are the roots when the edge has no middle terms.  Otherwise they are the
+    start of an Aberth-Ehrlich iteration (Bini and Fiorentino, Numer.
+    Algorithms 23, 2000), each sweep updating the roots in place.
+
+    The iteration leaves an m-fold root as m approximations about eps**(1/m)
+    apart.  Approximation y_i gets the inclusion disc of radius
+    ``k * |p(y_i)| / (|c_k| * prod_{j != i} |y_i - y_j|)``, where a connected
+    group of m overlapping discs holds m roots (the same paper); ``|p(y_i)|``
+    is widened by its rounding level ``eps * sum_j |c_j| |y_i|**j``.  Such a
+    group is taken as one root of multiplicity m.  That root is a simple
+    root of the (m-1)-th derivative, which Newton steps from the group's
+    mean find to full precision.
+    """
+    k = len(edge_coeffs) - 1
+    w = -complex(edge_coeffs[0]) / complex(edge_coeffs[-1])
+    if k == 1:
+        return [w]
+    rho, theta = abs(w) ** (1.0 / k), cmath.phase(w) / k
+    ys = [cmath.rect(rho, theta + 2.0 * math.pi * m / k) for m in range(k)]
+    if not any(edge_coeffs[1:-1]):
+        return ys
+    for _ in range(_ABERTH_SWEEPS):
+        moved = False
+        for i, y in enumerate(ys):
+            p, dp = _horner(edge_coeffs, y)
+            den = dp - p * sum(1.0 / (y - z) for z in ys if z != y)
+            if p == 0 or den == 0:
+                continue
+            step = p / den
+            ys[i] = y - step
+            moved = moved or abs(step) > 1e-15 * abs(y)
+        if not moved:
+            break
+    groups = []  # connected groups of (approximation, inclusion radius)
+    for y in ys:
+        p, _ = _horner(edge_coeffs, y)
+        noise = math.ulp(1.0) * sum(abs(c) * abs(y) ** j for j, c in enumerate(edge_coeffs))
+        gap = abs(edge_coeffs[-1]) * math.prod(abs(y - z) for z in ys if z != y)
+        radius = k * (abs(p) + noise) / gap if gap else math.inf
+        near = [g for g in groups if any(abs(y - z) <= radius + r for z, r in g)]
+        groups = [g for g in groups if all(g is not n for n in near)]
+        groups.append([(y, radius)] + [disc for g in near for disc in g])
+    roots = []
+    for group in groups:
+        mult = len(group)
+        deriv = edge_coeffs
+        for _ in range(mult - 1):
+            deriv = [j * c for j, c in enumerate(deriv)][1:]
+        roots += [_polish_root(sum(y for y, _ in group) / mult, deriv)] * mult
+    return roots
+
+
 def _polish_root(y: complex, edge_coeffs: list) -> complex:
     """A few Newton steps on the edge polynomial; lands exactly on roots that
     are representable floats (e.g. rational edge roots)."""
@@ -495,11 +567,15 @@ def newton_puiseux(coeffs: list, target: Fraction) -> list:
 
     ``coeffs`` are LaurentSeries, ascending in the variable.  Returns a list
     of LaurentSeries roots (with multiplicity), each truncated at exponent
-    ``target``.  Residual complex root-finding uses numpy; exact roots are
-    detected and returned with infinite precision when the residual vanishes.
+    ``target``.  Each Newton edge's residue polynomial is solved in plain
+    complex arithmetic by ``_edge_roots``: from the roots of its end binomial
+    ``c_0 + c_k * y**k``, exact for an edge without middle terms, and by an
+    Aberth-Ehrlich iteration otherwise.  So the roots and their order do not
+    depend on a LAPACK build.  Only simple residue roots get Newton steps on
+    the edge polynomial; ``_edge_roots`` refines a multiple one on a
+    derivative.  Exact roots are detected and returned with infinite
+    precision when the residual vanishes.
     """
-    import numpy as np
-
     target = Fraction(target)
     roots: list = []
 
@@ -558,12 +634,11 @@ def newton_puiseux(coeffs: list, target: Fraction) -> list:
                     edge_coeffs.append(c.leading()[1])
                 else:
                     edge_coeffs.append(0.0)
-            ys = np.roots(np.array(edge_coeffs[::-1], dtype=complex))
-            ys = ys[np.abs(ys) > 1e-300]
             level_scale = max((abs(v) for c in cs for v in c.terms.values()),
                               default=1.0)
-            for y, mult in _cluster_roots(ys):
-                y = _polish_root(complex(y), edge_coeffs)
+            for y, mult in _cluster_roots(_edge_roots(edge_coeffs)):
+                if mult == 1:  # Newton on p is ill-posed at a multiple root
+                    y = _polish_root(y, edge_coeffs)
                 head = LaurentSeries.t_power(mu, y)
                 new_acc = acc + head
                 shifted = taylor_shift(cs, head)

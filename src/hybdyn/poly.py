@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import LaurentError, ParseError, PrecisionError
 from .laurent import LaurentSeries
 
@@ -149,6 +147,8 @@ class HomogeneousPoly:
         arrays; coefficients are specialized at the complex parameter ``t``
         by ``LaurentSeries.eval`` (principal branch for fractional powers).
         """
+        import numpy as np  # only complex fibers evaluate numerically
+
         w = [np.asarray(x, dtype=complex) for x in w]
         total = None
         for e, c in self.coeffs.items():

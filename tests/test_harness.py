@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -378,6 +379,13 @@ class TestPersistence:
         with pytest.raises(ConfigError, match="config hash"):
             load_record(str(tmp_path), other)
 
+    def test_numpy_scalars_format_as_python_scalars(self):
+        cells = (np.bool_(True), np.int64(-7), np.float32(0.5), np.float64(-0.0),
+                 Fraction(-3, 4))
+        assert [_fmt_cell(x) for x in cells] == ["true", "-7", "0.5", "0.0", "-3/4"]
+        for x in (np.bool_(False), np.int64(3), np.float32(0.1), np.float64(-0.0)):
+            assert _fmt_cell(x) == _fmt_cell(x.item())
+
     def test_no_timestamps_in_csv(self, tmp_path):
         cfg = load_config(CIRCLE_INI)
         run(cfg, out_dir=str(tmp_path))
@@ -533,12 +541,78 @@ class TestExperiments:
             assert "green_certified" not in rec.csv_text()
 
 
-def test_import_leaves_scipy_unloaded():
+def _python(code: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter on this source."""
     src = os.path.dirname(os.path.dirname(hybdyn.__file__))
-    code = "import sys, hybdyn; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=ROOT, env=dict(os.environ, PYTHONPATH=src))
+    return out.stdout.strip()
+
+
+def test_import_leaves_scipy_unloaded():
+    # numpy loads with the complex layer, which only the sampled kinds need
+    code = """if True:
+        import sys, hybdyn
+        from hybdyn.harness import load_config
+        print('scipy' in sys.modules, 'numpy' in sys.modules)
+        load_config('configs/na-measure-quad-pole.ini')
+        load_config('configs/circle-demo.ini')
+        print('numpy' in sys.modules)
+        load_config('configs/lyap-slope-quad-pole.ini')
+        print('numpy' in sys.modules, 'hybdyn.cxdyn' in sys.modules)"""
+    assert _python(code).split() == ["False", "False", "False", "True", "True"]
+
+
+CXDYN_EXPORTS = ("RationalMapC", "SampleSet", "backward_sample", "integrate_mu",
+                 "lyapunov_complex", "przytycki_oracle", "sample_integrals", "specialize")
+
+
+def test_package_exports_load_the_complex_layer_on_access():
+    for name in ("cxdyn", *CXDYN_EXPORTS):
+        assert name in dir(hybdyn)
+    assert hybdyn.cxdyn is cxdyn
+    for name in CXDYN_EXPORTS:
+        assert getattr(hybdyn, name) is getattr(cxdyn, name)
+    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+        hybdyn.nonexistent
+    code = """if True:
+        import sys, hybdyn
+        print('hybdyn.cxdyn' in sys.modules)
+        from hybdyn import specialize
+        print('hybdyn.cxdyn' in sys.modules, specialize.__module__)"""
+    assert _python(code).split() == ["False", "True", "hybdyn.cxdyn"]
+
+
+NO_NUMPY_RUNS = (("na-measure", "configs/na-measure-quad-pole.ini"),
+                 ("na-measure", "configs/na-measure-rational.ini"),
+                 # the critical points solve the binomial residue edge 3y^2 + 1
+                 ("na-measure", "[experiment]\nkind = na-measure\nlabel = cubic-pole\n"
+                                "family = z^3 + z/t\nr = 0.5\n"),
+                 ("circle-demo", "configs/circle-demo.ini"))
+
+
+def test_non_archimedean_runs_without_numpy(tmp_path):
+    configs = []
+    for i, (kind, source) in enumerate(NO_NUMPY_RUNS):
+        if source.startswith("["):
+            path = tmp_path / f"config{i}.ini"
+            path.write_text(source)
+            source = str(path)
+        configs.append((kind, source))
+    code = f"""if True:
+        import sys
+        sys.modules['numpy'] = None  # any import of numpy now fails
+        from hybdyn.cli import main
+        for i, (kind, config) in enumerate({configs!r}):
+            assert main([kind, '--config', config, '--out', f'{tmp_path}/restricted{{i}}']) == 0
+        print(sorted(name for name in sys.modules if name.startswith('numpy')))"""
+    assert _python(code).splitlines()[-1] == "['numpy']"  # only the blocked entry
+    for i, (kind, config) in enumerate(configs):
+        cfg = load_config(os.path.join(ROOT, config), kind=kind)
+        run(cfg, out_dir=str(tmp_path / f"free{i}"))
+        csv = f"{cfg.label}.csv"
+        assert (tmp_path / f"restricted{i}" / csv).read_text() == \
+            (tmp_path / f"free{i}" / csv).read_text()
 
 
 class TestCli:

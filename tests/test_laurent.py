@@ -1,5 +1,6 @@
 """Series arithmetic: worked examples plus seeded random property checks."""
 
+import cmath
 import math
 from fractions import Fraction as F
 
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 
 from hybdyn.errors import LaurentError, PrecisionError
-from hybdyn.laurent import LaurentSeries as L, newton_puiseux, taylor_shift
+from hybdyn.laurent import (LaurentSeries as L, _cluster_roots, _edge_roots,
+                           newton_puiseux, taylor_shift)
 
 
 def rand_series(rng, n_terms=4, e_min=-3, e_max=6, trunc=None, ram=1, unit_lead=False):
@@ -245,6 +247,64 @@ class TestShiftAndRoots:
     def test_newton_puiseux_precision_guard(self):
         with pytest.raises(PrecisionError):
             newton_puiseux([L.zero(trunc=2), L.one()], F(8))
+
+    def test_newton_puiseux_binomial_edge_roots_are_pinned(self):
+        # 3 w^2 + 1/t: the roots +-i/sqrt(3) * t^(-1/2), bit for bit and in
+        # the order the companion-matrix solver used to give them
+        roots = newton_puiseux([L.t_power(-1), L.zero(), L.const(3)], F(6))
+        assert [(list(root.items()), root.trunc_order) for root in roots] == [
+            ([(F(-1, 2), 0.5773502691896257j)], math.inf),
+            ([(F(-1, 2), -0.5773502691896257j)], math.inf)]
+
+
+def _matched(roots, ref, rel):
+    """Whether ``roots`` and ``ref`` agree as multisets within ``rel``."""
+    ref = list(ref)
+    for y in roots:
+        j = min(range(len(ref)), key=lambda i: abs(ref[i] - y))
+        if abs(ref[j] - y) > rel * max(abs(ref[j]), 1e-300):
+            return False
+        ref.pop(j)
+    return not ref
+
+
+class TestEdgeRoots:
+    def test_random_edges_match_companion_eigenvalues(self):
+        rng = np.random.default_rng(31)
+        for degree in range(1, 9):
+            for _ in range(40):
+                coeffs = list(rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1))
+                roots = _edge_roots(coeffs)
+                assert len(roots) == degree
+                assert _matched(roots, np.roots(coeffs[::-1]), 1e-12)
+
+    def test_binomial_edges_are_closed_form(self):
+        for coeffs in ([1, 0, 3], [-2, 0, 0, 0, 0, 0, 5], [1 + 2j, 0, 0, 0, -3], [4, 0, 0, 1]):
+            k = len(coeffs) - 1
+            w = -complex(coeffs[0]) / coeffs[-1]
+            rho, theta = abs(w) ** (1.0 / k), cmath.phase(w) / k
+            assert _edge_roots(coeffs) == [cmath.rect(rho, theta + 2.0 * math.pi * m / k)
+                                           for m in range(k)]
+        assert _edge_roots([1, 3]) == [-1 / 3]
+
+    @pytest.mark.parametrize("a", [1, 0.3, 1 + 2j, -0.7j])
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_newton_puiseux_multiple_root(self, a, m):
+        # (w - a t)^m: one edge with an m-fold residue root
+        coeffs = [L({m - j: math.comb(m, j) * (-a) ** (m - j)}) if j < m else L.one()
+                  for j in range(m + 1)]
+        roots = newton_puiseux(coeffs, F(6))
+        assert len(roots) == m
+        for root in roots:
+            assert root.order() == 1 and len(root.terms) == 1
+            assert abs(root.coefficient(1) - a) <= 1e-12 * abs(a)
+
+    def test_double_root_clusters(self):
+        # (y - 1)^2 (y + 2) = y^3 - 3y + 2
+        clusters = _cluster_roots(_edge_roots([2, -3, 0, 1]))
+        assert sorted(mult for _, mult in clusters) == [1, 2]
+        for y, mult in clusters:
+            assert abs(y - (1 if mult == 2 else -2)) < 1e-14
 
 
 class TestHashing:
