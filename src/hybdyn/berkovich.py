@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cmp_to_key
+from operator import itemgetter
 
 from .errors import (ChartError, ConventionError, DegenerateFamilyError,
                      LaurentError, PrecisionError)
@@ -91,15 +91,9 @@ class TypeIIPoint:
 
     def chart_form(self):
         """(chart, center, s): the disk in the chart where its center has
-        norm <= 1, re-centered at 0 when it contains the chart origin."""
-        a, s = self._zpair
-        alpha = a.order()
-        if alpha >= s:
-            return ("z", a, s) if s >= 0 else ("1/z", a, -s)
-        if alpha >= 0:
-            return "z", a, s
-        c, su = _invert_center(a, s)
-        return "1/z", _reduce_center(c, su)[0], su
+        norm <= 1, re-centered at 0 when it contains the chart origin
+        (``chart_forms`` of this one point)."""
+        return chart_forms([self])[0]
 
     def __eq__(self, other):
         if not isinstance(other, TypeIIPoint):
@@ -115,9 +109,38 @@ class TypeIIPoint:
 
     def record(self) -> dict:
         """JSON-friendly description in the chart form."""
-        chart, center, s = self.chart_form()
-        return {"chart": chart, "center": str(center),
-                "s": f"{s.numerator}/{s.denominator}"}
+        return _form_record(self.chart_form())
+
+
+def _form_record(form) -> dict:
+    """Record fields of a chart form (chart, center, s)."""
+    chart, center, s = form
+    return {"chart": chart, "center": str(center), "s": f"{s.numerator}/{s.denominator}"}
+
+
+def chart_forms(points) -> list:
+    """``chart_form()`` of each point.  A center beyond the unit disk is
+    inverted once for all the points that share it, at the window its
+    largest radius needs, and the inverse is reduced per radius; terms of an
+    inverse below a given exponent do not depend on the window."""
+    forms = [None] * len(points)
+    far = {}  # z-chart center of norm > 1 -> indices of its points
+    for i, p in enumerate(points):
+        a, s = p.zpair()
+        alpha = a.order()
+        if alpha >= s:
+            forms[i] = ("z", a, s) if s >= 0 else ("1/z", a, -s)
+        elif alpha >= 0:
+            forms[i] = ("z", a, s)
+        else:
+            far.setdefault(a, []).append(i)
+    for a, group in far.items():
+        radii = [points[i].zpair()[1] for i in group]
+        c, _ = _invert_center(a, max(radii))
+        shift = 2 * a.order()
+        for i, s in zip(group, radii):
+            forms[i] = ("1/z", _reduce_center(c, s - shift)[0], s - shift)
+    return forms
 
 
 def _ord_at_least(diff: LaurentSeries, s) -> bool:
@@ -135,12 +158,6 @@ def _same_disk(zp, zq) -> bool:
     """Whether two z-chart disks are equal."""
     (a, s), (b, u) = zp, zq
     return s == u and _ord_at_least(a - b, s)
-
-
-def _contains(outer, inner) -> bool:
-    """Whether the z-chart disk ``outer`` strictly contains ``inner``."""
-    (a, s), (b, u) = outer, inner
-    return s < u and _ord_at_least(a - b, s)
 
 
 def _reduce_center(a: LaurentSeries, s: Fraction):
@@ -498,37 +515,68 @@ class BerkTree:
                 if self.degree(i) <= 1 and i != self.gauss_index]
 
 
-def _join(zp, zq):
-    """z-pair of the path join of two disk points."""
-    (a, s), (b, u) = zp, zq
-    m = min(s, u)
-    diff = a - b
-    return (a, m if _ord_at_least(diff, m) else diff.order())
+# A disk's depth-first key is a tuple of tokens on the exponent grid (1/n)Z:
+# (e, _TERM, re, im) for each stored center term, in increasing e, then one
+# end token (s, _CLOSE, s) at the radius s, or (T, _UNKNOWN, s) when the
+# center is known only below T < s.  Keys sort a disk before the disks inside
+# it, containment is a prefix of center terms, and equal disks have equal keys.
+_CLOSE, _TERM, _UNKNOWN = 0, 1, 2
 
 
-def _dfs_cmp(zp, zq) -> int:
-    """Depth-first order of two z-chart disks in the tree of disks: a disk
-    comes before the disks it contains; disjoint disks compare their centers'
-    coefficients, as (real, imag), at the exponent where the centers split.
-    Returns 0 exactly for equal disks."""
-    (a, s), (b, u) = zp, zq
-    diff = a - b
-    if _ord_at_least(diff, min(s, u)):
-        return (s > u) - (s < u)
-    e = diff.order()
-    ca, cb = complex(a.coefficient(e)), complex(b.coefficient(e))
-    return -1 if (ca.real, ca.imag) < (cb.real, cb.imag) else 1
+def _dfs_key(zpair, n: int) -> tuple:
+    """Depth-first key of a reduced z-chart disk; ``n`` is a multiple of the
+    center's ramification and of the radius's denominator."""
+    a, s = zpair
+    f, radius = n // a.ram, s.numerator * (n // s.denominator)
+    key = [(k * f, _TERM, c.real, c.imag) for k, c in sorted(a.terms.items())]
+    end = radius if a.trunc is None else a.trunc * f
+    key.append((end, _CLOSE if a.trunc is None else _UNKNOWN, radius))
+    return tuple(key)
+
+
+def _join_key(kx: tuple, ky: tuple) -> tuple:
+    """Key of the path join of two disks: their common center terms, closed
+    at the exponent where the keys part.  Raises PrecisionError when a center
+    known only below T meets a disk that agrees with it below T and reaches
+    past T, since then neither containment nor disjointness is decidable."""
+    i, last = 0, min(len(kx), len(ky)) - 1
+    while i < last and kx[i] == ky[i]:
+        i += 1
+    tx, ty = kx[i], ky[i]
+    for t, o in ((tx, ty), (ty, tx)):
+        if t[1] == _UNKNOWN and o[:2] > (t[0], _CLOSE):
+            raise PrecisionError("disk containment undecidable at the available precision")
+    m = min(tx[0], ty[0])
+    return kx[:i] + ((m, _CLOSE, m),)
+
+
+def _key_contains(outer: tuple, inner: tuple) -> bool:
+    """Whether the disk keyed ``outer`` contains the distinct disk keyed
+    ``inner``, which comes after it in key order."""
+    return outer[-1][1] == _CLOSE and inner[:len(outer) - 1] == outer[:-1]
+
+
+def _key_point(key: tuple, n: int) -> TypeIIPoint:
+    """The disk an exact key closes."""
+    center = LaurentSeries({Fraction(e, n): complex(re, im) for e, _, re, im in key[:-1]})
+    return TypeIIPoint(center, Fraction(key[-1][2], n))
 
 
 def subtree_span(points) -> BerkTree:
     """Smallest tree containing the given points and the Gauss point.
 
-    Its vertices are the points and the joins of pairs of points.  In the
-    depth-first order of the tree of disks (``_dfs_cmp``) the joins of
-    consecutive points already are all the pairwise joins, so the points are
-    sorted, consecutive ones joined, everything sorted again so that equal
-    disks are adjacent and merged, and one stack pass over that order gives
-    each vertex its parent: O(n log n) containment tests for n points.
+    Its vertices are the points and the joins of pairs of points.  Each disk
+    gets a depth-first key once (``_dfs_key``): its center's stored terms on
+    one exponent grid, closed by its radius, so the key's size is that of the
+    center.  Sorted by key, a disk precedes the disks it contains, and the
+    joins of consecutive points are all the pairwise joins; each join's key
+    is read off the common prefix of its two points' keys (``_join_key``).
+    Everything is sorted again, equal keys are merged, and one stack pass
+    gives each vertex its parent, the deepest earlier vertex whose key
+    prefixes its own.  So n points cost O(n log n) key comparisons and no
+    series arithmetic; input points are the vertices as given, and only a
+    vertex that is nothing but a join is built anew.  Nothing depends on the
+    order the keys give sibling branches.
 
     Vertices are ordered by radius exponent, ties by first appearance in the
     closure "points (the Gauss point last), then the joins of pairs (i, j),
@@ -537,25 +585,32 @@ def subtree_span(points) -> BerkTree:
     point appears at its smallest point index; a vertex that is only a join
     appears at the pair (i, j) where i is the smallest point index below it
     and j the smallest below it outside i's branch.
+
+    Raises PrecisionError exactly when the containment of some two points is
+    undecidable from their truncated centers.  Neighbours in key order
+    suffice: the disks undecidable against a center known only below T are
+    those whose keys extend its known terms past T, a run of the key order
+    that holds the point itself.
     """
     if not points:
         raise ChartError("need at least one point")
     pts = [p if isinstance(p, TypeIIPoint) else type2_from_zpair(*p) for p in points]
     pts.append(TypeIIPoint.gauss())
-    # items are (z-pair, input index or None for a join); both sorts are
-    # stable, so the first of a run of equal disks is the earliest input
-    dfs = cmp_to_key(lambda x, y: _dfs_cmp(x[0], y[0]))
-    inputs = sorted(((p.zpair(), k) for k, p in enumerate(pts)), key=dfs)
-    joins = [(_join(x[0], y[0]), None) for x, y in zip(inputs, inputs[1:])]
+    zpairs = [p.zpair() for p in pts]
+    n = math.lcm(*(math.lcm(a.ram, s.denominator) for a, s in zpairs))
+    # items are (key, input index or None for a join); both sorts are
+    # stable, so the first of a run of equal keys is the earliest input
+    inputs = sorted(((_dfs_key(zp, n), k) for k, zp in enumerate(zpairs)), key=itemgetter(0))
+    joins = [(_join_key(x[0], y[0]), None) for x, y in zip(inputs, inputs[1:])]
     nodes = []
-    for zp, k in sorted(inputs + joins, key=dfs):
-        if not nodes or not _same_disk(nodes[-1][0], zp):
-            nodes.append((zp, k))
-    # parents: the deepest earlier vertex in depth-first order containing it
+    for key, k in sorted(inputs + joins, key=itemgetter(0)):
+        if not nodes or nodes[-1][0] != key:
+            nodes.append((key, k))
+    # parents: the deepest earlier vertex whose closed key prefixes the key
     parent = [None] * len(nodes)
     stack = []
-    for v, (zp, _) in enumerate(nodes):
-        while stack and not _contains(nodes[stack[-1]][0], zp):
+    for v, (key, _) in enumerate(nodes):
+        while stack and not _key_contains(nodes[stack[-1]][0], key):
             stack.pop()
         if stack:
             parent[v] = stack[-1]
@@ -572,11 +627,13 @@ def subtree_span(points) -> BerkTree:
         first[v] = (1, lows[0], lows[1]) if k is None else (0, k)
         if parent[v] is not None:
             branch_low[parent[v]].append(lows[0] if k is None else min(lows[:1] + [k]))
-    order = sorted(range(len(nodes)), key=lambda v: (nodes[v][0][1], first[v]))
+    radius = [key[-1][2] for key, _ in nodes]
+    order = sorted(range(len(nodes)), key=lambda v: (radius[v], first[v]))
     pos = {v: i for i, v in enumerate(order)}
-    edges = [(i, pos[parent[v]], nodes[v][0][1] - nodes[parent[v]][0][1])
+    edges = [(i, pos[parent[v]], Fraction(radius[v] - radius[parent[v]], n))
              for i, v in enumerate(order) if parent[v] is not None]
-    vertices = [type2_from_zpair(*nodes[v][0]) for v in order]
+    vertices = [_key_point(nodes[v][0], n) if nodes[v][1] is None else pts[nodes[v][1]]
+                for v in order]
     gauss_index = next(i for i, p in enumerate(vertices) if p.is_gauss())
     return BerkTree(vertices, edges, gauss_index)
 
@@ -605,12 +662,9 @@ class TreeMeasure:
         return sum(self.masses[i] for i in self.tree.leaves()) / total
 
     def records(self):
-        out = []
-        for pt, m in zip(self.tree.vertices, self.masses):
-            rec = pt.record()
-            rec["mass"] = m
-            out.append(rec)
-        return out
+        """One record per vertex: its chart form (``chart_forms``) and mass."""
+        return [dict(_form_record(form), mass=m)
+                for form, m in zip(chart_forms(self.tree.vertices), self.masses)]
 
     def support(self):
         return [(pt, m) for pt, m in zip(self.tree.vertices, self.masses) if m != 0.0]

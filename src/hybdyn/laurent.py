@@ -317,18 +317,11 @@ class LaurentSeries:
         return a.terms == b.terms and a.trunc == b.trunc
 
     def __hash__(self):
-        g = gcd(gcd(*self.terms, 0), self.trunc if self.trunc is not None else 0)
-        # hash on the reduced grid so equal series hash equally
-        if g in (0, self.ram):
-            key = (tuple(sorted(self.terms.items())), self.trunc, self.ram)
-        else:
-            f = gcd(g, self.ram)
-            key = (
-                tuple(sorted((k // f, c) for k, c in self.terms.items())),
-                None if self.trunc is None else self.trunc // f,
-                self.ram // f,
-            )
-        return hash(key)
+        # hash on the coarsest grid holding every exponent, so equal series
+        # stored on different grids hash equally
+        f = gcd(*self.terms, self.trunc or 0, self.ram)
+        return hash((tuple(sorted((k // f, c) for k, c in self.terms.items())),
+                     None if self.trunc is None else self.trunc // f, self.ram // f))
 
     # -- evaluation and norms -----------------------------------------------------
 

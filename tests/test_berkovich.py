@@ -9,7 +9,7 @@ import pytest
 
 from hybdyn import berkovich
 from hybdyn.admissible import AdmissibleDatum, g_na_exponent
-from hybdyn.berkovich import (BerkTree, GreenEvaluator, TypeIIPoint, _join,
+from hybdyn.berkovich import (BerkTree, GreenEvaluator, TypeIIPoint,
                               _ord_at_least, _section_exponent, build_probe_tree,
                               det_norm_exponent, good_reduction_exponent,
                               homog_seminorm, iterate_exponents, map_disk,
@@ -428,14 +428,14 @@ class TestRationalOrbit:
 
 class TestChartForm:
     """Only records need a point's chart form; nothing else inverts a
-    center, and the form is derived anew on each request."""
+    center, and records invert each distinct center once."""
 
     @staticmethod
     def _count_inversions(monkeypatch):
         calls = []
         real = berkovich._invert_center
         monkeypatch.setattr(berkovich, "_invert_center",
-                            lambda a, s: calls.append(s) or real(a, s))
+                            lambda a, s: calls.append(a) or real(a, s))
         return calls
 
     @pytest.mark.parametrize("text, grid", [
@@ -460,6 +460,53 @@ class TestChartForm:
         p.chart_form()
         repr(p)
         assert len(calls) == len(far) + 2
+        calls.clear()
+        shared = mu.records()
+        assert len(calls) == len({v.zpair()[0] for v in far})
+        assert shared == [dict(v.record(), mass=m) for v, m in zip(tree.vertices, mu.masses)]
+
+    @staticmethod
+    def _own_inversion(p):
+        """The chart form with the point's own inversion, as one point alone
+        would get it."""
+        a, s = p.zpair()
+        alpha = a.order()
+        if alpha >= s:
+            return ("z", a, s) if s >= 0 else ("1/z", a, -s)
+        if alpha >= 0:
+            return "z", a, s
+        c, su = berkovich._invert_center(a, s)
+        return "1/z", berkovich._reduce_center(c, su)[0], su
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_shared_inversion_matches_each_point_alone(self, monkeypatch, seed):
+        # generic complex coefficients, ramification 1-6, some truncated
+        # centers, radii from far outside to far inside the unit disk; each
+        # center gets radii above its last term, so points share it
+        rng = random.Random(seed)
+        pts = []
+        for _ in range(8):
+            ram = rng.randint(1, 6)
+            exps = [rng.randint(-4 * ram, -1)] + rng.sample(range(4 * ram), rng.randint(0, 3))
+            exps = sorted(set(exps))
+            center = L({F(k, ram): complex(rng.gauss(0, 1), rng.gauss(0, 1)) for k in exps},
+                       trunc=F(exps[-1] + rng.randint(1, 6), ram) if rng.random() < 0.3
+                       else math.inf)
+            radii = [F(rng.randint(-12, 18), rng.randint(1, 6)) for _ in range(rng.randint(1, 5))]
+            radii += [F(exps[-1], ram) + F(rng.randint(1, 30), rng.randint(1, 6))
+                      for _ in range(2)]
+            pts += [type2_from_zpair(center, s) for s in radii]
+        rng.shuffle(pts)
+        calls = self._count_inversions(monkeypatch)
+        forms = berkovich.chart_forms(pts)
+        far = {p.zpair()[0] for p in pts if p.zpair()[0].order() < min(0, p.zpair()[1])}
+        assert len(calls) == len(far) < sum(p.zpair()[0] in far for p in pts)
+        for p, form in zip(pts, forms):
+            chart, center, s = self._own_inversion(p)
+            assert form[0] == chart and form[2] == s
+            assert list(form[1].terms.items()) == list(center.terms.items())
+            assert (form[1].ram, form[1].trunc) == (center.ram, center.trunc)
+            assert berkovich._form_record(form) == berkovich._form_record((chart, center, s))
 
 
 class TestResultant:
@@ -552,6 +599,14 @@ class TestTrees:
         crits = critical_centers(fam, target=F(6))
         assert len(crits) == 2
         assert all(c.order() == F(1, 2) for c in crits)
+
+
+def _join(zp, zq):
+    """z-pair of the path join of two disk points."""
+    (a, s), (b, u) = zp, zq
+    m = min(s, u)
+    diff = a - b
+    return (a, m if _ord_at_least(diff, m) else diff.order())
 
 
 def _all_pairs_span(points) -> BerkTree:
@@ -679,21 +734,52 @@ class TestSpanReference:
         assert outcome(subtree_span) == outcome(_all_pairs_span)
 
     def test_containment_tests_near_linear(self, monkeypatch):
+        # one depth-first key per disk, as long as its center's stored terms
+        # (not one token per grid exponent below its radius), and no series
+        # arithmetic: joins come from the keys, input points are the
+        # vertices as given, and only join-only vertices are built anew
         pts = _probe_points(monkeypatch, "z^2 + 1/t", s_min=-6, s_max=6, q=8,
                             orbit_len=4)
         n = len(pts) + 1  # with the Gauss point
-        real = berkovich._ord_at_least
-        calls = 0
-
-        def counted(diff, s):
-            nonlocal calls
-            calls += 1
-            return real(diff, s)
-
-        monkeypatch.setattr(berkovich, "_ord_at_least", counted)
+        keys, ops, reduced = [], [], []
+        real_key, real_reduce = berkovich._dfs_key, berkovich._reduce_center
+        monkeypatch.setattr(berkovich, "_dfs_key",
+                            lambda zp, grid: keys.append(real_key(zp, grid)) or keys[-1])
+        monkeypatch.setattr(berkovich, "_reduce_center",
+                            lambda a, s: reduced.append(s) or real_reduce(a, s))
+        for name in ("__add__", "__sub__", "__mul__", "inverse"):
+            monkeypatch.setattr(L, name, lambda *args, _real=getattr(L, name), _name=name:
+                                ops.append(_name) or _real(*args))
         tree = subtree_span(pts)
+        monkeypatch.undo()
         assert n == 874 and len(tree) > 500
-        assert calls <= 3 * n * math.log2(n)
+        assert len(keys) == n
+        assert sum(map(len, keys)) == sum(len(p.zpair()[0].terms) + 1 for p in pts) + 1
+        assert sum(map(len, keys)) <= 4 * n  # 2,612 tokens
+        assert ops == []
+        given = {id(p) for p in pts}
+        built = sum(id(v) not in given for v in tree.vertices)
+        assert len(reduced) <= built + 1  # and the Gauss point's own construction
+
+    @pytest.mark.parametrize("points", [
+        [(L.zero(trunc=1), 3), (L.zero(trunc=1), 3)],  # one undecidable disk twice
+        [(L.zero(trunc=1), 3), (L.zero(trunc=1), 2)],
+        [(L.zero(trunc=1), 3), (L.zero(), 1)],  # the hull D(0, r) contains it
+        [(L.zero(trunc=1), 3), (L.t_power(1), 2)],  # a term at the unknown exponent
+        [(L.zero(trunc=1), 3), (L.t_power(F(1, 2)), 2)],  # a term below it
+        [(L({0: 1j}, trunc=2), 3), (L({0: 1j, 1: 2}), 4), (L({0: 1j}), F(3, 2))],
+        [(L({0: 1j}, trunc=2), 3), (L({0: 1j, 3: 2}), F(5, 2)), (L({0: 1j}), F(3, 2))],
+        [(L.zero(trunc=-1), 0)],  # undecidable against the Gauss point
+        [(L({-1: 1}, trunc=0), 1), (L({-1: 1}, trunc=F(1, 2)), 1)],
+    ])
+    def test_truncated_centers_by_hand(self, points):
+        def outcome(span):
+            try:
+                return _span_summary(span(points))
+            except PrecisionError:
+                return "undecidable"
+
+        assert outcome(subtree_span) == outcome(_all_pairs_span)
 
 
 class TestTreeMeasure:

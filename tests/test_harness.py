@@ -466,15 +466,19 @@ class TestExperiments:
         assert len({id(v) for v in calls}) == len(rec.rows)
 
     def test_na_measure_one_chart_form_per_vertex(self, monkeypatch):
-        # rows and the JSON measure share one record per vertex
-        calls = []
-        invert = berkovich._invert_center
+        # rows and the JSON measure share one record per vertex, and each
+        # distinct z-chart center beyond the unit disk is inverted once
+        calls, seen = [], []
+        invert, forms = berkovich._invert_center, berkovich.chart_forms
         monkeypatch.setattr(berkovich, "_invert_center",
-                            lambda a, s: calls.append(s) or invert(a, s))
+                            lambda a, s: calls.append(a) or invert(a, s))
+        monkeypatch.setattr(berkovich, "chart_forms",
+                            lambda points: seen.append(list(points)) or forms(points))
         rec = run(load_config(DEEP_TREE_INI))
-        assert len(rec.rows) == 149
-        assert len(calls) == sum(row[1] == "1/z" and row[2] != "0" for row in rec.rows)
-        assert 0 < len(calls) <= len(rec.rows)
+        assert len(rec.rows) == 149 and len(seen) == 1 and len(seen[0]) == 149
+        far = [p.zpair()[0] for p in seen[0] if p.zpair()[0].order() < 0]
+        assert len(far) == sum(row[1] == "1/z" and row[2] != "0" for row in rec.rows) == 92
+        assert len(calls) == len(set(calls)) == len(set(far)) == 7
         assert [row[1:4] for row in rec.rows] == [
             [m["chart"], m["center"], m["s"]] for m in rec.summary["measure"]]
 

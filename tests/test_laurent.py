@@ -317,3 +317,36 @@ class TestHashing:
     def test_dict_membership(self):
         d = {L.t_power(F(1, 2)): "half"}
         assert d[L({F(2, 4): 1.0})] == "half"
+
+    def test_cancellation_to_a_coarser_grid_hashes_equal(self):
+        # the difference keeps the grid t^(1/2) though every exponent left is whole
+        a = L({F(1, 2): 1, 1: 2}) - L({F(1, 2): 1})
+        assert a.ram == 2 and a == L({1: 2})
+        assert hash(a) == hash(L({1: 2}))
+
+    @pytest.mark.parametrize("ram", range(1, 7))
+    def test_equal_series_on_any_grid_hash_equal(self, ram):
+        rng = np.random.default_rng(40 + ram)
+        for _ in range(50):
+            trunc = rng.choice([None, F(int(rng.integers(-3 * ram, 8 * ram)), ram)])
+            a = rand_series(rng, n_terms=int(rng.integers(0, 5)), ram=ram, trunc=trunc)
+            for series in (a, L.zero(), L.zero(trunc=F(int(rng.integers(-6, 6)), ram))):
+                for fine in (series._rescaled(series.ram * m) for m in (1, 2, 3, 5)):
+                    assert fine == series
+                    assert hash(fine) == hash(series)
+                # the same series after a round trip through another grid's arithmetic
+                other = series + L.t_power(F(1, 7)) - L.t_power(F(1, 7))
+                assert other == series and hash(other) == hash(series)
+
+    def test_inverse_terms_do_not_depend_on_the_window(self):
+        # below a window's target the geometric series sums the same products
+        # in the same order, so a larger window agrees bit for bit
+        rng = np.random.default_rng(47)
+        for ram in range(1, 7):
+            for _ in range(10):
+                a = rand_series(rng, n_terms=int(rng.integers(2, 5)), ram=ram)
+                m = a.order()
+                small, large = (a.inverse(window=w) for w in (8, 8 + int(rng.integers(1, 30))))
+                cut = large.truncate(small.trunc_order)
+                assert list(cut.items()) == list(small.items())
+                assert cut.trunc_order == small.trunc_order == 8 - m
