@@ -99,7 +99,7 @@ def _as_output(out):
     return float(out) if out.ndim == 0 else out
 
 
-def phi_canonical(F: AdmissibleDatum, z, t: complex):
+def phi_canonical(F: AdmissibleDatum, z, t, cell=None):
     """log max section norm in the sup-of-coordinates metric at homogeneous z.
 
     The one complex model-function evaluator: ``phi_complex`` and
@@ -108,14 +108,16 @@ def phi_canonical(F: AdmissibleDatum, z, t: complex):
     sides match without a bounded Fubini-Study correction.  Scale-invariant in
     z; returns -inf when every section vanishes at (z, t).  Accepts numpy
     arrays in the coordinates (shape (...,) each).  Fractional powers of t
-    take the principal branch of ``LaurentSeries.eval``.
+    take the principal branch of ``LaurentSeries.eval``.  With ``cell``, of
+    the coordinates' shape, ``t`` is a sequence of parameters and point k is
+    evaluated at ``t[cell[k]]``, bit for bit as alone at that parameter.
     """
     import numpy as np
 
     w = _sup_normalized(z)
     best = None
     for s in F.sections:
-        v = np.abs(s.eval_numeric(w, t))
+        v = np.abs(s.eval_numeric(w, t, cell))
         best = v if best is None else np.maximum(best, v)
     with np.errstate(divide="ignore"):
         out = np.log(best)  # max coordinate norm is 1 after scaling

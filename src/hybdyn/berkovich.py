@@ -170,9 +170,9 @@ def _reduce_center(a: LaurentSeries, s: Fraction):
     exact_enough = a.trunc_order >= s
     if a.is_zero():
         return (LaurentSeries.zero() if exact_enough else a), s
-    kept = {e: c for e, c in a.items() if e < s}
-    trunc = _INF if exact_enough else a.trunc_order
-    return LaurentSeries(kept, trunc=trunc), s
+    bound = s * a.ram  # s on a's grid of scaled exponents
+    kept = {k: a.terms[k] for k in sorted(a.terms) if k < bound}
+    return LaurentSeries._make(a.ram, kept, None if exact_enough else a.trunc), s
 
 
 def _invert_center(a: LaurentSeries, s: Fraction):

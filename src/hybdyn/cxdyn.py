@@ -10,6 +10,13 @@ converges to the measure of maximal entropy.  The backward sampler
 and gives a Monte-Carlo estimate; the quadrature (``preimage_levels``) sums
 over all ``d^n`` branches, level by level, and certifies its value from the
 differences between levels.
+
+Both routes treat a grid of cells, one map each, as one batch: every walker
+step, quadrature level and integrand evaluation is a single numpy call over
+the points of all cells, and a cell's result is bit for bit what it would be
+alone.  An integrand ``f(cell, pts)`` gets the points of many cells at once,
+``cell[k]`` being the grid index of row k; ``MapStack`` and
+``log_det_norm(stack, pts, cell)`` evaluate such a batch on its own maps.
 """
 
 from __future__ import annotations
@@ -79,6 +86,18 @@ class RationalMapC:
 
     def __repr__(self):
         return f"<RationalMapC deg={self.degree} {self.label!r}>"
+
+
+class MapStack:
+    """The coefficient rows of a grid of maps of one degree, stacked once:
+    row i of ``p0c``, ``p1c``, ``_wz``, ``_q0``, ``_q1`` and ``_wu`` is
+    ``maps[i]``'s.  ``log_det_norm`` reads a stack as it reads one map,
+    taking row ``cell[k]`` for point k."""
+
+    def __init__(self, maps):
+        self.maps = list(maps)
+        for name in ("p0c", "p1c", "_wz", "_q0", "_q1", "_wu"):
+            setattr(self, name, np.array([getattr(R, name) for R in self.maps]))
 
 
 def _polysub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -391,17 +410,17 @@ def backward_sample(R: RationalMapC, seed: int, n_burn: int, n_keep: int,
                      n_burn=n_burn, n_keep=n_keep)
 
 
-def sample_integrals(maps, seeds, n_burn: int, n_keep: int, start,
-                     integrands) -> list:
-    """Integrate ``integrands[i]`` against the sampled measure of ``maps[i]``
-    for every i, walking the chains of all cells in lockstep.
+def sample_integrals(maps, seeds, n_burn: int, n_keep: int, start, f) -> list:
+    """Integrate ``f`` against the sampled measure of ``maps[i]`` for every
+    i, walking the chains of all cells in lockstep.
 
-    Result i equals ``integrate_mu(maps[i], integrands[i],
-    backward_sample(maps[i], seeds[i], n_burn, n_keep, start))`` bit for
-    bit, whatever the other cells are.  The points are streamed to the
-    integrands block by block: ``integrands[i]`` is called once per block
-    on cell i's kept points of that block (chain-major), and only the
-    values are kept.
+    Result i equals ``integrate_mu(maps[i], g, backward_sample(maps[i],
+    seeds[i], n_burn, n_keep, start))`` with ``g(pts) = f(i, pts)``, bit
+    for bit, whatever the other cells are.  The points are streamed to
+    ``f`` block by block: ``f(cell, pts)`` is called once per block on the
+    kept points of every cell of that block, cell after cell and
+    chain-major within a cell, ``cell[k]`` being the index in ``maps`` of
+    row k; only the values are kept.
     """
     n_chains, n_steps = _fork_shape(n_keep)
     values = np.empty((len(maps), n_chains, n_steps))
@@ -410,17 +429,18 @@ def sample_integrals(maps, seeds, n_burn: int, n_keep: int, start,
     for lo, block in _walk(maps, seeds, n_burn, n_keep, start):
         b = block.shape[2]
         keep = np.arange(lo, lo + b) < limit
-        for vals, f, pts in zip(values, integrands, block):
-            vals[:, lo: lo + b][keep] = f(pts[keep])
+        pts = block[:, keep]  # (cells, kept points of a cell, 2)
+        cell = np.arange(len(maps)).repeat(pts.shape[1])
+        values[:, :, lo: lo + b][:, keep] = np.reshape(f(cell, pts.reshape(-1, 2)),
+                                                        pts.shape[:2])
     return [_integral(vals.reshape(-1)[:n_keep]) for vals in values]
 
 
-def preimage_levels(maps, seeds, n_burn: int, n_keep: int, start,
-                    integrands) -> list:
-    """Integrate ``integrands[i]`` against the measure of maximal entropy of
-    ``maps[i]`` by preimage quadrature, for every i: ``I_n = d^-n Σ f(y)``
-    over all ``d^n`` points y with ``R^n y = x``, counted with multiplicity,
-    for the root x.
+def preimage_levels(maps, seeds, n_burn: int, n_keep: int, start, f) -> list:
+    """Integrate ``f`` against the measure of maximal entropy of ``maps[i]``
+    by preimage quadrature, for every i: ``I_n = d^-n Σ f(y)`` over all
+    ``d^n`` points y with ``R^n y = x``, counted with multiplicity, for the
+    root x.
 
     The root is cell i's burned-in point, the walker's (``_burn_in`` with
     ``default_rng(seeds[i])``).  Level 1 holds the d preimages of the root
@@ -437,9 +457,11 @@ def preimage_levels(maps, seeds, n_burn: int, n_keep: int, start,
     the differences have stopped shrinking and the last one, extrapolated,
     reaches no certificate within the budget, or when the budget runs out.
 
-    ``integrands[i]`` is called once per level on cell i's points, as an
-    (d^n, 2) array of homogeneous points.  A cell's result does not depend
-    on the other cells.
+    ``f(cell, pts)`` is called once per level on the points of every cell
+    still active, as a (m, 2) array of homogeneous points: each cell's d^n
+    points of the level, cell after cell, ``cell[k]`` being the index in
+    ``maps`` of row k.  A cell's ``I_n`` is the mean over its own slice, so
+    its result does not depend on the other cells.
     """
     d = maps[0].degree
     top = 0  # the last level within the budget
@@ -450,19 +472,19 @@ def preimage_levels(maps, seeds, n_burn: int, n_keep: int, start,
         return results
     rngs = [np.random.default_rng(seed) for seed in seeds]
     points = _burn_in(maps, rngs, n_burn, start)
-    active = list(range(len(maps)))
+    active = np.arange(len(maps))
     history = [[] for _ in maps]
     for level in range(1, top + 1):
         width = d ** level
         points = _branches([maps[i] for i in active], points, d ** (level - 1))
+        vals = np.asarray(f(active.repeat(width), points.T), dtype=float)
         keep = []
         for c, i in enumerate(active):
-            vals = np.asarray(integrands[i](points[:, c * width: (c + 1) * width].T),
-                              dtype=float)
-            if not np.isfinite(vals).all():
+            cell_vals = vals[c * width: (c + 1) * width]
+            if not np.isfinite(cell_vals).all():
                 continue
             hist = history[i]
-            hist.append(float(vals.mean()))
+            hist.append(float(cell_vals.mean()))
             if level >= 3:
                 step, prev = abs(hist[-1] - hist[-2]), abs(hist[-2] - hist[-3])
                 rho = _ratio(step, prev)
@@ -478,7 +500,7 @@ def preimage_levels(maps, seeds, n_burn: int, n_keep: int, start,
             keep.append(c)
         if not keep:
             break
-        active = [active[c] for c in keep]
+        active = active[keep]
         points = points.reshape(2, -1, width)[:, keep].reshape(2, -1)
     return results
 
@@ -520,7 +542,9 @@ def _branches(maps, points: np.ndarray, per_map: int) -> np.ndarray:
 
 _HEAD_STEPS = 3  # leading steps checked for an exceptional start
 _CHAINS = 16  # chains forked from each cell's burned-in point
-_BLOCK_POINTS = 40 * 1024  # walked points per streamed block, over all chains
+# walked points per streamed block, over all chains: the integrand gets a
+# whole block at once, and its temporaries must stay small
+_BLOCK_POINTS = 8 * 1024
 _QUAD_TOL = 1e-12  # preimage quadrature: certificate on two level differences
 
 
@@ -553,15 +577,15 @@ def _walk(maps, seeds, n_burn: int, n_keep: int, start):
 def _burn_in(maps, rngs, n_burn: int, start) -> np.ndarray:
     """Every cell's burned-in point, the root of both the walker and the
     quadrature: ``max(n_burn, 3)`` steps from ``start`` on one chain per
-    cell, the first three taken one cell at a time by ``_head`` and the
-    rest in lockstep.  Returns the w0 row and the w1 row, one column per
+    cell, the first three checked by ``_head`` and the rest in lockstep,
+    all cells at once.  Returns the w0 row and the w1 row, one column per
     cell."""
     d = maps[0].degree
     if any(R.degree != d for R in maps):
         raise UnsupportedMapError("lockstep chains need maps of one degree")
     if d > _MAX_ROOT_DEGREE:
         raise UnsupportedDegreeError(f"preimage degree {d} > {_MAX_ROOT_DEGREE}")
-    state = np.array([_head(R, rng, start) for R, rng in zip(maps, rngs)]).T
+    state = _head(maps, rngs, start)
     for _ in _lockstep(maps, rngs, state, max(n_burn, _HEAD_STEPS) - _HEAD_STEPS, 1):
         pass
     return state
@@ -597,27 +621,50 @@ def _lockstep(maps, rngs, state: np.ndarray, n_steps: int, n_chains: int):
     state[...] = buf[0]
 
 
-def _head(R: RationalMapC, rng, start) -> np.ndarray:
-    """The first ``_HEAD_STEPS`` steps of a cell's chain, taken with
-    ``_preimages``; returns the point they reach.  A start all of whose
-    preimages coincide with it (numerically exceptional) is perturbed and
-    the chain restarted, up to 8 times."""
-    d = R.degree
-    point = _as_point(start)
-    for attempt in range(8):
-        current = point
-        for step in range(_HEAD_STEPS):
-            pre = _preimages(R, current)
-            if all(_chordal(pre[i], current) < 1e-12 for i in range(d)):
-                break
-            current = pre[rng.integers(d)]
-        else:
-            return current
-        eps = 0.25 + 0.5 * rng.random()
-        angle = 2 * math.pi * rng.random()
-        point = _as_point(_to_affine(point) + eps * complex(math.cos(angle),
-                                                            math.sin(angle)))
-    raise DegenerateMapError("could not move the start off the exceptional set")
+def _head(maps, rngs, start) -> np.ndarray:
+    """The first ``_HEAD_STEPS`` steps of every cell's chain, all cells at
+    once; returns the points they reach, the w0 row and the w1 row.
+
+    At each step ``_branches`` gives the d preimages of the point of every
+    cell still in its head, and the cell goes to branch ``rng.integers(d)``
+    of its own generator.  A cell whose point has all its preimages within
+    chordal distance 1e-12 of it (numerically exceptional) instead perturbs
+    its start by ``eps e^(i angle)``, drawing eps and then the angle with
+    ``rng.random()``, and restarts; its eighth exceptional point raises.
+    The other cells walk on.  Each generator draws what and in which order
+    it would with its cell walked alone.
+    """
+    d, n = maps[0].degree, len(maps)
+    first = np.repeat(_as_point(start)[:, None], n, axis=1)  # each cell's start
+    current = first.copy()
+    steps = np.zeros(n, dtype=int)
+    found = np.zeros(n, dtype=int)  # exceptional points met per cell
+    walking = np.arange(n)
+    while walking.size:
+        pre = _branches([maps[i] for i in walking], current[:, walking], 1)
+        pre = pre.reshape(2, walking.size, d)
+        at = current[:, walking, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dist = np.abs(pre[0] * at[1] - pre[1] * at[0]) / (
+                np.maximum(np.abs(pre[0]), np.abs(pre[1]))
+                * np.maximum(np.abs(at[0]), np.abs(at[1])))
+        exceptional = (dist < 1e-12).all(axis=1)
+        for i in walking[exceptional]:
+            found[i] += 1
+            if found[i] == 8:
+                raise DegenerateMapError("could not move the start off the exceptional set")
+            eps = 0.25 + 0.5 * rngs[i].random()
+            angle = 2 * math.pi * rngs[i].random()
+            first[:, i] = _as_point(_to_affine(first[:, i])
+                                    + eps * complex(math.cos(angle), math.sin(angle)))
+            current[:, i] = first[:, i]
+            steps[i] = 0
+        moving = ~exceptional
+        branch = np.array([rngs[i].integers(d) for i in walking[moving]], dtype=int)
+        current[:, walking[moving]] = pre[:, moving][:, np.arange(len(branch)), branch]
+        steps[walking[moving]] += 1
+        walking = walking[steps[walking] < _HEAD_STEPS]
+    return current
 
 
 def _as_point(p) -> np.ndarray:
@@ -633,11 +680,6 @@ def _as_point(p) -> np.ndarray:
 
 def _to_affine(p) -> complex:
     return p[0] / p[1] if p[1] != 0 else 1e6 + 0j
-
-
-def _chordal(p, q) -> float:
-    num = abs(p[0] * q[1] - p[1] * q[0])
-    return num / (max(abs(p[0]), abs(p[1])) * max(abs(q[0]), abs(q[1])))
 
 
 @dataclass
@@ -667,12 +709,14 @@ def _integral(vals: np.ndarray) -> IntegralResult:
     return IntegralResult(mean, stderr, n_used, n_exc, n_exc > 0.01 * len(vals))
 
 
-def log_det_norm(R: RationalMapC, pts: np.ndarray) -> np.ndarray:
+def log_det_norm(R, pts: np.ndarray, cell=None) -> np.ndarray:
     """log of the spherical derivative norm at homogeneous points.
 
     Chart-stable form of log(|f'(z)| (1+|z|^2) / (1+|f(z)|^2)): evaluates
     log|W| + log(|w0|^2+|w1|^2) - log(|P0|^2+|P1|^2) in whichever affine
-    chart has coordinate of modulus <= 1.
+    chart has coordinate of modulus <= 1.  ``R`` is one map, or a
+    ``MapStack`` with ``cell[k]`` the row of point k; each value is the one
+    map's, bit for bit, whatever the other points.
     """
     pts = np.atleast_2d(pts)
     z_chart = np.abs(pts[:, 0]) <= np.abs(pts[:, 1])
@@ -684,12 +728,24 @@ def log_det_norm(R: RationalMapC, pts: np.ndarray) -> np.ndarray:
                                 (~z_chart, R._wu, R._q0, R._q1)):
             if not mask.any():
                 continue
-            zz = z[mask]
-            wv = np.abs(npoly.polyval(zz, w))
-            v0 = np.abs(npoly.polyval(zz, c0))
-            v1 = np.abs(npoly.polyval(zz, c1))
+            zz, row = z[mask], 0 if cell is None else np.asarray(cell)[mask]
+            wv = np.abs(_horner(w, row, zz))
+            v0 = np.abs(_horner(c0, row, zz))
+            v1 = np.abs(_horner(c1, row, zz))
             out[mask] = (np.log(wv) + np.log1p(np.abs(zz) ** 2)
                          - np.log(v0 ** 2 + v1 ** 2))
+    return out
+
+
+def _horner(c: np.ndarray, row, x: np.ndarray) -> np.ndarray:
+    """The polynomial with ascending coefficients ``c[row[k]]`` at
+    ``x[k]``, for every k (``c`` one row, and ``row`` 0, for one
+    polynomial): ``npoly.polyval``'s Horner scheme, each coefficient column
+    gathered in turn, so every value is ``npoly.polyval``'s bit for bit."""
+    c = np.atleast_2d(c)
+    out = c[row, -1] + x * 0
+    for j in range(c.shape[1] - 2, -1, -1):
+        out = c[row, j] + out * x
     return out
 
 
@@ -719,10 +775,16 @@ def escape_green(coeffs, z0: complex, n_max: int = 700) -> float:
     lead = abs(c[d])
     if lead == 0:
         raise DegenerateMapError("leading coefficient vanished")
+    # Horner on Python complex, in npoly.polyval's operation order
+    cs = [complex(a) for a in c]
+    top, rest = cs[d], cs[d - 1::-1]
     z = complex(z0)
     big = 1e30  # d <= 8 keeps |p(z)| under the float range at this size
     for n in range(1, n_max + 1):
-        z = complex(npoly.polyval(z, c))
+        v = top + z * 0
+        for a in rest:
+            v = a + v * z
+        z = v
         if abs(z) > big:
             return (math.log(abs(z)) + math.log(lead) / (d - 1)) / d ** n
     return 0.0

@@ -326,8 +326,10 @@ def _grid_cells(cfg: ExperimentConfig):
 
 
 def _cell_integrals(cfg: ExperimentConfig, family, integrand, quadrature: bool = False):
-    """Specialize the family at every grid cell and integrate
-    ``integrand(rc, t)`` against each cell's equilibrium measure.
+    """Specialize the family at every grid cell and integrate against each
+    cell's equilibrium measure the function ``f = integrand(maps, ts)`` of
+    the cells' maps and parameters, where ``f(cell, pts)`` gives the values
+    at the points ``pts``, row k on cell ``cell[k]``.
 
     With ``quadrature`` a cell is integrated by ``cxdyn.preimage_levels``
     where that certifies a value; every other cell is sampled by the
@@ -336,25 +338,28 @@ def _cell_integrals(cfg: ExperimentConfig, family, integrand, quadrature: bool =
     level) triples, ``level`` being the quadrature level or None for a
     walker cell.
     """
+    import numpy as np
+
     from . import cxdyn
 
     cells = _grid_cells(cfg)
     maps = [cxdyn.specialize(family, t, r=cfg.r) for _, _, _, t in cells]
     seeds = [_cell_seed(cfg.seed, j, p) for j, p, _, _ in cells]
-    integrands = [integrand(rc, cell[3]) for rc, cell in zip(maps, cells)]
+    f = integrand(maps, [t for _, _, _, t in cells])
     estimates, levels = [None] * len(cells), [None] * len(cells)
     if quadrature:
         for i, q in enumerate(cxdyn.preimage_levels(maps, seeds, cfg.n_burn, cfg.n_keep,
-                                                    cfg.start, integrands)):
+                                                    cfg.start, f)):
             if q is not None:
                 mean, err, levels[i] = q
                 estimates[i] = cxdyn.IntegralResult(mean, err, maps[i].degree ** levels[i],
                                                     0, False)
     walk = [i for i, est in enumerate(estimates) if est is None]
     if walk:
+        grid = np.array(walk)
         walked = cxdyn.sample_integrals([maps[i] for i in walk], [seeds[i] for i in walk],
                                         cfg.n_burn, cfg.n_keep, cfg.start,
-                                        [integrands[i] for i in walk])
+                                        lambda cell, pts: f(grid[cell], pts))
         for i, est in zip(walk, walked):
             estimates[i] = est
     return list(zip(cells, estimates, levels))
@@ -418,10 +423,11 @@ def cmd_hybrid_converge(cfg: ExperimentConfig) -> ResultRecord:
     for pt, mass in mu.support():
         i0 += mass * admissible.g_na(datum, pt, cfg.r)
 
-    def model_value(rc, t):
-        n_factor = hybrid.scaling_n(hybrid.HybridPoint.interior(t, cfg.r))
-        return lambda pts: n_factor * admissible.phi_canonical(
-            datum, (pts[:, 0], pts[:, 1]), t)
+    def model_value(maps, ts):
+        n_factor = np.array([hybrid.scaling_n(hybrid.HybridPoint.interior(t, cfg.r))
+                             for t in ts])
+        return lambda cell, pts: n_factor[cell] * admissible.phi_canonical(
+            datum, (pts[:, 0], pts[:, 1]), ts, cell)
 
     estimates = _cell_integrals(cfg, family, model_value)
     rows = [[j, p, t.real, t.imag, est.mean, est.stderr, est.n_excluded,
@@ -466,8 +472,9 @@ def cmd_lyap_slope(cfg: ExperimentConfig) -> ResultRecord:
     na_ratio = abs(lyap_na) / abs(math.log(cfg.r))
     polynomial = family.is_polynomial()
 
-    def lyapunov_integrand(rc, t):
-        return lambda pts: cxdyn.log_det_norm(rc, pts)
+    def lyapunov_integrand(maps, ts):
+        stack = cxdyn.MapStack(maps)
+        return lambda cell, pts: cxdyn.log_det_norm(stack, pts, cell)
 
     estimates = _cell_integrals(cfg, family, lyapunov_integrand, quadrature=True)
     rows = [[j, p, t.real, t.imag, est.mean, est.stderr,

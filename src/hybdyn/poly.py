@@ -140,23 +140,33 @@ class HomogeneousPoly:
 
     # -- evaluation ----------------------------------------------------------------
 
-    def eval_numeric(self, w, t: complex):
+    def eval_numeric(self, w, t, cell=None):
         """Evaluate at complex homogeneous coordinates.
 
         ``w`` is a sequence of ``nvars`` scalars or equally-shaped numpy
         arrays; coefficients are specialized at the complex parameter ``t``
         by ``LaurentSeries.eval`` (principal branch for fractional powers).
+        With ``cell``, shaped as the coordinates, ``t`` is a sequence of
+        parameters and point k takes ``t[cell[k]]``: each coefficient is
+        evaluated once per parameter and gathered, and every value is the
+        one-parameter value bit for bit.
         """
         import numpy as np  # only complex fibers evaluate numerically
 
         w = [np.asarray(x, dtype=complex) for x in w]
         total = None
         for e, c in self.coeffs.items():
-            cv = c.eval(t)
-            term = np.full_like(w[0], cv)
+            if cell is None:
+                term = np.full_like(w[0], c.eval(t))
+            else:
+                term = np.array([c.eval(s) for s in t], dtype=complex)[cell]
             for x, k in zip(w, e):
                 if k:
-                    term = term * x ** k
+                    # not ``term * x ** k``: on arrays of 256 KiB and more
+                    # numpy computes that in the temporary ``x ** k`` with
+                    # the factors swapped, and a complex product may round
+                    # differently in the other order
+                    term = np.multiply(term, x ** k)
             total = term if total is None else total + term
         if total is None:
             return np.zeros_like(w[0])

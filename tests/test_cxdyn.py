@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from hybdyn import admissible, cxdyn
 from hybdyn.cxdyn import (RationalMapC, backward_sample, escape_green,
@@ -264,6 +265,18 @@ class TestLyapunov:
             assert res.mean >= bound - 3 * res.stderr
 
 
+def _escape_green_polyval(coeffs, z0, n_max=700):
+    """Reference ``escape_green``: the orbit through ``npoly.polyval``."""
+    c = np.asarray(coeffs, dtype=complex)
+    d = len(c) - 1
+    z = complex(z0)
+    for n in range(1, n_max + 1):
+        z = complex(npoly.polyval(z, c))
+        if abs(z) > 1e30:
+            return (math.log(abs(z)) + math.log(abs(c[d])) / (d - 1)) / d ** n
+    return 0.0
+
+
 class TestEscapeOracle:
     def test_bounded_orbit(self):
         assert escape_green([0.0, 0.0, 1.0], 0.0) == 0.0  # z^2, critical at 0
@@ -294,6 +307,31 @@ class TestEscapeOracle:
         with pytest.raises(UnsupportedMapError):
             przytycki_oracle(parse_family("(z^2 - t)/z"), 0.1)
 
+    def test_horner_matches_polyval(self):
+        # the Python-complex Horner orbit against the npoly.polyval one, on
+        # the shipped polynomial families over 6 moduli x 8 phases, at the
+        # critical points and at random points
+        from hybdyn.presets import FAMILY_TEXTS
+        rng = np.random.default_rng(29)
+        families = [parse_family(text) for text in FAMILY_TEXTS]
+        families = [fam for fam in families if fam.is_polynomial()]
+        escaped = orbits = 0
+        for fam in families:
+            for m in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+                for p in range(8):
+                    t = m * cmath.exp(2j * math.pi * p / 8)
+                    coeffs = np.array([c.eval(t) for c in fam.affine_coeffs()], dtype=complex)
+                    crit = np.roots(npoly.polyder(coeffs)[::-1])
+                    starts = list(crit) + list(rng.normal(size=3) + 1j * rng.normal(size=3))
+                    for z0 in starts:
+                        g = escape_green(coeffs, complex(z0))
+                        assert g == _escape_green_polyval(coeffs, complex(z0))
+                        escaped += g > 0
+                        orbits += 1
+        # four quadratics with one critical point, a cubic with two
+        assert len(families) == 5 and orbits == 48 * (4 * (1 + 3) + (2 + 3))
+        assert escaped > orbits // 2
+
     def test_scaled_lead_conjugation(self):
         # a z^2 is conjugate to z^2: same Lyapunov exponent
         g = escape_green([0.0, 0.0, 5.0], 0.0)
@@ -314,6 +352,34 @@ class TestPreimageDegrees:
         assert len(s.points) == 200
 
 
+def _chordal(p, q) -> float:
+    num = abs(p[0] * q[1] - p[1] * q[0])
+    return num / (max(abs(p[0]), abs(p[1])) * max(abs(q[0]), abs(q[1])))
+
+
+def _scalar_head(R, rng, start):
+    """Reference head of one cell's chain: three scalar ``_preimages``
+    steps, restarting from a perturbed start, up to 8 times, when all the
+    preimages of the current point lie within 1e-12 of it.  Returns the
+    point reached and the number of restarts."""
+    d = R.degree
+    point = cxdyn._as_point(start)
+    for restarts in range(8):
+        current = point
+        for _ in range(3):
+            pre = cxdyn._preimages(R, current)
+            if all(_chordal(p, current) < 1e-12 for p in pre):
+                break
+            current = pre[rng.integers(d)]
+        else:
+            return current, restarts
+        eps = 0.25 + 0.5 * rng.random()
+        angle = 2 * math.pi * rng.random()
+        point = cxdyn._as_point(cxdyn._to_affine(point)
+                                + eps * complex(math.cos(angle), math.sin(angle)))
+    raise DegenerateMapError("could not move the start off the exceptional set")
+
+
 def _scalar_walk(R, seed, n_burn, n_keep, start):
     """Reference forked walk, one scalar _preimages solve per step.
 
@@ -330,7 +396,7 @@ def _scalar_walk(R, seed, n_burn, n_keep, start):
         current = point
         for step in range(max(n_burn, 3)):
             pre = cxdyn._preimages(R, current)
-            if step < 3 and all(cxdyn._chordal(p, current) < 1e-12 for p in pre):
+            if step < 3 and all(_chordal(p, current) < 1e-12 for p in pre):
                 break
             current = pre[rng.integers(d)]
         else:
@@ -349,6 +415,132 @@ def _scalar_walk(R, seed, n_burn, n_keep, start):
             chain = cxdyn._preimages(R, chain)[draws[s, c]]
             kept.append(chain)
     return np.array(kept[:n_keep]).reshape(n_keep, 2)
+
+
+class TestBatchedHead:
+    """``_head`` steps all cells at once; each cell's point and generator
+    end as they do in the scalar reference walked alone."""
+
+    @staticmethod
+    def _power(d, k):
+        return RationalMapC([0] * d + [k], [1] + [0] * d)
+
+    def _grid(self, d):
+        # from the start 0: z^d is exceptional and restarts once; K z^d
+        # pulls its chain towards 0 so fast that the third step finds it
+        # exceptional when the perturbed start lies close enough to 0, so
+        # it restarts once or twice with these seeds; the third family
+        # walks off at once
+        other = specialize(parse_family("z^2 + 1/t" if d == 2 else "z^3 + t*z"), 1e-3)
+        k = 8e15 if d == 2 else 1e27
+        return [self._power(d, 1), self._power(d, k), other] * 8
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_equals_scalar_head(self, d):
+        maps = self._grid(d)
+        seeds = range(100, 100 + len(maps))
+        rngs = [np.random.default_rng(s) for s in seeds]
+        with np.errstate(all="ignore"):
+            head = cxdyn._head(maps, rngs, 0.0)
+        restarts = []
+        for i, (R, seed) in enumerate(zip(maps, seeds)):
+            rng = np.random.default_rng(seed)
+            with np.errstate(all="ignore"):
+                point, n = _scalar_head(R, rng, 0.0)
+            restarts.append(n)
+            assert head[:, i].tobytes() == point.tobytes()
+            assert rngs[i].bit_generator.state == rng.bit_generator.state
+        assert restarts[0::3] == [1] * 8 and max(restarts[1::3]) > 1
+        assert restarts[2::3] == [0] * 8
+
+    def test_exhausted_restarts_raise(self):
+        # K z^2 with K = 1.5e16 finds every perturbed start exceptional
+        maps = [self._power(2, 1), self._power(2, 1.5e16)]
+        rngs = [np.random.default_rng(s) for s in (1, 2)]
+        with pytest.raises(DegenerateMapError, match="exceptional"):
+            with np.errstate(all="ignore"):
+                _scalar_head(maps[1], np.random.default_rng(2), 0.0)
+        with pytest.raises(DegenerateMapError, match="exceptional"):
+            with np.errstate(all="ignore"):
+                cxdyn._head(maps, rngs, 0.0)
+
+
+def _log_det_norm_polyval(R, pts):
+    """Reference ``log_det_norm`` of one map through ``npoly.polyval``."""
+    pts = np.atleast_2d(pts)
+    z_chart = np.abs(pts[:, 0]) <= np.abs(pts[:, 1])
+    z = np.where(z_chart, cxdyn._safe_div(pts[:, 0], pts[:, 1]),
+                 cxdyn._safe_div(pts[:, 1], pts[:, 0]))
+    out = np.empty(len(pts))
+    for mask, w, c0, c1 in ((z_chart, R._wz, R.p0c, R.p1c),
+                            (~z_chart, R._wu, R._q0, R._q1)):
+        zz = z[mask]
+        wv = np.abs(npoly.polyval(zz, w))
+        v0 = np.abs(npoly.polyval(zz, c0))
+        v1 = np.abs(npoly.polyval(zz, c1))
+        out[mask] = np.log(wv) + np.log1p(np.abs(zz) ** 2) - np.log(v0 ** 2 + v1 ** 2)
+    return out
+
+
+def _test_points(n, seed):
+    """0, infinity, points on the unit circle and random points in both
+    charts, shuffled, as homogeneous pairs."""
+    rng = np.random.default_rng(seed)
+    circle = np.exp(2j * np.pi * rng.random(n))
+    z = (rng.normal(size=n) + 1j * rng.normal(size=n)) * 10.0 ** rng.integers(-3, 4, n)
+    pts = np.concatenate([np.array([[0, 1], [1, 0]] * 8, dtype=complex),
+                          np.stack([circle, np.ones(n)], axis=1),
+                          [cxdyn._as_point(x) for x in z]])
+    return pts[rng.permutation(len(pts))]
+
+
+class TestAllCellEvaluators:
+    """One call on the points of many cells gives every cell's values bit
+    for bit, on batches past numpy's 256 KiB temporary-reuse threshold."""
+
+    def test_log_det_norm(self):
+        fam = parse_family("z^2 + 1/t")
+        maps = [specialize(fam, tv) for tv in (1e-1, 1e-4j, -1e-8, 0.3 * cmath.exp(2.5j))]
+        maps += [specialize(parse_family("z^2"), 0.1),
+                 specialize(parse_family("(z^2 - t)/z"), -0.25)]
+        # the Wronskian zeros: 0 and infinity for the polynomials, ±sqrt(-t)
+        # = ±0.5 for the rational map
+        crit = np.array([cxdyn._as_point(z) for z in (0.5, -0.5)])
+        pts = np.concatenate([crit, _test_points(9000, 3)])
+        cell = np.random.default_rng(4).integers(len(maps), size=len(pts))
+        cell[:2] = len(maps) - 1
+        with np.errstate(all="ignore"):
+            values = log_det_norm(cxdyn.MapStack(maps), pts, cell)
+        assert len(pts) * 16 > 256 * 1024
+        for i, R in enumerate(maps):
+            with np.errstate(all="ignore"):
+                alone = log_det_norm(R, pts[cell == i])
+                ref = _log_det_norm_polyval(R, pts[cell == i])
+            assert values[cell == i].tobytes() == alone.tobytes() == ref.tobytes()
+        assert np.isneginf(values[:2]).all()
+        at_zero = (pts[:, 0] == 0) & (cell < len(maps) - 1)
+        at_inf = (pts[:, 1] == 0) & (cell < len(maps) - 1)
+        assert at_zero.any() and at_inf.any()
+        assert np.isneginf(values[at_zero | at_inf]).all()
+
+    def test_phi_canonical(self):
+        # coefficient sizes from 1e-8 to 1e4, a fractional power, and a
+        # datum vanishing at 0
+        ts = [1e-1, 1e-4j, -1e-8, 0.3 * cmath.exp(2.5j), 0.6 * cmath.exp(-2j)]
+        pts = _test_points(9000, 5)
+        cell = np.random.default_rng(6).integers(len(ts), size=len(pts))
+        z = (pts[:, 0], pts[:, 1])
+        infinite = []
+        for sections, d in ((["w0^2 + t*w1^2", "t^(1/2)*w0*w1"], 2),
+                            (["t*w0^2", "w0*w1/t"], 2), (["t*w0", "t*w1"], 1)):
+            datum = parse_sections(sections, k=1, d=d)
+            values = admissible.phi_canonical(datum, z, ts, cell)
+            infinite.append(int(np.isneginf(values).sum()))
+            for i, t in enumerate(ts):
+                alone = admissible.phi_canonical(datum, (z[0][cell == i], z[1][cell == i]), t)
+                assert values[cell == i].tobytes() == alone.tobytes()
+        assert len(pts) * 16 > 256 * 1024
+        assert infinite == [0, 8, 0]  # the second datum vanishes at the 8 points z = 0
 
 
 def _step(maps, y, k):
@@ -534,8 +726,7 @@ class TestCubicRoot:
         monkeypatch.setattr(np.linalg, "eigvals", _raise)
         fam = parse_family("z^3 + t*z")
         maps = [specialize(fam, tv) for tv in (1e-2, 1e-4j)]
-        fs = [lambda pts, rc=rc: log_det_norm(rc, pts) for rc in maps]
-        results = sample_integrals(maps, [1, 2], 20, 500, 1.1 + 0.7j, fs)
+        results = sample_integrals(maps, [1, 2], 20, 500, 1.1 + 0.7j, _lyapunov(maps))
         assert all(res.n_used == 500 for res in results)
 
 
@@ -555,7 +746,8 @@ class TestSampleIntegrals:
                       lambda pts: admissible.phi_canonical(
                           datum, (pts[:, 0], pts[:, 1]), t),
                       lambda pts: np.where(np.abs(pts[:, 0]) < 0.5, -np.inf, 1.0)):
-                (streamed,) = sample_integrals([rc], [9], n_burn, n_keep, 1.1 + 0.7j, [f])
+                (streamed,) = sample_integrals([rc], [9], n_burn, n_keep, 1.1 + 0.7j,
+                                               lambda cell, pts: f(pts))
                 sampled = integrate_mu(rc, f, backward_sample(rc, 9, n_burn, n_keep,
                                                               1.1 + 0.7j))
                 assert streamed == sampled
@@ -565,43 +757,47 @@ class TestSampleIntegrals:
         maps = [specialize(fam, 10.0 ** -k * complex(math.cos(k), math.sin(k)))
                 for k in range(1, 6)]
         seeds = [31, 32, 33, 34, 35]
-        fs = [lambda pts, rc=rc: log_det_norm(rc, pts) for rc in maps]
         args = (20, 1100, 1.1 + 0.7j)
-        together = sample_integrals(maps, seeds, *args, fs)
-        reversed_ = sample_integrals(maps[::-1], seeds[::-1], *args, fs[::-1])[::-1]
-        alone = [sample_integrals([rc], [s], *args, [f])[0]
-                 for rc, s, f in zip(maps, seeds, fs)]
+        together = sample_integrals(maps, seeds, *args, _lyapunov(maps))
+        reversed_ = sample_integrals(maps[::-1], seeds[::-1], *args,
+                                     _lyapunov(maps[::-1]))[::-1]
+        alone = [sample_integrals([rc], [s], *args, _lyapunov([rc]))[0]
+                 for rc, s in zip(maps, seeds)]
         assert together == reversed_ == alone
 
     def test_blocks_bounded_by_points(self):
         # 40 cells of 16 chains: a block sized by steps would hand each cell
-        # 16x more points than the walker's 40 * 1024-point budget allows
+        # 16x more points than the walker's 8 * 1024-point budget allows
         fam = parse_family("z^2 + 1/t")
         n_cells, n_keep = 40, 20000
         maps = [specialize(fam, 10.0 ** -(1 + k % 5) * complex(math.cos(k), math.sin(k)))
                 for k in range(n_cells)]
         calls = []
-        fs = [lambda pts, i=i: calls.append((i, len(pts))) or np.zeros(len(pts))
-              for i in range(n_cells)]
-        sample_integrals(maps, list(range(n_cells)), 0, n_keep, 1.1 + 0.7j, fs)
-        assert len(calls) % n_cells == 0
-        blocks = [calls[k: k + n_cells] for k in range(0, len(calls), n_cells)]
-        for block in blocks:
-            assert [i for i, _ in block] == list(range(n_cells))
-            assert sum(n for _, n in block) <= 40 * 1024
-        for i in range(n_cells):
-            assert sum(n for j, n in calls if j == i) == n_keep
+
+        def f(cell, pts):
+            # one call per block, the cells' points one cell after another
+            assert len(cell) == len(pts) and (np.diff(cell) >= 0).all()
+            calls.append(np.bincount(cell, minlength=n_cells))
+            return np.zeros(len(pts))
+
+        sample_integrals(maps, list(range(n_cells)), 0, n_keep, 1.1 + 0.7j, f)
+        per_block = np.array(calls)
+        assert len(calls) > 1 and (per_block > 0).all()
+        assert (per_block.sum(axis=1) <= 8 * 1024).all()
+        assert (per_block.sum(axis=0) == n_keep).all()
 
     def test_high_degree_rejected_before_walking(self):
         rc = RationalMapC([0.0] * 9 + [1.0], [1.0] + [0.0] * 9)
         calls = []
         with pytest.raises(UnsupportedDegreeError):
-            sample_integrals([rc, rc], [1, 2], 5, 5, 1.5, [calls.append] * 2)
+            sample_integrals([rc, rc], [1, 2], 5, 5, 1.5, lambda cell, pts: calls.append(pts))
         assert calls == []
 
 
-def _lyapunov_integrands(maps):
-    return [lambda pts, rc=rc: log_det_norm(rc, pts) for rc in maps]
+def _lyapunov(maps):
+    """The Lyapunov integrand ``f(cell, pts)`` on the cells of ``maps``."""
+    stack = cxdyn.MapStack(maps)
+    return lambda cell, pts: log_det_norm(stack, pts, cell)
 
 
 class TestPreimageLevels:
@@ -625,12 +821,12 @@ class TestPreimageLevels:
         maps = [specialize(fam, 10.0 ** -k * complex(math.cos(k), math.sin(k)))
                 for k in range(2, 7)]
         seeds = [41, 42, 43, 44, 45]
-        fs = _lyapunov_integrands(maps)
         args = (100, 20000, 1.1 + 0.7j)
-        together = cxdyn.preimage_levels(maps, seeds, *args, fs)
-        reversed_ = cxdyn.preimage_levels(maps[::-1], seeds[::-1], *args, fs[::-1])[::-1]
-        alone = [cxdyn.preimage_levels([rc], [s], *args, [f])[0]
-                 for rc, s, f in zip(maps, seeds, fs)]
+        together = cxdyn.preimage_levels(maps, seeds, *args, _lyapunov(maps))
+        reversed_ = cxdyn.preimage_levels(maps[::-1], seeds[::-1], *args,
+                                          _lyapunov(maps[::-1]))[::-1]
+        alone = [cxdyn.preimage_levels([rc], [s], *args, _lyapunov([rc]))[0]
+                 for rc, s in zip(maps, seeds)]
         assert None not in together
         assert together == reversed_ == alone
 
@@ -640,11 +836,11 @@ class TestPreimageLevels:
         # plus rounding for z^2, whose walker values are all log 2
         for text, t, level in (("z^2", 0.1, 3), ("z^3 + t*z", 1e-6, None)):
             rc = specialize(parse_family(text), t)
-            f = lambda pts: log_det_norm(rc, pts)  # noqa: E731
-            ((mean, err, n),) = cxdyn.preimage_levels([rc], [5], 100, 20000, 1.1 + 0.7j, [f])
+            f = lambda cell, pts: log_det_norm(rc, pts)  # noqa: E731
+            ((mean, err, n),) = cxdyn.preimage_levels([rc], [5], 100, 20000, 1.1 + 0.7j, f)
             assert level is None or n == level
             assert err < 1e-12
-            (walked,) = sample_integrals([rc], [5], 100, 20000, 1.1 + 0.7j, [f])
+            (walked,) = sample_integrals([rc], [5], 100, 20000, 1.1 + 0.7j, f)
             assert abs(mean - walked.mean) <= 3 * walked.stderr + 1e-15
 
     def test_pole_family_matches_oracle(self):
@@ -652,7 +848,7 @@ class TestPreimageLevels:
         for tv in (1e-2, -3e-4j, 1e-6 * complex(math.cos(0.7), math.sin(0.7))):
             rc = specialize(fam, tv)
             ((mean, err, n),) = cxdyn.preimage_levels(
-                [rc], [7], 100, 20000, 1.1 + 0.7j, _lyapunov_integrands([rc]))
+                [rc], [7], 100, 20000, 1.1 + 0.7j, _lyapunov([rc]))
             assert abs(mean - przytycki_oracle(fam, tv)) < 1e-12
             assert 3 <= n <= 10 and err < 1e-12
 
@@ -663,8 +859,8 @@ class TestPreimageLevels:
         rc = specialize(parse_family("z^2 + 1/t"), 1e-3)
         i5 = 2.0 + 2.0 ** -40 + 2.0 ** -42
         by_size = {2: 1.0, 4: 1.0, 8: 2.0, 16: 2.0 + 2.0 ** -40, 32: i5}
-        f = lambda pts: np.full(len(pts), by_size[len(pts)])  # noqa: E731
-        assert cxdyn.preimage_levels([rc], [3], 100, 20000, 1.1 + 0.7j, [f]) == [
+        f = lambda cell, pts: np.full(len(pts), by_size[len(pts)])  # noqa: E731
+        assert cxdyn.preimage_levels([rc], [3], 100, 20000, 1.1 + 0.7j, f) == [
             (i5, 2.0 ** -42 * 0.25 / 0.75, 5)]
 
     def test_fallbacks(self, monkeypatch):
@@ -681,13 +877,13 @@ class TestPreimageLevels:
         # a budget below d^3 leaves no certificate, and a Mobius map has
         # no levels: nothing is solved
         assert cxdyn.preimage_levels(pole, [1, 2], 100, 7, 1.1 + 0.7j,
-                                     _lyapunov_integrands(pole)) == [None, None]
+                                     _lyapunov(pole)) == [None, None]
         mobius = RationalMapC([0.5, 1], [1, 0.25j])
         assert cxdyn.preimage_levels([mobius], [1], 100, 20000, 0.3,
-                                     _lyapunov_integrands([mobius])) == [None]
+                                     _lyapunov([mobius])) == [None]
         assert solved == []
         # non-finite values fall back at once
-        inf = [lambda pts: np.full(len(pts), -np.inf)] * 2
+        inf = lambda cell, pts: np.full(len(pts), -np.inf)  # noqa: E731
         assert cxdyn.preimage_levels(pole, [1, 2], 100, 20000, 1.1 + 0.7j, inf) == [None] * 2
         # (z^2 - t)/z: the differences shrink by about 0.4 a level, which
         # cannot reach the tolerance within 2^14 points; the cell ends long
@@ -695,7 +891,9 @@ class TestPreimageLevels:
         rational = parse_family("(z^2 - t)/z")
         maps = [specialize(rational, tv) for tv in (1e-2, 1e-4j, -1e-6)]
         solved.clear()
-        burn = len(maps) * 97  # the lockstep burn-in, one point per cell and step
+        # the head's 2 preimages at each of its 3 steps, then the lockstep
+        # burn-in, one point per cell and step
+        burn = len(maps) * (3 * 2 + 97)
         assert cxdyn.preimage_levels(maps, [1, 2, 3], 100, 20000, 1.1 + 0.7j,
-                                     _lyapunov_integrands(maps)) == [None] * 3
+                                     _lyapunov(maps)) == [None] * 3
         assert sum(solved) - burn <= len(maps) * (2 + 4 + 8 + 16 + 32)

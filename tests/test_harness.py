@@ -421,7 +421,7 @@ class TestExperiments:
                 if route == "quadrature":
                     ((mean, err, _),) = cxdyn.preimage_levels(
                         [rc], [seed], c.n_burn, c.n_keep, c.start,
-                        [lambda pts: cxdyn.log_det_norm(rc, pts)])
+                        lambda cell, pts: cxdyn.log_det_norm(rc, pts))
                     n_excluded = 0
                 else:
                     sample = cxdyn.backward_sample(rc, seed, c.n_burn, c.n_keep, c.start)
