@@ -23,8 +23,7 @@ from .berkovich import (BerkTree, GreenEvaluator, TreeMeasure, TypeIIPoint,
                         subtree_span, tree_ma)
 
 _CXDYN_NAMES = ("RationalMapC", "SampleSet", "backward_sample", "integrate_mu",
-                "lyapunov_complex", "przytycki_oracle", "sample_integrals",
-                "specialize")
+                "lyapunov_complex", "przytycki_oracle", "specialize")
 
 __version__ = "0.1.0"
 

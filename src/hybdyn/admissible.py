@@ -82,7 +82,10 @@ def _sup_normalized(z):
     import numpy as np
 
     w = [np.asarray(x, dtype=complex) for x in z]
-    scale = np.maximum.reduce([np.abs(x) for x in w])
+    # pairwise, without stacking the moduli into one 2-D array
+    scale = np.abs(w[0])
+    for x in w[1:]:
+        scale = np.maximum(scale, np.abs(x))
     if np.any(scale == 0):
         raise LaurentError("z must be a nonzero homogeneous vector")
     return [x / scale for x in w]

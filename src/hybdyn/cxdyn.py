@@ -1,27 +1,30 @@
 """Complex dynamics at a fixed parameter: specialization, integrals against
-the measure of maximal entropy by backward-orbit sampling or by preimage
-quadrature, and Lyapunov estimation.
+the measure of maximal entropy by preimage quadrature, and Lyapunov
+estimation.
 
 Points on the Riemann sphere are kept as homogeneous pairs (w0, w1) with
-sup-norm 1 so that both charts stay numerically safe.  Both routes rest on
-the equidistribution of the balanced pullback: ``d^-n Σ_{R^n y = x} δ_y``
-converges to the measure of maximal entropy.  The backward sampler
-(``sample_integrals``) draws a uniformly random inverse branch at each step
-and gives a Monte-Carlo estimate; the quadrature (``preimage_levels``) sums
-over all ``d^n`` branches, level by level, and certifies its value from the
-differences between levels.
+sup-norm 1 so that both charts stay numerically safe.  The integrals rest
+on the equidistribution of the balanced pullback: ``d^-n Σ_{R^n y = x} δ_y``
+converges to the measure of maximal entropy.  The quadrature
+(``preimage_levels``) sums over all ``d^n`` branches, level by level, and
+reports each cell's value with an error estimate and whether the
+differences between levels certify it.  The backward sampler
+(``backward_sample``) draws a uniformly random inverse branch at each step
+of one map's orbit; it stays as the Monte-Carlo reference.
 
-Both routes treat a grid of cells, one map each, as one batch: every walker
-step, quadrature level and integrand evaluation is a single numpy call over
-the points of all cells, and a cell's result is bit for bit what it would be
-alone.  An integrand ``f(cell, pts)`` gets the points of many cells at once,
-``cell[k]`` being the grid index of row k; ``MapStack`` and
-``log_det_norm(stack, pts, cell)`` evaluate such a batch on its own maps.
+The quadrature treats a grid of cells, one map each, as one batch: every
+burn-in step, quadrature level and integrand evaluation is a numpy call
+over the points of all cells, in blocks of bounded size, and a cell's
+result is bit for bit what it would be alone.  An integrand ``f(cell,
+pts)`` gets the points of many cells at once, ``cell[k]`` being the grid
+index of row k; ``MapStack`` and ``log_det_norm(stack, pts, cell)``
+evaluate such a batch on its own maps.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -394,46 +397,27 @@ def backward_sample(R: RationalMapC, seed: int, n_burn: int, n_keep: int,
                     start) -> SampleSet:
     """Random backward orbit: one uniformly chosen preimage per step.
 
-    One chain walks ``max(n_burn, 3)`` burn-in steps from ``start``; starts
-    on (numerically) exceptional points are detected in the first three
-    steps and perturbed.  The burned-in point is then forked into
+    One chain walks ``max(n_burn, 3)`` burn-in steps from ``start``
+    (``_burn_in`` with ``default_rng(seed)``, the root of the quadrature);
+    starts on (numerically) exceptional points are detected in the first
+    three steps and perturbed.  The burned-in point is then forked into
     ``K = min(16, n_keep)`` chains of ``ceil(n_keep / K)`` steps each, and
     the sample is chain-major (chain 0's points, then chain 1's, ...),
-    truncated to ``n_keep``.  This is the one-cell case of the walker
-    behind ``sample_integrals``; acceptance criterion 6 samples through it.
+    truncated to ``n_keep``.  The one-cell Monte-Carlo reference that
+    acceptance criterion 6 samples through.
     """
-    n_chains, n_steps = _fork_shape(n_keep)
+    if n_keep < 1:
+        raise ValueError(f"n_keep must be >= 1, got {n_keep}")
+    n_chains = min(_CHAINS, n_keep)
+    n_steps = -(-n_keep // n_chains)
+    rngs = [np.random.default_rng(seed)]
+    state = np.repeat(_burn_in([R], rngs, n_burn, start), n_chains, axis=1)
     kept = np.empty((n_chains, n_steps, 2), dtype=complex)
-    for lo, block in _walk([R], [seed], n_burn, n_keep, start):
-        kept[:, lo: lo + block.shape[2]] = block[0]
+    for lo, block in _lockstep([R], rngs, state, n_steps, n_chains):
+        # block[k] holds step lo + k of every chain, the w0 row and the w1 row
+        kept[:, lo: lo + len(block)] = block.transpose(2, 0, 1)
     return SampleSet(points=kept.reshape(-1, 2)[:n_keep], seed=seed,
                      n_burn=n_burn, n_keep=n_keep)
-
-
-def sample_integrals(maps, seeds, n_burn: int, n_keep: int, start, f) -> list:
-    """Integrate ``f`` against the sampled measure of ``maps[i]`` for every
-    i, walking the chains of all cells in lockstep.
-
-    Result i equals ``integrate_mu(maps[i], g, backward_sample(maps[i],
-    seeds[i], n_burn, n_keep, start))`` with ``g(pts) = f(i, pts)``, bit
-    for bit, whatever the other cells are.  The points are streamed to
-    ``f`` block by block: ``f(cell, pts)`` is called once per block on the
-    kept points of every cell of that block, cell after cell and
-    chain-major within a cell, ``cell[k]`` being the index in ``maps`` of
-    row k; only the values are kept.
-    """
-    n_chains, n_steps = _fork_shape(n_keep)
-    values = np.empty((len(maps), n_chains, n_steps))
-    # chain c keeps its first limit[c] steps: sample positions < n_keep
-    limit = np.clip(n_keep - n_steps * np.arange(n_chains), 0, n_steps)[:, None]
-    for lo, block in _walk(maps, seeds, n_burn, n_keep, start):
-        b = block.shape[2]
-        keep = np.arange(lo, lo + b) < limit
-        pts = block[:, keep]  # (cells, kept points of a cell, 2)
-        cell = np.arange(len(maps)).repeat(pts.shape[1])
-        values[:, :, lo: lo + b][:, keep] = np.reshape(f(cell, pts.reshape(-1, 2)),
-                                                        pts.shape[:2])
-    return [_integral(vals.reshape(-1)[:n_keep]) for vals in values]
 
 
 def preimage_levels(maps, seeds, n_burn: int, n_keep: int, start, f) -> list:
@@ -442,67 +426,110 @@ def preimage_levels(maps, seeds, n_burn: int, n_keep: int, start, f) -> list:
     ``d^n`` points y with ``R^n y = x``, counted with multiplicity, for the
     root x.
 
-    The root is cell i's burned-in point, the walker's (``_burn_in`` with
-    ``default_rng(seeds[i])``).  Level 1 holds the d preimages of the root
-    and level n+1 those of every point of level n, all cells at once; a
-    level is entered only while ``d^n <= n_keep``, and maps of degree 1
-    enter none.  With ``Δ_n = I_n - I_{n-1}``, a cell converges at
-    level n when ``|Δ_n|`` and ``|Δ_{n-1}|`` are both below ``_QUAD_TOL``;
-    one small difference is no certificate, since an integrand can be
-    locally constant at coarse levels.  Result i is then
-    ``(I_n, error estimate, n)``, the estimate being the geometric tail
-    ``|Δ_n| ρ / (1 - ρ)`` with ``ρ = |Δ_n / Δ_{n-1}|`` when ``ρ < 1`` and
-    ``|Δ_n|`` otherwise.  Result i is None, and the cell must fall back to
-    the walker, when an integrand value is not finite, when the ratios of
-    the differences have stopped shrinking and the last one, extrapolated,
-    reaches no certificate within the budget, or when the budget runs out.
+    The root is cell i's burned-in point (``_burn_in`` with
+    ``default_rng(seeds[i])``, as ``backward_sample`` starts).  Level 1
+    holds the d preimages of the root and level n+1 those of every point of
+    level n, all cells at once; a level is entered only while
+    ``d^n <= n_keep``.  With ``Δ_n = I_n - I_{n-1}``, a cell is certified
+    at level n when ``|Δ_n|`` and ``|Δ_{n-1}|`` are both below
+    ``_QUAD_TOL``; one small difference is no certificate, since an
+    integrand can be locally constant at coarse levels.  A cell stops early,
+    uncertified, when its budget runs out, when a level has a value that is
+    not finite (the cell keeps the level before), or when the ratios of the
+    differences have stopped shrinking and the last one, extrapolated,
+    reaches no certificate within the budget.
 
-    ``f(cell, pts)`` is called once per level on the points of every cell
-    still active, as a (m, 2) array of homogeneous points: each cell's d^n
-    points of the level, cell after cell, ``cell[k]`` being the index in
-    ``maps`` of row k.  A cell's ``I_n`` is the mean over its own slice, so
-    its result does not depend on the other cells.
+    Result i is ``(I_n, estimate, n, certified)`` for the last level n the
+    cell kept, the estimate from ``_tail_estimate``; a cell with no finite
+    level reports ``(nan, inf, 0, False)``.
+
+    ``f(cell, pts)`` is called on the points of every cell still active,
+    level by level, in blocks of at most ``_BLOCK_POINTS`` homogeneous
+    points (an (m, 2) array): each cell's d^n points of the level, cell
+    after cell, ``cell[k]`` being the index in ``maps`` of row k.  A cell's
+    ``I_n`` is the mean over its own slice, so its result does not depend
+    on the other cells or on the blocks.
     """
     d = maps[0].degree
+    if d < 2:
+        raise UnsupportedMapError("preimage quadrature needs degree >= 2")
     top = 0  # the last level within the budget
-    while d > 1 and d ** (top + 1) <= n_keep:
+    while d ** (top + 1) <= n_keep:
         top += 1
-    results = [None] * len(maps)
-    if top < 3:
-        return results
     rngs = [np.random.default_rng(seed) for seed in seeds]
     points = _burn_in(maps, rngs, n_burn, start)
     active = np.arange(len(maps))
-    history = [[] for _ in maps]
+    means = [[] for _ in maps]
+    peak = [0.0] * len(maps)  # max |f| on a cell's last kept level
+    results = [None] * len(maps)
     for level in range(1, top + 1):
         width = d ** level
         points = _branches([maps[i] for i in active], points, d ** (level - 1))
-        vals = np.asarray(f(active.repeat(width), points.T), dtype=float)
+        cell = active.repeat(width)
+        vals = np.empty(len(cell))
+        for lo in range(0, len(cell), _BLOCK_POINTS):
+            hi = lo + _BLOCK_POINTS
+            vals[lo:hi] = f(cell[lo:hi], points[:, lo:hi].T)
+        vals = vals.reshape(len(active), width)
+        finite = np.isfinite(vals).all(axis=1)
+        peaks = np.abs(vals).max(axis=1)
         keep = []
         for c, i in enumerate(active):
-            cell_vals = vals[c * width: (c + 1) * width]
-            if not np.isfinite(cell_vals).all():
+            hist = means[i]
+            if not finite[c]:
+                results[i] = _settle(hist, peak[i], d, False)
                 continue
-            hist = history[i]
-            hist.append(float(cell_vals.mean()))
+            hist.append(float(vals[c].mean()))
+            peak[i] = float(peaks[c])
             if level >= 3:
                 step, prev = abs(hist[-1] - hist[-2]), abs(hist[-2] - hist[-3])
-                rho = _ratio(step, prev)
                 if step < _QUAD_TOL and prev < _QUAD_TOL:
-                    results[i] = (hist[-1], step * rho / (1 - rho) if rho < 1 else step,
-                                  level)
+                    results[i] = _settle(hist, peak[i], d, True)
                     continue
                 # extrapolating the last ratio is optimistic only once the
                 # ratios stop shrinking, so only then may it end the cell
+                rho = _ratio(step, prev)
                 if (level >= 4 and rho >= _ratio(prev, abs(hist[-3] - hist[-4]))
                         and level + _levels_to_certify(step, rho) > top):
+                    results[i] = _settle(hist, peak[i], d, False)
                     continue
             keep.append(c)
         if not keep:
             break
         active = active[keep]
         points = points.reshape(2, -1, width)[:, keep].reshape(2, -1)
-    return results
+    # the cells still active when the budget ran out
+    return [res if res is not None else _settle(hist, pk, d, False)
+            for res, hist, pk in zip(results, means, peak)]
+
+
+def _settle(means: list, peak: float, d: int, certified: bool) -> tuple:
+    """A cell's result from its level means ``I_1, ..., I_n``, ``peak``
+    being max |f| on level n."""
+    if not means:
+        return math.nan, math.inf, 0, False
+    n = len(means)
+    return means[-1], _tail_estimate(means, d ** n, peak), n, certified
+
+
+def _tail_estimate(means: list, n_points: int, peak: float) -> float:
+    """Error estimate of the last of the level means ``I_1, ..., I_n``.
+
+    The level differences of smooth and of locally constant integrands
+    shrink at uneven rates (ratios such as 0.58, 0.04, 0.57, 0.04), so the
+    tail is taken from the larger of the last two ``|Δ|`` and the largest
+    ``ρ*`` of the last three ratios ``|Δ_k / Δ_{k-1}|``: the geometric tail
+    ``|Δ| ρ* / (1 - ρ*)`` when ``ρ* < 1``, else ``|Δ|``; inf with a single
+    level.  It is floored at the rounding of the level's sum,
+    ``n_points · eps · max(1, peak)``.  An estimate, not a bound.
+    """
+    diffs = [abs(b - a) for a, b in zip(means, means[1:])]
+    if not diffs:
+        return math.inf
+    step = max(diffs[-2:])
+    rho = max([_ratio(b, a) for a, b in zip(diffs, diffs[1:])][-3:], default=math.inf)
+    tail = step * rho / (1 - rho) if rho < 1 else step
+    return max(tail, n_points * sys.float_info.epsilon * max(1.0, peak))
 
 
 def _ratio(step: float, prev: float) -> float:
@@ -541,45 +568,20 @@ def _branches(maps, points: np.ndarray, per_map: int) -> np.ndarray:
 
 
 _HEAD_STEPS = 3  # leading steps checked for an exceptional start
-_CHAINS = 16  # chains forked from each cell's burned-in point
-# walked points per streamed block, over all chains: the integrand gets a
-# whole block at once, and its temporaries must stay small
-_BLOCK_POINTS = 8 * 1024
+_CHAINS = 16  # chains forked from backward_sample's burned-in point
+# points per kernel call over all cells and chains: the preimages one _step
+# call solves, and the points one integrand call gets; the temporaries of
+# both grow with it
+_BLOCK_POINTS = 2 * 1024
 _QUAD_TOL = 1e-12  # preimage quadrature: certificate on two level differences
 
 
-def _fork_shape(n_keep: int):
-    """Chains per cell and steps per chain after the fork."""
-    if n_keep < 1:
-        raise ValueError(f"n_keep must be >= 1, got {n_keep}")
-    n_chains = min(_CHAINS, n_keep)
-    return n_chains, -(-n_keep // n_chains)
-
-
-def _walk(maps, seeds, n_burn: int, n_keep: int, start):
-    """The backward walker.  Cell i walks ``maps[i]`` with its own generator
-    ``default_rng(seeds[i])``: ``_burn_in`` on one chain, then
-    ``_fork_shape(n_keep)`` chains continuing from the burned-in point.  All
-    cells step together.
-
-    Yields ``(lo, block)`` where ``block[i, c]`` holds steps lo, lo+1, ...
-    of cell i's chain c as a (b, 2) array; ``block`` is a view of a buffer
-    that the next block overwrites.
-    """
-    n_chains, n_steps = _fork_shape(n_keep)
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    state = np.repeat(_burn_in(maps, rngs, n_burn, start), n_chains, axis=1)
-    # column i*K + c: cell i, chain c
-    for lo, block in _lockstep(maps, rngs, state, n_steps, n_chains):
-        yield lo, block.reshape(len(block), 2, len(maps), n_chains).transpose(2, 3, 0, 1)
-
-
 def _burn_in(maps, rngs, n_burn: int, start) -> np.ndarray:
-    """Every cell's burned-in point, the root of both the walker and the
-    quadrature: ``max(n_burn, 3)`` steps from ``start`` on one chain per
-    cell, the first three checked by ``_head`` and the rest in lockstep,
-    all cells at once.  Returns the w0 row and the w1 row, one column per
-    cell."""
+    """Every cell's burned-in point, the root of both the quadrature and
+    ``backward_sample``: ``max(n_burn, 3)`` steps from ``start`` on one
+    chain per cell, the first three checked by ``_head`` and the rest in
+    lockstep, all cells at once.  Returns the w0 row and the w1 row, one
+    column per cell."""
     d = maps[0].degree
     if any(R.degree != d for R in maps):
         raise UnsupportedMapError("lockstep chains need maps of one degree")
@@ -694,10 +696,7 @@ class IntegralResult:
 def integrate_mu(R: RationalMapC, f, s: SampleSet) -> IntegralResult:
     """Monte-Carlo integral of f over the sample; -inf/nan values are
     excluded and counted, with a warning status above 1% exclusions."""
-    return _integral(np.asarray(f(s.points), dtype=float))
-
-
-def _integral(vals: np.ndarray) -> IntegralResult:
+    vals = np.asarray(f(s.points), dtype=float)
     finite = np.isfinite(vals)
     kept = vals[finite]
     n_used = int(finite.sum())

@@ -1,4 +1,4 @@
-"""Experiment orchestration: strict INI configs, seeded per-cell sampling,
+"""Experiment orchestration: strict INI configs, per-cell preimage quadrature,
 CSV/JSON persistence, and the slope fits that compare the complex-side
 Lyapunov growth with its non-Archimedean counterpart.
 
@@ -22,12 +22,15 @@ from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 
 from . import admissible, berkovich, hybrid
-from .errors import ConfigError
+from .errors import ConfigError, ParseError
 from .parser import parse_family, parse_sections, parse_series
 
-_SCHEMA_VERSION = "v5"
 # the kinds that sample complex fibers; only they load cxdyn, and with it numpy
 _SAMPLED_KINDS = ("hybrid-converge", "lyap-slope")
+# the CSV schema version of each kind: v6 integrates every sampled cell by
+# preimage quadrature; the other kinds' CSVs are as in v5
+_SCHEMA_VERSIONS = {"circle-demo": "v5", "hybrid-converge": "v6", "lyap-slope": "v6",
+                    "na-measure": "v5"}
 
 
 def _key(name: str, default=MISSING, factory=MISSING, hashed: bool = True):
@@ -180,9 +183,14 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise ConfigError("tgrid.phases must be >= 1")
         if cfg.n_burn < 0:
             raise ConfigError(f"sampler.n_burn must be >= 0, got {cfg.n_burn}")
-        if cfg.n_keep < 2:
-            # one sample has no spread, so its stderr would read 0
-            raise ConfigError(f"sampler.n_keep must be >= 2, got {cfg.n_keep}")
+        try:
+            d = parse_family(cfg.family, validate=False).degree
+        except ParseError as exc:
+            raise ConfigError(f"experiment.family: {exc}") from None
+        if cfg.n_keep < d ** 3:
+            # three quadrature levels are the fewest that can certify a cell
+            raise ConfigError(f"sampler.n_keep must be >= d^3 = {d ** 3} for a degree-{d} "
+                              f"family, got {cfg.n_keep}")
     if cfg.kind == "lyap-slope" and len(cfg.moduli) < 3:
         raise ConfigError("slope fit is degenerate with fewer than 3 grid moduli")
     if not cmath.isfinite(cfg.start):
@@ -219,7 +227,7 @@ class ResultRecord:
 
     def csv_text(self) -> str:
         buf = io.StringIO()
-        buf.write(f"# schema: hybdyn/{self.kind}/{_SCHEMA_VERSION}\n")
+        buf.write(f"# schema: hybdyn/{self.kind}/{_SCHEMA_VERSIONS[self.kind]}\n")
         buf.write(f"# experiment: {self.experiment_id}\n")
         buf.write(",".join(self.columns) + "\n")
         for row in self.rows:
@@ -325,44 +333,30 @@ def _grid_cells(cfg: ExperimentConfig):
     return cells
 
 
-def _cell_integrals(cfg: ExperimentConfig, family, integrand, quadrature: bool = False):
+def _cell_integrals(cfg: ExperimentConfig, family, integrand):
     """Specialize the family at every grid cell and integrate against each
     cell's equilibrium measure the function ``f = integrand(maps, ts)`` of
     the cells' maps and parameters, where ``f(cell, pts)`` gives the values
     at the points ``pts``, row k on cell ``cell[k]``.
 
-    With ``quadrature`` a cell is integrated by ``cxdyn.preimage_levels``
-    where that certifies a value; every other cell is sampled by the
-    walker, all such cells in lockstep, each with its own seed.  A cell's
-    estimate does not depend on the other cells.  Returns (cell, estimate,
-    level) triples, ``level`` being the quadrature level or None for a
-    walker cell.
+    Every cell is integrated by ``cxdyn.preimage_levels``, all cells at
+    once, each from its own seeded root; a cell's result does not depend on
+    the other cells.  Returns (cell, (value, estimate, level, certified))
+    pairs.
     """
-    import numpy as np
-
     from . import cxdyn
 
     cells = _grid_cells(cfg)
     maps = [cxdyn.specialize(family, t, r=cfg.r) for _, _, _, t in cells]
     seeds = [_cell_seed(cfg.seed, j, p) for j, p, _, _ in cells]
     f = integrand(maps, [t for _, _, _, t in cells])
-    estimates, levels = [None] * len(cells), [None] * len(cells)
-    if quadrature:
-        for i, q in enumerate(cxdyn.preimage_levels(maps, seeds, cfg.n_burn, cfg.n_keep,
-                                                    cfg.start, f)):
-            if q is not None:
-                mean, err, levels[i] = q
-                estimates[i] = cxdyn.IntegralResult(mean, err, maps[i].degree ** levels[i],
-                                                    0, False)
-    walk = [i for i, est in enumerate(estimates) if est is None]
-    if walk:
-        grid = np.array(walk)
-        walked = cxdyn.sample_integrals([maps[i] for i in walk], [seeds[i] for i in walk],
-                                        cfg.n_burn, cfg.n_keep, cfg.start,
-                                        lambda cell, pts: f(grid[cell], pts))
-        for i, est in zip(walk, walked):
-            estimates[i] = est
-    return list(zip(cells, estimates, levels))
+    return list(zip(cells, cxdyn.preimage_levels(maps, seeds, cfg.n_burn, cfg.n_keep,
+                                                 cfg.start, f)))
+
+
+def _quadrature_summary(results) -> dict:
+    return {"uncertified_cells": sum(not ok for _, (*_, ok) in results),
+            "max_quadrature_level": max(level for _, (_, _, level, _) in results)}
 
 
 def _na_measure(cfg: ExperimentConfig):
@@ -411,7 +405,7 @@ def cmd_circle_demo(cfg: ExperimentConfig) -> ResultRecord:
 
 
 def cmd_hybrid_converge(cfg: ExperimentConfig) -> ResultRecord:
-    """Integrals of a model function against the sampled equilibrium measures,
+    """Integrals of a model function against the equilibrium measures,
     compared with the atomic non-Archimedean target."""
     import numpy as np
 
@@ -429,10 +423,10 @@ def cmd_hybrid_converge(cfg: ExperimentConfig) -> ResultRecord:
         return lambda cell, pts: n_factor[cell] * admissible.phi_canonical(
             datum, (pts[:, 0], pts[:, 1]), ts, cell)
 
-    estimates = _cell_integrals(cfg, family, model_value)
-    rows = [[j, p, t.real, t.imag, est.mean, est.stderr, est.n_excluded,
-             abs(est.mean - i0)]
-            for (j, p, m, t), est, _ in estimates]
+    results = _cell_integrals(cfg, family, model_value)
+    # n_excluded stays in the schema; the quadrature excludes no value
+    rows = [[j, p, t.real, t.imag, value, err, 0, abs(value - i0), certified]
+            for (j, p, m, t), (value, err, _, certified) in results]
     per_mod = []
     for j, m in enumerate(cfg.moduli):
         vals = [row[4] for row in rows if row[0] == j]
@@ -452,13 +446,14 @@ def cmd_hybrid_converge(cfg: ExperimentConfig) -> ResultRecord:
         "final_abs_error": errs[-1],
         "monotone_within_stderr": all(errs[i + 1] <= errs[i] + tol
                                       for i in range(len(errs) - 1)),
-        "exclusion_warning_cells": sum(est.warn for _, est, _ in estimates),
+        **_quadrature_summary(results),
         "measure_total_mass": mu.total_mass(),
         "leaf_mass_fraction": mu.leaf_mass_fraction(),
     }
     return ResultRecord(cfg.experiment_id, cfg.kind, cfg.label, cfg.config_hash(),
                         ["j", "phase", "re_t", "im_t", "integral", "stderr",
-                         "n_excluded", "abs_error"], rows, summary, created=_now())
+                         "n_excluded", "abs_error", "certified"], rows, summary,
+                        created=_now())
 
 
 def cmd_lyap_slope(cfg: ExperimentConfig) -> ResultRecord:
@@ -476,12 +471,10 @@ def cmd_lyap_slope(cfg: ExperimentConfig) -> ResultRecord:
         stack = cxdyn.MapStack(maps)
         return lambda cell, pts: cxdyn.log_det_norm(stack, pts, cell)
 
-    estimates = _cell_integrals(cfg, family, lyapunov_integrand, quadrature=True)
-    rows = [[j, p, t.real, t.imag, est.mean, est.stderr,
-             cxdyn.przytycki_oracle(family, t) if polynomial else math.nan,
-             est.n_excluded, "walker" if level is None else "quadrature"]
-            for (j, p, m, t), est, level in estimates]
-    levels = [level for _, _, level in estimates if level is not None]
+    results = _cell_integrals(cfg, family, lyapunov_integrand)
+    rows = [[j, p, t.real, t.imag, value, err,
+             cxdyn.przytycki_oracle(family, t) if polynomial else math.nan, 0, certified]
+            for (j, p, m, t), (value, err, _, certified) in results]
     xs, ys, per_mod = [], [], []
     for j, m in enumerate(cfg.moduli):
         vals = [row[4] for row in rows if row[0] == j]
@@ -514,17 +507,14 @@ def cmd_lyap_slope(cfg: ExperimentConfig) -> ResultRecord:
         "briend_duval_ok": bool(bd_ok),
         "briend_duval_bound": bd_bound,
         "max_oracle_deviation_sigmas": oracle_dev,
-        "quadrature_cells": len(levels),
-        "walker_cells": len(rows) - len(levels),
-        "max_quadrature_level": max(levels, default=None),
-        "exclusion_warning_cells": sum(est.warn for _, est, _ in estimates),
+        **_quadrature_summary(results),
         "per_modulus": per_mod,
         "measure_total_mass": mu.total_mass(),
         "leaf_mass_fraction": mu.leaf_mass_fraction(),
     }
     return ResultRecord(cfg.experiment_id, cfg.kind, cfg.label, cfg.config_hash(),
                         ["j", "phase", "re_t", "im_t", "lyapunov", "stderr",
-                         "oracle", "n_excluded", "route"], rows, summary,
+                         "oracle", "n_excluded", "certified"], rows, summary,
                         created=_now())
 
 

@@ -11,7 +11,7 @@ from numpy.polynomial import polynomial as npoly
 from hybdyn import admissible, cxdyn
 from hybdyn.cxdyn import (RationalMapC, backward_sample, escape_green,
                           integrate_mu, log_det_norm, lyapunov_complex,
-                          przytycki_oracle, sample_integrals, specialize)
+                          przytycki_oracle, specialize)
 from hybdyn.errors import (DegenerateMapError, UnsupportedDegreeError,
                            UnsupportedMapError)
 from hybdyn.hybrid import HybridPoint, tau_eval
@@ -726,72 +726,14 @@ class TestCubicRoot:
         monkeypatch.setattr(np.linalg, "eigvals", _raise)
         fam = parse_family("z^3 + t*z")
         maps = [specialize(fam, tv) for tv in (1e-2, 1e-4j)]
-        results = sample_integrals(maps, [1, 2], 20, 500, 1.1 + 0.7j, _lyapunov(maps))
-        assert all(res.n_used == 500 for res in results)
+        for rc in maps:
+            assert lyapunov_complex(rc, backward_sample(rc, 1, 20, 500, 1.1 + 0.7j)).n_used == 500
+        results = cxdyn.preimage_levels(maps, [1, 2], 20, 500, 1.1 + 0.7j, _lyapunov(maps))
+        assert all(math.isfinite(value) and level >= 3 for value, _, level, _ in results)
 
 
 def _raise(*args, **kwargs):
     raise AssertionError("not expected to be called")
-
-
-class TestSampleIntegrals:
-    def test_streamed_equals_sampled(self):
-        # blocks of kept points straddle the block size and the burn-in
-        for text, t, n_burn, n_keep in (("z^2 + 1/t", 1e-3, 2, 2500),
-                                        ("z^3 + t*z", 1e-2, 100, 1500),
-                                        ("z^2", 0.1, 0, 1024)):
-            rc = specialize(parse_family(text), t)
-            datum = parse_sections(["w0^2 + t*w1^2", "w1^2"], k=1, d=2)
-            for f in (lambda pts: log_det_norm(rc, pts),
-                      lambda pts: admissible.phi_canonical(
-                          datum, (pts[:, 0], pts[:, 1]), t),
-                      lambda pts: np.where(np.abs(pts[:, 0]) < 0.5, -np.inf, 1.0)):
-                (streamed,) = sample_integrals([rc], [9], n_burn, n_keep, 1.1 + 0.7j,
-                                               lambda cell, pts: f(pts))
-                sampled = integrate_mu(rc, f, backward_sample(rc, 9, n_burn, n_keep,
-                                                              1.1 + 0.7j))
-                assert streamed == sampled
-
-    def test_batch_layout_independent(self):
-        fam = parse_family("z^3 + t*z")
-        maps = [specialize(fam, 10.0 ** -k * complex(math.cos(k), math.sin(k)))
-                for k in range(1, 6)]
-        seeds = [31, 32, 33, 34, 35]
-        args = (20, 1100, 1.1 + 0.7j)
-        together = sample_integrals(maps, seeds, *args, _lyapunov(maps))
-        reversed_ = sample_integrals(maps[::-1], seeds[::-1], *args,
-                                     _lyapunov(maps[::-1]))[::-1]
-        alone = [sample_integrals([rc], [s], *args, _lyapunov([rc]))[0]
-                 for rc, s in zip(maps, seeds)]
-        assert together == reversed_ == alone
-
-    def test_blocks_bounded_by_points(self):
-        # 40 cells of 16 chains: a block sized by steps would hand each cell
-        # 16x more points than the walker's 8 * 1024-point budget allows
-        fam = parse_family("z^2 + 1/t")
-        n_cells, n_keep = 40, 20000
-        maps = [specialize(fam, 10.0 ** -(1 + k % 5) * complex(math.cos(k), math.sin(k)))
-                for k in range(n_cells)]
-        calls = []
-
-        def f(cell, pts):
-            # one call per block, the cells' points one cell after another
-            assert len(cell) == len(pts) and (np.diff(cell) >= 0).all()
-            calls.append(np.bincount(cell, minlength=n_cells))
-            return np.zeros(len(pts))
-
-        sample_integrals(maps, list(range(n_cells)), 0, n_keep, 1.1 + 0.7j, f)
-        per_block = np.array(calls)
-        assert len(calls) > 1 and (per_block > 0).all()
-        assert (per_block.sum(axis=1) <= 8 * 1024).all()
-        assert (per_block.sum(axis=0) == n_keep).all()
-
-    def test_high_degree_rejected_before_walking(self):
-        rc = RationalMapC([0.0] * 9 + [1.0], [1.0] + [0.0] * 9)
-        calls = []
-        with pytest.raises(UnsupportedDegreeError):
-            sample_integrals([rc, rc], [1, 2], 5, 5, 1.5, lambda cell, pts: calls.append(pts))
-        assert calls == []
 
 
 def _lyapunov(maps):
@@ -816,7 +758,7 @@ class TestPreimageLevels:
         ref = np.concatenate([cxdyn._preimages(maps[p // 3], level1[:, p]) for p in range(6)])
         assert level2.T.tobytes() == ref.tobytes()
 
-    def test_batch_layout_independent(self):
+    def test_batch_layout_independent(self, monkeypatch):
         fam = parse_family("z^2 + 1/t")
         maps = [specialize(fam, 10.0 ** -k * complex(math.cos(k), math.sin(k)))
                 for k in range(2, 7)]
@@ -827,8 +769,40 @@ class TestPreimageLevels:
                                           _lyapunov(maps[::-1]))[::-1]
         alone = [cxdyn.preimage_levels([rc], [s], *args, _lyapunov([rc]))[0]
                  for rc, s in zip(maps, seeds)]
-        assert None not in together
-        assert together == reversed_ == alone
+        monkeypatch.setattr(cxdyn, "_BLOCK_POINTS", 6)
+        small_blocks = cxdyn.preimage_levels(maps, seeds, *args, _lyapunov(maps))
+        assert all(certified for *_, certified in together)
+        assert together == reversed_ == alone == small_blocks
+
+    def test_blocks_bounded_by_points(self):
+        # 40 cells: a level of all active cells at once would hand the
+        # integrand up to 40 * 2^14 points; the blocks hold 2 * 1024
+        fam = parse_family("z^2 + 1/t")
+        n_cells, n_keep = 40, 20000
+        maps = [specialize(fam, 10.0 ** -(1 + k % 5) * complex(math.cos(k), math.sin(k)))
+                for k in range(n_cells)]
+        calls = []
+
+        def f(cell, pts):
+            # the cells' points one cell after another
+            assert len(cell) == len(pts) and (np.diff(cell) >= 0).all()
+            calls.append(np.bincount(cell, minlength=n_cells))
+            return np.zeros(len(pts))
+
+        results = cxdyn.preimage_levels(maps, list(range(n_cells)), 0, n_keep, 1.1 + 0.7j, f)
+        per_block = np.array(calls)
+        assert len(calls) > 1 and (per_block.sum(axis=1) <= 2 * 1024).all()
+        # a cell's points are its levels 1, ..., n: 2 + 4 + ... + 2^n
+        assert list(per_block.sum(axis=0)) == [2 ** (level + 1) - 2
+                                               for _, _, level, _ in results]
+
+    def test_high_degree_rejected_before_solving(self):
+        rc = RationalMapC([0.0] * 9 + [1.0], [1.0] + [0.0] * 9)
+        calls = []
+        with pytest.raises(UnsupportedDegreeError):
+            cxdyn.preimage_levels([rc, rc], [1, 2], 5, 10 ** 9, 1.5,
+                                  lambda cell, pts: calls.append(pts))
+        assert calls == []
 
     def test_agrees_with_walker(self):
         # the quadrature certifies z^2 at level 3 and z^3 + t*z near its
@@ -836,32 +810,50 @@ class TestPreimageLevels:
         # plus rounding for z^2, whose walker values are all log 2
         for text, t, level in (("z^2", 0.1, 3), ("z^3 + t*z", 1e-6, None)):
             rc = specialize(parse_family(text), t)
-            f = lambda cell, pts: log_det_norm(rc, pts)  # noqa: E731
-            ((mean, err, n),) = cxdyn.preimage_levels([rc], [5], 100, 20000, 1.1 + 0.7j, f)
-            assert level is None or n == level
+            ((mean, err, n, certified),) = cxdyn.preimage_levels(
+                [rc], [5], 100, 20000, 1.1 + 0.7j, lambda cell, pts: log_det_norm(rc, pts))
+            assert certified and (level is None or n == level)
             assert err < 1e-12
-            (walked,) = sample_integrals([rc], [5], 100, 20000, 1.1 + 0.7j, f)
+            walked = lyapunov_complex(rc, backward_sample(rc, 5, 100, 20000, 1.1 + 0.7j))
             assert abs(mean - walked.mean) <= 3 * walked.stderr + 1e-15
 
     def test_pole_family_matches_oracle(self):
         fam = parse_family("z^2 + 1/t")
         for tv in (1e-2, -3e-4j, 1e-6 * complex(math.cos(0.7), math.sin(0.7))):
             rc = specialize(fam, tv)
-            ((mean, err, n),) = cxdyn.preimage_levels(
+            ((mean, err, n, certified),) = cxdyn.preimage_levels(
                 [rc], [7], 100, 20000, 1.1 + 0.7j, _lyapunov([rc]))
             assert abs(mean - przytycki_oracle(fam, tv)) < 1e-12
-            assert 3 <= n <= 10 and err < 1e-12
+            assert certified and 3 <= n <= 10 and err < 1e-11
 
     def test_one_small_difference_is_no_certificate(self):
         # I_1 = I_2, then I_3 moves: the level-2 difference vanishes, but
         # the certificate needs two, so it comes at level 5, with the
-        # value I_5 and the tail estimate |Δ_5| ρ / (1 - ρ) at ρ = 1/4
+        # value I_5; the ratio |Δ_3 / Δ_2| is inf, so the estimate is the
+        # larger of |Δ_4| and |Δ_5|
         rc = specialize(parse_family("z^2 + 1/t"), 1e-3)
         i5 = 2.0 + 2.0 ** -40 + 2.0 ** -42
         by_size = {2: 1.0, 4: 1.0, 8: 2.0, 16: 2.0 + 2.0 ** -40, 32: i5}
         f = lambda cell, pts: np.full(len(pts), by_size[len(pts)])  # noqa: E731
         assert cxdyn.preimage_levels([rc], [3], 100, 20000, 1.1 + 0.7j, f) == [
-            (i5, 2.0 ** -42 * 0.25 / 0.75, 5)]
+            (i5, 2.0 ** -40, 5, True)]
+
+    def test_estimate_takes_the_largest_recent_ratio(self):
+        # the differences 2^-10, 2^-11, 2^-16, 2^-17 alternate ratios 1/2
+        # and 1/32; the last ratio rose, so the cell stops at level 5,
+        # short of a certificate, and the tail is the larger of the last
+        # two differences times 0.5 / (1 - 0.5), not |Δ_5| times that
+        rc = specialize(parse_family("z^2 + 1/t"), 1e-3)
+        means = [1.0]
+        for k in (10, 11, 16, 17, 22):
+            means.append(means[-1] + 2.0 ** -k)
+        f = lambda cell, pts: np.full(len(pts), means[len(pts).bit_length() - 2])  # noqa: E731
+        assert cxdyn.preimage_levels([rc], [3], 100, 64, 1.1 + 0.7j, f) == [
+            (means[4], 2.0 ** -16, 5, False)]
+        # exact levels: the estimate is the rounding of the level's sum
+        three = lambda cell, pts: np.full(len(pts), -3.0)  # noqa: E731
+        assert cxdyn.preimage_levels([rc], [3], 100, 64, 1.1 + 0.7j, three) == [
+            (-3.0, 8 * 3.0 * np.finfo(float).eps, 3, True)]
 
     def test_fallbacks(self, monkeypatch):
         solved = []
@@ -874,17 +866,28 @@ class TestPreimageLevels:
         monkeypatch.setattr(cxdyn, "_step", counted)
         fam = parse_family("z^2 + 1/t")
         pole = [specialize(fam, tv) for tv in (1e-2, 1e-4j)]
-        # a budget below d^3 leaves no certificate, and a Mobius map has
-        # no levels: nothing is solved
-        assert cxdyn.preimage_levels(pole, [1, 2], 100, 7, 1.1 + 0.7j,
-                                     _lyapunov(pole)) == [None, None]
+        # a Mobius map has no measure of maximal entropy: nothing is solved
         mobius = RationalMapC([0.5, 1], [1, 0.25j])
-        assert cxdyn.preimage_levels([mobius], [1], 100, 20000, 0.3,
-                                     _lyapunov([mobius])) == [None]
+        with pytest.raises(UnsupportedMapError):
+            cxdyn.preimage_levels([mobius], [1], 100, 20000, 0.3, _lyapunov([mobius]))
         assert solved == []
-        # non-finite values fall back at once
+        # a budget below d^3 leaves levels 1 and 2, and no certificate
+        for (value, err, level, certified), ref in zip(
+                cxdyn.preimage_levels(pole, [1, 2], 100, 7, 1.1 + 0.7j, _lyapunov(pole)),
+                cxdyn.preimage_levels(pole, [1, 2], 100, 20000, 1.1 + 0.7j,
+                                      _lyapunov(pole))):
+            assert (level, certified) == (2, False) and ref[3]
+            assert err >= abs(value - ref[0]) > 0
+        # a level with a value that is not finite ends the cell, which keeps
+        # the level before it, or reports no value at level 1
         inf = lambda cell, pts: np.full(len(pts), -np.inf)  # noqa: E731
-        assert cxdyn.preimage_levels(pole, [1, 2], 100, 20000, 1.1 + 0.7j, inf) == [None] * 2
+        results = cxdyn.preimage_levels(pole, [1, 2], 100, 20000, 1.1 + 0.7j, inf)
+        assert all(math.isnan(value) and (err, level, certified) == (math.inf, 0, False)
+                   for value, err, level, certified in results)
+        # two cells: level 3 is the first with 16 points
+        late = lambda cell, pts: np.full(len(pts), -np.inf if len(pts) == 16 else 1.0)  # noqa: E731
+        assert cxdyn.preimage_levels(pole, [1, 2], 100, 20000, 1.1 + 0.7j, late) == [
+            (1.0, 4 * np.finfo(float).eps, 2, False)] * 2
         # (z^2 - t)/z: the differences shrink by about 0.4 a level, which
         # cannot reach the tolerance within 2^14 points; the cell ends long
         # before the budget
@@ -894,6 +897,8 @@ class TestPreimageLevels:
         # the head's 2 preimages at each of its 3 steps, then the lockstep
         # burn-in, one point per cell and step
         burn = len(maps) * (3 * 2 + 97)
-        assert cxdyn.preimage_levels(maps, [1, 2, 3], 100, 20000, 1.1 + 0.7j,
-                                     _lyapunov(maps)) == [None] * 3
+        results = cxdyn.preimage_levels(maps, [1, 2, 3], 100, 20000, 1.1 + 0.7j,
+                                        _lyapunov(maps))
+        assert not any(certified for *_, certified in results)
+        assert all(4 <= level <= 6 and 1e-12 < err < 1 for _, err, level, _ in results)
         assert sum(solved) - burn <= len(maps) * (2 + 4 + 8 + 16 + 32)

@@ -14,13 +14,13 @@ import numpy as np
 import pytest
 
 import hybdyn
-from hybdyn import berkovich, cli, cxdyn
+from hybdyn import admissible, berkovich, cli, cxdyn, hybrid
 from hybdyn.cli import main as cli_main
 from hybdyn.errors import ChartError, ConfigError
 from hybdyn.harness import (_cell_seed, _fmt_cell, _grid_cells, cmd_circle_demo,
                             fit_slope, load_config, load_record, run,
                             write_record)
-from hybdyn.parser import parse_family
+from hybdyn.parser import parse_family, parse_sections
 
 CIRCLE_INI = """
 [experiment]
@@ -107,6 +107,28 @@ n_keep = 200
 
 [datum]
 sections = t^(1/2)*w0; w1
+"""
+
+
+# ROADMAP item 2's datum, whose non-Archimedean target is wrong today
+ITEM2_INI = """
+[experiment]
+kind = hybrid-converge
+label = item2
+family = z^2 + 1/t
+r = 0.5
+
+[tgrid]
+moduli = 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6
+phases = 4
+
+[sampler]
+n_keep = 4000
+
+[datum]
+sections = t*w0^2 + w1^2; t*w1^2
+k = 1
+d = 2
 """
 
 
@@ -245,6 +267,22 @@ class TestConfig:
             assert line in text
             with pytest.raises(ConfigError, match=f"sampler.{key} must be"):
                 load_config(text.replace(line, f"{key} = {value}"))
+
+    def test_budget_must_reach_three_levels(self):
+        # three quadrature levels, d^3 points, are the fewest that certify
+        for text in (SLOPE_INI, CONVERGE_INI):
+            line = f"n_keep = {load_config(text).n_keep}"
+            assert load_config(text.replace(line, "n_keep = 8")).n_keep == 8
+            with pytest.raises(ConfigError, match=r"sampler.n_keep must be >= d\^3 = 8 "):
+                load_config(text.replace(line, "n_keep = 7"))
+        cubic = POLE_SLOPE_INI.replace("z^2 + 1/t", "z^3 + t*z")
+        with pytest.raises(ConfigError, match=r"d\^3 = 27 for a degree-3 family, got 26"):
+            load_config(cubic.replace("n_keep = 1500", "n_keep = 26"))
+
+    def test_family_degree_below_two(self):
+        for text in (SLOPE_INI, CONVERGE_INI):
+            with pytest.raises(ConfigError, match="experiment.family: family degree 1 < 2"):
+                load_config(text.replace("family = z^2", "family = z + t"))
 
     @pytest.mark.parametrize("extra, match", BAD_VALUES)
     def test_bad_values(self, extra, match):
@@ -405,30 +443,21 @@ class TestExperiments:
 
     def test_cell_row_independent_of_batch(self):
         # a cell's row is byte-identical whether it runs alone or with the
-        # whole grid: by quadrature, and by the walker when n_keep = 2
-        # leaves too few levels for a certificate, where the row is the
-        # one-chain walk's
+        # whole grid, on z^2 + 1/t, which certifies every cell, and on
+        # (z^2 - t)/z, which certifies none
         cfg = load_config(POLE_SLOPE_INI)
-        walked = load_config(POLE_SLOPE_INI.replace("n_keep = 1500", "n_keep = 2"))
-        family = parse_family(cfg.family)
-        for c, route in ((cfg, "quadrature"), (walked, "walker")):
+        rational = load_config(POLE_SLOPE_INI.replace("z^2 + 1/t", "(z^2 - t)/z")
+                               + "[green]\nn_max = 4\n")
+        for c in (cfg, rational):
+            family = parse_family(c.family)
             rec = run(c)
-            assert rec.summary["quadrature_cells" if route == "quadrature"
-                               else "walker_cells"] == len(rec.rows)
             for (j, p, m, t), row in zip(_grid_cells(c), rec.rows):
                 rc = cxdyn.specialize(family, t, r=c.r)
-                seed = _cell_seed(c.seed, j, p)
-                if route == "quadrature":
-                    ((mean, err, _),) = cxdyn.preimage_levels(
-                        [rc], [seed], c.n_burn, c.n_keep, c.start,
-                        lambda cell, pts: cxdyn.log_det_norm(rc, pts))
-                    n_excluded = 0
-                else:
-                    sample = cxdyn.backward_sample(rc, seed, c.n_burn, c.n_keep, c.start)
-                    est = cxdyn.lyapunov_complex(rc, sample)
-                    mean, err, n_excluded = est.mean, est.stderr, est.n_excluded
-                alone = [j, p, t.real, t.imag, mean, err,
-                         cxdyn.przytycki_oracle(family, t), n_excluded, route]
+                ((mean, err, _, certified),) = cxdyn.preimage_levels(
+                    [rc], [_cell_seed(c.seed, j, p)], c.n_burn, c.n_keep, c.start,
+                    lambda cell, pts: cxdyn.log_det_norm(rc, pts))
+                oracle = cxdyn.przytycki_oracle(family, t) if c is cfg else math.nan
+                alone = [j, p, t.real, t.imag, mean, err, oracle, 0, certified]
                 assert [_fmt_cell(x) for x in alone] == [_fmt_cell(x) for x in row]
 
     def test_hybrid_converge_decreasing(self):
@@ -439,6 +468,45 @@ class TestExperiments:
         assert errs[-1] < 0.05
         assert s["monotone_within_stderr"]
         assert errs[0] > errs[-1]  # genuinely nontrivial integrand
+
+    def test_estimates_cover_three_deeper_levels(self, monkeypatch):
+        # hybrid-cubic at its own budget, one phase per modulus: a cell's
+        # estimate covers its deviation from the level three deeper than
+        # the one it reports, certified or not
+        cfg = load_config(bench_configs(monkeypatch)["hybrid-cubic"])
+        family = parse_family(cfg.family)
+        datum = parse_sections(cfg.datum_sections, k=cfg.datum_k, d=cfg.datum_d)
+        rec = run(cfg)
+        assert rec.summary["uncertified_cells"] > 0
+        for (j, p, m, t), row in zip(_grid_cells(cfg), rec.rows):
+            if p != j % cfg.phases:
+                continue
+            rc = cxdyn.specialize(family, t, r=cfg.r)
+            scale = hybrid.scaling_n(hybrid.HybridPoint.interior(t, cfg.r))
+
+            def f(pts):
+                return scale * admissible.phi_canonical(datum, (pts[:, 0], pts[:, 1]), t)
+
+            seed = _cell_seed(cfg.seed, j, p)
+            ((value, err, level, _),) = cxdyn.preimage_levels(
+                [rc], [seed], cfg.n_burn, cfg.n_keep, cfg.start, lambda cell, pts: f(pts))
+            assert (value, err) == (row[4], row[5])
+            pts = cxdyn._burn_in([rc], [np.random.default_rng(seed)], cfg.n_burn, cfg.start)
+            for n in range(level + 3):
+                pts = cxdyn._branches([rc], pts, 3 ** n)
+            assert abs(value - f(pts.T).mean()) <= err
+
+    def test_monotone_flag_reads_false_on_a_rising_error(self):
+        # ROADMAP item 2's datum on z^2 + 1/t: the error against the probe
+        # tree's target rises from |t| = 1e-1 to 1e-2, far beyond every
+        # estimate, so the flag must read false.  Item 2's fix of the
+        # target restates this test.
+        s = run(load_config(ITEM2_INI)).summary
+        errs = [pm["abs_error"] for pm in s["per_modulus"]]
+        assert errs[0] == pytest.approx(0.3465642, abs=1e-7)
+        assert errs[-1] == pytest.approx(0.3465736, abs=1e-7)
+        assert s["uncertified_cells"] == 0
+        assert s["monotone_within_stderr"] is False
 
     def test_na_measure_summary(self):
         cfg = load_config("[experiment]\nkind = na-measure\nlabel = m\n"
@@ -509,23 +577,21 @@ class TestExperiments:
         assert s["clipped_mass"] == 0.0 and s["convention_failures"] == []
 
     def test_lyap_slope_routes(self, tmp_path):
-        # z^2 + 1/t certifies by quadrature; (z^2 - t)/z falls back to the
-        # walker in every cell
+        # z^2 + 1/t certifies every cell; (z^2 - t)/z certifies none, and
+        # its cells report their last level with an estimate
         pole = run(load_config(POLE_SLOPE_INI), out_dir=str(tmp_path))
         rational = run(load_config(POLE_SLOPE_INI.replace("z^2 + 1/t", "(z^2 - t)/z")
                                    + "[green]\nn_max = 4\n"))
-        for rec, route in ((pole, "quadrature"), (rational, "walker")):
-            s = rec.summary
-            assert rec.columns[-1] == "route"
-            assert all(row[-1] == route for row in rec.rows)
-            assert (s["quadrature_cells"], s["walker_cells"]) == (
-                (len(rec.rows), 0) if route == "quadrature" else (0, len(rec.rows)))
-            assert s["exclusion_warning_cells"] == 0
+        for rec, certified in ((pole, True), (rational, False)):
+            assert rec.columns[-1] == "certified"
+            assert all(row[-1] is certified for row in rec.rows)
+            assert rec.summary["uncertified_cells"] == (0 if certified else len(rec.rows))
         assert 3 <= pole.summary["max_quadrature_level"] <= 10
-        assert rational.summary["max_quadrature_level"] is None
+        assert 4 <= rational.summary["max_quadrature_level"] <= 10
         assert all(row[7] == 0 and row[5] < 1e-11 for row in pole.rows)
+        assert all(row[7] == 0 and 1e-11 < row[5] < 0.1 for row in rational.rows)
         with open(tmp_path / "pole.csv") as fh:
-            assert fh.readline() == "# schema: hybdyn/lyap-slope/v5\n"
+            assert fh.readline() == "# schema: hybdyn/lyap-slope/v6\n"
 
     def test_na_measure_rational_reports_tail_bound(self):
         cfg = load_config("[experiment]\nkind = na-measure\nlabel = m\n"
@@ -568,7 +634,7 @@ def test_import_leaves_scipy_unloaded():
 
 
 CXDYN_EXPORTS = ("RationalMapC", "SampleSet", "backward_sample", "integrate_mu",
-                 "lyapunov_complex", "przytycki_oracle", "sample_integrals", "specialize")
+                 "lyapunov_complex", "przytycki_oracle", "specialize")
 
 
 def test_package_exports_load_the_complex_layer_on_access():
@@ -635,6 +701,14 @@ class TestCli:
         ini.write_text("[experiment]\nkind = circle-demo\nbogus = 1\n")
         assert cli_main(["circle-demo", "--config", str(ini)]) == 2
 
+    def test_budget_below_three_levels_exit_code(self, tmp_path, capsys):
+        ini = tmp_path / "small.ini"
+        ini.write_text(CONVERGE_INI.replace("n_keep = 500", "n_keep = 4"))
+        out = tmp_path / "out"
+        assert cli_main(["hybrid-converge", "--config", str(ini), "--out", str(out)]) == 2
+        assert "sampler.n_keep must be >= d^3 = 8" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_values_exit_code(self, tmp_path, capsys):
         ini = tmp_path / "bad.ini"
         for extra, match in BAD_VALUES:
@@ -659,7 +733,8 @@ class TestCli:
         lines = (tmp_path / "ramified.csv").read_text().splitlines()
         rows = [line.split(",") for line in lines if not line.startswith("#")][1:]
         assert len(rows) == 6
-        assert all(math.isfinite(float(x)) for row in rows for x in row)
+        assert all(math.isfinite(float(x)) for row in rows for x in row[:-1])
+        assert {row[-1] for row in rows} <= {"true", "false"}
         assert summary["final_abs_error"] < 1e-3
 
     def test_missing_config_file_exit_code(self, tmp_path, capsys):

@@ -79,8 +79,8 @@ def test_every_wrapped_name_and_count_resolves(tracing, tmp_path):
     assert tracer.missing == set()
     for text in (SLOPE_INI, CONVERGE_INI):
         harness.run(load_config(text), out_dir=str(tmp_path))
-    # the harness samples through sample_integrals and preimage_levels, so
-    # the sampler's count callbacks are reached through the public route
+    # the harness integrates through preimage_levels, so the walker's count
+    # callbacks are reached through its public one-cell route
     rc = cxdyn.specialize(parse_family("z^2 - 2"), 0.1)
     cxdyn.lyapunov_complex(rc, cxdyn.backward_sample(rc, 5, 20, 200, 0.3 + 0.2j))
     # no experiment builds symbolic iterates; the Green reference does
