@@ -19,11 +19,11 @@ from .hybrid import (HybridFiberPoint, HybridPoint, hybrid_model_value,
                      scaling_n, tau_eval)
 from .berkovich import (BerkTree, GreenEvaluator, TreeMeasure, TypeIIPoint,
                         TypeIPoint, build_probe_tree, homog_seminorm,
-                        na_lyapunov, poly_seminorm, resultant_valuation,
-                        subtree_span, tree_ma)
+                        na_lyapunov, resultant_valuation, subtree_span,
+                        tree_ma)
 
 _CXDYN_NAMES = ("RationalMapC", "SampleSet", "backward_sample", "integrate_mu",
-                "lyapunov_complex", "przytycki_oracle", "specialize")
+                "przytycki_oracle", "specialize")
 
 __version__ = "0.1.0"
 

@@ -52,9 +52,12 @@ class AdmissibleDatum:
         return min(s.truncation_order() for s in self.sections)
 
 
-def datum_regular(F: AdmissibleDatum, t_values, n_points: int = 64,
-                  seed: int = 0, tol: float = 1e-9) -> bool:
-    """Sampled regularity check: no common zero on a grid of fiber points.
+_REGULAR_POINTS = 64  # fiber points datum_regular samples
+_REGULAR_TOL = 1e-9  # relative size below which a section maximum is a common zero
+
+
+def datum_regular(F: AdmissibleDatum, t_values, seed: int = 0) -> bool:
+    """Sampled regularity check: no common zero on random fiber points.
 
     A lazy stand-in for zero-freeness of the section family; scheme-level
     verticality is out of scope, and a False here only means a common zero
@@ -63,7 +66,7 @@ def datum_regular(F: AdmissibleDatum, t_values, n_points: int = 64,
     import numpy as np
 
     rng = np.random.default_rng(seed)
-    z = [rng.normal(size=n_points) + 1j * rng.normal(size=n_points)
+    z = [rng.normal(size=_REGULAR_POINTS) + 1j * rng.normal(size=_REGULAR_POINTS)
          for _ in range(F.k + 1)]
     for t in t_values:
         best = None
@@ -72,7 +75,7 @@ def datum_regular(F: AdmissibleDatum, t_values, n_points: int = 64,
             best = v if best is None else np.maximum(best, v)
         scale = max(max((abs(complex(c.eval(complex(t)))) for c in s.coeffs.values()),
                         default=0.0) for s in F.sections)
-        if np.min(best) <= tol * max(scale, 1.0):
+        if np.min(best) <= _REGULAR_TOL * max(scale, 1.0):
             return False
     return True
 

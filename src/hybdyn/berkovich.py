@@ -7,10 +7,14 @@ Conventions
 * The t-adic norm is normalized by ``|t| = r`` with a caller-chosen
   ``r in (0, 1)``.  Seminorm computations return exact rational *exponents*
   ``q`` with value ``r**q``; real values are ``q * log(r)`` in natural logs.
-* A type-II point is the sup-seminorm of a closed disk ``D(a, r**s)``.  It
-  is stored as its reduced z-chart disk, on which every computation runs;
-  the Gauss point is ``D(0, 1)``.  The chart form (``z`` or ``1/z``, center
-  of norm <= 1) only decides how a point is printed in records.
+* A type-II point is the sup-seminorm of a closed disk ``D(a, r**s)`` of
+  the z-chart; one chart describes them all.  A point is built from and
+  stored as its reduced z-chart disk, on which every computation runs; the
+  Gauss point is ``D(0, 1)``.  The chart form (``z`` or ``1/z``, center of
+  norm <= 1) is derived by ``chart_forms`` only to print records.
+* ``_newton_min`` over a Taylor shift is the one seminorm core:
+  ``homog_seminorm`` is its entry for binary forms, and the Green walk
+  (``_orbit_step``) reads it off the shifts that also map the disk.
 * Edge lengths on the tree are differences of radius exponents (the
   hyperbolic metric in units of ``log(1/r)``); the Monge-Ampere of a
   potential is the sum of outgoing slopes plus a unit Dirac mass at the
@@ -60,26 +64,23 @@ class TypeIPoint:
 
 
 class TypeIIPoint:
-    """Disk point ``D(center, r**s)``, stored as its reduced z-chart disk.
+    """Disk point ``D(center, r**s)`` of the z-chart, stored reduced.
 
-    ``chart`` names the chart of the given center and radius exponent.
-    Divisorial points (order of vanishing along a component divided by the
+    Every type-II point is such a disk: a center of negative order or a
+    negative radius exponent reaches the points near infinity.  Divisorial
+    points (order of vanishing along a component divided by the
     multiplicity of t) are exactly the points with rational ``s``; the pair
     (order, multiplicity) is carried by the single Fraction ``s``.
     """
 
     __slots__ = ("_zpair",)
 
-    def __init__(self, center, s, chart: str = "z"):
-        center, s = _as_series(center), _as_frac(s)
-        if chart not in ("z", "1/z"):
-            raise ChartError(f"unknown chart {chart!r}")
-        zpair = (center, s) if chart == "z" else _upair_to_zpair(center, s)
-        self._zpair = _reduce_center(*zpair)
+    def __init__(self, center, s):
+        self._zpair = _reduce_center(_as_series(center), _as_frac(s))
 
     @classmethod
     def gauss(cls) -> "TypeIIPoint":
-        return cls(LaurentSeries.zero(), 0, "z")
+        return cls(LaurentSeries.zero(), 0)
 
     def is_gauss(self) -> bool:
         a, s = self._zpair
@@ -106,16 +107,6 @@ class TypeIIPoint:
     def __repr__(self):
         chart, center, s = self.chart_form()
         return f"<TypeIIPoint chart={chart} D({center}, r^{s})>"
-
-    def record(self) -> dict:
-        """JSON-friendly description in the chart form."""
-        return _form_record(self.chart_form())
-
-
-def _form_record(form) -> dict:
-    """Record fields of a chart form (chart, center, s)."""
-    chart, center, s = form
-    return {"chart": chart, "center": str(center), "s": f"{s.numerator}/{s.denominator}"}
 
 
 def chart_forms(points) -> list:
@@ -184,26 +175,6 @@ def _invert_center(a: LaurentSeries, s: Fraction):
     return c, su
 
 
-def _upair_to_zpair(c: LaurentSeries, su: Fraction):
-    """1/z-chart disk as a z-chart disk."""
-    if c.is_zero():
-        if not c.is_exact_zero() and c.trunc_order < su:
-            raise ChartError(
-                "1/z-chart center is zero only to truncation; cannot change chart")
-        return LaurentSeries.zero(), -su
-    gamma = c.order()
-    if gamma >= su:
-        return LaurentSeries.zero(), -su
-    window = int(math.ceil(float(su - 2 * gamma - (-gamma)))) + 4
-    a = c.inverse(window=max(window, 8))
-    return a, su - 2 * gamma
-
-
-def type2_from_zpair(a, s) -> TypeIIPoint:
-    """Construct a point from any z-chart disk description."""
-    return TypeIIPoint(a, s)
-
-
 # -- seminorms -------------------------------------------------------------------
 
 
@@ -222,20 +193,6 @@ def _newton_min(shifted, s):
     return best
 
 
-def poly_seminorm(f, xi: TypeIIPoint):
-    """Exponent q with |f| = r**q at the disk point, for a one-variable
-    polynomial with LaurentSeries coefficients (ascending, in the chart of
-    xi's chart form).
-
-    The value is the min over j of ord(f_j) + j*s after recentering f at the
-    disk center.  Returns ``math.inf`` when f is zero to truncation; raises
-    PrecisionError when truncated coefficients could change the answer.
-    """
-    coeffs = [c if isinstance(c, LaurentSeries) else LaurentSeries.const(c) for c in f]
-    _, center, s = xi.chart_form()
-    return _newton_min(taylor_shift(coeffs, center), s)
-
-
 def homog_seminorm(P: HomogeneousPoly, xi):
     """Exponent of |P| / max(|w0|, |w1|)**d at a point.
 
@@ -246,7 +203,7 @@ def homog_seminorm(P: HomogeneousPoly, xi):
     if P.nvars != 2:
         raise LaurentError("homog_seminorm requires a two-variable polynomial")
     a, s = xi.zpair() if isinstance(xi, TypeIIPoint) else xi
-    q = _newton_min(taylor_shift(P.dehomogenized("z"), a), s)
+    q = _newton_min(taylor_shift(P.dehomogenized(), a), s)
     if q == _INF:
         return _INF
     return q - P.degree * min(Fraction(0), a.order(), s)
@@ -287,8 +244,8 @@ def _det_laurent(matrix) -> LaurentSeries:
 def sylvester_matrix(p0: HomogeneousPoly, p1: HomogeneousPoly):
     """Sylvester matrix of two binary forms of the same degree d (size 2d)."""
     d = p0.degree
-    a = p0.dehomogenized("z")[::-1]  # descending coefficients a_d .. a_0
-    b = p1.dehomogenized("z")[::-1]
+    a = p0.dehomogenized()[::-1]  # descending coefficients a_d .. a_0
+    b = p1.dehomogenized()[::-1]
     n = 2 * d
     rows = []
     for i in range(d):
@@ -344,7 +301,7 @@ def _escape_region(R):
     enters with its truncation order, a lower bound for its order.
     """
     d = R.degree
-    a = R.p0.dehomogenized("z")
+    a = R.p0.dehomogenized()
     if a[d].is_zero():
         return None
     c = a[d].order()
@@ -401,8 +358,6 @@ class GreenEvaluator:
         if not 0.0 < r < 1.0:
             raise LaurentError("radius must lie in (0, 1)")
         self.R = R
-        self.r = r
-        self.n_max = n_max
         self.tol = tol
         d = R.degree
         ordmin = R.min_coeff_order()
@@ -421,7 +376,7 @@ class GreenEvaluator:
             self._ord_b = R.p1.coeffs[(0, d)].order()
             self.escape = _escape_region(R)
         else:
-            self._num, self._den = R.p0.dehomogenized("z"), R.p1.dehomogenized("z")
+            self._num, self._den = R.p0.dehomogenized(), R.p1.dehomogenized()
             self._ord_b = Fraction(0)
             self.escape = None
 
@@ -460,11 +415,6 @@ class GreenEvaluator:
         taken (``n_star`` unless the walk stops early) otherwise."""
         q, k, exact = self._orbit_exponent(xi.zpair(), self.n_star, self.escape)
         return q, 0.0 if exact else self._tail_bound(k)
-
-    def value(self, xi: TypeIIPoint):
-        """(potential value in natural logs, certified error bound)."""
-        q, bound = self.exponent(xi)
-        return float(q) * math.log(self.r), bound
 
 
 def iterate_exponents(R, points, n: int) -> list:
@@ -594,7 +544,7 @@ def subtree_span(points) -> BerkTree:
     """
     if not points:
         raise ChartError("need at least one point")
-    pts = [p if isinstance(p, TypeIIPoint) else type2_from_zpair(*p) for p in points]
+    pts = [p if isinstance(p, TypeIIPoint) else TypeIIPoint(*p) for p in points]
     pts.append(TypeIIPoint.gauss())
     zpairs = [p.zpair() for p in pts]
     n = math.lcm(*(math.lcm(a.ram, s.denominator) for a, s in zpairs))
@@ -663,8 +613,9 @@ class TreeMeasure:
 
     def records(self):
         """One record per vertex: its chart form (``chart_forms``) and mass."""
-        return [dict(_form_record(form), mass=m)
-                for form, m in zip(chart_forms(self.tree.vertices), self.masses)]
+        return [{"chart": chart, "center": str(center), "s": f"{s.numerator}/{s.denominator}",
+                 "mass": m}
+                for (chart, center, s), m in zip(chart_forms(self.tree.vertices), self.masses)]
 
     def support(self):
         return [(pt, m) for pt, m in zip(self.tree.vertices, self.masses) if m != 0.0]
@@ -843,4 +794,4 @@ def build_probe_tree(R, s_min=-3, s_max=3, q: int = 2, orbit_len: int = 2,
         for c in distinct:
             for s in grid:
                 pairs.append((c, s))
-    return subtree_span([type2_from_zpair(a, s) for a, s in pairs])
+    return subtree_span([TypeIIPoint(a, s) for a, s in pairs])

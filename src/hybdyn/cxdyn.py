@@ -10,7 +10,9 @@ converges to the measure of maximal entropy.  The quadrature
 reports each cell's value with an error estimate and whether the
 differences between levels certify it.  The backward sampler
 (``backward_sample``) draws a uniformly random inverse branch at each step
-of one map's orbit; it stays as the Monte-Carlo reference.
+of one map's orbit; with ``integrate_mu`` it stays as the one-cell
+Monte-Carlo reference, and ``integrate_mu(R, lambda pts: log_det_norm(R,
+pts), s)`` is that reference's Lyapunov exponent.
 
 The quadrature treats a grid of cells, one map each, as one batch: every
 burn-in step, quadrature level and integrand evaluation is a numpy call
@@ -73,20 +75,6 @@ class RationalMapC:
         self._wu = _polysub(np.convolve(npoly.polyder(self._q0), self._q1),
                             np.convolve(self._q0, npoly.polyder(self._q1)))
 
-    def apply(self, pts: np.ndarray) -> np.ndarray:
-        """Forward image of homogeneous points, renormalized to sup-norm 1."""
-        pts = np.atleast_2d(pts)
-        z_chart = np.abs(pts[:, 0]) <= np.abs(pts[:, 1])
-        z = np.where(z_chart, _safe_div(pts[:, 0], pts[:, 1]),
-                     _safe_div(pts[:, 1], pts[:, 0]))
-        out = np.empty_like(pts)
-        # in the 1/z chart the map reads [q0 : q1](u) with the roles swapped
-        out[:, 0] = np.where(z_chart, npoly.polyval(z, self.p0c),
-                             npoly.polyval(z, self._q1))
-        out[:, 1] = np.where(z_chart, npoly.polyval(z, self.p1c),
-                             npoly.polyval(z, self._q0))
-        return _normalize(out)
-
     def __repr__(self):
         return f"<RationalMapC deg={self.degree} {self.label!r}>"
 
@@ -116,13 +104,6 @@ def _safe_div(a, b):
         return np.where(b != 0, a / np.where(b != 0, b, 1.0), 0.0)
 
 
-def _normalize(pts: np.ndarray) -> np.ndarray:
-    scale = np.maximum(np.abs(pts[:, 0]), np.abs(pts[:, 1]))
-    if np.any(scale == 0):
-        raise DegenerateMapError("image of a point vanished in both coordinates")
-    return pts / scale[:, None]
-
-
 def _sylvester_det(a: np.ndarray, b: np.ndarray) -> complex:
     d = len(a) - 1
     m = np.zeros((2 * d, 2 * d), dtype=complex)
@@ -146,8 +127,8 @@ def specialize(R, t: complex, r: float | None = None) -> RationalMapC:
         raise DegenerateMapError("specialization requires t != 0")
     if r is not None and abs(t) > r:
         raise DegenerateMapError(f"|t| = {abs(t)} exceeds the radius {r}")
-    p0c = np.array([c.eval(t) for c in R.p0.dehomogenized("z")], dtype=complex)
-    p1c = np.array([c.eval(t) for c in R.p1.dehomogenized("z")], dtype=complex)
+    p0c = np.array([c.eval(t) for c in R.p0.dehomogenized()], dtype=complex)
+    p1c = np.array([c.eval(t) for c in R.p1.dehomogenized()], dtype=complex)
     label = f"{getattr(R, 'label', '')}@t={t}"
     res = R.resultant
     if res.trunc is None:
@@ -193,11 +174,6 @@ class SampleSet:
     seed: int
     n_burn: int
     n_keep: int
-
-    def affine(self) -> np.ndarray:
-        """Affine coordinates z = w0/w1 (inf where w1 = 0)."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return self.points[:, 0] / self.points[:, 1]
 
 
 def _preimages(R: RationalMapC, target: np.ndarray) -> np.ndarray:
@@ -746,12 +722,6 @@ def _horner(c: np.ndarray, row, x: np.ndarray) -> np.ndarray:
     for j in range(c.shape[1] - 2, -1, -1):
         out = c[row, j] + out * x
     return out
-
-
-def lyapunov_complex(R: RationalMapC, s: SampleSet) -> IntegralResult:
-    """Monte-Carlo Lyapunov exponent against the sampled equilibrium measure
-    (acceptance criterion 6 checks it against the oracles)."""
-    return integrate_mu(R, lambda pts: log_det_norm(R, pts), s)
 
 
 # -- escape-rate oracle ---------------------------------------------------------------

@@ -191,6 +191,8 @@ def _validate(cfg: ExperimentConfig) -> None:
             # three quadrature levels are the fewest that can certify a cell
             raise ConfigError(f"sampler.n_keep must be >= d^3 = {d ** 3} for a degree-{d} "
                               f"family, got {cfg.n_keep}")
+    if cfg.datum_k != 1:
+        raise ConfigError(f"datum.k must be 1 (every family acts on P^1), got {cfg.datum_k}")
     if cfg.kind == "lyap-slope" and len(cfg.moduli) < 3:
         raise ConfigError("slope fit is degenerate with fewer than 3 grid moduli")
     if not cmath.isfinite(cfg.start):

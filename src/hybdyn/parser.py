@@ -331,7 +331,7 @@ class RationalMapFamily:
             raise ParseError("family is not polynomial in z")
         lead = self.p1.coeffs[(0, self.degree)]
         inv = lead.inverse()
-        return [c * inv for c in self.p0.dehomogenized("z")]
+        return [c * inv for c in self.p0.dehomogenized()]
 
     def emit(self) -> str:
         num = _emit_affine(self.p0)

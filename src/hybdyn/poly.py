@@ -64,14 +64,13 @@ class HomogeneousPoly:
             tr = min(tr, c.trunc_order)
         return tr
 
-    def dehomogenized(self, chart: str = "z") -> list:
-        """One-variable coefficient list: ``P(z, 1)`` for chart "z",
-        ``P(1, u)`` for chart "1/z" (ascending in the affine variable)."""
+    def dehomogenized(self) -> list:
+        """Ascending coefficients of the z-chart polynomial ``P(z, 1)``."""
         if self.nvars != 2:
             raise LaurentError("dehomogenization requires two variables")
         out = [LaurentSeries.zero() for _ in range(self.degree + 1)]
-        for (a, b), c in self.coeffs.items():
-            out[a if chart == "z" else b] = c
+        for (a, _), c in self.coeffs.items():
+            out[a] = c
         return out
 
     # -- algebra -----------------------------------------------------------------
@@ -153,6 +152,8 @@ class HomogeneousPoly:
         """
         import numpy as np  # only complex fibers evaluate numerically
 
+        if len(w) != self.nvars:
+            raise LaurentError(f"expected {self.nvars} coordinates, got {len(w)}")
         w = [np.asarray(x, dtype=complex) for x in w]
         total = None
         for e, c in self.coeffs.items():
@@ -174,6 +175,8 @@ class HomogeneousPoly:
 
     def eval_series(self, w: list) -> LaurentSeries:
         """Evaluate at Laurent-series homogeneous coordinates."""
+        if len(w) != self.nvars:
+            raise LaurentError(f"expected {self.nvars} coordinates, got {len(w)}")
         total = LaurentSeries.zero()
         for e, c in self.coeffs.items():
             term = c

@@ -10,7 +10,7 @@ from hybdyn.admissible import (datum_max, datum_tensor, g_na,
                                g_na_exponent, iterate_datum, phi_canonical,
                                phi_complex, phi_iterate)
 from hybdyn.berkovich import TypeIIPoint, TypeIPoint
-from hybdyn.errors import PrecisionError
+from hybdyn.errors import LaurentError, PrecisionError
 from hybdyn.laurent import LaurentSeries as L
 from hybdyn.parser import parse_family, parse_sections
 from hybdyn.poly import HomogeneousPoly, iterate_pair
@@ -288,6 +288,22 @@ class TestRegularity:
         F_s = parse_sections(["w0^2"], k=1, d=2)
         assert phi_canonical(F_s, (0.0, 1.0), 0.1) == -math.inf
         assert phi_canonical(F_s, (1.0, 1.0), 0.1) > -math.inf
+
+
+class TestCoordinateCount:
+    def test_wrong_length_is_rejected(self):
+        # a coordinate per variable: neither evaluator drops or pads one
+        F_w = parse_sections(["w0^2", "w2^2"], k=2, d=2)
+        s = F_w.sections[1]
+        for w in ((1.0, 2.0), (1.0, 2.0, 3.0, 4.0)):
+            with pytest.raises(LaurentError, match="expected 3 coordinates"):
+                s.eval_numeric(w, 0.1)
+            with pytest.raises(LaurentError, match="expected 3 coordinates"):
+                s.eval_series([L.const(x) for x in w])
+        with pytest.raises(LaurentError, match="expected 3 coordinates"):
+            phi_canonical(F_w, (1.0, 2.0), 0.1)
+        assert s.eval_numeric((1.0, 2.0, 3.0), 0.1) == 9.0
+        assert s.eval_series([L.one(), L.one(), L.t_power(1)]) == L.t_power(2)
 
 
 class TestSingularFlags:

@@ -11,11 +11,11 @@ from hybdyn import berkovich
 from hybdyn.admissible import AdmissibleDatum, g_na_exponent
 from hybdyn.berkovich import (BerkTree, GreenEvaluator, TypeIIPoint,
                               _ord_at_least, _section_exponent, build_probe_tree,
+                              chart_forms,
                               det_norm_exponent, good_reduction_exponent,
                               homog_seminorm, iterate_exponents, map_disk,
-                              na_lyapunov, poly_seminorm, resultant_valuation,
-                              subtree_span, tree_ma, type2_from_zpair,
-                              critical_centers)
+                              na_lyapunov, resultant_valuation, subtree_span,
+                              tree_ma, critical_centers)
 from hybdyn.errors import (ChartError, ConventionError, DegenerateFamilyError,
                            PrecisionError)
 from hybdyn.laurent import LaurentSeries as L, taylor_shift
@@ -42,77 +42,85 @@ class TestPoints:
         assert XG.is_gauss()
 
     def test_big_disk_flips_chart(self):
-        assert type2_from_zpair(0, -1).chart_form() == ("1/z", L.zero(), 1)
+        assert TypeIIPoint(0, -1).chart_form() == ("1/z", L.zero(), 1)
 
     def test_far_center_flips_chart(self):
-        assert type2_from_zpair(L.t_power(-1), 0).chart_form() == ("1/z", L.t_power(1), 2)
+        assert TypeIIPoint(L.t_power(-1), 0).chart_form() == ("1/z", L.t_power(1), 2)
 
     def test_center_reduction(self):
         # terms at exponent >= s do not move the disk
-        p = type2_from_zpair(L({1: 1, 5: 3}), 2)
+        p = TypeIIPoint(L({1: 1, 5: 3}), 2)
         assert p.zpair()[0] == L.t_power(1)
         assert p.chart_form()[1] == L.t_power(1)
 
     def test_one_stored_form(self):
         # only the z-chart disk is kept; the chart form is derived on request
-        p = type2_from_zpair(L.t_power(-1), 0)
+        p = TypeIIPoint(L.t_power(-1), 0)
         assert TypeIIPoint.__slots__ == ("_zpair",)
         assert p.zpair() == (L.t_power(-1), 0)
 
     def test_contained_center_recentred(self):
-        assert type2_from_zpair(L.t_power(2), 1) == type2_from_zpair(0, 1)
+        assert TypeIIPoint(L.t_power(2), 1) == TypeIIPoint(0, 1)
 
     def test_equality_across_charts(self):
-        assert type2_from_zpair(0, F(-1, 2)) == TypeIIPoint(0, F(1, 2), chart="1/z")
+        # a disk containing 0 and t^(-1/4) is one point, printed in the 1/z chart
+        p, q = TypeIIPoint(0, F(-1, 2)), TypeIIPoint(L.t_power(F(-1, 4)), F(-1, 2))
+        assert p == q
+        assert p.chart_form() == q.chart_form() == ("1/z", L.zero(), F(1, 2))
 
     def test_equality_needs_precision(self):
         a = L({1: 1}, trunc=2)
         b = L({1: 1, 5: 1})
         with pytest.raises(PrecisionError):
-            type2_from_zpair(a, 4) == type2_from_zpair(b, 4)
+            TypeIIPoint(a, 4) == TypeIIPoint(b, 4)
 
     def test_record(self):
-        rec = type2_from_zpair(L.t_power(1), F(3, 2)).record()
-        assert rec == {"chart": "z", "center": "t", "s": "3/2"}
+        tree = subtree_span([TypeIIPoint(L.t_power(1), F(3, 2))])
+        mu = tree_ma(lambda v: F(0), tree, R)
+        assert mu.records() == [{"chart": "z", "center": "0", "s": "0/1", "mass": 1.0},
+                                {"chart": "z", "center": "t", "s": "3/2", "mass": 0.0}]
+
+
+def binary_form(coeffs) -> HomogeneousPoly:
+    """``sum_j coeffs[j] * w0**j * w1**(d - j)``, d = len(coeffs) - 1: the
+    form whose z-chart polynomial has ascending coefficients ``coeffs``."""
+    d = len(coeffs) - 1
+    return HomogeneousPoly(2, d, {(j, d - j): c for j, c in enumerate(coeffs)})
 
 
 class TestSeminorms:
     def test_power_at_disk(self):
-        f = [L.zero(), L.zero(), L.one()]  # w^2
-        assert poly_seminorm(f, type2_from_zpair(0, F(3, 2))) == 3
+        f = binary_form([L.zero(), L.zero(), L.one()])  # w0^2
+        assert homog_seminorm(f, TypeIIPoint(0, F(3, 2))) == 3
 
     def test_taylor_at_center(self):
-        f = [L({2: -1}), L.zero(), L.one()]  # w^2 - t^2
-        assert poly_seminorm(f, type2_from_zpair(0, 2)) == 2
+        f = binary_form([L({2: -1}), L.zero(), L.one()])  # w0^2 - t^2 w1^2
+        assert homog_seminorm(f, TypeIIPoint(0, 2)) == 2
 
     def test_linear_at_gauss(self):
-        assert poly_seminorm([L.zero(), L.one()], XG) == 0
+        assert homog_seminorm(binary_form([L.zero(), L.one()]), XG) == 0
 
     def test_unit_coefficients_at_gauss(self):
         rng = np.random.default_rng(41)
         for _ in range(30):
             coeffs = [L({0: complex(c)}) for c in
                       np.exp(2j * math.pi * rng.random(4))]
-            assert poly_seminorm(coeffs, XG) == 0
+            assert homog_seminorm(binary_form(coeffs), XG) == 0
 
     def test_multiplicative(self):
         rng = np.random.default_rng(42)
-        pts = [XG, type2_from_zpair(0, 2), type2_from_zpair(L.t_power(1), F(5, 2)),
-               type2_from_zpair(0, F(-3, 2))]
+        pts = [XG, TypeIIPoint(0, 2), TypeIIPoint(L.t_power(1), F(5, 2)),
+               TypeIIPoint(0, F(-3, 2)), TypeIIPoint(L({-2: 1, 0: 1j}), F(1, 2))]
         for _ in range(40):
-            f = [L({int(rng.integers(-2, 3)): complex(rng.normal(), rng.normal())})
-                 for _ in range(3)]
-            g = [L({int(rng.integers(-2, 3)): complex(rng.normal(), rng.normal())})
-                 for _ in range(2)]
-            fg = [L.zero() for _ in range(len(f) + len(g) - 1)]
-            for i, a in enumerate(f):
-                for j, b in enumerate(g):
-                    fg[i + j] = fg[i + j] + a * b
+            f = binary_form([L({int(rng.integers(-2, 3)): complex(rng.normal(), rng.normal())})
+                             for _ in range(3)])
+            g = binary_form([L({int(rng.integers(-2, 3)): complex(rng.normal(), rng.normal())})
+                             for _ in range(2)])
             for xi in pts:
-                assert poly_seminorm(fg, xi) == poly_seminorm(f, xi) + poly_seminorm(g, xi)
+                assert homog_seminorm(f * g, xi) == homog_seminorm(f, xi) + homog_seminorm(g, xi)
 
     def test_zero_sentinel(self):
-        assert poly_seminorm([L.zero(), L.zero()], XG) == math.inf
+        assert homog_seminorm(binary_form([L.zero(), L.zero()]), XG) == math.inf
 
     def test_homog_examples(self):
         w0w1 = HomogeneousPoly(2, 2, {(1, 1): L.one()})
@@ -120,7 +128,7 @@ class TestSeminorms:
         tw0sq = HomogeneousPoly(2, 2, {(2, 0): L.t_power(1)})
         assert homog_seminorm(tw0sq, XG) == 1
         w0sq = HomogeneousPoly(2, 2, {(2, 0): L.one()})
-        assert homog_seminorm(w0sq, type2_from_zpair(0, -1)) == 0
+        assert homog_seminorm(w0sq, TypeIIPoint(0, -1)) == 0
 
 
 def one_step_exponent(ev, xi):
@@ -138,8 +146,8 @@ class TestGreen:
     def test_good_reduction_values(self):
         fam = parse_family("z^2")
         assert one_step_potential(fam, XG) == 0.0
-        value, bound = GreenEvaluator(fam, R, n_max=8).value(XG)
-        assert value == 0.0 and bound == 0.0
+        q, bound = GreenEvaluator(fam, R, n_max=8).exponent(XG)
+        assert q == 0 and bound == 0.0
 
     def test_twisted_one_step(self):
         fam = twisted(parse_family("z^2"))
@@ -156,14 +164,14 @@ class TestGreen:
         p0 = HomogeneousPoly(2, 2, {(2, 0): L.one()})
         p1 = HomogeneousPoly(2, 2, {(0, 2): L.t_power(1)})
         fam = RationalMapFamily(2, p0, p1)
-        value, bound = GreenEvaluator(fam, R, n_max=12).value(XG)
-        assert value == 0.0
+        q, bound = GreenEvaluator(fam, R, n_max=12).exponent(XG)
+        assert q == 0
 
     def test_orbit_and_iterate_paths_agree(self):
         fam = parse_family("z^2 + 1/t")
         ev = GreenEvaluator(fam, R, n_max=6)
-        pts = [XG, type2_from_zpair(0, F(-1, 2)), type2_from_zpair(0, 2),
-               type2_from_zpair(L.t_power(-1), 1)]
+        pts = [XG, TypeIIPoint(0, F(-1, 2)), TypeIIPoint(0, 2),
+               TypeIIPoint(L.t_power(-1), 1)]
         for n in (1, 2, 4):
             assert [ev.approximant_exponent(xi, n) for xi in pts] == \
                 iterate_exponents(fam, pts, n)
@@ -188,7 +196,7 @@ class TestGreen:
             ev = GreenEvaluator(fam, R, n_max=5)
             d = fam.degree
             c_exp = ev.c_exponent
-            for xi in [XG, type2_from_zpair(0, F(1, 2)), type2_from_zpair(0, -1)]:
+            for xi in [XG, TypeIIPoint(0, F(1, 2)), TypeIIPoint(0, -1)]:
                 prev = ev.approximant_exponent(xi, 0)
                 for n in range(1, 5):
                     cur = ev.approximant_exponent(xi, n)
@@ -202,7 +210,7 @@ class TestGreen:
         ev = GreenEvaluator(fam, R, n_max=16)
         for s, expect in [(F(0), F(-1, 2)), (F(2), F(-1, 2)),
                           (F(-1, 4), F(-1, 4)), (F(-1, 2), F(0)), (F(-3), F(0))]:
-            q, _ = ev.exponent(type2_from_zpair(0, s))
+            q, _ = ev.exponent(TypeIIPoint(0, s))
             assert q == expect
 
     def test_certificate_reaches_tolerance(self):
@@ -215,9 +223,9 @@ class TestGreen:
         # orbit sum stops short of the tolerance and says so
         fam = parse_family("(z^2 - t)/z")
         ev = GreenEvaluator(fam, R, n_max=3, tol=1e-9)
-        value, bound = ev.value(type2_from_zpair(0, 1))
+        q, bound = ev.exponent(TypeIIPoint(0, 1))
         assert bound > 1e-9  # honest: tolerance not reached at the budget
-        assert value == pytest.approx(0.5 * LOG_R)  # exponent 1/2 times log r
+        assert float(q) == pytest.approx(0.5)  # value 1/2 * log r
 
     def test_orbit_leaving_float_range_stops_honestly(self):
         # (z^3 + 1/t)/(z + 1) squares the lead of a far center each step: the
@@ -228,19 +236,19 @@ class TestGreen:
         ev = GreenEvaluator(fam, R, n_max=20, tol=1e-6)
         assert ev.n_star == 14
         for lead, steps in ((0.65, 10), (1.7, 9)):
-            xi = type2_from_zpair(L({-2: lead}), 0)
+            xi = TypeIIPoint(L({-2: lead}), 0)
             assert ev.exponent(xi) == (0, ev._tail_bound(steps))
             assert ev._tail_bound(steps) > ev.tol
             assert ev.approximant_exponent(xi, steps) == 0
             with pytest.raises(PrecisionError, match="float range"):
                 ev.approximant_exponent(xi, steps + 1)
-        unit = type2_from_zpair(L({-2: 1.0}), 0)
+        unit = TypeIIPoint(L({-2: 1.0}), 0)
         assert ev.exponent(unit) == (0, ev._tail_bound(14))
         assert ev._tail_bound(14) < ev.tol
         # the plain partial sum on z^2 + 1/t used to read 1/2048 here, not 0
         ev = GreenEvaluator(parse_family("z^2 + 1/t"), R, n_max=16)
         with pytest.raises(PrecisionError, match="float range"):
-            ev.approximant_exponent(type2_from_zpair(L({-1: 0.65}), 0), 13)
+            ev.approximant_exponent(TypeIIPoint(L({-1: 0.65}), 0), 13)
 
     def test_gauss_point_closes_exactly(self):
         # z^2 + 1/t maps the Gauss point into |z| > r^(-1/2) in one step,
@@ -248,7 +256,6 @@ class TestGreen:
         fam = parse_family("z^2 + 1/t")
         q, bound = GreenEvaluator(fam, R, n_max=3, tol=1e-9).exponent(XG)
         assert q == F(-1, 2) and bound == 0.0
-        assert GreenEvaluator(fam, R, n_max=3, tol=1e-9).value(XG) == (-0.5 * LOG_R, 0.0)
 
 
 class TestSectionExponent:
@@ -318,7 +325,7 @@ class TestGreenClosure:
             e, c = ev.escape
             for zp in _random_escape_disks(rng, e):
                 assert _escape_m(zp) < e
-                assert one_step_exponent(ev, type2_from_zpair(*zp)) == c
+                assert one_step_exponent(ev, TypeIIPoint(*zp)) == c
                 assert _escape_m(map_disk(fam.affine_coeffs(), zp)) < e
 
     def test_closed_sum_against_partial_sums(self):
@@ -335,7 +342,7 @@ class TestGreenClosure:
                 while _escape_m(cur) >= e and entry <= ev.n_star:
                     cur = berkovich._reduce_center(*map_disk(fam.affine_coeffs(), cur))
                     entry += 1
-                xi = type2_from_zpair(*zp)
+                xi = TypeIIPoint(*zp)
                 q, bound = ev.exponent(xi)
                 assert (bound == 0.0) == (entry <= ev.n_star)
                 for n in range(ev.n_star + 1):
@@ -370,7 +377,7 @@ class TestRationalOrbit:
         fam = parse_family(text)
         ev = GreenEvaluator(fam, R, n_max=5)
         tree = build_probe_tree(fam).vertices
-        disks = [type2_from_zpair(*zp) for zp in [
+        disks = [TypeIIPoint(*zp) for zp in [
             (L({F(1, 3): 0.3 + 0.4j}), F(1)), (L.t_power(-1, 2.0), F(0)), (L.one(), F(1, 2))]]
         for n in range(6):
             pts = tree + disks if fam.degree ** n <= 81 else tree
@@ -390,11 +397,11 @@ class TestRationalOrbit:
         # z - t/z: Q = z vanishes at the center of D(0, r^s), so the image
         # comes from a base point a + u*t^s; |t/z| = r^(1-s) wins for s > 1/2
         fam = parse_family("(z^2 - t)/z")
-        num, den = fam.p0.dehomogenized("z"), fam.p1.dehomogenized("z")
+        num, den = fam.p0.dehomogenized(), fam.p1.dehomogenized()
         assert taylor_shift(den, L.zero())[0].is_zero()
         for s, image in ((F(1, 4), F(1, 4)), (F(1, 2), F(1, 2)), (F(1), F(0)), (F(2), F(-1))):
-            assert type2_from_zpair(*map_disk(num, (L.zero(), s), den)) == \
-                type2_from_zpair(0, image)
+            assert TypeIIPoint(*map_disk(num, (L.zero(), s), den)) == \
+                TypeIIPoint(0, image)
 
     def test_unit_denominator_is_the_polynomial_rule(self):
         fam = parse_family("z^2 + 1/t")
@@ -423,7 +430,7 @@ class TestRationalOrbit:
         # linear cost in n: 40 orbit steps per vertex
         ev = GreenEvaluator(fam, R, n_max=40, tol=1e-12)
         assert ev.n_star == 40
-        assert ev.exponent(type2_from_zpair(0, F(1, 2)))[0] == F(1, 2) - F(1, 2 ** 41)
+        assert ev.exponent(TypeIIPoint(0, F(1, 2)))[0] == F(1, 2) - F(1, 2 ** 41)
 
 
 class TestChartForm:
@@ -454,16 +461,18 @@ class TestChartForm:
         assert calls == []
         far = [v for v in tree.vertices if v.zpair()[0].order() < 0]
         for v in far:
-            assert v.record()["chart"] == "1/z"
+            assert v.chart_form()[0] == "1/z"
         assert len(calls) == len(far)
-        p = type2_from_zpair(L.t_power(-1), 0)
+        p = TypeIIPoint(L.t_power(-1), 0)
         p.chart_form()
         repr(p)
         assert len(calls) == len(far) + 2
         calls.clear()
         shared = mu.records()
         assert len(calls) == len({v.zpair()[0] for v in far})
-        assert shared == [dict(v.record(), mass=m) for v, m in zip(tree.vertices, mu.masses)]
+        alone = [v.chart_form() for v in tree.vertices]
+        assert shared == [{"chart": chart, "center": str(a), "s": f"{s.numerator}/{s.denominator}",
+                           "mass": m} for (chart, a, s), m in zip(alone, mu.masses)]
 
     @staticmethod
     def _own_inversion(p):
@@ -495,7 +504,7 @@ class TestChartForm:
             radii = [F(rng.randint(-12, 18), rng.randint(1, 6)) for _ in range(rng.randint(1, 5))]
             radii += [F(exps[-1], ram) + F(rng.randint(1, 30), rng.randint(1, 6))
                       for _ in range(2)]
-            pts += [type2_from_zpair(center, s) for s in radii]
+            pts += [TypeIIPoint(center, s) for s in radii]
         rng.shuffle(pts)
         calls = self._count_inversions(monkeypatch)
         forms = berkovich.chart_forms(pts)
@@ -506,7 +515,7 @@ class TestChartForm:
             assert form[0] == chart and form[2] == s
             assert list(form[1].terms.items()) == list(center.terms.items())
             assert (form[1].ram, form[1].trunc) == (center.ram, center.trunc)
-            assert berkovich._form_record(form) == berkovich._form_record((chart, center, s))
+            assert str(form[1]) == str(center)  # as records print it
 
 
 class TestResultant:
@@ -530,8 +539,8 @@ class TestResultant:
         ts = [1e-4, 1e-5]
         vals = []
         for tv in ts:
-            a = [c.eval(tv) for c in fam.p0.dehomogenized("z")][::-1]
-            b = [c.eval(tv) for c in fam.p1.dehomogenized("z")][::-1]
+            a = [c.eval(tv) for c in fam.p0.dehomogenized()][::-1]
+            b = [c.eval(tv) for c in fam.p1.dehomogenized()][::-1]
             m = np.zeros((4, 4), dtype=complex)
             m[0, 0:3] = a
             m[1, 1:4] = a
@@ -548,16 +557,16 @@ class TestTrees:
         assert len(tree) == 1 and tree.gauss_index == 0
 
     def test_path(self):
-        tree = subtree_span([type2_from_zpair(0, 1), type2_from_zpair(0, 2)])
+        tree = subtree_span([TypeIIPoint(0, 1), TypeIIPoint(0, 2)])
         assert len(tree) == 3
         lengths = sorted(length for _, _, length in tree.edges)
         assert lengths == [1, 1]
 
     def test_branch_vertex_from_join(self):
-        pts = [type2_from_zpair(L.t_power(1), 2), type2_from_zpair(L({1: -1}), 2)]
+        pts = [TypeIIPoint(L.t_power(1), 2), TypeIIPoint(L({1: -1}), 2)]
         tree = subtree_span(pts)
         # join at ord(2t) = 1: the branch point is D(0, r)
-        assert any(v == type2_from_zpair(0, 1) for v in tree.vertices)
+        assert any(v == TypeIIPoint(0, 1) for v in tree.vertices)
         assert len(tree) == 4
 
     def test_map_disk(self):
@@ -612,7 +621,7 @@ def _join(zp, zq):
 def _all_pairs_span(points) -> BerkTree:
     """Reference span: close under all pairwise joins, deduplicate in order
     of first appearance, sort stably by radius, quadratic parent search."""
-    pts = [p if isinstance(p, TypeIIPoint) else type2_from_zpair(*p) for p in points]
+    pts = [p if isinstance(p, TypeIIPoint) else TypeIIPoint(*p) for p in points]
     pts.append(TypeIIPoint.gauss())
     all_pairs = [p.zpair() for p in pts]
     n0 = len(all_pairs)
@@ -638,13 +647,13 @@ def _all_pairs_span(points) -> BerkTree:
         if parent is None:
             raise ChartError("disconnected point set: no containing vertex found")
         edges.append((i, parent, s_i - uniq_pairs[parent][1]))
-    vertices = [type2_from_zpair(*zp) for zp in uniq_pairs]
+    vertices = [TypeIIPoint(*zp) for zp in uniq_pairs]
     gauss_index = next(i for i, p in enumerate(vertices) if p.is_gauss())
     return BerkTree(vertices, edges, gauss_index)
 
 
 def _span_summary(tree):
-    return ([v.record() for v in tree.vertices],
+    return ([(chart, str(a), s) for chart, a, s in chart_forms(tree.vertices)],
             [(str(a), s) for a, s in (v.zpair() for v in tree.vertices)],
             tree.edges, tree.gauss_index)
 
@@ -667,8 +676,9 @@ _COEFFS = [1, -1, 1j, -1j, 1 + 1j, 1 - 1j, 2]
 
 def _random_points(seed, truncated=False):
     """Seeded disks: duplicates, nested disks, negative radius exponents,
-    1/z-chart centers and the Gauss point as an explicit input; with
-    ``truncated``, some centers are known only to a truncation order."""
+    far centers (a leading term of negative order, printed in the 1/z chart)
+    and the Gauss point as an explicit input; with ``truncated``, some
+    centers are known only to a truncation order."""
     rng = random.Random(seed)
 
     def center():
@@ -687,11 +697,12 @@ def _random_points(seed, truncated=False):
                 pts.append(rng.choice(pts))
             elif kind < 0.3:
                 a, u = rng.choice(pts).zpair()
-                pts.append(type2_from_zpair(a, u + F(rng.randint(1, 4), 2)))
+                pts.append(TypeIIPoint(a, u + F(rng.randint(1, 4), 2)))
             elif kind < 0.45:
-                pts.append(TypeIIPoint(center(), abs(s), "1/z"))
+                far = L({rng.choice([F(-3), F(-2), F(-3, 2)]): rng.choice(_COEFFS)})
+                pts.append(TypeIIPoint(far + center(), s))
             else:
-                pts.append(type2_from_zpair(center(), s))
+                pts.append(TypeIIPoint(center(), s))
         except (PrecisionError, ChartError):
             continue
     rng.shuffle(pts)
@@ -792,7 +803,7 @@ class TestTreeMeasure:
     def test_slope_transport_on_path(self):
         # potential with slope +1 (in |log r| units) on [gauss, D(0, r)] and
         # flat beyond moves the unit mass one step down the path
-        pts = [type2_from_zpair(0, 1), type2_from_zpair(0, 2)]
+        pts = [TypeIIPoint(0, 1), TypeIIPoint(0, 2)]
         tree = subtree_span(pts)
 
         def g(v):
@@ -825,7 +836,7 @@ class TestTreeMeasure:
         assert mu.mass_at_gauss() == pytest.approx(1.0, abs=1e-12)
 
     def test_negative_mass_raises(self):
-        tree = subtree_span([type2_from_zpair(0, 1)])
+        tree = subtree_span([TypeIIPoint(0, 1)])
 
         def bad(v):  # superharmonic at the gauss point: mass -1 there
             return 2 * min(v.zpair()[1], F(1))
@@ -875,7 +886,7 @@ class TestNALyapunov:
         # for (z^2 - t)/z the measure concentrates at D(0, r^(1/2)) and the
         # Lyapunov integral tends to 0 with the iterate budget; the complex
         # Lyapunov is then asymptotically constant in log|t|^-1
-        from hybdyn.cxdyn import backward_sample, lyapunov_complex, specialize
+        from hybdyn.cxdyn import backward_sample, integrate_mu, log_det_norm, specialize
 
         fam = parse_family("(z^2 - t)/z")
         tree = build_probe_tree(fam, q=2)
@@ -889,7 +900,7 @@ class TestNALyapunov:
         for m in (1e-2, 1e-4):
             rc = specialize(fam, m)
             s = backward_sample(rc, seed=77, n_burn=60, n_keep=4000, start=0.8 + 0.4j)
-            lyaps.append(lyapunov_complex(rc, s))
+            lyaps.append(integrate_mu(rc, lambda pts: log_det_norm(rc, pts), s))
         slope = (lyaps[1].mean - lyaps[0].mean) / (math.log(1e4) - math.log(1e2))
         sigma = math.hypot(lyaps[0].stderr, lyaps[1].stderr) / math.log(1e2)
         assert abs(slope) < 3 * sigma + 1e-3
@@ -907,10 +918,10 @@ class TestRamifiedResolution:
         roots = newton_puiseux([L.t_power(-1), L.zero(), L.one()], F(4))
         assert len(roots) == 2
         assert all(c.order() == F(-1, 2) and c.ram == 2 for c in roots)
-        pts = [type2_from_zpair(0, F(j, 2)) for j in range(-6, 7)]
+        pts = [TypeIIPoint(0, F(j, 2)) for j in range(-6, 7)]
         for c in roots:
             for j in range(-2, 5):
-                pts.append(type2_from_zpair(c, F(j, 2)))
+                pts.append(TypeIIPoint(c, F(j, 2)))
         tree = subtree_span(pts)
         ev = GreenEvaluator(fam, R, n_max=16)
         mu = tree_ma(lambda v: ev.exponent(v)[0], tree, R)
@@ -924,21 +935,20 @@ class TestRamifiedResolution:
         assert refined / abs(LOG_R) == pytest.approx(0.5, abs=1e-9)  # positive
         # coarse spine tree retracts the mass to the join and flips the sign
         coarse = tree_ma(lambda v: ev.exponent(v)[0],
-                         subtree_span([type2_from_zpair(0, F(j, 2))
+                         subtree_span([TypeIIPoint(0, F(j, 2))
                                        for j in range(-6, 7)]), R)
         assert na_lyapunov(fam, coarse) / abs(LOG_R) == pytest.approx(-0.5, abs=1e-9)
 
 
 class TestChartRoundTrips:
-    def test_u_chart_constructor(self):
-        # a disk handed over in the 1/z chart keeps its identity
-        p = TypeIIPoint(L.t_power(1), F(3), chart="1/z")
-        q = type2_from_zpair(L.t_power(-1), F(1))
-        assert p == q
+    def test_far_disk_reads_in_u_chart(self):
+        # D(t^-1, r) is the 1/z-chart disk D(t, r^3)
+        p = TypeIIPoint(L.t_power(-1), F(1))
+        assert p.chart_form() == ("1/z", L.t_power(1), F(3))
 
     def test_double_inversion_stability(self):
         a = L({-1: 1.0, 0: 2.0, 1: -0.5})
-        p = type2_from_zpair(a, F(5, 2))
-        q = type2_from_zpair(*p.zpair())
+        p = TypeIIPoint(a, F(5, 2))
+        q = TypeIIPoint(*p.zpair())
         assert p == q
         assert p.chart_form()[0] == "1/z"

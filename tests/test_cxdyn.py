@@ -10,7 +10,7 @@ from numpy.polynomial import polynomial as npoly
 
 from hybdyn import admissible, cxdyn
 from hybdyn.cxdyn import (RationalMapC, backward_sample, escape_green,
-                          integrate_mu, log_det_norm, lyapunov_complex,
+                          integrate_mu, log_det_norm,
                           przytycki_oracle, specialize)
 from hybdyn.errors import (DegenerateMapError, UnsupportedDegreeError,
                            UnsupportedMapError)
@@ -151,13 +151,13 @@ class TestBackwardSampling:
     def test_circle_measure(self):
         rc = specialize(parse_family("z^2"), 0.1)
         s = backward_sample(rc, seed=7, n_burn=50, n_keep=3000, start=2.0)
-        z = s.affine()
+        z = s.points[:, 0] / s.points[:, 1]
         assert np.abs(np.abs(z) - 1.0).max() < 1e-6
 
     def test_chebyshev_interval(self):
         rc = specialize(parse_family("z^2 - 2"), 0.1)
         s = backward_sample(rc, seed=7, n_burn=50, n_keep=3000, start=0.3 + 0.2j)
-        z = s.affine()
+        z = s.points[:, 0] / s.points[:, 1]
         assert np.abs(z.imag).max() < 1e-6
         assert z.real.min() > -2 - 1e-9 and z.real.max() < 2 + 1e-9
 
@@ -172,7 +172,7 @@ class TestBackwardSampling:
     def test_exceptional_start_recovers(self):
         rc = specialize(parse_family("z^2"), 0.1)
         s = backward_sample(rc, seed=5, n_burn=50, n_keep=500, start=0.0)
-        z = s.affine()
+        z = s.points[:, 0] / s.points[:, 1]
         assert np.abs(np.abs(z) - 1.0).max() < 1e-6
 
     def test_matches_scalar_reference(self):
@@ -226,32 +226,37 @@ class TestIntegration:
         assert res.warn  # > 1% excluded
 
     def test_invariance(self):
+        # the measure is balanced: averaging f over the d preimages of each
+        # sample point leaves the integral unchanged
         def f(pts):
             return np.log1p(np.abs(pts[:, 0] / np.where(pts[:, 1] != 0, pts[:, 1], 1)))
 
+        def pulled_back(pts):
+            return np.array([f(cxdyn._preimages(self.rc, x)).mean() for x in pts])
+
         direct = integrate_mu(self.rc, f, self.s)
-        pushed = integrate_mu(self.rc, lambda p: f(self.rc.apply(p)), self.s)
-        sigma = math.hypot(direct.stderr, pushed.stderr)
-        assert abs(direct.mean - pushed.mean) < 3 * sigma + 1e-3
+        pulled = integrate_mu(self.rc, pulled_back, self.s)
+        sigma = math.hypot(direct.stderr, pulled.stderr)
+        assert abs(direct.mean - pulled.mean) < 3 * sigma + 1e-3
 
 
 class TestLyapunov:
     def test_squaring(self):
         rc = specialize(parse_family("z^2"), 0.1)
         s = backward_sample(rc, seed=13, n_burn=50, n_keep=20000, start=2.0)
-        res = lyapunov_complex(rc, s)
+        res = integrate_mu(rc, lambda pts: log_det_norm(rc, pts), s)
         assert res.mean == pytest.approx(LOG2, abs=3 * res.stderr + 1e-9)
 
     def test_cubing(self):
         rc = specialize(parse_family("(z^3)/(1)"), 0.1)
         s = backward_sample(rc, seed=13, n_burn=50, n_keep=20000, start=2.0)
-        res = lyapunov_complex(rc, s)
+        res = integrate_mu(rc, lambda pts: log_det_norm(rc, pts), s)
         assert res.mean == pytest.approx(math.log(3), abs=3 * res.stderr + 1e-9)
 
     def test_chebyshev(self):
         rc = specialize(parse_family("z^2 - 2"), 0.1)
         s = backward_sample(rc, seed=13, n_burn=50, n_keep=40000, start=0.3 + 0.2j)
-        res = lyapunov_complex(rc, s)
+        res = integrate_mu(rc, lambda pts: log_det_norm(rc, pts), s)
         assert res.mean == pytest.approx(LOG2, abs=3 * res.stderr)
 
     def test_briend_duval_lower_bound(self):
@@ -260,7 +265,7 @@ class TestLyapunov:
             fam = parse_family(text)
             rc = specialize(fam, 0.07)
             s = backward_sample(rc, seed=17, n_burn=50, n_keep=5000, start=1.1 + 0.3j)
-            res = lyapunov_complex(rc, s)
+            res = integrate_mu(rc, lambda pts: log_det_norm(rc, pts), s)
             bound = 0.5 * math.log(fam.degree)
             assert res.mean >= bound - 3 * res.stderr
 
@@ -300,7 +305,7 @@ class TestEscapeOracle:
         tv = 1e-3
         rc = specialize(fam, tv)
         s = backward_sample(rc, seed=19, n_burn=60, n_keep=20000, start=1 + 1j)
-        res = lyapunov_complex(rc, s)
+        res = integrate_mu(rc, lambda pts: log_det_norm(rc, pts), s)
         assert abs(res.mean - przytycki_oracle(fam, tv)) < 3 * res.stderr + 1e-6
 
     def test_non_polynomial_rejected(self):
@@ -727,7 +732,8 @@ class TestCubicRoot:
         fam = parse_family("z^3 + t*z")
         maps = [specialize(fam, tv) for tv in (1e-2, 1e-4j)]
         for rc in maps:
-            assert lyapunov_complex(rc, backward_sample(rc, 1, 20, 500, 1.1 + 0.7j)).n_used == 500
+            s = backward_sample(rc, 1, 20, 500, 1.1 + 0.7j)
+            assert integrate_mu(rc, lambda pts: log_det_norm(rc, pts), s).n_used == 500
         results = cxdyn.preimage_levels(maps, [1, 2], 20, 500, 1.1 + 0.7j, _lyapunov(maps))
         assert all(math.isfinite(value) and level >= 3 for value, _, level, _ in results)
 
@@ -814,7 +820,8 @@ class TestPreimageLevels:
                 [rc], [5], 100, 20000, 1.1 + 0.7j, lambda cell, pts: log_det_norm(rc, pts))
             assert certified and (level is None or n == level)
             assert err < 1e-12
-            walked = lyapunov_complex(rc, backward_sample(rc, 5, 100, 20000, 1.1 + 0.7j))
+            s = backward_sample(rc, 5, 100, 20000, 1.1 + 0.7j)
+            walked = integrate_mu(rc, lambda pts: log_det_norm(rc, pts), s)
             assert abs(mean - walked.mean) <= 3 * walked.stderr + 1e-15
 
     def test_pole_family_matches_oracle(self):

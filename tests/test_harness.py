@@ -154,6 +154,7 @@ BAD_VALUES = [
     ("[green]\ntol = -1", "green.tol must be > 0"),
     ("[sampler]\nseed = -1", "sampler.seed must be >= 0"),
     ("[series]\nj_max = -1", "series.j_max must be >= 0"),
+    ("[datum]\nk = 2", "datum.k must be 1"),
 ]
 
 SHIPPED_IDS = {
@@ -634,7 +635,7 @@ def test_import_leaves_scipy_unloaded():
 
 
 CXDYN_EXPORTS = ("RationalMapC", "SampleSet", "backward_sample", "integrate_mu",
-                 "lyapunov_complex", "przytycki_oracle", "specialize")
+                 "przytycki_oracle", "specialize")
 
 
 def test_package_exports_load_the_complex_layer_on_access():
@@ -707,6 +708,17 @@ class TestCli:
         out = tmp_path / "out"
         assert cli_main(["hybrid-converge", "--config", str(ini), "--out", str(out)]) == 2
         assert "sampler.n_keep must be >= d^3 = 8" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_datum_off_p1_exit_code(self, tmp_path, capsys):
+        # every family acts on P^1: a datum in w0, w1, w2 used to run, its
+        # w2 dropped by the evaluator
+        ini = tmp_path / "wide.ini"
+        ini.write_text(CONVERGE_INI.replace("sections = w0 + w1; w1",
+                                            "sections = w0^2; w2^2\nk = 2\nd = 2"))
+        out = tmp_path / "out"
+        assert cli_main(["hybrid-converge", "--config", str(ini), "--out", str(out)]) == 2
+        assert "datum.k must be 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_values_exit_code(self, tmp_path, capsys):
