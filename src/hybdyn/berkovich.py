@@ -329,6 +329,16 @@ def _in_float_range(a: LaurentSeries, d: int) -> bool:
     return all(abs(math.log(abs(c))) * d < _FLOAT_LOG for _, c in a.items())
 
 
+def _disk_key(zpair) -> tuple:
+    """Everything ``_orbit_step`` reads of a z-chart disk: the center's
+    grid, truncation and stored terms in stored order (which fixes the order
+    of the float sums), coefficients bit for bit (``float.hex`` keeps the two
+    zeros apart), and the radius."""
+    a, s = zpair
+    return (a.ram, a.trunc, s,
+            tuple((k, c.real.hex(), c.imag.hex()) for k, c in a.terms.items()))
+
+
 class GreenEvaluator:
     """Canonical-metric Green potential of a degree-d family, evaluated at
     type-II points by a forward-orbit walk.
@@ -337,11 +347,15 @@ class GreenEvaluator:
     sum ``sum_{k<n} d**-(k+1) * g1(R^k xi)``, g1 the one-step section
     exponent; it equals ``d**-n`` times the section exponent of the n-th
     homogeneous iterate (``iterate_exponents``) without building that
-    degree-``d**n`` iterate.  Each orbit step Taylor-shifts P and Q once
-    (``_orbit_step``), which gives both g1 and the image disk, so the cost
-    is linear in n.  A uniform bound C on |g1| certifies the tail: the
-    evaluator stops at the first n with ``C * d**-n / (1 - 1/d) < tol``, or
-    at ``n_max`` with the achieved bound reported.
+    degree-``d**n`` iterate.  An orbit step Taylor-shifts P and Q once
+    (``_orbit_step``), which gives both g1 and the image disk.  The
+    evaluator keeps a table from each disk it has stepped to its (reduced
+    image, g1), so each distinct disk that some orbit visits costs one step
+    per evaluator and later visits, by any vertex, are table reads; a step
+    that raises is not stored.  A uniform bound C on |g1| certifies the
+    tail: the evaluator stops at the first n with
+    ``C * d**-n / (1 - 1/d) < tol``, or at ``n_max`` with the achieved bound
+    reported.
 
     For polynomial families the walk is closed exactly once the orbit enters
     the escape region (``_escape_region``): at the first orbit point
@@ -372,13 +386,14 @@ class GreenEvaluator:
         # the affine map P/Q that moves disks along the orbit; a polynomial
         # family steps with P/B, so ord B is added back to g1
         if R.is_polynomial():
-            self._num, self._den = R.affine_coeffs(), None
+            self._num, self._den = R.affine_coeffs, None
             self._ord_b = R.p1.coeffs[(0, d)].order()
             self.escape = _escape_region(R)
         else:
             self._num, self._den = R.p0.dehomogenized(), R.p1.dehomogenized()
             self._ord_b = Fraction(0)
             self.escape = None
+        self._steps = {}  # _disk_key(disk) -> (reduced image disk, g1)
 
     def _tail_bound(self, n: int) -> float:
         d = self.R.degree
@@ -402,10 +417,14 @@ class GreenEvaluator:
         while escape is None or not _escaped(cur, escape[0]):
             if k == n or not _in_float_range(cur[0], d):
                 return total, k, False
-            image, m = _orbit_step(self._num, cur, self._den)
-            g1 = m + self._ord_b - d * min(Fraction(0), cur[0].order(), cur[1])
+            key = _disk_key(cur)
+            step = self._steps.get(key)
+            if step is None:
+                image, m = _orbit_step(self._num, cur, self._den)
+                g1 = m + self._ord_b - d * min(Fraction(0), cur[0].order(), cur[1])
+                step = self._steps[key] = (_reduce_center(*image), g1)
+            cur, g1 = step
             total += g1 / d ** (k + 1)
-            cur = _reduce_center(*image)
             k += 1
         return total + escape[1] / (d ** k * (d - 1)), k, True
 
@@ -664,7 +683,11 @@ def det_norm_exponent(R, xi: TypeIIPoint):
     Computed as (normalized Jacobian seminorm) - 2 * (normalized section
     seminorm); the chart normalizations cancel so the result is intrinsic.
     """
-    jac = jacobian_determinant(R.p0, R.p1)
+    return _det_norm_exponent(R, jacobian_determinant(R.p0, R.p1), xi)
+
+
+def _det_norm_exponent(R, jac: HomogeneousPoly, xi):
+    """``det_norm_exponent`` with the Jacobian determinant ``jac`` of R given."""
     qj = homog_seminorm(jac, xi)
     q1 = _section_exponent((R.p0, R.p1), xi)
     if qj == _INF or q1 == _INF:
@@ -675,9 +698,10 @@ def det_norm_exponent(R, xi: TypeIIPoint):
 def na_lyapunov(R, mu: TreeMeasure) -> float:
     """Integral of log|det dR| against an atomic tree measure (natural logs)."""
     logr = math.log(mu.r)
+    jac = jacobian_determinant(R.p0, R.p1)
     total = 0.0
     for pt, mass in mu.support():
-        q = det_norm_exponent(R, pt)
+        q = _det_norm_exponent(R, jac, pt)
         if q == _INF:
             return -_INF if logr < 0 else _INF
         total += mass * float(q) * logr
@@ -746,7 +770,7 @@ def map_disk(num, zpair, den=None):
 def critical_centers(R, target=Fraction(6)):
     """Truncated Puiseux expansions of the finite critical points of a
     polynomial family (roots of the derivative of the affine polynomial)."""
-    coeffs = R.affine_coeffs()
+    coeffs = R.affine_coeffs
     deriv = [c * float(j) for j, c in enumerate(coeffs) if j >= 1]
     if len(deriv) <= 1:
         return []
@@ -762,7 +786,7 @@ def build_probe_tree(R, s_min=-3, s_max=3, q: int = 2, orbit_len: int = 2,
     grid = [Fraction(j, q) for j in range(int(s_min * q), int(s_max * q) + 1)]
     pairs = [(zero, s) for s in grid]
     if R.is_polynomial():
-        coeffs = R.affine_coeffs()
+        coeffs = R.affine_coeffs
         # forward orbit segments of the grid disks
         for s in grid:
             cur = (zero, s)

@@ -764,7 +764,7 @@ def przytycki_oracle(R, t: complex) -> float:
     log d plus the escape-rate potential summed over finite critical points."""
     if not R.is_polynomial():
         raise UnsupportedMapError("oracle requires a polynomial family (P1 = c*w1^d)")
-    coeffs = np.array([c.eval(t) for c in R.affine_coeffs()], dtype=complex)
+    coeffs = np.array([c.eval(t) for c in R.affine_coeffs], dtype=complex)
     d = len(coeffs) - 1
     if abs(coeffs[d]) == 0:
         raise DegenerateMapError(f"degenerate specialization at t = {t}")

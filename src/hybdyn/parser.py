@@ -324,14 +324,14 @@ class RationalMapFamily:
         keys = list(self.p1.coeffs)
         return keys == [(0, self.degree)]
 
-    def affine_coeffs(self) -> list:
+    @cached_property
+    def affine_coeffs(self) -> tuple:
         """Affine numerator coefficients P0(z, 1) divided by the w1^d
-        coefficient of P1, for polynomial families."""
+        coefficient of P1, for polynomial families; built once per family."""
         if not self.is_polynomial():
             raise ParseError("family is not polynomial in z")
-        lead = self.p1.coeffs[(0, self.degree)]
-        inv = lead.inverse()
-        return [c * inv for c in self.p0.dehomogenized()]
+        inv = self.p1.coeffs[(0, self.degree)].inverse()
+        return tuple(c * inv for c in self.p0.dehomogenized())
 
     def emit(self) -> str:
         num = _emit_affine(self.p0)

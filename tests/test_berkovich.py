@@ -326,7 +326,7 @@ class TestGreenClosure:
             for zp in _random_escape_disks(rng, e):
                 assert _escape_m(zp) < e
                 assert one_step_exponent(ev, TypeIIPoint(*zp)) == c
-                assert _escape_m(map_disk(fam.affine_coeffs(), zp)) < e
+                assert _escape_m(map_disk(fam.affine_coeffs, zp)) < e
 
     def test_closed_sum_against_partial_sums(self):
         rng = random.Random(13)
@@ -340,7 +340,7 @@ class TestGreenClosure:
                 # the step at which the orbit enters the region
                 cur, entry = zp, 0
                 while _escape_m(cur) >= e and entry <= ev.n_star:
-                    cur = berkovich._reduce_center(*map_disk(fam.affine_coeffs(), cur))
+                    cur = berkovich._reduce_center(*map_disk(fam.affine_coeffs, cur))
                     entry += 1
                 xi = TypeIIPoint(*zp)
                 q, bound = ev.exponent(xi)
@@ -405,7 +405,7 @@ class TestRationalOrbit:
 
     def test_unit_denominator_is_the_polynomial_rule(self):
         fam = parse_family("z^2 + 1/t")
-        coeffs = fam.affine_coeffs()
+        coeffs = fam.affine_coeffs
         one = [L.one(), L.zero(), L.zero()]
         for v in build_probe_tree(fam).vertices:
             assert map_disk(coeffs, v.zpair(), one) == map_disk(coeffs, v.zpair())
@@ -427,10 +427,99 @@ class TestRationalOrbit:
         assert ev.n_star == 11
         assert all(bound == ev._tail_bound(11) < ev.tol for _, bound in got)
         assert [q for q, _ in got] == [F(0)] * 7 + [F(2047, 4096)] + [F(1, 2)] * 5
-        # linear cost in n: 40 orbit steps per vertex
+        # 40 orbit terms; D(0, r^(1/2)) is fixed, so one table step
         ev = GreenEvaluator(fam, R, n_max=40, tol=1e-12)
         assert ev.n_star == 40
         assert ev.exponent(TypeIIPoint(0, F(1, 2)))[0] == F(1, 2) - F(1, 2 ** 41)
+
+
+# (family, GreenEvaluator n_max, build_probe_tree grid): the probe trees of
+# the na-rational and na-deep-tree benchmark configs, then every preset family
+_STEP_TABLE_TREES = [("(z^2 - t)/z", 8, {}),
+                     ("z^2 + 1/t", 16, dict(s_min=-4, s_max=4, q=4, orbit_len=3))]
+_STEP_TABLE_TREES += [(text, 16, {}) for text in FAMILY_TEXTS]
+
+
+class TestStepTable:
+    """One evaluator steps each orbit disk once; every result is the one a
+    fresh evaluator per vertex gives."""
+
+    @pytest.mark.parametrize("text, n_max, grid", _STEP_TABLE_TREES)
+    def test_shared_evaluator_equals_fresh_per_vertex(self, text, n_max, grid):
+        fam = parse_family(text)
+        vertices = build_probe_tree(fam, **grid).vertices
+        cold = [GreenEvaluator(fam, R, n_max=n_max).exponent(v) for v in vertices]
+        ev = GreenEvaluator(fam, R, n_max=n_max)
+        assert [ev.exponent(v) for v in vertices] == cold
+        ev = GreenEvaluator(fam, R, n_max=n_max)
+        assert [ev.exponent(v) for v in reversed(vertices)] == cold[::-1]
+
+    def test_approximants_and_exponents_share_the_table(self):
+        fam = parse_family("(z^2 - t)/z")
+        vertices = build_probe_tree(fam).vertices
+        ns = range(11)
+
+        def approximants(ev):
+            return [[ev.approximant_exponent(v, n) for n in ns] for v in vertices]
+
+        cold_q = [[GreenEvaluator(fam, R, n_max=8).approximant_exponent(v, n) for n in ns]
+                  for v in vertices]
+        cold_e = [GreenEvaluator(fam, R, n_max=8).exponent(v) for v in vertices]
+        ev = GreenEvaluator(fam, R, n_max=8)
+        assert [ev.exponent(v) for v in vertices] == cold_e
+        assert approximants(ev) == cold_q
+        ev = GreenEvaluator(fam, R, n_max=8)
+        assert approximants(ev) == cold_q
+        assert [ev.exponent(v) for v in vertices] == cold_e
+
+    def test_steps_per_distinct_disk(self, monkeypatch):
+        # na-rational's 13 vertices sum 8 orbit terms each, 104 in all, but
+        # their orbits visit 17 disks (the zero center at ramification 1 and
+        # 2 counts twice)
+        fam = parse_family("(z^2 - t)/z")
+        vertices = build_probe_tree(fam).vertices
+        calls = []
+        step = berkovich._orbit_step
+        monkeypatch.setattr(berkovich, "_orbit_step",
+                            lambda *args: calls.append(1) or step(*args))
+        ev = GreenEvaluator(fam, R, n_max=8)
+        assert len(vertices) * ev.n_star == 104
+        for v in vertices:
+            ev.exponent(v)
+        assert len(calls) == len(ev._steps) <= 17
+
+    @pytest.mark.parametrize("zeros", [(complex(0.5, 0.0), complex(0.5, -0.0)),
+                                       (complex(0.0, 0.5), complex(-0.0, 0.5))])
+    def test_signed_zeros_are_distinct_disks(self, zeros):
+        fam = parse_family("(z^2 - t)/z")
+        p, q = (TypeIIPoint(L({1: c}), 2) for c in zeros)
+        assert berkovich._disk_key(p.zpair()) != berkovich._disk_key(q.zpair())
+        ev = GreenEvaluator(fam, R, n_max=4)
+        assert ev.exponent(p) == GreenEvaluator(fam, R, n_max=4).exponent(p)
+        assert berkovich._disk_key(q.zpair()) not in ev._steps
+        assert ev.exponent(q) == GreenEvaluator(fam, R, n_max=4).exponent(q)
+        assert {berkovich._disk_key(x.zpair()) for x in (p, q)} <= set(ev._steps)
+
+    def test_failed_step_is_not_stored(self, monkeypatch):
+        # D(0, r^-1) is the first orbit disk of the vertex there and the
+        # second of D(0, r^2); a step from it that raises raises for both
+        fam = parse_family("(z^2 - t)/z")
+        step, failed = berkovich._orbit_step, []
+
+        def failing_step(num, zpair, den=None):
+            if zpair[0].is_zero() and zpair[1] == -1:
+                failed.append(zpair)
+                raise PrecisionError("truncated coefficient")
+            return step(num, zpair, den)
+
+        monkeypatch.setattr(berkovich, "_orbit_step", failing_step)
+        ev = GreenEvaluator(fam, R, n_max=8)
+        for xi in (TypeIIPoint(0, -1), TypeIIPoint(0, 2)):
+            with pytest.raises(PrecisionError):
+                ev.exponent(xi)
+        assert len(failed) == 2
+        assert berkovich._disk_key((L.zero(), F(-1))) not in ev._steps
+        assert berkovich._disk_key((L.zero(), F(2))) in ev._steps
 
 
 class TestChartForm:
@@ -881,6 +970,21 @@ class TestNALyapunov:
             tree = build_probe_tree(fam, q=2)
             mu = tree_ma(lambda v: ev.exponent(v)[0], tree, R)
             assert abs(na_lyapunov(fam, mu)) / abs(LOG_R) == pytest.approx(0.5, abs=1e-9)
+
+    def test_jacobian_built_once_per_call(self, monkeypatch):
+        fam = parse_family("(z^2 - t)/z")
+        ev = GreenEvaluator(fam, R, n_max=8)
+        mu = tree_ma(lambda v: ev.exponent(v)[0], build_probe_tree(fam), R)
+        expect = 0.0
+        for pt, mass in mu.support():
+            expect += mass * float(det_norm_exponent(fam, pt)) * LOG_R
+        calls = []
+        jac = berkovich.jacobian_determinant
+        monkeypatch.setattr(berkovich, "jacobian_determinant",
+                            lambda p0, p1: calls.append(1) or jac(p0, p1))
+        assert len(mu.support()) > 1
+        assert na_lyapunov(fam, mu) == expect
+        assert calls == [1]
 
     def test_rational_family_slope_prediction(self):
         # for (z^2 - t)/z the measure concentrates at D(0, r^(1/2)) and the

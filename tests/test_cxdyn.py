@@ -325,7 +325,7 @@ class TestEscapeOracle:
             for m in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
                 for p in range(8):
                     t = m * cmath.exp(2j * math.pi * p / 8)
-                    coeffs = np.array([c.eval(t) for c in fam.affine_coeffs()], dtype=complex)
+                    coeffs = np.array([c.eval(t) for c in fam.affine_coeffs], dtype=complex)
                     crit = np.roots(npoly.polyder(coeffs)[::-1])
                     starts = list(crit) + list(rng.normal(size=3) + 1j * rng.normal(size=3))
                     for z0 in starts:

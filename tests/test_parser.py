@@ -33,6 +33,13 @@ class TestFamilies:
         with pytest.raises(ParseError, match="degree 1 < 2"):
             parse_family("z + 1")
 
+    def test_affine_coeffs_built_once(self):
+        f = parse_family("z^2 + 1/t")
+        assert f.affine_coeffs is f.affine_coeffs
+        assert f.affine_coeffs == (L.t_power(-1), L.zero(), L.one())
+        with pytest.raises(ParseError, match="not polynomial"):
+            parse_family("(z^2 - t)/z").affine_coeffs
+
     def test_degenerate_resultant(self):
         with pytest.raises(DegenerateFamilyError):
             parse_family("(z^2 + z)/(z^2 + z)")
