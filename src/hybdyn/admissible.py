@@ -105,6 +105,13 @@ def _as_output(out):
     return float(out) if out.ndim == 0 else out
 
 
+def coefficient_tables(F: AdmissibleDatum, ts) -> list:
+    """Each section's ``coefficient_table`` at the sequence of parameters
+    ``ts``, evaluated once for a grid: what ``phi_canonical`` takes as ``t``
+    with ``cell``."""
+    return [s.coefficient_table(ts) for s in F.sections]
+
+
 def phi_canonical(F: AdmissibleDatum, z, t, cell=None):
     """log max section norm in the sup-of-coordinates metric at homogeneous z.
 
@@ -115,15 +122,16 @@ def phi_canonical(F: AdmissibleDatum, z, t, cell=None):
     z; returns -inf when every section vanishes at (z, t).  Accepts numpy
     arrays in the coordinates (shape (...,) each).  Fractional powers of t
     take the principal branch of ``LaurentSeries.eval``.  With ``cell``, of
-    the coordinates' shape, ``t`` is a sequence of parameters and point k is
-    evaluated at ``t[cell[k]]``, bit for bit as alone at that parameter.
+    the coordinates' shape, ``t`` is ``coefficient_tables(F, ts)`` for a
+    sequence of parameters ``ts``, and point k is evaluated at
+    ``ts[cell[k]]``, bit for bit as alone at that parameter.
     """
     import numpy as np
 
     w = _sup_normalized(z)
     best = None
-    for s in F.sections:
-        v = np.abs(s.eval_numeric(w, t, cell))
+    for i, s in enumerate(F.sections):
+        v = np.abs(s.eval_numeric(w, t if cell is None else t[i], cell))
         best = v if best is None else np.maximum(best, v)
     with np.errstate(divide="ignore"):
         out = np.log(best)  # max coordinate norm is 1 after scaling

@@ -155,14 +155,15 @@ def _reduce_center(a: LaurentSeries, s: Fraction):
     """Drop center terms with exponent >= s (they do not move the disk).
 
     When the input is known at least up to exponent s the reduced center is an
-    exact representative of the point; otherwise the truncation is kept so
-    later comparisons stay honest.
+    exact representative of the point, and ``LaurentSeries.zero()`` when no
+    term is left, whatever the input's ramification; otherwise the
+    truncation is kept so later comparisons stay honest.
     """
     exact_enough = a.trunc_order >= s
-    if a.is_zero():
-        return (LaurentSeries.zero() if exact_enough else a), s
     bound = s * a.ram  # s on a's grid of scaled exponents
     kept = {k: a.terms[k] for k in sorted(a.terms) if k < bound}
+    if exact_enough and not kept:
+        return LaurentSeries.zero(), s
     return LaurentSeries._make(a.ram, kept, None if exact_enough else a.trunc), s
 
 

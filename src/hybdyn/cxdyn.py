@@ -21,16 +21,21 @@ result is bit for bit what it would be alone.  An integrand ``f(cell,
 pts)`` gets the points of many cells at once, ``cell[k]`` being the grid
 index of row k; ``MapStack`` and ``log_det_norm(stack, pts, cell)``
 evaluate such a batch on its own maps.
+
+Every preimage comes from one kernel, ``_solve``: it forms each point's
+preimage polynomial once and finds all d of its roots in one call.  A
+quadrature level keeps every root as a homogeneous point; a walker step
+keeps the one its chain drew.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import (DegenerateMapError, UnsupportedDegreeError,
                      UnsupportedMapError)
@@ -67,13 +72,24 @@ class RationalMapC:
                 raise DegenerateMapError(
                     f"resultant vanishes to tolerance for map {label!r}")
         self.resultant = resultant
-        # chart-z Wronskian p0' p1 - p0 p1', and the 1/z-chart data
-        self._wz = _polysub(np.convolve(npoly.polyder(self.p0c), self.p1c),
-                            np.convolve(self.p0c, npoly.polyder(self.p1c)))
-        self._q0 = self.p1c[::-1].copy()
-        self._q1 = self.p0c[::-1].copy()
-        self._wu = _polysub(np.convolve(npoly.polyder(self._q0), self._q1),
-                            np.convolve(self._q0, npoly.polyder(self._q1)))
+
+    # the data of log_det_norm, built on first read: the chart-z Wronskian
+    # p0' p1 - p0 p1', and the 1/z-chart sections and their Wronskian
+    @functools.cached_property
+    def _wz(self) -> np.ndarray:
+        return _wronskian(self.p0c, self.p1c)
+
+    @functools.cached_property
+    def _q0(self) -> np.ndarray:
+        return self.p1c[::-1].copy()
+
+    @functools.cached_property
+    def _q1(self) -> np.ndarray:
+        return self.p0c[::-1].copy()
+
+    @functools.cached_property
+    def _wu(self) -> np.ndarray:
+        return _wronskian(self._q0, self._q1)
 
     def __repr__(self):
         return f"<RationalMapC deg={self.degree} {self.label!r}>"
@@ -89,6 +105,17 @@ class MapStack:
         self.maps = list(maps)
         for name in ("p0c", "p1c", "_wz", "_q0", "_q1", "_wu"):
             setattr(self, name, np.array([getattr(R, name) for R in self.maps]))
+
+
+def _derivative(c: np.ndarray) -> np.ndarray:
+    """Ascending coefficients of the derivative: the products ``j * c[j]``
+    of ``numpy.polynomial.polynomial.polyder``, bit for bit."""
+    return c[1:] * np.arange(1, len(c))
+
+
+def _wronskian(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Ascending coefficients of ``a' b - a b'``."""
+    return _polysub(np.convolve(_derivative(a), b), np.convolve(a, _derivative(b)))
 
 
 def _polysub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -179,7 +206,7 @@ class SampleSet:
 def _preimages(R: RationalMapC, target: np.ndarray) -> np.ndarray:
     """The d preimages of a homogeneous point, with multiplicity: the roots
     of ``_poly_roots`` in its order, then the points at infinity.  The
-    one-point reference that ``_step`` reproduces and falls back to."""
+    one-point reference that ``_solve`` reproduces and falls back to."""
     d = R.degree
     y0, y1 = target
     qc = y1 * R.p0c - y0 * R.p1c  # ascending; roots are the finite preimages
@@ -203,10 +230,9 @@ def _preimages(R: RationalMapC, target: np.ndarray) -> np.ndarray:
 
 def _poly_roots(qc: np.ndarray):
     """Roots of an ascending-coefficient polynomial, as numpy complex128
-    values: the quadratic formula on complex128 scalars (root k is what
-    ``_quadratic_root`` gives for branch k), the cubic's root k from
-    ``_cubic_root``'s branch k, and companion-matrix eigenvalues
-    (numpy.roots) for degrees 4 to 8."""
+    values: the quadratic formula on complex128 scalars (in the order of
+    ``_quadratic_roots``), ``_cubic_roots`` for the cubic, and
+    companion-matrix eigenvalues (numpy.roots) for degrees 4 to 8."""
     deg = len(qc) - 1
     if deg == 1:
         return [-qc[0] / qc[1]]
@@ -220,7 +246,7 @@ def _poly_roots(qc: np.ndarray):
             return [0.0 + 0j, -b / a]
         return [qq / a, c / qq]
     if deg == 3:
-        return list(_cubic_root(np.tile(qc, (3, 1)), np.arange(3)))
+        return list(_cubic_roots(qc[None])[0])
     if deg > _MAX_ROOT_DEGREE:
         raise UnsupportedDegreeError(f"preimage degree {deg} > {_MAX_ROOT_DEGREE}")
     try:
@@ -230,9 +256,10 @@ def _poly_roots(qc: np.ndarray):
             f"root finder failed on preimage polynomial {list(qc)}: {exc}")
 
 
-def _cubic_root(qc: np.ndarray, k) -> np.ndarray:
-    """Root ``k[i]`` (0, 1 or 2) of the cubic with ascending coefficient row
-    ``qc[i]``, whose leading coefficient must be nonzero.
+def _cubic_roots(qc: np.ndarray) -> np.ndarray:
+    """The three roots of the cubic with ascending coefficient row
+    ``qc[i]``, whose leading coefficient must be nonzero, as row i of an
+    (n, 3) array.
 
     Cardano on the depressed cubic: with the monic coefficients B, C, E,
     ``D0 = B^2 - 3C`` and ``D1 = 2B^3 - 9BC + 27E``, the roots are
@@ -243,14 +270,14 @@ def _cubic_root(qc: np.ndarray, k) -> np.ndarray:
 
     The formula is accurate for the root of largest modulus only: beside a
     much larger root, two small roots look like a double root and lose half
-    their digits.  So branch j of largest modulus is kept, and branches j+1
-    and j+2 (mod 3) are the roots ``qq`` and ``Q/qq`` of the quadratic
-    ``z^2 + P z + Q`` left by deflating it from the constant term, solved
-    as ``_poly_roots`` solves a quadratic.  No Newton step polishes the
-    result: near a double root it can jump to another root, and the three
-    branches would no longer be the three roots.
+    their digits.  So the root of largest modulus, from branch j, goes to
+    column j, and columns j+1 and j+2 (mod 3) hold the roots ``qq`` and
+    ``Q/qq`` of the quadratic ``z^2 + P z + Q`` left by deflating it from
+    the constant term, solved as ``_poly_roots`` solves a quadratic.  No
+    Newton step polishes the result: near a double root it can jump to
+    another root, and the three columns would no longer be the three roots.
 
-    Every operation is elementwise, so a row's root does not depend on the
+    Every operation is elementwise, so a row's roots do not depend on the
     other rows or on how many there are.
     """
     e, c, b, a = (qc[:, i] for i in range(4))
@@ -282,21 +309,21 @@ def _cubic_root(qc: np.ndarray, k) -> np.ndarray:
         np.negative(sq, out=sq, where=pd.real * sq.real + pd.imag * sq.imag < 0)
         qq = -(pd + sq) / 2.0
         z = np.divide(qd, qq, out=np.zeros_like(qq), where=qq != 0)
-    branch = (np.asarray(k) - j) % 3
-    np.copyto(z, qq, where=branch == 1)
-    np.copyto(z, big, where=branch == 0)
-    return z
+    # column k holds big, qq or Q/qq as (k - j) mod 3 is 0, 1 or 2
+    return np.array([big, qq, z])[_ROLL[j], np.arange(len(j))[:, None]]
 
 
 _OMEGA = np.array([1.0, complex(-0.5, math.sqrt(0.75)), complex(-0.5, -math.sqrt(0.75))])
+_ROLL = (np.arange(3) - np.arange(3)[:, None]) % 3  # _ROLL[j, k] = (k - j) % 3
 
 
-def _quadratic_root(qc: np.ndarray, k) -> np.ndarray:
-    """Root ``k[i]`` (0 or 1) of the quadratic with ascending coefficient
-    row ``qc[i]`` = (c, b, a), ``a`` nonzero, rounded as ``_poly_roots``
-    rounds it: ``qq / a`` and ``c / qq`` with ``qq = -(b + sq) / 2``, the
-    sign of ``sq = ±√(b² − 4ac)`` making ``Re(conj(b) sq) >= 0``.  ``qq``
-    vanishes only at the double root 0, whose roots are 0 and ``-b / a``.
+def _quadratic_roots(qc: np.ndarray) -> np.ndarray:
+    """The two roots of the quadratic with ascending coefficient row
+    ``qc[i]`` = (c, b, a), ``a`` nonzero, as row i of an (n, 2) array,
+    rounded as ``_poly_roots`` rounds them: ``qq / a`` and ``c / qq`` with
+    ``qq = -(b + sq) / 2``, the sign of ``sq = ±√(b² − 4ac)`` making
+    ``Re(conj(b) sq) >= 0``.  ``qq`` vanishes only at the double root 0,
+    whose roots are 0 and ``-b / a``.
 
     ``_poly_roots`` evaluates the discriminant and the branch test on
     complex128 scalars, which round each real product separately, while
@@ -313,28 +340,33 @@ def _quadratic_root(qc: np.ndarray, k) -> np.ndarray:
     sq = np.sqrt(disc)
     np.negative(sq, out=sq, where=br * sq.real + bi * sq.imag < 0)
     qq = -(b + sq) / 2.0
-    first = np.asarray(k) == 0
-    z = c / qq
-    np.divide(qq, a, out=z, where=first)
+    z = np.empty((len(qc), 2), dtype=complex)
+    np.divide(qq, a, out=z[:, 0])
+    np.divide(c, qq, out=z[:, 1])
     if not qq.all():
         double = qq == 0
-        z[double] = np.where(first[double], 0j, -b[double] / a[double])
+        z[double, 0] = 0j
+        z[double, 1] = -b[double] / a[double]
     return z
 
 
-def _step(maps, p0: np.ndarray, p1: np.ndarray, y: np.ndarray, k) -> np.ndarray:
-    """Preimage ``k[i]`` of the point ``y[:, i]`` under ``maps[i]``, with
-    coefficient rows ``p0[i]`` and ``p1[i]``, for every i; ``y`` and the
-    result hold the w0 and the w1 row.  Callers silence float warnings.
+def _solve(maps, p0: np.ndarray, p1: np.ndarray, y: np.ndarray, k=None) -> np.ndarray:
+    """The preimages of the point ``y[:, i]`` under ``maps[i]``, with
+    coefficient rows ``p0[i]`` and ``p1[i]``, for every i: all d of them,
+    preimage j of point i at ``[:, i, j]`` of a (2, n, d) result, or with
+    ``k`` (a walker step) preimage ``k[i]`` only, at ``[:, i]`` of a (2, n)
+    result.  ``y`` and the result hold the w0 and the w1 row.  Callers
+    silence float warnings.
 
-    Row i is ``_preimages(maps[i], y[:, i])[k[i]]`` bit for bit, whatever
-    the other rows: qc is formed by the same array products, the roots come
-    from ``_quadratic_root``, ``_cubic_root`` or the stacked companion
-    matrices of ``np.roots`` (degrees 4 to 8), and the chart test uses
-    ``np.hypot``, because ``np.abs`` on complex arrays can differ from the
-    scalar ``abs`` in the last bit.  ``_preimages`` redoes the rows with a
-    leading coefficient near the 1e-14 cut (a preimage at infinity) and,
-    for degrees 4 to 8, those with an exact zero constant term, which
+    Row i is ``_preimages(maps[i], y[:, i])`` bit for bit (entry ``k[i]``
+    of it with ``k``), whatever the other rows: qc is formed once per point
+    by the same array products, all its roots come from one call of
+    ``_quadratic_roots``, ``_cubic_roots`` or the stacked companion matrices
+    of ``np.roots`` (degrees 4 to 8), and the chart test uses ``np.hypot``,
+    because ``np.abs`` on complex arrays can differ from the scalar ``abs``
+    in the last bit.  ``_preimages`` redoes the rows with a leading
+    coefficient near the 1e-14 cut (a preimage at infinity) and, for
+    degrees 4 to 8, those with an exact zero constant term, which
     ``np.roots`` strips, or a failed eigenvalue solve.
     """
     n, d = p0.shape[0], p0.shape[1] - 1
@@ -343,11 +375,11 @@ def _step(maps, p0: np.ndarray, p1: np.ndarray, y: np.ndarray, k) -> np.ndarray:
     # within 10x of the cut: the margin absorbs abs rounding
     redo = mag[:, d:] * 1e13 <= mag[:, :d]
     if d == 1:
-        z = -qc[:, 0] / qc[:, 1]
+        z = (-qc[:, 0] / qc[:, 1])[:, None]
     elif d == 2:
-        z = _quadratic_root(qc, k)
+        z = _quadratic_roots(qc)
     elif d == 3:
-        z = _cubic_root(qc, k)
+        z = _cubic_roots(qc)
     else:
         # np.roots' companion matrix: first row -p[1:] / p[0], p descending
         comp = np.tile(np.eye(d, k=-1, dtype=complex), (n, 1, 1))
@@ -355,17 +387,20 @@ def _step(maps, p0: np.ndarray, p1: np.ndarray, y: np.ndarray, k) -> np.ndarray:
                   where=~redo.any(axis=1)[:, None])
         redo[:, 0] |= qc[:, 0] == 0
         try:
-            z = np.linalg.eigvals(comp)[np.arange(n), k]
+            z = np.linalg.eigvals(comp)
         except np.linalg.LinAlgError:
-            z, redo[:] = np.zeros(n, dtype=complex), True
+            z, redo[:] = np.zeros((n, d), dtype=complex), True
+    if k is not None:
+        z = z[np.arange(n), k]
     inside = np.hypot(z.real, z.imag) <= 1.0
-    out = np.empty((2, n), dtype=complex)
+    out = np.empty((2,) + z.shape, dtype=complex)
     out.fill(1.0)
     np.copyto(out[0], z, where=inside)
     np.divide(1.0, z, out=out[1], where=~inside)
     if np.count_nonzero(redo):
         for i in np.flatnonzero(redo.any(axis=1)):
-            out[:, i] = _preimages(maps[i], y[:, i])[k[i]]
+            pre = _preimages(maps[i], y[:, i])
+            out[:, i] = pre.T if k is None else pre[k[i]]
     return out
 
 
@@ -527,26 +562,25 @@ def _branches(maps, points: np.ndarray, per_map: int) -> np.ndarray:
     """All d preimages of every point: ``points`` holds the w0 row and the
     w1 row, ``per_map`` consecutive columns per map of ``maps``, and
     column p becomes columns ``p*d, ..., p*d + d - 1`` of the result,
-    preimage k of ``_preimages`` in column ``p*d + k``: ``_step`` on each
-    point repeated d times, in blocks of at most ``_BLOCK_POINTS``."""
+    preimage k of ``_preimages`` in column ``p*d + k``: one ``_solve`` per
+    point, in blocks of at most ``_BLOCK_POINTS`` preimages."""
     d, n = maps[0].degree, points.shape[1]
     p0, p1 = np.array([R.p0c for R in maps]), np.array([R.p1c for R in maps])
     out = np.empty((2, n * d), dtype=complex)
     size = max(1, _BLOCK_POINTS // d)
     for lo in range(0, n, size):
         hi = min(n, lo + size)
-        cell = np.arange(lo, hi).repeat(d) // per_map
+        cell = np.arange(lo, hi) // per_map
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out[:, lo * d: hi * d] = _step([maps[c] for c in cell], p0[cell], p1[cell],
-                                           np.repeat(points[:, lo:hi], d, axis=1),
-                                           np.tile(np.arange(d), hi - lo))
+            out[:, lo * d: hi * d] = _solve([maps[c] for c in cell], p0[cell], p1[cell],
+                                            points[:, lo:hi]).reshape(2, -1)
     return out
 
 
 _HEAD_STEPS = 3  # leading steps checked for an exceptional start
 _CHAINS = 16  # chains forked from backward_sample's burned-in point
-# points per kernel call over all cells and chains: the preimages one _step
-# call solves, and the points one integrand call gets; the temporaries of
+# points per kernel call over all cells and chains: the preimages one _solve
+# call gives, and the points one integrand call gets; the temporaries of
 # both grow with it
 _BLOCK_POINTS = 2 * 1024
 _QUAD_TOL = 1e-12  # preimage quadrature: certificate on two level differences
@@ -593,7 +627,7 @@ def _lockstep(maps, rngs, state: np.ndarray, n_steps: int, n_chains: int):
                              axis=1)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for k in range(b):
-                buf[k + 1] = _step(rows, p0, p1, buf[k], idx[k])
+                buf[k + 1] = _solve(rows, p0, p1, buf[k], idx[k])
         yield lo, buf[1: b + 1]
         buf[0] = buf[b]
     state[...] = buf[0]
@@ -768,8 +802,7 @@ def przytycki_oracle(R, t: complex) -> float:
     d = len(coeffs) - 1
     if abs(coeffs[d]) == 0:
         raise DegenerateMapError(f"degenerate specialization at t = {t}")
-    deriv = npoly.polyder(coeffs)
-    crit = np.roots(deriv[::-1]) if d > 1 else []
+    crit = np.roots(_derivative(coeffs)[::-1]) if d > 1 else []
     total = math.log(d)
     for z in crit:
         total += escape_green(coeffs, complex(z))

@@ -422,8 +422,9 @@ def cmd_hybrid_converge(cfg: ExperimentConfig) -> ResultRecord:
     def model_value(maps, ts):
         n_factor = np.array([hybrid.scaling_n(hybrid.HybridPoint.interior(t, cfg.r))
                              for t in ts])
+        tables = admissible.coefficient_tables(datum, ts)
         return lambda cell, pts: n_factor[cell] * admissible.phi_canonical(
-            datum, (pts[:, 0], pts[:, 1]), ts, cell)
+            datum, (pts[:, 0], pts[:, 1]), tables, cell)
 
     results = _cell_integrals(cfg, family, model_value)
     # n_excluded stays in the schema; the quadrature excludes no value

@@ -139,16 +139,26 @@ class HomogeneousPoly:
 
     # -- evaluation ----------------------------------------------------------------
 
+    def coefficient_table(self, ts) -> dict:
+        """Every coefficient at every parameter of the sequence ``ts``, by
+        ``LaurentSeries.eval``: ``{exponent: complex array over ts}``, the
+        table ``eval_numeric`` gathers from for a grid of parameters."""
+        import numpy as np
+
+        return {e: np.array([c.eval(t) for t in ts], dtype=complex)
+                for e, c in self.coeffs.items()}
+
     def eval_numeric(self, w, t, cell=None):
         """Evaluate at complex homogeneous coordinates.
 
         ``w`` is a sequence of ``nvars`` scalars or equally-shaped numpy
         arrays; coefficients are specialized at the complex parameter ``t``
         by ``LaurentSeries.eval`` (principal branch for fractional powers).
-        With ``cell``, shaped as the coordinates, ``t`` is a sequence of
-        parameters and point k takes ``t[cell[k]]``: each coefficient is
-        evaluated once per parameter and gathered, and every value is the
-        one-parameter value bit for bit.
+        With ``cell``, shaped as the coordinates, ``t`` is
+        ``coefficient_table(ts)`` for a sequence of parameters ``ts`` and
+        point k takes ``ts[cell[k]]``: each coefficient value is gathered
+        from the table, and every value is the one-parameter value bit for
+        bit.
         """
         import numpy as np  # only complex fibers evaluate numerically
 
@@ -160,7 +170,7 @@ class HomogeneousPoly:
             if cell is None:
                 term = np.full_like(w[0], c.eval(t))
             else:
-                term = np.array([c.eval(s) for s in t], dtype=complex)[cell]
+                term = t[e][cell]
             for x, k in zip(w, e):
                 if k:
                     # not ``term * x ** k``: on arrays of 256 KiB and more

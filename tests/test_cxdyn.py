@@ -337,6 +337,43 @@ class TestEscapeOracle:
         assert len(families) == 5 and orbits == 48 * (4 * (1 + 3) + (2 + 3))
         assert escaped > orbits // 2
 
+    def test_derivative_matches_polyder(self):
+        # the critical points' derivative and the Wronskian rows of every
+        # shipped family on the lyap grid (5 moduli x 8 phases), against the
+        # npoly.polyder forms, bit for bit
+        from hybdyn.presets import FAMILY_TEXTS
+
+        def wronskian(a, b):
+            return cxdyn._polysub(np.convolve(npoly.polyder(a), b),
+                                  np.convolve(a, npoly.polyder(b)))
+
+        derivatives = 0
+        for fam in (parse_family(text) for text in FAMILY_TEXTS):
+            for m in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+                for p in range(8):
+                    t = m * cmath.exp(2j * math.pi * p / 8)
+                    rc = specialize(fam, t)
+                    assert rc._wz.tobytes() == wronskian(rc.p0c, rc.p1c).tobytes()
+                    assert rc._wu.tobytes() == wronskian(rc.p1c[::-1], rc.p0c[::-1]).tobytes()
+                    if fam.is_polynomial():
+                        coeffs = np.array([c.eval(t) for c in fam.affine_coeffs],
+                                          dtype=complex)
+                        assert (cxdyn._derivative(coeffs).tobytes()
+                                == npoly.polyder(coeffs).tobytes())
+                        derivatives += 1
+        assert derivatives == 5 * 40
+
+    def test_wronskian_built_on_first_read(self):
+        # only the Lyapunov integrand reads the Wronskian rows
+        rc = specialize(parse_family("z^3 + t*z"), 1e-2)
+        names = {"_wz", "_q0", "_q1", "_wu"}
+        assert not names & set(vars(rc))
+        cxdyn.preimage_levels([rc], [1], 20, 100, 1.1 + 0.7j,
+                              lambda cell, pts: np.zeros(len(pts)))
+        assert not names & set(vars(rc))
+        log_det_norm(rc, np.array([[0.5, 1.0], [1.0, 0.25j]]))
+        assert names <= set(vars(rc))
+
     def test_scaled_lead_conjugation(self):
         # a z^2 is conjugate to z^2: same Lyapunov exponent
         g = escape_green([0.0, 0.0, 5.0], 0.0)
@@ -528,9 +565,10 @@ class TestAllCellEvaluators:
         assert at_zero.any() and at_inf.any()
         assert np.isneginf(values[at_zero | at_inf]).all()
 
-    def test_phi_canonical(self):
+    def test_phi_canonical(self, monkeypatch):
         # coefficient sizes from 1e-8 to 1e4, a fractional power, and a
-        # datum vanishing at 0
+        # datum vanishing at 0; the grid's coefficient tables are built once,
+        # and a call evaluates no coefficient
         ts = [1e-1, 1e-4j, -1e-8, 0.3 * cmath.exp(2.5j), 0.6 * cmath.exp(-2j)]
         pts = _test_points(9000, 5)
         cell = np.random.default_rng(6).integers(len(ts), size=len(pts))
@@ -539,7 +577,10 @@ class TestAllCellEvaluators:
         for sections, d in ((["w0^2 + t*w1^2", "t^(1/2)*w0*w1"], 2),
                             (["t*w0^2", "w0*w1/t"], 2), (["t*w0", "t*w1"], 1)):
             datum = parse_sections(sections, k=1, d=d)
-            values = admissible.phi_canonical(datum, z, ts, cell)
+            tables = admissible.coefficient_tables(datum, ts)
+            with monkeypatch.context() as patch:
+                patch.setattr(LaurentSeries, "eval", _raise)
+                values = admissible.phi_canonical(datum, z, tables, cell)
             infinite.append(int(np.isneginf(values).sum()))
             for i, t in enumerate(ts):
                 alone = admissible.phi_canonical(datum, (z[0][cell == i], z[1][cell == i]), t)
@@ -548,23 +589,25 @@ class TestAllCellEvaluators:
         assert infinite == [0, 8, 0]  # the second datum vanishes at the 8 points z = 0
 
 
-def _step(maps, y, k):
-    """The batched step on the rows of ``maps``, one point and branch each."""
+def _solve(maps, y, k=None):
+    """The batched kernel on the rows of ``maps``, one point each: all its
+    preimages, or with ``k`` (a walker step) preimage ``k[i]`` of row i."""
     with np.errstate(all="ignore"):
-        return cxdyn._step(maps, np.array([R.p0c for R in maps]),
-                           np.array([R.p1c for R in maps]), y, k)
+        return cxdyn._solve(maps, np.array([R.p0c for R in maps]),
+                            np.array([R.p1c for R in maps]), y, k)
 
 
 def _kernel_matches_scalar(maps, targets):
-    """Every preimage the batched step picks equals the scalar one, bit for
-    bit, with all rows stepped together."""
-    n = len(maps)
+    """Every preimage of the all-roots kernel, and every one a walker step
+    picks, equals the scalar one, bit for bit, with all rows solved
+    together."""
+    n, d = len(maps), maps[0].degree
     y = np.array(targets, dtype=complex).T.copy()  # w0 row, w1 row
-    for k in range(maps[0].degree):
-        out = _step(maps, y, np.full(n, k))
-        with np.errstate(all="ignore"):
-            ref = np.array([cxdyn._preimages(R, y[:, i])[k] for i, R in enumerate(maps)])
-        assert out.T.tobytes() == ref.tobytes()
+    with np.errstate(all="ignore"):
+        ref = np.array([cxdyn._preimages(R, y[:, i]) for i, R in enumerate(maps)])
+    assert _solve(maps, y).transpose(1, 2, 0).tobytes() == ref.tobytes()
+    for k in [np.full(n, j) for j in range(d)] + [np.arange(n) % d]:
+        assert _solve(maps, y, k).T.tobytes() == ref[np.arange(n), k].tobytes()
 
 
 class TestLockstepKernel:
@@ -614,6 +657,35 @@ class TestLockstepKernel:
             targets = [(z, 1.0) if abs(z) <= 1 else (1.0, 1 / z) for z in w]
             _kernel_matches_scalar(maps, targets)
 
+    def test_special_rows_among_ordinary_rows(self):
+        # at every degree, one shuffled batch of ordinary rows and rows with
+        # a leading coefficient around the 1e-14 cut (below, at, within 10x
+        # and past it, and exactly zero), an exact zero constant term, the
+        # quadratic's double root 0 and the cubic's triple root
+        rng = np.random.default_rng(29)
+        for d in range(1, 9):
+            maps, targets = [], []
+            for _ in range(24):
+                maps.append(RationalMapC(rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1),
+                                         rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1)))
+                w = complex(rng.normal(), rng.normal())
+                targets.append((w, 1.0) if abs(w) <= 1 else (1.0, 1 / w))
+            # z^d at the target (1, w1): the preimage polynomial w1 z^d - 1
+            power = RationalMapC([0.0] * d + [1.0], [1.0] + [0.0] * d)
+            for w1 in (0.0, 1e-15, 1e-14, 2e-14, 9e-14, 1.1e-13, 5e-13, 0.25j):
+                maps.append(power)
+                targets.append((1.0, w1))
+            # z^d at the target 0: the constant term is 0 and, for d >= 2,
+            # every root is the multiple root 0
+            maps.append(power)
+            targets.append((0.0, 1.0))
+            # (z - 1)^3 at the target 0: the cubic's triple root 1
+            if d == 3:
+                maps.append(RationalMapC([-1, 3, -3, 1], [0, 0, 0, 1j]))
+                targets.append((0.0, 1.0))
+            order = rng.permutation(len(maps))
+            _kernel_matches_scalar([maps[i] for i in order], [targets[i] for i in order])
+
     def test_double_root_needs_no_scalar_solve(self, monkeypatch):
         # z^2 at the target 0: qq vanishes, and the step takes the double
         # root 0 itself
@@ -622,7 +694,7 @@ class TestLockstepKernel:
         ref = [cxdyn._preimages(rc, y[:, i]) for i in range(3)]
         monkeypatch.setattr(cxdyn, "_preimages", _raise)
         for k in range(2):
-            out = _step([rc] * 3, y, np.full(3, k))
+            out = _solve([rc] * 3, y, np.full(3, k))
             assert out.T.tobytes() == np.array([r[k] for r in ref]).tobytes()
 
     def test_scalar_solve_only_at_the_lead_cut(self, monkeypatch):
@@ -641,7 +713,7 @@ class TestLockstepKernel:
             w1 = [0.0, 0.5, 1e-15, 0.25j, 1.0, 0.0, -0.75]
             y = np.array([[1.0] * len(w1), w1], dtype=complex)
             solved.clear()
-            _step([rc] * len(w1), y, np.zeros(len(w1), dtype=int))
+            _solve([rc] * len(w1), y, np.zeros(len(w1), dtype=int))
             assert solved == [0.0, 1e-15, 0.0]
 
     def test_vanishing_preimage_polynomial_raises(self):
@@ -651,9 +723,8 @@ class TestLockstepKernel:
 
 
 def _cubic_branches(coeffs):
-    """The three branches of ``_cubic_root`` for one ascending coefficient row."""
-    return cxdyn._cubic_root(np.tile(np.asarray(coeffs, dtype=complex), (3, 1)),
-                             np.arange(3))
+    """The three roots ``_cubic_roots`` gives for one ascending coefficient row."""
+    return cxdyn._cubic_roots(np.asarray(coeffs, dtype=complex)[None])[0]
 
 
 def _matched_error(roots, ref):
@@ -723,7 +794,7 @@ class TestCubicRoot:
         monkeypatch.setattr(cxdyn, "_preimages", _raise)
         y = np.array([[0.0, 0.0], [1.0, 1.0]], dtype=complex)
         for k in range(3):
-            out = _step(maps, y, np.full(2, k))
+            out = _solve(maps, y, np.full(2, k))
             assert np.isfinite(out).all()
             assert abs(out[0, 0] - 1) < 1e-15 and out[1, 0] == 1
 
@@ -763,6 +834,30 @@ class TestPreimageLevels:
         assert cxdyn._branches(maps, level1, 3).tobytes() == level2.tobytes()
         ref = np.concatenate([cxdyn._preimages(maps[p // 3], level1[:, p]) for p in range(6)])
         assert level2.T.tobytes() == ref.tobytes()
+
+    def test_one_kernel_row_per_point(self, monkeypatch):
+        # a level solves each point's preimage polynomial once, for all d
+        # roots, in blocks of at most 2,048 preimages
+        rows = []
+
+        def counted(kernel):
+            return lambda qc: rows.append(len(qc)) or kernel(qc)
+
+        monkeypatch.setattr(cxdyn, "_quadratic_roots", counted(cxdyn._quadratic_roots))
+        monkeypatch.setattr(cxdyn, "_cubic_roots", counted(cxdyn._cubic_roots))
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda comp: rows.append(len(comp)) or eigvals(comp))
+        rng = np.random.default_rng(31)
+        for text in ("z^2 + 1/t", "z^3 + t*z", "(z^5 + t)/(z^4 + 1)"):
+            fam = parse_family(text)
+            maps = [specialize(fam, tv) for tv in (1e-2, 1e-4j)]
+            n, d = 1500, maps[0].degree
+            w = rng.normal(size=n) + 1j * rng.normal(size=n)
+            points = np.array([np.where(abs(w) <= 1, w, 1), np.where(abs(w) <= 1, 1, 1 / w)])
+            rows.clear()
+            assert cxdyn._branches(maps, points, n // 2).shape == (2, n * d)
+            assert sum(rows) == n and max(rows) * d <= 2 * 1024
 
     def test_batch_layout_independent(self, monkeypatch):
         fam = parse_family("z^2 + 1/t")
@@ -864,13 +959,13 @@ class TestPreimageLevels:
 
     def test_fallbacks(self, monkeypatch):
         solved = []
-        step = cxdyn._step
+        solve = cxdyn._solve
 
-        def counted(maps, p0, p1, y, k):
-            solved.append(len(k))
-            return step(maps, p0, p1, y, k)
+        def counted(maps, p0, p1, y, k=None):
+            solved.append(y.shape[1])
+            return solve(maps, p0, p1, y, k)
 
-        monkeypatch.setattr(cxdyn, "_step", counted)
+        monkeypatch.setattr(cxdyn, "_solve", counted)
         fam = parse_family("z^2 + 1/t")
         pole = [specialize(fam, tv) for tv in (1e-2, 1e-4j)]
         # a Mobius map has no measure of maximal entropy: nothing is solved
@@ -901,11 +996,12 @@ class TestPreimageLevels:
         rational = parse_family("(z^2 - t)/z")
         maps = [specialize(rational, tv) for tv in (1e-2, 1e-4j, -1e-6)]
         solved.clear()
-        # the head's 2 preimages at each of its 3 steps, then the lockstep
-        # burn-in, one point per cell and step
-        burn = len(maps) * (3 * 2 + 97)
+        # the head's 3 steps and the lockstep burn-in, one point per cell
+        # and step
+        burn = len(maps) * (3 + 97)
         results = cxdyn.preimage_levels(maps, [1, 2, 3], 100, 20000, 1.1 + 0.7j,
                                         _lyapunov(maps))
         assert not any(certified for *_, certified in results)
         assert all(4 <= level <= 6 and 1e-12 < err < 1 for _, err, level, _ in results)
-        assert sum(solved) - burn <= len(maps) * (2 + 4 + 8 + 16 + 32)
+        # a level solves the points of the level before it
+        assert sum(solved) - burn <= len(maps) * (1 + 2 + 4 + 8 + 16)
