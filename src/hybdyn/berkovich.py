@@ -118,10 +118,10 @@ def chart_forms(points) -> list:
     far = {}  # z-chart center of norm > 1 -> indices of its points
     for i, p in enumerate(points):
         a, s = p.zpair()
-        alpha = a.order()
-        if alpha >= s:
+        low = min(a.terms) if a.terms else a.trunc  # ord a on a's grid, None: inf
+        if low is None or low * s.denominator >= s.numerator * a.ram:
             forms[i] = ("z", a, s) if s >= 0 else ("1/z", a, -s)
-        elif alpha >= 0:
+        elif low >= 0:
             forms[i] = ("z", a, s)
         else:
             far.setdefault(a, []).append(i)
@@ -159,8 +159,8 @@ def _reduce_center(a: LaurentSeries, s: Fraction):
     term is left, whatever the input's ramification; otherwise the
     truncation is kept so later comparisons stay honest.
     """
-    exact_enough = a.trunc_order >= s
-    bound = s * a.ram  # s on a's grid of scaled exponents
+    exact_enough = a.trunc is None or a.trunc * s.denominator >= s.numerator * a.ram
+    bound = -(-s.numerator * a.ram // s.denominator)  # ceil(s) on a's grid
     kept = {k: a.terms[k] for k in sorted(a.terms) if k < bound}
     if exact_enough and not kept:
         return LaurentSeries.zero(), s
@@ -182,16 +182,19 @@ def _invert_center(a: LaurentSeries, s: Fraction):
 def _newton_min(shifted, s):
     """min over j of ord(shifted[j]) + j*s for Taylor coefficients at a disk
     center (``math.inf`` when all vanish).  Raises PrecisionError when a
-    coefficient that is zero only to truncation could lower the minimum."""
+    coefficient that is zero only to truncation could lower the minimum.
+    ``s`` is an int or a Fraction; the minimum is taken on a common grid."""
+    n = math.lcm(s.denominator, *(c.ram for c in shifted))
+    step = s.numerator * (n // s.denominator)
     best = hidden = _INF
     for j, c in enumerate(shifted):
-        if not c.is_zero():
-            best = min(best, c.order() + j * s)
-        elif not c.is_exact_zero():
-            hidden = min(hidden, c.trunc_order + j * s)
+        if c.terms:
+            best = min(best, min(c.terms) * (n // c.ram) + j * step)
+        elif c.trunc is not None:
+            hidden = min(hidden, c.trunc * (n // c.ram) + j * step)
     if hidden < best:
         raise PrecisionError("truncated coefficient could dominate the disk seminorm")
-    return best
+    return _INF if best == _INF else Fraction(best, n)
 
 
 def homog_seminorm(P: HomogeneousPoly, xi):
@@ -316,7 +319,8 @@ def _escaped(zpair, e) -> bool:
     """Whether the z-chart disk lies in the escape region ``m < e``.  A center
     zero only to truncation is not trusted; its disk escapes when s < e."""
     a, s = zpair
-    return s < e or (not a.is_zero() and a.order() < e)
+    return (s.numerator * e.denominator < e.numerator * s.denominator
+            or bool(a.terms) and min(a.terms) * e.denominator < e.numerator * a.ram)
 
 
 # |log| bound on an orbit step's magnitudes: normal floats span e**-708..e**709
@@ -414,10 +418,11 @@ class GreenEvaluator:
         unless the walk stops early, or with ``escape = (E, c)`` the whole
         sum once the orbit enters the region at step k <= n."""
         d = self.R.degree
-        total, cur, k = Fraction(0), zpair, 0
+        # d**k times the partial sum is num / den (Horner in integers)
+        num, den, cur, k = 0, 1, zpair, 0
         while escape is None or not _escaped(cur, escape[0]):
             if k == n or not _in_float_range(cur[0], d):
-                return total, k, False
+                return Fraction(num, den * d ** k), k, False
             key = _disk_key(cur)
             step = self._steps.get(key)
             if step is None:
@@ -425,9 +430,13 @@ class GreenEvaluator:
                 g1 = m + self._ord_b - d * min(Fraction(0), cur[0].order(), cur[1])
                 step = self._steps[key] = (_reduce_center(*image), g1)
             cur, g1 = step
-            total += g1 / d ** (k + 1)
+            grid = math.lcm(den, g1.denominator)
+            num = num * d * (grid // den) + g1.numerator * (grid // g1.denominator)
+            den = grid
             k += 1
-        return total + escape[1] / (d ** k * (d - 1)), k, True
+        c = escape[1]
+        return Fraction(num * (d - 1) * c.denominator + c.numerator * den,
+                        den * d ** k * (d - 1) * c.denominator), k, True
 
     def exponent(self, xi: TypeIIPoint):
         """(exact exponent, float error bound): the bound is 0.0 where the
@@ -653,15 +662,27 @@ def tree_ma(g, tree: BerkTree, r: float, on_negative: str = "raise") -> TreeMeas
     ``on_negative='report'``.
     """
     values = [g(v) for v in tree.vertices]
+    # each edge's slope from i to j, (q_i - q_j) / length since value = q*log r
+    # with log r < 0, as an integer fraction; masses are numerators over one
+    # common denominator, and int true division rounds exactly as float(Fraction)
+    slopes = []
+    for i, j, length in tree.edges:
+        diff = values[i] - values[j]
+        slopes.append((i, j, diff.numerator * length.denominator,
+                       diff.denominator * length.numerator))
+    common = math.lcm(*(den for *_, den in slopes))
+    numer = [0] * len(tree.vertices)
+    numer[tree.gauss_index] = common
+    for i, j, num, den in slopes:
+        num *= common // den
+        numer[i] += num
+        numer[j] -= num
     tol = 1e-6
     masses = []
     report = []
     clipped_total = 0.0
-    for i in range(len(tree.vertices)):
-        acc = Fraction(0)
-        for j, length in tree.adjacency[i]:
-            acc += -(values[j] - values[i]) / length  # value = q*log r, log r < 0
-        mass = float(acc + (1 if i == tree.gauss_index else 0))
+    for i, num in enumerate(numer):
+        mass = num / common
         if mass < -tol:
             msg = (f"negative mass {mass:.3e} at vertex {tree.vertices[i]!r}: "
                    "Monge-Ampere normalization convention failure")

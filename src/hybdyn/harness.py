@@ -275,8 +275,7 @@ def write_record(record: ResultRecord, out_dir: str) -> tuple:
     with open(csv_path, "w") as fh:
         fh.write(record.csv_text())
     with open(json_path, "w") as fh:
-        json.dump(record.json_payload(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(record.json_payload(), indent=2, sort_keys=True) + "\n")
     return csv_path, json_path
 
 

@@ -199,11 +199,16 @@ class LaurentSeries:
     def __rsub__(self, other):
         return LaurentSeries.const(other) + (-self)
 
-    def __mul__(self, other):
+    def __mul__(self, other, below=None):
+        """Product; with an exponent ``below``, ``(self * other).truncate(below)``
+        without forming the terms at or above ``below``."""
         if not isinstance(other, LaurentSeries):
             c = complex(other)
             return LaurentSeries._make(self.ram, {k: v * c for k, v in self.terms.items()}, self.trunc)
         a, b, ram = LaurentSeries._common(self, other)
+        if below is not None and ram % below.denominator:
+            ram = _lcm(ram, below.denominator)
+            a, b = a._rescaled(ram), b._rescaled(ram)
         # tightest valid truncation of a Cauchy product:
         # min(ord(a) + trunc(b), ord(b) + trunc(a)); ord of a zero series is
         # its truncation order, which keeps the bookkeeping honest for 0 * f.
@@ -217,6 +222,9 @@ class LaurentSeries:
             if a.trunc is not None and ordb is not None:
                 cands.append(ordb + a.trunc)
             tr = min(cands) if cands else None
+        if below is not None:
+            cap = below.numerator * (ram // below.denominator)
+            tr = cap if tr is None else min(tr, cap)
         terms: dict = {}
         for k1, c1 in a.terms.items():
             for k2, c2 in b.terms.items():
@@ -293,7 +301,7 @@ class LaurentSeries:
         ord_u = u.order()
         k_max = int(math.ceil(float((target + m) / ord_u))) + 1
         for _ in range(k_max):
-            power = (power * (-u)).truncate(target + m)
+            power = power.__mul__(-u, below=target + m)
             if power.is_zero():
                 break
             inv_unit = inv_unit + power

@@ -936,6 +936,110 @@ class TestTreeMeasure:
         assert mu.negative_report
 
 
+def _newton_min_reference(shifted, s):
+    """``berkovich._newton_min`` in plain Fraction arithmetic."""
+    best = hidden = math.inf
+    for j, c in enumerate(shifted):
+        if not c.is_zero():
+            best = min(best, c.order() + j * s)
+        elif not c.is_exact_zero():
+            hidden = min(hidden, c.trunc_order + j * s)
+    if hidden < best:
+        raise PrecisionError("truncated coefficient could dominate the disk seminorm")
+    return best
+
+
+def _reduce_center_reference(a, s):
+    """``berkovich._reduce_center`` comparing each key with the Fraction s * ram."""
+    exact_enough = a.trunc_order >= s
+    kept = {k: a.terms[k] for k in sorted(a.terms) if k < s * a.ram}
+    if exact_enough and not kept:
+        return L.zero(), s
+    return L._make(a.ram, kept, None if exact_enough else a.trunc), s
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except PrecisionError:
+        return PrecisionError
+
+
+def _random_coefficient(rng):
+    """An exact zero, a zero known to a truncation order, or a series on a
+    grid of ramification 1-4, some truncated."""
+    ram = rng.randint(1, 4)
+    kind = rng.random()
+    if kind < 0.15:
+        return L.zero()
+    if kind < 0.35:
+        return L.zero(trunc=F(rng.randint(-8 * ram, 8 * ram), ram))
+    exps = sorted(rng.sample(range(-6 * ram, 6 * ram), rng.randint(1, 4)))
+    trunc = F(exps[-1] + rng.randint(1, 5), ram) if rng.random() < 0.3 else math.inf
+    return L({F(k, ram): complex(rng.gauss(0, 1), rng.gauss(0, 1)) for k in exps},
+             trunc=trunc, ram=ram)
+
+
+def _random_radius(rng):
+    """An int or a Fraction, negative, zero or positive."""
+    if rng.random() < 0.25:
+        return rng.randint(-5, 5)
+    return F(rng.randint(-24, 24), rng.randint(1, 6))
+
+
+def _series_state(a):
+    return a.ram, a.trunc, list(a.terms.items())
+
+
+class TestIntegerExponents:
+    """The seminorm minimum, the disk reduction and the tree Laplacian run on
+    integer exponent grids; each equals its plain-Fraction reference."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_newton_min_matches_fraction_reference(self, seed):
+        rng = random.Random(seed)
+        outcomes = set()
+        for _ in range(400):
+            shifted = [_random_coefficient(rng) for _ in range(rng.randint(1, 5))]
+            s = _random_radius(rng)
+            want = _outcome(_newton_min_reference, shifted, s)
+            got = _outcome(berkovich._newton_min, shifted, s)
+            assert got == want and type(got) is type(want)
+            outcomes.add(want if want in (math.inf, PrecisionError) else F)
+        assert outcomes == {math.inf, PrecisionError, F}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_reduce_center_matches_fraction_reference(self, seed):
+        rng = random.Random(seed)
+        for _ in range(400):
+            a, s = _random_coefficient(rng), _random_radius(rng)
+            (got, gs), (want, ws) = berkovich._reduce_center(a, s), _reduce_center_reference(a, s)
+            assert gs is ws
+            assert _series_state(got) == _series_state(want)
+
+    @pytest.mark.parametrize("text, n_max, grid", _STEP_TABLE_TREES)
+    @pytest.mark.parametrize("potential", ["green", "random"])
+    def test_tree_ma_equals_fraction_sum_bit_for_bit(self, text, n_max, grid, potential):
+        # the Green masses are mostly dyadic; random exponents with
+        # denominators up to 12 give masses that float sums would round
+        fam = parse_family(text)
+        tree = build_probe_tree(fam, **grid)
+        if potential == "green":
+            ev = GreenEvaluator(fam, R, n_max=n_max)
+            values = {id(v): ev.exponent(v)[0] for v in tree.vertices}
+        else:
+            rng = random.Random(text)
+            values = {id(v): F(rng.randint(-40, 40), rng.randint(1, 12)) for v in tree.vertices}
+        want = []
+        for i, v in enumerate(tree.vertices):
+            acc = F(int(i == tree.gauss_index))
+            for j, length in tree.adjacency[i]:
+                acc += (values[id(v)] - values[id(tree.vertices[j])]) / length
+            want.append(max(float(acc), 0.0))  # tree_ma clips negative masses
+        mu = tree_ma(lambda v: values[id(v)], tree, R, on_negative="report")
+        assert [m.hex() for m in mu.masses] == [m.hex() for m in want]
+
+
 class TestNALyapunov:
     def test_good_reduction_zero(self):
         fam = parse_family("z^2")

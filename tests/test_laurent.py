@@ -180,6 +180,45 @@ class TestInversion:
             for k in range(3):
                 assert inv.coefficient(3 * k + 2) == pytest.approx((-1) ** k / lead, rel=1e-12)
 
+    def test_capped_product_is_the_truncated_product(self):
+        rng = np.random.default_rng(61)
+        for _ in range(300):
+            a, b = (rand_series(rng, n_terms=int(rng.integers(1, 6)),
+                                trunc=None if rng.random() < 0.6 else int(rng.integers(6, 9)),
+                                ram=int(rng.integers(1, 5)))
+                    for _ in range(2))
+            below = F(int(rng.integers(-12, 24)), int(rng.integers(1, 7)))
+            got, want = a.__mul__(b, below=below), (a * b).truncate(below)
+            assert (got.ram, got.trunc, list(got.terms.items())) == \
+                (want.ram, want.trunc, list(want.terms.items()))
+
+    def test_inverse_equals_uncapped_reference(self):
+        # the reference forms each geometric-series product in full and then
+        # truncates it, as inverse did before its products were capped
+        def reference(a, window):
+            m, lead = a.leading()
+            target = a.trunc_order - 2 * m if a.trunc is not None else -m + window
+            shifted, inv_lead = a.shift(-m), 1.0 / lead
+            u = L._make(shifted.ram, {k: c * inv_lead for k, c in shifted.terms.items()
+                                      if k != 0}, shifted.trunc).truncate(target + m)
+            inv_unit = power = L.one()
+            for _ in range(int(math.ceil(float((target + m) / u.order()))) + 1):
+                power = (power * (-u)).truncate(target + m)
+                if power.is_zero():
+                    break
+                inv_unit = inv_unit + power
+            return (inv_unit.shift(-m) * (1.0 / lead)).truncate(target)
+
+        rng = np.random.default_rng(67)
+        for ram in range(1, 7):
+            for _ in range(15):
+                a = rand_series(rng, n_terms=int(rng.integers(2, 6)), ram=ram,
+                                trunc=None if rng.random() < 0.7 else 7)
+                window = int(rng.integers(1, 24))
+                got, want = a.inverse(window=window), reference(a, window)
+                assert (got.ram, got.trunc, list(got.terms.items())) == \
+                    (want.ram, want.trunc, list(want.terms.items()))
+
 
 class TestText:
     def test_emit_parse_roundtrip(self):
