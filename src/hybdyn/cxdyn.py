@@ -11,21 +11,23 @@ reports each cell's value with an error estimate and whether the
 differences between levels certify it.  The backward sampler
 (``backward_sample``) draws a uniformly random inverse branch at each step
 of one map's orbit; with ``integrate_mu`` it stays as the one-cell
-Monte-Carlo reference, and ``integrate_mu(R, lambda pts: log_det_norm(R,
-pts), s)`` is that reference's Lyapunov exponent.
+Monte-Carlo reference, and ``integrate_mu(R, lambda pts:
+log_det_norm(MapStack([R]), pts), s)`` is that reference's Lyapunov
+exponent.
 
 The quadrature treats a grid of cells, one map each, as one batch: every
 burn-in step, quadrature level and integrand evaluation is a numpy call
 over the points of all cells, in blocks of bounded size, and a cell's
-result is bit for bit what it would be alone.  An integrand ``f(cell,
-pts)`` gets the points of many cells at once, ``cell[k]`` being the grid
-index of row k; ``MapStack`` and ``log_det_norm(stack, pts, cell)``
-evaluate such a batch on its own maps.
+result is bit for bit what it would be alone.  ``MapStack`` is the grid's
+layout, its coefficient rows stacked once; one map is ``MapStack([R])``.
+An integrand ``f(cell, pts)`` gets the points of many cells at once,
+``cell[k]`` being the stack row of point k, as ``log_det_norm(stack, pts,
+cell)`` takes them.
 
 Every preimage comes from one kernel, ``_solve``: it forms each point's
-preimage polynomial once and finds all d of its roots in one call.  A
-quadrature level keeps every root as a homogeneous point; a walker step
-keeps the one its chain drew.
+preimage polynomial once and finds all d of its roots in one call of the
+one root solver, ``_roots``.  A quadrature level keeps every root as a
+homogeneous point; a walker step keeps the one its chain drew.
 """
 
 from __future__ import annotations
@@ -73,38 +75,40 @@ class RationalMapC:
                     f"resultant vanishes to tolerance for map {label!r}")
         self.resultant = resultant
 
-    # the data of log_det_norm, built on first read: the chart-z Wronskian
-    # p0' p1 - p0 p1', and the 1/z-chart sections and their Wronskian
-    @functools.cached_property
-    def _wz(self) -> np.ndarray:
-        return _wronskian(self.p0c, self.p1c)
-
-    @functools.cached_property
-    def _q0(self) -> np.ndarray:
-        return self.p1c[::-1].copy()
-
-    @functools.cached_property
-    def _q1(self) -> np.ndarray:
-        return self.p0c[::-1].copy()
-
-    @functools.cached_property
-    def _wu(self) -> np.ndarray:
-        return _wronskian(self._q0, self._q1)
-
     def __repr__(self):
         return f"<RationalMapC deg={self.degree} {self.label!r}>"
 
 
 class MapStack:
-    """The coefficient rows of a grid of maps of one degree, stacked once:
-    row i of ``p0c``, ``p1c``, ``_wz``, ``_q0``, ``_q1`` and ``_wu`` is
-    ``maps[i]``'s.  ``log_det_norm`` reads a stack as it reads one map,
-    taking row ``cell[k]`` for point k."""
+    """The coefficient rows of maps of one degree, stacked once: row i of
+    ``p0c`` and ``p1c`` is ``maps[i]``'s.  The rows ``log_det_norm`` reads,
+    the chart-z Wronskian ``_wz`` of p0' p1 - p0 p1' and the 1/z-chart
+    sections ``_q0``, ``_q1`` with their Wronskian ``_wu``, are built on
+    first read."""
 
     def __init__(self, maps):
         self.maps = list(maps)
-        for name in ("p0c", "p1c", "_wz", "_q0", "_q1", "_wu"):
-            setattr(self, name, np.array([getattr(R, name) for R in self.maps]))
+        self.degree = self.maps[0].degree
+        if any(R.degree != self.degree for R in self.maps):
+            raise UnsupportedMapError("a stack needs maps of one degree")
+        self.p0c = np.array([R.p0c for R in self.maps])
+        self.p1c = np.array([R.p1c for R in self.maps])
+
+    @functools.cached_property
+    def _wz(self) -> np.ndarray:
+        return np.array([_wronskian(a, b) for a, b in zip(self.p0c, self.p1c)])
+
+    @functools.cached_property
+    def _q0(self) -> np.ndarray:
+        return self.p1c[:, ::-1].copy()
+
+    @functools.cached_property
+    def _q1(self) -> np.ndarray:
+        return self.p0c[:, ::-1].copy()
+
+    @functools.cached_property
+    def _wu(self) -> np.ndarray:
+        return np.array([_wronskian(a, b) for a, b in zip(self._q0, self._q1)])
 
 
 def _derivative(c: np.ndarray) -> np.ndarray:
@@ -205,8 +209,8 @@ class SampleSet:
 
 def _preimages(R: RationalMapC, target: np.ndarray) -> np.ndarray:
     """The d preimages of a homogeneous point, with multiplicity: the roots
-    of ``_poly_roots`` in its order, then the points at infinity.  The
-    one-point reference that ``_solve`` reproduces and falls back to."""
+    of ``_roots`` in its order, then the points at infinity.  The one-point
+    reference that ``_solve`` reproduces and falls back to."""
     d = R.degree
     y0, y1 = target
     qc = y1 * R.p0c - y0 * R.p1c  # ascending; roots are the finite preimages
@@ -216,7 +220,8 @@ def _preimages(R: RationalMapC, target: np.ndarray) -> np.ndarray:
     deg = d
     while deg > 0 and abs(qc[deg]) <= 1e-14 * scale:
         deg -= 1
-    roots = _poly_roots(qc[: deg + 1]) if deg > 0 else []
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        roots = _roots(qc[None, : deg + 1])[0] if deg > 0 else []
     out = np.empty((d, 2), dtype=complex)
     for i, z in enumerate(roots):
         if abs(z) <= 1.0:
@@ -228,32 +233,28 @@ def _preimages(R: RationalMapC, target: np.ndarray) -> np.ndarray:
     return out
 
 
-def _poly_roots(qc: np.ndarray):
-    """Roots of an ascending-coefficient polynomial, as numpy complex128
-    values: the quadratic formula on complex128 scalars (in the order of
-    ``_quadratic_roots``), ``_cubic_roots`` for the cubic, and
-    companion-matrix eigenvalues (numpy.roots) for degrees 4 to 8."""
-    deg = len(qc) - 1
-    if deg == 1:
-        return [-qc[0] / qc[1]]
-    if deg == 2:
-        c, b, a = qc
-        sq = np.sqrt(complex(b * b - 4 * a * c))
-        if (np.conj(b) * sq).real < 0:
-            sq = -sq
-        qq = -(b + sq) / 2.0
-        if qq == 0:
-            return [0.0 + 0j, -b / a]
-        return [qq / a, c / qq]
-    if deg == 3:
-        return list(_cubic_roots(qc[None])[0])
-    if deg > _MAX_ROOT_DEGREE:
-        raise UnsupportedDegreeError(f"preimage degree {deg} > {_MAX_ROOT_DEGREE}")
+def _roots(qc: np.ndarray) -> np.ndarray:
+    """The d roots of the polynomial with ascending coefficient row
+    ``qc[i]``, whose leading coefficient must be nonzero, as row i of an
+    (n, d) array: ``-c0/c1``, ``_quadratic_roots``, ``_cubic_roots``, or the
+    eigenvalues of stacked companion matrices for degrees 4 to 8.  A row's
+    roots do not depend on the other rows."""
+    d = qc.shape[1] - 1
+    if d == 1:
+        return -qc[:, :1] / qc[:, 1:]
+    if d == 2:
+        return _quadratic_roots(qc)
+    if d == 3:
+        return _cubic_roots(qc)
+    if d > _MAX_ROOT_DEGREE:
+        raise UnsupportedDegreeError(f"polynomial degree {d} > {_MAX_ROOT_DEGREE}")
+    # numpy.roots' companion matrix: first row -p[1:] / p[0], p descending
+    comp = np.tile(np.eye(d, k=-1, dtype=complex), (len(qc), 1, 1))
+    comp[:, 0] = -qc[:, d - 1::-1] / qc[:, d:]
     try:
-        return list(np.roots(qc[::-1]))
+        return np.linalg.eigvals(comp)
     except np.linalg.LinAlgError as exc:
-        raise DegenerateMapError(
-            f"root finder failed on preimage polynomial {list(qc)}: {exc}")
+        raise DegenerateMapError(f"companion-matrix root finder failed: {exc}")
 
 
 def _cubic_roots(qc: np.ndarray) -> np.ndarray:
@@ -273,7 +274,7 @@ def _cubic_roots(qc: np.ndarray) -> np.ndarray:
     their digits.  So the root of largest modulus, from branch j, goes to
     column j, and columns j+1 and j+2 (mod 3) hold the roots ``qq`` and
     ``Q/qq`` of the quadratic ``z^2 + P z + Q`` left by deflating it from
-    the constant term, solved as ``_poly_roots`` solves a quadratic.  No
+    the constant term, solved as ``_quadratic_roots`` solves it.  No
     Newton step polishes the result: near a double root it can jump to
     another root, and the three columns would no longer be the three roots.
 
@@ -319,17 +320,16 @@ _ROLL = (np.arange(3) - np.arange(3)[:, None]) % 3  # _ROLL[j, k] = (k - j) % 3
 
 def _quadratic_roots(qc: np.ndarray) -> np.ndarray:
     """The two roots of the quadratic with ascending coefficient row
-    ``qc[i]`` = (c, b, a), ``a`` nonzero, as row i of an (n, 2) array,
-    rounded as ``_poly_roots`` rounds them: ``qq / a`` and ``c / qq`` with
-    ``qq = -(b + sq) / 2``, the sign of ``sq = ±√(b² − 4ac)`` making
-    ``Re(conj(b) sq) >= 0``.  ``qq`` vanishes only at the double root 0,
-    whose roots are 0 and ``-b / a``.
+    ``qc[i]`` = (c, b, a), ``a`` nonzero, as row i of an (n, 2) array:
+    ``qq / a`` and ``c / qq`` with ``qq = -(b + sq) / 2``, the sign of
+    ``sq = ±√(b² − 4ac)`` making ``Re(conj(b) sq) >= 0``.  ``qq`` vanishes
+    only at the double root 0, whose roots are 0 and ``-b / a``.
 
-    ``_poly_roots`` evaluates the discriminant and the branch test on
-    complex128 scalars, which round each real product separately, while
-    numpy's complex-array multiply may fuse them; so both are written out in
-    real arithmetic (``4a``, whose products are exact, stays complex).
-    Every operation is elementwise.
+    The discriminant and the branch test are written out in real
+    arithmetic, each real product rounded on its own, as complex128
+    scalars round them; numpy's complex-array multiply may fuse them
+    (``4a``, whose products are exact, stays complex).  Every operation is
+    elementwise.
     """
     c, b, a = qc[:, 0], qc[:, 1], qc[:, 2]
     f = a * (4 + 0j)
@@ -350,57 +350,42 @@ def _quadratic_roots(qc: np.ndarray) -> np.ndarray:
     return z
 
 
-def _solve(maps, p0: np.ndarray, p1: np.ndarray, y: np.ndarray, k=None) -> np.ndarray:
-    """The preimages of the point ``y[:, i]`` under ``maps[i]``, with
-    coefficient rows ``p0[i]`` and ``p1[i]``, for every i: all d of them,
+def _solve(stack: MapStack, rows, y: np.ndarray, k=None) -> np.ndarray:
+    """The preimages of the point ``y[:, i]`` under the map of stack row
+    ``rows[i]`` (row i with ``rows`` None), for every i: all d of them,
     preimage j of point i at ``[:, i, j]`` of a (2, n, d) result, or with
     ``k`` (a walker step) preimage ``k[i]`` only, at ``[:, i]`` of a (2, n)
     result.  ``y`` and the result hold the w0 and the w1 row.  Callers
     silence float warnings.
 
-    Row i is ``_preimages(maps[i], y[:, i])`` bit for bit (entry ``k[i]``
-    of it with ``k``), whatever the other rows: qc is formed once per point
-    by the same array products, all its roots come from one call of
-    ``_quadratic_roots``, ``_cubic_roots`` or the stacked companion matrices
-    of ``np.roots`` (degrees 4 to 8), and the chart test uses ``np.hypot``,
-    because ``np.abs`` on complex arrays can differ from the scalar ``abs``
-    in the last bit.  ``_preimages`` redoes the rows with a leading
-    coefficient near the 1e-14 cut (a preimage at infinity) and, for
-    degrees 4 to 8, those with an exact zero constant term, which
-    ``np.roots`` strips, or a failed eigenvalue solve.
+    Row i is ``_preimages`` bit for bit (entry ``k[i]`` of it with ``k``),
+    whatever the other rows: qc is formed once per point by the same array
+    products, its roots come from ``_roots``, and the chart test uses
+    ``np.hypot``, because ``np.abs`` on complex arrays can differ from the
+    scalar ``abs`` in the last bit.  A row with a leading coefficient near
+    the 1e-14 cut (a preimage at infinity) enters ``_roots`` as the
+    placeholder ``z^d``, and ``_preimages`` redoes it.
     """
-    n, d = p0.shape[0], p0.shape[1] - 1
+    p0, p1 = (stack.p0c, stack.p1c) if rows is None else (stack.p0c[rows], stack.p1c[rows])
+    d = stack.degree
     qc = y[1, :, None] * p0 - y[0, :, None] * p1
     mag = np.abs(qc)
     # within 10x of the cut: the margin absorbs abs rounding
-    redo = mag[:, d:] * 1e13 <= mag[:, :d]
-    if d == 1:
-        z = (-qc[:, 0] / qc[:, 1])[:, None]
-    elif d == 2:
-        z = _quadratic_roots(qc)
-    elif d == 3:
-        z = _cubic_roots(qc)
-    else:
-        # np.roots' companion matrix: first row -p[1:] / p[0], p descending
-        comp = np.tile(np.eye(d, k=-1, dtype=complex), (n, 1, 1))
-        np.divide(-qc[:, d - 1::-1], qc[:, d:], out=comp[:, 0],
-                  where=~redo.any(axis=1)[:, None])
-        redo[:, 0] |= qc[:, 0] == 0
-        try:
-            z = np.linalg.eigvals(comp)
-        except np.linalg.LinAlgError:
-            z, redo[:] = np.zeros((n, d), dtype=complex), True
+    cut = mag[:, d:] * 1e13 <= mag[:, :d]
+    cut = np.flatnonzero(cut.any(axis=1)) if np.count_nonzero(cut) else ()
+    if len(cut):
+        qc[cut] = np.eye(1, d + 1, d)  # the placeholder z^d
+    z = _roots(qc)
     if k is not None:
-        z = z[np.arange(n), k]
+        z = z[np.arange(len(z)), k]
     inside = np.hypot(z.real, z.imag) <= 1.0
     out = np.empty((2,) + z.shape, dtype=complex)
     out.fill(1.0)
     np.copyto(out[0], z, where=inside)
     np.divide(1.0, z, out=out[1], where=~inside)
-    if np.count_nonzero(redo):
-        for i in np.flatnonzero(redo.any(axis=1)):
-            pre = _preimages(maps[i], y[:, i])
-            out[:, i] = pre.T if k is None else pre[k[i]]
+    for i in cut:
+        pre = _preimages(stack.maps[i if rows is None else rows[i]], y[:, i])
+        out[:, i] = pre.T if k is None else pre[k[i]]
     return out
 
 
@@ -421,26 +406,26 @@ def backward_sample(R: RationalMapC, seed: int, n_burn: int, n_keep: int,
         raise ValueError(f"n_keep must be >= 1, got {n_keep}")
     n_chains = min(_CHAINS, n_keep)
     n_steps = -(-n_keep // n_chains)
-    rngs = [np.random.default_rng(seed)]
-    state = np.repeat(_burn_in([R], rngs, n_burn, start), n_chains, axis=1)
+    stack, rngs = MapStack([R]), [np.random.default_rng(seed)]
+    state = np.repeat(_burn_in(stack, rngs, n_burn, start), n_chains, axis=1)
     kept = np.empty((n_chains, n_steps, 2), dtype=complex)
-    for lo, block in _lockstep([R], rngs, state, n_steps, n_chains):
+    for lo, block in _lockstep(stack, rngs, state, n_steps, n_chains):
         # block[k] holds step lo + k of every chain, the w0 row and the w1 row
         kept[:, lo: lo + len(block)] = block.transpose(2, 0, 1)
     return SampleSet(points=kept.reshape(-1, 2)[:n_keep], seed=seed,
                      n_burn=n_burn, n_keep=n_keep)
 
 
-def preimage_levels(maps, seeds, n_burn: int, n_keep: int, start, f) -> list:
-    """Integrate ``f`` against the measure of maximal entropy of ``maps[i]``
-    by preimage quadrature, for every i: ``I_n = d^-n Σ f(y)`` over all
-    ``d^n`` points y with ``R^n y = x``, counted with multiplicity, for the
-    root x.
+def preimage_levels(stack: MapStack, seeds, n_burn: int, n_keep: int, start, f) -> list:
+    """Integrate ``f`` against the measure of maximal entropy of the map of
+    stack row i by preimage quadrature, for every i: ``I_n = d^-n Σ f(y)``
+    over all ``d^n`` points y with ``R^n y = x``, counted with
+    multiplicity, for the root x.
 
     The root is cell i's burned-in point (``_burn_in`` with
     ``default_rng(seeds[i])``, as ``backward_sample`` starts).  Level 1
     holds the d preimages of the root and level n+1 those of every point of
-    level n, all cells at once; a level is entered only while
+    level n, all rows at once; a level is entered only while
     ``d^n <= n_keep``.  With ``Δ_n = I_n - I_{n-1}``, a cell is certified
     at level n when ``|Δ_n|`` and ``|Δ_{n-1}|`` are both below
     ``_QUAD_TOL``; one small difference is no certificate, since an
@@ -457,25 +442,25 @@ def preimage_levels(maps, seeds, n_burn: int, n_keep: int, start, f) -> list:
     ``f(cell, pts)`` is called on the points of every cell still active,
     level by level, in blocks of at most ``_BLOCK_POINTS`` homogeneous
     points (an (m, 2) array): each cell's d^n points of the level, cell
-    after cell, ``cell[k]`` being the index in ``maps`` of row k.  A cell's
+    after cell, ``cell[k]`` being the stack row of point k.  A cell's
     ``I_n`` is the mean over its own slice, so its result does not depend
     on the other cells or on the blocks.
     """
-    d = maps[0].degree
+    d, n_cells = stack.degree, len(stack.maps)
     if d < 2:
         raise UnsupportedMapError("preimage quadrature needs degree >= 2")
     top = 0  # the last level within the budget
     while d ** (top + 1) <= n_keep:
         top += 1
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    points = _burn_in(maps, rngs, n_burn, start)
-    active = np.arange(len(maps))
-    means = [[] for _ in maps]
-    peak = [0.0] * len(maps)  # max |f| on a cell's last kept level
-    results = [None] * len(maps)
+    points = _burn_in(stack, rngs, n_burn, start)
+    active = np.arange(n_cells)
+    means = [[] for _ in range(n_cells)]
+    peak = [0.0] * n_cells  # max |f| on a cell's last kept level
+    results = [None] * n_cells
     for level in range(1, top + 1):
         width = d ** level
-        points = _branches([maps[i] for i in active], points, d ** (level - 1))
+        points = _branches(stack, active.repeat(d ** (level - 1)), points)
         cell = active.repeat(width)
         vals = np.empty(len(cell))
         for lo in range(0, len(cell), _BLOCK_POINTS):
@@ -558,21 +543,19 @@ def _levels_to_certify(step: float, rho: float) -> float:
     return math.floor(math.log(_QUAD_TOL / step) / math.log(rho)) + 2
 
 
-def _branches(maps, points: np.ndarray, per_map: int) -> np.ndarray:
+def _branches(stack: MapStack, rows: np.ndarray, points: np.ndarray) -> np.ndarray:
     """All d preimages of every point: ``points`` holds the w0 row and the
-    w1 row, ``per_map`` consecutive columns per map of ``maps``, and
-    column p becomes columns ``p*d, ..., p*d + d - 1`` of the result,
-    preimage k of ``_preimages`` in column ``p*d + k``: one ``_solve`` per
-    point, in blocks of at most ``_BLOCK_POINTS`` preimages."""
-    d, n = maps[0].degree, points.shape[1]
-    p0, p1 = np.array([R.p0c for R in maps]), np.array([R.p1c for R in maps])
+    w1 row, column p on stack row ``rows[p]``, and column p becomes columns
+    ``p*d, ..., p*d + d - 1`` of the result, preimage k of ``_preimages``
+    in column ``p*d + k``: one ``_solve`` per point, in blocks of at most
+    ``_BLOCK_POINTS`` preimages."""
+    d, n = stack.degree, points.shape[1]
     out = np.empty((2, n * d), dtype=complex)
     size = max(1, _BLOCK_POINTS // d)
     for lo in range(0, n, size):
         hi = min(n, lo + size)
-        cell = np.arange(lo, hi) // per_map
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out[:, lo * d: hi * d] = _solve([maps[c] for c in cell], p0[cell], p1[cell],
+            out[:, lo * d: hi * d] = _solve(stack, rows[lo:hi],
                                             points[:, lo:hi]).reshape(2, -1)
     return out
 
@@ -586,25 +569,20 @@ _BLOCK_POINTS = 2 * 1024
 _QUAD_TOL = 1e-12  # preimage quadrature: certificate on two level differences
 
 
-def _burn_in(maps, rngs, n_burn: int, start) -> np.ndarray:
+def _burn_in(stack: MapStack, rngs, n_burn: int, start) -> np.ndarray:
     """Every cell's burned-in point, the root of both the quadrature and
     ``backward_sample``: ``max(n_burn, 3)`` steps from ``start`` on one
-    chain per cell, the first three checked by ``_head`` and the rest in
-    lockstep, all cells at once.  Returns the w0 row and the w1 row, one
-    column per cell."""
-    d = maps[0].degree
-    if any(R.degree != d for R in maps):
-        raise UnsupportedMapError("lockstep chains need maps of one degree")
-    if d > _MAX_ROOT_DEGREE:
-        raise UnsupportedDegreeError(f"preimage degree {d} > {_MAX_ROOT_DEGREE}")
-    state = _head(maps, rngs, start)
-    for _ in _lockstep(maps, rngs, state, max(n_burn, _HEAD_STEPS) - _HEAD_STEPS, 1):
+    chain per stack row, the first three checked by ``_head`` and the rest
+    in lockstep, all rows at once.  Returns the w0 row and the w1 row, one
+    column per row."""
+    state = _head(stack, rngs, start)
+    for _ in _lockstep(stack, rngs, state, max(n_burn, _HEAD_STEPS) - _HEAD_STEPS, 1):
         pass
     return state
 
 
-def _lockstep(maps, rngs, state: np.ndarray, n_steps: int, n_chains: int):
-    """Walk ``n_chains`` chains per cell for ``n_steps`` steps from
+def _lockstep(stack: MapStack, rngs, state: np.ndarray, n_steps: int, n_chains: int):
+    """Walk ``n_chains`` chains per stack row for ``n_steps`` steps from
     ``state`` (the w0 row and the w1 row, cell-major columns), which ends
     holding the last step.
 
@@ -613,10 +591,9 @@ def _lockstep(maps, rngs, state: np.ndarray, n_steps: int, n_chains: int):
     not depend on how the stream is split into blocks.  Yields
     ``(lo, buf[1:b+1])``, steps lo, lo+1, ... of every chain.
     """
-    width = state.shape[1]
-    d = maps[0].degree
-    rows = [R for R in maps for _ in range(n_chains)]
-    p0, p1 = np.array([R.p0c for R in rows]), np.array([R.p1c for R in rows])
+    width, d = state.shape[1], stack.degree
+    if n_chains > 1:  # one row per chain, gathered once
+        stack = MapStack([R for R in stack.maps for _ in range(n_chains)])
     size = max(1, _BLOCK_POINTS // width)
     # planar state: buf[k] = (w0 row, w1 row) after k steps of the block
     buf = np.empty((min(size, n_steps) + 1, 2, width), dtype=complex)
@@ -627,13 +604,13 @@ def _lockstep(maps, rngs, state: np.ndarray, n_steps: int, n_chains: int):
                              axis=1)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for k in range(b):
-                buf[k + 1] = _solve(rows, p0, p1, buf[k], idx[k])
+                buf[k + 1] = _solve(stack, None, buf[k], idx[k])
         yield lo, buf[1: b + 1]
         buf[0] = buf[b]
     state[...] = buf[0]
 
 
-def _head(maps, rngs, start) -> np.ndarray:
+def _head(stack: MapStack, rngs, start) -> np.ndarray:
     """The first ``_HEAD_STEPS`` steps of every cell's chain, all cells at
     once; returns the points they reach, the w0 row and the w1 row.
 
@@ -646,14 +623,14 @@ def _head(maps, rngs, start) -> np.ndarray:
     The other cells walk on.  Each generator draws what and in which order
     it would with its cell walked alone.
     """
-    d, n = maps[0].degree, len(maps)
+    d, n = stack.degree, len(stack.maps)
     first = np.repeat(_as_point(start)[:, None], n, axis=1)  # each cell's start
     current = first.copy()
     steps = np.zeros(n, dtype=int)
     found = np.zeros(n, dtype=int)  # exceptional points met per cell
     walking = np.arange(n)
     while walking.size:
-        pre = _branches([maps[i] for i in walking], current[:, walking], 1)
+        pre = _branches(stack, walking, current[:, walking])
         pre = pre.reshape(2, walking.size, d)
         at = current[:, walking, None]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -718,14 +695,14 @@ def integrate_mu(R: RationalMapC, f, s: SampleSet) -> IntegralResult:
     return IntegralResult(mean, stderr, n_used, n_exc, n_exc > 0.01 * len(vals))
 
 
-def log_det_norm(R, pts: np.ndarray, cell=None) -> np.ndarray:
+def log_det_norm(stack: MapStack, pts: np.ndarray, cell=None) -> np.ndarray:
     """log of the spherical derivative norm at homogeneous points.
 
     Chart-stable form of log(|f'(z)| (1+|z|^2) / (1+|f(z)|^2)): evaluates
     log|W| + log(|w0|^2+|w1|^2) - log(|P0|^2+|P1|^2) in whichever affine
-    chart has coordinate of modulus <= 1.  ``R`` is one map, or a
-    ``MapStack`` with ``cell[k]`` the row of point k; each value is the one
-    map's, bit for bit, whatever the other points.
+    chart has coordinate of modulus <= 1, on stack row ``cell[k]`` for
+    point k (row 0 without ``cell``); each value is the one map's, bit for
+    bit, whatever the other points.
     """
     pts = np.atleast_2d(pts)
     z_chart = np.abs(pts[:, 0]) <= np.abs(pts[:, 1])
@@ -733,8 +710,8 @@ def log_det_norm(R, pts: np.ndarray, cell=None) -> np.ndarray:
                  _safe_div(pts[:, 1], pts[:, 0]))
     out = np.empty(len(pts), dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for mask, w, c0, c1 in ((z_chart, R._wz, R.p0c, R.p1c),
-                                (~z_chart, R._wu, R._q0, R._q1)):
+        for mask, w, c0, c1 in ((z_chart, stack._wz, stack.p0c, stack.p1c),
+                                (~z_chart, stack._wu, stack._q0, stack._q1)):
             if not mask.any():
                 continue
             zz, row = z[mask], 0 if cell is None else np.asarray(cell)[mask]
@@ -748,10 +725,9 @@ def log_det_norm(R, pts: np.ndarray, cell=None) -> np.ndarray:
 
 def _horner(c: np.ndarray, row, x: np.ndarray) -> np.ndarray:
     """The polynomial with ascending coefficients ``c[row[k]]`` at
-    ``x[k]``, for every k (``c`` one row, and ``row`` 0, for one
-    polynomial): ``npoly.polyval``'s Horner scheme, each coefficient column
-    gathered in turn, so every value is ``npoly.polyval``'s bit for bit."""
-    c = np.atleast_2d(c)
+    ``x[k]``, for every k: ``npoly.polyval``'s Horner scheme, each
+    coefficient column gathered in turn, so every value is
+    ``npoly.polyval``'s bit for bit."""
     out = c[row, -1] + x * 0
     for j in range(c.shape[1] - 2, -1, -1):
         out = c[row, j] + out * x
@@ -802,7 +778,8 @@ def przytycki_oracle(R, t: complex) -> float:
     d = len(coeffs) - 1
     if abs(coeffs[d]) == 0:
         raise DegenerateMapError(f"degenerate specialization at t = {t}")
-    crit = np.roots(_derivative(coeffs)[::-1]) if d > 1 else []
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        crit = _roots(_derivative(coeffs)[None])[0] if d > 1 else []
     total = math.log(d)
     for z in crit:
         total += escape_green(coeffs, complex(z))

@@ -336,9 +336,10 @@ def _grid_cells(cfg: ExperimentConfig):
 
 def _cell_integrals(cfg: ExperimentConfig, family, integrand):
     """Specialize the family at every grid cell and integrate against each
-    cell's equilibrium measure the function ``f = integrand(maps, ts)`` of
-    the cells' maps and parameters, where ``f(cell, pts)`` gives the values
-    at the points ``pts``, row k on cell ``cell[k]``.
+    cell's equilibrium measure the function ``f = integrand(stack, ts)`` of
+    the cells' maps, stacked once (``cxdyn.MapStack``), and parameters,
+    where ``f(cell, pts)`` gives the values at the points ``pts``, row k on
+    cell ``cell[k]``.
 
     Every cell is integrated by ``cxdyn.preimage_levels``, all cells at
     once, each from its own seeded root; a cell's result does not depend on
@@ -348,10 +349,10 @@ def _cell_integrals(cfg: ExperimentConfig, family, integrand):
     from . import cxdyn
 
     cells = _grid_cells(cfg)
-    maps = [cxdyn.specialize(family, t, r=cfg.r) for _, _, _, t in cells]
+    stack = cxdyn.MapStack(cxdyn.specialize(family, t, r=cfg.r) for _, _, _, t in cells)
     seeds = [_cell_seed(cfg.seed, j, p) for j, p, _, _ in cells]
-    f = integrand(maps, [t for _, _, _, t in cells])
-    return list(zip(cells, cxdyn.preimage_levels(maps, seeds, cfg.n_burn, cfg.n_keep,
+    f = integrand(stack, [t for _, _, _, t in cells])
+    return list(zip(cells, cxdyn.preimage_levels(stack, seeds, cfg.n_burn, cfg.n_keep,
                                                  cfg.start, f)))
 
 
@@ -418,7 +419,7 @@ def cmd_hybrid_converge(cfg: ExperimentConfig) -> ResultRecord:
     for pt, mass in mu.support():
         i0 += mass * admissible.g_na(datum, pt, cfg.r)
 
-    def model_value(maps, ts):
+    def model_value(stack, ts):
         n_factor = np.array([hybrid.scaling_n(hybrid.HybridPoint.interior(t, cfg.r))
                              for t in ts])
         tables = admissible.coefficient_tables(datum, ts)
@@ -469,8 +470,7 @@ def cmd_lyap_slope(cfg: ExperimentConfig) -> ResultRecord:
     na_ratio = abs(lyap_na) / abs(math.log(cfg.r))
     polynomial = family.is_polynomial()
 
-    def lyapunov_integrand(maps, ts):
-        stack = cxdyn.MapStack(maps)
+    def lyapunov_integrand(stack, ts):
         return lambda cell, pts: cxdyn.log_det_norm(stack, pts, cell)
 
     results = _cell_integrals(cfg, family, lyapunov_integrand)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from itertools import groupby
 from math import gcd
 
 from .errors import LaurentError, PrecisionError
@@ -540,29 +541,6 @@ def _denoise(series: LaurentSeries, floor: float) -> LaurentSeries:
     return LaurentSeries(kept, trunc=series.trunc_order)
 
 
-def _cluster_roots(ys, rel: float = 1e-7):
-    """Group nearly-equal complex roots into (mean, multiplicity) clusters.
-
-    Double precision splits an m-fold root into a cluster of radius about
-    eps**(1/m); the mean restores most of the lost accuracy.
-    """
-    remaining = list(ys)
-    clusters = []
-    while remaining:
-        y0 = remaining.pop(0)
-        group = [y0]
-        tol = rel * max(1.0, abs(y0))
-        rest = []
-        for y in remaining:
-            if abs(y - y0) <= tol:
-                group.append(y)
-            else:
-                rest.append(y)
-        remaining = rest
-        clusters.append((sum(group) / len(group), len(group)))
-    return clusters
-
-
 def newton_puiseux(coeffs: list, target: Fraction) -> list:
     """Puiseux expansions of the roots of a one-variable polynomial.
 
@@ -637,7 +615,9 @@ def newton_puiseux(coeffs: list, target: Fraction) -> list:
                     edge_coeffs.append(0.0)
             level_scale = max((abs(v) for c in cs for v in c.terms.values()),
                               default=1.0)
-            for y, mult in _cluster_roots(_edge_roots(edge_coeffs)):
+            # _edge_roots lists an m-fold root as m adjacent equal copies
+            for y, copies in groupby(_edge_roots(edge_coeffs)):
+                mult = len(list(copies))
                 if mult == 1:  # Newton on p is ill-posed at a multiple root
                     y = _polish_root(y, edge_coeffs)
                 head = LaurentSeries.t_power(mu, y)

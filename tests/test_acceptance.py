@@ -163,7 +163,7 @@ def test_criterion_6_complex_lyapunov_oracles():
     for text, start in (("z^2", 2.0), ("z^2 - 2", 0.3 + 0.2j)):
         rc = cxdyn.specialize(parse_family(text), 0.1)
         s = cxdyn.backward_sample(rc, seed=601, n_burn=100, n_keep=100000, start=start)
-        res = cxdyn.integrate_mu(rc, lambda pts: cxdyn.log_det_norm(rc, pts), s)
+        res = cxdyn.integrate_mu(rc, lambda pts: cxdyn.log_det_norm(cxdyn.MapStack([rc]), pts), s)
         dev = abs(res.mean - math.log(2))
         ok = ok and dev <= 3 * res.stderr + 1e-12 and res.stderr < 1e-2
         details.append(f"{text}: {res.mean:.5f}+/-{res.stderr:.1e}")
@@ -172,7 +172,7 @@ def test_criterion_6_complex_lyapunov_oracles():
         fam = parse_family(text)
         rc = cxdyn.specialize(fam, 0.07)
         s = cxdyn.backward_sample(rc, seed=602, n_burn=80, n_keep=8000, start=1.1 + 0.3j)
-        res = cxdyn.integrate_mu(rc, lambda pts: cxdyn.log_det_norm(rc, pts), s)
+        res = cxdyn.integrate_mu(rc, lambda pts: cxdyn.log_det_norm(cxdyn.MapStack([rc]), pts), s)
         bd_ok = bd_ok and res.mean >= 0.5 * math.log(fam.degree) - 3 * res.stderr
     elapsed = time.monotonic() - t0
     _report(6, ok and bd_ok,

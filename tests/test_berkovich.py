@@ -698,6 +698,12 @@ class TestTrees:
         assert len(crits) == 2
         assert all(c.order() == F(1, 2) for c in crits)
 
+    def test_close_critical_points_stay_apart(self):
+        # 3 z^2 - 3e-16: the critical points ±1e-8 are simple, not one
+        # double point at 0
+        crits = critical_centers(parse_family("z^3 - 3e-16*z + 1/t"))
+        assert [c.coefficient(0) for c in crits] == [1e-8, -1e-8]
+
 
 def _join(zp, zq):
     """z-pair of the path join of two disk points."""
@@ -1094,7 +1100,8 @@ class TestNALyapunov:
         # for (z^2 - t)/z the measure concentrates at D(0, r^(1/2)) and the
         # Lyapunov integral tends to 0 with the iterate budget; the complex
         # Lyapunov is then asymptotically constant in log|t|^-1
-        from hybdyn.cxdyn import backward_sample, integrate_mu, log_det_norm, specialize
+        from hybdyn.cxdyn import (MapStack, backward_sample, integrate_mu, log_det_norm,
+                                  specialize)
 
         fam = parse_family("(z^2 - t)/z")
         tree = build_probe_tree(fam, q=2)
@@ -1108,7 +1115,7 @@ class TestNALyapunov:
         for m in (1e-2, 1e-4):
             rc = specialize(fam, m)
             s = backward_sample(rc, seed=77, n_burn=60, n_keep=4000, start=0.8 + 0.4j)
-            lyaps.append(integrate_mu(rc, lambda pts: log_det_norm(rc, pts), s))
+            lyaps.append(integrate_mu(rc, lambda pts: log_det_norm(MapStack([rc]), pts), s))
         slope = (lyaps[1].mean - lyaps[0].mean) / (math.log(1e4) - math.log(1e2))
         sigma = math.hypot(lyaps[0].stderr, lyaps[1].stderr) / math.log(1e2)
         assert abs(slope) < 3 * sigma + 1e-3

@@ -9,9 +9,8 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 from hybdyn import admissible, cxdyn
-from hybdyn.cxdyn import (RationalMapC, backward_sample, escape_green,
-                          integrate_mu, log_det_norm,
-                          przytycki_oracle, specialize)
+from hybdyn.cxdyn import (MapStack, RationalMapC, backward_sample, escape_green,
+                          integrate_mu, log_det_norm, przytycki_oracle, specialize)
 from hybdyn.errors import (DegenerateMapError, UnsupportedDegreeError,
                            UnsupportedMapError)
 from hybdyn.hybrid import HybridPoint, tau_eval
@@ -244,19 +243,19 @@ class TestLyapunov:
     def test_squaring(self):
         rc = specialize(parse_family("z^2"), 0.1)
         s = backward_sample(rc, seed=13, n_burn=50, n_keep=20000, start=2.0)
-        res = integrate_mu(rc, lambda pts: log_det_norm(rc, pts), s)
+        res = integrate_mu(rc, lambda pts: log_det_norm(MapStack([rc]), pts), s)
         assert res.mean == pytest.approx(LOG2, abs=3 * res.stderr + 1e-9)
 
     def test_cubing(self):
         rc = specialize(parse_family("(z^3)/(1)"), 0.1)
         s = backward_sample(rc, seed=13, n_burn=50, n_keep=20000, start=2.0)
-        res = integrate_mu(rc, lambda pts: log_det_norm(rc, pts), s)
+        res = integrate_mu(rc, lambda pts: log_det_norm(MapStack([rc]), pts), s)
         assert res.mean == pytest.approx(math.log(3), abs=3 * res.stderr + 1e-9)
 
     def test_chebyshev(self):
         rc = specialize(parse_family("z^2 - 2"), 0.1)
         s = backward_sample(rc, seed=13, n_burn=50, n_keep=40000, start=0.3 + 0.2j)
-        res = integrate_mu(rc, lambda pts: log_det_norm(rc, pts), s)
+        res = integrate_mu(rc, lambda pts: log_det_norm(MapStack([rc]), pts), s)
         assert res.mean == pytest.approx(LOG2, abs=3 * res.stderr)
 
     def test_briend_duval_lower_bound(self):
@@ -265,7 +264,7 @@ class TestLyapunov:
             fam = parse_family(text)
             rc = specialize(fam, 0.07)
             s = backward_sample(rc, seed=17, n_burn=50, n_keep=5000, start=1.1 + 0.3j)
-            res = integrate_mu(rc, lambda pts: log_det_norm(rc, pts), s)
+            res = integrate_mu(rc, lambda pts: log_det_norm(MapStack([rc]), pts), s)
             bound = 0.5 * math.log(fam.degree)
             assert res.mean >= bound - 3 * res.stderr
 
@@ -305,7 +304,7 @@ class TestEscapeOracle:
         tv = 1e-3
         rc = specialize(fam, tv)
         s = backward_sample(rc, seed=19, n_burn=60, n_keep=20000, start=1 + 1j)
-        res = integrate_mu(rc, lambda pts: log_det_norm(rc, pts), s)
+        res = integrate_mu(rc, lambda pts: log_det_norm(MapStack([rc]), pts), s)
         assert abs(res.mean - przytycki_oracle(fam, tv)) < 3 * res.stderr + 1e-6
 
     def test_non_polynomial_rejected(self):
@@ -353,8 +352,10 @@ class TestEscapeOracle:
                 for p in range(8):
                     t = m * cmath.exp(2j * math.pi * p / 8)
                     rc = specialize(fam, t)
-                    assert rc._wz.tobytes() == wronskian(rc.p0c, rc.p1c).tobytes()
-                    assert rc._wu.tobytes() == wronskian(rc.p1c[::-1], rc.p0c[::-1]).tobytes()
+                    stack = MapStack([rc])
+                    assert stack._wz.tobytes() == wronskian(rc.p0c, rc.p1c).tobytes()
+                    assert (stack._wu.tobytes()
+                            == wronskian(rc.p1c[::-1], rc.p0c[::-1]).tobytes())
                     if fam.is_polynomial():
                         coeffs = np.array([c.eval(t) for c in fam.affine_coeffs],
                                           dtype=complex)
@@ -365,14 +366,16 @@ class TestEscapeOracle:
 
     def test_wronskian_built_on_first_read(self):
         # only the Lyapunov integrand reads the Wronskian rows
-        rc = specialize(parse_family("z^3 + t*z"), 1e-2)
+        fam = parse_family("z^3 + t*z")
+        stack = MapStack([specialize(fam, 1e-2), specialize(fam, 1e-4j)])
         names = {"_wz", "_q0", "_q1", "_wu"}
-        assert not names & set(vars(rc))
-        cxdyn.preimage_levels([rc], [1], 20, 100, 1.1 + 0.7j,
+        assert not names & set(vars(stack))
+        cxdyn.preimage_levels(stack, [1, 2], 20, 100, 1.1 + 0.7j,
                               lambda cell, pts: np.zeros(len(pts)))
-        assert not names & set(vars(rc))
-        log_det_norm(rc, np.array([[0.5, 1.0], [1.0, 0.25j]]))
-        assert names <= set(vars(rc))
+        assert not names & set(vars(stack))
+        log_det_norm(stack, np.array([[0.5, 1.0], [1.0, 0.25j]]), np.array([1, 0]))
+        assert names <= set(vars(stack))
+        assert all(stack.__dict__[name].shape[0] == 2 for name in names)
 
     def test_scaled_lead_conjugation(self):
         # a z^2 is conjugate to z^2: same Lyapunov exponent
@@ -483,7 +486,7 @@ class TestBatchedHead:
         seeds = range(100, 100 + len(maps))
         rngs = [np.random.default_rng(s) for s in seeds]
         with np.errstate(all="ignore"):
-            head = cxdyn._head(maps, rngs, 0.0)
+            head = cxdyn._head(MapStack(maps), rngs, 0.0)
         restarts = []
         for i, (R, seed) in enumerate(zip(maps, seeds)):
             rng = np.random.default_rng(seed)
@@ -504,11 +507,12 @@ class TestBatchedHead:
                 _scalar_head(maps[1], np.random.default_rng(2), 0.0)
         with pytest.raises(DegenerateMapError, match="exceptional"):
             with np.errstate(all="ignore"):
-                cxdyn._head(maps, rngs, 0.0)
+                cxdyn._head(MapStack(maps), rngs, 0.0)
 
 
 def _log_det_norm_polyval(R, pts):
     """Reference ``log_det_norm`` of one map through ``npoly.polyval``."""
+    R = MapStack([R])
     pts = np.atleast_2d(pts)
     z_chart = np.abs(pts[:, 0]) <= np.abs(pts[:, 1])
     z = np.where(z_chart, cxdyn._safe_div(pts[:, 0], pts[:, 1]),
@@ -517,9 +521,9 @@ def _log_det_norm_polyval(R, pts):
     for mask, w, c0, c1 in ((z_chart, R._wz, R.p0c, R.p1c),
                             (~z_chart, R._wu, R._q0, R._q1)):
         zz = z[mask]
-        wv = np.abs(npoly.polyval(zz, w))
-        v0 = np.abs(npoly.polyval(zz, c0))
-        v1 = np.abs(npoly.polyval(zz, c1))
+        wv = np.abs(npoly.polyval(zz, w[0]))
+        v0 = np.abs(npoly.polyval(zz, c0[0]))
+        v1 = np.abs(npoly.polyval(zz, c1[0]))
         out[mask] = np.log(wv) + np.log1p(np.abs(zz) ** 2) - np.log(v0 ** 2 + v1 ** 2)
     return out
 
@@ -552,11 +556,11 @@ class TestAllCellEvaluators:
         cell = np.random.default_rng(4).integers(len(maps), size=len(pts))
         cell[:2] = len(maps) - 1
         with np.errstate(all="ignore"):
-            values = log_det_norm(cxdyn.MapStack(maps), pts, cell)
+            values = log_det_norm(MapStack(maps), pts, cell)
         assert len(pts) * 16 > 256 * 1024
         for i, R in enumerate(maps):
             with np.errstate(all="ignore"):
-                alone = log_det_norm(R, pts[cell == i])
+                alone = log_det_norm(MapStack([R]), pts[cell == i])
                 ref = _log_det_norm_polyval(R, pts[cell == i])
             assert values[cell == i].tobytes() == alone.tobytes() == ref.tobytes()
         assert np.isneginf(values[:2]).all()
@@ -589,25 +593,31 @@ class TestAllCellEvaluators:
         assert infinite == [0, 8, 0]  # the second datum vanishes at the 8 points z = 0
 
 
-def _solve(maps, y, k=None):
-    """The batched kernel on the rows of ``maps``, one point each: all its
-    preimages, or with ``k`` (a walker step) preimage ``k[i]`` of row i."""
+def _solve(stack, rows, y, k=None):
+    """The batched kernel on stack rows ``rows``, one point each: all its
+    preimages, or with ``k`` (a walker step) preimage ``k[i]`` of point i."""
     with np.errstate(all="ignore"):
-        return cxdyn._solve(maps, np.array([R.p0c for R in maps]),
-                            np.array([R.p1c for R in maps]), y, k)
+        return cxdyn._solve(stack, rows, y, k)
 
 
-def _kernel_matches_scalar(maps, targets):
+def _kernel_matches_scalar(stack, rows, targets):
     """Every preimage of the all-roots kernel, and every one a walker step
-    picks, equals the scalar one, bit for bit, with all rows solved
-    together."""
-    n, d = len(maps), maps[0].degree
+    picks, equals the scalar one, bit for bit, with all points solved
+    together, on the rows ``rows`` of ``stack`` (its rows in order with
+    ``rows`` None)."""
+    n, d = len(targets), stack.degree
+    maps = stack.maps if rows is None else [stack.maps[r] for r in rows]
     y = np.array(targets, dtype=complex).T.copy()  # w0 row, w1 row
     with np.errstate(all="ignore"):
         ref = np.array([cxdyn._preimages(R, y[:, i]) for i, R in enumerate(maps)])
-    assert _solve(maps, y).transpose(1, 2, 0).tobytes() == ref.tobytes()
+    assert _solve(stack, rows, y).transpose(1, 2, 0).tobytes() == ref.tobytes()
     for k in [np.full(n, j) for j in range(d)] + [np.arange(n) % d]:
-        assert _solve(maps, y, k).T.tobytes() == ref[np.arange(n), k].tobytes()
+        assert _solve(stack, rows, y, k).T.tobytes() == ref[np.arange(n), k].tobytes()
+
+
+def _one_map(R, targets):
+    """``_kernel_matches_scalar`` on every target under the one map R."""
+    _kernel_matches_scalar(MapStack([R]), np.zeros(len(targets), dtype=int), targets)
 
 
 class TestLockstepKernel:
@@ -620,17 +630,14 @@ class TestLockstepKernel:
         rng = np.random.default_rng(5)
         angles = rng.uniform(0.0, 2 * math.pi, 256)
         targets = [(complex(math.cos(a), math.sin(a)), 1.0) for a in angles]
-        rc = RationalMapC([0, 0, 1], [1, 0, 0])
-        _kernel_matches_scalar([rc] * len(targets), targets)
+        _one_map(RationalMapC([0, 0, 1], [1, 0, 0]), targets)
 
     def test_exact_zero_constant_term(self):
-        # np.roots strips the zero constant term and appends the root 0
-        # last; for z^2 the double root 0 makes the quadratic's qq vanish
+        # for z^2 the double root 0 makes the quadratic's qq vanish
         for coeffs in ([0, 0, 1], [0, 1, 0, 1], [0, 0, 2, 0, 1], [0, 0, 0, 0, 0, 1j, 1]):
             d = len(coeffs) - 1
             rc = RationalMapC(coeffs, [1] + [0] * d)
-            targets = [(0.0, 1.0), (0.3 + 0.1j, 1.0), (0.0, 1.0), (1.0, 0.5j)]
-            _kernel_matches_scalar([rc] * len(targets), targets)
+            _one_map(rc, [(0.0, 1.0), (0.3 + 0.1j, 1.0), (0.0, 1.0), (1.0, 0.5j)])
 
     def test_preimages_at_infinity(self):
         # leading coefficient of qc at, just below and just above the
@@ -638,9 +645,8 @@ class TestLockstepKernel:
         rc = specialize(parse_family("(z^2 - t)/z"), 0.05)
         cubic = specialize(parse_family("(z^3 + t)/(z^2 + 1)"), 0.05)
         for R in (rc, cubic):
-            targets = [(1.0, 0.0), (1.0, 1e-15), (1.0, 9e-15), (1.0, 5e-14),
-                       (1.0, 2e-13), (0.4 - 0.2j, 1.0)]
-            _kernel_matches_scalar([R] * len(targets), targets)
+            _one_map(R, [(1.0, 0.0), (1.0, 1e-15), (1.0, 9e-15), (1.0, 5e-14),
+                         (1.0, 2e-13), (0.4 - 0.2j, 1.0)])
 
     def test_degrees_one_to_eight(self):
         # wide batches, every row on its own map and point, about a third
@@ -655,7 +661,9 @@ class TestLockstepKernel:
                 maps.append(RationalMapC(p0, p1))
             w = rng.normal(size=n) + 1j * rng.normal(size=n)
             targets = [(z, 1.0) if abs(z) <= 1 else (1.0, 1 / z) for z in w]
-            _kernel_matches_scalar(maps, targets)
+            # every row in order, and the rows gathered in another order
+            _kernel_matches_scalar(MapStack(maps), None, targets)
+            _kernel_matches_scalar(MapStack(maps), rng.permutation(n), targets)
 
     def test_special_rows_among_ordinary_rows(self):
         # at every degree, one shuffled batch of ordinary rows and rows with
@@ -684,7 +692,7 @@ class TestLockstepKernel:
                 maps.append(RationalMapC([-1, 3, -3, 1], [0, 0, 0, 1j]))
                 targets.append((0.0, 1.0))
             order = rng.permutation(len(maps))
-            _kernel_matches_scalar([maps[i] for i in order], [targets[i] for i in order])
+            _kernel_matches_scalar(MapStack(maps), order, [targets[i] for i in order])
 
     def test_double_root_needs_no_scalar_solve(self, monkeypatch):
         # z^2 at the target 0: qq vanishes, and the step takes the double
@@ -694,12 +702,13 @@ class TestLockstepKernel:
         ref = [cxdyn._preimages(rc, y[:, i]) for i in range(3)]
         monkeypatch.setattr(cxdyn, "_preimages", _raise)
         for k in range(2):
-            out = _solve([rc] * 3, y, np.full(3, k))
+            out = _solve(MapStack([rc]), np.zeros(3, dtype=int), y, np.full(3, k))
             assert out.T.tobytes() == np.array([r[k] for r in ref]).tobytes()
 
     def test_scalar_solve_only_at_the_lead_cut(self, monkeypatch):
         # rows whose preimage polynomial loses its leading coefficient go to
-        # _preimages one by one, and no other row does
+        # _preimages one by one, and no other row does; the kernel solves
+        # them as the placeholder z^d
         solved = []
         preimages = cxdyn._preimages
 
@@ -713,13 +722,34 @@ class TestLockstepKernel:
             w1 = [0.0, 0.5, 1e-15, 0.25j, 1.0, 0.0, -0.75]
             y = np.array([[1.0] * len(w1), w1], dtype=complex)
             solved.clear()
-            _solve([rc] * len(w1), y, np.zeros(len(w1), dtype=int))
+            rows = np.zeros(len(w1), dtype=int)
+            _solve(MapStack([rc]), rows, y, rows)
             assert solved == [0.0, 1e-15, 0.0]
+
+    @pytest.mark.parametrize("d", range(4, 9))
+    def test_zero_constant_term_needs_no_scalar_solve(self, d, monkeypatch):
+        # an exact zero constant term at degrees 4 to 8 stays in the
+        # companion-matrix solve: the target 0 under z p(z) and under z^d
+        rng = np.random.default_rng(d)
+        ordinary = np.concatenate([[0.0], rng.normal(size=d) + 1j * rng.normal(size=d)])
+        power = [0.0] * d + [1.0]
+        stack = MapStack([RationalMapC(ordinary, [1] + [0] * d),
+                          RationalMapC(power, [1] + [0] * d)])
+        y = np.array([[0.0, 0.0, 0.3], [1.0, 1.0, 1.0]], dtype=complex)
+        rows = np.array([0, 1, 0])
+        with np.errstate(all="ignore"):
+            ref = np.array([cxdyn._preimages(stack.maps[r], y[:, i])
+                            for i, r in enumerate(rows)])
+        monkeypatch.setattr(cxdyn, "_preimages", _raise)
+        out = _solve(stack, rows, y)
+        assert out.transpose(1, 2, 0).tobytes() == ref.tobytes()
+        # one preimage of 0 under z p(z) is 0 itself, to rounding
+        assert np.abs(out[0, 0]).min() < 1e-15 * np.abs(ordinary).max()
 
     def test_vanishing_preimage_polynomial_raises(self):
         rc = specialize(parse_family("z^2 + 1/t"), 0.1)
         with pytest.raises(DegenerateMapError):
-            _kernel_matches_scalar([rc, rc], [(0.5, 1.0), (0.0, 0.0)])
+            _one_map(rc, [(0.5, 1.0), (0.0, 0.0)])
 
 
 def _cubic_branches(coeffs):
@@ -789,33 +819,53 @@ class TestCubicRoot:
             assert np.isfinite(roots).all()
             assert max(min(abs(z - r) for r in ref) for z in roots) < 1e-15
         # the batched step takes these rows itself, without the scalar solve
-        maps = [RationalMapC([-1, 3, -3, 1], [0, 0, 0, 1j]),
-                RationalMapC([0, 1, 0, 1], [1, 0, 0, 0])]
+        stack = MapStack([RationalMapC([-1, 3, -3, 1], [0, 0, 0, 1j]),
+                          RationalMapC([0, 1, 0, 1], [1, 0, 0, 0])])
         monkeypatch.setattr(cxdyn, "_preimages", _raise)
         y = np.array([[0.0, 0.0], [1.0, 1.0]], dtype=complex)
         for k in range(3):
-            out = _solve(maps, y, np.full(2, k))
+            out = _solve(stack, None, y, np.full(2, k))
             assert np.isfinite(out).all()
             assert abs(out[0, 0] - 1) < 1e-15 and out[1, 0] == 1
 
     def test_degree_three_walk_needs_no_eigvals(self, monkeypatch):
         monkeypatch.setattr(np.linalg, "eigvals", _raise)
         fam = parse_family("z^3 + t*z")
-        maps = [specialize(fam, tv) for tv in (1e-2, 1e-4j)]
-        for rc in maps:
+        stack = MapStack([specialize(fam, tv) for tv in (1e-2, 1e-4j)])
+        for i, rc in enumerate(stack.maps):
             s = backward_sample(rc, 1, 20, 500, 1.1 + 0.7j)
-            assert integrate_mu(rc, lambda pts: log_det_norm(rc, pts), s).n_used == 500
-        results = cxdyn.preimage_levels(maps, [1, 2], 20, 500, 1.1 + 0.7j, _lyapunov(maps))
+            assert integrate_mu(rc, lambda pts: log_det_norm(stack, pts, [i] * len(pts)),
+                                s).n_used == 500
+        results = cxdyn.preimage_levels(stack, [1, 2], 20, 500, 1.1 + 0.7j, _lyapunov(stack))
         assert all(math.isfinite(value) and level >= 3 for value, _, level, _ in results)
+
+
+class TestRoots:
+    @pytest.mark.parametrize("d", range(4, 9))
+    def test_companion_roots_match_numpy_roots(self, d):
+        # np.roots as an independent reference; it strips a zero constant
+        # term and appends the root 0, where _roots solves the whole row.
+        # A root 0 is matched within 1e-12 of the row's largest root
+        rng = np.random.default_rng(60 + d)
+        rows = rng.normal(size=(40, d + 1)) + 1j * rng.normal(size=(40, d + 1))
+        rows[::4, 0] = 0  # a simple root 0
+        rows[1::8, :2] = 0  # a double root 0
+        for row, roots in zip(rows, cxdyn._roots(rows)):
+            ref = list(np.roots(row[::-1]))
+            scale = max(abs(r) for r in ref)
+            assert len(ref) == d
+            for z in roots:
+                j = min(range(len(ref)), key=lambda i: abs(ref[i] - z))
+                assert abs(ref[j] - z) <= 1e-12 * (abs(ref[j]) or scale)
+                ref.pop(j)
 
 
 def _raise(*args, **kwargs):
     raise AssertionError("not expected to be called")
 
 
-def _lyapunov(maps):
-    """The Lyapunov integrand ``f(cell, pts)`` on the cells of ``maps``."""
-    stack = cxdyn.MapStack(maps)
+def _lyapunov(stack):
+    """The Lyapunov integrand ``f(cell, pts)`` on the rows of ``stack``."""
     return lambda cell, pts: log_det_norm(stack, pts, cell)
 
 
@@ -824,16 +874,23 @@ class TestPreimageLevels:
         # every point of a level, in order, is _preimages' branch k of its
         # parent, whatever the blocks and the other maps in the batch
         fam = parse_family("z^3 + t*z")
-        maps = [specialize(fam, tv) for tv in (1e-2, 1e-4j)]
+        stack = MapStack([specialize(fam, tv) for tv in (1e-2, 1e-4j)])
+        maps = stack.maps
         roots = np.array([[0.3 + 0.1j, 1.0], [1.0, -0.2j]]).T  # one root per map
-        level1 = cxdyn._branches(maps, roots, 1)
+        level1 = cxdyn._branches(stack, np.arange(2), roots)
         ref = np.concatenate([cxdyn._preimages(R, roots[:, i]) for i, R in enumerate(maps)])
         assert level1.T.tobytes() == ref.tobytes()
-        level2 = cxdyn._branches(maps, level1, 3)
+        rows = np.arange(2).repeat(3)
+        level2 = cxdyn._branches(stack, rows, level1)
         monkeypatch.setattr(cxdyn, "_BLOCK_POINTS", 4)
-        assert cxdyn._branches(maps, level1, 3).tobytes() == level2.tobytes()
+        assert cxdyn._branches(stack, rows, level1).tobytes() == level2.tobytes()
         ref = np.concatenate([cxdyn._preimages(maps[p // 3], level1[:, p]) for p in range(6)])
         assert level2.T.tobytes() == ref.tobytes()
+        # the rows in another order: each point on its own row
+        rows = np.array([1, 0, 0, 1, 1, 0])
+        ref = np.concatenate([cxdyn._preimages(maps[r], level1[:, p])
+                              for p, r in enumerate(rows)])
+        assert cxdyn._branches(stack, rows, level1).T.tobytes() == ref.tobytes()
 
     def test_one_kernel_row_per_point(self, monkeypatch):
         # a level solves each point's preimage polynomial once, for all d
@@ -851,12 +908,12 @@ class TestPreimageLevels:
         rng = np.random.default_rng(31)
         for text in ("z^2 + 1/t", "z^3 + t*z", "(z^5 + t)/(z^4 + 1)"):
             fam = parse_family(text)
-            maps = [specialize(fam, tv) for tv in (1e-2, 1e-4j)]
-            n, d = 1500, maps[0].degree
+            stack = MapStack([specialize(fam, tv) for tv in (1e-2, 1e-4j)])
+            n, d = 1500, stack.degree
             w = rng.normal(size=n) + 1j * rng.normal(size=n)
             points = np.array([np.where(abs(w) <= 1, w, 1), np.where(abs(w) <= 1, 1, 1 / w)])
             rows.clear()
-            assert cxdyn._branches(maps, points, n // 2).shape == (2, n * d)
+            assert cxdyn._branches(stack, np.arange(2).repeat(n // 2), points).shape == (2, n * d)
             assert sum(rows) == n and max(rows) * d <= 2 * 1024
 
     def test_batch_layout_independent(self, monkeypatch):
@@ -865,13 +922,15 @@ class TestPreimageLevels:
                 for k in range(2, 7)]
         seeds = [41, 42, 43, 44, 45]
         args = (100, 20000, 1.1 + 0.7j)
-        together = cxdyn.preimage_levels(maps, seeds, *args, _lyapunov(maps))
-        reversed_ = cxdyn.preimage_levels(maps[::-1], seeds[::-1], *args,
-                                          _lyapunov(maps[::-1]))[::-1]
-        alone = [cxdyn.preimage_levels([rc], [s], *args, _lyapunov([rc]))[0]
-                 for rc, s in zip(maps, seeds)]
+        def levels(maps, seeds):
+            stack = MapStack(maps)
+            return cxdyn.preimage_levels(stack, seeds, *args, _lyapunov(stack))
+
+        together = levels(maps, seeds)
+        reversed_ = levels(maps[::-1], seeds[::-1])[::-1]
+        alone = [levels([rc], [s])[0] for rc, s in zip(maps, seeds)]
         monkeypatch.setattr(cxdyn, "_BLOCK_POINTS", 6)
-        small_blocks = cxdyn.preimage_levels(maps, seeds, *args, _lyapunov(maps))
+        small_blocks = levels(maps, seeds)
         assert all(certified for *_, certified in together)
         assert together == reversed_ == alone == small_blocks
 
@@ -890,7 +949,8 @@ class TestPreimageLevels:
             calls.append(np.bincount(cell, minlength=n_cells))
             return np.zeros(len(pts))
 
-        results = cxdyn.preimage_levels(maps, list(range(n_cells)), 0, n_keep, 1.1 + 0.7j, f)
+        results = cxdyn.preimage_levels(MapStack(maps), list(range(n_cells)), 0, n_keep,
+                                        1.1 + 0.7j, f)
         per_block = np.array(calls)
         assert len(calls) > 1 and (per_block.sum(axis=1) <= 2 * 1024).all()
         # a cell's points are its levels 1, ..., n: 2 + 4 + ... + 2^n
@@ -901,7 +961,7 @@ class TestPreimageLevels:
         rc = RationalMapC([0.0] * 9 + [1.0], [1.0] + [0.0] * 9)
         calls = []
         with pytest.raises(UnsupportedDegreeError):
-            cxdyn.preimage_levels([rc, rc], [1, 2], 5, 10 ** 9, 1.5,
+            cxdyn.preimage_levels(MapStack([rc, rc]), [1, 2], 5, 10 ** 9, 1.5,
                                   lambda cell, pts: calls.append(pts))
         assert calls == []
 
@@ -911,20 +971,21 @@ class TestPreimageLevels:
         # plus rounding for z^2, whose walker values are all log 2
         for text, t, level in (("z^2", 0.1, 3), ("z^3 + t*z", 1e-6, None)):
             rc = specialize(parse_family(text), t)
+            stack = MapStack([rc])
             ((mean, err, n, certified),) = cxdyn.preimage_levels(
-                [rc], [5], 100, 20000, 1.1 + 0.7j, lambda cell, pts: log_det_norm(rc, pts))
+                stack, [5], 100, 20000, 1.1 + 0.7j, lambda cell, pts: log_det_norm(stack, pts))
             assert certified and (level is None or n == level)
             assert err < 1e-12
             s = backward_sample(rc, 5, 100, 20000, 1.1 + 0.7j)
-            walked = integrate_mu(rc, lambda pts: log_det_norm(rc, pts), s)
+            walked = integrate_mu(rc, lambda pts: log_det_norm(stack, pts), s)
             assert abs(mean - walked.mean) <= 3 * walked.stderr + 1e-15
 
     def test_pole_family_matches_oracle(self):
         fam = parse_family("z^2 + 1/t")
         for tv in (1e-2, -3e-4j, 1e-6 * complex(math.cos(0.7), math.sin(0.7))):
-            rc = specialize(fam, tv)
+            stack = MapStack([specialize(fam, tv)])
             ((mean, err, n, certified),) = cxdyn.preimage_levels(
-                [rc], [7], 100, 20000, 1.1 + 0.7j, _lyapunov([rc]))
+                stack, [7], 100, 20000, 1.1 + 0.7j, _lyapunov(stack))
             assert abs(mean - przytycki_oracle(fam, tv)) < 1e-12
             assert certified and 3 <= n <= 10 and err < 1e-11
 
@@ -937,7 +998,7 @@ class TestPreimageLevels:
         i5 = 2.0 + 2.0 ** -40 + 2.0 ** -42
         by_size = {2: 1.0, 4: 1.0, 8: 2.0, 16: 2.0 + 2.0 ** -40, 32: i5}
         f = lambda cell, pts: np.full(len(pts), by_size[len(pts)])  # noqa: E731
-        assert cxdyn.preimage_levels([rc], [3], 100, 20000, 1.1 + 0.7j, f) == [
+        assert cxdyn.preimage_levels(MapStack([rc]), [3], 100, 20000, 1.1 + 0.7j, f) == [
             (i5, 2.0 ** -40, 5, True)]
 
     def test_estimate_takes_the_largest_recent_ratio(self):
@@ -950,28 +1011,28 @@ class TestPreimageLevels:
         for k in (10, 11, 16, 17, 22):
             means.append(means[-1] + 2.0 ** -k)
         f = lambda cell, pts: np.full(len(pts), means[len(pts).bit_length() - 2])  # noqa: E731
-        assert cxdyn.preimage_levels([rc], [3], 100, 64, 1.1 + 0.7j, f) == [
+        assert cxdyn.preimage_levels(MapStack([rc]), [3], 100, 64, 1.1 + 0.7j, f) == [
             (means[4], 2.0 ** -16, 5, False)]
         # exact levels: the estimate is the rounding of the level's sum
         three = lambda cell, pts: np.full(len(pts), -3.0)  # noqa: E731
-        assert cxdyn.preimage_levels([rc], [3], 100, 64, 1.1 + 0.7j, three) == [
+        assert cxdyn.preimage_levels(MapStack([rc]), [3], 100, 64, 1.1 + 0.7j, three) == [
             (-3.0, 8 * 3.0 * np.finfo(float).eps, 3, True)]
 
     def test_fallbacks(self, monkeypatch):
         solved = []
         solve = cxdyn._solve
 
-        def counted(maps, p0, p1, y, k=None):
+        def counted(stack, rows, y, k=None):
             solved.append(y.shape[1])
-            return solve(maps, p0, p1, y, k)
+            return solve(stack, rows, y, k)
 
         monkeypatch.setattr(cxdyn, "_solve", counted)
         fam = parse_family("z^2 + 1/t")
-        pole = [specialize(fam, tv) for tv in (1e-2, 1e-4j)]
+        pole = MapStack([specialize(fam, tv) for tv in (1e-2, 1e-4j)])
         # a Mobius map has no measure of maximal entropy: nothing is solved
-        mobius = RationalMapC([0.5, 1], [1, 0.25j])
+        mobius = MapStack([RationalMapC([0.5, 1], [1, 0.25j])])
         with pytest.raises(UnsupportedMapError):
-            cxdyn.preimage_levels([mobius], [1], 100, 20000, 0.3, _lyapunov([mobius]))
+            cxdyn.preimage_levels(mobius, [1], 100, 20000, 0.3, _lyapunov(mobius))
         assert solved == []
         # a budget below d^3 leaves levels 1 and 2, and no certificate
         for (value, err, level, certified), ref in zip(
@@ -994,14 +1055,14 @@ class TestPreimageLevels:
         # cannot reach the tolerance within 2^14 points; the cell ends long
         # before the budget
         rational = parse_family("(z^2 - t)/z")
-        maps = [specialize(rational, tv) for tv in (1e-2, 1e-4j, -1e-6)]
+        stack = MapStack([specialize(rational, tv) for tv in (1e-2, 1e-4j, -1e-6)])
         solved.clear()
         # the head's 3 steps and the lockstep burn-in, one point per cell
         # and step
-        burn = len(maps) * (3 + 97)
-        results = cxdyn.preimage_levels(maps, [1, 2, 3], 100, 20000, 1.1 + 0.7j,
-                                        _lyapunov(maps))
+        burn = len(stack.maps) * (3 + 97)
+        results = cxdyn.preimage_levels(stack, [1, 2, 3], 100, 20000, 1.1 + 0.7j,
+                                        _lyapunov(stack))
         assert not any(certified for *_, certified in results)
         assert all(4 <= level <= 6 and 1e-12 < err < 1 for _, err, level, _ in results)
         # a level solves the points of the level before it
-        assert sum(solved) - burn <= len(maps) * (1 + 2 + 4 + 8 + 16)
+        assert sum(solved) - burn <= len(stack.maps) * (1 + 2 + 4 + 8 + 16)

@@ -453,10 +453,10 @@ class TestExperiments:
             family = parse_family(c.family)
             rec = run(c)
             for (j, p, m, t), row in zip(_grid_cells(c), rec.rows):
-                rc = cxdyn.specialize(family, t, r=c.r)
+                stack = cxdyn.MapStack([cxdyn.specialize(family, t, r=c.r)])
                 ((mean, err, _, certified),) = cxdyn.preimage_levels(
-                    [rc], [_cell_seed(c.seed, j, p)], c.n_burn, c.n_keep, c.start,
-                    lambda cell, pts: cxdyn.log_det_norm(rc, pts))
+                    stack, [_cell_seed(c.seed, j, p)], c.n_burn, c.n_keep, c.start,
+                    lambda cell, pts: cxdyn.log_det_norm(stack, pts))
                 oracle = cxdyn.przytycki_oracle(family, t) if c is cfg else math.nan
                 alone = [j, p, t.real, t.imag, mean, err, oracle, 0, certified]
                 assert [_fmt_cell(x) for x in alone] == [_fmt_cell(x) for x in row]
@@ -482,7 +482,7 @@ class TestExperiments:
         for (j, p, m, t), row in zip(_grid_cells(cfg), rec.rows):
             if p != j % cfg.phases:
                 continue
-            rc = cxdyn.specialize(family, t, r=cfg.r)
+            stack = cxdyn.MapStack([cxdyn.specialize(family, t, r=cfg.r)])
             scale = hybrid.scaling_n(hybrid.HybridPoint.interior(t, cfg.r))
 
             def f(pts):
@@ -490,11 +490,11 @@ class TestExperiments:
 
             seed = _cell_seed(cfg.seed, j, p)
             ((value, err, level, _),) = cxdyn.preimage_levels(
-                [rc], [seed], cfg.n_burn, cfg.n_keep, cfg.start, lambda cell, pts: f(pts))
+                stack, [seed], cfg.n_burn, cfg.n_keep, cfg.start, lambda cell, pts: f(pts))
             assert (value, err) == (row[4], row[5])
-            pts = cxdyn._burn_in([rc], [np.random.default_rng(seed)], cfg.n_burn, cfg.start)
-            for n in range(level + 3):
-                pts = cxdyn._branches([rc], pts, 3 ** n)
+            pts = cxdyn._burn_in(stack, [np.random.default_rng(seed)], cfg.n_burn, cfg.start)
+            for _ in range(level + 3):
+                pts = cxdyn._branches(stack, np.zeros(pts.shape[1], dtype=int), pts)
             assert abs(value - f(pts.T).mean()) <= err
 
     def test_monotone_flag_reads_false_on_a_rising_error(self):

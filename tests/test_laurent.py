@@ -1,6 +1,7 @@
 """Series arithmetic: worked examples plus seeded random property checks."""
 
 import cmath
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -8,8 +9,7 @@ import numpy as np
 import pytest
 
 from hybdyn.errors import LaurentError, PrecisionError
-from hybdyn.laurent import (LaurentSeries as L, _cluster_roots, _edge_roots,
-                           newton_puiseux, taylor_shift)
+from hybdyn.laurent import LaurentSeries as L, _edge_roots, newton_puiseux, taylor_shift
 
 
 def rand_series(rng, n_terms=4, e_min=-3, e_max=6, trunc=None, ram=1, unit_lead=False):
@@ -339,11 +339,19 @@ class TestEdgeRoots:
             assert abs(root.coefficient(1) - a) <= 1e-12 * abs(a)
 
     def test_double_root_clusters(self):
-        # (y - 1)^2 (y + 2) = y^3 - 3y + 2
-        clusters = _cluster_roots(_edge_roots([2, -3, 0, 1]))
+        # (y - 1)^2 (y + 2) = y^3 - 3y + 2: the double root as two adjacent
+        # equal copies
+        clusters = [(y, len(list(copies)))
+                    for y, copies in itertools.groupby(_edge_roots([2, -3, 0, 1]))]
         assert sorted(mult for _, mult in clusters) == [1, 2]
         for y, mult in clusters:
             assert abs(y - (1 if mult == 2 else -2)) < 1e-14
+
+    def test_close_simple_roots_stay_apart(self):
+        # w^2 - 1e-16: the roots ±1e-8 are simple, though 2e-8 apart
+        roots = newton_puiseux([L.const(-1e-16), L.zero(), L.one()], F(6))
+        assert [root.coefficient(0) for root in roots] == [1e-8, -1e-8]
+        assert all(len(root.terms) == 1 for root in roots)
 
 
 class TestHashing:

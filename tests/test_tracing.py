@@ -83,7 +83,7 @@ def test_every_wrapped_name_and_count_resolves(tracing, tmp_path):
     # callbacks are reached through its public one-cell route
     rc = cxdyn.specialize(parse_family("z^2 - 2"), 0.1)
     s = cxdyn.backward_sample(rc, 5, 20, 200, 0.3 + 0.2j)
-    cxdyn.integrate_mu(rc, lambda pts: cxdyn.log_det_norm(rc, pts), s)
+    cxdyn.integrate_mu(rc, lambda pts: cxdyn.log_det_norm(cxdyn.MapStack([rc]), pts), s)
     # no experiment builds symbolic iterates; the Green reference does
     berkovich.iterate_exponents(parse_family("(z^2 - t)/z"), [berkovich.TypeIIPoint.gauss()], 2)
     assert tracer.missing == set()  # no wrapped name and no "#counts" source
