@@ -799,6 +799,29 @@ def critical_centers(R, target=Fraction(6)):
     return newton_puiseux(deriv, Fraction(target))
 
 
+def critical_lyapunov(R, evaluator: GreenEvaluator):
+    """(q, exact): the non-Archimedean Lyapunov exponent ``q * log(r)`` of a
+    polynomial family, by the critical-point formula ``L = log d + sum_c G(c)``
+    (Manning 1984; Przytycki 1985), whose ``log |d|`` is 0 over Laurent series.
+
+    The sum runs over the d - 1 finite critical points (``critical_centers``
+    at target 12).  ``G(c) = (q_c + min(ord c, 0)) * log(r)``, where
+    ``evaluator`` gives ``q_c`` at the disk ``D(c, r**12)`` and the ord term
+    adds back ``log+|c|``.  ``exact`` is true when every Green bound is 0.
+    Raises PrecisionError when fewer than d - 1 centers come back: a short
+    list is never summed.
+    """
+    centers = critical_centers(R, target=12)
+    if len(centers) < R.degree - 1:
+        raise PrecisionError(f"{len(centers)} of {R.degree - 1} critical points resolved")
+    total, exact = Fraction(0), True
+    for c in centers:
+        q, bound = evaluator.exponent(TypeIIPoint(c, 12))
+        total += q + min(c.order(), 0)
+        exact = exact and bound == 0.0
+    return total, exact
+
+
 def build_probe_tree(R, s_min=-3, s_max=3, q: int = 2, orbit_len: int = 2,
                      include_critical: bool = True) -> BerkTree:
     """Default probe tree: a radius grid at center 0, forward-orbit segments

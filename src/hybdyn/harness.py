@@ -28,8 +28,9 @@ from .parser import parse_family, parse_sections, parse_series
 # the kinds that sample complex fibers; only they load cxdyn, and with it numpy
 _SAMPLED_KINDS = ("hybrid-converge", "lyap-slope")
 # the CSV schema version of each kind: v6 integrates every sampled cell by
-# preimage quadrature; the other kinds' CSVs are as in v5
-_SCHEMA_VERSIONS = {"circle-demo": "v5", "hybrid-converge": "v6", "lyap-slope": "v6",
+# preimage quadrature, and lyap-slope's v7 summary gives the exact, signed
+# non-Archimedean exponent; the other kinds' CSVs are as in v5
+_SCHEMA_VERSIONS = {"circle-demo": "v5", "hybrid-converge": "v6", "lyap-slope": "v7",
                     "na-measure": "v5"}
 
 
@@ -334,31 +335,45 @@ def _grid_cells(cfg: ExperimentConfig):
     return cells
 
 
-def _cell_integrals(cfg: ExperimentConfig, family, integrand):
-    """Specialize the family at every grid cell and integrate against each
-    cell's equilibrium measure the function ``f = integrand(stack, ts)`` of
-    the cells' maps, stacked once (``cxdyn.MapStack``), and parameters,
-    where ``f(cell, pts)`` gives the values at the points ``pts``, row k on
-    cell ``cell[k]``.
+def _grid_run(cfg: ExperimentConfig, family, mu, integrand, extra, means):
+    """Integrate over every grid cell's equilibrium measure the function
+    ``f = integrand(stack, ts)`` of the cells' maps, stacked once
+    (``cxdyn.MapStack``), and parameters, where ``f(cell, pts)`` gives the
+    values at the points ``pts``, row k on cell ``cell[k]``.
 
     Every cell is integrated by ``cxdyn.preimage_levels``, all cells at
     once, each from its own seeded root; a cell's result does not depend on
-    the other cells.  Returns (cell, (value, estimate, level, certified))
-    pairs.
+    the other cells.  A cell's row is ``[j, phase, re_t, im_t, value,
+    estimate, *extra(t, value), certified]``.  ``per_modulus`` pools the
+    rows of each modulus: each field of ``means`` is the mean of its row
+    column, and ``stderr`` is ``sqrt(mean(estimate**2) / n)``.  Returns the
+    rows and the summary fields that the sampled kinds share, with the
+    tree measure ``mu``'s mass fields.
     """
+    import numpy as np
+
     from . import cxdyn
 
     cells = _grid_cells(cfg)
-    stack = cxdyn.MapStack(cxdyn.specialize(family, t, r=cfg.r) for _, _, _, t in cells)
+    stack = cxdyn.MapStack(cxdyn.specialize(family, t, r=cfg.r) for *_, t in cells)
     seeds = [_cell_seed(cfg.seed, j, p) for j, p, _, _ in cells]
-    f = integrand(stack, [t for _, _, _, t in cells])
-    return list(zip(cells, cxdyn.preimage_levels(stack, seeds, cfg.n_burn, cfg.n_keep,
-                                                 cfg.start, f)))
-
-
-def _quadrature_summary(results) -> dict:
-    return {"uncertified_cells": sum(not ok for _, (*_, ok) in results),
-            "max_quadrature_level": max(level for _, (_, _, level, _) in results)}
+    results = cxdyn.preimage_levels(stack, seeds, cfg.n_burn, cfg.n_keep, cfg.start,
+                                    integrand(stack, [t for *_, t in cells]))
+    rows = [[j, p, t.real, t.imag, value, est, *extra(t, value), certified]
+            for (j, p, _, t), (value, est, _, certified) in zip(cells, results)]
+    per_mod = []
+    for j, m in enumerate(cfg.moduli):
+        mod_rows = [row for row in rows if row[0] == j]
+        stderrs = [row[5] for row in mod_rows]
+        per_mod.append({"abs_t": m, **{key: float(np.mean([row[col] for row in mod_rows]))
+                                       for key, col in means.items()},
+                        "stderr": float(np.sqrt(np.mean(np.square(stderrs)))
+                                        / math.sqrt(len(mod_rows)))})
+    return rows, {"uncertified_cells": sum(not ok for *_, ok in results),
+                  "max_quadrature_level": max(level for _, _, level, _ in results),
+                  "per_modulus": per_mod,
+                  "measure_total_mass": mu.total_mass(),
+                  "leaf_mass_fraction": mu.leaf_mass_fraction()}
 
 
 def _na_measure(cfg: ExperimentConfig):
@@ -426,33 +441,15 @@ def cmd_hybrid_converge(cfg: ExperimentConfig) -> ResultRecord:
         return lambda cell, pts: n_factor[cell] * admissible.phi_canonical(
             datum, (pts[:, 0], pts[:, 1]), tables, cell)
 
-    results = _cell_integrals(cfg, family, model_value)
     # n_excluded stays in the schema; the quadrature excludes no value
-    rows = [[j, p, t.real, t.imag, value, err, 0, abs(value - i0), certified]
-            for (j, p, m, t), (value, err, _, certified) in results]
-    per_mod = []
-    for j, m in enumerate(cfg.moduli):
-        vals = [row[4] for row in rows if row[0] == j]
-        errs = [row[7] for row in rows if row[0] == j]
-        stderrs = [row[5] for row in rows if row[0] == j]
-        per_mod.append({
-            "abs_t": m,
-            "integral_mean": float(np.mean(vals)),
-            "abs_error": float(np.mean(errs)),
-            "stderr": float(np.sqrt(np.mean(np.square(stderrs))) / math.sqrt(len(vals))),
-        })
-    errs = [pm["abs_error"] for pm in per_mod]
-    tol = 3.0 * max(pm["stderr"] for pm in per_mod)
-    summary = {
-        "na_integral": i0,
-        "per_modulus": per_mod,
-        "final_abs_error": errs[-1],
-        "monotone_within_stderr": all(errs[i + 1] <= errs[i] + tol
-                                      for i in range(len(errs) - 1)),
-        **_quadrature_summary(results),
-        "measure_total_mass": mu.total_mass(),
-        "leaf_mass_fraction": mu.leaf_mass_fraction(),
-    }
+    rows, summary = _grid_run(cfg, family, mu, model_value,
+                              lambda t, value: (0, abs(value - i0)),
+                              {"integral_mean": 4, "abs_error": 7})
+    errs = [pm["abs_error"] for pm in summary["per_modulus"]]
+    tol = 3.0 * max(pm["stderr"] for pm in summary["per_modulus"])
+    summary.update(na_integral=i0, final_abs_error=errs[-1],
+                   monotone_within_stderr=all(errs[i + 1] <= errs[i] + tol
+                                              for i in range(len(errs) - 1)))
     return ResultRecord(cfg.experiment_id, cfg.kind, cfg.label, cfg.config_hash(),
                         ["j", "phase", "re_t", "im_t", "integral", "stderr",
                          "n_excluded", "abs_error", "certified"], rows, summary,
@@ -460,60 +457,49 @@ def cmd_hybrid_converge(cfg: ExperimentConfig) -> ResultRecord:
 
 
 def cmd_lyap_slope(cfg: ExperimentConfig) -> ResultRecord:
-    """Lyapunov growth fit against log|t|^-1 plus the non-Archimedean value."""
-    import numpy as np
-
+    """Lyapunov growth fit against log|t|^-1 plus the non-Archimedean value:
+    exact by the critical-point formula for polynomial families, the probe
+    tree's otherwise."""
     from . import cxdyn
 
-    family, _, _, mu = _na_measure(cfg)
-    lyap_na = berkovich.na_lyapunov(family, mu)
-    na_ratio = abs(lyap_na) / abs(math.log(cfg.r))
+    family, evaluator, _, mu = _na_measure(cfg)
+    lyap_tree = berkovich.na_lyapunov(family, mu)
     polynomial = family.is_polynomial()
+    if polynomial:
+        q, exact = berkovich.critical_lyapunov(family, evaluator)
+        lyap_na = float(q) * math.log(cfg.r) + 0.0  # + 0.0 writes -0.0 as 0.0
+    else:
+        lyap_na, exact = lyap_tree, False
+    na_ratio = lyap_na / math.log(1.0 / cfg.r)
 
     def lyapunov_integrand(stack, ts):
         return lambda cell, pts: cxdyn.log_det_norm(stack, pts, cell)
 
-    results = _cell_integrals(cfg, family, lyapunov_integrand)
-    rows = [[j, p, t.real, t.imag, value, err,
-             cxdyn.przytycki_oracle(family, t) if polynomial else math.nan, 0, certified]
-            for (j, p, m, t), (value, err, _, certified) in results]
-    xs, ys, per_mod = [], [], []
-    for j, m in enumerate(cfg.moduli):
-        vals = [row[4] for row in rows if row[0] == j]
-        stderrs = [row[5] for row in rows if row[0] == j]
-        mean = float(np.mean(vals))
-        per_mod.append({"abs_t": m, "lyapunov": mean,
-                        "stderr": float(np.sqrt(np.mean(np.square(stderrs)))
-                                        / math.sqrt(len(vals)))})
-        xs.append(math.log(1.0 / m))
-        ys.append(mean)
-    slope, intercept, slope_err = fit_slope(xs, ys)
+    def oracle(t, value):
+        return cxdyn.przytycki_oracle(family, t) if polynomial else math.nan, 0
+
+    rows, summary = _grid_run(cfg, family, mu, lyapunov_integrand, oracle, {"lyapunov": 4})
+    slope, intercept, slope_err = fit_slope(
+        [math.log(1.0 / m) for m in cfg.moduli],
+        [pm["lyapunov"] for pm in summary["per_modulus"]])
     oracle_dev = None
     if polynomial:
         devs = [abs(row[4] - row[6]) / max(row[5], 1e-12) for row in rows]
         oracle_dev = float(max(devs))
-    d = family.degree
-    bd_bound = 0.5 * math.log(d)
-    bd_ok = all(row[4] >= bd_bound - 3.0 * row[5] for row in rows)
-    summary = {
+    bd_bound = 0.5 * math.log(family.degree)
+    summary.update({
         "slope": slope,
         "slope_stderr": slope_err,
         "intercept": intercept,
         "na_lyapunov": lyap_na,
+        "na_lyapunov_tree": lyap_tree,
+        "na_lyapunov_exact": exact,
         "na_ratio": na_ratio,
-        "abs_slope_discrepancy": abs(abs(slope) - na_ratio),
-        "observed_sign_relation": {
-            "sign_slope": _sign(slope),
-            "sign_na_over_logr": _sign(lyap_na / math.log(cfg.r)),
-        },
-        "briend_duval_ok": bool(bd_ok),
+        "slope_discrepancy": slope - na_ratio,
+        "briend_duval_ok": all(row[4] >= bd_bound - 3.0 * row[5] for row in rows),
         "briend_duval_bound": bd_bound,
         "max_oracle_deviation_sigmas": oracle_dev,
-        **_quadrature_summary(results),
-        "per_modulus": per_mod,
-        "measure_total_mass": mu.total_mass(),
-        "leaf_mass_fraction": mu.leaf_mass_fraction(),
-    }
+    })
     return ResultRecord(cfg.experiment_id, cfg.kind, cfg.label, cfg.config_hash(),
                         ["j", "phase", "re_t", "im_t", "lyapunov", "stderr",
                          "oracle", "n_excluded", "certified"], rows, summary,
@@ -547,10 +533,6 @@ def cmd_na_measure(cfg: ExperimentConfig) -> ResultRecord:
     return ResultRecord(cfg.experiment_id, cfg.kind, cfg.label, cfg.config_hash(),
                         ["vertex", "chart", "center", "s", "green_value",
                          "green_error_bound", "mass"], rows, summary, created=_now())
-
-
-def _sign(x: float) -> int:
-    return 0 if x == 0 else (1 if x > 0 else -1)
 
 
 def _now() -> str:

@@ -201,20 +201,21 @@ n_max = 16
     rec = run(cfg)
     s = rec.summary
     _collected_measures.append(s["measure_total_mass"])
-    slope_ok = abs(abs(s["slope"]) - 0.5) <= 0.05
+    # signed: the slope and the exact non-Archimedean ratio are both +1/2
+    slope_ok = abs(s["slope"] - 0.5) <= 0.05
     # every cell is certified by preimage quadrature, so the oracle check is
     # absolute, not in standard errors
     quad_ok = all(row[8] is True for row in rec.rows)
     oracle_dev = max(abs(row[4] - row[6]) for row in rec.rows)
     oracle_ok = quad_ok and oracle_dev <= 1e-10 and s["max_oracle_deviation_sigmas"] <= 3.0
-    na_ok = abs(s["na_ratio"] - 0.5) <= 0.05 and abs(abs(s["slope"]) - s["na_ratio"]) <= 0.05
+    na_ok = (s["na_lyapunov_exact"] is True and abs(s["na_ratio"] - 0.5) <= 0.05
+             and abs(s["slope_discrepancy"]) <= 0.05)
     elapsed = time.monotonic() - t0
     _report(7, slope_ok and oracle_ok and na_ok,
-            f"|slope| = {abs(s['slope']):.4f} (0.5 +/- 0.05), "
+            f"slope = {s['slope']:+.4f} (+0.5 +/- 0.05), "
             f"{len(rec.rows) - s['uncertified_cells']}/{len(rec.rows)} cells certified, "
             f"oracle within {oracle_dev:.1e} (<=1e-10), "
-            f"non-Archimedean ratio {s['na_ratio']:.4f}, "
-            f"signs {s['observed_sign_relation']}", elapsed, 300.0)
+            f"exact non-Archimedean ratio {s['na_ratio']:+.4f}", elapsed, 300.0)
 
 
 def test_criterion_8_hybrid_convergence():

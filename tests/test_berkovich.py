@@ -11,7 +11,7 @@ from hybdyn import berkovich
 from hybdyn.admissible import AdmissibleDatum, g_na_exponent
 from hybdyn.berkovich import (BerkTree, GreenEvaluator, TypeIIPoint,
                               _ord_at_least, _section_exponent, build_probe_tree,
-                              chart_forms,
+                              chart_forms, critical_lyapunov,
                               det_norm_exponent, good_reduction_exponent,
                               homog_seminorm, iterate_exponents, map_disk,
                               na_lyapunov, resultant_valuation, subtree_span,
@@ -1119,6 +1119,35 @@ class TestNALyapunov:
         slope = (lyaps[1].mean - lyaps[0].mean) / (math.log(1e4) - math.log(1e2))
         sigma = math.hypot(lyaps[0].stderr, lyaps[1].stderr) / math.log(1e2)
         assert abs(slope) < 3 * sigma + 1e-3
+
+
+class TestCriticalLyapunov:
+    # ROADMAP item 1's table: L_NA / log(1/r) by the critical-point formula,
+    # as exact Fractions, against the complex oracle's slope in log(1/|t|)
+    TABLE = (("z^2 + 1/t", F(1, 2)), ("z^3 + 1/t", F(2, 3)), ("z^3 + z/t", F(1)),
+             ("z^2 + 1/t^2", F(1)), ("2*z^3 + z^2/t + 1/t^2", F(5, 3)),
+             ("z^2 + t*z", F(0)), ("z^3 + t*z", F(0)), ("t*z^2 + 1", F(0)))
+
+    @pytest.mark.parametrize("text, ratio", TABLE)
+    def test_matches_oracle_slope(self, text, ratio):
+        from hybdyn.cxdyn import przytycki_oracle
+
+        fam = parse_family(text)
+        q, exact = critical_lyapunov(fam, GreenEvaluator(fam, R, n_max=16))
+        assert -q == ratio  # L_NA = q * log(r)
+        # the critical orbit of t*z^2 + 1 does not close by n_max (item 9)
+        assert exact is (text != "t*z^2 + 1")
+        moduli = (1e-5, 1e-6, 1e-7)
+        slope = np.polyfit([math.log(1.0 / m) for m in moduli],
+                           [przytycki_oracle(fam, m) for m in moduli], 1)[0]
+        assert slope == pytest.approx(float(ratio), abs=1e-4)
+
+    @pytest.mark.parametrize("text", ["2*z^4 + z^3/t + z", "z^3 - z^2/t^2 + 2*z/t^2 - 1/t"])
+    def test_short_critical_list_raises(self, text):
+        fam = parse_family(text)
+        assert len(critical_centers(fam, target=12)) < fam.degree - 1
+        with pytest.raises(PrecisionError):
+            critical_lyapunov(fam, GreenEvaluator(fam, R, n_max=16))
 
 
 class TestRamifiedResolution:

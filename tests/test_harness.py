@@ -16,7 +16,7 @@ import pytest
 import hybdyn
 from hybdyn import admissible, berkovich, cli, cxdyn, hybrid
 from hybdyn.cli import main as cli_main
-from hybdyn.errors import ChartError, ConfigError
+from hybdyn.errors import ChartError, ConfigError, PrecisionError
 from hybdyn.harness import (_cell_seed, _fmt_cell, _grid_cells, cmd_circle_demo,
                             fit_slope, load_config, load_record, run,
                             write_record)
@@ -438,9 +438,28 @@ class TestExperiments:
         s = rec.summary
         assert abs(s["slope"]) < 3 * s["slope_stderr"] + 1e-9
         assert s["na_ratio"] == 0.0
+        assert math.copysign(1.0, s["na_lyapunov"]) == 1.0  # no -0.0
         for pm in s["per_modulus"]:
             assert pm["lyapunov"] == pytest.approx(math.log(2), abs=1e-9)
         assert s["briend_duval_ok"]
+
+    def test_lyap_slope_exact_na_value(self):
+        # z^2 + 1/t: the critical-point formula gives +1/2 log 2 exactly;
+        # the probe tree's value stays beside it, sign unchecked (item 2)
+        s = run(load_config(POLE_SLOPE_INI)).summary
+        assert s["na_lyapunov"] == pytest.approx(0.5 * math.log(2), abs=1e-15)
+        assert s["na_ratio"] == 0.5
+        assert s["na_lyapunov_exact"] is True
+        assert abs(s["na_lyapunov_tree"]) == pytest.approx(0.5 * math.log(2), abs=1e-12)
+        assert s["slope_discrepancy"] == s["slope"] - 0.5
+        assert abs(s["slope_discrepancy"]) < 0.05
+        assert "observed_sign_relation" not in s and "abs_slope_discrepancy" not in s
+
+    def test_lyap_slope_refuses_a_short_critical_list(self):
+        # critical_centers resolves none of the three critical points
+        cfg = load_config(POLE_SLOPE_INI.replace("z^2 + 1/t", "2*z^4 + z^3/t + z"))
+        with pytest.raises(PrecisionError):
+            run(cfg)
 
     def test_cell_row_independent_of_batch(self):
         # a cell's row is byte-identical whether it runs alone or with the
@@ -592,7 +611,10 @@ class TestExperiments:
         assert all(row[7] == 0 and row[5] < 1e-11 for row in pole.rows)
         assert all(row[7] == 0 and 1e-11 < row[5] < 0.1 for row in rational.rows)
         with open(tmp_path / "pole.csv") as fh:
-            assert fh.readline() == "# schema: hybdyn/lyap-slope/v6\n"
+            assert fh.readline() == "# schema: hybdyn/lyap-slope/v7\n"
+        # a rational family keeps the probe tree's value, which is not exact
+        assert rational.summary["na_lyapunov"] == rational.summary["na_lyapunov_tree"]
+        assert rational.summary["na_lyapunov_exact"] is False
 
     def test_na_measure_rational_reports_tail_bound(self):
         cfg = load_config("[experiment]\nkind = na-measure\nlabel = m\n"
