@@ -59,25 +59,28 @@ _REGULAR_TOL = 1e-9  # relative size below which a section maximum is a common z
 def datum_regular(F: AdmissibleDatum, t_values, seed: int = 0) -> bool:
     """Sampled regularity check: no common zero on random fiber points.
 
-    A lazy stand-in for zero-freeness of the section family; scheme-level
-    verticality is out of scope, and a False here only means a common zero
-    was actually hit on the sampled fibers.
+    The same random points are tried on the fiber of every parameter in
+    ``t_values``, all fibers in one evaluation through
+    ``coefficient_tables``.  A lazy stand-in for zero-freeness of the
+    section family; scheme-level verticality is out of scope, and a False
+    here only means a common zero was actually hit on the sampled fibers.
     """
     import numpy as np
 
     rng = np.random.default_rng(seed)
     z = [rng.normal(size=_REGULAR_POINTS) + 1j * rng.normal(size=_REGULAR_POINTS)
          for _ in range(F.k + 1)]
-    for t in t_values:
-        best = None
-        for s in F.sections:
-            v = np.abs(s.eval_numeric(z, complex(t)))
-            best = v if best is None else np.maximum(best, v)
-        scale = max(max((abs(complex(c.eval(complex(t)))) for c in s.coeffs.values()),
-                        default=0.0) for s in F.sections)
-        if np.min(best) <= _REGULAR_TOL * max(scale, 1.0):
-            return False
-    return True
+    ts = [complex(t) for t in t_values]
+    cell = np.arange(len(ts)).repeat(_REGULAR_POINTS)
+    w = [np.tile(x, len(ts)) for x in z]
+    best = np.zeros(len(cell))
+    scale = np.ones(len(ts))  # each fiber's largest coefficient modulus, at least 1
+    for s, table in zip(F.sections, coefficient_tables(F, ts)):
+        best = np.maximum(best, np.abs(s.eval_numeric(w, table, cell)))
+        for values in table.values():
+            scale = np.maximum(scale, np.abs(values))
+    return bool((best.reshape(len(ts), _REGULAR_POINTS).min(axis=1)
+                 > _REGULAR_TOL * scale).all())
 
 
 def _sup_normalized(z):

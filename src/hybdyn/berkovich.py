@@ -791,7 +791,8 @@ def map_disk(num, zpair, den=None):
 
 def critical_centers(R, target=Fraction(6)):
     """Truncated Puiseux expansions of the finite critical points of a
-    polynomial family (roots of the derivative of the affine polynomial)."""
+    polynomial family (roots of the derivative of the affine polynomial):
+    all of them, or PrecisionError from ``newton_puiseux``."""
     coeffs = R.affine_coeffs
     deriv = [c * float(j) for j, c in enumerate(coeffs) if j >= 1]
     if len(deriv) <= 1:
@@ -808,12 +809,10 @@ def critical_lyapunov(R, evaluator: GreenEvaluator):
     at target 12).  ``G(c) = (q_c + min(ord c, 0)) * log(r)``, where
     ``evaluator`` gives ``q_c`` at the disk ``D(c, r**12)`` and the ord term
     adds back ``log+|c|``.  ``exact`` is true when every Green bound is 0.
-    Raises PrecisionError when fewer than d - 1 centers come back: a short
-    list is never summed.
+    ``critical_centers`` raises PrecisionError rather than return a short
+    list, so a short list is never summed.
     """
     centers = critical_centers(R, target=12)
-    if len(centers) < R.degree - 1:
-        raise PrecisionError(f"{len(centers)} of {R.degree - 1} critical points resolved")
     total, exact = Fraction(0), True
     for c in centers:
         q, bound = evaluator.exponent(TypeIIPoint(c, 12))
@@ -842,12 +841,7 @@ def build_probe_tree(R, s_min=-3, s_max=3, q: int = 2, orbit_len: int = 2,
                     break
                 pairs.append(cur)
         # critical-orbit centers, each with its own radius grid
-        centers = []
-        if include_critical:
-            try:
-                centers.extend(critical_centers(R, target=Fraction(s_max + 3)))
-            except (PrecisionError, LaurentError):
-                pass
+        centers = critical_centers(R, target=Fraction(s_max + 3)) if include_critical else []
         orbit = []
         for c in centers:
             cur = c

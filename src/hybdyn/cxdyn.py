@@ -26,8 +26,9 @@ cell)`` takes them.
 
 Every preimage comes from one kernel, ``_solve``: it forms each point's
 preimage polynomial once and finds all d of its roots in one call of the
-one root solver, ``_roots``.  A quadrature level keeps every root as a
-homogeneous point; a walker step keeps the one its chain drew.
+one root solver, ``_roots``, and returns every preimage as a homogeneous
+point.  A quadrature level keeps them all; a walker step keeps the one its
+chain drew.
 """
 
 from __future__ import annotations
@@ -350,42 +351,41 @@ def _quadratic_roots(qc: np.ndarray) -> np.ndarray:
     return z
 
 
-def _solve(stack: MapStack, rows, y: np.ndarray, k=None) -> np.ndarray:
-    """The preimages of the point ``y[:, i]`` under the map of stack row
-    ``rows[i]`` (row i with ``rows`` None), for every i: all d of them,
-    preimage j of point i at ``[:, i, j]`` of a (2, n, d) result, or with
-    ``k`` (a walker step) preimage ``k[i]`` only, at ``[:, i]`` of a (2, n)
-    result.  ``y`` and the result hold the w0 and the w1 row.  Callers
+def _solve(stack: MapStack, rows: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """All d preimages of the point ``y[:, i]`` under the map of stack row
+    ``rows[i]``, for every i: preimage j of point i at ``[:, i, j]`` of a
+    (2, n, d) result, solved in blocks of at most ``_BLOCK_POINTS``
+    preimages.  ``y`` and the result hold the w0 and the w1 row.  Callers
     silence float warnings.
 
-    Row i is ``_preimages`` bit for bit (entry ``k[i]`` of it with ``k``),
-    whatever the other rows: qc is formed once per point by the same array
-    products, its roots come from ``_roots``, and the chart test uses
-    ``np.hypot``, because ``np.abs`` on complex arrays can differ from the
-    scalar ``abs`` in the last bit.  A row with a leading coefficient near
-    the 1e-14 cut (a preimage at infinity) enters ``_roots`` as the
-    placeholder ``z^d``, and ``_preimages`` redoes it.
+    Row i is ``_preimages`` bit for bit, whatever the other rows and the
+    blocks: qc is formed once per point by the same array products, its
+    roots come from ``_roots``, and the chart test uses ``np.hypot``,
+    because ``np.abs`` on complex arrays can differ from the scalar ``abs``
+    in the last bit.  A row with a leading coefficient near the 1e-14 cut
+    (a preimage at infinity) enters ``_roots`` as the placeholder ``z^d``,
+    and ``_preimages`` redoes it.
     """
-    p0, p1 = (stack.p0c, stack.p1c) if rows is None else (stack.p0c[rows], stack.p1c[rows])
-    d = stack.degree
-    qc = y[1, :, None] * p0 - y[0, :, None] * p1
-    mag = np.abs(qc)
-    # within 10x of the cut: the margin absorbs abs rounding
-    cut = mag[:, d:] * 1e13 <= mag[:, :d]
-    cut = np.flatnonzero(cut.any(axis=1)) if np.count_nonzero(cut) else ()
-    if len(cut):
-        qc[cut] = np.eye(1, d + 1, d)  # the placeholder z^d
-    z = _roots(qc)
-    if k is not None:
-        z = z[np.arange(len(z)), k]
-    inside = np.hypot(z.real, z.imag) <= 1.0
-    out = np.empty((2,) + z.shape, dtype=complex)
+    d, n = stack.degree, y.shape[1]
+    out = np.empty((2, n, d), dtype=complex)
     out.fill(1.0)
-    np.copyto(out[0], z, where=inside)
-    np.divide(1.0, z, out=out[1], where=~inside)
-    for i in cut:
-        pre = _preimages(stack.maps[i if rows is None else rows[i]], y[:, i])
-        out[:, i] = pre.T if k is None else pre[k[i]]
+    size = max(1, _BLOCK_POINTS // d)
+    for lo in range(0, n, size):
+        r, yb, ob = rows[lo: lo + size], y[:, lo: lo + size], out[:, lo: lo + size]
+        p0, p1 = stack.p0c.take(r, axis=0), stack.p1c.take(r, axis=0)
+        qc = yb[1, :, None] * p0 - yb[0, :, None] * p1
+        mag = np.abs(qc)
+        # within 10x of the cut: the margin absorbs abs rounding
+        cut = mag[:, d:] * 1e13 <= mag[:, :d]
+        cut = np.flatnonzero(cut.any(axis=1)) if np.count_nonzero(cut) else ()
+        if len(cut):
+            qc[cut] = np.eye(1, d + 1, d)  # the placeholder z^d
+        z = _roots(qc)
+        inside = np.hypot(z.real, z.imag) <= 1.0
+        np.copyto(ob[0], z, where=inside)
+        np.divide(1.0, z, out=ob[1], where=~inside)
+        for i in cut:
+            ob[:, i] = _preimages(stack.maps[r[i]], yb[:, i]).T
     return out
 
 
@@ -409,9 +409,7 @@ def backward_sample(R: RationalMapC, seed: int, n_burn: int, n_keep: int,
     stack, rngs = MapStack([R]), [np.random.default_rng(seed)]
     state = np.repeat(_burn_in(stack, rngs, n_burn, start), n_chains, axis=1)
     kept = np.empty((n_chains, n_steps, 2), dtype=complex)
-    for lo, block in _lockstep(stack, rngs, state, n_steps, n_chains):
-        # block[k] holds step lo + k of every chain, the w0 row and the w1 row
-        kept[:, lo: lo + len(block)] = block.transpose(2, 0, 1)
+    _walk(stack, rngs, state, n_steps, n_chains, kept)
     return SampleSet(points=kept.reshape(-1, 2)[:n_keep], seed=seed,
                      n_burn=n_burn, n_keep=n_keep)
 
@@ -460,7 +458,8 @@ def preimage_levels(stack: MapStack, seeds, n_burn: int, n_keep: int, start, f) 
     results = [None] * n_cells
     for level in range(1, top + 1):
         width = d ** level
-        points = _branches(stack, active.repeat(d ** (level - 1)), points)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            points = _solve(stack, active.repeat(d ** (level - 1)), points).reshape(2, -1)
         cell = active.repeat(width)
         vals = np.empty(len(cell))
         for lo in range(0, len(cell), _BLOCK_POINTS):
@@ -543,27 +542,10 @@ def _levels_to_certify(step: float, rho: float) -> float:
     return math.floor(math.log(_QUAD_TOL / step) / math.log(rho)) + 2
 
 
-def _branches(stack: MapStack, rows: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """All d preimages of every point: ``points`` holds the w0 row and the
-    w1 row, column p on stack row ``rows[p]``, and column p becomes columns
-    ``p*d, ..., p*d + d - 1`` of the result, preimage k of ``_preimages``
-    in column ``p*d + k``: one ``_solve`` per point, in blocks of at most
-    ``_BLOCK_POINTS`` preimages."""
-    d, n = stack.degree, points.shape[1]
-    out = np.empty((2, n * d), dtype=complex)
-    size = max(1, _BLOCK_POINTS // d)
-    for lo in range(0, n, size):
-        hi = min(n, lo + size)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out[:, lo * d: hi * d] = _solve(stack, rows[lo:hi],
-                                            points[:, lo:hi]).reshape(2, -1)
-    return out
-
-
 _HEAD_STEPS = 3  # leading steps checked for an exceptional start
 _CHAINS = 16  # chains forked from backward_sample's burned-in point
-# points per kernel call over all cells and chains: the preimages one _solve
-# call gives, and the points one integrand call gets; the temporaries of
+# points per kernel block over all cells and chains: the preimages one _solve
+# block gives, and the points one integrand call gets; the temporaries of
 # both grow with it
 _BLOCK_POINTS = 2 * 1024
 _QUAD_TOL = 1e-12  # preimage quadrature: certificate on two level differences
@@ -573,48 +555,43 @@ def _burn_in(stack: MapStack, rngs, n_burn: int, start) -> np.ndarray:
     """Every cell's burned-in point, the root of both the quadrature and
     ``backward_sample``: ``max(n_burn, 3)`` steps from ``start`` on one
     chain per stack row, the first three checked by ``_head`` and the rest
-    in lockstep, all rows at once.  Returns the w0 row and the w1 row, one
-    column per row."""
+    walked by ``_walk``, all rows at once.  Returns the w0 row and the w1
+    row, one column per row."""
     state = _head(stack, rngs, start)
-    for _ in _lockstep(stack, rngs, state, max(n_burn, _HEAD_STEPS) - _HEAD_STEPS, 1):
-        pass
+    _walk(stack, rngs, state, max(n_burn, _HEAD_STEPS) - _HEAD_STEPS, 1)
     return state
 
 
-def _lockstep(stack: MapStack, rngs, state: np.ndarray, n_steps: int, n_chains: int):
+def _walk(stack: MapStack, rngs, state: np.ndarray, n_steps: int, n_chains: int,
+          kept=None) -> None:
     """Walk ``n_chains`` chains per stack row for ``n_steps`` steps from
-    ``state`` (the w0 row and the w1 row, cell-major columns), which ends
-    holding the last step.
+    ``state`` (the w0 row and the w1 row, one column per chain,
+    cell-major), which ends holding the last step; with ``kept``, an
+    (n_chains * rows, n_steps, 2) array, column c's point after step s goes
+    to ``kept[c, s]``.
 
-    At each block of b steps every cell draws one (b, n_chains) int64
-    block from its generator, and chain c takes column c; int64 draws do
-    not depend on how the stream is split into blocks.  Yields
-    ``(lo, buf[1:b+1])``, steps lo, lo+1, ... of every chain.
+    Every cell draws its whole (n_steps, n_chains) int64 block from its
+    generator at once, and at step s chain c of the cell keeps preimage
+    ``block[s, c]`` of the ``_solve`` call on every chain; int64 draws do
+    not depend on how a generator's stream is split.
     """
-    width, d = state.shape[1], stack.degree
-    if n_chains > 1:  # one row per chain, gathered once
-        stack = MapStack([R for R in stack.maps for _ in range(n_chains)])
-    size = max(1, _BLOCK_POINTS // width)
-    # planar state: buf[k] = (w0 row, w1 row) after k steps of the block
-    buf = np.empty((min(size, n_steps) + 1, 2, width), dtype=complex)
-    buf[0] = state
-    for lo in range(0, n_steps, size):
-        b = min(size, n_steps - lo)
-        idx = np.concatenate([rng.integers(d, size=(b, n_chains)) for rng in rngs],
-                             axis=1)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for k in range(b):
-                buf[k + 1] = _solve(stack, None, buf[k], idx[k])
-        yield lo, buf[1: b + 1]
-        buf[0] = buf[b]
-    state[...] = buf[0]
+    d = stack.degree
+    rows = np.arange(len(stack.maps)).repeat(n_chains)
+    draws = np.concatenate([rng.integers(d, size=(n_steps, n_chains)) for rng in rngs],
+                           axis=1)
+    picks = draws + np.arange(len(rows)) * d  # columns of _solve's (2, n * d) result
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for s, pick in enumerate(picks):
+            np.take(_solve(stack, rows, state).reshape(2, -1), pick, axis=1, out=state)
+            if kept is not None:
+                kept[:, s] = state.T
 
 
 def _head(stack: MapStack, rngs, start) -> np.ndarray:
     """The first ``_HEAD_STEPS`` steps of every cell's chain, all cells at
     once; returns the points they reach, the w0 row and the w1 row.
 
-    At each step ``_branches`` gives the d preimages of the point of every
+    At each step ``_solve`` gives the d preimages of the point of every
     cell still in its head, and the cell goes to branch ``rng.integers(d)``
     of its own generator.  A cell whose point has all its preimages within
     chordal distance 1e-12 of it (numerically exceptional) instead perturbs
@@ -630,10 +607,9 @@ def _head(stack: MapStack, rngs, start) -> np.ndarray:
     found = np.zeros(n, dtype=int)  # exceptional points met per cell
     walking = np.arange(n)
     while walking.size:
-        pre = _branches(stack, walking, current[:, walking])
-        pre = pre.reshape(2, walking.size, d)
         at = current[:, walking, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            pre = _solve(stack, walking, current[:, walking])
             dist = np.abs(pre[0] * at[1] - pre[1] * at[0]) / (
                 np.maximum(np.abs(pre[0]), np.abs(pre[1]))
                 * np.maximum(np.abs(at[0]), np.abs(at[1])))

@@ -428,7 +428,7 @@ def cmd_hybrid_converge(cfg: ExperimentConfig) -> ResultRecord:
 
     family, _, _, mu = _na_measure(cfg)
     datum = parse_sections(cfg.datum_sections, k=cfg.datum_k, d=cfg.datum_d)
-    if not admissible.datum_regular(datum, cfg.moduli, seed=cfg.seed):
+    if not admissible.datum_regular(datum, [t for *_, t in _grid_cells(cfg)], seed=cfg.seed):
         raise ConfigError("datum sections share a zero on the sampled fibers")
     i0 = 0.0
     for pt, mass in mu.support():

@@ -546,11 +546,13 @@ def newton_puiseux(coeffs: list, target: Fraction) -> list:
 
     ``coeffs`` are LaurentSeries, ascending in the variable.  Returns a list
     of LaurentSeries roots (with multiplicity), each truncated at exponent
-    ``target``.  Each Newton edge's residue polynomial is solved in plain
-    complex arithmetic by ``_edge_roots``: from the roots of its end binomial
-    ``c_0 + c_k * y**k``, exact for an edge without middle terms, and by an
-    Aberth-Ehrlich iteration otherwise.  So the roots and their order do not
-    depend on a LAPACK build.  Only simple residue roots get Newton steps on
+    ``target``: all of them, as many as the degree left after dropping
+    trailing exact-zero coefficients, or PrecisionError.  Each Newton edge's
+    residue polynomial is solved in plain complex arithmetic by
+    ``_edge_roots``: from the roots of its end binomial ``c_0 + c_k * y**k``,
+    exact for an edge without middle terms, and by an Aberth-Ehrlich
+    iteration otherwise.  So the roots and their order do not depend on a
+    LAPACK build.  Only simple residue roots get Newton steps on
     the edge polynomial; ``_edge_roots`` refines a multiple one on a
     derivative.  Exact roots are detected and returned with infinite
     precision when the residual vanishes.
@@ -636,4 +638,9 @@ def newton_puiseux(coeffs: list, target: Fraction) -> list:
     # each level deepens the expansion; generous cap tied to the target order
     depth = max(4, int(2 * target) + 8)
     expand(list(coeffs), LaurentSeries.zero(), depth, Fraction(-10 ** 9))
+    degree = len(coeffs) - 1
+    while degree > 0 and coeffs[degree].is_exact_zero():
+        degree -= 1
+    if len(roots) != max(degree, 0):
+        raise PrecisionError(f"{len(roots)} of {degree} roots resolved at target {target}")
     return roots

@@ -1,5 +1,6 @@
 """Model functions of admissible data on both sides of the degeneration."""
 
+import cmath
 import math
 from fractions import Fraction as F
 
@@ -282,6 +283,29 @@ class TestRegularity:
         F_s = parse_sections(["(t - 0.1)*w0", "(t - 0.1)*w1"], k=1, d=1)
         assert not datum_regular(F_s, [0.1])
         assert datum_regular(F_s, [0.2])
+        # among other fibers, in one call
+        assert not datum_regular(F_s, [0.2, -0.1, 0.1, 0.3j])
+        assert datum_regular(F_s, [0.2, -0.1, 0.3j])
+
+    def test_all_fibers_at_once_match_each_alone(self):
+        # one call over a grid decides as the fibers do one by one, for
+        # data with fractional powers of t, and for a datum that vanishes on
+        # the fiber t = -0.001 (modulus 1e-3, phase 4)
+        from hybdyn.admissible import datum_regular
+
+        ts = [m * cmath.exp(2j * math.pi * p / 8) for m in (1e-1, 1e-3, 1e-6)
+              for p in range(8)]
+        singular = []
+        for sections, d in ((["w0^2 + t*w1^2", "t^(1/2)*w0*w1"], 2),
+                            (["(t + 0.001)*w0", "(t + 0.001)*w1"], 1),
+                            (["t*w0^2 + w1^2/t", "t^(1/3)*w0*w1"], 2)):
+            F = parse_sections(sections, k=1, d=d)
+            alone = [datum_regular(F, [t]) for t in ts]
+            assert datum_regular(F, ts) is all(alone)
+            assert datum_regular(F, ts[::-1]) is all(alone)
+            assert datum_regular(F, []) is True
+            singular.append([i for i, ok in enumerate(alone) if not ok])
+        assert singular == [[], [12], []]
 
     def test_pointwise_common_zero_probe(self):
         # the single section w0^2 vanishes at [0 : 1] on every fiber

@@ -1144,10 +1144,43 @@ class TestCriticalLyapunov:
 
     @pytest.mark.parametrize("text", ["2*z^4 + z^3/t + z", "z^3 - z^2/t^2 + 2*z/t^2 - 1/t"])
     def test_short_critical_list_raises(self, text):
+        # critical_centers raises rather than return a short list, so no
+        # short list reaches the sum
         fam = parse_family(text)
-        assert len(critical_centers(fam, target=12)) < fam.degree - 1
+        with pytest.raises(PrecisionError, match="0 of .* roots resolved"):
+            critical_centers(fam, target=12)
         with pytest.raises(PrecisionError):
             critical_lyapunov(fam, GreenEvaluator(fam, R, n_max=16))
+
+    def test_full_critical_lists(self):
+        # every shipped polynomial family and every family of the table gets
+        # all d - 1 critical points, at the probe tree's target and at 12
+        from hybdyn.presets import FAMILY_TEXTS
+
+        texts = [t for t in FAMILY_TEXTS if parse_family(t).is_polynomial()]
+        texts += [text for text, _ in self.TABLE]
+        assert len(texts) == 13
+        for text in texts:
+            fam = parse_family(text)
+            for target in (6, 12):
+                assert len(critical_centers(fam, target=target)) == fam.degree - 1
+
+    @pytest.mark.parametrize("text, raises_at", [
+        ("2*z^4 + z^3/t + z", [12]),
+        ("z^4 - z^3/t - 2*z/t", [12]),
+        ("-z^4 - z^3/t - 2*z^2*t + 3*z/t - 1/t", [12]),
+        ("z^4 + z^3 - 2*z^2*t - 1/t", [6, 12]),
+        ("z^3 - z^2/t^2 + 2*z/t^2 - 1/t", [12])])
+    def test_short_lists_of_the_battery_raise(self, text, raises_at):
+        # families of the random battery whose critical points do not all
+        # resolve: each target gives all d - 1 points or raises
+        fam = parse_family(text)
+        for target in (6, 12):
+            if target in raises_at:
+                with pytest.raises(PrecisionError, match=f"of {fam.degree - 1} roots"):
+                    critical_centers(fam, target=target)
+            else:
+                assert len(critical_centers(fam, target=target)) == fam.degree - 1
 
 
 class TestRamifiedResolution:

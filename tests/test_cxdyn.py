@@ -187,6 +187,35 @@ class TestBackwardSampling:
                     ref = _scalar_walk(rc, 8, n_burn, n_keep, start)
                     assert s.points.tobytes() == ref.tobytes()
 
+    def test_kernel_blocks_do_not_change_the_walk(self, monkeypatch):
+        # blocks of 4 preimages: one step of 16 chains, or of a 5-cell
+        # burn-in, spans several kernel blocks; the point at infinity under
+        # (z^2 - t)/z sends rows through the scalar solve
+        cases = [("z^2 + 1/t", 1e-3, 1.1 + 0.7j), ("z^3 + t*z", 1e-2, 2.0),
+                 ("(z^2 - t)/z", 0.05, (1, 0))]
+        blocks = []
+        roots = cxdyn._roots
+        monkeypatch.setattr(cxdyn, "_roots", lambda qc: blocks.append(len(qc)) or roots(qc))
+
+        def run():
+            out = []
+            for text, t, start in cases:
+                fam = parse_family(text)
+                rc = specialize(fam, t)
+                out.append(backward_sample(rc, 9, 30, 500, start).points.tobytes())
+                stack = MapStack([specialize(fam, t * 1j ** k) for k in range(5)])
+                rngs = [np.random.default_rng(s) for s in range(5)]
+                out.append(cxdyn._burn_in(stack, rngs, 30, start).tobytes())
+                out.append(b"".join(str(rng.bit_generator.state).encode() for rng in rngs))
+            return out
+
+        whole = run()
+        assert max(blocks) == 16
+        blocks.clear()
+        monkeypatch.setattr(cxdyn, "_BLOCK_POINTS", 4)
+        assert run() == whole
+        assert max(blocks) == 2
+
 
 class TestIntegration:
     def setup_method(self):
@@ -593,26 +622,23 @@ class TestAllCellEvaluators:
         assert infinite == [0, 8, 0]  # the second datum vanishes at the 8 points z = 0
 
 
-def _solve(stack, rows, y, k=None):
+def _solve(stack, rows, y):
     """The batched kernel on stack rows ``rows``, one point each: all its
-    preimages, or with ``k`` (a walker step) preimage ``k[i]`` of point i."""
+    preimages, a (2, n, d) array."""
     with np.errstate(all="ignore"):
-        return cxdyn._solve(stack, rows, y, k)
+        return cxdyn._solve(stack, rows, y)
 
 
 def _kernel_matches_scalar(stack, rows, targets):
-    """Every preimage of the all-roots kernel, and every one a walker step
-    picks, equals the scalar one, bit for bit, with all points solved
-    together, on the rows ``rows`` of ``stack`` (its rows in order with
-    ``rows`` None)."""
-    n, d = len(targets), stack.degree
-    maps = stack.maps if rows is None else [stack.maps[r] for r in rows]
+    """Every preimage of the kernel equals the scalar one, bit for bit,
+    with all points solved together, on the rows ``rows`` of ``stack``
+    (its rows in order with ``rows`` None)."""
+    if rows is None:
+        rows = np.arange(len(stack.maps))
     y = np.array(targets, dtype=complex).T.copy()  # w0 row, w1 row
     with np.errstate(all="ignore"):
-        ref = np.array([cxdyn._preimages(R, y[:, i]) for i, R in enumerate(maps)])
+        ref = np.array([cxdyn._preimages(stack.maps[r], y[:, i]) for i, r in enumerate(rows)])
     assert _solve(stack, rows, y).transpose(1, 2, 0).tobytes() == ref.tobytes()
-    for k in [np.full(n, j) for j in range(d)] + [np.arange(n) % d]:
-        assert _solve(stack, rows, y, k).T.tobytes() == ref[np.arange(n), k].tobytes()
 
 
 def _one_map(R, targets):
@@ -695,15 +721,14 @@ class TestLockstepKernel:
             _kernel_matches_scalar(MapStack(maps), order, [targets[i] for i in order])
 
     def test_double_root_needs_no_scalar_solve(self, monkeypatch):
-        # z^2 at the target 0: qq vanishes, and the step takes the double
+        # z^2 at the target 0: qq vanishes, and the kernel takes the double
         # root 0 itself
         rc = RationalMapC([0, 0, 1], [1, 0, 0])
         y = np.array([[0.0, 0.3 - 0.2j, 0.0], [1.0, 1.0, -1.0]], dtype=complex)
-        ref = [cxdyn._preimages(rc, y[:, i]) for i in range(3)]
+        ref = np.array([cxdyn._preimages(rc, y[:, i]) for i in range(3)])
         monkeypatch.setattr(cxdyn, "_preimages", _raise)
-        for k in range(2):
-            out = _solve(MapStack([rc]), np.zeros(3, dtype=int), y, np.full(3, k))
-            assert out.T.tobytes() == np.array([r[k] for r in ref]).tobytes()
+        out = _solve(MapStack([rc]), np.zeros(3, dtype=int), y)
+        assert out.transpose(1, 2, 0).tobytes() == ref.tobytes()
 
     def test_scalar_solve_only_at_the_lead_cut(self, monkeypatch):
         # rows whose preimage polynomial loses its leading coefficient go to
@@ -723,7 +748,7 @@ class TestLockstepKernel:
             y = np.array([[1.0] * len(w1), w1], dtype=complex)
             solved.clear()
             rows = np.zeros(len(w1), dtype=int)
-            _solve(MapStack([rc]), rows, y, rows)
+            _solve(MapStack([rc]), rows, y)
             assert solved == [0.0, 1e-15, 0.0]
 
     @pytest.mark.parametrize("d", range(4, 9))
@@ -818,15 +843,18 @@ class TestCubicRoot:
             roots = _cubic_branches(coeffs)
             assert np.isfinite(roots).all()
             assert max(min(abs(z - r) for r in ref) for z in roots) < 1e-15
-        # the batched step takes these rows itself, without the scalar solve
+        # the batched kernel takes these rows itself, without the scalar
+        # solve, and matches it bit for bit
         stack = MapStack([RationalMapC([-1, 3, -3, 1], [0, 0, 0, 1j]),
                           RationalMapC([0, 1, 0, 1], [1, 0, 0, 0])])
-        monkeypatch.setattr(cxdyn, "_preimages", _raise)
         y = np.array([[0.0, 0.0], [1.0, 1.0]], dtype=complex)
-        for k in range(3):
-            out = _solve(stack, None, y, np.full(2, k))
-            assert np.isfinite(out).all()
-            assert abs(out[0, 0] - 1) < 1e-15 and out[1, 0] == 1
+        with np.errstate(all="ignore"):
+            ref = np.array([cxdyn._preimages(R, y[:, i]) for i, R in enumerate(stack.maps)])
+        monkeypatch.setattr(cxdyn, "_preimages", _raise)
+        out = _solve(stack, np.arange(2), y)
+        assert out.transpose(1, 2, 0).tobytes() == ref.tobytes()
+        assert np.isfinite(out).all()
+        assert (abs(out[0, 0] - 1) < 1e-15).all() and (out[1, 0] == 1).all()
 
     def test_degree_three_walk_needs_no_eigvals(self, monkeypatch):
         monkeypatch.setattr(np.linalg, "eigvals", _raise)
@@ -871,26 +899,26 @@ def _lyapunov(stack):
 
 class TestPreimageLevels:
     def test_levels_are_all_preimages(self, monkeypatch):
-        # every point of a level, in order, is _preimages' branch k of its
-        # parent, whatever the blocks and the other maps in the batch
+        # preimage k of point p of a level is _preimages' branch k of it,
+        # whatever the blocks and the other maps in the batch
         fam = parse_family("z^3 + t*z")
         stack = MapStack([specialize(fam, tv) for tv in (1e-2, 1e-4j)])
         maps = stack.maps
         roots = np.array([[0.3 + 0.1j, 1.0], [1.0, -0.2j]]).T  # one root per map
-        level1 = cxdyn._branches(stack, np.arange(2), roots)
-        ref = np.concatenate([cxdyn._preimages(R, roots[:, i]) for i, R in enumerate(maps)])
-        assert level1.T.tobytes() == ref.tobytes()
+        level1 = _solve(stack, np.arange(2), roots)
+        ref = np.array([cxdyn._preimages(R, roots[:, i]) for i, R in enumerate(maps)])
+        assert level1.transpose(1, 2, 0).tobytes() == ref.tobytes()
+        level1 = level1.reshape(2, -1)
         rows = np.arange(2).repeat(3)
-        level2 = cxdyn._branches(stack, rows, level1)
+        level2 = _solve(stack, rows, level1)
         monkeypatch.setattr(cxdyn, "_BLOCK_POINTS", 4)
-        assert cxdyn._branches(stack, rows, level1).tobytes() == level2.tobytes()
-        ref = np.concatenate([cxdyn._preimages(maps[p // 3], level1[:, p]) for p in range(6)])
-        assert level2.T.tobytes() == ref.tobytes()
+        assert _solve(stack, rows, level1).tobytes() == level2.tobytes()
+        ref = np.array([cxdyn._preimages(maps[p // 3], level1[:, p]) for p in range(6)])
+        assert level2.transpose(1, 2, 0).tobytes() == ref.tobytes()
         # the rows in another order: each point on its own row
         rows = np.array([1, 0, 0, 1, 1, 0])
-        ref = np.concatenate([cxdyn._preimages(maps[r], level1[:, p])
-                              for p, r in enumerate(rows)])
-        assert cxdyn._branches(stack, rows, level1).T.tobytes() == ref.tobytes()
+        ref = np.array([cxdyn._preimages(maps[r], level1[:, p]) for p, r in enumerate(rows)])
+        assert _solve(stack, rows, level1).transpose(1, 2, 0).tobytes() == ref.tobytes()
 
     def test_one_kernel_row_per_point(self, monkeypatch):
         # a level solves each point's preimage polynomial once, for all d
@@ -913,7 +941,7 @@ class TestPreimageLevels:
             w = rng.normal(size=n) + 1j * rng.normal(size=n)
             points = np.array([np.where(abs(w) <= 1, w, 1), np.where(abs(w) <= 1, 1, 1 / w)])
             rows.clear()
-            assert cxdyn._branches(stack, np.arange(2).repeat(n // 2), points).shape == (2, n * d)
+            assert _solve(stack, np.arange(2).repeat(n // 2), points).shape == (2, n, d)
             assert sum(rows) == n and max(rows) * d <= 2 * 1024
 
     def test_batch_layout_independent(self, monkeypatch):
@@ -1022,9 +1050,9 @@ class TestPreimageLevels:
         solved = []
         solve = cxdyn._solve
 
-        def counted(stack, rows, y, k=None):
+        def counted(stack, rows, y):
             solved.append(y.shape[1])
-            return solve(stack, rows, y, k)
+            return solve(stack, rows, y)
 
         monkeypatch.setattr(cxdyn, "_solve", counted)
         fam = parse_family("z^2 + 1/t")

@@ -513,7 +513,9 @@ class TestExperiments:
             assert (value, err) == (row[4], row[5])
             pts = cxdyn._burn_in(stack, [np.random.default_rng(seed)], cfg.n_burn, cfg.start)
             for _ in range(level + 3):
-                pts = cxdyn._branches(stack, np.zeros(pts.shape[1], dtype=int), pts)
+                with np.errstate(all="ignore"):
+                    pts = cxdyn._solve(stack, np.zeros(pts.shape[1], dtype=int), pts)
+                pts = pts.reshape(2, -1)
             assert abs(value - f(pts.T).mean()) <= err
 
     def test_monotone_flag_reads_false_on_a_rising_error(self):
@@ -742,6 +744,31 @@ class TestCli:
         assert cli_main(["hybrid-converge", "--config", str(ini), "--out", str(out)]) == 2
         assert "datum.k must be 1" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_datum_vanishing_on_a_grid_fiber_exit_code(self, tmp_path, capsys):
+        # the datum vanishes on the fiber t = -0.1, phase 1 of the modulus
+        # 0.1, and on no fiber at phase 0
+        ini = tmp_path / "fiber.ini"
+        ini.write_text("[experiment]\nkind = hybrid-converge\nlabel = fiber\n"
+                       "family = z^2\nr = 0.5\n[tgrid]\nmoduli = 1e-1, 1e-2\nphases = 2\n"
+                       "[datum]\nsections = (t + 0.1)*w0; (t + 0.1)*w1\n")
+        out = tmp_path / "out"
+        assert cli_main(["hybrid-converge", "--config", str(ini), "--out", str(out)]) == 2
+        assert "share a zero on the sampled fibers" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_short_critical_list_exit_code(self, tmp_path, capsys):
+        # newton_puiseux finds 1 of the 3 critical points at the probe
+        # tree's target, and a tree with one of them is no result
+        ini = tmp_path / "short.ini"
+        ini.write_text(NA_INI.replace("z^2 + 1/t", "z^4 + z^3 - 2*z^2*t - 1/t"))
+        out = tmp_path / "out"
+        assert cli_main(["na-measure", "--config", str(ini), "--out", str(out)]) == 3
+        assert "1 of 3 roots resolved" in capsys.readouterr().err
+        assert not out.exists()
+        # without critical centers the tree is built
+        ini.write_text(ini.read_text() + "[probes]\ninclude_critical = false\n")
+        assert cli_main(["na-measure", "--config", str(ini), "--out", str(out)]) == 0
 
     def test_bad_values_exit_code(self, tmp_path, capsys):
         ini = tmp_path / "bad.ini"

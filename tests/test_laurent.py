@@ -283,6 +283,20 @@ class TestShiftAndRoots:
         vals = sorted(root.leading()[1].imag for root in roots)
         assert vals == pytest.approx([-1 / 3 ** 0.5, 1 / 3 ** 0.5])
 
+    def test_newton_puiseux_all_roots_or_raise(self):
+        # z^3 + z^2/t + 1/t^2: an edge is skipped and no root comes back,
+        # and a short list is an error, not a result
+        cubic = [L.t_power(-2), L.zero(), L.t_power(-1), L.one()]
+        for target in (6, 12):
+            with pytest.raises(PrecisionError, match="0 of 3 roots resolved"):
+                newton_puiseux(cubic, F(target))
+        # trailing exact zeros do not count towards the degree; a root 0
+        # of multiplicity 2 counts twice
+        roots = newton_puiseux([L({2: -1}), L.zero(), L.one(), L.zero(), L.zero()], F(8))
+        assert len(roots) == 2
+        assert newton_puiseux([L.zero(), L.zero(), L.const(3)], F(8)) == [L.zero()] * 2
+        assert newton_puiseux([L.const(2), L.zero()], F(8)) == []
+
     def test_newton_puiseux_precision_guard(self):
         with pytest.raises(PrecisionError):
             newton_puiseux([L.zero(trunc=2), L.one()], F(8))
