@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import LaurentError, ParseError, PrecisionError
+from .errors import DegenerateMapError, LaurentError, ParseError, PrecisionError
 from .poly import iterate_pair
 
 _INF = math.inf
@@ -52,35 +52,34 @@ class AdmissibleDatum:
         return min(s.truncation_order() for s in self.sections)
 
 
-_REGULAR_POINTS = 64  # fiber points datum_regular samples
-_REGULAR_TOL = 1e-9  # relative size below which a section maximum is a common zero
-
-
-def datum_regular(F: AdmissibleDatum, t_values, seed: int = 0) -> bool:
-    """Sampled regularity check: no common zero on random fiber points.
-
-    The same random points are tried on the fiber of every parameter in
-    ``t_values``, all fibers in one evaluation through
-    ``coefficient_tables``.  A lazy stand-in for zero-freeness of the
-    section family; scheme-level verticality is out of scope, and a False
-    here only means a common zero was actually hit on the sampled fibers.
+def datum_regular(F: AdmissibleDatum, t_values) -> bool:
+    """Whether the sections of a datum on P^1 have no common zero on the
+    fiber of any parameter in ``t_values``, decided from resultants: two
+    sections share a zero at t exactly when ``_det_laurent(sylvester_matrix(
+    a, b))`` vanishes there, by ``cxdyn.specialize``'s rule (``_shifted_eval``'s
+    rounding bound for an exact series, ``RationalMapC``'s float check for a
+    truncated one).  With more than two sections a fiber passes when some
+    pair's resultant is nonzero there, which suffices but is not necessary.
     """
-    import numpy as np
+    from .berkovich import _det_laurent, sylvester_matrix
+    from .cxdyn import RationalMapC, _shifted_eval
 
-    rng = np.random.default_rng(seed)
-    z = [rng.normal(size=_REGULAR_POINTS) + 1j * rng.normal(size=_REGULAR_POINTS)
-         for _ in range(F.k + 1)]
-    ts = [complex(t) for t in t_values]
-    cell = np.arange(len(ts)).repeat(_REGULAR_POINTS)
-    w = [np.tile(x, len(ts)) for x in z]
-    best = np.zeros(len(cell))
-    scale = np.ones(len(ts))  # each fiber's largest coefficient modulus, at least 1
-    for s, table in zip(F.sections, coefficient_tables(F, ts)):
-        best = np.maximum(best, np.abs(s.eval_numeric(w, table, cell)))
-        for values in table.values():
-            scale = np.maximum(scale, np.abs(values))
-    return bool((best.reshape(len(ts), _REGULAR_POINTS).min(axis=1)
-                 > _REGULAR_TOL * scale).all())
+    if F.k != 1:
+        raise LaurentError(f"datum_regular needs a datum on P^1, got k = {F.k}")
+    pairs = [(a, b, _det_laurent(sylvester_matrix(a, b)))
+             for i, a in enumerate(F.sections) for b in F.sections[i + 1:]]
+
+    def apart(a, b, res, t):
+        if res.trunc is None:
+            value, bound = _shifted_eval(res, t)
+            return abs(value) > bound
+        try:
+            RationalMapC(*([c.eval(t) for c in s.dehomogenized()] for s in (a, b)))
+        except DegenerateMapError:
+            return False
+        return True
+
+    return all(any(apart(*pair, complex(t)) for pair in pairs) for t in t_values)
 
 
 def _sup_normalized(z):

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-    hybdyn <subcommand> --config PATH [--out DIR] [--seed N]
+    hybdyn <subcommand> --config PATH [--out DIR]
 
 Subcommands: circle-demo, hybrid-converge, lyap-slope, na-measure.
 Exit codes: 0 success, 2 config error, 3 numerical failure.
@@ -15,7 +15,7 @@ import sys
 from .errors import (ChartError, ConfigError, ConventionError, DegenerateFamilyError,
                      DegenerateMapError, LaurentError, ParseError,
                      UnsupportedDegreeError, UnsupportedMapError)
-from .harness import KINDS, _validate, load_config, run
+from .harness import KINDS, load_config, run
 
 _CONFIG_ERRORS = (ConfigError, ParseError)
 _NUMERICAL_ERRORS = (ChartError, ConventionError, DegenerateFamilyError,
@@ -32,7 +32,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(kind)
         p.add_argument("--config", required=True, help="INI config path")
         p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
     return parser
 
 
@@ -40,9 +39,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, kind=args.kind)
-        if args.seed is not None:
-            cfg.seed = args.seed
-            _validate(cfg)  # the override obeys the config's own rules
         record = run(cfg, out_dir=args.out)
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)

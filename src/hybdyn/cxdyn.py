@@ -5,18 +5,18 @@ estimation.
 Points on the Riemann sphere are kept as homogeneous pairs (w0, w1) with
 sup-norm 1 so that both charts stay numerically safe.  The integrals rest
 on the equidistribution of the balanced pullback: ``d^-n Σ_{R^n y = x} δ_y``
-converges to the measure of maximal entropy.  The quadrature
-(``preimage_levels``) sums over all ``d^n`` branches, level by level, and
-reports each cell's value with an error estimate and whether the
-differences between levels certify it.  The backward sampler
-(``backward_sample``) draws a uniformly random inverse branch at each step
-of one map's orbit; with ``integrate_mu`` it stays as the one-cell
-Monte-Carlo reference, and ``integrate_mu(R, lambda pts:
-log_det_norm(MapStack([R]), pts), s)`` is that reference's Lyapunov
-exponent.
+converges to the measure of maximal entropy from any non-exceptional x.
+The quadrature (``preimage_levels``) sums over all ``d^n`` branches from a
+computed repelling periodic point, level by level, and reports each cell's
+value with an error estimate and whether the differences between levels
+certify it.  The seeded backward sampler (``backward_sample``) draws a
+random inverse branch at each step of one map's orbit; with
+``integrate_mu`` it stays as the one-cell Monte-Carlo reference, and
+``integrate_mu(R, lambda pts: log_det_norm(MapStack([R]), pts), s)`` is
+that reference's Lyapunov exponent.
 
-The quadrature treats a grid of cells, one map each, as one batch: every
-burn-in step, quadrature level and integrand evaluation is a numpy call
+The quadrature treats a grid of cells, one map each, as one batch: the
+root, every quadrature level and integrand evaluation is a numpy call
 over the points of all cells, in blocks of bounded size, and a cell's
 result is bit for bit what it would be alone.  ``MapStack`` is the grid's
 layout, its coefficient rows stacked once; one map is ``MapStack([R])``.
@@ -40,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateMapError, UnsupportedDegreeError,
-                     UnsupportedMapError)
+from .errors import (DegenerateMapError, NoRepellingCycleError,
+                     UnsupportedDegreeError, UnsupportedMapError)
 
 _MAX_ROOT_DEGREE = 8
 
@@ -234,12 +234,12 @@ def _preimages(R: RationalMapC, target: np.ndarray) -> np.ndarray:
     return out
 
 
-def _roots(qc: np.ndarray) -> np.ndarray:
+def _roots(qc: np.ndarray, cap=_MAX_ROOT_DEGREE) -> np.ndarray:
     """The d roots of the polynomial with ascending coefficient row
     ``qc[i]``, whose leading coefficient must be nonzero, as row i of an
     (n, d) array: ``-c0/c1``, ``_quadratic_roots``, ``_cubic_roots``, or the
-    eigenvalues of stacked companion matrices for degrees 4 to 8.  A row's
-    roots do not depend on the other rows."""
+    eigenvalues of stacked companion matrices for degrees 4 to ``cap``.  A
+    row's roots do not depend on the other rows."""
     d = qc.shape[1] - 1
     if d == 1:
         return -qc[:, :1] / qc[:, 1:]
@@ -247,8 +247,8 @@ def _roots(qc: np.ndarray) -> np.ndarray:
         return _quadratic_roots(qc)
     if d == 3:
         return _cubic_roots(qc)
-    if d > _MAX_ROOT_DEGREE:
-        raise UnsupportedDegreeError(f"polynomial degree {d} > {_MAX_ROOT_DEGREE}")
+    if d > cap:
+        raise UnsupportedDegreeError(f"polynomial degree {d} > {cap}")
     # numpy.roots' companion matrix: first row -p[1:] / p[0], p descending
     comp = np.tile(np.eye(d, k=-1, dtype=complex), (len(qc), 1, 1))
     comp[:, 0] = -qc[:, d - 1::-1] / qc[:, d:]
@@ -394,7 +394,7 @@ def backward_sample(R: RationalMapC, seed: int, n_burn: int, n_keep: int,
     """Random backward orbit: one uniformly chosen preimage per step.
 
     One chain walks ``max(n_burn, 3)`` burn-in steps from ``start``
-    (``_burn_in`` with ``default_rng(seed)``, the root of the quadrature);
+    (``_burn_in`` with ``default_rng(seed)``);
     starts on (numerically) exceptional points are detected in the first
     three steps and perturbed.  The burned-in point is then forked into
     ``K = min(16, n_keep)`` chains of ``ceil(n_keep / K)`` steps each, and
@@ -414,17 +414,16 @@ def backward_sample(R: RationalMapC, seed: int, n_burn: int, n_keep: int,
                      n_burn=n_burn, n_keep=n_keep)
 
 
-def preimage_levels(stack: MapStack, seeds, n_burn: int, n_keep: int, start, f) -> list:
+def preimage_levels(stack: MapStack, n_keep: int, f) -> list:
     """Integrate ``f`` against the measure of maximal entropy of the map of
     stack row i by preimage quadrature, for every i: ``I_n = d^-n Σ f(y)``
     over all ``d^n`` points y with ``R^n y = x``, counted with
     multiplicity, for the root x.
 
-    The root is cell i's burned-in point (``_burn_in`` with
-    ``default_rng(seeds[i])``, as ``backward_sample`` starts).  Level 1
-    holds the d preimages of the root and level n+1 those of every point of
-    level n, all rows at once; a level is entered only while
-    ``d^n <= n_keep``.  With ``Δ_n = I_n - I_{n-1}``, a cell is certified
+    The root is ``_repelling_root``'s, a point of the Julia set and never
+    exceptional.  Level 1 holds the d preimages of the root and level n+1
+    those of every point of level n, all rows at once; a level is entered
+    only while ``d^n <= n_keep``.  With ``Δ_n = I_n - I_{n-1}``, a cell is certified
     at level n when ``|Δ_n|`` and ``|Δ_{n-1}|`` are both below
     ``_QUAD_TOL``; one small difference is no certificate, since an
     integrand can be locally constant at coarse levels.  A cell stops early,
@@ -450,8 +449,7 @@ def preimage_levels(stack: MapStack, seeds, n_burn: int, n_keep: int, start, f) 
     top = 0  # the last level within the budget
     while d ** (top + 1) <= n_keep:
         top += 1
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    points = _burn_in(stack, rngs, n_burn, start)
+    points = _repelling_root(stack)[0]
     active = np.arange(n_cells)
     means = [[] for _ in range(n_cells)]
     peak = [0.0] * n_cells  # max |f| on a cell's last kept level
@@ -551,9 +549,97 @@ _BLOCK_POINTS = 2 * 1024
 _QUAD_TOL = 1e-12  # preimage quadrature: certificate on two level differences
 
 
+_PERIODS = 3  # the longest cycle _repelling_root looks for
+_REPELLING = 1e-9  # a cycle repels when log|λ| exceeds this: |λ| > 1 + 1e-9
+_TWIN = 1e-6  # zeros nearer than this (|x0 y1 - x1 y0|) are one multiple zero
+
+
+def _repelling_root(stack: MapStack):
+    """The quadrature's root of every stack row, all rows at once: the most
+    repelling periodic point of the smallest period k <= 3 with a repelling
+    cycle (the w0 row and the w1 row), with each row's k and ``log|λ|``.
+    The candidates are the zeros of ``w1 P0^(k) - w0 P1^(k)``, ``P^(k)`` the
+    k-th iterate, and ``log|λ|`` sums ``log_det_norm`` over the cycle, as
+    the spherical factors telescope.  No parabolic point is chosen, not even
+    a multiple zero that rounding splits, and a row with no repelling cycle
+    raises.  Every step is row by row."""
+    n = len(stack.maps)
+    root, period, log_mult = np.empty((2, n), dtype=complex), np.zeros(n, int), np.zeros(n)
+    todo, a, b = np.arange(n), stack.p0c, stack.p1c  # the forms of R^k on the rows todo
+    for k in range(1, _PERIODS + 1):
+        if k > 1:
+            a, b = _compose(stack, todo, a, b)
+        pts = _periodic_points(a, b)
+        rows, x = todo.repeat(pts.shape[2]), pts.reshape(2, -1)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            lam = log_det_norm(stack, x.T, rows)
+            for _ in range(k - 1):
+                x = _image(stack, rows, x)
+                lam += log_det_norm(stack, x.T, rows)
+        # a zero with a rounded twin is a multiple fixed point of R^k, whose
+        # multiplier is 1, though its rounded copies may read as repelling
+        x0, x1 = pts[0][:, :, None], pts[1][:, :, None]
+        twins = (np.abs(x0 * x1.transpose(0, 2, 1) - x1 * x0.transpose(0, 2, 1))
+                 < _TWIN).sum(axis=2) > 1
+        lam = np.where(np.isnan(lam) | twins.ravel(), -np.inf, lam).reshape(len(todo), -1)
+        best = lam.argmax(axis=1)
+        top = lam[np.arange(len(todo)), best]
+        found = top > _REPELLING
+        root[:, todo[found]] = pts[:, found, best[found]]
+        period[todo[found]], log_mult[todo[found]] = k, top[found]
+        todo, a, b = todo[~found], a[~found], b[~found]
+        if not len(todo):
+            return root, period, log_mult
+    raise NoRepellingCycleError(
+        f"no repelling cycle of period <= {_PERIODS} for {stack.maps[todo[0]]!r}")
+
+
+def _periodic_points(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The zeros of ``w1 a - w0 b``, a and b forms of degree D with ascending
+    coefficient rows, as a (2, n, D + 1) array: a leading coefficient at
+    ``_solve``'s 1e-14 cut is a zero at infinity, and the others are the
+    roots of ``_roots`` without its degree cap, all rows of one degree at once."""
+    q = np.zeros((len(a), a.shape[1] + 1), dtype=complex)
+    q[:, :-1] = a
+    q[:, 1:] -= b
+    mag = np.abs(q)
+    deg = a.shape[1] - (mag > 1e-14 * mag.max(axis=1, keepdims=True))[:, ::-1].argmax(axis=1)
+    out = np.zeros((2, *a.shape), dtype=complex)
+    out[0] = 1.0  # the point at infinity
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for g in set(deg[deg > 0].tolist()):  # np.unique would import numpy.ma
+            z = _roots(q[deg == g, : g + 1], cap=math.inf)
+            inside = np.abs(z) <= 1.0
+            out[:, deg == g, :g] = np.where(inside, z, 1.0), np.where(inside, 1.0, 1.0 / z)
+    return out
+
+
+def _compose(stack: MapStack, rows: np.ndarray, a: np.ndarray, b: np.ndarray) -> list:
+    """The forms ``Σ_j c[j] a^j b^(d-j)`` of ``R∘(a, b)`` for both coefficient
+    rows c of stack row ``rows[i]`` and the forms of row i of a and b."""
+    def mul(x, y):
+        return np.array([np.convolve(u, v) for u, v in zip(x, y)])
+
+    pa, pb = [np.ones((len(rows), 1))], [np.ones((len(rows), 1))]
+    for _ in range(stack.degree):
+        pa, pb = pa + [mul(pa[-1], a)], pb + [mul(pb[-1], b)]
+    terms = [mul(x, y) for x, y in zip(pa, pb[::-1])]
+    return [sum(c[rows, j, None] * term for j, term in enumerate(terms))
+            for c in (stack.p0c, stack.p1c)]
+
+
+def _image(stack: MapStack, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``R(x[:, i])`` under stack row ``rows[i]``, unnormalized, in the chart
+    where the coordinate of x has modulus at most 1."""
+    z_chart = np.abs(x[0]) <= np.abs(x[1])
+    z = np.where(z_chart, _safe_div(x[0], x[1]), _safe_div(x[1], x[0]))
+    return np.where(z_chart, [_horner(stack.p0c, rows, z), _horner(stack.p1c, rows, z)],
+                    [_horner(stack._q1, rows, z), _horner(stack._q0, rows, z)])
+
+
 def _burn_in(stack: MapStack, rngs, n_burn: int, start) -> np.ndarray:
-    """Every cell's burned-in point, the root of both the quadrature and
-    ``backward_sample``: ``max(n_burn, 3)`` steps from ``start`` on one
+    """Every cell's burned-in point, the root of ``backward_sample``'s
+    chains: ``max(n_burn, 3)`` steps from ``start`` on one
     chain per stack row, the first three checked by ``_head`` and the rest
     walked by ``_walk``, all rows at once.  Returns the w0 row and the w1
     row, one column per row."""

@@ -50,6 +50,10 @@ class UnsupportedMapError(HybdynError, ValueError):
     """Operation requires a polynomial (or otherwise restricted) map."""
 
 
+class NoRepellingCycleError(UnsupportedMapError):
+    """A map has no repelling cycle of a short period to root a quadrature at."""
+
+
 class ConfigError(HybdynError, ValueError):
     """Invalid experiment configuration."""
 

@@ -307,6 +307,28 @@ class TestRegularity:
             singular.append([i for i, ok in enumerate(alone) if not ok])
         assert singular == [[], [12], []]
 
+    def test_more_sections_need_a_pair_apart(self):
+        # a fiber passes when some pair of sections has a nonzero resultant
+        # there; w0*w1, w0*(w0 - w1) and w1*(w0 - w1) share no zero, but each
+        # pair does, so they are rejected.  One section always has a zero
+        from hybdyn.admissible import datum_regular
+
+        apart = parse_sections(["w0*w1", "w0^2 + w1^2", "(t - 0.1)*w1^2"], k=1, d=2)
+        assert datum_regular(apart, [0.1, 0.2, -0.3j])
+        pairwise = parse_sections(["w0*w1", "w0*(w0 - w1)", "w1*(w0 - w1)"], k=1, d=2)
+        assert not datum_regular(pairwise, [0.1])
+        assert not datum_regular(parse_sections(["w0 + w1"], k=1, d=1), [0.1])
+        with pytest.raises(LaurentError, match="datum on P\\^1"):
+            datum_regular(parse_sections(["w0", "w1", "w2"], k=2, d=1), [0.1])
+
+    def test_truncated_resultant_takes_the_float_check(self):
+        # 1/(1 - t) is truncated, so the float Sylvester determinant decides
+        from hybdyn.admissible import datum_regular
+
+        F = parse_sections(["w0/(1 - t)", "(t - 0.1)*w1"], k=1, d=1)
+        assert not datum_regular(F, [0.2, 0.1])
+        assert datum_regular(F, [0.2, 0.1j])
+
     def test_pointwise_common_zero_probe(self):
         # the single section w0^2 vanishes at [0 : 1] on every fiber
         F_s = parse_sections(["w0^2"], k=1, d=2)

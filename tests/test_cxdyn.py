@@ -11,8 +11,8 @@ from numpy.polynomial import polynomial as npoly
 from hybdyn import admissible, cxdyn
 from hybdyn.cxdyn import (MapStack, RationalMapC, backward_sample, escape_green,
                           integrate_mu, log_det_norm, przytycki_oracle, specialize)
-from hybdyn.errors import (DegenerateMapError, UnsupportedDegreeError,
-                           UnsupportedMapError)
+from hybdyn.errors import (DegenerateMapError, NoRepellingCycleError,
+                           UnsupportedDegreeError, UnsupportedMapError)
 from hybdyn.hybrid import HybridPoint, tau_eval
 from hybdyn.laurent import LaurentSeries
 from hybdyn.parser import parse_family, parse_sections, parse_series
@@ -394,17 +394,20 @@ class TestEscapeOracle:
         assert derivatives == 5 * 40
 
     def test_wronskian_built_on_first_read(self):
-        # only the Lyapunov integrand reads the Wronskian rows
+        # a stack builds the Wronskian rows when they are first read: by the
+        # quadrature's root, whose multipliers are log_det_norm sums, or by
+        # the Lyapunov integrand
         fam = parse_family("z^3 + t*z")
-        stack = MapStack([specialize(fam, 1e-2), specialize(fam, 1e-4j)])
         names = {"_wz", "_q0", "_q1", "_wu"}
-        assert not names & set(vars(stack))
-        cxdyn.preimage_levels(stack, [1, 2], 20, 100, 1.1 + 0.7j,
-                              lambda cell, pts: np.zeros(len(pts)))
-        assert not names & set(vars(stack))
-        log_det_norm(stack, np.array([[0.5, 1.0], [1.0, 0.25j]]), np.array([1, 0]))
-        assert names <= set(vars(stack))
-        assert all(stack.__dict__[name].shape[0] == 2 for name in names)
+        for first in (lambda st: cxdyn.preimage_levels(st, 100,
+                                                       lambda cell, pts: np.zeros(len(pts))),
+                      lambda st: log_det_norm(st, np.array([[0.5, 1.0], [1.0, 0.25j]]),
+                                              np.array([1, 0]))):
+            stack = MapStack([specialize(fam, 1e-2), specialize(fam, 1e-4j)])
+            assert not names & set(vars(stack))
+            first(stack)
+            assert names <= set(vars(stack))
+            assert all(stack.__dict__[name].shape[0] == 2 for name in names)
 
     def test_scaled_lead_conjugation(self):
         # a z^2 is conjugate to z^2: same Lyapunov exponent
@@ -864,7 +867,7 @@ class TestCubicRoot:
             s = backward_sample(rc, 1, 20, 500, 1.1 + 0.7j)
             assert integrate_mu(rc, lambda pts: log_det_norm(stack, pts, [i] * len(pts)),
                                 s).n_used == 500
-        results = cxdyn.preimage_levels(stack, [1, 2], 20, 500, 1.1 + 0.7j, _lyapunov(stack))
+        results = cxdyn.preimage_levels(stack, 500, _lyapunov(stack))
         assert all(math.isfinite(value) and level >= 3 for value, _, level, _ in results)
 
 
@@ -948,17 +951,16 @@ class TestPreimageLevels:
         fam = parse_family("z^2 + 1/t")
         maps = [specialize(fam, 10.0 ** -k * complex(math.cos(k), math.sin(k)))
                 for k in range(2, 7)]
-        seeds = [41, 42, 43, 44, 45]
-        args = (100, 20000, 1.1 + 0.7j)
-        def levels(maps, seeds):
-            stack = MapStack(maps)
-            return cxdyn.preimage_levels(stack, seeds, *args, _lyapunov(stack))
 
-        together = levels(maps, seeds)
-        reversed_ = levels(maps[::-1], seeds[::-1])[::-1]
-        alone = [levels([rc], [s])[0] for rc, s in zip(maps, seeds)]
+        def levels(maps):
+            stack = MapStack(maps)
+            return cxdyn.preimage_levels(stack, 20000, _lyapunov(stack))
+
+        together = levels(maps)
+        reversed_ = levels(maps[::-1])[::-1]
+        alone = [levels([rc])[0] for rc in maps]
         monkeypatch.setattr(cxdyn, "_BLOCK_POINTS", 6)
-        small_blocks = levels(maps, seeds)
+        small_blocks = levels(maps)
         assert all(certified for *_, certified in together)
         assert together == reversed_ == alone == small_blocks
 
@@ -977,8 +979,7 @@ class TestPreimageLevels:
             calls.append(np.bincount(cell, minlength=n_cells))
             return np.zeros(len(pts))
 
-        results = cxdyn.preimage_levels(MapStack(maps), list(range(n_cells)), 0, n_keep,
-                                        1.1 + 0.7j, f)
+        results = cxdyn.preimage_levels(MapStack(maps), n_keep, f)
         per_block = np.array(calls)
         assert len(calls) > 1 and (per_block.sum(axis=1) <= 2 * 1024).all()
         # a cell's points are its levels 1, ..., n: 2 + 4 + ... + 2^n
@@ -989,7 +990,7 @@ class TestPreimageLevels:
         rc = RationalMapC([0.0] * 9 + [1.0], [1.0] + [0.0] * 9)
         calls = []
         with pytest.raises(UnsupportedDegreeError):
-            cxdyn.preimage_levels(MapStack([rc, rc]), [1, 2], 5, 10 ** 9, 1.5,
+            cxdyn.preimage_levels(MapStack([rc, rc]), 10 ** 9,
                                   lambda cell, pts: calls.append(pts))
         assert calls == []
 
@@ -1001,7 +1002,7 @@ class TestPreimageLevels:
             rc = specialize(parse_family(text), t)
             stack = MapStack([rc])
             ((mean, err, n, certified),) = cxdyn.preimage_levels(
-                stack, [5], 100, 20000, 1.1 + 0.7j, lambda cell, pts: log_det_norm(stack, pts))
+                stack, 20000, lambda cell, pts: log_det_norm(stack, pts))
             assert certified and (level is None or n == level)
             assert err < 1e-12
             s = backward_sample(rc, 5, 100, 20000, 1.1 + 0.7j)
@@ -1013,7 +1014,7 @@ class TestPreimageLevels:
         for tv in (1e-2, -3e-4j, 1e-6 * complex(math.cos(0.7), math.sin(0.7))):
             stack = MapStack([specialize(fam, tv)])
             ((mean, err, n, certified),) = cxdyn.preimage_levels(
-                stack, [7], 100, 20000, 1.1 + 0.7j, _lyapunov(stack))
+                stack, 20000, _lyapunov(stack))
             assert abs(mean - przytycki_oracle(fam, tv)) < 1e-12
             assert certified and 3 <= n <= 10 and err < 1e-11
 
@@ -1026,7 +1027,7 @@ class TestPreimageLevels:
         i5 = 2.0 + 2.0 ** -40 + 2.0 ** -42
         by_size = {2: 1.0, 4: 1.0, 8: 2.0, 16: 2.0 + 2.0 ** -40, 32: i5}
         f = lambda cell, pts: np.full(len(pts), by_size[len(pts)])  # noqa: E731
-        assert cxdyn.preimage_levels(MapStack([rc]), [3], 100, 20000, 1.1 + 0.7j, f) == [
+        assert cxdyn.preimage_levels(MapStack([rc]), 20000, f) == [
             (i5, 2.0 ** -40, 5, True)]
 
     def test_estimate_takes_the_largest_recent_ratio(self):
@@ -1039,11 +1040,11 @@ class TestPreimageLevels:
         for k in (10, 11, 16, 17, 22):
             means.append(means[-1] + 2.0 ** -k)
         f = lambda cell, pts: np.full(len(pts), means[len(pts).bit_length() - 2])  # noqa: E731
-        assert cxdyn.preimage_levels(MapStack([rc]), [3], 100, 64, 1.1 + 0.7j, f) == [
+        assert cxdyn.preimage_levels(MapStack([rc]), 64, f) == [
             (means[4], 2.0 ** -16, 5, False)]
         # exact levels: the estimate is the rounding of the level's sum
         three = lambda cell, pts: np.full(len(pts), -3.0)  # noqa: E731
-        assert cxdyn.preimage_levels(MapStack([rc]), [3], 100, 64, 1.1 + 0.7j, three) == [
+        assert cxdyn.preimage_levels(MapStack([rc]), 64, three) == [
             (-3.0, 8 * 3.0 * np.finfo(float).eps, 3, True)]
 
     def test_fallbacks(self, monkeypatch):
@@ -1060,24 +1061,23 @@ class TestPreimageLevels:
         # a Mobius map has no measure of maximal entropy: nothing is solved
         mobius = MapStack([RationalMapC([0.5, 1], [1, 0.25j])])
         with pytest.raises(UnsupportedMapError):
-            cxdyn.preimage_levels(mobius, [1], 100, 20000, 0.3, _lyapunov(mobius))
+            cxdyn.preimage_levels(mobius, 20000, _lyapunov(mobius))
         assert solved == []
         # a budget below d^3 leaves levels 1 and 2, and no certificate
         for (value, err, level, certified), ref in zip(
-                cxdyn.preimage_levels(pole, [1, 2], 100, 7, 1.1 + 0.7j, _lyapunov(pole)),
-                cxdyn.preimage_levels(pole, [1, 2], 100, 20000, 1.1 + 0.7j,
-                                      _lyapunov(pole))):
+                cxdyn.preimage_levels(pole, 7, _lyapunov(pole)),
+                cxdyn.preimage_levels(pole, 20000, _lyapunov(pole))):
             assert (level, certified) == (2, False) and ref[3]
             assert err >= abs(value - ref[0]) > 0
         # a level with a value that is not finite ends the cell, which keeps
         # the level before it, or reports no value at level 1
         inf = lambda cell, pts: np.full(len(pts), -np.inf)  # noqa: E731
-        results = cxdyn.preimage_levels(pole, [1, 2], 100, 20000, 1.1 + 0.7j, inf)
+        results = cxdyn.preimage_levels(pole, 20000, inf)
         assert all(math.isnan(value) and (err, level, certified) == (math.inf, 0, False)
                    for value, err, level, certified in results)
         # two cells: level 3 is the first with 16 points
         late = lambda cell, pts: np.full(len(pts), -np.inf if len(pts) == 16 else 1.0)  # noqa: E731
-        assert cxdyn.preimage_levels(pole, [1, 2], 100, 20000, 1.1 + 0.7j, late) == [
+        assert cxdyn.preimage_levels(pole, 20000, late) == [
             (1.0, 4 * np.finfo(float).eps, 2, False)] * 2
         # (z^2 - t)/z: the differences shrink by about 0.4 a level, which
         # cannot reach the tolerance within 2^14 points; the cell ends long
@@ -1085,12 +1085,84 @@ class TestPreimageLevels:
         rational = parse_family("(z^2 - t)/z")
         stack = MapStack([specialize(rational, tv) for tv in (1e-2, 1e-4j, -1e-6)])
         solved.clear()
-        # the head's 3 steps and the lockstep burn-in, one point per cell
-        # and step
-        burn = len(stack.maps) * (3 + 97)
-        results = cxdyn.preimage_levels(stack, [1, 2, 3], 100, 20000, 1.1 + 0.7j,
-                                        _lyapunov(stack))
+        results = cxdyn.preimage_levels(stack, 20000, _lyapunov(stack))
         assert not any(certified for *_, certified in results)
         assert all(4 <= level <= 6 and 1e-12 < err < 1 for _, err, level, _ in results)
-        # a level solves the points of the level before it
-        assert sum(solved) - burn <= len(stack.maps) * (1 + 2 + 4 + 8 + 16)
+        # a level solves the points of the level before it, and the root is
+        # solved for, not walked to
+        assert sum(solved) <= len(stack.maps) * (1 + 2 + 4 + 8 + 16)
+
+
+class TestRepellingRoot:
+    def test_most_repelling_fixed_point(self):
+        # z^2 + c: the fixed point (1 + sqrt(1 - 4c)) / 2 of multiplier 2z;
+        # z^3 + t*z: ±sqrt(1 - t), multiplier 3 - 2t, beside the attracting 0
+        for text, tv, z, lam in (
+                ("z^2 - 2", 0.1, 2.0, 4.0),
+                ("z^2 + 1/t", 1e-2j, (1 + cmath.sqrt(1 + 400j)) / 2, 1 + cmath.sqrt(1 + 400j)),
+                ("z^3 + t*z", 1e-1, -math.sqrt(0.9), 2.8)):
+            root, period, log_mult = cxdyn._repelling_root(
+                MapStack([specialize(parse_family(text), tv)]))
+            assert period[0] == 1 and log_mult[0] == pytest.approx(math.log(abs(lam)), rel=1e-12)
+            assert abs(root[0, 0] / root[1, 0] - z) <= 1e-12 * abs(z)
+
+    def test_two_cycle_without_a_repelling_fixed_point(self):
+        # (z^2 - t)/z has one fixed point, the parabolic infinity (multiplier
+        # exactly 1); the fixed points of (z^5 + t)/(z^4 + 1) are a parabolic
+        # infinity and the attracting t.  Both take a repelling 2-cycle: for
+        # (z^2 - t)/z it is ±(t/2)^(1/2), of multiplier 9
+        ts = (1e-2, 1e-4j, -1e-6)
+        for text, log_mult in (("(z^2 - t)/z", math.log(9)), ("(z^5 + t)/(z^4 + 1)", 4.394)):
+            stack = MapStack([specialize(parse_family(text), tv) for tv in ts])
+            root, period, lam = cxdyn._repelling_root(stack)
+            assert list(period) == [2, 2, 2]
+            assert lam == pytest.approx([log_mult] * 3, abs=1e-12 if "5" not in text else 1e-3)
+            if "5" not in text:
+                z = root[0] / root[1]
+                assert abs(z * z - np.array(ts) / 2).max() < 1e-15
+        # rooted there, level 4 of the Lyapunov quadrature lies within its
+        # estimate of the level-17 value 0.86577; at the parabolic infinity it
+        # would read 1.000, 1.284 and 1.572
+        stack = MapStack([specialize(parse_family("(z^2 - t)/z"), tv) for tv in ts])
+        for value, err, level, _ in cxdyn.preimage_levels(stack, 20000, _lyapunov(stack)):
+            assert level == 4 and abs(value - 0.86577) <= err < 0.02
+
+    def test_no_parabolic_root(self, monkeypatch):
+        # z^2 + 1/4 moved by z -> z + s has a parabolic double fixed point at
+        # 1/2 - s, which rounding splits into two zeros about 1e-8 apart with
+        # |λ| up to 1 + 1.5e-8; they are one multiple zero, so the root is
+        # the 2-cycle of multiplier 5, and the Lyapunov quadrature lies
+        # within its estimate of log 2
+        for s in (0, 0.3 + 0.17j, 0.1 + 0.7j, -0.23 + 0.41j, 0.37 - 0.29j):
+            stack = MapStack([RationalMapC([s * s + 0.25 - s, 2 * s, 1.0], [1.0, 0, 0])])
+            _, period, log_mult = cxdyn._repelling_root(stack)
+            assert period[0] == 2 and log_mult[0] == pytest.approx(math.log(5), abs=1e-14)
+            ((value, err, _, _),) = cxdyn.preimage_levels(stack, 20000, _lyapunov(stack))
+            assert abs(value - LOG2) <= err < 0.02
+        # with cycles of period 1 only, (z^2 - t)/z has none that repels: an
+        # error, not its parabolic fixed point and not a random walk
+        monkeypatch.setattr(cxdyn, "_PERIODS", 1)
+        monkeypatch.setattr(cxdyn, "_solve", _raise)
+        stack = MapStack([specialize(parse_family("(z^2 - t)/z"), 1e-2)])
+        with pytest.raises(NoRepellingCycleError, match="period <= 1"):
+            cxdyn.preimage_levels(stack, 20000, _lyapunov(stack))
+
+    def test_row_independent_of_batch(self):
+        # rows of period 1 and 2, of one degree, in one stack and each alone
+        maps = [specialize(parse_family(text), tv)
+                for text in ("z^2 + 1/t", "(z^2 - t)/z", "z^2 - 2")
+                for tv in (1e-2, 1e-5j)]
+        together = cxdyn._repelling_root(MapStack(maps))
+        assert list(together[1]) == [1, 1, 2, 2, 1, 1]
+        for i, rc in enumerate(maps):
+            alone = cxdyn._repelling_root(MapStack([rc]))
+            for a, b in zip(alone, together):
+                assert a[..., 0].tobytes() == b[..., i].tobytes()
+        # degree 5: the 2-cycles of the quintic are solved on companion
+        # matrices of degree 26, past the cap of the preimage kernel
+        quintic = [specialize(parse_family("(z^5 + t)/(z^4 + 1)"), tv) for tv in (1e-2, 1e-3j)]
+        together = cxdyn._repelling_root(MapStack(quintic))
+        for i, rc in enumerate(quintic):
+            alone = cxdyn._repelling_root(MapStack([rc]))
+            assert all(a[..., 0].tobytes() == b[..., i].tobytes()
+                       for a, b in zip(alone, together))

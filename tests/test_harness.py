@@ -14,13 +14,12 @@ import numpy as np
 import pytest
 
 import hybdyn
-from hybdyn import admissible, berkovich, cli, cxdyn, hybrid
+from hybdyn import berkovich, cli, cxdyn
 from hybdyn.cli import main as cli_main
 from hybdyn.errors import ChartError, ConfigError, PrecisionError
-from hybdyn.harness import (_cell_seed, _fmt_cell, _grid_cells, cmd_circle_demo,
-                            fit_slope, load_config, load_record, run,
-                            write_record)
-from hybdyn.parser import parse_family, parse_sections
+from hybdyn.harness import (_fmt_cell, _grid_cells, cmd_circle_demo, fit_slope,
+                            load_config, load_record, run, write_record)
+from hybdyn.parser import parse_family
 
 CIRCLE_INI = """
 [experiment]
@@ -474,8 +473,7 @@ class TestExperiments:
             for (j, p, m, t), row in zip(_grid_cells(c), rec.rows):
                 stack = cxdyn.MapStack([cxdyn.specialize(family, t, r=c.r)])
                 ((mean, err, _, certified),) = cxdyn.preimage_levels(
-                    stack, [_cell_seed(c.seed, j, p)], c.n_burn, c.n_keep, c.start,
-                    lambda cell, pts: cxdyn.log_det_norm(stack, pts))
+                    stack, c.n_keep, lambda cell, pts: cxdyn.log_det_norm(stack, pts))
                 oracle = cxdyn.przytycki_oracle(family, t) if c is cfg else math.nan
                 alone = [j, p, t.real, t.imag, mean, err, oracle, 0, certified]
                 assert [_fmt_cell(x) for x in alone] == [_fmt_cell(x) for x in row]
@@ -490,33 +488,33 @@ class TestExperiments:
         assert errs[0] > errs[-1]  # genuinely nontrivial integrand
 
     def test_estimates_cover_three_deeper_levels(self, monkeypatch):
-        # hybrid-cubic at its own budget, one phase per modulus: a cell's
-        # estimate covers its deviation from the level three deeper than
-        # the one it reports, certified or not
-        cfg = load_config(bench_configs(monkeypatch)["hybrid-cubic"])
-        family = parse_family(cfg.family)
-        datum = parse_sections(cfg.datum_sections, k=cfg.datum_k, d=cfg.datum_d)
-        rec = run(cfg)
-        assert rec.summary["uncertified_cells"] > 0
-        for (j, p, m, t), row in zip(_grid_cells(cfg), rec.rows):
-            if p != j % cfg.phases:
-                continue
-            stack = cxdyn.MapStack([cxdyn.specialize(family, t, r=cfg.r)])
-            scale = hybrid.scaling_n(hybrid.HybridPoint.interior(t, cfg.r))
+        # no cell may stop early on an extrapolation: then every uncertified
+        # cell of the hybrid-cubic grid and of (z^2 - t)/z lies within its
+        # estimate of the same cell's level three deeper
+        monkeypatch.setattr(cxdyn, "_levels_to_certify", lambda step, rho: 0)
+        grids = []
+        levels = cxdyn.preimage_levels
 
-            def f(pts):
-                return scale * admissible.phi_canonical(datum, (pts[:, 0], pts[:, 1]), t)
+        def recorded(stack, n_keep, f):
+            grids.append((stack, f, levels(stack, n_keep, f)))
+            return grids[-1][2]
 
-            seed = _cell_seed(cfg.seed, j, p)
-            ((value, err, level, _),) = cxdyn.preimage_levels(
-                stack, [seed], cfg.n_burn, cfg.n_keep, cfg.start, lambda cell, pts: f(pts))
-            assert (value, err) == (row[4], row[5])
-            pts = cxdyn._burn_in(stack, [np.random.default_rng(seed)], cfg.n_burn, cfg.start)
-            for _ in range(level + 3):
-                with np.errstate(all="ignore"):
-                    pts = cxdyn._solve(stack, np.zeros(pts.shape[1], dtype=int), pts)
-                pts = pts.reshape(2, -1)
-            assert abs(value - f(pts.T).mean()) <= err
+        monkeypatch.setattr(cxdyn, "preimage_levels", recorded)
+        rational = POLE_SLOPE_INI.replace("z^2 + 1/t", "(z^2 - t)/z") + "[green]\nn_max = 4\n"
+        for text, uncertified in ((bench_configs(monkeypatch)["hybrid-cubic"], 40),
+                                  (rational, 6)):
+            run(load_config(text))
+            stack, f, results = grids[-1]
+            root = cxdyn._repelling_root(stack)[0]
+            cells = [i for i, (*_, certified) in enumerate(results) if not certified]
+            assert len(cells) >= uncertified
+            for i in cells:
+                value, err, level, _ = results[i]
+                pts = root[:, i: i + 1]
+                for _ in range(level + 3):
+                    with np.errstate(all="ignore"):
+                        pts = cxdyn._solve(stack, np.full(pts.shape[1], i), pts).reshape(2, -1)
+                assert abs(value - f(np.full(pts.shape[1], i), pts.T).mean()) <= err
 
     def test_monotone_flag_reads_false_on_a_rising_error(self):
         # ROADMAP item 2's datum on z^2 + 1/t: the error against the probe
@@ -613,7 +611,7 @@ class TestExperiments:
         assert all(row[7] == 0 and row[5] < 1e-11 for row in pole.rows)
         assert all(row[7] == 0 and 1e-11 < row[5] < 0.1 for row in rational.rows)
         with open(tmp_path / "pole.csv") as fh:
-            assert fh.readline() == "# schema: hybdyn/lyap-slope/v7\n"
+            assert fh.readline() == "# schema: hybdyn/lyap-slope/v8\n"
         # a rational family keeps the probe tree's value, which is not exact
         assert rational.summary["na_lyapunov"] == rational.summary["na_lyapunov_tree"]
         assert rational.summary["na_lyapunov_exact"] is False
@@ -656,6 +654,23 @@ def test_import_leaves_scipy_unloaded():
         load_config('configs/lyap-slope-quad-pole.ini')
         print('numpy' in sys.modules, 'hybdyn.cxdyn' in sys.modules)"""
     assert _python(code).split() == ["False", "False", "False", "True", "True"]
+
+
+def test_sampled_runs_load_no_numpy_random():
+    # every quadrature root is computed, none drawn: a lyap-slope and a
+    # hybrid-converge run import neither numpy.random nor numpy.polynomial,
+    # nor numpy.ma, which np.unique imports (13 ms in a fresh process)
+    code = """if True:
+        import sys
+        from hybdyn.harness import load_config, run
+        for name in ('lyap-slope-quad-pole', 'hybrid-converge-square'):
+            cfg = load_config(f'configs/{name}.ini')
+            cfg.out_dir = None  # nothing is written
+            run(cfg)
+        print('numpy' in sys.modules, sorted(
+            name for name in sys.modules if name.split('.')[:2] in
+            (['numpy', 'random'], ['numpy', 'polynomial'], ['numpy', 'ma'])))"""
+    assert _python(code) == "True []"
 
 
 CXDYN_EXPORTS = ("RationalMapC", "SampleSet", "backward_sample", "integrate_mu",
@@ -754,7 +769,15 @@ class TestCli:
                        "[datum]\nsections = (t + 0.1)*w0; (t + 0.1)*w1\n")
         out = tmp_path / "out"
         assert cli_main(["hybrid-converge", "--config", str(ini), "--out", str(out)]) == 2
-        assert "share a zero on the sampled fibers" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "no two datum sections are free of common zeros at t = (-0.1+" in err
+        assert not out.exists()
+        # every pair of these three sections shares a zero on every fiber,
+        # though the three have none in common: rejected at the first fiber
+        ini.write_text(ini.read_text().replace("(t + 0.1)*w0; (t + 0.1)*w1",
+                                               "w0*w1; w0*(w0 - w1); w1*(w0 - w1)\nd = 2"))
+        assert cli_main(["hybrid-converge", "--config", str(ini), "--out", str(out)]) == 2
+        assert "free of common zeros at t = (0.1+0j)" in capsys.readouterr().err
         assert not out.exists()
 
     def test_short_critical_list_exit_code(self, tmp_path, capsys):
@@ -817,10 +840,16 @@ class TestCli:
         assert "bad number literal '1e400'" in capsys.readouterr().err
 
     def test_negative_seed_override_exit_code(self, tmp_path, capsys):
-        # the override is validated like sampler.seed in the config
+        # there is no --seed flag: the command line rejects it, and a
+        # negative seed in the config is a config error
         ini = tmp_path / "s.ini"
         ini.write_text(SLOPE_INI)
-        assert cli_main(["lyap-slope", "--config", str(ini), "--seed", "-1"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["lyap-slope", "--config", str(ini), "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed -1" in capsys.readouterr().err
+        ini.write_text(SLOPE_INI.replace("seed = 23", "seed = -1"))
+        assert cli_main(["lyap-slope", "--config", str(ini)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "sampler.seed must be >= 0" in err
 
@@ -840,13 +869,16 @@ class TestCli:
                        "family = (z^2 + z)/(z^2 + z)\nr = 0.5\n")
         assert cli_main(["na-measure", "--config", str(ini)]) == 3
 
-    def test_seed_override_changes_hash(self, tmp_path):
-        ini = tmp_path / "s.ini"
-        ini.write_text(SLOPE_INI)
-        out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
-        assert cli_main(["lyap-slope", "--config", str(ini), "--out", out1]) == 0
-        assert cli_main(["lyap-slope", "--config", str(ini), "--out", out2,
-                         "--seed", "99"]) == 0
-        h1 = json.loads((tmp_path / "a" / "square.json").read_text())["config_hash"]
-        h2 = json.loads((tmp_path / "b" / "square.json").read_text())["config_hash"]
-        assert h1 != h2
+    def test_seed_changes_hash_not_rows(self, tmp_path):
+        # sampler.seed is still hashed, but no sampled row depends on it
+        for kind, text in (("lyap-slope", SLOPE_INI), ("hybrid-converge", CONVERGE_INI)):
+            bodies, hashes = [], []
+            for seed in ("23", "99"):
+                ini = tmp_path / f"{kind}-{seed}.ini"
+                ini.write_text(text.replace("seed = 23", f"seed = {seed}"))
+                out = tmp_path / f"{kind}-{seed}"
+                assert cli_main([kind, "--config", str(ini), "--out", str(out)]) == 0
+                (csv,) = out.glob("*.csv")
+                bodies.append(csv.read_text().splitlines()[2:])
+                hashes.append(json.loads(csv.with_suffix(".json").read_text())["config_hash"])
+            assert bodies[0] == bodies[1] and hashes[0] != hashes[1]
