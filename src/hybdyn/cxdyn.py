@@ -550,8 +550,9 @@ _QUAD_TOL = 1e-12  # preimage quadrature: certificate on two level differences
 
 
 _PERIODS = 3  # the longest cycle _repelling_root looks for
-_REPELLING = 1e-9  # a cycle repels when log|λ| exceeds this: |λ| > 1 + 1e-9
-_TWIN = 1e-6  # zeros nearer than this (|x0 y1 - x1 y0|) are one multiple zero
+# a cycle repels when log|λ| exceeds this, |λ| > 1.001: rounding splits a
+# multiple fixed point, of multiplier 1, into zeros that read |λ| = 1 + 4e-6
+_REPELLING = 1e-3
 
 
 def _repelling_root(stack: MapStack):
@@ -561,8 +562,8 @@ def _repelling_root(stack: MapStack):
     The candidates are the zeros of ``w1 P0^(k) - w0 P1^(k)``, ``P^(k)`` the
     k-th iterate, and ``log|λ|`` sums ``log_det_norm`` over the cycle, as
     the spherical factors telescope.  No parabolic point is chosen, not even
-    a multiple zero that rounding splits, and a row with no repelling cycle
-    raises.  Every step is row by row."""
+    a multiple zero that rounding splits (``_REPELLING``), and a row with no
+    repelling cycle raises.  Every step is row by row."""
     n = len(stack.maps)
     root, period, log_mult = np.empty((2, n), dtype=complex), np.zeros(n, int), np.zeros(n)
     todo, a, b = np.arange(n), stack.p0c, stack.p1c  # the forms of R^k on the rows todo
@@ -576,12 +577,7 @@ def _repelling_root(stack: MapStack):
             for _ in range(k - 1):
                 x = _image(stack, rows, x)
                 lam += log_det_norm(stack, x.T, rows)
-        # a zero with a rounded twin is a multiple fixed point of R^k, whose
-        # multiplier is 1, though its rounded copies may read as repelling
-        x0, x1 = pts[0][:, :, None], pts[1][:, :, None]
-        twins = (np.abs(x0 * x1.transpose(0, 2, 1) - x1 * x0.transpose(0, 2, 1))
-                 < _TWIN).sum(axis=2) > 1
-        lam = np.where(np.isnan(lam) | twins.ravel(), -np.inf, lam).reshape(len(todo), -1)
+        lam = np.where(np.isnan(lam), -np.inf, lam).reshape(len(todo), -1)
         best = lam.argmax(axis=1)
         top = lam[np.arange(len(todo)), best]
         found = top > _REPELLING
