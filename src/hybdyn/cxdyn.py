@@ -551,7 +551,8 @@ _QUAD_TOL = 1e-12  # preimage quadrature: certificate on two level differences
 
 _PERIODS = 3  # the longest cycle _repelling_root looks for
 # a cycle repels when log|λ| exceeds this, |λ| > 1.001: rounding splits a
-# multiple fixed point, of multiplier 1, into zeros that read |λ| = 1 + 4e-6
+# multiple fixed point, of multiplier 1, into zeros whose |λ| reads up to
+# about 1 + 4e-6
 _REPELLING = 1e-3
 
 
