@@ -12,7 +12,6 @@ never loads it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import gcd
 
 from .errors import DegenerateMapError, LaurentError, ParseError, PrecisionError
@@ -21,13 +20,8 @@ from .poly import iterate_pair
 _INF = math.inf
 
 
-@dataclass(frozen=True)
 class AdmissibleDatum:
     """Degree d >= 1 plus a nonempty list of degree-d sections in w0..wk."""
-
-    degree: int
-    k: int
-    sections: tuple
 
     def __init__(self, degree: int, k: int, sections):
         sections = tuple(sections)
@@ -43,9 +37,7 @@ class AdmissibleDatum:
                     f"section degree {s.degree} does not match datum degree {degree}")
         if all(s.is_zero() for s in sections):
             raise ParseError("all sections are zero")
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "sections", sections)
+        self.degree, self.k, self.sections = degree, k, sections
 
     def truncation_order(self):
         """Residual truncation order across all section coefficients."""

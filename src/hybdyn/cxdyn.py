@@ -36,7 +36,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -194,18 +193,16 @@ def _shifted_eval(series, t: complex):
     return value, n * u / (1 - n * u) * mag
 
 
-@dataclass
 class SampleSet:
     """Backward-orbit sample of the equilibrium measure (seeded, reproducible).
 
-    The points of the chains forked after the burn-in, chain-major: chain
-    0's points in walk order, then chain 1's, and so on.
+    ``points``, (n_keep, 2) complex homogeneous with sup-norm 1, are the
+    points of the chains forked after the burn-in, chain-major: chain 0's
+    points in walk order, then chain 1's, and so on.
     """
 
-    points: np.ndarray  # (n_keep, 2) complex homogeneous, sup-norm 1
-    seed: int
-    n_burn: int
-    n_keep: int
+    def __init__(self, points: np.ndarray, seed: int, n_burn: int, n_keep: int):
+        self.points, self.seed, self.n_burn, self.n_keep = points, seed, n_burn, n_keep
 
 
 def _preimages(R: RationalMapC, target: np.ndarray) -> np.ndarray:
@@ -730,13 +727,11 @@ def _to_affine(p) -> complex:
     return p[0] / p[1] if p[1] != 0 else 1e6 + 0j
 
 
-@dataclass
 class IntegralResult:
-    mean: float
-    stderr: float
-    n_used: int
-    n_excluded: int
-    warn: bool
+    def __init__(self, mean: float, stderr: float, n_used: int, n_excluded: int,
+                 warn: bool):
+        self.mean, self.stderr = mean, stderr
+        self.n_used, self.n_excluded, self.warn = n_used, n_excluded, warn
 
 
 def integrate_mu(R: RationalMapC, f, s: SampleSet) -> IntegralResult:

@@ -12,21 +12,24 @@ from __future__ import annotations
 import cmath
 import configparser
 import hashlib
+import importlib
 import io
 import json
 import math
 import os
 import time
-import typing
-from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 
-from . import admissible, berkovich, hybrid
+from . import berkovich
 from .errors import ConfigError, ParseError
 from .parser import parse_family, parse_sections, parse_series
 
+# the layers each kind runs on beyond the non-Archimedean core; load_config
+# loads them with the config, so that their import is paid in set-up
+_LAYERS = {"circle-demo": ("hybrid",), "hybrid-converge": ("admissible", "hybrid", "cxdyn"),
+           "lyap-slope": ("cxdyn",)}
 # the kinds that sample complex fibers; only they load cxdyn, and with it numpy
-_SAMPLED_KINDS = ("hybrid-converge", "lyap-slope")
+_SAMPLED_KINDS = tuple(kind for kind, layers in _LAYERS.items() if "cxdyn" in layers)
 # the CSV schema version of each kind: hybrid-converge v7 and lyap-slope v8
 # root every cell's preimage quadrature at a repelling periodic point, not
 # at a seeded walk; the other kinds' CSVs are as in v5
@@ -34,51 +37,54 @@ _SCHEMA_VERSIONS = {"circle-demo": "v5", "hybrid-converge": "v7", "lyap-slope": 
                     "na-measure": "v5"}
 
 
-def _key(name: str, default=MISSING, factory=MISSING, hashed: bool = True):
-    """A config field read from the INI key ``name`` (``section.key``) as the
-    field's annotated type; an absent key leaves the field default.  Hashed
-    fields enter the config hash in field order."""
-    return field(default=default, default_factory=factory,
-                 metadata={"key": name, "hashed": hashed})
-
-
-@dataclass
-class ExperimentConfig:
-    """One experiment; each field declares its INI key, and the fields are
-    the config schema."""
-
-    kind: str = _key("experiment.kind")
-    label: str = _key("experiment.label")  # defaults to kind
-    family: str | None = _key("experiment.family", None)
-    r: float = _key("experiment.r", 0.5)
-    moduli: list[float] = _key("tgrid.moduli", factory=list)
-    phases: int = _key("tgrid.phases", 8)
+# The config schema: (attribute, INI key ``section.key``, type, default,
+# hashed).  A key is read as its type; an absent key leaves the default (a
+# list default is copied per config).  Hashed keys enter the config hash in
+# this order.
+_SCHEMA = (
+    ("kind", "experiment.kind", str, None, True),
+    ("label", "experiment.label", str, None, True),  # defaults to kind
+    ("family", "experiment.family", str | None, None, True),
+    ("r", "experiment.r", float, 0.5, True),
+    ("moduli", "tgrid.moduli", list[float], [], True),
+    ("phases", "tgrid.phases", int, 8, True),
     # seed, n_burn and start change no output; until the benchmark's configs
     # stop setting them (ROADMAP item 15) they are read, checked and hashed
-    seed: int = _key("sampler.seed", 2026)
-    n_burn: int = _key("sampler.n_burn", 100)
-    n_keep: int = _key("sampler.n_keep", 4000)
-    start: complex = _key("sampler.start", 1.1 + 0.7j)
-    green_n_max: int = _key("green.n_max", 16)
-    green_tol: float = _key("green.tol", 1e-3)
-    s_min: Fraction = _key("probes.s_min", Fraction(-3))
-    s_max: Fraction = _key("probes.s_max", Fraction(3))
-    probe_q: int = _key("probes.q", 2)
-    orbit_len: int = _key("probes.orbit_len", 2)
-    include_critical: bool = _key("probes.include_critical", True)
-    datum_sections: list[str] = _key("datum.sections", factory=lambda: ["w0", "w1"])
-    datum_k: int = _key("datum.k", 1)
-    datum_d: int = _key("datum.d", 1)
-    series_f: str | None = _key("series.f", None)
-    j_max: int = _key("series.j_max", 30)
-    out_dir: str | None = _key("output.dir", None, hashed=False)
+    ("seed", "sampler.seed", int, 2026, True),
+    ("n_burn", "sampler.n_burn", int, 100, True),
+    ("n_keep", "sampler.n_keep", int, 4000, True),
+    ("start", "sampler.start", complex, 1.1 + 0.7j, True),
+    ("green_n_max", "green.n_max", int, 16, True),
+    ("green_tol", "green.tol", float, 1e-3, True),
+    ("s_min", "probes.s_min", Fraction, Fraction(-3), True),
+    ("s_max", "probes.s_max", Fraction, Fraction(3), True),
+    ("probe_q", "probes.q", int, 2, True),
+    ("orbit_len", "probes.orbit_len", int, 2, True),
+    ("include_critical", "probes.include_critical", bool, True, True),
+    ("datum_sections", "datum.sections", list[str], ["w0", "w1"], True),
+    ("datum_k", "datum.k", int, 1, True),
+    ("datum_d", "datum.d", int, 1, True),
+    ("series_f", "series.f", str | None, None, True),
+    ("j_max", "series.j_max", int, 30, True),
+    ("out_dir", "output.dir", str | None, None, False),
+)
+_FIELDS = {key: (name, typ) for name, key, typ, _, _ in _SCHEMA}
 
-    def canonical_items(self):
-        return [(f.metadata["key"], _hash_text(getattr(self, f.name), _TYPES[f.name]))
-                for f in fields(self) if f.metadata["hashed"]]
+
+class ExperimentConfig:
+    """One experiment: an attribute per ``_SCHEMA`` entry, set from keyword
+    arguments or the entry's default."""
+
+    def __init__(self, **values):
+        for name, _, _, default, _ in _SCHEMA:
+            default = list(default) if isinstance(default, list) else default
+            setattr(self, name, values.pop(name, default))
+        if values:
+            raise TypeError(f"unknown config fields {sorted(values)}")
 
     def config_hash(self) -> str:
-        blob = "\n".join(f"{k}={v}" for k, v in self.canonical_items())
+        blob = "\n".join(f"{key}={_hash_text(getattr(self, name), typ)}"
+                         for name, key, typ, _, hashed in _SCHEMA if hashed)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     @property
@@ -86,8 +92,6 @@ class ExperimentConfig:
         return f"{self.label}-{self.config_hash()}"
 
 
-_TYPES = typing.get_type_hints(ExperimentConfig)
-_FIELDS = {f.metadata["key"]: f for f in fields(ExperimentConfig)}
 # list items are separated by ';', float items (moduli) also by ','
 _SEPARATORS = {float: ",", str: ";"}
 _TYPE_NAMES = {int: "an integer", float: "a number", Fraction: "a rational number",
@@ -99,14 +103,14 @@ _READERS = {bool: lambda text: configparser.ConfigParser.BOOLEAN_STATES[text.low
 
 
 def _read(text: str, typ, key: str):
-    """``text`` read as ``typ``, a config field's type; a malformed value is
-    a config error naming ``key``."""
-    if typing.get_origin(typ) is list:
-        (item,) = typing.get_args(typ)
+    """``text`` read as ``typ``, a schema type; a malformed value is a
+    config error naming ``key``."""
+    if getattr(typ, "__origin__", None) is list:
+        (item,) = typ.__args__
         sep = _SEPARATORS[item]
         return [_read(x.strip(), item, key) for x in text.replace(";", sep).split(sep)
                 if x.strip()]
-    if str in (typ, *typing.get_args(typ)):  # str or str | None
+    if typ in (str, str | None):
         return text
     try:
         return _READERS.get(typ, typ)(text)
@@ -115,9 +119,9 @@ def _read(text: str, typ, key: str):
 
 
 def _hash_text(value, typ) -> str:
-    """How a field value enters the config hash."""
-    if typing.get_origin(typ) is list:
-        (item,) = typing.get_args(typ)
+    """How a config value enters the config hash."""
+    if getattr(typ, "__origin__", None) is list:
+        (item,) = typ.__args__
         return _SEPARATORS[item].join(_hash_text(x, item) for x in value)
     if value is None:
         return ""
@@ -147,10 +151,11 @@ def load_config(source: str, kind: str | None = None) -> ExperimentConfig:
         if not any(key.startswith(f"{section}.") for key in _FIELDS):
             raise ConfigError(f"unknown config section [{section}]")
         for key, text in cp[section].items():
-            f = _FIELDS.get(f"{section}.{key}")
-            if f is None:
+            if f"{section}.{key}" not in _FIELDS:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            values[f.name] = _read(text, _TYPES[f.name], f.metadata["key"])
+            key = f"{section}.{key}"
+            name, typ = _FIELDS[key]
+            values[name] = _read(text, typ, key)
     cfg_kind = values.setdefault("kind", kind)
     if cfg_kind is None:
         raise ConfigError("experiment.kind missing and no subcommand given")
@@ -161,8 +166,8 @@ def load_config(source: str, kind: str | None = None) -> ExperimentConfig:
     values.setdefault("label", cfg_kind)
     cfg = ExperimentConfig(**values)
     _validate(cfg)
-    if cfg_kind in _SAMPLED_KINDS:
-        from . import cxdyn  # noqa: F401  the run's complex layer loads with its config
+    for layer in _LAYERS.get(cfg_kind, ()):
+        importlib.import_module(f".{layer}", __package__)
     return cfg
 
 
@@ -219,16 +224,18 @@ def _validate(cfg: ExperimentConfig) -> None:
 # -- result records --------------------------------------------------------------------
 
 
-@dataclass
 class ResultRecord:
-    experiment_id: str
-    kind: str
-    label: str
-    config_hash: str
-    columns: list
-    rows: list
-    summary: dict
-    created: str = ""
+    """One run's output: the CSV's columns and rows and the JSON summary."""
+
+    def __init__(self, cfg: ExperimentConfig, columns: list, rows: list, summary: dict):
+        self.experiment_id = cfg.experiment_id
+        self.kind = cfg.kind
+        self.label = cfg.label
+        self.config_hash = cfg.config_hash()
+        self.columns = columns
+        self.rows = rows
+        self.summary = summary
+        self.created = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
 
     def csv_text(self) -> str:
         buf = io.StringIO()
@@ -396,6 +403,8 @@ def _na_measure(cfg: ExperimentConfig):
 
 def cmd_circle_demo(cfg: ExperimentConfig) -> ResultRecord:
     """Convergence table of a series seminorm along |t| = r * 2^-j."""
+    from . import hybrid
+
     f = parse_series(cfg.series_f)
     r = cfg.r
     limit = hybrid.tau_eval(f, hybrid.HybridPoint.central(r))
@@ -412,15 +421,15 @@ def cmd_circle_demo(cfg: ExperimentConfig) -> ResultRecord:
         "monotone_tail": all(rows[i + 1][4] <= rows[i][4] + 1e-15
                              for i in range(len(rows) // 2, len(rows) - 1)),
     }
-    return ResultRecord(cfg.experiment_id, cfg.kind, cfg.label, cfg.config_hash(),
-                        ["j", "abs_t", "value", "limit", "abs_error"], rows, summary,
-                        created=_now())
+    return ResultRecord(cfg, ["j", "abs_t", "value", "limit", "abs_error"], rows, summary)
 
 
 def cmd_hybrid_converge(cfg: ExperimentConfig) -> ResultRecord:
     """Integrals of a model function against the equilibrium measures,
     compared with the atomic non-Archimedean target."""
     import numpy as np
+
+    from . import admissible, hybrid
 
     family, _, _, mu = _na_measure(cfg)
     datum = parse_sections(cfg.datum_sections, k=cfg.datum_k, d=cfg.datum_d)
@@ -448,10 +457,8 @@ def cmd_hybrid_converge(cfg: ExperimentConfig) -> ResultRecord:
     summary.update(na_integral=i0, final_abs_error=errs[-1],
                    monotone_within_stderr=all(errs[i + 1] <= errs[i] + tol
                                               for i in range(len(errs) - 1)))
-    return ResultRecord(cfg.experiment_id, cfg.kind, cfg.label, cfg.config_hash(),
-                        ["j", "phase", "re_t", "im_t", "integral", "stderr",
-                         "n_excluded", "abs_error", "certified"], rows, summary,
-                        created=_now())
+    return ResultRecord(cfg, ["j", "phase", "re_t", "im_t", "integral", "stderr",
+                              "n_excluded", "abs_error", "certified"], rows, summary)
 
 
 def cmd_lyap_slope(cfg: ExperimentConfig) -> ResultRecord:
@@ -498,10 +505,8 @@ def cmd_lyap_slope(cfg: ExperimentConfig) -> ResultRecord:
         "briend_duval_bound": bd_bound,
         "max_oracle_deviation_sigmas": oracle_dev,
     })
-    return ResultRecord(cfg.experiment_id, cfg.kind, cfg.label, cfg.config_hash(),
-                        ["j", "phase", "re_t", "im_t", "lyapunov", "stderr",
-                         "oracle", "n_excluded", "certified"], rows, summary,
-                        created=_now())
+    return ResultRecord(cfg, ["j", "phase", "re_t", "im_t", "lyapunov", "stderr",
+                              "oracle", "n_excluded", "certified"], rows, summary)
 
 
 def cmd_na_measure(cfg: ExperimentConfig) -> ResultRecord:
@@ -528,13 +533,8 @@ def cmd_na_measure(cfg: ExperimentConfig) -> ResultRecord:
         "resultant_valuation": _fmt_cell(berkovich.resultant_valuation(family)),
         "good_reduction_exponent": _fmt_cell(berkovich.good_reduction_exponent(family)),
     }
-    return ResultRecord(cfg.experiment_id, cfg.kind, cfg.label, cfg.config_hash(),
-                        ["vertex", "chart", "center", "s", "green_value",
-                         "green_error_bound", "mass"], rows, summary, created=_now())
-
-
-def _now() -> str:
-    return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
+    return ResultRecord(cfg, ["vertex", "chart", "center", "s", "green_value",
+                              "green_error_bound", "mass"], rows, summary)
 
 
 _RUNNERS = {

@@ -17,28 +17,21 @@ monomial data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .admissible import AdmissibleDatum, g_na, phi_canonical
 from .errors import LaurentError
 from .laurent import LaurentSeries
 
 
-@dataclass(frozen=True)
 class HybridPoint:
     """Point of the hybrid circle of radius r: interior (t) or central (t=None)."""
 
-    r: float
-    t: complex | None = None
-
-    def __post_init__(self):
-        if not 0.0 < self.r < 1.0:
+    def __init__(self, r: float, t: complex | None = None):
+        if not 0.0 < r < 1.0:
             raise LaurentError("radius must lie in (0, 1)")
-        if self.t is not None:
-            t = complex(self.t)
-            if not 0.0 < abs(t) <= self.r:
-                raise LaurentError(
-                    f"interior points need 0 < |t| <= r, got |t| = {abs(t)}")
+        if t is not None and not 0.0 < abs(complex(t)) <= r:
+            raise LaurentError(
+                f"interior points need 0 < |t| <= r, got |t| = {abs(complex(t))}")
+        self.r, self.t = r, t
 
     @property
     def is_central(self) -> bool:
@@ -53,7 +46,6 @@ class HybridPoint:
         return cls(r=r, t=None)
 
 
-@dataclass(frozen=True)
 class HybridFiberPoint:
     """Fiber point over the hybrid circle.
 
@@ -61,23 +53,20 @@ class HybridFiberPoint:
     base, or a Berkovich point (TypeIIPoint / TypeIPoint) for the central one.
     """
 
-    base: HybridPoint
-    fiber: object
-
-    def __post_init__(self):
+    def __init__(self, base: HybridPoint, fiber):
         from .berkovich import TypeIIPoint, TypeIPoint
 
-        if self.base.is_central:
-            if not isinstance(self.fiber, (TypeIIPoint, TypeIPoint)):
+        if base.is_central:
+            if not isinstance(fiber, (TypeIIPoint, TypeIPoint)):
                 raise LaurentError("central fiber points carry a Berkovich point")
         else:
             try:
-                coords = tuple(complex(c) for c in self.fiber)
+                fiber = tuple(complex(c) for c in fiber)
             except TypeError:
                 raise LaurentError("interior fiber points carry complex coordinates")
-            if all(c == 0 for c in coords):
+            if all(c == 0 for c in fiber):
                 raise LaurentError("fiber coordinates must be a nonzero vector")
-            object.__setattr__(self, "fiber", coords)
+        self.base, self.fiber = base, fiber
 
     @classmethod
     def interior(cls, z, t: complex, r: float) -> "HybridFiberPoint":
@@ -125,14 +114,17 @@ def scaling_n(p: HybridPoint) -> float:
     return math.log(p.r) / math.log(abs(complex(p.t)))
 
 
-def hybrid_model_value(F: AdmissibleDatum, x: HybridFiberPoint) -> float:
-    """Model value of a datum at a hybrid fiber point.
+def hybrid_model_value(F, x: HybridFiberPoint) -> float:
+    """Model value of a datum (``admissible.AdmissibleDatum``) at a hybrid
+    fiber point.
 
     Interior fibers: scaling factor times the complex model value in the
     sup-of-coordinates metric; central fiber: the non-Archimedean model value.
     The gluing is continuous in the degeneration limit.  Acceptance
     criterion 2 (hybrid continuity) is stated through this name.
     """
+    from .admissible import g_na, phi_canonical
+
     if x.base.is_central:
         return g_na(F, x.fiber, x.base.r)
     n = scaling_n(x.base)

@@ -25,7 +25,6 @@ Parse errors carry the byte offset of the offending token.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -287,20 +286,16 @@ def _evaluate(ast, names: tuple, rational: bool):
 # -- family and datum types ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class RationalMapFamily:
     """Degree-d pair of homogeneous polynomials in (w0, w1), Laurent coefficients."""
 
-    degree: int
-    p0: HomogeneousPoly
-    p1: HomogeneousPoly
-    label: str = ""
-
-    def __post_init__(self):
-        if self.p0.degree != self.degree or self.p1.degree != self.degree:
+    def __init__(self, degree: int, p0: HomogeneousPoly, p1: HomogeneousPoly,
+                 label: str = ""):
+        if p0.degree != degree or p1.degree != degree:
             raise ParseError("family sections must share the declared degree")
-        if self.p0.is_zero() and self.p1.is_zero():
+        if p0.is_zero() and p1.is_zero():
             raise ParseError("family is identically zero")
+        self.degree, self.p0, self.p1, self.label = degree, p0, p1, label
 
     @cached_property
     def resultant(self) -> LaurentSeries:

@@ -171,6 +171,41 @@ BENCH_IDS = {
 }
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+# every key set to a value other than its default
+EVERY_KEY_INI = """\
+[experiment]
+kind = hybrid-converge
+label = every-key
+family = z^2 + t*z
+r = 0.25
+[tgrid]
+moduli = 1e-2; 1e-3, 1e-4
+phases = 3
+[sampler]
+seed = 7
+n_burn = 5
+n_keep = 64
+start = 0.5-0.25i
+[green]
+n_max = 9
+tol = 1e-4
+[probes]
+s_min = -5/2
+s_max = 7/3
+q = 3
+orbit_len = 1
+include_critical = no
+[datum]
+sections = t*w0^2 + w1^2; w0*w1;w1^2
+k = 1
+d = 2
+[series]
+f = t^(1/2) + 3
+j_max = 12
+[output]
+dir = somewhere
+"""
+
 # the na-deep-tree and na-rational benchmark workloads' configs, verbatim
 DEEP_TREE_INI = """\
 [experiment]
@@ -303,6 +338,15 @@ class TestConfig:
         for name, want in BENCH_IDS.items():
             assert load_config(configs[name]).experiment_id == want
 
+    def test_config_hashes_pinned(self):
+        # the config hash names every record, so a schema rewrite must keep
+        # it; the shipped and bench configs' hashes end the ids pinned
+        # above, and these two configs, one with every key off its default
+        # and one with none set, pin how each key type enters the hash
+        assert load_config(EVERY_KEY_INI).config_hash() == "b93b9ead997a46e8"
+        assert load_config("[experiment]\nkind = na-measure\nfamily = z^2\n"
+                           ).config_hash() == "9b52d0facedc254d"
+
     def test_output_dir_not_hashed(self):
         a = load_config(CIRCLE_INI)
         b = load_config(CIRCLE_INI + "[output]\ndir = elsewhere\n")
@@ -396,6 +440,7 @@ class TestPersistence:
         else:
             text = DEEP_TREE_INI if name == "deep-tree" else RATIONAL_INI
         cfg = load_config(text)
+        cfg.out_dir = None  # the shipped configs' [output] dir is the checkout's out/
         csv_path, _ = write_record(run(cfg), str(tmp_path))
         with open(csv_path, "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == GOLDEN_CSV[name]
@@ -654,6 +699,29 @@ def test_import_leaves_scipy_unloaded():
         load_config('configs/lyap-slope-quad-pole.ini')
         print('numpy' in sys.modules, 'hybdyn.cxdyn' in sys.modules)"""
     assert _python(code).split() == ["False", "False", "False", "True", "True"]
+
+
+def test_configs_load_only_the_layers_their_kind_runs_on():
+    # against the modules of the bare interpreter, since site may load
+    # typing on its own: the non-Archimedean configs load neither the
+    # dataclasses machinery nor the layers that only other kinds run on
+    code = """if True:
+        import sys
+        bare = set(sys.modules)
+        import hybdyn
+        from hybdyn.harness import load_config
+        watched = ('dataclasses', 'inspect', 'hybdyn.admissible', 'hybdyn.cxdyn',
+                   'hybdyn.hybrid', 'numpy')
+        for names in (('na-measure-quad-pole', 'na-measure-rational'), ('circle-demo',)):
+            for name in names:
+                load_config(f'configs/{name}.ini')
+            print([m for m in watched if m in sys.modules and m not in bare])
+        load_config('configs/hybrid-converge-square.ini')
+        print('hybdyn.admissible' in sys.modules, 'hybdyn.hybrid' in sys.modules)
+        from hybdyn import AdmissibleDatum, HybridPoint
+        print(AdmissibleDatum.__module__, HybridPoint.__module__)"""
+    assert _python(code).splitlines() == ["[]", "['hybdyn.hybrid']", "True True",
+                                          "hybdyn.admissible hybdyn.hybrid"]
 
 
 def test_sampled_runs_load_no_numpy_random():
