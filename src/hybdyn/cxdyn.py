@@ -11,7 +11,7 @@ computed repelling periodic point, level by level, and reports each cell's
 value with an error estimate and whether the differences between levels
 certify it.  The seeded backward sampler (``backward_sample``) draws a
 random inverse branch at each step of one map's orbit; with
-``integrate_mu`` it stays as the one-cell Monte-Carlo reference, and
+``integrate_mu`` it stays as the one-map Monte-Carlo reference, and
 ``integrate_mu(R, lambda pts: log_det_norm(MapStack([R]), pts), s)`` is
 that reference's Lyapunov exponent.
 
@@ -388,25 +388,47 @@ def _solve(stack: MapStack, rows: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def backward_sample(R: RationalMapC, seed: int, n_burn: int, n_keep: int,
                     start) -> SampleSet:
-    """Random backward orbit: one uniformly chosen preimage per step.
+    """Random backward orbit: one uniformly chosen preimage per step, every
+    draw from ``default_rng(seed)``.
 
-    One chain walks ``max(n_burn, 3)`` burn-in steps from ``start``
-    (``_burn_in`` with ``default_rng(seed)``);
-    starts on (numerically) exceptional points are detected in the first
-    three steps and perturbed.  The burned-in point is then forked into
+    One chain walks ``max(n_burn, 3)`` burn-in steps from ``start``.  At
+    each of the first three, a point all of whose preimages lie within
+    chordal distance 1e-12 of it (numerically exceptional) is not left:
+    the start moves by ``eps e^(i angle)``, eps and then the angle drawn
+    with ``rng.random()``, and the chain starts again; the eighth such
+    point raises.  The burned-in point is then forked into
     ``K = min(16, n_keep)`` chains of ``ceil(n_keep / K)`` steps each, and
     the sample is chain-major (chain 0's points, then chain 1's, ...),
-    truncated to ``n_keep``.  The one-cell Monte-Carlo reference that
+    truncated to ``n_keep``.  The one-map Monte-Carlo reference that
     acceptance criterion 6 samples through.
     """
     if n_keep < 1:
         raise ValueError(f"n_keep must be >= 1, got {n_keep}")
+    d, stack, rng = R.degree, MapStack([R]), np.random.default_rng(seed)
+    first = _as_point(start)
+    state, steps, found = first[:, None].copy(), 0, 0
+    while steps < _HEAD_STEPS:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            pre = _solve(stack, np.zeros(1, dtype=int), state)[:, 0]
+            dist = np.abs(pre[0] * state[1] - pre[1] * state[0]) / (
+                np.maximum(np.abs(pre[0]), np.abs(pre[1]))
+                * np.maximum(np.abs(state[0]), np.abs(state[1])))
+        if (dist < 1e-12).all():
+            found += 1
+            if found == 8:
+                raise DegenerateMapError("could not move the start off the exceptional set")
+            eps = 0.25 + 0.5 * rng.random()
+            angle = 2 * math.pi * rng.random()
+            first = _as_point(_to_affine(first) + eps * complex(math.cos(angle), math.sin(angle)))
+            state[:, 0], steps = first, 0
+        else:
+            state[:, 0], steps = pre[:, rng.integers(d)], steps + 1
+    _walk(stack, rng, state, max(n_burn, _HEAD_STEPS) - _HEAD_STEPS, 1)
     n_chains = min(_CHAINS, n_keep)
     n_steps = -(-n_keep // n_chains)
-    stack, rngs = MapStack([R]), [np.random.default_rng(seed)]
-    state = np.repeat(_burn_in(stack, rngs, n_burn, start), n_chains, axis=1)
+    state = np.repeat(state, n_chains, axis=1)
     kept = np.empty((n_chains, n_steps, 2), dtype=complex)
-    _walk(stack, rngs, state, n_steps, n_chains, kept)
+    _walk(stack, rng, state, n_steps, n_chains, kept)
     return SampleSet(points=kept.reshape(-1, 2)[:n_keep], seed=seed,
                      n_burn=n_burn, n_keep=n_keep)
 
@@ -631,85 +653,28 @@ def _image(stack: MapStack, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
                     [_horner(stack._q1, rows, z), _horner(stack._q0, rows, z)])
 
 
-def _burn_in(stack: MapStack, rngs, n_burn: int, start) -> np.ndarray:
-    """Every cell's burned-in point, the root of ``backward_sample``'s
-    chains: ``max(n_burn, 3)`` steps from ``start`` on one
-    chain per stack row, the first three checked by ``_head`` and the rest
-    walked by ``_walk``, all rows at once.  Returns the w0 row and the w1
-    row, one column per row."""
-    state = _head(stack, rngs, start)
-    _walk(stack, rngs, state, max(n_burn, _HEAD_STEPS) - _HEAD_STEPS, 1)
-    return state
-
-
-def _walk(stack: MapStack, rngs, state: np.ndarray, n_steps: int, n_chains: int,
+def _walk(stack: MapStack, rng, state: np.ndarray, n_steps: int, n_chains: int,
           kept=None) -> None:
-    """Walk ``n_chains`` chains per stack row for ``n_steps`` steps from
-    ``state`` (the w0 row and the w1 row, one column per chain,
-    cell-major), which ends holding the last step; with ``kept``, an
-    (n_chains * rows, n_steps, 2) array, column c's point after step s goes
-    to ``kept[c, s]``.
+    """Walk ``n_chains`` chains of the map of one-row ``stack`` for
+    ``n_steps`` steps from ``state`` (the w0 row and the w1 row, one column
+    per chain), which ends holding the last step; with ``kept``, an
+    (n_chains, n_steps, 2) array, chain c's point after step s goes to
+    ``kept[c, s]``.
 
-    Every cell draws its whole (n_steps, n_chains) int64 block from its
-    generator at once, and at step s chain c of the cell keeps preimage
-    ``block[s, c]`` of the ``_solve`` call on every chain; int64 draws do
-    not depend on how a generator's stream is split.
+    The whole (n_steps, n_chains) int64 block of draws comes from ``rng``
+    at once, and at step s chain c keeps preimage ``block[s, c]`` of the
+    ``_solve`` call on every chain; int64 draws do not depend on how a
+    generator's stream is split.
     """
     d = stack.degree
-    rows = np.arange(len(stack.maps)).repeat(n_chains)
-    draws = np.concatenate([rng.integers(d, size=(n_steps, n_chains)) for rng in rngs],
-                           axis=1)
-    picks = draws + np.arange(len(rows)) * d  # columns of _solve's (2, n * d) result
+    rows = np.zeros(n_chains, dtype=int)
+    # columns of _solve's (2, n_chains * d) result
+    picks = rng.integers(d, size=(n_steps, n_chains)) + np.arange(n_chains) * d
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for s, pick in enumerate(picks):
             np.take(_solve(stack, rows, state).reshape(2, -1), pick, axis=1, out=state)
             if kept is not None:
                 kept[:, s] = state.T
-
-
-def _head(stack: MapStack, rngs, start) -> np.ndarray:
-    """The first ``_HEAD_STEPS`` steps of every cell's chain, all cells at
-    once; returns the points they reach, the w0 row and the w1 row.
-
-    At each step ``_solve`` gives the d preimages of the point of every
-    cell still in its head, and the cell goes to branch ``rng.integers(d)``
-    of its own generator.  A cell whose point has all its preimages within
-    chordal distance 1e-12 of it (numerically exceptional) instead perturbs
-    its start by ``eps e^(i angle)``, drawing eps and then the angle with
-    ``rng.random()``, and restarts; its eighth exceptional point raises.
-    The other cells walk on.  Each generator draws what and in which order
-    it would with its cell walked alone.
-    """
-    d, n = stack.degree, len(stack.maps)
-    first = np.repeat(_as_point(start)[:, None], n, axis=1)  # each cell's start
-    current = first.copy()
-    steps = np.zeros(n, dtype=int)
-    found = np.zeros(n, dtype=int)  # exceptional points met per cell
-    walking = np.arange(n)
-    while walking.size:
-        at = current[:, walking, None]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            pre = _solve(stack, walking, current[:, walking])
-            dist = np.abs(pre[0] * at[1] - pre[1] * at[0]) / (
-                np.maximum(np.abs(pre[0]), np.abs(pre[1]))
-                * np.maximum(np.abs(at[0]), np.abs(at[1])))
-        exceptional = (dist < 1e-12).all(axis=1)
-        for i in walking[exceptional]:
-            found[i] += 1
-            if found[i] == 8:
-                raise DegenerateMapError("could not move the start off the exceptional set")
-            eps = 0.25 + 0.5 * rngs[i].random()
-            angle = 2 * math.pi * rngs[i].random()
-            first[:, i] = _as_point(_to_affine(first[:, i])
-                                    + eps * complex(math.cos(angle), math.sin(angle)))
-            current[:, i] = first[:, i]
-            steps[i] = 0
-        moving = ~exceptional
-        branch = np.array([rngs[i].integers(d) for i in walking[moving]], dtype=int)
-        current[:, walking[moving]] = pre[:, moving][:, np.arange(len(branch)), branch]
-        steps[walking[moving]] += 1
-        walking = walking[steps[walking] < _HEAD_STEPS]
-    return current
 
 
 def _as_point(p) -> np.ndarray:

@@ -201,8 +201,8 @@ def _validate(cfg: ExperimentConfig) -> None:
                               f"family, got {cfg.n_keep}")
     if cfg.datum_k != 1:
         raise ConfigError(f"datum.k must be 1 (every family acts on P^1), got {cfg.datum_k}")
-    if cfg.kind == "lyap-slope" and len(cfg.moduli) < 3:
-        raise ConfigError("slope fit is degenerate with fewer than 3 grid moduli")
+    if cfg.kind == "lyap-slope" and len(set(cfg.moduli)) < 3:
+        raise ConfigError("slope fit is degenerate with fewer than 3 distinct grid moduli")
     if not cmath.isfinite(cfg.start):
         raise ConfigError(f"sampler.start must be finite, got {cfg.start!r}")
     if cfg.seed < 0:

@@ -184,13 +184,33 @@ class TestBackwardSampling:
                 for n_keep in (1, 7, 16, 17, 1001, 1500):
                     s = backward_sample(rc, seed=8, n_burn=n_burn, n_keep=n_keep,
                                         start=start)
-                    ref = _scalar_walk(rc, 8, n_burn, n_keep, start)
+                    ref, restarts = _scalar_walk(rc, 8, n_burn, n_keep, start)
                     assert s.points.tobytes() == ref.tobytes()
+                    assert restarts == int(text == "z^2")
+        # from the start 0: z^d is exceptional and restarts once; K z^d
+        # pulls its chain towards 0 so fast that the third step finds it
+        # exceptional when the perturbed start lies close enough to 0, so
+        # it restarts once or twice with these seeds
+        for d, k in ((2, 8e15), (3, 1e27)):
+            restarts = {1: [], k: []}
+            for lead, seed in itertools.product(restarts, range(100, 108)):
+                rc = _power(d, lead)
+                with np.errstate(all="ignore"):
+                    s = backward_sample(rc, seed, 10, 17, 0.0)
+                    ref, n = _scalar_walk(rc, seed, 10, 17, 0.0)
+                assert s.points.tobytes() == ref.tobytes()
+                restarts[lead].append(n)
+            assert restarts[1] == [1] * 8 and max(restarts[k]) > 1
+        # K z^2 with K = 1.5e16 finds every perturbed start exceptional
+        for walk in (backward_sample, _scalar_walk):
+            with pytest.raises(DegenerateMapError, match="exceptional"):
+                with np.errstate(all="ignore"):
+                    walk(_power(2, 1.5e16), 2, 10, 17, 0.0)
 
     def test_kernel_blocks_do_not_change_the_walk(self, monkeypatch):
-        # blocks of 4 preimages: one step of 16 chains, or of a 5-cell
-        # burn-in, spans several kernel blocks; the point at infinity under
-        # (z^2 - t)/z sends rows through the scalar solve
+        # blocks of 4 preimages: one step of 16 chains spans several kernel
+        # blocks; the point at infinity under (z^2 - t)/z sends rows through
+        # the scalar solve
         cases = [("z^2 + 1/t", 1e-3, 1.1 + 0.7j), ("z^3 + t*z", 1e-2, 2.0),
                  ("(z^2 - t)/z", 0.05, (1, 0))]
         blocks = []
@@ -198,16 +218,9 @@ class TestBackwardSampling:
         monkeypatch.setattr(cxdyn, "_roots", lambda qc: blocks.append(len(qc)) or roots(qc))
 
         def run():
-            out = []
-            for text, t, start in cases:
-                fam = parse_family(text)
-                rc = specialize(fam, t)
-                out.append(backward_sample(rc, 9, 30, 500, start).points.tobytes())
-                stack = MapStack([specialize(fam, t * 1j ** k) for k in range(5)])
-                rngs = [np.random.default_rng(s) for s in range(5)]
-                out.append(cxdyn._burn_in(stack, rngs, 30, start).tobytes())
-                out.append(b"".join(str(rng.bit_generator.state).encode() for rng in rngs))
-            return out
+            return [backward_sample(specialize(parse_family(text), t), 9, 30, 500,
+                                    start).points.tobytes()
+                    for text, t, start in cases]
 
         whole = run()
         assert max(blocks) == 16
@@ -434,29 +447,6 @@ def _chordal(p, q) -> float:
     return num / (max(abs(p[0]), abs(p[1])) * max(abs(q[0]), abs(q[1])))
 
 
-def _scalar_head(R, rng, start):
-    """Reference head of one cell's chain: three scalar ``_preimages``
-    steps, restarting from a perturbed start, up to 8 times, when all the
-    preimages of the current point lie within 1e-12 of it.  Returns the
-    point reached and the number of restarts."""
-    d = R.degree
-    point = cxdyn._as_point(start)
-    for restarts in range(8):
-        current = point
-        for _ in range(3):
-            pre = cxdyn._preimages(R, current)
-            if all(_chordal(p, current) < 1e-12 for p in pre):
-                break
-            current = pre[rng.integers(d)]
-        else:
-            return current, restarts
-        eps = 0.25 + 0.5 * rng.random()
-        angle = 2 * math.pi * rng.random()
-        point = cxdyn._as_point(cxdyn._to_affine(point)
-                                + eps * complex(math.cos(angle), math.sin(angle)))
-    raise DegenerateMapError("could not move the start off the exceptional set")
-
-
 def _scalar_walk(R, seed, n_burn, n_keep, start):
     """Reference forked walk, one scalar _preimages solve per step.
 
@@ -464,12 +454,15 @@ def _scalar_walk(R, seed, n_burn, n_keep, start):
     start when the first three steps find it exceptional.  Its last point
     is copied into K = min(16, n_keep) chains of m = ceil(n_keep / K) steps;
     chain c takes its draws from column c of one (m, K) int64 block.  The
-    sample is chain-major, truncated to n_keep.
+    sample is chain-major, truncated to n_keep.  Returns it and the number
+    of restarts.
     """
     rng = np.random.default_rng(seed)
     point = cxdyn._as_point(start)
     d = R.degree
-    while True:
+    for restarts in itertools.count():
+        if restarts == 8:
+            raise DegenerateMapError("could not move the start off the exceptional set")
         current = point
         for step in range(max(n_burn, 3)):
             pre = cxdyn._preimages(R, current)
@@ -491,55 +484,12 @@ def _scalar_walk(R, seed, n_burn, n_keep, start):
         for s in range(n_steps):
             chain = cxdyn._preimages(R, chain)[draws[s, c]]
             kept.append(chain)
-    return np.array(kept[:n_keep]).reshape(n_keep, 2)
+    return np.array(kept[:n_keep]).reshape(n_keep, 2), restarts
 
 
-class TestBatchedHead:
-    """``_head`` steps all cells at once; each cell's point and generator
-    end as they do in the scalar reference walked alone."""
-
-    @staticmethod
-    def _power(d, k):
-        return RationalMapC([0] * d + [k], [1] + [0] * d)
-
-    def _grid(self, d):
-        # from the start 0: z^d is exceptional and restarts once; K z^d
-        # pulls its chain towards 0 so fast that the third step finds it
-        # exceptional when the perturbed start lies close enough to 0, so
-        # it restarts once or twice with these seeds; the third family
-        # walks off at once
-        other = specialize(parse_family("z^2 + 1/t" if d == 2 else "z^3 + t*z"), 1e-3)
-        k = 8e15 if d == 2 else 1e27
-        return [self._power(d, 1), self._power(d, k), other] * 8
-
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_equals_scalar_head(self, d):
-        maps = self._grid(d)
-        seeds = range(100, 100 + len(maps))
-        rngs = [np.random.default_rng(s) for s in seeds]
-        with np.errstate(all="ignore"):
-            head = cxdyn._head(MapStack(maps), rngs, 0.0)
-        restarts = []
-        for i, (R, seed) in enumerate(zip(maps, seeds)):
-            rng = np.random.default_rng(seed)
-            with np.errstate(all="ignore"):
-                point, n = _scalar_head(R, rng, 0.0)
-            restarts.append(n)
-            assert head[:, i].tobytes() == point.tobytes()
-            assert rngs[i].bit_generator.state == rng.bit_generator.state
-        assert restarts[0::3] == [1] * 8 and max(restarts[1::3]) > 1
-        assert restarts[2::3] == [0] * 8
-
-    def test_exhausted_restarts_raise(self):
-        # K z^2 with K = 1.5e16 finds every perturbed start exceptional
-        maps = [self._power(2, 1), self._power(2, 1.5e16)]
-        rngs = [np.random.default_rng(s) for s in (1, 2)]
-        with pytest.raises(DegenerateMapError, match="exceptional"):
-            with np.errstate(all="ignore"):
-                _scalar_head(maps[1], np.random.default_rng(2), 0.0)
-        with pytest.raises(DegenerateMapError, match="exceptional"):
-            with np.errstate(all="ignore"):
-                cxdyn._head(MapStack(maps), rngs, 0.0)
+def _power(d, k):
+    """``k z^d``."""
+    return RationalMapC([0] * d + [k], [1] + [0] * d)
 
 
 def _log_det_norm_polyval(R, pts):

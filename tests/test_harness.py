@@ -289,9 +289,11 @@ class TestConfig:
             load_config(CIRCLE_INI, kind="lyap-slope")
 
     def test_slope_fit_needs_three_moduli(self):
-        with pytest.raises(ConfigError, match="degenerate with fewer"):
-            load_config("[experiment]\nkind = lyap-slope\nfamily = z^2\nr = 0.5\n"
-                        "[tgrid]\nmoduli = 1e-2, 1e-3\n")
+        # a repeated modulus is the same cells again, not a new abscissa
+        for moduli in ("1e-2, 1e-3", "1e-2, 1e-2, 1e-3", "1e-2, 1e-2, 1e-2"):
+            with pytest.raises(ConfigError, match="degenerate with fewer"):
+                load_config("[experiment]\nkind = lyap-slope\nfamily = z^2\nr = 0.5\n"
+                            f"[tgrid]\nmoduli = {moduli}\n")
 
     @pytest.mark.parametrize("key, value", [("n_keep", -5), ("n_burn", -3),
                                             ("n_keep", 0), ("n_keep", 1)])
