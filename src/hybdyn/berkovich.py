@@ -628,6 +628,13 @@ class TreeMeasure:
         self.clipped = clipped
         self.negative_report = negative_report or []
 
+    @classmethod
+    def gauss(cls, r: float) -> "TreeMeasure":
+        """The Dirac mass at the Gauss point, on the one-vertex tree: the
+        equilibrium measure of a family with good reduction (Favre and
+        Rivera-Letelier, Proc. LMS 100, 2010)."""
+        return cls(BerkTree([TypeIIPoint.gauss()], [], 0), [1.0], r)
+
     def total_mass(self) -> float:
         return sum(self.masses)
 

@@ -483,16 +483,18 @@ def preimage_levels(stack: MapStack, n_keep: int, f) -> list:
             hi = lo + _BLOCK_POINTS
             vals[lo:hi] = f(cell[lo:hi], points[:, lo:hi].T)
         vals = vals.reshape(len(active), width)
-        finite = np.isfinite(vals).all(axis=1)
-        peaks = np.abs(vals).max(axis=1)
+        finite = np.isfinite(vals).all(axis=1).tolist()
+        with np.errstate(invalid="ignore"):  # the mean of a row not finite is unused
+            level_means = vals.mean(axis=1).tolist()  # bit for bit each row's 1-d mean
+        peaks = np.abs(vals).max(axis=1).tolist()
         keep = []
-        for c, i in enumerate(active):
+        for c, i in enumerate(active.tolist()):
             hist = means[i]
             if not finite[c]:
                 results[i] = _settle(hist, peak[i], d, False)
                 continue
-            hist.append(float(vals[c].mean()))
-            peak[i] = float(peaks[c])
+            hist.append(level_means[c])
+            peak[i] = peaks[c]
             if level >= 3:
                 step, prev = abs(hist[-1] - hist[-2]), abs(hist[-2] - hist[-3])
                 if step < _QUAD_TOL and prev < _QUAD_TOL:

@@ -21,7 +21,7 @@ import time
 from fractions import Fraction
 
 from . import berkovich
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ParseError, PrecisionError
 from .parser import parse_family, parse_sections, parse_series
 
 # the layers each kind runs on beyond the non-Archimedean core; load_config
@@ -351,8 +351,9 @@ def _grid_run(cfg: ExperimentConfig, family, mu, integrand, extra, means):
     ``per_modulus`` pools the rows of each modulus: each field of ``means``
     is the mean of its row column, and ``stderr`` is
     ``sqrt(mean(estimate**2) / n)``.  Returns the
-    rows and the summary fields that the sampled kinds share, with the
-    tree measure ``mu``'s mass fields.
+    rows and the summary fields that the sampled kinds share, with the mass
+    fields of ``mu``, the Gauss point's Dirac mass for a family with good
+    reduction and the probe tree's measure otherwise (``_na_measure``).
     """
     import numpy as np
 
@@ -385,10 +386,21 @@ def _na_measure(cfg: ExperimentConfig):
 
     The potential is evaluated once per tree vertex; ``green`` holds the
     (exponent, error bound) pairs in vertex order, bound 0.0 where exact.
+    In a sampled kind (``na-measure`` prints every tree vertex), a family
+    whose ``good_reduction_exponent`` is 0 gets exactly the Dirac mass at
+    the Gauss point (``TreeMeasure.gauss``), with no probe tree and no Green
+    value: ``green`` is empty.  An exponent that raises PrecisionError keeps
+    the probe tree.
     """
     family = parse_family(cfg.family)
     evaluator = berkovich.GreenEvaluator(family, cfg.r, n_max=cfg.green_n_max,
                                          tol=cfg.green_tol)
+    try:
+        good = cfg.kind in _SAMPLED_KINDS and berkovich.good_reduction_exponent(family) == 0
+    except PrecisionError:
+        good = False
+    if good:
+        return family, evaluator, [], berkovich.TreeMeasure.gauss(cfg.r)
     tree = berkovich.build_probe_tree(family, s_min=cfg.s_min, s_max=cfg.s_max,
                                       q=cfg.probe_q, orbit_len=cfg.orbit_len,
                                       include_critical=cfg.include_critical)

@@ -99,6 +99,8 @@ class LaurentSeries:
 
     @classmethod
     def zero(cls, trunc=_INF) -> "LaurentSeries":
+        if trunc is None or trunc == _INF:
+            return cls._make(1, {}, None)
         return cls({}, trunc=trunc)
 
     @classmethod

@@ -18,7 +18,7 @@ _INF = math.inf
 class HomogeneousPoly:
     """Homogeneous polynomial of fixed degree in ``nvars`` variables."""
 
-    __slots__ = ("nvars", "degree", "coeffs")
+    __slots__ = ("nvars", "degree", "coeffs", "_chart")  # _chart: dehomogenized()'s list
 
     def __init__(self, nvars: int, degree: int, coeffs: dict):
         """``coeffs`` maps exponent tuples (length nvars, summing to degree)
@@ -39,6 +39,7 @@ class HomogeneousPoly:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "coeffs", clean)
+        object.__setattr__(self, "_chart", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("HomogeneousPoly is immutable")
@@ -65,13 +66,16 @@ class HomogeneousPoly:
         return tr
 
     def dehomogenized(self) -> list:
-        """Ascending coefficients of the z-chart polynomial ``P(z, 1)``."""
-        if self.nvars != 2:
-            raise LaurentError("dehomogenization requires two variables")
-        out = [LaurentSeries.zero() for _ in range(self.degree + 1)]
-        for (a, _), c in self.coeffs.items():
-            out[a] = c
-        return out
+        """Ascending coefficients of the z-chart polynomial ``P(z, 1)``: a new
+        list on each call, copied from one built once."""
+        if self._chart is None:
+            if self.nvars != 2:
+                raise LaurentError("dehomogenization requires two variables")
+            out = [LaurentSeries.zero() for _ in range(self.degree + 1)]
+            for (a, _), c in self.coeffs.items():
+                out[a] = c
+            object.__setattr__(self, "_chart", out)
+        return list(self._chart)
 
     # -- algebra -----------------------------------------------------------------
 

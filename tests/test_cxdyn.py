@@ -13,7 +13,7 @@ from hybdyn.cxdyn import (MapStack, RationalMapC, backward_sample, escape_green,
                           integrate_mu, log_det_norm, przytycki_oracle, specialize)
 from hybdyn.errors import (DegenerateMapError, NoRepellingCycleError,
                            UnsupportedDegreeError, UnsupportedMapError)
-from hybdyn.hybrid import HybridPoint, tau_eval
+from hybdyn.hybrid import HybridPoint, scaling_n, tau_eval
 from hybdyn.laurent import LaurentSeries
 from hybdyn.parser import parse_family, parse_sections, parse_series
 
@@ -850,6 +850,59 @@ def _lyapunov(stack):
     return lambda cell, pts: log_det_norm(stack, pts, cell)
 
 
+def _per_cell_levels(stack, n_keep, f):
+    """``preimage_levels`` with each cell's level mean and peak read one
+    cell at a time, ``float(vals[c].mean())`` and ``float(peaks[c])``."""
+    d, n_cells = stack.degree, len(stack.maps)
+    top = 0
+    while d ** (top + 1) <= n_keep:
+        top += 1
+    points = cxdyn._repelling_root(stack)[0]
+    active = np.arange(n_cells)
+    means, peak, results = [[] for _ in range(n_cells)], [0.0] * n_cells, [None] * n_cells
+    for level in range(1, top + 1):
+        width = d ** level
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            points = _solve(stack, active.repeat(d ** (level - 1)), points).reshape(2, -1)
+        cell = active.repeat(width)
+        vals = np.empty(len(cell))
+        for lo in range(0, len(cell), cxdyn._BLOCK_POINTS):
+            hi = lo + cxdyn._BLOCK_POINTS
+            vals[lo:hi] = f(cell[lo:hi], points[:, lo:hi].T)
+        vals = vals.reshape(len(active), width)
+        finite, peaks = np.isfinite(vals).all(axis=1), np.abs(vals).max(axis=1)
+        keep = []
+        for c, i in enumerate(active):
+            hist = means[i]
+            if not finite[c]:
+                results[i] = cxdyn._settle(hist, peak[i], d, False)
+                continue
+            hist.append(float(vals[c].mean()))
+            peak[i] = float(peaks[c])
+            if level >= 3:
+                step, prev = abs(hist[-1] - hist[-2]), abs(hist[-2] - hist[-3])
+                if step < cxdyn._QUAD_TOL and prev < cxdyn._QUAD_TOL:
+                    results[i] = cxdyn._settle(hist, peak[i], d, True)
+                    continue
+                rho = cxdyn._ratio(step, prev)
+                if (level >= 4 and rho >= cxdyn._ratio(prev, abs(hist[-3] - hist[-4]))
+                        and level + cxdyn._levels_to_certify(step, rho) > top):
+                    results[i] = cxdyn._settle(hist, peak[i], d, False)
+                    continue
+            keep.append(c)
+        if not keep:
+            break
+        active = active[keep]
+        points = points.reshape(2, -1, width)[:, keep].reshape(2, -1)
+    return [res if res is not None else cxdyn._settle(hist, pk, d, False)
+            for res, hist, pk in zip(results, means, peak)]
+
+
+def _grid(moduli, phases=8):
+    return [m * complex(math.cos(2.0 * math.pi * p / phases), math.sin(2.0 * math.pi * p / phases))
+            for m in moduli for p in range(phases)]
+
+
 class TestPreimageLevels:
     def test_levels_are_all_preimages(self, monkeypatch):
         # preimage k of point p of a level is _preimages' branch k of it,
@@ -913,6 +966,28 @@ class TestPreimageLevels:
         small_blocks = levels(maps)
         assert all(certified for *_, certified in together)
         assert together == reversed_ == alone == small_blocks
+
+    def test_level_means_equal_per_cell_means(self):
+        # one row reduction per level gives every cell's mean and peak bit for
+        # bit; the lyap-quad-pole grid certifies at levels 5 to 8, and on the
+        # hybrid-cubic grid cells stop, mostly uncertified, at levels 4 to 6
+        pole = MapStack(specialize(parse_family("z^2 + 1/t"), t, r=0.5)
+                        for t in _grid([1e-2, 1e-3, 1e-4, 1e-5, 1e-6]))
+        ts = _grid([1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+        cubic = MapStack(specialize(parse_family("z^3 + t*z"), t, r=0.5) for t in ts)
+        datum = parse_sections(["w0^2 + t*w1^2", "w1^2"], k=1, d=2)
+        tables = admissible.coefficient_tables(datum, ts)
+        scale = np.array([scaling_n(HybridPoint.interior(t, 0.5)) for t in ts])
+
+        def model(cell, pts):
+            return scale[cell] * admissible.phi_canonical(datum, (pts[:, 0], pts[:, 1]),
+                                                          tables, cell)
+
+        for stack, n_keep, f, levels in ((pole, 20000, _lyapunov(pole), {5, 6, 7, 8}),
+                                          (cubic, 2000, model, {4, 5, 6})):
+            results = cxdyn.preimage_levels(stack, n_keep, f)
+            assert results == _per_cell_levels(stack, n_keep, f)
+            assert {n for _, _, n, _ in results} == levels
 
     def test_blocks_bounded_by_points(self):
         # 40 cells: a level of all active cells at once would hand the

@@ -681,6 +681,91 @@ class TestExperiments:
             assert "green_certified" not in rec.csv_text()
 
 
+# families with good reduction, whose target is the Dirac mass at the Gauss
+# point; on each the probe tree puts mass exactly 1.0 there as well
+GOOD_REDUCTION = ("z^2", "z^3 + t*z", "z^2 + t*z", "(z^2 + t*z)/(1 + t*z^2)")
+
+
+def _sampled_ini(kind: str, family: str) -> str:
+    return (f"[experiment]\nkind = {kind}\nlabel = route\nfamily = {family}\nr = 0.5\n"
+            "[tgrid]\nmoduli = 1e-2, 1e-3, 1e-4\nphases = 2\n[sampler]\nn_keep = 200\n")
+
+
+def _no_tree(*args, **kwargs):
+    raise AssertionError("a good-reduction target builds no tree")
+
+
+def _output(rec) -> tuple:
+    return rec.csv_text(), json.dumps(rec.summary, sort_keys=True)
+
+
+class TestTarget:
+    def _count_trees(self, monkeypatch) -> list:
+        calls = []
+        build = berkovich.build_probe_tree
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(berkovich, "build_probe_tree", counted)
+        return calls
+
+    @pytest.mark.parametrize("kind", ["hybrid-converge", "lyap-slope"])
+    @pytest.mark.parametrize("family", GOOD_REDUCTION)
+    def test_good_reduction_needs_no_tree(self, monkeypatch, kind, family):
+        cfg = load_config(_sampled_ini(kind, family))
+        with monkeypatch.context() as m:
+            # a nonzero exponent sends the run through the probe tree
+            m.setattr(berkovich, "good_reduction_exponent", lambda R: Fraction(1))
+            calls = self._count_trees(m)
+            tree = _output(run(cfg))
+            assert len(calls) == 1
+        monkeypatch.setattr(berkovich, "build_probe_tree", _no_tree)
+        monkeypatch.setattr(berkovich, "tree_ma", _no_tree)
+        exponent, points = berkovich.GreenEvaluator.exponent, []
+        monkeypatch.setattr(berkovich.GreenEvaluator, "exponent",
+                            lambda ev, xi: points.append(xi) or exponent(ev, xi))
+        assert _output(run(cfg)) == tree
+        # Green values only at lyap-slope's d - 1 critical points
+        fam = parse_family(family)
+        critical = kind == "lyap-slope" and fam.is_polynomial()
+        assert len(points) == (fam.degree - 1 if critical else 0)
+
+    def test_shipped_good_reduction_runs_build_no_tree(self, monkeypatch):
+        configs = bench_configs(monkeypatch)
+        monkeypatch.setattr(berkovich, "build_probe_tree", _no_tree)
+        for source in (configs["hybrid-cubic"],
+                       os.path.join(ROOT, "configs", "hybrid-converge-square.ini")):
+            assert run(load_config(source)).summary["measure_total_mass"] == 1.0
+
+    @pytest.mark.parametrize("kind", ["hybrid-converge", "lyap-slope"])
+    def test_bad_reduction_builds_the_tree(self, monkeypatch, kind):
+        calls = self._count_trees(monkeypatch)
+        rec = run(load_config(_sampled_ini(kind, "z^2 + 1/t")))
+        assert len(calls) == 1
+        assert rec.summary["measure_total_mass"] == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("kind", ["hybrid-converge", "lyap-slope"])
+    def test_undecided_reduction_falls_back_to_the_tree(self, monkeypatch, kind):
+        cfg = load_config(_sampled_ini(kind, "z^2 + t*z"))
+        want = _output(run(cfg))
+
+        def undecided(R):
+            raise PrecisionError("resultant is zero to truncation")
+
+        monkeypatch.setattr(berkovich, "good_reduction_exponent", undecided)
+        calls = self._count_trees(monkeypatch)
+        assert _output(run(cfg)) == want
+        assert len(calls) == 1
+
+    def test_gauss_measure(self):
+        mu = berkovich.TreeMeasure.gauss(0.5)
+        assert mu.support() == [(berkovich.TypeIIPoint.gauss(), 1.0)]
+        assert (mu.total_mass(), mu.mass_at_gauss(), mu.leaf_mass_fraction()) == (1.0, 1.0, 0.0)
+        assert (mu.r, mu.clipped, mu.negative_report, mu.tree.edges) == (0.5, 0.0, [], [])
+
+
 def _python(code: str) -> str:
     """Standard output of ``code`` run in a fresh interpreter on this source."""
     src = os.path.dirname(os.path.dirname(hybdyn.__file__))

@@ -31,6 +31,15 @@ class TestExamples:
         b = L({-1: -1})
         assert a + b == L({0: 1})
 
+    def test_zero_series(self):
+        z = L.zero()
+        assert (z.ram, z.terms, z.trunc) == (1, {}, None)
+        assert (L.zero(math.inf).ram, L.zero(None).trunc) == (1, None)
+        for trunc, ram, scaled in ((3, 1, 3), (F(1, 2), 2, 1), (F(-4, 3), 3, -4)):
+            z = L.zero(trunc=trunc)
+            assert (z.ram, z.terms, z.trunc) == (ram, {}, scaled)
+            assert z == L({}, trunc=trunc) and z.is_zero() and not z.is_exact_zero()
+
     def test_add_identity(self):
         f = L({-2: 3, 1: 2 + 1j})
         assert L.zero() + f == f

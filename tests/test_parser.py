@@ -2,7 +2,7 @@
 
 import pytest
 
-from hybdyn.errors import DegenerateFamilyError, ParseError
+from hybdyn.errors import DegenerateFamilyError, LaurentError, ParseError
 from hybdyn.laurent import LaurentSeries as L
 from hybdyn.parser import (parse_family, parse_section, parse_sections,
                            parse_series)
@@ -39,6 +39,29 @@ class TestFamilies:
         assert f.affine_coeffs == (L.t_power(-1), L.zero(), L.one())
         with pytest.raises(ParseError, match="not polynomial"):
             parse_family("(z^2 - t)/z").affine_coeffs
+
+    @pytest.mark.parametrize("text", FAMILY_TEXTS)
+    def test_dehomogenized_built_once_copied_per_call(self, text):
+        f = parse_family(text)
+        for P in (f.p0, f.p1):
+            # the list the uncached method built on each call
+            want = [L.zero() for _ in range(P.degree + 1)]
+            for (a, _), c in P.coeffs.items():
+                want[a] = c
+            first = P.dehomogenized()
+            assert first == want
+            assert all((x.ram, x.terms, x.trunc) == (y.ram, y.terms, y.trunc)
+                       for x, y in zip(first, want))
+            first[0] = L.one()
+            first.append(L.one())
+            second = P.dehomogenized()
+            assert second is not first and second == want
+
+    def test_dehomogenized_needs_two_variables(self):
+        section = parse_section("w0 + w2", k=2, d=1)
+        for _ in range(2):
+            with pytest.raises(LaurentError, match="two variables"):
+                section.dehomogenized()
 
     def test_degenerate_resultant(self):
         with pytest.raises(DegenerateFamilyError):
