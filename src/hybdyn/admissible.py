@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from math import gcd
 
+from .berkovich import (TypeIIPoint, TypeIPoint, _det_laurent, _section_exponent,
+                        sylvester_matrix)
 from .errors import DegenerateMapError, LaurentError, ParseError, PrecisionError
 from .poly import iterate_pair
 
@@ -53,7 +55,6 @@ def datum_regular(F: AdmissibleDatum, t_values) -> bool:
     truncated one).  With more than two sections a fiber passes when some
     pair's resultant is nonzero there, which suffices but is not necessary.
     """
-    from .berkovich import _det_laurent, sylvester_matrix
     from .cxdyn import RationalMapC, _shifted_eval
 
     if F.k != 1:
@@ -154,8 +155,6 @@ def g_na_exponent(F: AdmissibleDatum, xi):
     given by Laurent homogeneous coordinates.  Returns ``math.inf`` when every
     section vanishes at the point (the value is then -inf in log scale).
     """
-    from .berkovich import TypeIIPoint, TypeIPoint, _section_exponent
-
     if isinstance(xi, TypeIPoint):
         if len(xi.coords) != F.k + 1:
             raise LaurentError("point dimension does not match the datum")

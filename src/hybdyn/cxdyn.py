@@ -24,11 +24,11 @@ An integrand ``f(cell, pts)`` gets the points of many cells at once,
 ``cell[k]`` being the stack row of point k, as ``log_det_norm(stack, pts,
 cell)`` takes them.
 
-Every preimage comes from one kernel, ``_solve``: it forms each point's
-preimage polynomial once and finds all d of its roots in one call of the
-one root solver, ``_roots``, and returns every preimage as a homogeneous
-point.  A quadrature level keeps them all; a walker step keeps the one its
-chain drew.
+Every zero of a binary form, a preimage (``_solve``) or a periodic point
+(``_periodic_points``), comes from one kernel, ``_zeros``, over the one
+root solver ``_roots``; a leading coefficient at its cut is a zero at
+infinity.  A quadrature level keeps all d preimages of a point; a walker
+step keeps the one its chain drew.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .errors import (DegenerateMapError, NoRepellingCycleError,
                      UnsupportedDegreeError, UnsupportedMapError)
 
 _MAX_ROOT_DEGREE = 8
+_LEAD_CUT = 1e-14  # a leading coefficient at most this times its row's largest: a zero at infinity
 
 
 class RationalMapC:
@@ -207,8 +208,8 @@ class SampleSet:
 
 def _preimages(R: RationalMapC, target: np.ndarray) -> np.ndarray:
     """The d preimages of a homogeneous point, with multiplicity: the roots
-    of ``_roots`` in its order, then the points at infinity.  The one-point
-    reference that ``_solve`` reproduces and falls back to."""
+    of ``_roots`` in its order, then the points at infinity.  The scalar
+    reference that ``_solve`` reproduces bit for bit."""
     d = R.degree
     y0, y1 = target
     qc = y1 * R.p0c - y0 * R.p1c  # ascending; roots are the finite preimages
@@ -350,39 +351,47 @@ def _quadratic_roots(qc: np.ndarray) -> np.ndarray:
 
 def _solve(stack: MapStack, rows: np.ndarray, y: np.ndarray) -> np.ndarray:
     """All d preimages of the point ``y[:, i]`` under the map of stack row
-    ``rows[i]``, for every i: preimage j of point i at ``[:, i, j]`` of a
-    (2, n, d) result, solved in blocks of at most ``_BLOCK_POINTS``
-    preimages.  ``y`` and the result hold the w0 and the w1 row.  Callers
-    silence float warnings.
-
-    Row i is ``_preimages`` bit for bit, whatever the other rows and the
-    blocks: qc is formed once per point by the same array products, its
-    roots come from ``_roots``, and the chart test uses ``np.hypot``,
-    because ``np.abs`` on complex arrays can differ from the scalar ``abs``
-    in the last bit.  A row with a leading coefficient near the 1e-14 cut
-    (a preimage at infinity) enters ``_roots`` as the placeholder ``z^d``,
-    and ``_preimages`` redoes it.
-    """
+    ``rows[i]``, for every i, at ``[:, i, :]`` of a (2, n, d) result: the
+    ``_zeros`` of ``y1 P0 - y0 P1``, in blocks of at most ``_BLOCK_POINTS``
+    preimages.  Row i is ``_preimages`` bit for bit, whatever the other
+    rows and the blocks.  Callers silence float warnings."""
     d, n = stack.degree, y.shape[1]
     out = np.empty((2, n, d), dtype=complex)
-    out.fill(1.0)
     size = max(1, _BLOCK_POINTS // d)
     for lo in range(0, n, size):
-        r, yb, ob = rows[lo: lo + size], y[:, lo: lo + size], out[:, lo: lo + size]
-        p0, p1 = stack.p0c.take(r, axis=0), stack.p1c.take(r, axis=0)
-        qc = yb[1, :, None] * p0 - yb[0, :, None] * p1
-        mag = np.abs(qc)
-        # within 10x of the cut: the margin absorbs abs rounding
-        cut = mag[:, d:] * 1e13 <= mag[:, :d]
-        cut = np.flatnonzero(cut.any(axis=1)) if np.count_nonzero(cut) else ()
-        if len(cut):
-            qc[cut] = np.eye(1, d + 1, d)  # the placeholder z^d
-        z = _roots(qc)
+        r, yb = rows[lo: lo + size], y[:, lo: lo + size]
+        # the gathered rows are freed before the roots are found
+        _zeros(yb[1, :, None] * stack.p0c.take(r, axis=0)
+               - yb[0, :, None] * stack.p1c.take(r, axis=0), out=out[:, lo: lo + size])
+    return out
+
+
+def _zeros(q: np.ndarray, cap=_MAX_ROOT_DEGREE, out=None) -> np.ndarray:
+    """The D zeros of the binary form with ascending coefficient row ``q[i]``,
+    for every i, at ``[:, i, :]`` of a (2, n, D) array (or ``out``): a root
+    z of ``_roots`` is ``(z, 1)`` where ``np.hypot`` gives ``|z| <= 1`` (the
+    scalar ``abs``, bit for bit), else ``(1, 1/z)``.  A leading coefficient
+    at most ``_LEAD_CUT`` times the row's largest is a zero ``(1, 0)`` at
+    infinity, after the zeros of the lower degree, as in ``_preimages``.  A
+    row's zeros do not depend on the other rows.  Callers silence float warnings."""
+    mag, top = np.abs(q), q.shape[1] - 1
+    if out is None:
+        out = np.empty((2, len(q), top), dtype=complex)
+    # the leading column against each coefficient: no row reduction unless a row is cut
+    if not np.count_nonzero(mag[:, top:] <= _LEAD_CUT * mag):
+        z = _roots(q, cap)
+        out.fill(1.0)
         inside = np.hypot(z.real, z.imag) <= 1.0
-        np.copyto(ob[0], z, where=inside)
-        np.divide(1.0, z, out=ob[1], where=~inside)
-        for i in cut:
-            ob[:, i] = _preimages(stack.maps[r[i]], yb[:, i]).T
+        np.copyto(out[0], z, where=inside)
+        np.divide(1.0, z, out=out[1], where=~inside)
+        return out
+    above = mag > _LEAD_CUT * mag.max(axis=1, keepdims=True)
+    if not above.any(axis=1).all():
+        raise DegenerateMapError("a binary form vanished identically")
+    deg = top - above[:, ::-1].argmax(axis=1)
+    out[0], out[1] = 1.0, 0.0  # the point at infinity
+    for g in set(deg[deg > 0].tolist()):  # np.unique would import numpy.ma
+        out[:, deg == g, :g] = _zeros(q[deg == g, : g + 1], cap)  # no row is cut again
     return out
 
 
@@ -614,22 +623,13 @@ def _repelling_root(stack: MapStack):
 
 def _periodic_points(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The zeros of ``w1 a - w0 b``, a and b forms of degree D with ascending
-    coefficient rows, as a (2, n, D + 1) array: a leading coefficient at
-    ``_solve``'s 1e-14 cut is a zero at infinity, and the others are the
-    roots of ``_roots`` without its degree cap, all rows of one degree at once."""
+    coefficient rows, as a (2, n, D + 1) array: ``_zeros`` without the
+    degree cap of ``_roots``."""
     q = np.zeros((len(a), a.shape[1] + 1), dtype=complex)
     q[:, :-1] = a
     q[:, 1:] -= b
-    mag = np.abs(q)
-    deg = a.shape[1] - (mag > 1e-14 * mag.max(axis=1, keepdims=True))[:, ::-1].argmax(axis=1)
-    out = np.zeros((2, *a.shape), dtype=complex)
-    out[0] = 1.0  # the point at infinity
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for g in set(deg[deg > 0].tolist()):  # np.unique would import numpy.ma
-            z = _roots(q[deg == g, : g + 1], cap=math.inf)
-            inside = np.abs(z) <= 1.0
-            out[:, deg == g, :g] = np.where(inside, z, 1.0), np.where(inside, 1.0, 1.0 / z)
-    return out
+        return _zeros(q, cap=math.inf)
 
 
 def _compose(stack: MapStack, rows: np.ndarray, a: np.ndarray, b: np.ndarray) -> list:

@@ -201,6 +201,11 @@ def _validate(cfg: ExperimentConfig) -> None:
                               f"family, got {cfg.n_keep}")
     if cfg.datum_k != 1:
         raise ConfigError(f"datum.k must be 1 (every family acts on P^1), got {cfg.datum_k}")
+    if cfg.kind == "hybrid-converge":
+        try:
+            parse_sections(cfg.datum_sections, k=cfg.datum_k, d=cfg.datum_d)
+        except ParseError as exc:
+            raise ConfigError(f"datum.sections: {exc}") from None
     if cfg.kind == "lyap-slope" and len(set(cfg.moduli)) < 3:
         raise ConfigError("slope fit is degenerate with fewer than 3 distinct grid moduli")
     if not cmath.isfinite(cfg.start):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 
+from .berkovich import TypeIIPoint, TypeIPoint
 from .errors import LaurentError
 from .laurent import LaurentSeries
 
@@ -54,8 +55,6 @@ class HybridFiberPoint:
     """
 
     def __init__(self, base: HybridPoint, fiber):
-        from .berkovich import TypeIIPoint, TypeIPoint
-
         if base.is_central:
             if not isinstance(fiber, (TypeIIPoint, TypeIPoint)):
                 raise LaurentError("central fiber points carry a Berkovich point")

@@ -28,6 +28,7 @@ import math
 from fractions import Fraction
 from functools import cached_property
 
+from . import berkovich
 from .errors import ParseError
 from .laurent import LaurentSeries
 from .poly import HomogeneousPoly
@@ -301,15 +302,11 @@ class RationalMapFamily:
     def resultant(self) -> LaurentSeries:
         """Res(P0, P1), the Sylvester determinant, as a series in t; built
         once per family."""
-        from .berkovich import _det_laurent, sylvester_matrix  # deferred to avoid an import cycle
-
-        return _det_laurent(sylvester_matrix(self.p0, self.p1))
+        return berkovich._det_laurent(berkovich.sylvester_matrix(self.p0, self.p1))
 
     def validate(self) -> None:
         """Check the family is generically non-degenerate (finite resultant order)."""
-        from .berkovich import resultant_valuation  # deferred to avoid an import cycle
-
-        resultant_valuation(self)  # raises DegenerateFamilyError on failure
+        berkovich.resultant_valuation(self)  # raises DegenerateFamilyError on failure
 
     def min_coeff_order(self):
         return min(self.p0.min_coeff_order(), self.p1.min_coeff_order())

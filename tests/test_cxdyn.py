@@ -209,13 +209,14 @@ class TestBackwardSampling:
 
     def test_kernel_blocks_do_not_change_the_walk(self, monkeypatch):
         # blocks of 4 preimages: one step of 16 chains spans several kernel
-        # blocks; the point at infinity under (z^2 - t)/z sends rows through
-        # the scalar solve
+        # blocks; the point at infinity under (z^2 - t)/z gives rows at the
+        # lead cut, which the kernel solves at their lower degree
         cases = [("z^2 + 1/t", 1e-3, 1.1 + 0.7j), ("z^3 + t*z", 1e-2, 2.0),
                  ("(z^2 - t)/z", 0.05, (1, 0))]
         blocks = []
         roots = cxdyn._roots
-        monkeypatch.setattr(cxdyn, "_roots", lambda qc: blocks.append(len(qc)) or roots(qc))
+        monkeypatch.setattr(cxdyn, "_roots",
+                            lambda qc, cap: blocks.append(len(qc)) or roots(qc, cap))
 
         def run():
             return [backward_sample(specialize(parse_family(text), t), 9, 30, 500,
@@ -683,26 +684,24 @@ class TestLockstepKernel:
         out = _solve(MapStack([rc]), np.zeros(3, dtype=int), y)
         assert out.transpose(1, 2, 0).tobytes() == ref.tobytes()
 
-    def test_scalar_solve_only_at_the_lead_cut(self, monkeypatch):
-        # rows whose preimage polynomial loses its leading coefficient go to
-        # _preimages one by one, and no other row does; the kernel solves
-        # them as the placeholder z^d
-        solved = []
-        preimages = cxdyn._preimages
-
-        def counted(R, target):
-            solved.append(complex(target[1]))
-            return preimages(R, target)
-
-        monkeypatch.setattr(cxdyn, "_preimages", counted)
+    def test_lead_cut_rows_stay_in_the_kernel(self, monkeypatch):
+        # rows whose preimage polynomial loses its leading coefficient, at
+        # w1 = 0 and 1e-15, among ordinary rows: the kernel solves them at
+        # their lower degree, never through the scalar solve
+        w1 = [0.0, 0.5, 1e-15, 0.25j, 1.0, 0.0, -0.75]
+        y = np.array([[1.0] * len(w1), w1], dtype=complex)
+        rows = np.zeros(len(w1), dtype=int)
+        cases = []
         for text in ("(z^2 - t)/z", "(z^3 + t)/(z^2 + 1)", "(z^5 + t)/(z^4 + 1)"):
             rc = specialize(parse_family(text), 0.05)
-            w1 = [0.0, 0.5, 1e-15, 0.25j, 1.0, 0.0, -0.75]
-            y = np.array([[1.0] * len(w1), w1], dtype=complex)
-            solved.clear()
-            rows = np.zeros(len(w1), dtype=int)
-            _solve(MapStack([rc]), rows, y)
-            assert solved == [0.0, 1e-15, 0.0]
+            with np.errstate(all="ignore"):
+                ref = np.array([cxdyn._preimages(rc, y[:, i]) for i in range(len(w1))])
+            cases.append((rc, ref))
+        monkeypatch.setattr(cxdyn, "_preimages", _raise)
+        for rc, ref in cases:
+            out = _solve(MapStack([rc]), rows, y)
+            assert out.transpose(1, 2, 0).tobytes() == ref.tobytes()
+            assert (out[:, [0, 2, 5], -1].T == [1, 0]).all()  # a preimage at infinity
 
     @pytest.mark.parametrize("d", range(4, 9))
     def test_zero_constant_term_needs_no_scalar_solve(self, d, monkeypatch):

@@ -321,6 +321,17 @@ class TestConfig:
             with pytest.raises(ConfigError, match="experiment.family: family degree 1 < 2"):
                 load_config(text.replace("family = z^2", "family = z + t"))
 
+    def test_datum_sections_checked_at_load(self):
+        # a hybrid-converge datum that does not parse, or is not of degree
+        # datum.d, is a config error before any probe tree is built
+        for sections, match in (("w0^2; w1", "section has degree 2, expected 1"),
+                                ("w0 +; w1", "unexpected token"),
+                                ("w0*z; w1", "unknown variable 'z'")):
+            with pytest.raises(ConfigError, match=f"datum.sections: {match}"):
+                load_config(CONVERGE_INI.replace("w0 + w1; w1", sections))
+        # the other kinds do not read the datum
+        assert load_config(SLOPE_INI + "[datum]\nsections = w0^2; w1\n").kind == "lyap-slope"
+
     @pytest.mark.parametrize("extra, match", BAD_VALUES)
     def test_bad_values(self, extra, match):
         with pytest.raises(ConfigError, match=match):
