@@ -23,7 +23,8 @@ _INF = math.inf
 
 
 class AdmissibleDatum:
-    """Degree d >= 1 plus a nonempty list of degree-d sections in w0..wk."""
+    """Degree d >= 1 plus a nonempty list of degree-d sections in w0, w1:
+    every datum lives on P^1, so ``k`` is 1."""
 
     def __init__(self, degree: int, k: int, sections):
         sections = tuple(sections)
@@ -31,8 +32,10 @@ class AdmissibleDatum:
             raise ParseError("admissible datum needs at least one section")
         if degree < 1:
             raise ParseError("admissible datum degree must be >= 1")
+        if k != 1:
+            raise ParseError(f"admissible data live on P^1 (k = 1), got k = {k}")
         for s in sections:
-            if s.nvars != k + 1:
+            if s.nvars != 2:
                 raise ParseError("section variable count does not match k")
             if s.degree != degree:
                 raise ParseError(
@@ -57,8 +60,6 @@ def datum_regular(F: AdmissibleDatum, t_values) -> bool:
     """
     from .cxdyn import RationalMapC, _shifted_eval
 
-    if F.k != 1:
-        raise LaurentError(f"datum_regular needs a datum on P^1, got k = {F.k}")
     pairs = [(a, b, _det_laurent(sylvester_matrix(a, b)))
              for i, a in enumerate(F.sections) for b in F.sections[i + 1:]]
 
@@ -151,12 +152,12 @@ def g_na_exponent(F: AdmissibleDatum, xi):
     The non-Archimedean model-function evaluator, the counterpart of
     ``phi_canonical``; on type-II points of the line it is the min over the
     sections of ``homog_seminorm``, as in the Green and Lyapunov routines.
-    Accepts a TypeIIPoint (k = 1, or the Gauss point for any k) or a TypeIPoint
-    given by Laurent homogeneous coordinates.  Returns ``math.inf`` when every
-    section vanishes at the point (the value is then -inf in log scale).
+    Accepts a TypeIIPoint or a TypeIPoint given by Laurent homogeneous
+    coordinates.  Returns ``math.inf`` when every section vanishes at the
+    point (the value is then -inf in log scale).
     """
     if isinstance(xi, TypeIPoint):
-        if len(xi.coords) != F.k + 1:
+        if len(xi.coords) != 2:
             raise LaurentError("point dimension does not match the datum")
         coord_ord = min(c.order() for c in xi.coords)
         exps = []
@@ -171,11 +172,7 @@ def g_na_exponent(F: AdmissibleDatum, xi):
             return _INF
         return q - F.degree * coord_ord
     if isinstance(xi, TypeIIPoint):
-        if F.k == 1:
-            return _section_exponent(F.sections, xi)
-        if not xi.is_gauss():
-            raise LaurentError("k > 1 data can only be evaluated at the Gauss point")
-        return min(s.min_coeff_order() for s in F.sections)
+        return _section_exponent(F.sections, xi)
     raise LaurentError(f"unsupported point type {type(xi).__name__}")
 
 
@@ -192,10 +189,8 @@ def datum_tensor(F: AdmissibleDatum, G: AdmissibleDatum) -> AdmissibleDatum:
 
     Acceptance criterion 3 states the additivity of model functions under
     tensor products through this name."""
-    if F.k != G.k:
-        raise ParseError("tensor requires data on the same dimension")
     sections = [a * b for a in F.sections for b in G.sections]
-    return AdmissibleDatum(degree=F.degree + G.degree, k=F.k, sections=sections)
+    return AdmissibleDatum(degree=F.degree + G.degree, k=1, sections=sections)
 
 
 def datum_max(F: AdmissibleDatum, G: AdmissibleDatum) -> AdmissibleDatum:
@@ -203,12 +198,10 @@ def datum_max(F: AdmissibleDatum, G: AdmissibleDatum) -> AdmissibleDatum:
 
     Acceptance criterion 3 states the max rule of model functions through
     this name."""
-    if F.k != G.k:
-        raise ParseError("max requires data on the same dimension")
     delta = F.degree * G.degree // gcd(F.degree, G.degree)
     sections = [s ** (delta // F.degree) for s in F.sections]
     sections += [s ** (delta // G.degree) for s in G.sections]
-    return AdmissibleDatum(degree=delta, k=F.k, sections=sections)
+    return AdmissibleDatum(degree=delta, k=1, sections=sections)
 
 
 def iterate_datum(R, n: int) -> AdmissibleDatum:

@@ -39,8 +39,6 @@ _INF = math.inf
 def _as_series(x) -> LaurentSeries:
     if isinstance(x, LaurentSeries):
         return x
-    if isinstance(x, str):
-        return LaurentSeries.parse(x)
     return LaurentSeries.const(x)
 
 

@@ -3,7 +3,8 @@
     hybdyn <subcommand> --config PATH [--out DIR]
 
 Subcommands: circle-demo, hybrid-converge, lyap-slope, na-measure.
-Exit codes: 0 success, 2 config error, 3 numerical failure.
+Exit codes: 0 success, 2 config error (``ConfigError``, ``ParseError``),
+3 numerical failure (every other ``HybdynError``).
 """
 
 from __future__ import annotations
@@ -12,15 +13,8 @@ import argparse
 import json
 import sys
 
-from .errors import (ChartError, ConfigError, ConventionError, DegenerateFamilyError,
-                     DegenerateMapError, LaurentError, ParseError,
-                     UnsupportedDegreeError, UnsupportedMapError)
+from .errors import ConfigError, HybdynError, ParseError
 from .harness import KINDS, load_config, run
-
-_CONFIG_ERRORS = (ConfigError, ParseError)
-_NUMERICAL_ERRORS = (ChartError, ConventionError, DegenerateFamilyError,
-                     DegenerateMapError, LaurentError, UnsupportedDegreeError,
-                     UnsupportedMapError)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,10 +34,10 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, kind=args.kind)
         record = run(cfg, out_dir=args.out)
-    except _CONFIG_ERRORS as exc:
+    except (ConfigError, ParseError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except _NUMERICAL_ERRORS as exc:
+    except HybdynError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     print(json.dumps(record.json_payload(), indent=2, sort_keys=True))

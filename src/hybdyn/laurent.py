@@ -387,13 +387,6 @@ class LaurentSeries:
         tr = "" if self.trunc is None else f" + O(t^{self.trunc_order})"
         return f"<LaurentSeries {self}{tr}>"
 
-    @staticmethod
-    def parse(text: str) -> "LaurentSeries":
-        """Parse the textual form, e.g. ``"3*t^-1 + (1+2i)*t^2"``."""
-        from .parser import parse_series  # deferred: parser imports this module
-
-        return parse_series(text)
-
 
 def _format_real(x: float) -> str:
     if x == int(x) and abs(x) < 1e15:

@@ -4,26 +4,30 @@ Grammar (shared by all entry points):
 
     expr    := term (('+' | '-') term)*
     term    := unary (('*' | '/') unary)*
-    unary   := '-' unary | power
+    unary   := ('-' | '+') unary | power
     power   := atom ['^' exponent]
     exponent:= ['-'] INT | '(' ['-'] INT '/' INT ')'
     atom    := NUMBER | NAME | '(' expr ')'
 
 Numbers are finite decimal literals with an optional ``i`` suffix for
 imaginary parts, so a complex literal is written ``(1+2i)``.  Fractional
-exponents are only meaningful on ``t``.  One evaluator serves every entry
-point: it reads an expression as a quotient of polynomials in the entry
-point's variables (``z`` for families, ``w0..wk`` for sections, none for
-series) with Laurent coefficients in ``t``.  A denominator free of those
-variables becomes Laurent coefficients at once, so only a family keeps a
-denominator, in ``z``, which folds into the overall quotient.  A term whose
-coefficient is zero to truncation is dropped.
+exponents take a positive denominator and are only meaningful on ``t``.
+One reader serves every entry point, in one pass: each grammar rule returns
+the value of what it read, a quotient of polynomials in the entry point's
+variables (``z`` for families, ``w0..wk`` for sections, none for series)
+with Laurent coefficients in ``t``.  A denominator free of those variables
+becomes Laurent coefficients at once, so only a family keeps a denominator,
+in ``z``, which folds into the overall quotient.  A term whose coefficient
+is zero to truncation is dropped, and every coefficient of the result must
+be finite.
 
-Parse errors carry the byte offset of the offending token.
+Errors come in reading order, each at the byte offset of the first bad
+token; a coefficient that overflows is reported without one.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 from functools import cached_property
@@ -89,107 +93,7 @@ def _tokenize(text: str):
     return tokens
 
 
-# -- Pratt-style recursive descent into a small AST ------------------------------
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str):
-        tok = self.next()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        return tok
-
-    def parse(self):
-        node = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek()[0] in "+-":
-            op, _, pos = self.next()
-            rhs = self.term()
-            node = ("bin", op, node, rhs, pos)
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek()[0] in "*/":
-            op, _, pos = self.next()
-            rhs = self.unary()
-            node = ("bin", op, node, rhs, pos)
-        return node
-
-    def unary(self):
-        if self.peek()[0] == "-":
-            _, _, pos = self.next()
-            return ("neg", self.unary(), pos)
-        if self.peek()[0] == "+":
-            self.next()
-            return self.unary()
-        return self.power()
-
-    def power(self):
-        node = self.atom()
-        if self.peek()[0] == "^":
-            _, _, pos = self.next()
-            exp = self.exponent()
-            node = ("pow", node, exp, pos)
-        return node
-
-    def exponent(self) -> Fraction:
-        tok = self.peek()
-        if tok[0] == "(":
-            self.next()
-            num = self._int_literal()
-            self.expect("/")
-            den = self._int_literal(unsigned=True)
-            self.expect(")")
-            return Fraction(num, den)
-        return Fraction(self._int_literal())
-
-    def _int_literal(self, unsigned: bool = False) -> int:
-        sign = 1
-        tok = self.peek()
-        if not unsigned and tok[0] == "-":
-            self.next()
-            sign = -1
-            tok = self.peek()
-        if tok[0] != "num" or tok[1].imag != 0 or tok[1].real != int(tok[1].real):
-            raise ParseError("exponents must be integers (or rational for t)", tok[2])
-        self.next()
-        return sign * int(tok[1].real)
-
-    def atom(self):
-        tok = self.next()
-        kind, val, pos = tok
-        if kind == "num":
-            return ("num", val, pos)
-        if kind == "name":
-            return ("name", val, pos)
-        if kind == "(":
-            node = self.expr()
-            self.expect(")")
-            return node
-        raise ParseError(f"unexpected token {val!r}", pos)
-
-
-# -- evaluation: one quotient of polynomials over Laurent coefficients --------------
+# -- values: one quotient of polynomials over Laurent coefficients -----------------
 #
 # A value is a pair (num, den) of sparse polynomials {exponent tuple:
 # LaurentSeries} in the entry point's variables (see the module docstring).
@@ -218,70 +122,153 @@ def _mul(p: dict, q: dict) -> dict:
     return _nonzero(out)
 
 
-def _evaluate(ast, names: tuple, rational: bool):
-    """(num, den) of ``ast`` over the variables ``names``; only a ``rational``
-    entry point may divide by an expression in them."""
-    unit = (0,) * len(names)
-    one = {unit: _ONE}
+# -- one-pass reader: each grammar rule returns its value ---------------------------
 
-    def quotient(num, den, pos):
+
+class _Reader:
+    """Reads ``text`` as a value over the variables ``names``; only a
+    ``rational`` reader may divide by an expression in them."""
+
+    def __init__(self, text: str, names: tuple, rational: bool):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+        self.names, self.rational = names, rational
+        self.unit = (0,) * len(names)
+        self.one = {self.unit: _ONE}
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def next(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str):
+        tok = self.next()
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
+
+    def read(self):
+        num, den = self.expr()
+        tok = self.peek()
+        if tok[0] != "end":
+            raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
+        if not all(cmath.isfinite(c) for p in (num, den) for s in p.values()
+                   for c in s.terms.values()):
+            raise ParseError("a coefficient overflows to a non-finite value")
+        return num, den
+
+    def quotient(self, num, den, pos):
+        unit = self.unit
         if list(den) == [unit]:
             if den[unit] == _ONE:
                 return num, den
             inv = den[unit].inverse()
-            return _nonzero({e: c * inv for e, c in num.items()}), one
-        if not rational:
+            return _nonzero({e: c * inv for e, c in num.items()}), self.one
+        if not self.rational:
             raise ParseError("sections may only divide by t-expressions", pos)
         return num, den
 
-    def ev(node):
-        kind, pos = node[0], node[-1]
-        if kind == "num":
-            return {unit: LaurentSeries.const(node[1])}, one
-        if kind == "name":
-            name = node[1]
-            if name == "t":
-                return {unit: LaurentSeries.t_power(1)}, one
-            if name in names:
-                return {tuple(int(v == name) for v in names): _ONE}, one
-            if names[:1] == ("w0",) and name[:1] == "w" and name[1:].isdigit():
-                raise ParseError(f"variable {name} exceeds dimension k={len(names) - 1}", pos)
-            raise ParseError(f"unknown variable {name!r} (allowed: "
-                             f"{', '.join(names + ('t',))})", pos)
-        if kind == "neg":
-            num, den = ev(node[1])
-            return {e: -c for e, c in num.items()}, den
-        if kind == "bin":
-            op = node[1]
-            (an, ad), (bn, bd) = ev(node[2]), ev(node[3])
-            if op == "*":
-                return quotient(_mul(an, bn), _mul(ad, bd), pos)
-            if op == "/":
-                if not bn:
-                    raise ParseError("division by zero", pos)
-                return quotient(_mul(an, bd), _mul(ad, bn), pos)
+    def expr(self):
+        an, ad = self.term()
+        while self.peek()[0] in "+-":
+            op, _, pos = self.next()
+            bn, bd = self.term()
             rhs = _mul(bn, ad)
             if op == "-":
                 rhs = {e: -c for e, c in rhs.items()}
-            return quotient(_add(_mul(an, bd), rhs), _mul(ad, bd), pos)
-        (num, den), exp = ev(node[1]), node[2]
+            an, ad = self.quotient(_add(_mul(an, bd), rhs), _mul(ad, bd), pos)
+        return an, ad
+
+    def term(self):
+        an, ad = self.unary()
+        while self.peek()[0] in "*/":
+            op, _, pos = self.next()
+            bn, bd = self.unary()
+            if op == "/":
+                if not bn:
+                    raise ParseError("division by zero", pos)
+                bn, bd = bd, bn
+            an, ad = self.quotient(_mul(an, bn), _mul(ad, bd), pos)
+        return an, ad
+
+    def unary(self):
+        if self.peek()[0] not in "+-":
+            return self.power()
+        op = self.next()[0]
+        num, den = self.unary()
+        return (num if op == "+" else {e: -c for e, c in num.items()}), den
+
+    def power(self):
+        num, den = self.atom()
+        if self.peek()[0] != "^":
+            return num, den
+        _, _, pos = self.next()
+        exp = self.exponent()
         if exp.denominator == 1:
             n = int(exp)
             if n < 0:
                 if not num:
                     raise ParseError("division by zero", pos)
                 num, den, n = den, num, -n
-            rnum, rden = one, one
+            rnum, rden = self.one, self.one
             for _ in range(n):
                 rnum, rden = _mul(rnum, num), _mul(rden, den)
-            return quotient(rnum, rden, pos)
+            return self.quotient(rnum, rden, pos)
         # fractional exponent: only a pure-t monomial supports it exactly
-        if list(num) != [unit] or den != one or not num[unit].is_monomial():
+        unit = self.unit
+        if list(num) != [unit] or den != self.one or not num[unit].is_monomial():
             raise ParseError("fractional powers are only supported on t-monomials", pos)
         e, c = num[unit].leading()
-        return {unit: LaurentSeries.t_power(e * exp, complex(c) ** float(exp))}, one
+        try:
+            c = complex(c) ** float(exp)
+        except OverflowError:
+            raise ParseError("a coefficient overflows to a non-finite value", pos) from None
+        return {unit: LaurentSeries.t_power(e * exp, c)}, self.one
 
-    return ev(ast)
+    def exponent(self) -> Fraction:
+        if self.peek()[0] != "(":
+            return Fraction(self._int_literal())
+        self.next()
+        num = self._int_literal()
+        self.expect("/")
+        pos = self.peek()[2]
+        den = self._int_literal()
+        if den <= 0:
+            raise ParseError("exponent denominators must be positive", pos)
+        self.expect(")")
+        return Fraction(num, den)
+
+    def _int_literal(self) -> int:
+        sign = 1
+        if self.peek()[0] == "-":
+            self.next()
+            sign = -1
+        kind, val, pos = self.next()
+        if kind != "num" or val.imag != 0 or val.real != int(val.real):
+            raise ParseError("exponents must be integers (or rational for t)", pos)
+        return sign * int(val.real)
+
+    def atom(self):
+        kind, val, pos = self.next()
+        if kind == "num":
+            return {self.unit: LaurentSeries.const(val)}, self.one
+        if kind == "(":
+            value = self.expr()
+            self.expect(")")
+            return value
+        if kind != "name":
+            raise ParseError(f"unexpected token {val!r}", pos)
+        names = self.names
+        if val == "t":
+            return {self.unit: LaurentSeries.t_power(1)}, self.one
+        if val in names:
+            return {tuple(int(v == val) for v in names): _ONE}, self.one
+        if names[:1] == ("w0",) and val[:1] == "w" and val[1:].isdigit():
+            raise ParseError(f"variable {val} exceeds dimension k={len(names) - 1}", pos)
+        raise ParseError(f"unknown variable {val!r} (allowed: "
+                         f"{', '.join(names + ('t',))})", pos)
 
 
 # -- family and datum types ---------------------------------------------------------
@@ -355,7 +342,7 @@ def parse_family(text: str, label: str | None = None, validate: bool = True) -> 
     The z-denominator is cleared by homogenization; t-denominators stay as
     Laurent coefficients.  Families of degree < 2 are rejected.
     """
-    num, den = _evaluate(_Parser(text).parse(), ("z",), rational=True)
+    num, den = _Reader(text, ("z",), rational=True).read()
     d = max((j for (j,) in [*num, *den]), default=0)
     if d < 2:
         raise ParseError(f"family degree {d} < 2")
@@ -373,7 +360,7 @@ def parse_family(text: str, label: str | None = None, validate: bool = True) -> 
 def parse_section(text: str, k: int, d: int) -> HomogeneousPoly:
     """Parse one homogeneous degree-d polynomial in w0..wk."""
     names = tuple(f"w{i}" for i in range(k + 1))
-    coeffs, _ = _evaluate(_Parser(text).parse(), names, rational=False)
+    coeffs, _ = _Reader(text, names, rational=False).read()
     if not coeffs:
         raise ParseError("section is identically zero")
     degrees = {sum(e) for e in coeffs}
@@ -397,5 +384,5 @@ def parse_sections(texts: list, k: int, d: int):
 
 def parse_series(text: str) -> LaurentSeries:
     """Parse a t-only expression into a Laurent series."""
-    num, _ = _evaluate(_Parser(text).parse(), (), rational=False)
+    num, _ = _Reader(text, (), rational=False).read()
     return num.get((), _ZERO)

@@ -11,9 +11,9 @@ from hybdyn.admissible import (datum_max, datum_tensor, g_na,
                                g_na_exponent, iterate_datum, phi_canonical,
                                phi_complex, phi_iterate)
 from hybdyn.berkovich import TypeIIPoint, TypeIPoint
-from hybdyn.errors import LaurentError, PrecisionError
+from hybdyn.errors import LaurentError, ParseError, PrecisionError
 from hybdyn.laurent import LaurentSeries as L
-from hybdyn.parser import parse_family, parse_sections
+from hybdyn.parser import parse_family, parse_section, parse_sections
 from hybdyn.poly import HomogeneousPoly, iterate_pair
 from hybdyn.presets import shipped_datum_pairs
 
@@ -105,8 +105,9 @@ class TestGna:
         assert q == F(1)
 
     def test_gauss_point_any_k(self):
-        F3 = parse_sections(["t^2*w0*w2", "w1^2", "t*w2^2"], k=2, d=2)
-        assert g_na_exponent(F3, TypeIIPoint.gauss()) == F(0)
+        # every datum lives on P^1: a k = 2 datum is rejected when it is built
+        with pytest.raises(ParseError, match="P\\^1"):
+            parse_sections(["t^2*w0*w2", "w1^2", "t*w2^2"], k=2, d=2)
 
     def test_type_one_point(self):
         F_t = parse_sections(["t*w0", "t*w1"], k=1, d=1)
@@ -318,8 +319,8 @@ class TestRegularity:
         pairwise = parse_sections(["w0*w1", "w0*(w0 - w1)", "w1*(w0 - w1)"], k=1, d=2)
         assert not datum_regular(pairwise, [0.1])
         assert not datum_regular(parse_sections(["w0 + w1"], k=1, d=1), [0.1])
-        with pytest.raises(LaurentError, match="datum on P\\^1"):
-            datum_regular(parse_sections(["w0", "w1", "w2"], k=2, d=1), [0.1])
+        with pytest.raises(ParseError, match="P\\^1"):
+            parse_sections(["w0", "w1", "w2"], k=2, d=1)
 
     def test_truncated_resultant_takes_the_float_check(self):
         # 1/(1 - t) is truncated, so the float Sylvester determinant decides
@@ -339,15 +340,17 @@ class TestRegularity:
 class TestCoordinateCount:
     def test_wrong_length_is_rejected(self):
         # a coordinate per variable: neither evaluator drops or pads one
-        F_w = parse_sections(["w0^2", "w2^2"], k=2, d=2)
-        s = F_w.sections[1]
+        s = parse_section("w2^2", k=2, d=2)
         for w in ((1.0, 2.0), (1.0, 2.0, 3.0, 4.0)):
             with pytest.raises(LaurentError, match="expected 3 coordinates"):
                 s.eval_numeric(w, 0.1)
             with pytest.raises(LaurentError, match="expected 3 coordinates"):
                 s.eval_series([L.const(x) for x in w])
-        with pytest.raises(LaurentError, match="expected 3 coordinates"):
-            phi_canonical(F_w, (1.0, 2.0), 0.1)
+        with pytest.raises(LaurentError, match="expected 2 coordinates"):
+            phi_canonical(parse_sections(["w0^2", "w1^2"], k=1, d=2), (1.0, 2.0, 3.0), 0.1)
+        # and a k = 2 datum is rejected when it is built
+        with pytest.raises(ParseError, match="P\\^1"):
+            parse_sections(["w0^2", "w2^2"], k=2, d=2)
         assert s.eval_numeric((1.0, 2.0, 3.0), 0.1) == 9.0
         assert s.eval_series([L.one(), L.one(), L.t_power(1)]) == L.t_power(2)
 

@@ -133,9 +133,10 @@ class TestSections:
             parse_section("w2^2", k=1, d=2)
 
     def test_higher_dimension(self):
-        d = parse_sections(["w0*w2", "w1^2", "t*w2^2"], k=2, d=2)
-        assert d.k == 2
-        assert d.sections[0].coeffs[(1, 0, 1)] == L.one()
+        # a section may use w0..wk, but a k = 2 datum is rejected when it is built
+        assert parse_section("w0*w2", k=2, d=2).coeffs[(1, 0, 1)] == L.one()
+        with pytest.raises(ParseError, match="P\\^1"):
+            parse_sections(["w0*w2", "w1^2", "t*w2^2"], k=2, d=2)
 
     def test_homogeneity_validated_not_assumed(self):
         with pytest.raises(ParseError):
@@ -242,8 +243,23 @@ class TestErrorOffsets:
         (_linear_section, "w0*w1^-1", "t-expressions", 5),
         (_linear_section, "w0 + w3", "exceeds dimension k=1", 5),
         (parse_series, "t + z", "unknown variable 'z'", 4),
+        (parse_family, "z^2 + t^(1/0)", "denominators must be positive", 11),
+        (parse_family, "z^2 + t^(1/-2)", "denominators must be positive", 11),
+        # errors come in reading order: the unknown name before the stray ')'
+        (parse_family, "z^2 + foo + )", "unknown variable 'foo'", 6),
     ])
     def test_error_and_offset(self, parse, text, match, position):
         with pytest.raises(ParseError, match=match) as err:
             parse(text)
         assert err.value.position == position
+
+    @pytest.mark.parametrize("parse, text", [
+        (parse_family, "z^2 + 1e308*1e308/t"),
+        (parse_family, "z^2 + 1/(1e-320*t)"),
+        (parse_family, "z^2 + (1e300*t)^(5/2)"),
+        (_linear_section, "1e200*w0*1e200"),
+        (parse_series, "1e308*t + 1e308*t"),
+    ])
+    def test_overflowing_coefficient(self, parse, text):
+        with pytest.raises(ParseError, match="overflows to a non-finite value"):
+            parse(text)
