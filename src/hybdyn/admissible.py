@@ -23,26 +23,22 @@ _INF = math.inf
 
 
 class AdmissibleDatum:
-    """Degree d >= 1 plus a nonempty list of degree-d sections in w0, w1:
-    every datum lives on P^1, so ``k`` is 1."""
+    """Degree d >= 1 plus a nonempty list of degree-d binary forms: every
+    datum lives on P^1."""
 
-    def __init__(self, degree: int, k: int, sections):
+    def __init__(self, degree: int, sections):
         sections = tuple(sections)
         if not sections:
             raise ParseError("admissible datum needs at least one section")
         if degree < 1:
             raise ParseError("admissible datum degree must be >= 1")
-        if k != 1:
-            raise ParseError(f"admissible data live on P^1 (k = 1), got k = {k}")
         for s in sections:
-            if s.nvars != 2:
-                raise ParseError("section variable count does not match k")
             if s.degree != degree:
                 raise ParseError(
                     f"section degree {s.degree} does not match datum degree {degree}")
         if all(s.is_zero() for s in sections):
             raise ParseError("all sections are zero")
-        self.degree, self.k, self.sections = degree, k, sections
+        self.degree, self.sections = degree, sections
 
     def truncation_order(self):
         """Residual truncation order across all section coefficients."""
@@ -157,12 +153,10 @@ def g_na_exponent(F: AdmissibleDatum, xi):
     point (the value is then -inf in log scale).
     """
     if isinstance(xi, TypeIPoint):
-        if len(xi.coords) != 2:
-            raise LaurentError("point dimension does not match the datum")
         coord_ord = min(c.order() for c in xi.coords)
         exps = []
         for s in F.sections:
-            val = s.eval_series(list(xi.coords))
+            val = s.eval_series(xi.coords)
             if val.is_zero() and not val.is_exact_zero():
                 raise PrecisionError(
                     "section value is zero only to truncation at the type-I point")
@@ -190,7 +184,7 @@ def datum_tensor(F: AdmissibleDatum, G: AdmissibleDatum) -> AdmissibleDatum:
     Acceptance criterion 3 states the additivity of model functions under
     tensor products through this name."""
     sections = [a * b for a in F.sections for b in G.sections]
-    return AdmissibleDatum(degree=F.degree + G.degree, k=1, sections=sections)
+    return AdmissibleDatum(F.degree + G.degree, sections)
 
 
 def datum_max(F: AdmissibleDatum, G: AdmissibleDatum) -> AdmissibleDatum:
@@ -201,7 +195,7 @@ def datum_max(F: AdmissibleDatum, G: AdmissibleDatum) -> AdmissibleDatum:
     delta = F.degree * G.degree // gcd(F.degree, G.degree)
     sections = [s ** (delta // F.degree) for s in F.sections]
     sections += [s ** (delta // G.degree) for s in G.sections]
-    return AdmissibleDatum(degree=delta, k=1, sections=sections)
+    return AdmissibleDatum(delta, sections)
 
 
 def iterate_datum(R, n: int) -> AdmissibleDatum:
@@ -210,7 +204,7 @@ def iterate_datum(R, n: int) -> AdmissibleDatum:
     if n < 1:
         raise LaurentError("iterate count must be >= 1")
     q0, q1 = iterate_pair(R.p0, R.p1, n)
-    return AdmissibleDatum(degree=R.degree ** n, k=1, sections=(q0, q1))
+    return AdmissibleDatum(R.degree ** n, (q0, q1))
 
 
 def phi_iterate(R, n: int, z, t: complex):
@@ -228,7 +222,7 @@ def phi_iterate(R, n: int, z, t: complex):
     """
     if n < 0:
         raise LaurentError("iterate count must be >= 0")
-    one_step = AdmissibleDatum(R.degree, 1, (R.p0, R.p1))
+    one_step = AdmissibleDatum(R.degree, (R.p0, R.p1))
     w = _sup_normalized(z)
     out = -_fubini_study(w)
     for j in range(n):

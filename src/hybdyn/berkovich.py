@@ -53,6 +53,8 @@ class TypeIPoint:
 
     def __init__(self, coords):
         coords = tuple(_as_series(c) for c in coords)
+        if len(coords) != 2:
+            raise ChartError(f"a point of P^1 has two homogeneous coordinates, got {len(coords)}")
         if all(c.is_zero() for c in coords):
             raise ChartError("type-I point needs a nonzero coordinate vector")
         self.coords = coords
@@ -202,8 +204,6 @@ def homog_seminorm(P: HomogeneousPoly, xi):
     is computed on the z-chart disk, which is valid for any center and radius
     (disks of the affine line never contain the point at infinity).
     """
-    if P.nvars != 2:
-        raise LaurentError("homog_seminorm requires a two-variable polynomial")
     a, s = xi.zpair() if isinstance(xi, TypeIIPoint) else xi
     q = _newton_min(taylor_shift(P.dehomogenized(), a), s)
     if q == _INF:
@@ -212,7 +212,7 @@ def homog_seminorm(P: HomogeneousPoly, xi):
 
 
 def _section_exponent(sections, xi):
-    """Min over two-variable sections of ``homog_seminorm`` at ``xi``: the
+    """Min over binary forms of ``homog_seminorm`` at ``xi``: the
     exponent of ``max_i |s_i| / max(|w0|, |w1|)**d`` (``math.inf`` when every
     section vanishes; each caller decides what that means)."""
     return min(homog_seminorm(s, xi) for s in sections)
@@ -307,7 +307,7 @@ def _escape_region(R):
     if a[d].is_zero():
         return None
     c = a[d].order()
-    bounds = [Fraction(0), (R.p1.coeffs[(0, d)].order() - c) / (d - 1)]
+    bounds = [Fraction(0), (R.p1.coeffs[0].order() - c) / (d - 1)]
     bounds += [(aj.order() - c) / (d - j) for j, aj in enumerate(a[:d])
                if not aj.is_exact_zero()]
     return min(bounds), c
@@ -390,7 +390,7 @@ class GreenEvaluator:
         # family steps with P/B, so ord B is added back to g1
         if R.is_polynomial():
             self._num, self._den = R.affine_coeffs, None
-            self._ord_b = R.p1.coeffs[(0, d)].order()
+            self._ord_b = R.p1.coeffs[0].order()
             self.escape = _escape_region(R)
         else:
             self._num, self._den = R.p0.dehomogenized(), R.p1.dehomogenized()

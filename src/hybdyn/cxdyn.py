@@ -41,8 +41,8 @@ import numpy as np
 
 from .errors import (DegenerateMapError, NoRepellingCycleError,
                      UnsupportedDegreeError, UnsupportedMapError)
+from .parser import MAX_DEGREE as _MAX_ROOT_DEGREE
 
-_MAX_ROOT_DEGREE = 8
 _LEAD_CUT = 1e-14  # a leading coefficient at most this times its row's largest: a zero at infinity
 
 

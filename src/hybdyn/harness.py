@@ -203,7 +203,7 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"datum.k must be 1 (every family acts on P^1), got {cfg.datum_k}")
     if cfg.kind == "hybrid-converge":
         try:
-            parse_sections(cfg.datum_sections, k=cfg.datum_k, d=cfg.datum_d)
+            parse_sections(cfg.datum_sections, d=cfg.datum_d)
         except ParseError as exc:
             raise ConfigError(f"datum.sections: {exc}") from None
     if cfg.kind == "lyap-slope" and len(set(cfg.moduli)) < 3:
@@ -449,7 +449,7 @@ def cmd_hybrid_converge(cfg: ExperimentConfig) -> ResultRecord:
     from . import admissible, hybrid
 
     family, _, _, mu = _na_measure(cfg)
-    datum = parse_sections(cfg.datum_sections, k=cfg.datum_k, d=cfg.datum_d)
+    datum = parse_sections(cfg.datum_sections, d=cfg.datum_d)
     ts = [t for *_, t in _grid_cells(cfg)]
     if not admissible.datum_regular(datum, ts):
         bad = next(t for t in ts if not admissible.datum_regular(datum, [t]))

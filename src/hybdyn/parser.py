@@ -11,10 +11,12 @@ Grammar (shared by all entry points):
 
 Numbers are finite decimal literals with an optional ``i`` suffix for
 imaginary parts, so a complex literal is written ``(1+2i)``.  Fractional
-exponents take a positive denominator and are only meaningful on ``t``.
+exponents take a positive denominator and are only meaningful on ``t``; an
+integer exponent is at most ``MAX_EXPONENT`` in size, and a family or a
+section is a binary form of degree at most ``MAX_DEGREE``.
 One reader serves every entry point, in one pass: each grammar rule returns
 the value of what it read, a quotient of polynomials in the entry point's
-variables (``z`` for families, ``w0..wk`` for sections, none for series)
+variables (``z`` for families, ``w0, w1`` for sections, none for series)
 with Laurent coefficients in ``t``.  A denominator free of those variables
 becomes Laurent coefficients at once, so only a family keeps a denominator,
 in ``z``, which folds into the overall quotient.  A term whose coefficient
@@ -36,6 +38,12 @@ from . import berkovich
 from .errors import ParseError
 from .laurent import LaurentSeries
 from .poly import HomogeneousPoly
+
+# caps on what a text may build: a power is formed by repeated products, and
+# the resultant of a family (``berkovich._det_laurent``) and the complex
+# root-finders (``cxdyn._MAX_ROOT_DEGREE``) serve forms of degree <= 8
+MAX_EXPONENT = 64
+MAX_DEGREE = 8
 
 # -- lexer ---------------------------------------------------------------------
 
@@ -205,9 +213,12 @@ class _Reader:
         if self.peek()[0] != "^":
             return num, den
         _, _, pos = self.next()
+        epos = self.peek()[2]
         exp = self.exponent()
         if exp.denominator == 1:
             n = int(exp)
+            if abs(n) > MAX_EXPONENT:
+                raise ParseError(f"exponent {n} exceeds {MAX_EXPONENT} in size", epos)
             if n < 0:
                 if not num:
                     raise ParseError("division by zero", pos)
@@ -265,8 +276,6 @@ class _Reader:
             return {self.unit: LaurentSeries.t_power(1)}, self.one
         if val in names:
             return {tuple(int(v == val) for v in names): _ONE}, self.one
-        if names[:1] == ("w0",) and val[:1] == "w" and val[1:].isdigit():
-            raise ParseError(f"variable {val} exceeds dimension k={len(names) - 1}", pos)
         raise ParseError(f"unknown variable {val!r} (allowed: "
                          f"{', '.join(names + ('t',))})", pos)
 
@@ -300,8 +309,7 @@ class RationalMapFamily:
 
     def is_polynomial(self) -> bool:
         """True when p1 is a constant multiple of w1^d (an affine polynomial map)."""
-        keys = list(self.p1.coeffs)
-        return keys == [(0, self.degree)]
+        return list(self.p1.coeffs) == [0]
 
     @cached_property
     def affine_coeffs(self) -> tuple:
@@ -309,77 +317,59 @@ class RationalMapFamily:
         coefficient of P1, for polynomial families; built once per family."""
         if not self.is_polynomial():
             raise ParseError("family is not polynomial in z")
-        inv = self.p1.coeffs[(0, self.degree)].inverse()
+        inv = self.p1.coeffs[0].inverse()
         return tuple(c * inv for c in self.p0.dehomogenized())
 
     def emit(self) -> str:
-        num = _emit_affine(self.p0)
-        den = _emit_affine(self.p1)
-        return f"({num})/({den})"
-
-
-def _emit_affine(p: HomogeneousPoly) -> str:
-    parts = []
-    for j in range(p.degree, -1, -1):
-        c = p.coeffs.get((j, p.degree - j))
-        if c is None:
-            continue
-        ctext = str(c)
-        needs_parens = not (c.is_monomial() and not ctext.startswith("-"))
-        ctext = f"({ctext})" if needs_parens else ctext
-        if j == 0:
-            parts.append(ctext)
-        elif ctext == "1":
-            parts.append("z" if j == 1 else f"z^{j}")
-        else:
-            parts.append(f"{ctext}*z" if j == 1 else f"{ctext}*z^{j}")
-    return " + ".join(parts) if parts else "0"
+        return f"({self.p0.emit(chart=True)})/({self.p1.emit(chart=True)})"
 
 
 def parse_family(text: str, label: str | None = None, validate: bool = True) -> RationalMapFamily:
     """Parse a rational expression in z and t into a homogeneous degree-d pair.
 
     The z-denominator is cleared by homogenization; t-denominators stay as
-    Laurent coefficients.  Families of degree < 2 are rejected.
+    Laurent coefficients.  Families of degree < 2 or > ``MAX_DEGREE`` are
+    rejected.
     """
     num, den = _Reader(text, ("z",), rational=True).read()
     d = max((j for (j,) in [*num, *den]), default=0)
     if d < 2:
         raise ParseError(f"family degree {d} < 2")
-    p0, p1 = (HomogeneousPoly(2, d, {(j, d - j): p[(j,)] for (j,) in sorted(p)})
-              for p in (num, den))
+    if d > MAX_DEGREE:
+        raise ParseError(f"family degree {d} > {MAX_DEGREE}")
+    p0, p1 = (HomogeneousPoly(d, {j: p[(j,)] for (j,) in sorted(p)}) for p in (num, den))
     family = RationalMapFamily(d, p0, p1, label=label if label is not None else text)
     if validate:
         family.validate()
     return family
 
 
-# -- sections: polynomials in w0..wk with Laurent coefficients -----------------------
+# -- sections: binary forms in w0, w1 with Laurent coefficients ----------------------
 
 
-def parse_section(text: str, k: int, d: int) -> HomogeneousPoly:
-    """Parse one homogeneous degree-d polynomial in w0..wk."""
-    names = tuple(f"w{i}" for i in range(k + 1))
-    coeffs, _ = _Reader(text, names, rational=False).read()
+def parse_section(text: str, d: int) -> HomogeneousPoly:
+    """Parse one binary form of degree d <= ``MAX_DEGREE`` in w0, w1."""
+    if d > MAX_DEGREE:
+        raise ParseError(f"section degree {d} > {MAX_DEGREE}")
+    coeffs, _ = _Reader(text, ("w0", "w1"), rational=False).read()
     if not coeffs:
         raise ParseError("section is identically zero")
-    degrees = {sum(e) for e in coeffs}
+    degrees = {a + b for a, b in coeffs}
     if len(degrees) != 1:
         raise ParseError(f"inhomogeneous section: mixed degrees {sorted(degrees)}")
     deg = degrees.pop()
     if deg != d:
         raise ParseError(f"section has degree {deg}, expected {d}")
-    return HomogeneousPoly(k + 1, d, coeffs)
+    return HomogeneousPoly(d, {a: c for (a, _), c in coeffs.items()})
 
 
-def parse_sections(texts: list, k: int, d: int):
+def parse_sections(texts: list, d: int):
     """Parse a list of section texts into an admissible datum of degree d."""
     from .admissible import AdmissibleDatum
 
     if not texts:
         raise ParseError("empty section list")
-    sections = [parse_section(s, k, d) for s in texts]
-    return AdmissibleDatum(degree=d, k=k, sections=sections)
+    return AdmissibleDatum(d, [parse_section(s, d) for s in texts])
 
 
 def parse_series(text: str) -> LaurentSeries:

@@ -1,8 +1,9 @@
-"""Homogeneous polynomials with Laurent-series coefficients.
+"""Binary forms with Laurent-series coefficients.
 
-A polynomial keeps a map from exponent vectors to coefficients and supports
-any number of variables (sections of data live in w0..wk).  Two-variable
-polynomials also compose, which gives the homogeneous iterates of a family.
+A form of degree d in (w0, w1) keeps a map from the power j of w0 to the
+coefficient of ``w0**j * w1**(d - j)``: every family and every section of
+a datum lives on P^1.  Forms also compose, which gives the homogeneous
+iterates of a family.
 """
 
 from __future__ import annotations
@@ -16,27 +17,24 @@ _INF = math.inf
 
 
 class HomogeneousPoly:
-    """Homogeneous polynomial of fixed degree in ``nvars`` variables."""
+    """Binary form of fixed degree in (w0, w1)."""
 
-    __slots__ = ("nvars", "degree", "coeffs", "_chart")  # _chart: dehomogenized()'s list
+    __slots__ = ("degree", "coeffs", "_chart")  # _chart: dehomogenized()'s tuple
 
-    def __init__(self, nvars: int, degree: int, coeffs: dict):
-        """``coeffs`` maps exponent tuples (length nvars, summing to degree)
-        to LaurentSeries.  Exactly-zero series are dropped; zero-to-truncation
-        coefficients are kept because they still bound unknown terms."""
+    def __init__(self, degree: int, coeffs: dict):
+        """``coeffs`` maps the power j of w0 (0 <= j <= degree) to the
+        coefficient of ``w0**j * w1**(degree - j)``, a LaurentSeries, and
+        keeps the order given: the evaluators sum in that order.  Exactly-zero
+        series are dropped; zero-to-truncation coefficients are kept because
+        they still bound unknown terms."""
         clean = {}
-        for exps, c in coeffs.items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != nvars or any(e < 0 for e in exps):
-                raise ParseError(f"bad exponent vector {exps}")
-            if sum(exps) != degree:
-                raise ParseError(
-                    f"monomial {exps} has degree {sum(exps)}, expected {degree}")
+        for j, c in coeffs.items():
+            if not 0 <= j <= degree:
+                raise ParseError(f"power {j} of w0 outside a degree-{degree} form")
             if not isinstance(c, LaurentSeries):
                 c = LaurentSeries.const(c)
             if not c.is_exact_zero():
-                clean[exps] = c
-        object.__setattr__(self, "nvars", nvars)
+                clean[j] = c
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "coeffs", clean)
         object.__setattr__(self, "_chart", None)
@@ -65,43 +63,36 @@ class HomogeneousPoly:
             tr = min(tr, c.trunc_order)
         return tr
 
-    def dehomogenized(self) -> list:
-        """Ascending coefficients of the z-chart polynomial ``P(z, 1)``: a new
-        list on each call, copied from one built once."""
+    def dehomogenized(self) -> tuple:
+        """Ascending coefficients of the z-chart polynomial ``P(z, 1)``: one
+        tuple, built on the first call."""
         if self._chart is None:
-            if self.nvars != 2:
-                raise LaurentError("dehomogenization requires two variables")
-            out = [LaurentSeries.zero() for _ in range(self.degree + 1)]
-            for (a, _), c in self.coeffs.items():
-                out[a] = c
-            object.__setattr__(self, "_chart", out)
-        return list(self._chart)
+            zero = LaurentSeries.zero()
+            object.__setattr__(self, "_chart", tuple(self.coeffs.get(j, zero)
+                                                     for j in range(self.degree + 1)))
+        return self._chart
 
     # -- algebra -----------------------------------------------------------------
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex, LaurentSeries)):
-            return HomogeneousPoly(self.nvars, self.degree,
-                                   {e: c * other for e, c in self.coeffs.items()})
-        if self.nvars != other.nvars:
-            raise LaurentError("variable-count mismatch")
+            return HomogeneousPoly(self.degree, {j: c * other for j, c in self.coeffs.items()})
         out: dict = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
-                out[e] = out[e] + prod if e in out else prod
-        return HomogeneousPoly(self.nvars, self.degree + other.degree, out)
+        for j1, c1 in self.coeffs.items():
+            for j2, c2 in other.coeffs.items():
+                j, prod = j1 + j2, c1 * c2
+                out[j] = out[j] + prod if j in out else prod
+        return HomogeneousPoly(self.degree + other.degree, out)
 
     __rmul__ = __mul__
 
     def __add__(self, other):
-        if self.nvars != other.nvars or self.degree != other.degree:
-            raise LaurentError("cannot add polynomials of different shape")
+        if self.degree != other.degree:
+            raise LaurentError("cannot add forms of different degrees")
         out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out[e] + c if e in out else c
-        return HomogeneousPoly(self.nvars, self.degree, out)
+        for j, c in other.coeffs.items():
+            out[j] = out[j] + c if j in out else c
+        return HomogeneousPoly(self.degree, out)
 
     def __neg__(self):
         return self * (-1.0)
@@ -112,7 +103,7 @@ class HomogeneousPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise LaurentError("negative polynomial power")
-        result = HomogeneousPoly(self.nvars, 0, {(0,) * self.nvars: LaurentSeries.one()})
+        result = HomogeneousPoly(0, {0: LaurentSeries.one()})
         base = self
         while n:
             if n & 1:
@@ -124,40 +115,37 @@ class HomogeneousPoly:
     def __eq__(self, other):
         if not isinstance(other, HomogeneousPoly):
             return NotImplemented
-        return (self.nvars, self.degree, self.coeffs) == (other.nvars, other.degree, other.coeffs)
+        return (self.degree, self.coeffs) == (other.degree, other.coeffs)
 
     def __hash__(self):
-        return hash((self.nvars, self.degree, tuple(sorted(self.coeffs.items()))))
+        return hash((self.degree, tuple(sorted(self.coeffs.items()))))
 
     def derivative(self, var: int) -> "HomogeneousPoly":
-        out: dict = {}
-        for e, c in self.coeffs.items():
-            if e[var] == 0:
-                continue
-            ne = list(e)
-            ne[var] -= 1
-            ne = tuple(ne)
-            term = c * float(e[var])
-            out[ne] = out[ne] + term if ne in out else term
-        return HomogeneousPoly(self.nvars, max(self.degree - 1, 0), out)
+        """Partial derivative in w0 (``var`` 0) or in w1 (``var`` 1)."""
+        d, out = self.degree, {}
+        for j, c in self.coeffs.items():
+            k = d - j if var else j  # the power of the variable differentiated
+            if k:
+                out[j if var else j - 1] = c * float(k)
+        return HomogeneousPoly(max(d - 1, 0), out)
 
     # -- evaluation ----------------------------------------------------------------
 
     def coefficient_table(self, ts) -> dict:
         """Every coefficient at every parameter of the sequence ``ts``, by
-        ``LaurentSeries.eval``: ``{exponent: complex array over ts}``, the
+        ``LaurentSeries.eval``: ``{power of w0: complex array over ts}``, the
         table ``eval_numeric`` gathers from for a grid of parameters."""
         import numpy as np
 
-        return {e: np.array([c.eval(t) for t in ts], dtype=complex)
-                for e, c in self.coeffs.items()}
+        return {j: np.array([c.eval(t) for t in ts], dtype=complex)
+                for j, c in self.coeffs.items()}
 
     def eval_numeric(self, w, t, cell=None):
         """Evaluate at complex homogeneous coordinates.
 
-        ``w`` is a sequence of ``nvars`` scalars or equally-shaped numpy
-        arrays; coefficients are specialized at the complex parameter ``t``
-        by ``LaurentSeries.eval`` (principal branch for fractional powers).
+        ``w`` is a pair of scalars or equally-shaped numpy arrays;
+        coefficients are specialized at the complex parameter ``t`` by
+        ``LaurentSeries.eval`` (principal branch for fractional powers).
         With ``cell``, shaped as the coordinates, ``t`` is
         ``coefficient_table(ts)`` for a sequence of parameters ``ts`` and
         point k takes ``ts[cell[k]]``: each coefficient value is gathered
@@ -166,16 +154,11 @@ class HomogeneousPoly:
         """
         import numpy as np  # only complex fibers evaluate numerically
 
-        if len(w) != self.nvars:
-            raise LaurentError(f"expected {self.nvars} coordinates, got {len(w)}")
-        w = [np.asarray(x, dtype=complex) for x in w]
-        total = None
-        for e, c in self.coeffs.items():
-            if cell is None:
-                term = np.full_like(w[0], c.eval(t))
-            else:
-                term = t[e][cell]
-            for x, k in zip(w, e):
+        w0, w1 = (np.asarray(x, dtype=complex) for x in w)
+        d, total = self.degree, None
+        for j, c in self.coeffs.items():
+            term = np.full_like(w0, c.eval(t)) if cell is None else t[j][cell]
+            for x, k in ((w0, j), (w1, d - j)):
                 if k:
                     # not ``term * x ** k``: on arrays of 256 KiB and more
                     # numpy computes that in the temporary ``x ** k`` with
@@ -184,48 +167,37 @@ class HomogeneousPoly:
                     term = np.multiply(term, x ** k)
             total = term if total is None else total + term
         if total is None:
-            return np.zeros_like(w[0])
+            return np.zeros_like(w0)
         return total
 
-    def eval_series(self, w: list) -> LaurentSeries:
-        """Evaluate at Laurent-series homogeneous coordinates."""
-        if len(w) != self.nvars:
-            raise LaurentError(f"expected {self.nvars} coordinates, got {len(w)}")
-        total = LaurentSeries.zero()
-        for e, c in self.coeffs.items():
+    def eval_series(self, w) -> LaurentSeries:
+        """Evaluate at a pair of Laurent-series homogeneous coordinates."""
+        w0, w1 = w
+        d, total = self.degree, LaurentSeries.zero()
+        for j, c in self.coeffs.items():
             term = c
-            for x, k in zip(w, e):
+            for x, k in ((w0, j), (w1, d - j)):
                 if k:
                     term = term * x ** k
             total = total + term
         return total
 
-    def emit(self, varnames: list | None = None) -> str:
-        """Textual form parseable by the expression grammar."""
-        if varnames is None:
-            varnames = [f"w{i}" for i in range(self.nvars)]
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[e]
-            factors = []
-            for name, k in zip(varnames, e):
-                if k == 1:
-                    factors.append(name)
-                elif k > 1:
-                    factors.append(f"{name}^{k}")
-            coeff_text = str(c)
-            if coeff_text == "1" and factors:
-                text = "*".join(factors)
-            else:
-                if c.is_monomial() and " " not in coeff_text and not coeff_text.startswith("-"):
-                    ctext = coeff_text
-                else:
-                    ctext = f"({coeff_text})"
-                text = "*".join([ctext] + factors) if factors else ctext
-            parts.append(text)
-        return " + ".join(parts)
+    def emit(self, chart: bool = False) -> str:
+        """Text the grammar reads back: the form in w0, w1, or with ``chart``
+        the z-chart polynomial ``P(z, 1)``."""
+        d, parts = self.degree, []
+        for j in sorted(self.coeffs, reverse=True):
+            c = self.coeffs[j]
+            powers = (("z", j),) if chart else (("w0", j), ("w1", d - j))
+            factors = [name if k == 1 else f"{name}^{k}" for name, k in powers if k]
+            ctext = str(c)
+            if ctext == "1" and factors:
+                parts.append("*".join(factors))
+                continue
+            if not (c.is_monomial() and " " not in ctext and not ctext.startswith("-")):
+                ctext = f"({ctext})"
+            parts.append("*".join([ctext, *factors]))
+        return " + ".join(parts) or "0"
 
     def __repr__(self):
         return f"<HomogeneousPoly deg={self.degree} {self.emit()}>"
@@ -246,14 +218,15 @@ def iterate_pair(p0: HomogeneousPoly, p1: HomogeneousPoly, n: int):
     """
     if n < 1:
         raise LaurentError("iteration count must be >= 1")
-    if p0.nvars != 2 or p1.nvars != 2 or not p0.coeffs or not p1.coeffs:
-        raise LaurentError("composition requires two nonzero two-variable sections")
+    if not p0.coeffs or not p1.coeffs:
+        raise LaurentError("composition requires two nonzero sections")
     cur0, cur1 = p0, p1
     for _ in range(n - 1):
         pows0, pows1, composed = {}, {}, []
         for p in (p0, p1):
             total = None
-            for (a, b), c in p.coeffs.items():
+            for a, c in p.coeffs.items():
+                b = p.degree - a
                 if a not in pows0:
                     pows0[a] = cur0 ** a
                 if b not in pows1:

@@ -17,15 +17,11 @@ FAMILY_TEXTS = (
 
 def shipped_datum_pairs() -> list:
     """Three datum pairs covering equal and mixed degrees."""
-    pairs = [
-        (parse_sections(["w0", "w1"], k=1, d=1),
-         parse_sections(["t*w0", "t*w1"], k=1, d=1)),
-        (parse_sections(["t*w0", "w1"], k=1, d=1),
-         parse_sections(["w0^2", "t*w1^2", "w0*w1"], k=1, d=2)),
-        (parse_sections(["w0^2 + t*w1^2", "w1^2"], k=1, d=2),
-         parse_sections(["t^2*w0", "w1"], k=1, d=1)),
+    return [
+        (parse_sections(["w0", "w1"], d=1), parse_sections(["t*w0", "t*w1"], d=1)),
+        (parse_sections(["t*w0", "w1"], d=1), parse_sections(["w0^2", "t*w1^2", "w0*w1"], d=2)),
+        (parse_sections(["w0^2 + t*w1^2", "w1^2"], d=2), parse_sections(["t^2*w0", "w1"], d=1)),
     ]
-    return pairs
 
 
 def twisted_lift(family: RationalMapFamily, power: int = 1) -> RationalMapFamily:

@@ -70,7 +70,7 @@ def test_criterion_1_hybrid_norm_law():
 
 def test_criterion_2_hybrid_continuity():
     t0 = time.monotonic()
-    datum = parse_sections(["t*w0", "t*w1"], k=1, d=1)
+    datum = parse_sections(["t*w0", "t*w1"], d=1)
     errs = []
     for j in range(1, 31):
         tv = R ** j

@@ -130,9 +130,8 @@ class TestMixedRamification:
         assert list(rc.p1c) == pytest.approx(list(rc_ref.p1c), rel=1e-14)
         assert przytycki_oracle(fam, t) == pytest.approx(przytycki_oracle(ref, t), rel=1e-14)
 
-        datum = parse_sections(["t^(1/2)*w0^2 + w1^2", "t^(1/3)*w0*w1"], k=1, d=2)
-        datum_ref = parse_sections([f"{_literal(a)}*w0^2 + w1^2", f"{_literal(b)}*w0*w1"],
-                                   k=1, d=2)
+        datum = parse_sections(["t^(1/2)*w0^2 + w1^2", "t^(1/3)*w0*w1"], d=2)
+        datum_ref = parse_sections([f"{_literal(a)}*w0^2 + w1^2", f"{_literal(b)}*w0*w1"], d=2)
         rng = np.random.default_rng(44)
         z = [rng.normal(size=50) + 1j * rng.normal(size=50) for _ in range(2)]
         for s, s_ref in zip(datum.sections, datum_ref.sections):
@@ -563,7 +562,7 @@ class TestAllCellEvaluators:
         infinite = []
         for sections, d in ((["w0^2 + t*w1^2", "t^(1/2)*w0*w1"], 2),
                             (["t*w0^2", "w0*w1/t"], 2), (["t*w0", "t*w1"], 1)):
-            datum = parse_sections(sections, k=1, d=d)
+            datum = parse_sections(sections, d=d)
             tables = admissible.coefficient_tables(datum, ts)
             with monkeypatch.context() as patch:
                 patch.setattr(LaurentSeries, "eval", _raise)
@@ -974,7 +973,7 @@ class TestPreimageLevels:
                         for t in _grid([1e-2, 1e-3, 1e-4, 1e-5, 1e-6]))
         ts = _grid([1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
         cubic = MapStack(specialize(parse_family("z^3 + t*z"), t, r=0.5) for t in ts)
-        datum = parse_sections(["w0^2 + t*w1^2", "w1^2"], k=1, d=2)
+        datum = parse_sections(["w0^2 + t*w1^2", "w1^2"], d=2)
         tables = admissible.coefficient_tables(datum, ts)
         scale = np.array([scaling_n(HybridPoint.interior(t, 0.5)) for t in ts])
 

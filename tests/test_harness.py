@@ -321,6 +321,15 @@ class TestConfig:
             with pytest.raises(ConfigError, match="experiment.family: family degree 1 < 2"):
                 load_config(text.replace("family = z^2", "family = z + t"))
 
+    def test_degree_above_eight(self):
+        # forms of degree above 8 are config errors, found before any
+        # resultant is formed
+        for text in (SLOPE_INI, CONVERGE_INI):
+            with pytest.raises(ConfigError, match="experiment.family: family degree 9 > 8"):
+                load_config(text.replace("family = z^2", "family = (z + 1)^9 + 1/t"))
+        with pytest.raises(ConfigError, match="datum.sections: section degree 9 > 8"):
+            load_config(CONVERGE_INI.replace("w0 + w1; w1", "w0^9; w1^9\nd = 9"))
+
     def test_datum_sections_checked_at_load(self):
         # a hybrid-converge datum that does not parse, or is not of degree
         # datum.d, is a config error before any probe tree is built

@@ -108,17 +108,17 @@ class TestScaling:
 
 class TestModelValues:
     def test_coordinate_datum_interior(self):
-        F_c = parse_sections(["w0", "w1"], k=1, d=1)
+        F_c = parse_sections(["w0", "w1"], d=1)
         x = HybridFiberPoint(HybridPoint.interior(0.3, R), (1.0, 0.0))
         assert hybrid_model_value(F_c, x) == 0.0
 
     def test_twisted_datum_central(self):
-        F_t = parse_sections(["t*w0", "t*w1"], k=1, d=1)
+        F_t = parse_sections(["t*w0", "t*w1"], d=1)
         x = HybridFiberPoint(HybridPoint.central(R), TypeIIPoint.gauss())
         assert hybrid_model_value(F_t, x) == pytest.approx(math.log(R))
 
     def test_continuity_to_central(self):
-        F_t = parse_sections(["t*w0", "t*w1"], k=1, d=1)
+        F_t = parse_sections(["t*w0", "t*w1"], d=1)
         target = math.log(R)
         for j in [1, 5, 15, 30]:
             tv = R ** j
@@ -127,8 +127,8 @@ class TestModelValues:
 
     def test_tensor_additivity_everywhere(self):
         rng = np.random.default_rng(24)
-        F1 = parse_sections(["w0", "t*w1"], k=1, d=1)
-        F2 = parse_sections(["w0^2 + t*w1^2", "w1^2"], k=1, d=2)
+        F1 = parse_sections(["w0", "t*w1"], d=1)
+        F2 = parse_sections(["w0^2 + t*w1^2", "w1^2"], d=2)
         F12 = datum_tensor(F1, F2)
         pts = [HybridFiberPoint(HybridPoint.central(R), TypeIIPoint.gauss()),
                HybridFiberPoint(HybridPoint.central(R),

@@ -2,7 +2,7 @@
 
 import pytest
 
-from hybdyn.errors import DegenerateFamilyError, LaurentError, ParseError
+from hybdyn.errors import DegenerateFamilyError, ParseError
 from hybdyn.laurent import LaurentSeries as L
 from hybdyn.parser import (parse_family, parse_section, parse_sections,
                            parse_series)
@@ -13,16 +13,16 @@ class TestFamilies:
     def test_pole_coefficient(self):
         f = parse_family("z^2 + 1/t")
         assert f.degree == 2
-        assert f.p0.coeffs[(2, 0)] == L.one()
-        assert f.p0.coeffs[(0, 2)] == L.t_power(-1)
-        assert list(f.p1.coeffs) == [(0, 2)]
+        assert f.p0.coeffs[2] == L.one()
+        assert f.p0.coeffs[0] == L.t_power(-1)
+        assert list(f.p1.coeffs) == [0]
 
     def test_overall_quotient(self):
         f = parse_family("(z^2 - t)/z")
         assert f.degree == 2
-        assert f.p0.coeffs[(2, 0)] == L.one()
-        assert f.p0.coeffs[(0, 2)] == L({1: -1})
-        assert list(f.p1.coeffs) == [(1, 1)]
+        assert f.p0.coeffs[2] == L.one()
+        assert f.p0.coeffs[0] == L({1: -1})
+        assert list(f.p1.coeffs) == [1]
 
     def test_syntax_error_offset(self):
         with pytest.raises(ParseError) as err:
@@ -42,26 +42,18 @@ class TestFamilies:
 
     @pytest.mark.parametrize("text", FAMILY_TEXTS)
     def test_dehomogenized_built_once_copied_per_call(self, text):
+        # one tuple, built on the first call and returned by every call
         f = parse_family(text)
         for P in (f.p0, f.p1):
             # the list the uncached method built on each call
             want = [L.zero() for _ in range(P.degree + 1)]
-            for (a, _), c in P.coeffs.items():
+            for a, c in P.coeffs.items():
                 want[a] = c
             first = P.dehomogenized()
-            assert first == want
+            assert isinstance(first, tuple) and list(first) == want
             assert all((x.ram, x.terms, x.trunc) == (y.ram, y.terms, y.trunc)
                        for x, y in zip(first, want))
-            first[0] = L.one()
-            first.append(L.one())
-            second = P.dehomogenized()
-            assert second is not first and second == want
-
-    def test_dehomogenized_needs_two_variables(self):
-        section = parse_section("w0 + w2", k=2, d=1)
-        for _ in range(2):
-            with pytest.raises(LaurentError, match="two variables"):
-                section.dehomogenized()
+            assert P.dehomogenized() is first
 
     def test_degenerate_resultant(self):
         with pytest.raises(DegenerateFamilyError):
@@ -69,11 +61,11 @@ class TestFamilies:
 
     def test_complex_coefficients(self):
         f = parse_family("z^2 + (1+2i)*t")
-        assert f.p0.coeffs[(0, 2)] == L({1: 1 + 2j})
+        assert f.p0.coeffs[0] == L({1: 1 + 2j})
 
     def test_nested_quotients(self):
         f = parse_family("(z^2 + 1/(1 - t))")  # series inversion of 1 - t
-        c = f.p0.coeffs[(0, 2)]
+        c = f.p0.coeffs[0]
         assert c.coefficient(0) == pytest.approx(1.0)
         assert c.coefficient(5) == pytest.approx(1.0)
 
@@ -81,9 +73,9 @@ class TestFamilies:
         # a z-denominator anywhere folds into the overall quotient
         f = parse_family("z^2 + t/z")
         assert f.degree == 3
-        assert f.p0.coeffs[(3, 0)] == L.one()       # z^3
-        assert f.p0.coeffs[(0, 3)] == L({1: 1})     # + t w1^3
-        assert list(f.p1.coeffs) == [(1, 2)]        # over z
+        assert f.p0.coeffs[3] == L.one()       # z^3
+        assert f.p0.coeffs[0] == L({1: 1})     # + t w1^3
+        assert list(f.p1.coeffs) == [1]        # over z
 
     def test_polynomial_flag(self):
         assert parse_family("z^2 + 1/t").is_polynomial()
@@ -109,38 +101,35 @@ class TestRoundTrip:
 
 class TestSections:
     def test_coordinate_datum(self):
-        d = parse_sections(["w0", "w1"], k=1, d=1)
-        assert d.degree == 1 and d.k == 1 and len(d.sections) == 2
+        d = parse_sections(["w0", "w1"], d=1)
+        assert d.degree == 1 and len(d.sections) == 2
 
     def test_twisted_sections(self):
-        d = parse_sections(["t*w0^2", "w1^2"], k=1, d=2)
-        assert d.sections[0].coeffs[(2, 0)] == L.t_power(1)
+        d = parse_sections(["t*w0^2", "w1^2"], d=2)
+        assert d.sections[0].coeffs[2] == L.t_power(1)
 
     def test_inhomogeneous_rejected(self):
         with pytest.raises(ParseError, match="mixed degrees"):
-            parse_section("w0 + w1^2", k=1, d=2)
+            parse_section("w0 + w1^2", d=2)
 
     def test_wrong_degree_rejected(self):
         with pytest.raises(ParseError, match="degree 2, expected 3"):
-            parse_section("w0*w1", k=1, d=3)
+            parse_section("w0*w1", d=3)
 
     def test_empty_list_rejected(self):
         with pytest.raises(ParseError, match="empty"):
-            parse_sections([], k=1, d=1)
+            parse_sections([], d=1)
 
     def test_dimension_bound(self):
-        with pytest.raises(ParseError, match="exceeds"):
-            parse_section("w2^2", k=1, d=2)
-
-    def test_higher_dimension(self):
-        # a section may use w0..wk, but a k = 2 datum is rejected when it is built
-        assert parse_section("w0*w2", k=2, d=2).coeffs[(1, 0, 1)] == L.one()
-        with pytest.raises(ParseError, match="P\\^1"):
-            parse_sections(["w0*w2", "w1^2", "t*w2^2"], k=2, d=2)
+        # sections are binary forms: w2 is not a variable, in any datum
+        with pytest.raises(ParseError, match="unknown variable 'w2'"):
+            parse_section("w2^2", d=2)
+        with pytest.raises(ParseError, match="unknown variable 'w2'"):
+            parse_sections(["w0*w2", "w1^2", "t*w2^2"], d=2)
 
     def test_homogeneity_validated_not_assumed(self):
         with pytest.raises(ParseError):
-            parse_sections(["w0^2", "w0 + w1"], k=1, d=2)
+            parse_sections(["w0^2", "w0 + w1"], d=2)
 
 
 class TestSeriesText:
@@ -173,6 +162,19 @@ class TestGrammarEdges:
         with pytest.raises(ParseError):
             parse_family("z^2^3")
 
+    def test_degree_cap(self):
+        # families and sections are forms of degree at most 8, the largest
+        # the resultant and the complex root-finders serve
+        assert parse_family("z^8 + 1/t").degree == 8
+        assert parse_section("w0^8 + t*w1^8", d=8).degree == 8
+        for text in ("z^9 + 1/t", "(z + 1)^9 + 1/t", "z^64 + 1/t", "(z^3 + t)/z^9"):
+            with pytest.raises(ParseError, match="family degree 9 > 8|family degree 64 > 8"):
+                parse_family(text)
+        with pytest.raises(ParseError, match="section degree 9 > 8"):
+            parse_section("w0^9", d=9)
+        with pytest.raises(ParseError, match="section degree 9 > 8"):
+            parse_sections(["w0^9", "w1^9"], d=9)
+
 
 # p0 and p1 of each family, {monomial: coefficient}, as parsed before the
 # family, section and series evaluators were merged into one
@@ -199,8 +201,10 @@ PINNED_DATUM_PAIRS = [
 
 
 def _shown(p):
-    """Coefficients in their stored order, each as its series text."""
-    return [(e, repr(c)[len("<LaurentSeries "):-1]) for e, c in p.coeffs.items()]
+    """Coefficients in their stored order, each under its monomial's
+    exponents ``(j, d - j)`` and as its series text."""
+    return [((j, p.degree - j), repr(c)[len("<LaurentSeries "):-1])
+            for j, c in p.coeffs.items()]
 
 
 class TestPinnedParses:
@@ -224,12 +228,12 @@ class TestZeroRule:
         assert _shown(f.p0) == [((2, 0), "1")]
 
     def test_section_drops_coefficient_zero_to_truncation(self):
-        s = parse_section("w0^2 + w1^2/(1 - t) - w1^2/(1 - t)", k=1, d=2)
+        s = parse_section("w0^2 + w1^2/(1 - t) - w1^2/(1 - t)", d=2)
         assert _shown(s) == [((2, 0), "1")]
 
 
 def _linear_section(text):
-    return parse_section(text, k=1, d=1)
+    return parse_section(text, d=1)
 
 
 class TestErrorOffsets:
@@ -241,10 +245,14 @@ class TestErrorOffsets:
         (parse_family, "z^2 + (t + z)^(1/2)", "t-monomials", 13),
         (_linear_section, "w0^2/w1", "t-expressions", 4),
         (_linear_section, "w0*w1^-1", "t-expressions", 5),
-        (_linear_section, "w0 + w3", "exceeds dimension k=1", 5),
+        (_linear_section, "w0 + w3", "unknown variable 'w3'", 5),
         (parse_series, "t + z", "unknown variable 'z'", 4),
         (parse_family, "z^2 + t^(1/0)", "denominators must be positive", 11),
         (parse_family, "z^2 + t^(1/-2)", "denominators must be positive", 11),
+        # a power is built by repeated products: its exponent is capped
+        (parse_family, "z^65", "exponent 65 exceeds 64", 2),
+        (parse_family, "z^2 + t^-99999999", "exponent -99999999 exceeds 64", 8),
+        (parse_series, "(1 + t)^(130/2)", "exponent 65 exceeds 64", 8),
         # errors come in reading order: the unknown name before the stray ')'
         (parse_family, "z^2 + foo + )", "unknown variable 'foo'", 6),
     ])
