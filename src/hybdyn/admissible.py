@@ -14,10 +14,9 @@ from __future__ import annotations
 import math
 from math import gcd
 
-from .berkovich import (TypeIIPoint, TypeIPoint, _det_laurent, _section_exponent,
-                        sylvester_matrix)
+from .berkovich import TypeIIPoint, TypeIPoint, _section_exponent
 from .errors import DegenerateMapError, LaurentError, ParseError, PrecisionError
-from .poly import iterate_pair
+from .poly import iterate_pair, resultant
 
 _INF = math.inf
 
@@ -48,15 +47,15 @@ class AdmissibleDatum:
 def datum_regular(F: AdmissibleDatum, t_values) -> bool:
     """Whether the sections of a datum on P^1 have no common zero on the
     fiber of any parameter in ``t_values``, decided from resultants: two
-    sections share a zero at t exactly when ``_det_laurent(sylvester_matrix(
-    a, b))`` vanishes there, by ``cxdyn.specialize``'s rule (``_shifted_eval``'s
-    rounding bound for an exact series, ``RationalMapC``'s float check for a
-    truncated one).  With more than two sections a fiber passes when some
-    pair's resultant is nonzero there, which suffices but is not necessary.
+    sections share a zero at t exactly when ``poly.resultant(a, b)`` vanishes
+    there, by ``cxdyn.specialize``'s rule (``_shifted_eval``'s rounding bound
+    for an exact series, ``RationalMapC``'s float check for a truncated one).
+    With more than two sections a fiber passes when some pair's resultant is
+    nonzero there, which suffices but is not necessary.
     """
     from .cxdyn import RationalMapC, _shifted_eval
 
-    pairs = [(a, b, _det_laurent(sylvester_matrix(a, b)))
+    pairs = [(a, b, resultant(a, b))
              for i, a in enumerate(F.sections) for b in F.sections[i + 1:]]
 
     def apart(a, b, res, t):

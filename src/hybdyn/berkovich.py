@@ -221,48 +221,6 @@ def _section_exponent(sections, xi):
 # -- resultant --------------------------------------------------------------------
 
 
-def _det_laurent(matrix) -> LaurentSeries:
-    """Determinant of a square LaurentSeries matrix by subset expansion."""
-    n = len(matrix)
-    states = {0: LaurentSeries.one()}
-    for i in range(n):
-        new: dict = {}
-        row = matrix[i]
-        for mask, acc in states.items():
-            for j in range(n):
-                if mask >> j & 1:
-                    continue
-                entry = row[j]
-                if entry.is_zero() and entry.is_exact_zero():
-                    continue
-                sign = -1 if bin(mask >> (j + 1)).count("1") % 2 else 1
-                term = acc * entry * sign
-                key = mask | (1 << j)
-                new[key] = new[key] + term if key in new else term
-        states = new
-    return states.get((1 << n) - 1, LaurentSeries.zero())
-
-
-def sylvester_matrix(p0: HomogeneousPoly, p1: HomogeneousPoly):
-    """Sylvester matrix of two binary forms of the same degree d (size 2d)."""
-    d = p0.degree
-    a = p0.dehomogenized()[::-1]  # descending coefficients a_d .. a_0
-    b = p1.dehomogenized()[::-1]
-    n = 2 * d
-    rows = []
-    for i in range(d):
-        row = [LaurentSeries.zero() for _ in range(n)]
-        for j, c in enumerate(a):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(d):
-        row = [LaurentSeries.zero() for _ in range(n)]
-        for j, c in enumerate(b):
-            row[i + j] = c
-        rows.append(row)
-    return rows
-
-
 def resultant_valuation(R) -> Fraction:
     """t-adic order of the resultant of (P0, P1); finite for genuine families.
 

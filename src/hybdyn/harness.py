@@ -192,7 +192,7 @@ def _validate(cfg: ExperimentConfig) -> None:
         if cfg.n_burn < 0:
             raise ConfigError(f"sampler.n_burn must be >= 0, got {cfg.n_burn}")
         try:
-            d = parse_family(cfg.family, validate=False).degree
+            d = parse_family(cfg.family).degree
         except ParseError as exc:
             raise ConfigError(f"experiment.family: {exc}") from None
         if cfg.n_keep < d ** 3:

@@ -12,8 +12,9 @@ Grammar (shared by all entry points):
 Numbers are finite decimal literals with an optional ``i`` suffix for
 imaginary parts, so a complex literal is written ``(1+2i)``.  Fractional
 exponents take a positive denominator and are only meaningful on ``t``; an
-integer exponent is at most ``MAX_EXPONENT`` in size, and a family or a
-section is a binary form of degree at most ``MAX_DEGREE``.
+integer exponent is at most ``MAX_EXPONENT`` in size, and so is the degree
+a power builds in the entry point's variables; a family or a section is a
+binary form of degree at most ``MAX_DEGREE``.
 One reader serves every entry point, in one pass: each grammar rule returns
 the value of what it read, a quotient of polynomials in the entry point's
 variables (``z`` for families, ``w0, w1`` for sections, none for series)
@@ -37,11 +38,11 @@ from functools import cached_property
 from . import berkovich
 from .errors import ParseError
 from .laurent import LaurentSeries
-from .poly import HomogeneousPoly
+from .poly import HomogeneousPoly, resultant
 
 # caps on what a text may build: a power is formed by repeated products, and
-# the resultant of a family (``berkovich._det_laurent``) and the complex
-# root-finders (``cxdyn._MAX_ROOT_DEGREE``) serve forms of degree <= 8
+# the resultant of a family (``poly.resultant``) and the complex root-finders
+# (``cxdyn._MAX_ROOT_DEGREE``) serve forms of degree <= 8
 MAX_EXPONENT = 64
 MAX_DEGREE = 8
 
@@ -223,6 +224,9 @@ class _Reader:
                 if not num:
                     raise ParseError("division by zero", pos)
                 num, den, n = den, num, -n
+            degree = n * max((sum(e) for p in (num, den) for e in p), default=0)
+            if degree > MAX_EXPONENT:
+                raise ParseError(f"power of degree {degree} > {MAX_EXPONENT}", pos)
             rnum, rden = self.one, self.one
             for _ in range(n):
                 rnum, rden = _mul(rnum, num), _mul(rden, den)
@@ -296,13 +300,8 @@ class RationalMapFamily:
 
     @cached_property
     def resultant(self) -> LaurentSeries:
-        """Res(P0, P1), the Sylvester determinant, as a series in t; built
-        once per family."""
-        return berkovich._det_laurent(berkovich.sylvester_matrix(self.p0, self.p1))
-
-    def validate(self) -> None:
-        """Check the family is generically non-degenerate (finite resultant order)."""
-        berkovich.resultant_valuation(self)  # raises DegenerateFamilyError on failure
+        """Res(P0, P1) as a series in t; built once per family."""
+        return resultant(self.p0, self.p1)
 
     def min_coeff_order(self):
         return min(self.p0.min_coeff_order(), self.p1.min_coeff_order())
@@ -324,12 +323,13 @@ class RationalMapFamily:
         return f"({self.p0.emit(chart=True)})/({self.p1.emit(chart=True)})"
 
 
-def parse_family(text: str, label: str | None = None, validate: bool = True) -> RationalMapFamily:
+def parse_family(text: str, label: str | None = None) -> RationalMapFamily:
     """Parse a rational expression in z and t into a homogeneous degree-d pair.
 
     The z-denominator is cleared by homogenization; t-denominators stay as
     Laurent coefficients.  Families of degree < 2 or > ``MAX_DEGREE`` are
-    rejected.
+    rejected, and so is a family whose resultant vanishes identically
+    (``DegenerateFamilyError``).
     """
     num, den = _Reader(text, ("z",), rational=True).read()
     d = max((j for (j,) in [*num, *den]), default=0)
@@ -339,8 +339,7 @@ def parse_family(text: str, label: str | None = None, validate: bool = True) -> 
         raise ParseError(f"family degree {d} > {MAX_DEGREE}")
     p0, p1 = (HomogeneousPoly(d, {j: p[(j,)] for (j,) in sorted(p)}) for p in (num, den))
     family = RationalMapFamily(d, p0, p1, label=label if label is not None else text)
-    if validate:
-        family.validate()
+    berkovich.resultant_valuation(family)
     return family
 
 

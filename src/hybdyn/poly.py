@@ -3,7 +3,7 @@
 A form of degree d in (w0, w1) keeps a map from the power j of w0 to the
 coefficient of ``w0**j * w1**(d - j)``: every family and every section of
 a datum lives on P^1.  Forms also compose, which gives the homogeneous
-iterates of a family.
+iterates of a family, and two forms have a resultant, a series in t.
 """
 
 from __future__ import annotations
@@ -206,6 +206,28 @@ class HomogeneousPoly:
 def jacobian_determinant(p0: HomogeneousPoly, p1: HomogeneousPoly) -> HomogeneousPoly:
     """det of the 2x2 matrix of partial derivatives (degree 2d-2)."""
     return (p0.derivative(0) * p1.derivative(1)) - (p0.derivative(1) * p1.derivative(0))
+
+
+def resultant(p0: HomogeneousPoly, p1: HomogeneousPoly) -> LaurentSeries:
+    """Res(p0, p1) of two forms of the same degree d, as a series in t: the
+    2d x 2d Sylvester determinant, expanded over subsets of columns.  Row i
+    of each form holds its coefficients from ``w0**d`` down in columns
+    i..i+d; exact zeros are skipped, so an exact resultant stays exact."""
+    d, states = p0.degree, {0: LaurentSeries.one()}
+    for p in (p0, p1):
+        descending = p.dehomogenized()[::-1]
+        for i in range(d):
+            new: dict = {}
+            for mask, acc in states.items():
+                for col, entry in enumerate(descending, i):
+                    if mask >> col & 1 or entry.is_exact_zero():
+                        continue
+                    sign = -1 if bin(mask >> (col + 1)).count("1") % 2 else 1
+                    term = acc * entry * sign
+                    key = mask | (1 << col)
+                    new[key] = new[key] + term if key in new else term
+            states = new
+    return states.get((1 << 2 * d) - 1, LaurentSeries.zero())
 
 
 def iterate_pair(p0: HomogeneousPoly, p1: HomogeneousPoly, n: int):

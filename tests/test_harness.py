@@ -16,7 +16,7 @@ import pytest
 import hybdyn
 from hybdyn import berkovich, cli, cxdyn
 from hybdyn.cli import main as cli_main
-from hybdyn.errors import ChartError, ConfigError, PrecisionError
+from hybdyn.errors import ChartError, ConfigError, DegenerateFamilyError, PrecisionError
 from hybdyn.harness import (_fmt_cell, _grid_cells, cmd_circle_demo, fit_slope,
                             load_config, load_record, run, write_record)
 from hybdyn.parser import parse_family
@@ -329,6 +329,11 @@ class TestConfig:
                 load_config(text.replace("family = z^2", "family = (z + 1)^9 + 1/t"))
         with pytest.raises(ConfigError, match="datum.sections: section degree 9 > 8"):
             load_config(CONVERGE_INI.replace("w0 + w1; w1", "w0^9; w1^9\nd = 9"))
+
+    def test_degenerate_family_found_at_load(self):
+        # the resultant of a sampled family is formed when the config is read
+        with pytest.raises(DegenerateFamilyError, match="vanishes identically"):
+            load_config(SLOPE_INI.replace("family = z^2", "family = (z^2 + z)/(z^2 + z)"))
 
     def test_datum_sections_checked_at_load(self):
         # a hybrid-converge datum that does not parse, or is not of degree

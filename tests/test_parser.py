@@ -1,5 +1,7 @@
 """Grammar, homogenization, and round-trip checks for the textual inputs."""
 
+from fractions import Fraction
+
 import pytest
 
 from hybdyn.errors import DegenerateFamilyError, ParseError
@@ -155,7 +157,6 @@ class TestGrammarEdges:
 
     def test_fractional_t_power_in_series(self):
         s = parse_series("t^(1/2) + 2*t")
-        from fractions import Fraction
         assert s.order() == Fraction(1, 2)
 
     def test_power_does_not_chain(self):
@@ -221,6 +222,84 @@ class TestPinnedParses:
                                                                for s in sections]
 
 
+# Res(P0, P1) of each family as captured before the resultant became a form
+# operation: the truncation order and, for every term, its exponent and
+# float.hex of its real and imaginary parts.  Every float sum of the subset
+# expansion is pinned, in the order the terms are formed.
+RAMIFIED = ("(z^2 + 0.7071067811865476*t^(1/2)*z + (3.141592653589793+2.718281828459045i)"
+            "*t^(-1/3))/(1.4142135623730951*z^2 - t^(2/3)*z + 0.5772156649015329)")
+DENSE_OCTIC = ("(1.1*z^8 + 2.3*z^7 - 0.7*z^6 + 1.9*z^5 - 3.1*z^4 + 0.3*z^3 + 2.9*z^2 - 1.3*z"
+               " + 1/t)/(0.9*z^8 - 1.7*z^7 + t*z^6 + 2.1*z^5 + 0.5*z^4 - 1.1*z^3 + 3.7*z^2"
+               " + z - 2.2)")
+PINNED_RESULTANTS = {
+    "z^2": ("inf", [
+        "0 0x1.0000000000000p+0 0x0.0p+0",
+    ]),
+    "z^2 - 2": ("inf", [
+        "0 0x1.0000000000000p+0 0x0.0p+0",
+    ]),
+    "z^2 + 1/t": ("inf", [
+        "0 0x1.0000000000000p+0 0x0.0p+0",
+    ]),
+    "z^2 + t*z": ("inf", [
+        "0 0x1.0000000000000p+0 0x0.0p+0",
+    ]),
+    "(z^2 - t)/z": ("inf", [
+        "1 -0x1.0000000000000p+0 0x0.0p+0",
+    ]),
+    "z^3 + t*z": ("inf", [
+        "0 0x1.0000000000000p+0 0x0.0p+0",
+    ]),
+    "(z^3 + 1/t) * (1/(1 - t))": ("32", [
+        "0 0x1.0000000000000p+0 0x0.0p+0", "1 0x1.8000000000000p+1 0x0.0p+0",
+        "2 0x1.8000000000000p+2 0x0.0p+0", "3 0x1.4000000000000p+3 0x0.0p+0",
+        "4 0x1.e000000000000p+3 0x0.0p+0", "5 0x1.5000000000000p+4 0x0.0p+0",
+        "6 0x1.c000000000000p+4 0x0.0p+0", "7 0x1.2000000000000p+5 0x0.0p+0",
+        "8 0x1.6800000000000p+5 0x0.0p+0", "9 0x1.b800000000000p+5 0x0.0p+0",
+        "10 0x1.0800000000000p+6 0x0.0p+0", "11 0x1.3800000000000p+6 0x0.0p+0",
+        "12 0x1.6c00000000000p+6 0x0.0p+0", "13 0x1.a400000000000p+6 0x0.0p+0",
+        "14 0x1.e000000000000p+6 0x0.0p+0", "15 0x1.1000000000000p+7 0x0.0p+0",
+        "16 0x1.3200000000000p+7 0x0.0p+0", "17 0x1.5600000000000p+7 0x0.0p+0",
+        "18 0x1.7c00000000000p+7 0x0.0p+0", "19 0x1.a400000000000p+7 0x0.0p+0",
+        "20 0x1.ce00000000000p+7 0x0.0p+0", "21 0x1.fa00000000000p+7 0x0.0p+0",
+        "22 0x1.1400000000000p+8 0x0.0p+0", "23 0x1.2c00000000000p+8 0x0.0p+0",
+        "24 0x1.4500000000000p+8 0x0.0p+0", "25 0x1.5f00000000000p+8 0x0.0p+0",
+        "26 0x1.7a00000000000p+8 0x0.0p+0", "27 0x1.9600000000000p+8 0x0.0p+0",
+        "28 0x1.b300000000000p+8 0x0.0p+0", "29 0x1.d100000000000p+8 0x0.0p+0",
+        "30 0x1.f000000000000p+8 0x0.0p+0", "31 0x1.0800000000000p+9 0x0.0p+0",
+    ]),
+    "(z^2 - t)/(z - 1/10)": ("inf", [
+        "0 0x1.47ae147ae147cp-7 0x0.0p+0", "1 -0x1.0000000000000p+0 0x0.0p+0",
+    ]),
+    RAMIFIED: ("inf", [
+        "-2/3 0x1.3d829b54f5c1fp+2 0x1.114580b45d475p+5",
+        "-1/3 -0x1.484196e209c1ep+2 -0x1.1c0690d10d5dep+2", "0 0x1.552c97fa03695p-2 0x0.0p+0",
+        "5/6 0x1.921fb54442d19p+1 0x1.5bf0a8b14576ap+1",
+        "1 0x1.c65e11b7b6038p+1 0x1.5bf0a8b145769p+1", "7/6 0x1.a1f2e39b99900p-2 0x0.0p+0",
+    ]),
+    DENSE_OCTIC: ("inf", [
+        "-8 0x1.b8cc6573cd2c7p-2 0x0.0p+0", "-7 -0x1.29f5d2bcae7a3p+7 0x0.0p+0",
+        "-6 0x1.cf9383dba9d6ap+13 0x0.0p+0", "-5 0x1.a3cb0e4a5aa6ap+17 0x0.0p+0",
+        "-4 -0x1.a448179fc309fp+20 0x0.0p+0", "-3 -0x1.5599bf890e0a0p+22 0x0.0p+0",
+        "-2 0x1.1fc219613b7bdp+28 0x0.0p+0", "-1 0x1.2a5aea5567712p+28 0x0.0p+0",
+        "0 0x1.8dfe96a6a3408p+27 0x0.0p+0", "1 0x1.d5b62fa2eca3ap+25 0x0.0p+0",
+        "2 0x1.05867b986982bp+23 0x0.0p+0", "3 0x1.b4f32b6375fc0p+20 0x0.0p+0",
+        "4 0x1.11ff2324ae630p+17 0x0.0p+0", "5 0x1.024a378b6a245p+13 0x0.0p+0",
+        "6 0x1.1b0e49e984c8fp+9 0x0.0p+0", "7 -0x1.9b2ab9d1614b3p+3 0x0.0p+0",
+    ]),
+}
+
+
+class TestPinnedResultants:
+    def test_resultant_series(self):
+        assert set(FAMILY_TEXTS) <= set(PINNED_RESULTANTS)
+        for text, pinned in PINNED_RESULTANTS.items():
+            res = parse_family(text).resultant
+            terms = [f"{Fraction(k, res.ram)} {c.real.hex()} {c.imag.hex()}"
+                     for k, c in sorted(res.terms.items())]
+            assert (str(res.trunc_order), terms) == pinned, text
+
+
 class TestZeroRule:
     def test_family_drops_coefficient_zero_to_truncation(self):
         # 1/(1 - t) is truncated, so the difference is zero only to O(t^32)
@@ -253,6 +332,8 @@ class TestErrorOffsets:
         (parse_family, "z^65", "exponent 65 exceeds 64", 2),
         (parse_family, "z^2 + t^-99999999", "exponent -99999999 exceeds 64", 8),
         (parse_series, "(1 + t)^(130/2)", "exponent 65 exceeds 64", 8),
+        # and so is the degree it builds in the variables
+        (parse_family, "((1 + z)^16)^8 + 1/t", "power of degree 128 > 64", 12),
         # errors come in reading order: the unknown name before the stray ')'
         (parse_family, "z^2 + foo + )", "unknown variable 'foo'", 6),
     ])
