@@ -15,8 +15,8 @@ import math
 from math import gcd
 
 from .berkovich import TypeIIPoint, TypeIPoint, _section_exponent
-from .errors import DegenerateMapError, LaurentError, ParseError, PrecisionError
-from .poly import iterate_pair, resultant
+from .errors import LaurentError, ParseError, PrecisionError
+from .poly import exact_form, iterate_pair, resultant
 
 _INF = math.inf
 
@@ -47,28 +47,22 @@ class AdmissibleDatum:
 def datum_regular(F: AdmissibleDatum, t_values) -> bool:
     """Whether the sections of a datum on P^1 have no common zero on the
     fiber of any parameter in ``t_values``, decided from resultants: two
-    sections share a zero at t exactly when ``poly.resultant(a, b)`` vanishes
-    there, by ``cxdyn.specialize``'s rule (``_shifted_eval``'s rounding bound
-    for an exact series, ``RationalMapC``'s float check for a truncated one).
-    With more than two sections a fiber passes when some pair's resultant is
-    nonzero there, which suffices but is not necessary.
+    sections share a zero at t exactly when their resultant vanishes there,
+    by ``cxdyn.specialize``'s rule.  Each resultant is formed once, exactly,
+    from the sections' doubles (``poly.exact_form``).  With more than two
+    sections a fiber passes when some pair's resultant is nonzero there,
+    which suffices but is not necessary.
     """
-    from .cxdyn import RationalMapC, _shifted_eval
+    from .cxdyn import _shifted_eval
 
-    pairs = [(a, b, resultant(a, b))
-             for i, a in enumerate(F.sections) for b in F.sections[i + 1:]]
+    forms = [exact_form(s) for s in F.sections]
+    pairs = [resultant(a, b) for i, a in enumerate(forms) for b in forms[i + 1:]]
 
-    def apart(a, b, res, t):
-        if res.trunc is None:
-            value, bound = _shifted_eval(res, t)
-            return abs(value) > bound
-        try:
-            RationalMapC(*([c.eval(t) for c in s.dehomogenized()] for s in (a, b)))
-        except DegenerateMapError:
-            return False
-        return True
+    def apart(res, t):
+        value, bound = _shifted_eval(res, t)
+        return abs(value) > bound
 
-    return all(any(apart(*pair, complex(t)) for pair in pairs) for t in t_values)
+    return all(any(apart(res, complex(t)) for res in pairs) for t in t_values)
 
 
 def _sup_normalized(z):

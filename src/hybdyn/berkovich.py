@@ -230,10 +230,8 @@ def resultant_valuation(R) -> Fraction:
     """
     det = R.resultant
     if det.is_zero():
-        if det.is_exact_zero():
-            raise DegenerateFamilyError(
-                f"resultant of {getattr(R, 'label', '?')!r} vanishes identically")
-        raise PrecisionError("resultant is zero to truncation; increase precision")
+        raise DegenerateFamilyError(
+            f"resultant of {getattr(R, 'label', '?')!r} vanishes identically")
     return det.order()
 
 

@@ -49,10 +49,9 @@ _LEAD_CUT = 1e-14  # a leading coefficient at most this times its row's largest:
 class RationalMapC:
     """Complex rational map of degree d in homogeneous coordinates.
 
-    ``resultant`` is the value of Res(p0, p1) when the caller has already
-    decided that it is nonzero (``specialize`` does so from the family's
-    exact resultant); without it the float Sylvester determinant is
-    computed and checked against a relative tolerance.
+    It checks no degeneracy: ``specialize`` decides that from the family's
+    exact resultant and keeps its value at t in ``resultant`` (None for a
+    map built directly).
     """
 
     def __init__(self, p0c, p1c, label: str = "", resultant: complex | None = None):
@@ -62,18 +61,6 @@ class RationalMapC:
             raise DegenerateMapError("coefficient arrays must share length d+1")
         self.degree = len(self.p0c) - 1
         self.label = label
-        s0 = np.abs(self.p0c).max()
-        s1 = np.abs(self.p1c).max()
-        if s0 == 0 or s1 == 0:
-            raise DegenerateMapError("zero section")
-        if resultant is None:
-            resultant = _sylvester_det(self.p0c, self.p1c)
-            # the resultant is degree d in each section's coefficients;
-            # strongly degenerating lifts (huge coefficient spread) shrink it
-            # legitimately, so the relative tolerance is kept small
-            if abs(resultant) <= 1e-15 * (s0 * s1) ** self.degree:
-                raise DegenerateMapError(
-                    f"resultant vanishes to tolerance for map {label!r}")
         self.resultant = resultant
 
     def __repr__(self):
@@ -136,23 +123,13 @@ def _safe_div(a, b):
         return np.where(b != 0, a / np.where(b != 0, b, 1.0), 0.0)
 
 
-def _sylvester_det(a: np.ndarray, b: np.ndarray) -> complex:
-    d = len(a) - 1
-    m = np.zeros((2 * d, 2 * d), dtype=complex)
-    for i in range(d):
-        m[i, i: i + d + 1] = a[::-1]
-        m[d + i, i: i + d + 1] = b[::-1]
-    return complex(np.linalg.det(m))
-
-
 def specialize(R, t: complex, r: float | None = None) -> RationalMapC:
     """Specialize a family at a nonzero parameter; checks non-degeneracy.
 
-    The map is degenerate when the family's resultant series vanishes at
-    ``t``.  For an exact series (no truncation) that is decided from its
-    value against the rounding bound of the evaluation, so strongly
-    degenerating lifts such as ``z^3 + 1/t`` pass at any |t|; a truncated
-    series leaves the decision to the float check of ``RationalMapC``.
+    The map is degenerate when the family's resultant, an exact series,
+    vanishes at ``t``: when its value is within the rounding bound of the
+    evaluation (``_shifted_eval``), so strongly degenerating lifts such as
+    ``z^3 + 1/t`` pass at any |t|.
     """
     t = complex(t)
     if t == 0:
@@ -161,18 +138,13 @@ def specialize(R, t: complex, r: float | None = None) -> RationalMapC:
         raise DegenerateMapError(f"|t| = {abs(t)} exceeds the radius {r}")
     p0c = np.array([c.eval(t) for c in R.p0.dehomogenized()], dtype=complex)
     p1c = np.array([c.eval(t) for c in R.p1.dehomogenized()], dtype=complex)
-    label = f"{getattr(R, 'label', '')}@t={t}"
     res = R.resultant
-    if res.trunc is None:
-        value, bound = _shifted_eval(res, t)
-        if abs(value) <= bound:
-            raise DegenerateMapError(f"degenerate specialization at t = {t}: resultant "
-                                     f"{value} is zero to rounding ({bound:.3g})")
-        return RationalMapC(p0c, p1c, label=label, resultant=res.eval(t))
-    try:
-        return RationalMapC(p0c, p1c, label=label)
-    except DegenerateMapError as exc:
-        raise DegenerateMapError(f"degenerate specialization at t = {t}: {exc}")
+    value, bound = _shifted_eval(res, t)
+    if abs(value) <= bound:
+        raise DegenerateMapError(f"degenerate specialization at t = {t}: resultant "
+                                 f"{value} is zero to rounding ({bound:.3g})")
+    return RationalMapC(p0c, p1c, label=f"{getattr(R, 'label', '')}@t={t}",
+                        resultant=res.eval(t))
 
 
 def _shifted_eval(series, t: complex):

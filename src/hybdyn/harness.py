@@ -73,7 +73,9 @@ _FIELDS = {key: (name, typ) for name, key, typ, _, _ in _SCHEMA}
 
 class ExperimentConfig:
     """One experiment: an attribute per ``_SCHEMA`` entry, set from keyword
-    arguments or the entry's default."""
+    arguments or the entry's default.  ``load_config`` adds what it parses
+    for ``run``: ``parsed_family`` for a kind with a family and
+    ``parsed_datum`` for hybrid-converge."""
 
     def __init__(self, **values):
         for name, _, _, default, _ in _SCHEMA:
@@ -133,7 +135,8 @@ def load_config(source: str, kind: str | None = None) -> ExperimentConfig:
     newline or ``[``, otherwise the path of a file.
 
     Unknown sections or keys are rejected; ``kind`` (from the CLI subcommand)
-    must agree with the config when both are present.
+    must agree with the config when both are present.  The family and the
+    datum are parsed here, once, and kept on the config for ``run``.
     """
     cp = configparser.ConfigParser(interpolation=None)
     try:
@@ -176,8 +179,13 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"experiment.label must be a plain file name, got {cfg.label!r}")
     if not 0.0 < cfg.r < 1.0:
         raise ConfigError(f"experiment.r must lie in (0, 1), got {cfg.r}")
-    if cfg.kind in ("hybrid-converge", "lyap-slope", "na-measure") and not cfg.family:
-        raise ConfigError(f"experiment.family is required for {cfg.kind}")
+    if cfg.kind in ("hybrid-converge", "lyap-slope", "na-measure"):
+        if not cfg.family:
+            raise ConfigError(f"experiment.family is required for {cfg.kind}")
+        try:
+            cfg.parsed_family = parse_family(cfg.family)
+        except ParseError as exc:
+            raise ConfigError(f"experiment.family: {exc}") from None
     if cfg.kind == "circle-demo" and not cfg.series_f:
         raise ConfigError("series.f is required for circle-demo")
     if cfg.kind in _SAMPLED_KINDS:
@@ -191,10 +199,7 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise ConfigError("tgrid.phases must be >= 1")
         if cfg.n_burn < 0:
             raise ConfigError(f"sampler.n_burn must be >= 0, got {cfg.n_burn}")
-        try:
-            d = parse_family(cfg.family).degree
-        except ParseError as exc:
-            raise ConfigError(f"experiment.family: {exc}") from None
+        d = cfg.parsed_family.degree
         if cfg.n_keep < d ** 3:
             # three quadrature levels are the fewest that can certify a cell
             raise ConfigError(f"sampler.n_keep must be >= d^3 = {d ** 3} for a degree-{d} "
@@ -203,7 +208,7 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"datum.k must be 1 (every family acts on P^1), got {cfg.datum_k}")
     if cfg.kind == "hybrid-converge":
         try:
-            parse_sections(cfg.datum_sections, d=cfg.datum_d)
+            cfg.parsed_datum = parse_sections(cfg.datum_sections, d=cfg.datum_d)
         except ParseError as exc:
             raise ConfigError(f"datum.sections: {exc}") from None
     if cfg.kind == "lyap-slope" and len(set(cfg.moduli)) < 3:
@@ -397,7 +402,7 @@ def _na_measure(cfg: ExperimentConfig):
     value: ``green`` is empty.  An exponent that raises PrecisionError keeps
     the probe tree.
     """
-    family = parse_family(cfg.family)
+    family = cfg.parsed_family
     evaluator = berkovich.GreenEvaluator(family, cfg.r, n_max=cfg.green_n_max,
                                          tol=cfg.green_tol)
     try:
@@ -449,7 +454,7 @@ def cmd_hybrid_converge(cfg: ExperimentConfig) -> ResultRecord:
     from . import admissible, hybrid
 
     family, _, _, mu = _na_measure(cfg)
-    datum = parse_sections(cfg.datum_sections, d=cfg.datum_d)
+    datum = cfg.parsed_datum
     ts = [t for *_, t in _grid_cells(cfg)]
     if not admissible.datum_regular(datum, ts):
         bad = next(t for t in ts if not admissible.datum_regular(datum, [t]))

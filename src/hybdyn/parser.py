@@ -10,19 +10,22 @@ Grammar (shared by all entry points):
     atom    := NUMBER | NAME | '(' expr ')'
 
 Numbers are finite decimal literals with an optional ``i`` suffix for
-imaginary parts, so a complex literal is written ``(1+2i)``.  Fractional
-exponents take a positive denominator and are only meaningful on ``t``; an
-integer exponent is at most ``MAX_EXPONENT`` in size, and so is the degree
-a power builds in the entry point's variables; a family or a section is a
-binary form of degree at most ``MAX_DEGREE``.
+imaginary parts, so a complex literal is written ``(1+2i)``; each is read
+exactly (a literal whose double is 0 reads as 0).  Fractional exponents
+take a positive denominator and are only meaningful on a t-monomial whose
+coefficient has an exact principal root in Q(i).  An exponent is at most
+``MAX_EXPONENT`` in size, and so are the degree and the span of powers of
+t that a power builds; a power builds ints of at most ``MAX_BITS`` bits,
+and a family or a section is a binary form of degree at most ``MAX_DEGREE``.
 One reader serves every entry point, in one pass: each grammar rule returns
-the value of what it read, a quotient of polynomials in the entry point's
-variables (``z`` for families, ``w0, w1`` for sections, none for series)
-with Laurent coefficients in ``t``.  A denominator free of those variables
-becomes Laurent coefficients at once, so only a family keeps a denominator,
-in ``z``, which folds into the overall quotient.  A term whose coefficient
-is zero to truncation is dropped, and every coefficient of the result must
-be finite.
+the exact value of what it read, a quotient of polynomials in the entry
+point's variables (``z`` for families, ``w0, w1`` for sections, none for
+series) over Q(i)[t^(±1/q)].  A t-monomial denominator is divided out at
+once; a family keeps any other one in its overall quotient (a t-polynomial
+one with its lowest power of t divided out), a series divides by it at the
+end, and a section may not have one.  A term whose coefficient is zero is
+dropped; each coefficient is rounded to a double once, at the end, and
+must be finite.
 
 Errors come in reading order, each at the byte offset of the first bad
 token; a coefficient that overflows is reported without one.
@@ -30,120 +33,162 @@ token; a coefficient that overflows is reported without one.
 
 from __future__ import annotations
 
-import cmath
 import math
+import operator
 from fractions import Fraction
 from functools import cached_property
 
 from . import berkovich
 from .errors import ParseError
 from .laurent import LaurentSeries
-from .poly import HomogeneousPoly, resultant
+from .poly import HomogeneousPoly, exact_form, resultant
 
-# caps on what a text may build: a power is formed by repeated products, and
-# the resultant of a family (``poly.resultant``) and the complex root-finders
-# (``cxdyn._MAX_ROOT_DEGREE``) serve forms of degree <= 8
+# caps on what a text may build: a power is formed by repeated products of
+# exact ints, and the complex root-finders (``cxdyn._MAX_ROOT_DEGREE``) serve
+# forms of degree <= 8
 MAX_EXPONENT = 64
+MAX_BITS = 1 << 14
 MAX_DEGREE = 8
 
 # -- lexer ---------------------------------------------------------------------
 
-_PUNCT = "+-*/^()"
-
 
 def _tokenize(text: str):
-    tokens = []
-    i, n = 0, len(text)
+    tokens, i, n = [], 0, len(text)
     while i < n:
-        ch = text[i]
+        ch, j = text[i], i + 1
         if ch.isspace():
-            i += 1
-            continue
-        if ch in _PUNCT:
+            pass
+        elif ch in "+-*/^()":
             tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
+        elif ch.isdigit() or ch == "." and text[j:j + 1].isdigit():
             while j < n and (text[j].isdigit() or text[j] == "."):
                 j += 1
-            if j < n and text[j] in "eE" and j + 1 < n and (
-                    text[j + 1].isdigit() or (text[j + 1] in "+-" and j + 2 < n and text[j + 2].isdigit())):
-                j += 2
+            k = j + 1 + (text[j + 1:j + 2] in ("+", "-"))  # the first digit of an exponent
+            if text[j:j + 1] in ("e", "E") and text[k:k + 1].isdigit():
+                j = k
                 while j < n and text[j].isdigit():
                     j += 1
-            lit = text[i:j]
+            lit, imag = text[i:j], text[j:j + 1] == "i"
             try:
+                # exact where the double is finite and nonzero, so that no
+                # exponent builds a huge power of ten; 0 where it underflows
                 val = float(lit)
-            except ValueError:
-                val = math.nan
-            if not math.isfinite(val):  # malformed, or too large for a double
+                ok = math.isfinite(val)  # else too large for a double
+                val = Fraction(lit) if ok and val else Fraction(0)
+            except ValueError:  # malformed, or more digits than int() reads
+                ok = False
+            if not ok:
                 raise ParseError(f"bad number literal {lit!r}", i)
-            if j < n and text[j] == "i":
-                tokens.append(("num", complex(0.0, val), i))
-                j += 1
-            else:
-                tokens.append(("num", complex(val, 0.0), i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
+            a, m = val.numerator, val.denominator
+            tokens.append(("num", (0, a, m) if imag else (a, 0, m), i))
+            j += imag
+        elif ch.isalpha() or ch == "_":
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             name = text[i:j]
-            if name == "i":
-                tokens.append(("num", complex(0.0, 1.0), i))
-            else:
-                tokens.append(("name", name, i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
+            tokens.append(("num", (0, 1, 1), i) if name == "i" else ("name", name, i))
+        else:
+            raise ParseError(f"unexpected character {ch!r}", i)
+        i = j
     tokens.append(("end", None, n))
     return tokens
 
 
-# -- values: one quotient of polynomials over Laurent coefficients -----------------
+# -- exact values: one quotient of polynomials over Q(i)[t^(±1/q)] -------------------
 #
 # A value is a pair (num, den) of sparse polynomials {exponent tuple:
-# LaurentSeries} in the entry point's variables (see the module docstring).
+# Gaussian rational} in the entry point's variables and, last, t (an int
+# exponent, or a Fraction on a Puiseux term).  A Gaussian rational
+# (a + b i) / n is the int triple (a, b, n), n > 0, not reduced.
 
-_ZERO, _ONE = LaurentSeries.zero(), LaurentSeries.one()
-
-
-def _nonzero(p: dict) -> dict:
-    return {e: c for e, c in p.items() if not c.is_zero()}
+_UNIT = (1, 0, 1)
 
 
-def _add(p: dict, q: dict) -> dict:
+def _gadd(x, y):
+    (a, b, n), (c, d, m) = x, y
+    if n == m:
+        return a + c, b + d, n
+    # over the lcm: a power sums products of its base's terms, and over the
+    # product of their denominators its bits would double with each factor
+    g = math.gcd(n, m)
+    return a * (m // g) + c * (n // g), b * (m // g) + d * (n // g), n // g * m
+
+
+def _gmul(x, y):
+    (a, b, n), (c, d, m) = x, y
+    return a * c - b * d, a * d + b * c, n * m
+
+
+def _ginv(x):
+    a, b, n = x
+    return n * a, -n * b, a * a + b * b
+
+
+def _gpow(x, k: int):
+    out = _UNIT
+    for bit in bin(k)[2:]:
+        out = _gmul(out, out) if bit == "0" else _gmul(_gmul(out, out), x)
+    return out
+
+
+def _collect(terms) -> dict:
+    """The polynomial of (exponent tuple, Gaussian rational) pairs, summed;
+    zeros dropped."""
     out = {}
-    for e, c in (*p.items(), *q.items()):
-        out[e] = out.get(e, _ZERO) + c
-    return _nonzero(out)
+    for e, c in terms:
+        out[e] = _gadd(out[e], c) if e in out else c
+    return {e: c for e, c in out.items() if c[0] or c[1]}
 
 
 def _mul(p: dict, q: dict) -> dict:
-    # the left factor in ascending exponents fixes the float accumulation order
+    # the left factor in ascending exponents fixes the order of the monomials
+    return _collect((tuple(map(operator.add, e1, e2)), _gmul(p[e1], c2))
+                    for e1 in sorted(p) for e2, c2 in q.items())
+
+
+def _neg(p: dict) -> dict:
+    return {e: (-a, -b, n) for e, (a, b, n) in p.items()}
+
+
+def _bits(p: dict) -> int:
+    """Bits that bound each int of p^k, per factor: every denominator
+    divides L^k, L the lcm of p's, and every numerator is at most S^k, S the
+    sum of L times |re| + |im| over p's coefficients."""
+    lcm = math.lcm(*(n for _, _, n in p.values()))
+    return max(lcm, sum((abs(a) + abs(b)) * (lcm // n) for a, b, n in p.values())).bit_length()
+
+
+def _forms(p: dict) -> dict:
+    """{monomial in the variables: t-polynomial}, monomials in the order of
+    their first terms: the t-polynomials are what ``poly.resultant`` takes."""
     out = {}
-    for e1 in sorted(p):
-        for e2, c2 in q.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            out[e] = out.get(e, _ZERO) + p[e1] * c2
-    return _nonzero(out)
+    for e, c in p.items():
+        out.setdefault(e[:-1], {})[e[-1]] = c
+    return out
+
+
+def _series(p: dict) -> LaurentSeries:
+    """The t-polynomial p, each coefficient rounded to a double."""
+    try:
+        return LaurentSeries({e: complex(a / n, b / n) for e, (a, b, n) in p.items()})
+    except OverflowError:
+        raise ParseError("a coefficient overflows to a non-finite value") from None
 
 
 # -- one-pass reader: each grammar rule returns its value ---------------------------
 
 
 class _Reader:
-    """Reads ``text`` as a value over the variables ``names``; only a
-    ``rational`` reader may divide by an expression in them."""
+    """Reads ``text`` as an exact value over the variables ``names``; only a
+    ``rational`` reader may divide by anything but a t-monomial."""
 
     def __init__(self, text: str, names: tuple, rational: bool):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.names, self.rational = names, rational
         self.unit = (0,) * len(names)
-        self.one = {self.unit: _ONE}
+        self.one = {self.unit + (0,): _UNIT}
 
     def peek(self):
         return self.tokens[self.pos]
@@ -159,24 +204,23 @@ class _Reader:
             raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
 
     def read(self):
-        num, den = self.expr()
+        value = self.expr()
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
-        if not all(cmath.isfinite(c) for p in (num, den) for s in p.values()
-                   for c in s.terms.values()):
-            raise ParseError("a coefficient overflows to a non-finite value")
-        return num, den
+        return value
 
     def quotient(self, num, den, pos):
-        unit = self.unit
-        if list(den) == [unit]:
-            if den[unit] == _ONE:
-                return num, den
-            inv = den[unit].inverse()
-            return _nonzero({e: c * inv for e, c in num.items()}), self.one
+        if den == self.one:
+            return num, den
+        ((e, c), *more) = den.items()
+        if not more and e[:-1] == self.unit:  # a t-monomial: divide it out
+            return _mul(num, {self.unit + (-e[-1],): _ginv(c)}), self.one
         if not self.rational:
-            raise ParseError("sections may only divide by t-expressions", pos)
+            raise ParseError("sections may divide only by one-term t-expressions", pos)
+        if all(e[:-1] == self.unit for e in den):  # a t-polynomial: kept of order 0
+            shift = {self.unit + (-min(e[-1] for e in den),): _UNIT}
+            return _mul(shift, num), _mul(shift, den)
         return num, den
 
     def expr(self):
@@ -186,8 +230,9 @@ class _Reader:
             bn, bd = self.term()
             rhs = _mul(bn, ad)
             if op == "-":
-                rhs = {e: -c for e, c in rhs.items()}
-            an, ad = self.quotient(_add(_mul(an, bd), rhs), _mul(ad, bd), pos)
+                rhs = _neg(rhs)
+            num = _collect([*_mul(an, bd).items(), *rhs.items()])
+            an, ad = self.quotient(num, _mul(ad, bd), pos)
         return an, ad
 
     def term(self):
@@ -207,7 +252,7 @@ class _Reader:
             return self.power()
         op = self.next()[0]
         num, den = self.unary()
-        return (num if op == "+" else {e: -c for e, c in num.items()}), den
+        return (num if op == "+" else _neg(num)), den
 
     def power(self):
         num, den = self.atom()
@@ -216,31 +261,55 @@ class _Reader:
         _, _, pos = self.next()
         epos = self.peek()[2]
         exp = self.exponent()
-        if exp.denominator == 1:
-            n = int(exp)
-            if abs(n) > MAX_EXPONENT:
-                raise ParseError(f"exponent {n} exceeds {MAX_EXPONENT} in size", epos)
-            if n < 0:
-                if not num:
-                    raise ParseError("division by zero", pos)
-                num, den, n = den, num, -n
-            degree = n * max((sum(e) for p in (num, den) for e in p), default=0)
-            if degree > MAX_EXPONENT:
-                raise ParseError(f"power of degree {degree} > {MAX_EXPONENT}", pos)
-            rnum, rden = self.one, self.one
-            for _ in range(n):
-                rnum, rden = _mul(rnum, num), _mul(rden, den)
-            return self.quotient(rnum, rden, pos)
-        # fractional exponent: only a pure-t monomial supports it exactly
-        unit = self.unit
-        if list(num) != [unit] or den != self.one or not num[unit].is_monomial():
+        if abs(exp) > MAX_EXPONENT:
+            raise ParseError(f"exponent {exp} exceeds {MAX_EXPONENT} in size", epos)
+        if exp.denominator > 1:
+            num = self.root(num, den, exp.denominator, pos)
+        n = exp.numerator
+        if n < 0:
+            if not num:
+                raise ParseError("division by zero", pos)
+            num, den, n = den, num, -n
+        degree = n * max((sum(e[:-1]) for e in [*num, *den]), default=0)
+        if degree > MAX_EXPONENT:
+            raise ParseError(f"power of degree {degree} > {MAX_EXPONENT}", pos)
+        span = n * max((max(e[-1] for e in p) - min(e[-1] for e in p) for p in (num, den)
+                        if p), default=0)
+        if span > MAX_EXPONENT:
+            raise ParseError(f"power spanning {span} > {MAX_EXPONENT} powers of t", pos)
+        bits = n * max(map(_bits, (num, den)))
+        if bits > MAX_BITS:
+            raise ParseError(f"power of {bits} bits > {MAX_BITS}", pos)
+        rnum, rden = self.one, self.one
+        for _ in range(n):
+            rnum, rden = _mul(rnum, num), _mul(rden, den)
+        return self.quotient(rnum, rden, pos)
+
+    def root(self, num, den, q: int, pos):
+        """The principal q-th root of a t-monomial, which must be exact."""
+        if len(num) != 1 or den != self.one or next(iter(num))[:-1] != self.unit:
             raise ParseError("fractional powers are only supported on t-monomials", pos)
-        e, c = num[unit].leading()
-        try:
-            c = complex(c) ** float(exp)
-        except OverflowError:
-            raise ParseError("a coefficient overflows to a non-finite value", pos) from None
-        return {unit: LaurentSeries.t_power(e * exp, c)}, self.one
+        ((e, (a, b, n)),) = num.items()
+        bits = (q - 1) * (n.bit_length() - 1) + max(abs(a), abs(b)).bit_length()
+        if bits > MAX_BITS:
+            raise ParseError(f"power of {bits} bits > {MAX_BITS}", pos)
+        g = (a * n ** (q - 1), b * n ** (q - 1), 1)  # n^q times the coefficient
+        # n times the root is a Gaussian integer: guess it in doubles, g scaled
+        # by 2^(-hq) into their range
+        h = max(0, -(-(max(map(abs, g[:2])).bit_length() - 960) // q))
+        w = complex(g[0] >> h * q, g[1] >> h * q) ** (1 / q)
+        r = (round(w.real) << h, round(w.imag) << h, 1)
+        for _ in range(16):  # Newton's steps, each rounded to a Gaussian integer
+            p = _gpow(r, q - 1)
+            x, y, m = _gmul(_gadd(_gmul(r, p), (-g[0], -g[1], 1)), _ginv((q * p[0], q * p[1], 1)))
+            if not (x or y) or not m:
+                break
+            r = (r[0] - round(Fraction(x, m)), r[1] - round(Fraction(y, m)), 1)
+        if _gpow(r, q) != g:
+            raise ParseError(f"{_series({0: (a, b, n)})} has no exact root of order {q} in "
+                             "Q(i): write the coefficient out", pos)
+        k = Fraction(e[-1]) / q  # an int where it is whole: ints hash and add faster
+        return {e[:-1] + (k.numerator if k.denominator == 1 else k,): (r[0], r[1], n)}
 
     def exponent(self) -> Fraction:
         if self.peek()[0] != "(":
@@ -261,14 +330,14 @@ class _Reader:
             self.next()
             sign = -1
         kind, val, pos = self.next()
-        if kind != "num" or val.imag != 0 or val.real != int(val.real):
+        if kind != "num" or val[1] or val[0] % val[2]:
             raise ParseError("exponents must be integers (or rational for t)", pos)
-        return sign * int(val.real)
+        return sign * (val[0] // val[2])
 
     def atom(self):
         kind, val, pos = self.next()
         if kind == "num":
-            return {self.unit: LaurentSeries.const(val)}, self.one
+            return ({self.unit + (0,): val} if val[0] or val[1] else {}), self.one
         if kind == "(":
             value = self.expr()
             self.expect(")")
@@ -277,9 +346,9 @@ class _Reader:
             raise ParseError(f"unexpected token {val!r}", pos)
         names = self.names
         if val == "t":
-            return {self.unit: LaurentSeries.t_power(1)}, self.one
+            return {self.unit + (1,): _UNIT}, self.one
         if val in names:
-            return {tuple(int(v == val) for v in names): _ONE}, self.one
+            return {tuple(int(v == val) for v in names) + (0,): _UNIT}, self.one
         raise ParseError(f"unknown variable {val!r} (allowed: "
                          f"{', '.join(names + ('t',))})", pos)
 
@@ -294,14 +363,14 @@ class RationalMapFamily:
                  label: str = ""):
         if p0.degree != degree or p1.degree != degree:
             raise ParseError("family sections must share the declared degree")
-        if p0.is_zero() and p1.is_zero():
-            raise ParseError("family is identically zero")
         self.degree, self.p0, self.p1, self.label = degree, p0, p1, label
 
     @cached_property
     def resultant(self) -> LaurentSeries:
-        """Res(P0, P1) as a series in t; built once per family."""
-        return resultant(self.p0, self.p1)
+        """Res(P0, P1) as an exact series in t; built once per family, from
+        the exact forms when parsed and from the coefficients' doubles,
+        read exactly, otherwise."""
+        return resultant(exact_form(self.p0), exact_form(self.p1))
 
     def min_coeff_order(self):
         return min(self.p0.min_coeff_order(), self.p1.min_coeff_order())
@@ -326,19 +395,23 @@ class RationalMapFamily:
 def parse_family(text: str, label: str | None = None) -> RationalMapFamily:
     """Parse a rational expression in z and t into a homogeneous degree-d pair.
 
-    The z-denominator is cleared by homogenization; t-denominators stay as
-    Laurent coefficients.  Families of degree < 2 or > ``MAX_DEGREE`` are
-    rejected, and so is a family whose resultant vanishes identically
+    The z-denominator is cleared by homogenization, and so is a denominator
+    in t that is not a monomial: the family keeps it, its lowest power of t
+    divided out, as a factor of P1, not as a truncated inverse.  Families of
+    degree < 2 or > ``MAX_DEGREE`` are rejected, and so is a family whose
+    resultant, formed once from the exact forms, vanishes identically
     (``DegenerateFamilyError``).
     """
-    num, den = _Reader(text, ("z",), rational=True).read()
+    num, den = (_forms(p) for p in _Reader(text, ("z",), rational=True).read())
     d = max((j for (j,) in [*num, *den]), default=0)
     if d < 2:
         raise ParseError(f"family degree {d} < 2")
     if d > MAX_DEGREE:
         raise ParseError(f"family degree {d} > {MAX_DEGREE}")
-    p0, p1 = (HomogeneousPoly(d, {j: p[(j,)] for (j,) in sorted(p)}) for p in (num, den))
+    p0, p1 = (HomogeneousPoly(d, {j: _series(p[(j,)]) for (j,) in sorted(p)})
+              for p in (num, den))
     family = RationalMapFamily(d, p0, p1, label=label if label is not None else text)
+    family.resultant = resultant(*([p.get((j,), {}) for j in range(d + 1)] for p in (num, den)))
     berkovich.resultant_valuation(family)
     return family
 
@@ -350,7 +423,7 @@ def parse_section(text: str, d: int) -> HomogeneousPoly:
     """Parse one binary form of degree d <= ``MAX_DEGREE`` in w0, w1."""
     if d > MAX_DEGREE:
         raise ParseError(f"section degree {d} > {MAX_DEGREE}")
-    coeffs, _ = _Reader(text, ("w0", "w1"), rational=False).read()
+    coeffs = _forms(_Reader(text, ("w0", "w1"), rational=False).read()[0])
     if not coeffs:
         raise ParseError("section is identically zero")
     degrees = {a + b for a, b in coeffs}
@@ -359,7 +432,7 @@ def parse_section(text: str, d: int) -> HomogeneousPoly:
     deg = degrees.pop()
     if deg != d:
         raise ParseError(f"section has degree {deg}, expected {d}")
-    return HomogeneousPoly(d, {a: c for (a, _), c in coeffs.items()})
+    return HomogeneousPoly(d, {a: _series(c) for (a, _), c in coeffs.items()})
 
 
 def parse_sections(texts: list, d: int):
@@ -372,6 +445,7 @@ def parse_sections(texts: list, d: int):
 
 
 def parse_series(text: str) -> LaurentSeries:
-    """Parse a t-only expression into a Laurent series."""
-    num, _ = _Reader(text, (), rational=False).read()
-    return num.get((), _ZERO)
+    """Parse a t-only expression into a Laurent series; a denominator that is
+    not a t-monomial is inverted once, as a truncated series, at the end."""
+    num, den = (_forms(p).get((), {}) for p in _Reader(text, (), rational=True).read())
+    return _series(num) if den == {0: _UNIT} else _series(num) / _series(den)

@@ -3,17 +3,22 @@
 A form of degree d in (w0, w1) keeps a map from the power j of w0 to the
 coefficient of ``w0**j * w1**(d - j)``: every family and every section of
 a datum lives on P^1.  Forms also compose, which gives the homogeneous
-iterates of a family, and two forms have a resultant, a series in t.
+iterates of a family, and two forms, given exactly, have a resultant, an
+exact series in t: every degeneracy is decided from it.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from .errors import LaurentError, ParseError, PrecisionError
 from .laurent import LaurentSeries
 
 _INF = math.inf
+# the largest packed determinant, in bits, ``resultant`` forms: a bound on
+# memory and time for forms whose exponents of t span a fine grid widely
+_MAX_BITS = 1 << 20
 
 
 class HomogeneousPoly:
@@ -208,26 +213,89 @@ def jacobian_determinant(p0: HomogeneousPoly, p1: HomogeneousPoly) -> Homogeneou
     return (p0.derivative(0) * p1.derivative(1)) - (p0.derivative(1) * p1.derivative(0))
 
 
-def resultant(p0: HomogeneousPoly, p1: HomogeneousPoly) -> LaurentSeries:
-    """Res(p0, p1) of two forms of the same degree d, as a series in t: the
-    2d x 2d Sylvester determinant, expanded over subsets of columns.  Row i
-    of each form holds its coefficients from ``w0**d`` down in columns
-    i..i+d; exact zeros are skipped, so an exact resultant stays exact."""
-    d, states = p0.degree, {0: LaurentSeries.one()}
-    for p in (p0, p1):
-        descending = p.dehomogenized()[::-1]
-        for i in range(d):
-            new: dict = {}
-            for mask, acc in states.items():
-                for col, entry in enumerate(descending, i):
-                    if mask >> col & 1 or entry.is_exact_zero():
-                        continue
-                    sign = -1 if bin(mask >> (col + 1)).count("1") % 2 else 1
-                    term = acc * entry * sign
-                    key = mask | (1 << col)
-                    new[key] = new[key] + term if key in new else term
-            states = new
-    return states.get((1 << 2 * d) - 1, LaurentSeries.zero())
+def exact_form(p: HomogeneousPoly) -> list:
+    """The form as ``resultant`` takes it, each double read exactly; a
+    truncated coefficient has no exact value (PrecisionError)."""
+    if p.truncation_order() != _INF:
+        raise PrecisionError("a truncated coefficient has no exact resultant")
+    return [{Fraction(k, c.ram): _exact(z) for k, z in c.terms.items()}
+            for c in p.dehomogenized()]
+
+
+def _exact(z: complex) -> tuple:
+    (a, n), (b, m) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    return a * m, b * n, n * m
+
+
+def resultant(a: list, b: list) -> LaurentSeries:
+    """Res(a, b) of two exact forms of one degree d, as an exact series in t
+    whose coefficients are correctly rounded.  A form is its d + 1 ascending
+    coefficients, t-polynomials ``{exponent: (re, im, den)}`` of Gaussian
+    rationals ``(re + im i) / den``, as the parser builds them;
+    ``exact_form`` reads a form of doubles.
+
+    The forms are scaled to integer polynomials in ``u = t^(1/q)`` and ``i``,
+    each packed into an int at ``u = 2**B``, ``i = 2**(B*D)`` (Kronecker
+    substitution), and the Sylvester determinant (row k of a form holds its
+    coefficients from ``w0**d`` down in columns k..k+d) is found by
+    fraction-free Bareiss elimination (Bareiss, Math. Comp. 22, 1968).
+    ``2**(B-2)`` bounds every minor's coefficients and D exceeds its degree
+    in u, so each pivot test and the unpacking are exact; then ``i**2 = -1``.
+    """
+    d = len(a) - 1
+    q = math.lcm(*(e.denominator for f in (a, b) for p in f for e in p))
+    forms, lo, scale, norm, D, imag = [], 0, 1, 1, 1, False
+    for f in (a, b):
+        low = min((e for p in f for e in p), default=0)
+        den = math.lcm(*(c[2] for p in f for c in p.values()))
+        terms, size, span = [], 0, 0
+        for j, p in enumerate(f):
+            for e, (x, y, n) in p.items():
+                k, x, y = int((e - low) * q), x * (den // n), y * (den // n)
+                terms.append((d - j, k, x, y))  # column d - j: from w0**d down
+                size, span, imag = size + abs(x) + abs(y), max(span, k), imag or y != 0
+        forms.append(terms)
+        lo, scale, norm, D = lo + d * low, scale * den ** d, norm * size ** d, D + d * span
+    B = norm.bit_length() + 2
+    bits = B * D * (2 * d + 1 if imag else 1)
+    if bits > _MAX_BITS:
+        raise PrecisionError(f"an exact resultant of {bits} > {_MAX_BITS} bits")
+    rows = []
+    for terms in forms:
+        entries = [0] * (d + 1)
+        for i, k, x, y in terms:
+            entries[i] += (x + (y << B * D)) << B * k
+        rows += [[0] * k + entries + [0] * (d - 1 - k) for k in range(d)]
+    x, k, half, parts = _bareiss(rows), 0, 1 << (B - 1), {}
+    while x:  # the balanced base-2**B digits: the coefficient of u**e i**m
+        c = ((x + half) & ((half << 1) - 1)) - half
+        m, e = divmod(k, D)
+        z = parts.setdefault(e, [0, 0])
+        z[m % 2] += -c if m % 4 > 1 else c
+        x, k = (x - c) >> B, k + 1
+    try:
+        return LaurentSeries({lo + Fraction(e, q): complex(x / scale, y / scale)
+                              for e, (x, y) in sorted(parts.items())})
+    except OverflowError:
+        raise PrecisionError("a coefficient of the resultant overflows a double") from None
+
+
+def _bareiss(rows: list) -> int:
+    """Determinant of a square int matrix by fraction-free elimination:
+    each entry becomes a minor, so each division by the last pivot is exact."""
+    n, sign, prev = len(rows), 1, 1
+    for k in range(n - 1):
+        p = next((i for i in range(k, n) if rows[i][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            rows[k], rows[p], sign = rows[p], rows[k], -sign
+        pivot = rows[k]
+        for row in rows[k + 1:]:
+            row[k + 1:] = [(pivot[k] * x - row[k] * y) // prev
+                           for x, y in zip(row[k + 1:], pivot[k + 1:])]
+        prev = pivot[k]
+    return sign * rows[-1][-1]
 
 
 def iterate_pair(p0: HomogeneousPoly, p1: HomogeneousPoly, n: int):

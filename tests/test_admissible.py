@@ -341,11 +341,13 @@ class TestRegularity:
         with pytest.raises(ParseError, match="unknown variable 'w2'"):
             parse_sections(["w0", "w1", "w2"], d=1)
 
-    def test_truncated_resultant_takes_the_float_check(self):
-        # 1/(1 - t) is truncated, so the float Sylvester determinant decides
+    def test_sections_divide_only_by_t_monomials(self):
+        # so every section resultant is exact, and decides each fiber
         from hybdyn.admissible import datum_regular
 
-        F = parse_sections(["w0/(1 - t)", "(t - 0.1)*w1"], d=1)
+        with pytest.raises(ParseError, match="one-term t-expressions"):
+            parse_sections(["w0/(1 - t)", "(t - 0.1)*w1"], d=1)
+        F = parse_sections(["w0/t", "(t - 0.1)*w1"], d=1)
         assert not datum_regular(F, [0.2, 0.1])
         assert datum_regular(F, [0.2, 0.1j])
 

@@ -42,8 +42,13 @@ class TestSpecialize:
             specialize(parse_family("z^2"), 0.9, r=0.5)
 
     def test_degenerate_map_detected(self):
-        with pytest.raises(DegenerateMapError):
-            RationalMapC([-1.0, 0.0, 1.0], [-1.0, 1.0, 0.0])  # share root z = 1
+        # RationalMapC checks no resultant; specialize decides from the
+        # family's exact one: z^2 - t and z^2 - z share the root 1 at t = 1
+        assert RationalMapC([-1.0, 0.0, 1.0], [-1.0, 1.0, 0.0]).degree == 2
+        fam = parse_family("(z^2 - t)/(z^2 - z)")
+        with pytest.raises(DegenerateMapError, match="zero to rounding"):
+            specialize(fam, 1.0)
+        assert specialize(fam, 0.5).degree == 2
 
     def test_small_t_not_flagged(self):
         # strongly degenerating lift, still a genuine quadratic
@@ -66,14 +71,15 @@ class TestSpecialize:
             specialize(fam, 0.01)
         assert specialize(fam, 0.0101).degree == 2
 
-    def test_truncated_resultant_keeps_float_check(self):
-        # 1/(1 - t) is a truncated series, so the resultant is known only to
-        # its truncation order and the float determinant's tolerance decides
+    def test_t_denominator_keeps_the_resultant_exact(self):
+        # 1 - t stays a factor of P1, so the resultant is (1 - t)^3, exact,
+        # and it vanishes only at t = 1
         fam = parse_family("(z^3 + 1/t) * (1/(1 - t))")
-        assert fam.resultant.trunc is not None
-        assert specialize(fam, 1e-2).degree == 3
-        with pytest.raises(DegenerateMapError, match="vanishes to tolerance"):
-            specialize(fam, 1e-8)
+        assert fam.resultant.trunc is None
+        for tv in (1e-2, 1e-8):
+            assert specialize(fam, tv).degree == 3
+        with pytest.raises(DegenerateMapError, match="zero to rounding"):
+            specialize(fam, 1.0)
 
     def test_resultant_series_built_once(self, monkeypatch):
         # parse_family builds the series, and specialize reads it from there

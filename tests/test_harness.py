@@ -504,6 +504,20 @@ class TestPersistence:
 
 
 class TestExperiments:
+    def test_family_and_datum_parsed_once_per_run(self, monkeypatch):
+        # load_config keeps what it parsed, and run reuses it
+        from hybdyn import harness
+
+        calls = []
+        for name in ("parse_family", "parse_sections"):
+            real = getattr(harness, name)
+            monkeypatch.setattr(harness, name, lambda *args, real=real, **kwargs:
+                                calls.append(real.__name__) or real(*args, **kwargs))
+        run(load_config(POLE_SLOPE_INI))
+        assert calls == ["parse_family"]
+        run(load_config(CONVERGE_INI))
+        assert calls == ["parse_family", "parse_family", "parse_sections"]
+
     def test_lyap_slope_constant_family(self):
         rec = run(load_config(SLOPE_INI))
         s = rec.summary

@@ -1,9 +1,12 @@
 """Grammar, homogenization, and round-trip checks for the textual inputs."""
 
+import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from hybdyn.berkovich import good_reduction_exponent, resultant_valuation
 from hybdyn.errors import DegenerateFamilyError, ParseError
 from hybdyn.laurent import LaurentSeries as L
 from hybdyn.parser import (parse_family, parse_section, parse_sections,
@@ -66,10 +69,12 @@ class TestFamilies:
         assert f.p0.coeffs[0] == L({1: 1 + 2j})
 
     def test_nested_quotients(self):
-        f = parse_family("(z^2 + 1/(1 - t))")  # series inversion of 1 - t
-        c = f.p0.coeffs[0]
-        assert c.coefficient(0) == pytest.approx(1.0)
-        assert c.coefficient(5) == pytest.approx(1.0)
+        # a t-denominator that is not a monomial is kept exactly, as a factor
+        # of the quotient, not inverted as a truncated series
+        f = parse_family("(z^2 + 1/(1 - t))")
+        assert f.p0.coeffs == {0: L.one(), 2: L({0: 1, 1: -1})}
+        assert f.p1.coeffs == {0: L({0: 1, 1: -1})}
+        assert f.resultant.trunc is None
 
     def test_z_denominator_in_subexpression(self):
         # a z-denominator anywhere folds into the overall quotient
@@ -178,8 +183,8 @@ class TestGrammarEdges:
 
 
 # p0 and p1 of each family, {monomial: coefficient}, as parsed before the
-# family, section and series evaluators were merged into one
-GEOMETRIC = " + ".join(["1", "t"] + [f"t^{k}" for k in range(2, 32)]) + " + O(t^32)"
+# family, section and series evaluators were merged into one; a family keeps
+# a t-denominator such as 1 - t as a factor of its quotient
 PINNED_FAMILIES = {
     "z^2": ({(2, 0): "1"}, {(0, 2): "1"}),
     "z^2 - 2": ({(0, 2): "-2", (2, 0): "1"}, {(0, 2): "1"}),
@@ -189,7 +194,7 @@ PINNED_FAMILIES = {
     "z^3 + t*z": ({(1, 2): "t", (3, 0): "1"}, {(0, 3): "1"}),
     "z^2 + t^(1/2)*z + t^(1/3)": ({(0, 2): "t^(1/3)", (1, 1): "t^(1/2)", (2, 0): "1"},
                                   {(0, 2): "1"}),
-    "z^2 + 1/(1 - t)": ({(0, 2): GEOMETRIC, (2, 0): "1"}, {(0, 2): "1"}),
+    "z^2 + 1/(1 - t)": ({(0, 2): "1", (2, 0): "1 - t"}, {(0, 2): "1 - t"}),
     "z^2 + t/z": ({(0, 3): "t", (3, 0): "1"}, {(1, 2): "1"}),
     "(z^3 - 2*z + 1/t)/(z - t)": ({(0, 3): "t^-1", (1, 2): "-2", (3, 0): "1"},
                                   {(0, 3): "-t", (1, 2): "1"}),
@@ -222,10 +227,10 @@ class TestPinnedParses:
                                                                for s in sections]
 
 
-# Res(P0, P1) of each family as captured before the resultant became a form
-# operation: the truncation order and, for every term, its exponent and
-# float.hex of its real and imaginary parts.  Every float sum of the subset
-# expansion is pinned, in the order the terms are formed.
+# Res(P0, P1) of each family, the exact resultant correctly rounded: the
+# truncation order and, for every term, its exponent and float.hex of its
+# real and imaginary parts.  The shipped families' terms are those captured
+# before the resultant became a form operation.
 RAMIFIED = ("(z^2 + 0.7071067811865476*t^(1/2)*z + (3.141592653589793+2.718281828459045i)"
             "*t^(-1/3))/(1.4142135623730951*z^2 - t^(2/3)*z + 0.5772156649015329)")
 DENSE_OCTIC = ("(1.1*z^8 + 2.3*z^7 - 0.7*z^6 + 1.9*z^5 - 3.1*z^4 + 0.3*z^3 + 2.9*z^2 - 1.3*z"
@@ -250,42 +255,28 @@ PINNED_RESULTANTS = {
     "z^3 + t*z": ("inf", [
         "0 0x1.0000000000000p+0 0x0.0p+0",
     ]),
-    "(z^3 + 1/t) * (1/(1 - t))": ("32", [
-        "0 0x1.0000000000000p+0 0x0.0p+0", "1 0x1.8000000000000p+1 0x0.0p+0",
-        "2 0x1.8000000000000p+2 0x0.0p+0", "3 0x1.4000000000000p+3 0x0.0p+0",
-        "4 0x1.e000000000000p+3 0x0.0p+0", "5 0x1.5000000000000p+4 0x0.0p+0",
-        "6 0x1.c000000000000p+4 0x0.0p+0", "7 0x1.2000000000000p+5 0x0.0p+0",
-        "8 0x1.6800000000000p+5 0x0.0p+0", "9 0x1.b800000000000p+5 0x0.0p+0",
-        "10 0x1.0800000000000p+6 0x0.0p+0", "11 0x1.3800000000000p+6 0x0.0p+0",
-        "12 0x1.6c00000000000p+6 0x0.0p+0", "13 0x1.a400000000000p+6 0x0.0p+0",
-        "14 0x1.e000000000000p+6 0x0.0p+0", "15 0x1.1000000000000p+7 0x0.0p+0",
-        "16 0x1.3200000000000p+7 0x0.0p+0", "17 0x1.5600000000000p+7 0x0.0p+0",
-        "18 0x1.7c00000000000p+7 0x0.0p+0", "19 0x1.a400000000000p+7 0x0.0p+0",
-        "20 0x1.ce00000000000p+7 0x0.0p+0", "21 0x1.fa00000000000p+7 0x0.0p+0",
-        "22 0x1.1400000000000p+8 0x0.0p+0", "23 0x1.2c00000000000p+8 0x0.0p+0",
-        "24 0x1.4500000000000p+8 0x0.0p+0", "25 0x1.5f00000000000p+8 0x0.0p+0",
-        "26 0x1.7a00000000000p+8 0x0.0p+0", "27 0x1.9600000000000p+8 0x0.0p+0",
-        "28 0x1.b300000000000p+8 0x0.0p+0", "29 0x1.d100000000000p+8 0x0.0p+0",
-        "30 0x1.f000000000000p+8 0x0.0p+0", "31 0x1.0800000000000p+9 0x0.0p+0",
+    "(z^3 + 1/t) * (1/(1 - t))": ("inf", [
+        "0 0x1.0000000000000p+0 0x0.0p+0", "1 -0x1.8000000000000p+1 0x0.0p+0",
+        "2 0x1.8000000000000p+1 0x0.0p+0", "3 -0x1.0000000000000p+0 0x0.0p+0",
     ]),
     "(z^2 - t)/(z - 1/10)": ("inf", [
-        "0 0x1.47ae147ae147cp-7 0x0.0p+0", "1 -0x1.0000000000000p+0 0x0.0p+0",
+        "0 0x1.47ae147ae147bp-7 0x0.0p+0", "1 -0x1.0000000000000p+0 0x0.0p+0",
     ]),
     RAMIFIED: ("inf", [
-        "-2/3 0x1.3d829b54f5c1fp+2 0x1.114580b45d475p+5",
-        "-1/3 -0x1.484196e209c1ep+2 -0x1.1c0690d10d5dep+2", "0 0x1.552c97fa03695p-2 0x0.0p+0",
+        "-2/3 0x1.3d829b54f5c1ep+2 0x1.114580b45d474p+5",
+        "-1/3 -0x1.484196e209c1fp+2 -0x1.1c0690d10d5ddp+2", "0 0x1.552c97fa03696p-2 0x0.0p+0",
         "5/6 0x1.921fb54442d19p+1 0x1.5bf0a8b14576ap+1",
-        "1 0x1.c65e11b7b6038p+1 0x1.5bf0a8b145769p+1", "7/6 0x1.a1f2e39b99900p-2 0x0.0p+0",
+        "1 0x1.c65e11b7b6038p+1 0x1.5bf0a8b145769p+1", "7/6 0x1.a1f2e39b99901p-2 0x0.0p+0",
     ]),
     DENSE_OCTIC: ("inf", [
-        "-8 0x1.b8cc6573cd2c7p-2 0x0.0p+0", "-7 -0x1.29f5d2bcae7a3p+7 0x0.0p+0",
-        "-6 0x1.cf9383dba9d6ap+13 0x0.0p+0", "-5 0x1.a3cb0e4a5aa6ap+17 0x0.0p+0",
-        "-4 -0x1.a448179fc309fp+20 0x0.0p+0", "-3 -0x1.5599bf890e0a0p+22 0x0.0p+0",
+        "-8 0x1.b8cc6573cd2c4p-2 0x0.0p+0", "-7 -0x1.29f5d2bcae7a3p+7 0x0.0p+0",
+        "-6 0x1.cf9383dba9d6dp+13 0x0.0p+0", "-5 0x1.a3cb0e4a5aa69p+17 0x0.0p+0",
+        "-4 -0x1.a448179fc309dp+20 0x0.0p+0", "-3 -0x1.5599bf890e0a3p+22 0x0.0p+0",
         "-2 0x1.1fc219613b7bdp+28 0x0.0p+0", "-1 0x1.2a5aea5567712p+28 0x0.0p+0",
-        "0 0x1.8dfe96a6a3408p+27 0x0.0p+0", "1 0x1.d5b62fa2eca3ap+25 0x0.0p+0",
-        "2 0x1.05867b986982bp+23 0x0.0p+0", "3 0x1.b4f32b6375fc0p+20 0x0.0p+0",
-        "4 0x1.11ff2324ae630p+17 0x0.0p+0", "5 0x1.024a378b6a245p+13 0x0.0p+0",
-        "6 0x1.1b0e49e984c8fp+9 0x0.0p+0", "7 -0x1.9b2ab9d1614b3p+3 0x0.0p+0",
+        "0 0x1.8dfe96a6a340bp+27 0x0.0p+0", "1 0x1.d5b62fa2eca3cp+25 0x0.0p+0",
+        "2 0x1.05867b986982cp+23 0x0.0p+0", "3 0x1.b4f32b6375fc1p+20 0x0.0p+0",
+        "4 0x1.11ff2324ae633p+17 0x0.0p+0", "5 0x1.024a378b6a24bp+13 0x0.0p+0",
+        "6 0x1.1b0e49e984c8cp+9 0x0.0p+0", "7 -0x1.9b2ab9d1614aep+3 0x0.0p+0",
     ]),
 }
 
@@ -302,12 +293,19 @@ class TestPinnedResultants:
 
 class TestZeroRule:
     def test_family_drops_coefficient_zero_to_truncation(self):
-        # 1/(1 - t) is truncated, so the difference is zero only to O(t^32)
+        # the reader is exact, so the difference is exactly zero and its term
+        # is dropped; 1 - t stays a factor of the quotient, once per term
         f = parse_family("z^2 + 1/(1 - t) - 1/(1 - t)")
-        assert _shown(f.p0) == [((2, 0), "1")]
+        assert _shown(f.p0) == [((2, 0), "1 - 2*t + t^2")]
+        assert _shown(f.p1) == [((0, 2), "1 - 2*t + t^2")]
 
     def test_section_drops_coefficient_zero_to_truncation(self):
-        s = parse_section("w0^2 + w1^2/(1 - t) - w1^2/(1 - t)", d=2)
+        # a section may divide only by a t-monomial, and then an exactly
+        # zero difference is dropped
+        with pytest.raises(ParseError, match="one-term t-expressions") as err:
+            parse_section("w0^2 + w1^2/(1 - t) - w1^2/(1 - t)", d=2)
+        assert err.value.position == 11
+        s = parse_section("w0^2 + w1^2/(3*t) - w1^2/(3*t)", d=2)
         assert _shown(s) == [((2, 0), "1")]
 
 
@@ -332,8 +330,13 @@ class TestErrorOffsets:
         (parse_family, "z^65", "exponent 65 exceeds 64", 2),
         (parse_family, "z^2 + t^-99999999", "exponent -99999999 exceeds 64", 8),
         (parse_series, "(1 + t)^(130/2)", "exponent 65 exceeds 64", 8),
-        # and so is the degree it builds in the variables
+        # and so is the degree it builds in the variables, and the span of
+        # the powers of t it builds
         (parse_family, "((1 + z)^16)^8 + 1/t", "power of degree 128 > 64", 12),
+        (parse_family, "z^2 + ((1 + t)^64)^64", "power spanning 4096 > 64 powers of t", 18),
+        # and so are the bits of the exact numbers it builds
+        (parse_family, "z^2 + ((((1.1)^64)^64)^64)^64", "power of 906880 bits > 16384", 22),
+        (parse_family, "z^2 + (((1e-300)^64)^64)^64", "power of 63808 bits > 16384", 16),
         # errors come in reading order: the unknown name before the stray ')'
         (parse_family, "z^2 + foo + )", "unknown variable 'foo'", 6),
     ])
@@ -352,3 +355,123 @@ class TestErrorOffsets:
     def test_overflowing_coefficient(self, parse, text):
         with pytest.raises(ParseError, match="overflows to a non-finite value"):
             parse(text)
+
+
+class TestLiterals:
+    @pytest.mark.parametrize("literal", ["1e-999999999", "1e-400"])
+    def test_literal_whose_double_is_zero_reads_as_zero(self, literal):
+        # no power of ten is built for the exponent: the term is dropped
+        start = time.perf_counter()
+        f = parse_family(f"z^2 + {literal}*z + 1/t")
+        assert time.perf_counter() - start < 0.5
+        assert list(f.p0.coeffs) == [0, 2]
+
+    def test_literal_products_round_once(self):
+        # 1.5*0.1 is 3/20 exactly, rounded once; the product of the doubles
+        # is 0.15000000000000002
+        assert parse_series("1.5*0.1").coefficient(0) == 0.15
+        assert parse_series("(2.25*t)^(1/2)*0.1") == L({Fraction(1, 2): 0.15})
+
+    def test_power_of_terms_with_other_denominators_stays_small(self):
+        # t^2 is both 0.1*0.1 and 0.5*0.03: a sum of products over the
+        # product of their denominators would double its bits at each factor
+        start = time.perf_counter()
+        s = parse_series("(0.5 + 0.1*t + 0.03*t^2)^14")
+        assert time.perf_counter() - start < 0.5
+        assert s.coefficient(28) == float(Fraction(3, 100) ** 14)
+        assert s.coefficient(1) == float(14 * Fraction(1, 2) ** 13 * Fraction(1, 10))
+
+    @pytest.mark.parametrize("text, value", [
+        ("(4*t)^(1/2)", {Fraction(1, 2): 2}), ("(-t)^(1/2)", {Fraction(1, 2): 1j}),
+        ("(0.25*t^2)^(-3/2)", {-3: 8}), ("((-4+0i)*t)^(3/2)", {Fraction(3, 2): -8j}),
+        ("(1e-14*t)^(1/2)", {Fraction(1, 2): 1e-7}), ("(-4*t)^(1/4)", {Fraction(1, 4): 1 + 1j}),
+        ("(1.21e-40*t)^(1/2)", {Fraction(1, 2): 1.1e-20}),
+        ("((-4e40)*t)^(1/2)", {Fraction(1, 2): 2e20j}),
+        ("((-7+24i)*t)^(1/2)", {Fraction(1, 2): 3 + 4j}),
+        ("((1e-300*1e-300)*t)^(1/2)", {Fraction(1, 2): 1e-300})])
+    def test_fractional_power_takes_the_exact_principal_root(self, text, value):
+        assert parse_series(text) == L(value)
+
+    def test_fractional_power_without_an_exact_root(self):
+        with pytest.raises(ParseError, match="no exact root of order 2 in Q.i.: write the "
+                                             "coefficient out") as err:
+            parse_series("t + (2*t)^(1/2)")
+        assert err.value.position == 9
+        # a guess in doubles for n times the root of a coefficient near the
+        # double range is formed exactly, so it is no OverflowError
+        with pytest.raises(ParseError, match="no exact root"):
+            parse_series("((1e300 + 1e-300i)*t)^(1/2)")
+
+
+def _near_common_factor_families(n: int):
+    """Seeded families ``((z - a)(z + b))/((z - a)(z + c) + e z^2)``, each
+    coefficient one of ten literals times a power of t in -2..2, with the
+    exact resultant ``Q(a) Q(-b) = e a^2 ((a + b)(b - c) + e b^2)`` as
+    {exponent: (re, im)} in Fractions."""
+    literals = {"1": (1, 0), "2": (2, 0), "-1": (-1, 0), "3": (3, 0), "0.1": (Fraction(1, 10), 0),
+                "0.2": (Fraction(1, 5), 0), "0.3": (Fraction(3, 10), 0),
+                "-0.7": (Fraction(-7, 10), 0), "1.5": (Fraction(3, 2), 0), "(1+2i)": (1, 2)}
+    rng = random.Random(20261021)
+
+    def coefficient():
+        lit, e = rng.choice(sorted(literals)), rng.randint(-2, 2)
+        return (lit if e == 0 else f"{lit}*t^{e}"), {Fraction(e): literals[lit]}
+
+    for _ in range(n):
+        (ta, a), (tb, b), (tc, c), (te, e) = (coefficient() for _ in range(4))
+        text = f"((z - {ta})*(z + {tb}))/((z - {ta})*(z + {tc}) + {te}*z^2)"
+        inner = _padd(_pmul(_padd(a, b), _padd(b, _pscale(c, -1))), _pmul(e, _pmul(b, b)))
+        yield text, _pmul(_pmul(e, _pmul(a, a)), inner)
+
+
+def _padd(p, q):
+    out = dict(p)
+    for k, (x, y) in q.items():
+        a, b = out.get(k, (0, 0))
+        out[k] = (a + x, b + y)
+    return {k: c for k, c in out.items() if c != (0, 0)}
+
+
+def _pscale(p, s):
+    return {k: (s * x, s * y) for k, (x, y) in p.items()}
+
+
+def _pmul(p, q):
+    out = {}
+    for k1, (a, b) in p.items():
+        for k2, (c, d) in q.items():
+            out = _padd(out, {k1 + k2: (a * c - b * d, a * d + b * c)})
+    return out
+
+
+class TestExactValuations:
+    def test_named_families(self):
+        # near-common factors: the valuation rests on exact cancellation
+        f = parse_family("((z - 0.1)*(z + -0.7*t^-1))/((z - 0.1)*(z + 2) + 1.5*t^1*z^2)")
+        assert resultant_valuation(f) == -1
+        f = parse_family("((z - (0.1+0.2i))*(z + 0.2))/((z - (0.1+0.2i))*(z + (1+2i)*t^2)"
+                         " + -1*t^2*z^2)")
+        assert (resultant_valuation(f), good_reduction_exponent(f)) == (2, 2)
+
+    def test_kept_t_denominator_has_order_zero(self):
+        # its lowest power of t is divided out, so the lift and its reported
+        # resultant_valuation do not depend on how the denominator is written
+        f, g = parse_family("z^2 + 1/(t - t^2)"), parse_family("z^2 + 1/t/(1 - t)")
+        assert _shown(f.p0) == _shown(g.p0) == [((0, 2), "t^-1"), ((2, 0), "1 - t")]
+        assert _shown(f.p1) == _shown(g.p1) == [((0, 2), "1 - t")]
+        assert resultant_valuation(f) == resultant_valuation(g) == 0
+
+    def test_seeded_battery_matches_the_closed_form(self):
+        # every coefficient of the resultant is the exact one correctly
+        # rounded, so the valuation is exact; an exactly zero resultant is
+        # a degenerate family
+        for text, exact in _near_common_factor_families(240):
+            if not exact:
+                with pytest.raises(DegenerateFamilyError):
+                    parse_family(text)
+                continue
+            f = parse_family(text)
+            want = {k: complex(float(x), float(y)) for k, (x, y) in exact.items()}
+            assert dict(f.resultant.items()) == want, text
+            assert resultant_valuation(f) == min(exact), text
+            assert good_reduction_exponent(f) == min(exact) - 4 * f.min_coeff_order(), text
