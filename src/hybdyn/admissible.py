@@ -51,7 +51,8 @@ def datum_regular(F: AdmissibleDatum, t_values) -> bool:
     by ``cxdyn.specialize``'s rule.  Each resultant is formed once, exactly,
     from the sections' doubles (``poly.exact_form``).  With more than two
     sections a fiber passes when some pair's resultant is nonzero there,
-    which suffices but is not necessary.
+    which suffices but is not necessary.  A resultant that no double holds
+    raises PrecisionError (``poly.resultant``), since it decides nothing.
     """
     from .cxdyn import _shifted_eval
 

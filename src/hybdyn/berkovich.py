@@ -130,7 +130,7 @@ def chart_forms(points) -> list:
         c, _ = _invert_center(a, max(radii))
         shift = 2 * a.order()
         for i, s in zip(group, radii):
-            forms[i] = ("1/z", _reduce_center(c, s - shift)[0], s - shift)
+            forms[i] = ("1/z", *_reduce_center(c, s - shift))
     return forms
 
 
@@ -288,14 +288,18 @@ def _in_float_range(a: LaurentSeries, d: int) -> bool:
     return all(abs(math.log(abs(c))) * d < _FLOAT_LOG for _, c in a.items())
 
 
+def _center_key(a: LaurentSeries) -> tuple:
+    """Everything a Taylor shift reads of a center: its grid, truncation and
+    stored terms in stored order (which fixes the order of the float sums),
+    coefficients bit for bit (``float.hex`` keeps the two zeros apart)."""
+    return (a.ram, a.trunc, tuple((k, c.real.hex(), c.imag.hex()) for k, c in a.terms.items()))
+
+
 def _disk_key(zpair) -> tuple:
-    """Everything ``_orbit_step`` reads of a z-chart disk: the center's
-    grid, truncation and stored terms in stored order (which fixes the order
-    of the float sums), coefficients bit for bit (``float.hex`` keeps the two
-    zeros apart), and the radius."""
+    """Everything ``_orbit_step`` reads of a z-chart disk: its center's
+    ``_center_key`` and its radius."""
     a, s = zpair
-    return (a.ram, a.trunc, s,
-            tuple((k, c.real.hex(), c.imag.hex()) for k, c in a.terms.items()))
+    return _center_key(a), s
 
 
 class GreenEvaluator:
@@ -307,7 +311,8 @@ class GreenEvaluator:
     exponent; it equals ``d**-n`` times the section exponent of the n-th
     homogeneous iterate (``iterate_exponents``) without building that
     degree-``d**n`` iterate.  An orbit step Taylor-shifts P and Q once
-    (``_orbit_step``), which gives both g1 and the image disk.  The
+    (``_orbit_step``), which gives both g1 and the image disk; a polynomial
+    family reads its shifts from its table (``affine_shift``).  The
     evaluator keeps a table from each disk it has stepped to its (reduced
     image, g1), so each distinct disk that some orbit visits costs one step
     per evaluator and later visits, by any vertex, are table reads; a step
@@ -345,7 +350,7 @@ class GreenEvaluator:
         # the affine map P/Q that moves disks along the orbit; a polynomial
         # family steps with P/B, so ord B is added back to g1
         if R.is_polynomial():
-            self._num, self._den = R.affine_coeffs, None
+            self._num, self._den = R.affine_shift, None
             self._ord_b = R.p1.coeffs[0].order()
             self.escape = _escape_region(R)
         else:
@@ -715,9 +720,11 @@ def _orbit_step(num, zpair, den=None):
 
     ``num`` and ``den`` are the ascending LaurentSeries coefficients of P and
     Q, lists of one length; ``den`` None stands for Q = 1 (a polynomial
-    map).  With p_j, q_j the Taylor coefficients at a base point b where Q
-    has no zero in the open disk D-(b, r**s) (``_pole_free_base``; b = a for
-    polynomials), the image is D(P(b)/Q(b), r**s') with
+    map), and then ``num`` may also be a function from a center to P's
+    Taylor shift there (a family's ``affine_shift``).  With p_j, q_j the
+    Taylor coefficients at a base point b where Q has no zero in the open
+    disk D-(b, r**s) (``_pole_free_base``; b = a for polynomials), the
+    image is D(P(b)/Q(b), r**s') with
 
         s' = min over j >= 1 of ord(p_j q_0 - p_0 q_j) + j*s - 2 ord q_0,
 
@@ -726,14 +733,14 @@ def _orbit_step(num, zpair, den=None):
     """
     a, s = zpair
     if den is None:
-        shifted = taylor_shift(list(num), a)
+        shifted = num(a) if callable(num) else taylor_shift(list(num), a)
         slopes, ord_q0 = shifted[1:], 0
     else:
         shifted, qs = _pole_free_base(num, den, a, s)
         p0, q0 = shifted[0], qs[0]
         slopes = [p * q0 - p0 * q for p, q in zip(shifted[1:], qs[1:])]
         ord_q0 = q0.order()
-    best = _newton_min([LaurentSeries.zero()] + slopes, s)
+    best = _newton_min([LaurentSeries.zero(), *slopes], s)
     if best == _INF:
         raise DegenerateFamilyError("constant map has no disk image")
     s_image = _as_frac(best - 2 * ord_q0)
@@ -786,18 +793,19 @@ def build_probe_tree(R, s_min=-3, s_max=3, q: int = 2, orbit_len: int = 2,
                      include_critical: bool = True) -> BerkTree:
     """Default probe tree: a radius grid at center 0, forward-orbit segments
     of the grid disks, and (for polynomial families) critical-orbit centers
-    carrying their own radius grids."""
+    carrying their own radius grids.  Every orbit step reads the family's
+    Taylor-shift table (``affine_shift``)."""
     zero = LaurentSeries.zero()
     grid = [Fraction(j, q) for j in range(int(s_min * q), int(s_max * q) + 1)]
     pairs = [(zero, s) for s in grid]
     if R.is_polynomial():
-        coeffs = R.affine_coeffs
+        shift = R.affine_shift
         # forward orbit segments of the grid disks
         for s in grid:
             cur = (zero, s)
             for _ in range(orbit_len):
                 try:
-                    cur = map_disk(coeffs, cur)
+                    cur = map_disk(shift, cur)
                 except DegenerateFamilyError:
                     break
                 pairs.append(cur)
@@ -807,7 +815,7 @@ def build_probe_tree(R, s_min=-3, s_max=3, q: int = 2, orbit_len: int = 2,
         for c in centers:
             cur = c
             for _ in range(orbit_len):
-                cur = taylor_shift(coeffs, cur)[0]
+                cur = shift(cur)[0]
                 orbit.append(cur)
         distinct = []
         for c in centers + orbit:

@@ -50,18 +50,16 @@ class RationalMapC:
     """Complex rational map of degree d in homogeneous coordinates.
 
     It checks no degeneracy: ``specialize`` decides that from the family's
-    exact resultant and keeps its value at t in ``resultant`` (None for a
-    map built directly).
+    exact resultant.
     """
 
-    def __init__(self, p0c, p1c, label: str = "", resultant: complex | None = None):
+    def __init__(self, p0c, p1c, label: str = ""):
         self.p0c = np.asarray(p0c, dtype=complex)  # ascending in z, length d+1
         self.p1c = np.asarray(p1c, dtype=complex)
         if self.p0c.shape != self.p1c.shape or self.p0c.ndim != 1:
             raise DegenerateMapError("coefficient arrays must share length d+1")
         self.degree = len(self.p0c) - 1
         self.label = label
-        self.resultant = resultant
 
     def __repr__(self):
         return f"<RationalMapC deg={self.degree} {self.label!r}>"
@@ -138,13 +136,11 @@ def specialize(R, t: complex, r: float | None = None) -> RationalMapC:
         raise DegenerateMapError(f"|t| = {abs(t)} exceeds the radius {r}")
     p0c = np.array([c.eval(t) for c in R.p0.dehomogenized()], dtype=complex)
     p1c = np.array([c.eval(t) for c in R.p1.dehomogenized()], dtype=complex)
-    res = R.resultant
-    value, bound = _shifted_eval(res, t)
+    value, bound = _shifted_eval(R.resultant, t)
     if abs(value) <= bound:
         raise DegenerateMapError(f"degenerate specialization at t = {t}: resultant "
                                  f"{value} is zero to rounding ({bound:.3g})")
-    return RationalMapC(p0c, p1c, label=f"{getattr(R, 'label', '')}@t={t}",
-                        resultant=res.eval(t))
+    return RationalMapC(p0c, p1c, label=f"{getattr(R, 'label', '')}@t={t}")
 
 
 def _shifted_eval(series, t: complex):

@@ -509,8 +509,11 @@ def cmd_lyap_slope(cfg: ExperimentConfig) -> ResultRecord:
     slope, intercept, slope_err = fit_slope(
         [math.log(1.0 / m) for m in cfg.moduli],
         [pm["lyapunov"] for pm in summary["per_modulus"]])
+    # an infinite stderr would read as 0 sigmas and pass any bound: a cell
+    # without an estimate leaves both checks unknown (null)
+    estimated = all(math.isfinite(row[5]) for row in rows)
     oracle_dev = None
-    if polynomial:
+    if polynomial and estimated:
         devs = [abs(row[4] - row[6]) / max(row[5], 1e-12) for row in rows]
         oracle_dev = float(max(devs))
     bd_bound = 0.5 * math.log(family.degree)
@@ -523,7 +526,8 @@ def cmd_lyap_slope(cfg: ExperimentConfig) -> ResultRecord:
         "na_lyapunov_exact": exact,
         "na_ratio": na_ratio,
         "slope_discrepancy": slope - na_ratio,
-        "briend_duval_ok": all(row[4] >= bd_bound - 3.0 * row[5] for row in rows),
+        "briend_duval_ok": all(row[4] >= bd_bound - 3.0 * row[5] for row in rows)
+        if estimated else None,
         "briend_duval_bound": bd_bound,
         "max_oracle_deviation_sigmas": oracle_dev,
     })

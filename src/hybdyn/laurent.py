@@ -95,7 +95,7 @@ class LaurentSeries:
 
     @classmethod
     def const(cls, c) -> "LaurentSeries":
-        return cls({0: c})
+        return cls._make(1, {0: complex(c)}, None)
 
     @classmethod
     def zero(cls, trunc=_INF) -> "LaurentSeries":
@@ -105,10 +105,12 @@ class LaurentSeries:
 
     @classmethod
     def one(cls) -> "LaurentSeries":
-        return cls({0: 1.0})
+        return cls._make(1, {0: 1 + 0j}, None)
 
     @classmethod
     def t_power(cls, e=1, coeff=1.0) -> "LaurentSeries":
+        if isinstance(e, int):
+            return cls._make(1, {e: complex(coeff)}, None)
         return cls({Fraction(e): coeff})
 
     def __setattr__(self, name, value):
@@ -288,28 +290,38 @@ class LaurentSeries:
             if self.trunc is not None:
                 out = out.truncate(self.trunc_order - 2 * m)
             return out
+        # self = lead * t^m * (1 + u), ord(u) > 0; the exponent-0 term of
+        # shift / lead is 1 by construction and is dropped, since lead / lead
+        # need not round to 1.  sum_k (-u)^k runs on term dicts, each capped
+        # product and each sum formed in __mul__'s and __add__'s order
         if self.trunc is not None:
             target = self.trunc_order - 2 * m
         else:
             target = -m + window
-        # self = lead * t^m * (1 + u) with ord(u) > 0; the exponent-0 term
-        # of shift / lead is 1 by construction and is dropped, not
-        # subtracted, since lead * (1 / lead) need not round to 1
-        shifted, inv_lead = self.shift(-m), 1.0 / lead
-        u = LaurentSeries._make(shifted.ram, {k: c * inv_lead for k, c in shifted.terms.items()
-                                              if k != 0}, shifted.trunc).truncate(target + m)
-        inv_unit = LaurentSeries.one()
-        power = LaurentSeries.one()
-        # geometric series sum_{k} (-u)^k, truncated
-        ord_u = u.order()
-        k_max = int(math.ceil(float((target + m) / ord_u))) + 1
-        for _ in range(k_max):
-            power = power.__mul__(-u, below=target + m)
-            if power.is_zero():
+        ram, k0, inv_lead = self.ram, min(self.terms), 1.0 / lead
+        cap = int((target + m) * ram)
+        tu = cap if self.trunc is None else min(cap, self.trunc - k0)
+        neg_u = {k - k0: -(c * inv_lead) for k, c in self.terms.items()
+                 if k != k0 and k - k0 < tu and c * inv_lead != 0}
+        low_u = min(neg_u, default=tu)
+        power, power_trunc, inv, inv_trunc = {0: 1 + 0j}, _INF, {0: 1 + 0j}, _INF
+        for _ in range(math.ceil(cap / low_u) + 1):
+            tr = min(cap, min(power) + tu, low_u + power_trunc)
+            terms = {}
+            for k1, c1 in power.items():
+                for k2, c2 in neg_u.items():
+                    k = k1 + k2
+                    if k < tr:
+                        terms[k] = terms.get(k, 0.0) + c1 * c2
+            power, power_trunc = {k: c for k, c in terms.items() if c != 0}, tr
+            if not power:
                 break
-            inv_unit = inv_unit + power
-        out = inv_unit.shift(-m) * (1.0 / lead)
-        return out.truncate(target)
+            inv_trunc = min(inv_trunc, tr)
+            for k, c in power.items():
+                inv[k] = inv.get(k, 0.0) + c
+            inv = {k: c for k, c in inv.items() if c != 0 and k < inv_trunc}
+        unit = LaurentSeries.one() if inv_trunc == _INF else LaurentSeries._make(ram, inv, inv_trunc)
+        return (unit.shift(-m) * (1.0 / lead)).truncate(target)
 
     def __truediv__(self, other):
         if not isinstance(other, LaurentSeries):

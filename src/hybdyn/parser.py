@@ -364,6 +364,7 @@ class RationalMapFamily:
         if p0.degree != degree or p1.degree != degree:
             raise ParseError("family sections must share the declared degree")
         self.degree, self.p0, self.p1, self.label = degree, p0, p1, label
+        self._shifts = {}  # berkovich._center_key(center) -> affine_shift(center)
 
     @cached_property
     def resultant(self) -> LaurentSeries:
@@ -387,6 +388,18 @@ class RationalMapFamily:
             raise ParseError("family is not polynomial in z")
         inv = self.p1.coeffs[0].inverse()
         return tuple(c * inv for c in self.p0.dehomogenized())
+
+    def affine_shift(self, center: LaurentSeries) -> tuple:
+        """``taylor_shift(affine_coeffs, center)`` as a tuple, formed once per
+        center: the family keeps a table keyed by the center bit for bit
+        (``berkovich._center_key``), which the probe tree's orbits and the
+        Green walk share.  A shift reads nothing else of the center, so a
+        table read is what a fresh shift would give."""
+        key = berkovich._center_key(center)
+        shifted = self._shifts.get(key)
+        if shifted is None:
+            shifted = self._shifts[key] = tuple(berkovich.taylor_shift(self.affine_coeffs, center))
+        return shifted
 
     def emit(self) -> str:
         return f"({self.p0.emit(chart=True)})/({self.p1.emit(chart=True)})"

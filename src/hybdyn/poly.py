@@ -229,7 +229,8 @@ def _exact(z: complex) -> tuple:
 
 def resultant(a: list, b: list) -> LaurentSeries:
     """Res(a, b) of two exact forms of one degree d, as an exact series in t
-    whose coefficients are correctly rounded.  A form is its d + 1 ascending
+    whose coefficients are correctly rounded; PrecisionError when a nonzero
+    one overflows a double or rounds to zero.  A form is its d + 1 ascending
     coefficients, t-polynomials ``{exponent: (re, im, den)}`` of Gaussian
     rationals ``(re + im i) / den``, as the parser builds them;
     ``exact_form`` reads a form of doubles.
@@ -274,10 +275,13 @@ def resultant(a: list, b: list) -> LaurentSeries:
         z[m % 2] += -c if m % 4 > 1 else c
         x, k = (x - c) >> B, k + 1
     try:
-        return LaurentSeries({lo + Fraction(e, q): complex(x / scale, y / scale)
-                              for e, (x, y) in sorted(parts.items())})
+        coeffs = {lo + Fraction(e, q): complex(x / scale, y / scale)
+                  for e, (x, y) in sorted(parts.items()) if x or y}
     except OverflowError:
         raise PrecisionError("a coefficient of the resultant overflows a double") from None
+    if not all(coeffs.values()):
+        raise PrecisionError("a coefficient of the resultant underflows a double")
+    return LaurentSeries(coeffs)
 
 
 def _bareiss(rows: list) -> int:

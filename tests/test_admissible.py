@@ -327,6 +327,16 @@ class TestRegularity:
             singular.append([i for i, ok in enumerate(alone) if not ok])
         assert singular == [[], [12], []]
 
+    def test_resultant_out_of_double_range_is_a_precision_error(self):
+        # Res(1e-200*w0^2, w1^2) = 1e-400 is nonzero, so the sections share no
+        # zero; no double holds it, and an empty resultant would read as a
+        # common zero on every fiber
+        from hybdyn.admissible import datum_regular
+        F = parse_sections(["1e-200*w0^2", "w1^2"], d=2)
+        with pytest.raises(PrecisionError, match="underflows"):
+            datum_regular(F, [0.1])
+        assert datum_regular(parse_sections(["1e-150*w0^2", "w1^2"], d=2), [0.1])
+
     def test_more_sections_need_a_pair_apart(self):
         # a fiber passes when some pair of sections has a nonzero resultant
         # there; w0*w1, w0*(w0 - w1) and w1*(w0 - w1) share no zero, but each

@@ -522,6 +522,51 @@ class TestStepTable:
         assert berkovich._disk_key((L.zero(), F(2))) in ev._steps
 
 
+class TestShiftTable:
+    """A polynomial family Taylor-shifts its affine coefficients once per
+    center, bit for bit: the probe tree's orbits and the Green walk read
+    one table, and every read is the shift a fresh call gives."""
+
+    @staticmethod
+    def _bits(shifted):
+        return [(c.ram, c.trunc, [(k, z.real.hex(), z.imag.hex()) for k, z in c.terms.items()])
+                for c in shifted]
+
+    def test_na_deep_tree_shifts_each_center_once(self, monkeypatch):
+        # the na-deep-tree workload's tree and Green values: 121 shifts before
+        # the table (102 in the tree's orbits, 19 in the Green walk) at the 3
+        # centers 0, 1/t and t^-2 + t^-1
+        calls = []
+        shift = berkovich.taylor_shift
+        monkeypatch.setattr(berkovich, "taylor_shift", lambda coeffs, center: calls.append(
+            (tuple(coeffs), berkovich._center_key(center))) or shift(coeffs, center))
+        fam = parse_family("z^2 + 1/t")
+        tree = build_probe_tree(fam, s_min=-4, s_max=4, q=4, orbit_len=3)
+        ev = GreenEvaluator(fam, R, n_max=16, tol=1e-3)
+        for v in tree.vertices:
+            ev.exponent(v)
+        assert len(tree.vertices) == 149
+        assert len(calls) == len(set(calls)) == len(fam._shifts) == 3
+        centers = [L.zero(), L.t_power(-1)]
+        centers.append(shift(fam.affine_coeffs, centers[1])[0])  # stored as t^-1 + t^-2
+        assert list(fam._shifts) == [berkovich._center_key(c) for c in centers]
+        for c in centers:
+            assert self._bits(fam.affine_shift(c)) == self._bits(shift(fam.affine_coeffs, c))
+
+    @pytest.mark.parametrize("zeros", [(complex(0.5, 0.0), complex(0.5, -0.0)),
+                                       (complex(0.0, 0.5), complex(-0.0, 0.5))])
+    def test_signed_zero_centers_are_kept_apart(self, zeros):
+        fam = parse_family("z^3 + (0.3+0.7i)*z/t + 1/t")
+        p, q = (L({-1: 1.5, 1: c}) for c in zeros)
+        assert berkovich._center_key(p) != berkovich._center_key(q)
+        first = fam.affine_shift(p)
+        assert fam.affine_shift(p) is first and len(fam._shifts) == 1
+        assert fam.affine_shift(q) is not first and len(fam._shifts) == 2
+        for c in (p, q):
+            assert self._bits(fam.affine_shift(c)) == \
+                self._bits(taylor_shift(list(fam.affine_coeffs), c))
+
+
 class TestChartForm:
     """Only records need a point's chart form; nothing else inverts a
     center, and records invert each distinct center once."""

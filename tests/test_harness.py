@@ -528,6 +528,18 @@ class TestExperiments:
             assert pm["lyapunov"] == pytest.approx(math.log(2), abs=1e-9)
         assert s["briend_duval_ok"]
 
+    def test_lyap_slope_infinite_estimate_reports_null_checks(self):
+        # 2*z^2/t - t is the Chebyshev map T_2 scaled by t: every cell stops
+        # at quadrature level 1 with stderr inf, which reads as 0 sigmas and
+        # passes the Briend-Duval bound unless the summary says "unknown"
+        s = run(load_config(SLOPE_INI.replace("family = z^2", "family = 2*z^2/t - t")
+                            .replace("800", "200").replace("phases = 2", "phases = 1"))).summary
+        assert [pm["stderr"] for pm in s["per_modulus"]] == [math.inf] * 3
+        assert s["max_oracle_deviation_sigmas"] is None
+        assert s["briend_duval_ok"] is None
+        s = run(load_config(POLE_SLOPE_INI)).summary
+        assert s["max_oracle_deviation_sigmas"] <= 3.0 and s["briend_duval_ok"] is True
+
     def test_lyap_slope_exact_na_value(self):
         # z^2 + 1/t: the critical-point formula gives +1/2 log 2 exactly;
         # the probe tree's value stays beside it, sign unchecked (item 2)

@@ -3,6 +3,7 @@
 import cmath
 import itertools
 import math
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -228,6 +229,58 @@ class TestInversion:
                 got, want = a.inverse(window=window), reference(a, window)
                 assert (got.ram, got.trunc, list(got.terms.items())) == \
                     (want.ram, want.trunc, list(want.terms.items()))
+
+
+    @staticmethod
+    def _bits(x):
+        return x.ram, x.trunc, [(k, c.real.hex(), c.imag.hex()) for k, c in x.terms.items()]
+
+    def test_inverse_is_the_operator_geometric_series_bit_for_bit(self):
+        # the reference sums the geometric series with series operators, one
+        # capped product and one sum per power; inverse forms the same sums
+        # on term dicts.  Inputs are exact, truncated and ramified, with
+        # terms in any stored order, signed zeros, and windows that leave u
+        # empty, so every term, grid and truncation order must match
+        def reference(a, window):
+            m, lead = a.leading()
+            target = a.trunc_order - 2 * m if a.trunc is not None else -m + window
+            shifted, inv_lead = a.shift(-m), 1.0 / lead
+            u = L._make(shifted.ram, {k: c * inv_lead for k, c in shifted.terms.items()
+                                      if k != 0}, shifted.trunc).truncate(target + m)
+            inv_unit = power = L.one()
+            for _ in range(int(math.ceil(float((target + m) / u.order()))) + 1):
+                power = power.__mul__(-u, below=target + m)
+                if power.is_zero():
+                    break
+                inv_unit = inv_unit + power
+            return (inv_unit.shift(-m) * (1.0 / lead)).truncate(target)
+
+        rng = random.Random(20261022)
+        parts = [0.0, -0.0, 1.0, -1.0, 2.0, 0.1, -0.7, 1e-170, 1e170]
+        for _ in range(600):
+            ram = rng.choice([1, 1, 2, 3, 6])
+            exps = rng.sample(range(-8 * ram, 40 * ram), rng.randint(2, 7))
+            terms, real = {}, rng.random() < 0.3
+            for k in exps:
+                if real or rng.random() < 0.4:
+                    re, im = rng.choice(parts), rng.choice(parts[:2] if real else parts)
+                    if not re and not im:
+                        re = -1.5
+                else:
+                    re, im = rng.uniform(-2, 2), rng.uniform(-2, 2)
+                terms[k] = complex(re, im)
+            trunc = None if rng.random() < 0.6 else max(exps) + rng.randint(1, 9)
+            a = L._make(ram, terms, trunc)
+            window = rng.choice([1, 2, 5, 8, 13, 32])
+            assert self._bits(a.inverse(window=window)) == self._bits(reference(a, window))
+
+    def test_constant_constructors_match_the_general_one(self):
+        for c in (1, 2.5, -0.0, 0, 1j, complex(-0.0, 0.0), complex(0.3, -0.0)):
+            assert self._bits(L.const(c)) == self._bits(L({0: c}))
+            for e in (-3, 0, 4):
+                assert self._bits(L.t_power(e, c)) == self._bits(L({F(e): c}))
+        assert self._bits(L.one()) == self._bits(L({0: 1.0}))
+        assert self._bits(L.t_power(F(3, 2), 2.0)) == self._bits(L({F(3, 2): 2.0}))
 
 
 class TestText:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from hybdyn.berkovich import good_reduction_exponent, resultant_valuation
-from hybdyn.errors import DegenerateFamilyError, ParseError
+from hybdyn.errors import DegenerateFamilyError, ParseError, PrecisionError
 from hybdyn.laurent import LaurentSeries as L
 from hybdyn.parser import (parse_family, parse_section, parse_sections,
                            parse_series)
@@ -63,6 +63,15 @@ class TestFamilies:
     def test_degenerate_resultant(self):
         with pytest.raises(DegenerateFamilyError):
             parse_family("(z^2 + z)/(z^2 + z)")
+
+    def test_resultant_out_of_double_range_is_a_precision_error(self):
+        # the exact resultants 1e-400 and about 1e800 are nonzero and finite,
+        # but no double holds them: neither family is degenerate
+        with pytest.raises(PrecisionError, match="underflows"):
+            parse_family("1e-200*z^2 + 1")
+        with pytest.raises(PrecisionError, match="overflows"):
+            parse_family("(1e200*z^2 + 1)/(z^2 + 1e200)")
+        assert parse_family("1e-150*z^2 + 1").resultant == L.const(1e-300)
 
     def test_complex_coefficients(self):
         f = parse_family("z^2 + (1+2i)*t")
